@@ -20,7 +20,6 @@ import numpy as np
 
 from .geometry import (
     cross2,
-    fan_triangle_quadrature,
     clip_segment_to_disk,
     rotate_cw,
     segments_properly_cross,
@@ -163,21 +162,29 @@ def relative_perimeter(cluster, density, center, radius, eps=1e-12):
     return total
 
 
-def weighted_volume(cluster, density, order=5):
-    """Weighted chamber volumes as a vector indexed by chamber label - 1.
+def fan_volume_terms(density, p, q, order=5):
+    """Integral of g over each signed fan triangle (origin, p_i, q_i).
 
-    Signed fan triangles from the origin with a fixed-order symmetric rule;
+    p, q: (S, 2) segment endpoint batches. A fixed-order symmetric rule;
     exact for polynomial g up to the rule degree, in particular constant g.
+    Summed with the orientation signs of a closed boundary, the terms give
+    the weighted volume it encloses.
     """
-    p, q, left, right, _ = cluster.segment_arrays()
-    vols = np.zeros(cluster.m)
-    if len(p) == 0:
-        return vols
     bary, wts = triangle_rule(order)
     areas = 0.5 * cross2(p, q)
     pts = bary[None, :, 1, None] * p[:, None, :] + bary[None, :, 2, None] * q[:, None, :]
     gv = density.g_at(pts.reshape(-1, 2)).reshape(len(p), -1)
-    seg_int = areas * (gv * wts[None, :]).sum(axis=1)
+    return areas * (gv * wts[None, :]).sum(axis=1)
+
+
+def weighted_volume(cluster, density, order=5):
+    """Weighted chamber volumes as a vector indexed by chamber label - 1,
+    from the signed fan triangles of fan_volume_terms."""
+    p, q, left, right, _ = cluster.segment_arrays()
+    vols = np.zeros(cluster.m)
+    if len(p) == 0:
+        return vols
+    seg_int = fan_volume_terms(density, p, q, order)
     sel_l = left > 0
     np.add.at(vols, left[sel_l] - 1, seg_int[sel_l])
     sel_r = right > 0
@@ -292,20 +299,26 @@ def _wedge_violations(cluster):
     return problems
 
 
-def _crossing_violations(cluster, cap=20):
-    problems = []
-    i0, i1, _, _, eid = cluster.segment_index_arrays()
-    p = cluster.vertices[i0]
-    q = cluster.vertices[i1]
-    n = len(p)
+def crossing_pairs(i0, i1):
+    """Index pairs (a < b) of segments (i0, i1) that share no endpoint: the
+    pairs whose proper crossing makes a boundary self-intersect."""
+    n = len(i0)
     if n < 2:
-        return problems
+        return np.empty(0, dtype=int), np.empty(0, dtype=int)
     a, b = np.triu_indices(n, k=1)
     share = (i0[a] == i0[b]) | (i0[a] == i1[b]) | (i1[a] == i0[b]) | (i1[a] == i1[b])
-    hit = segments_properly_cross(p[a], q[a], p[b], q[b]) & ~share
-    for ia, ib in zip(a[hit][:cap], b[hit][:cap]):
-        problems.append(f"segments of edges {eid[ia]} and {eid[ib]} cross")
-    return problems
+    return a[~share], b[~share]
+
+
+def _crossing_violations(cluster, cap=20):
+    i0, i1, _, _, eid = cluster.segment_index_arrays()
+    a, b = crossing_pairs(i0, i1)
+    V = cluster.vertices
+    hit = segments_properly_cross(V[i0[a]], V[i1[a]], V[i0[b]], V[i1[b]])
+    return [
+        f"segments of edges {eid[ia]} and {eid[ib]} cross"
+        for ia, ib in zip(a[hit][:cap], b[hit][:cap])
+    ]
 
 
 def growth_estimate(density, radii, centers_per_radius=8, rng=None):
@@ -363,7 +376,7 @@ def isoperimetric_check(polygon, density, c_vol, eta):
     q = np.roll(polygon, -1, axis=0)
     v = q - p
     lhs = float(density.h_at(0.5 * (p + q), rotate_cw(v)).sum())
-    vol = fan_triangle_quadrature(p, q, density.g_at, order=5)
+    vol = float(fan_volume_terms(density, p, q).sum())
     rhs = density.h_min / c_vol ** (1.0 / eta) * vol ** (1.0 / eta)
     slack = lhs - rhs
     return slack >= 0, slack

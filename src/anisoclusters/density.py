@@ -209,31 +209,6 @@ def validate_density(density, n_pts=64, n_dirs=32, rng=None):
     return problems
 
 
-def estimate_modulus(density, t, n_samples=4000, n_dirs=16, rng=None):
-    """Monte Carlo lower estimate of the spatial modulus of continuity.
-
-    sup over |y - x| <= t, both in the domain, and unit directions v of
-    |h(x, v) - h(y, v)|. t is clamped to the domain diameter.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    t = min(float(t), density.domain.diameter())
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    best = 0.0
-    u = unit_dir(np.arange(n_dirs) * (2 * np.pi / n_dirs))
-    xs = density.domain.sample(rng, n_samples)
-    step = t * np.sqrt(rng.uniform(0.0, 1.0, n_samples))
-    ys = xs + step[:, None] * unit_dir(rng.uniform(0, 2 * np.pi, n_samples))
-    inside = density.domain.contains(ys)
-    for x, y, ok in zip(xs, ys, inside):
-        if not ok:
-            continue
-        hx = density.gauge_at(x).value(u)
-        hy = density.gauge_at(y).value(u)
-        best = max(best, float(np.abs(hx - hy).max()))
-    return best
-
-
 def ball_volume(density, center, radius, n_r=48, n_t=96):
     """Weighted volume of a disk via tensor Gauss-Legendre in polar form."""
     center = np.asarray(center, dtype=float)

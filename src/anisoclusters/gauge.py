@@ -17,7 +17,6 @@ Two derived weights show up throughout:
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .geometry import (
     TWO_PI,
@@ -269,11 +268,13 @@ class SmoothedL1Gauge(Gauge):
         g = _circle_gauge_grad(v, c, self.arc_radius)
         if np.all(smoothmask):
             return g
-        # corner directions: average the two one-sided gradients (a valid
-        # subgradient of the max of the two supporting circle gauges)
-        c2 = self.centers[np.mod(self._sector(v) + 1, 4)]
-        g2 = _circle_gauge_grad(v, c2, self.arc_radius)
-        mid = 0.5 * (g + g2)
+        # corner directions: average the one-sided gradients of the two arcs
+        # meeting there (a valid subgradient of the max of the two supporting
+        # circle gauges); the corner at angle (2k+1) pi/4 joins arcs k and k+1
+        k = np.mod(np.floor(np.arctan2(v[..., 1], v[..., 0]) / (np.pi / 2)).astype(int), 4)
+        g1 = _circle_gauge_grad(v, self.centers[k], self.arc_radius)
+        g2 = _circle_gauge_grad(v, self.centers[np.mod(k + 1, 4)], self.arc_radius)
+        mid = 0.5 * (g1 + g2)
         return np.where(smoothmask[..., None], g, mid)
 
     def grad_is_smooth(self, v):
@@ -299,14 +300,19 @@ class TabulatedGauge(Gauge):
             raise ValueError("profile must be positive")
         self.values = values
         n = len(values)
-        theta = np.linspace(0.0, TWO_PI, n + 1)
-        self._spline = CubicSpline(theta, np.append(values, values[0]), bc_type="periodic")
-        self._dspline = self._spline.derivative()
+        self._step = TWO_PI / n
+        # second derivatives of the spline at the knots: the periodic system
+        # M[k-1] + 4 M[k] + M[k+1] = 6/h^2 (y[k-1] - 2 y[k] + y[k+1]) is
+        # circulant with eigenvalues 4 + 2 cos(2 pi j / n) >= 2, so one FFT
+        # divide solves it
+        rhs = (6.0 / self._step**2) * (np.roll(values, 1) - 2.0 * values + np.roll(values, -1))
+        eig = 4.0 + 2.0 * np.cos(TWO_PI * np.arange(n // 2 + 1) / n)
+        self._moments = np.fft.irfft(np.fft.rfft(rhs) / eig, n)
         self.symmetric = bool(n % 2 == 0 and np.allclose(values, np.roll(values, n // 2)))
         # convexity of the interpolated ball: its boundary, traversed
         # counterclockwise, must never turn clockwise
         tt = np.arange(1024) * (TWO_PI / 1024)
-        pts = unit_dir(tt) / self._spline(tt)[:, None]
+        pts = unit_dir(tt) / self._spline(tt)[0][:, None]
         e = np.roll(pts, -1, axis=0) - pts
         turn = cross2(e, np.roll(e, -1, axis=0))
         if turn.min() < -1e-12 * (e * e).sum(axis=-1).max():
@@ -315,9 +321,24 @@ class TabulatedGauge(Gauge):
     def params(self):
         return {"values": self.values.tolist()}
 
+    def _spline(self, theta):
+        """Spline value and angular derivative at angles theta in [0, 2*pi]."""
+        n, h = len(self.values), self._step
+        k = np.minimum(np.floor(theta / h).astype(int), n - 1)
+        t = theta - k * h
+        s = h - t
+        k1 = (k + 1) % n
+        y0, y1 = self.values[k], self.values[k1]
+        m0, m1 = self._moments[k], self._moments[k1]
+        c0 = y0 - m0 * (h * h / 6.0)
+        c1 = y1 - m1 * (h * h / 6.0)
+        val = (m0 * s**3 + m1 * t**3) / (6.0 * h) + (c0 * s + c1 * t) / h
+        der = (m1 * t * t - m0 * s * s) / (2.0 * h) + (y1 - y0) / h - (m1 - m0) * (h / 6.0)
+        return val, der
+
     def _profile(self, v):
         theta = wrap_angle(np.arctan2(v[..., 1], v[..., 0]))
-        return self._spline(theta), self._dspline(theta), theta
+        return (*self._spline(theta), theta)
 
     def value(self, v):
         v = np.asarray(v, dtype=float)
@@ -507,18 +528,3 @@ def roundedness_constant(gauge, n_dirs=128, n_w=16):
     v = u[None, :, :]
     gap = 0.5 * (gauge.value(v + w) + gauge.value(v - w)) - gauge.value(v)
     return float((gap / t[:, None] ** 2).min())
-
-
-def path_length(gauge, pts, reverse=False):
-    """Anisotropic length of a polyline: sum of gauge(segment vectors)."""
-    pts = np.asarray(pts, dtype=float)
-    if reverse:
-        pts = pts[::-1]
-    return float(gauge.value(pts[1:] - pts[:-1]).sum())
-
-
-def dini_partial_sum(phi, ratio, n_terms):
-    """Partial sum of phi(ratio^-n), n = 0 .. n_terms."""
-    if not ratio > 1:
-        raise ValueError("ratio must exceed 1")
-    return float(sum(phi(ratio ** (-n)) for n in range(n_terms + 1)))

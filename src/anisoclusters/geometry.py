@@ -71,50 +71,10 @@ def cross2(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def polyline_vectors(pts):
-    pts = np.asarray(pts, dtype=float)
-    return pts[1:] - pts[:-1]
-
-
-def euclid_length(pts):
-    return float(np.linalg.norm(polyline_vectors(pts), axis=-1).sum())
-
-
-def shoelace_terms(pts):
-    """Sum of cross(p_k, p_{k+1})/2 along an open polyline.
-
-    Accumulated over the closed cycles of a chamber boundary this is the
-    enclosed signed area.
-    """
-    pts = np.asarray(pts, dtype=float)
-    return 0.5 * float(cross2(pts[:-1], pts[1:]).sum())
-
-
 def polygon_area(pts):
     """Signed area of a closed polygon given without the repeated endpoint."""
     pts = np.asarray(pts, dtype=float)
     return 0.5 * float(cross2(pts, np.roll(pts, -1, axis=0)).sum())
-
-
-def point_in_polygon(p, poly, include_boundary=True, eps=1e-12):
-    """Even-odd test for a single point against polygon vertices (no repeat)."""
-    p = np.asarray(p, dtype=float)
-    poly = np.asarray(poly, dtype=float)
-    a = poly
-    b = np.roll(poly, -1, axis=0)
-    # boundary check: distance from p to each segment
-    ab = b - a
-    t = np.clip(((p - a) * ab).sum(-1) / np.maximum((ab * ab).sum(-1), 1e-300), 0.0, 1.0)
-    foot = a + t[:, None] * ab
-    d = np.linalg.norm(foot - p, axis=-1)
-    if d.min() <= eps:
-        return bool(include_boundary)
-    # ray cast along +x
-    cond = (a[:, 1] > p[1]) != (b[:, 1] > p[1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xin = a[:, 0] + (p[1] - a[:, 1]) / (b[:, 1] - a[:, 1]) * (b[:, 0] - a[:, 0])
-    hits = cond & (xin > p[0])
-    return bool(hits.sum() % 2 == 1)
 
 
 def segment_point_distance(p, a, b):
@@ -234,27 +194,6 @@ def triangle_rule(order):
     if order not in _TRI_RULES:
         raise ValueError(f"no triangle rule of order {order}; choose from {sorted(_TRI_RULES)}")
     return _TRI_RULES[order]
-
-
-def fan_triangle_quadrature(p, q, func, order=5, apex=(0.0, 0.0)):
-    """Integral of func over signed fan triangles (apex, p_i, q_i), summed.
-
-    p, q: (S, 2) segment endpoint batches. The signed areas make the sum equal
-    the integral over the region the segments enclose, for any apex.
-    """
-    p = np.asarray(p, float)
-    q = np.asarray(q, float)
-    apex = np.asarray(apex, float)
-    bary, w = triangle_rule(order)
-    areas = 0.5 * cross2(p - apex, q - apex)  # (S,)
-    # quadrature points: (S, K, 2)
-    pts = (
-        bary[None, :, 0, None] * apex[None, None, :]
-        + bary[None, :, 1, None] * p[:, None, :]
-        + bary[None, :, 2, None] * q[:, None, :]
-    )
-    vals = func(pts.reshape(-1, 2)).reshape(pts.shape[0], pts.shape[1])
-    return float((areas * (vals * w[None, :]).sum(axis=1)).sum())
 
 
 def fit_endpoint_tangent(pts, k=4):

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import (
+    crossing_pairs,
+    fan_volume_terms,
     perimeter_breakdown,
     segment_weights,
     validate,
@@ -39,7 +41,6 @@ from .geometry import (
     cross2,
     fit_endpoint_tangent,
     segments_properly_cross,
-    triangle_rule,
     wrap_angle,
 )
 from .steiner import junction_residual
@@ -244,21 +245,22 @@ def _apply_step(V, dofs, d):
     return out
 
 
-def _crossing_pairs(i0, i1):
-    n = len(i0)
-    if n < 2:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int)
-    a, b = np.triu_indices(n, k=1)
-    share = (i0[a] == i0[b]) | (i0[a] == i1[b]) | (i1[a] == i0[b]) | (i1[a] == i1[b])
-    return a[~share], b[~share]
+def _has_crossing(V, i0, i1, pairs):
+    """True when any of the segment pairs (a, b) of segments (i0, i1)
+    properly crosses at vertex positions V."""
+    pa, pb = pairs
+    if len(pa) == 0:
+        return False
+    hit = segments_properly_cross(V[i0[pa]], V[i1[pa]], V[i0[pb]], V[i1[pb]])
+    return bool(hit.any())
 
 
 class _Evaluator:
     """Objective, volumes and finite-difference gradient on flat segment
-    arrays; quadrature matches weighted_volume so the reported constraint
-    errors are exactly the ones being minimized."""
+    arrays; volumes use weighted_volume's fan_volume_terms, so the reported
+    constraint errors are exactly the ones being minimized."""
 
-    def __init__(self, cluster, density, targets, order=5):
+    def __init__(self, cluster, density, targets):
         self.density = density
         self.targets = np.asarray(targets, dtype=float)
         i0, i1, left, right, eid = cluster.segment_index_arrays()
@@ -267,8 +269,7 @@ class _Evaluator:
         wall = _wall_edge_mask(cluster)
         self.seg_wall = wall[eid] if len(eid) else np.zeros(0, bool)
         self.active = (~self.seg_wall) & (left != right)
-        self.bary, self.wts = triangle_rule(order)
-        self.pair_a, self.pair_b = _crossing_pairs(i0, i1)
+        self.pairs = crossing_pairs(i0, i1)
 
     def perimeter(self, V):
         sel = self.active
@@ -280,20 +281,11 @@ class _Evaluator:
         )
         return float(w.sum())
 
-    def _vol_terms(self, P, Q):
-        areas = 0.5 * cross2(P, Q)
-        pts = (
-            self.bary[None, :, 1, None] * P[:, None, :]
-            + self.bary[None, :, 2, None] * Q[:, None, :]
-        )
-        gv = self.density.g_at(pts.reshape(-1, 2)).reshape(len(P), -1)
-        return areas * (gv * self.wts[None, :]).sum(axis=1)
-
     def volumes(self, V):
         vols = np.zeros(len(self.targets))
         if len(self.i0) == 0:
             return vols
-        t = self._vol_terms(V[self.i0], V[self.i1])
+        t = fan_volume_terms(self.density, V[self.i0], V[self.i1])
         sel = self.left > 0
         np.add.at(vols, self.left[sel] - 1, t[sel])
         sel = self.right > 0
@@ -332,18 +324,14 @@ class _Evaluator:
         a = np.where(self.left > 0, c[self.left - 1], 0.0) - np.where(
             self.right > 0, c[self.right - 1], 0.0
         )
-        dval = dval + a[seg] * (self._vol_terms(Pp, Qp) - self._vol_terms(Pm, Qm))
+        dval = dval + a[seg] * (
+            fan_volume_terms(self.density, Pp, Qp) - fan_volume_terms(self.density, Pm, Qm)
+        )
         np.add.at(g, dof, dval / (2.0 * h))
         return g
 
     def has_crossing(self, V):
-        if len(self.pair_a) == 0:
-            return False
-        pa, pb = self.pair_a, self.pair_b
-        hit = segments_properly_cross(
-            V[self.i0[pa]], V[self.i1[pa]], V[self.i0[pb]], V[self.i1[pb]]
-        )
-        return bool(hit.any())
+        return _has_crossing(V, self.i0, self.i1, self.pairs)
 
 
 @dataclass
@@ -543,17 +531,14 @@ def _perturb_start(cluster, opts, k, rs_len):
     if dofs.n == 0:
         return cl
     i0, i1, _, _, _ = cl.segment_index_arrays()
-    pa, pb = _crossing_pairs(i0, i1)
+    pairs = crossing_pairs(i0, i1)
     caps = dofs.step_caps(cl.vertices)
     for trial in range(20):
         amp = opts.jitter * (0.5**trial)
         d = rng.normal(0.0, amp, dofs.n) * dofs.local_len
         d = np.clip(d, -caps, caps)
         Vt = _apply_step(cl.vertices, dofs, d)
-        crossed = len(pa) > 0 and bool(
-            segments_properly_cross(Vt[i0[pa]], Vt[i1[pa]], Vt[i0[pb]], Vt[i1[pb]]).any()
-        )
-        if not crossed:
+        if not _has_crossing(Vt, i0, i1, pairs):
             cl.vertices = Vt
             return cl
     return cluster.copy()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauge import strict_convexity_margin
-from .geometry import TWO_PI, ccw_gap, cross2, rotate_cw, unit_dir, wrap_angle
+from .geometry import TWO_PI, ccw_gap, cross2, polygon_area, rotate_cw, unit_dir, wrap_angle
 
 EPS_GRID = tuple(0.5 ** k for k in range(1, 21))
 
@@ -367,14 +367,13 @@ def path_length_gauge(gauge, pts, reverse=False):
     return float(np.sum(gauge.value(d)))
 
 
-def shortcut_path(tau1, tau2, gauge=None):
+def shortcut_path(tau1, tau2):
     """Shortcut a polygon bounded by two paths from P to Q and back.
 
     Returns an injective path tau from P to Q inside the closed region
     bounded by tau1 + tau2 with len(tau) + len(reversed tau) at most
     len(tau1) + len(tau2) for every convex 1-homogeneous length gauge; the
-    construction is purely geometric and gauge independent, the optional
-    gauge argument is accepted for symmetry with the length helpers.
+    construction is purely geometric and gauge independent.
     """
     c1 = _dedup(np.asarray(tau1, dtype=float))
     c2 = _dedup(np.asarray(tau2, dtype=float))
@@ -478,7 +477,7 @@ def _shortcut(c1, c2, depth=0):
                         return _shortcut(new_chain, other, depth + 1)
                     return _shortcut(other, new_chain, depth + 1)
 
-    orient = 1.0 if _signed_area(poly) > 0 else -1.0
+    orient = 1.0 if polygon_area(poly) > 0 else -1.0
     for chain_id, chain in ((0, c1), (1, c2)):
         for i in range(1, len(chain) - 1):
             a, b, c = chain[i - 1], chain[i], chain[i + 1]
@@ -492,11 +491,6 @@ def _shortcut(c1, c2, depth=0):
             right = _shortcut(t1b, t2b, depth + 1)
             return np.vstack([left[:-1], right])
     raise RuntimeError("no convex corner found: degenerate polygon input")
-
-
-def _signed_area(poly):
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def _parallel_cut(a, b, c, chain_id, i, c1, c2, tol):

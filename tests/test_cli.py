@@ -1,10 +1,13 @@
 """End-to-end command line runs against the shipped scenarios."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import anisoclusters
 from anisoclusters.cli import main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -151,3 +154,14 @@ class TestArtifacts:
             main(["--version"])
         assert exc.value.code == 0
         assert "anisoclusters" in capsys.readouterr().out
+
+
+def test_package_import_loads_no_scipy():
+    # scipy is a test oracle only; importing it would dominate CLI start-up
+    src = str(Path(anisoclusters.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import anisoclusters; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -3,7 +3,7 @@ import pytest
 
 import anisoclusters as ac
 from anisoclusters.gauge import TangentGauge
-from anisoclusters.geometry import rotate_cw
+from anisoclusters.geometry import rotate_ccw, rotate_cw, unit_dir
 
 
 def test_positive_homogeneity(all_gauges, rng):
@@ -23,8 +23,10 @@ def test_positivity_and_convexity(all_gauges, rng):
 
 
 def test_euler_identity_all_gauges(all_gauges, rng):
-    # any (sub)gradient of a 1-homogeneous convex function satisfies grad.v = value
-    v = rng.normal(0.0, 1.0, (500, 2))
+    # any (sub)gradient of a 1-homogeneous convex function satisfies grad.v = value;
+    # the exact diagonal directions are the corners of the kinked balls
+    corners = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    v = np.vstack([rng.normal(0.0, 1.0, (500, 2)), corners])
     for g in all_gauges:
         np.testing.assert_allclose((g.grad(v) * v).sum(axis=1), g.value(v), rtol=1e-9, atol=1e-12)
 
@@ -82,6 +84,23 @@ def test_tabulated_matches_euclidean(rng):
     g = ac.TabulatedGauge(np.ones(64))
     v = rng.normal(0.0, 1.0, (200, 2))
     np.testing.assert_allclose(g.value(v), np.linalg.norm(v, axis=1), rtol=1e-9)
+
+
+@pytest.mark.parametrize("n", [8, 64, 720])
+def test_tabulated_matches_periodic_cubic_spline(n, rng):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    knots = np.arange(n) * (2.0 * np.pi / n)
+    values = ac.EllipseGauge([[1.6, 0.25], [0.25, 1.0]]).value(unit_dir(knots))
+    g = ac.TabulatedGauge(values)
+    ref = interpolate.CubicSpline(
+        np.linspace(0.0, 2.0 * np.pi, n + 1), np.append(values, values[0]), bc_type="periodic"
+    )
+    theta = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 2000), knots])
+    u = unit_dir(theta)
+    # on the unit circle value is the profile and grad . rotate_ccw(u) its derivative
+    np.testing.assert_allclose(g.value(u), ref(theta), rtol=0.0, atol=1e-12)
+    dprofile = (g.grad(u) * rotate_ccw(u)).sum(axis=1)
+    np.testing.assert_allclose(dprofile, ref(theta, 1), rtol=0.0, atol=1e-12)
 
 
 def test_tangent_and_symmetrized_wrappers(rng):
