@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    box_overlap_pairs,
     cross2,
     clip_segment_to_disk,
     rotate_cw,
@@ -299,25 +300,26 @@ def _wedge_violations(cluster):
     return problems
 
 
-def crossing_pairs(i0, i1):
-    """Index pairs (a < b) of segments (i0, i1) that share no endpoint: the
-    pairs whose proper crossing makes a boundary self-intersect."""
-    n = len(i0)
-    if n < 2:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int)
-    a, b = np.triu_indices(n, k=1)
+def crossing_pairs(V, i0, i1):
+    """Index pairs (a < b) of segments (i0, i1) at vertex positions V that
+    share no endpoint and whose bounding boxes overlap: every pair whose
+    proper crossing makes a boundary self-intersect, found by the
+    sort-and-sweep of box_overlap_pairs."""
+    a, b = box_overlap_pairs(V[i0], V[i1])
     share = (i0[a] == i0[b]) | (i0[a] == i1[b]) | (i1[a] == i0[b]) | (i1[a] == i1[b])
     return a[~share], b[~share]
 
 
 def _crossing_violations(cluster, cap=20):
     i0, i1, _, _, eid = cluster.segment_index_arrays()
-    a, b = crossing_pairs(i0, i1)
     V = cluster.vertices
+    a, b = crossing_pairs(V, i0, i1)
     hit = segments_properly_cross(V[i0[a]], V[i1[a]], V[i0[b]], V[i1[b]])
+    a, b = a[hit], b[hit]
+    order = np.lexsort((b, a))
     return [
         f"segments of edges {eid[ia]} and {eid[ib]} cross"
-        for ia, ib in zip(a[hit][:cap], b[hit][:cap])
+        for ia, ib in zip(a[order][:cap], b[order][:cap])
     ]
 
 

@@ -308,7 +308,9 @@ class TabulatedGauge(Gauge):
         rhs = (6.0 / self._step**2) * (np.roll(values, 1) - 2.0 * values + np.roll(values, -1))
         eig = 4.0 + 2.0 * np.cos(TWO_PI * np.arange(n // 2 + 1) / n)
         self._moments = np.fft.irfft(np.fft.rfft(rhs) / eig, n)
-        self.symmetric = bool(n % 2 == 0 and np.allclose(values, np.roll(values, n // 2)))
+        # exact equality: knots that agree only to rounding give a profile
+        # whose value(v) and value(-v) differ by that rounding
+        self.symmetric = bool(n % 2 == 0 and np.array_equal(values, np.roll(values, n // 2)))
         # convexity of the interpolated ball: its boundary, traversed
         # counterclockwise, must never turn clockwise
         tt = np.arange(1024) * (TWO_PI / 1024)
@@ -337,21 +339,32 @@ class TabulatedGauge(Gauge):
         return val, der
 
     def _profile(self, v):
+        """Spline value, angular derivative, angle and sign at directions v.
+
+        A symmetric profile is read at whichever of v and -v lies in the
+        upper half-plane (sign -1 when that is -v), so value(v) == value(-v)
+        and grad(v) == -grad(-v) hold exactly, not only up to rounding.
+        """
+        sign = np.ones(v.shape[:-1])
+        if self.symmetric:
+            lower = (v[..., 1] < 0) | ((v[..., 1] == 0) & (v[..., 0] < 0))
+            sign = np.where(lower, -1.0, 1.0)
+            v = v * sign[..., None]
         theta = wrap_angle(np.arctan2(v[..., 1], v[..., 0]))
-        return (*self._spline(theta), theta)
+        return (*self._spline(theta), theta, sign)
 
     def value(self, v):
         v = np.asarray(v, dtype=float)
         r = np.linalg.norm(v, axis=-1)
-        rho, _, _ = self._profile(v)
+        rho, _, _, _ = self._profile(v)
         return r * rho
 
     def grad(self, v):
         v = np.asarray(v, dtype=float)
         r = np.linalg.norm(v, axis=-1)
-        rho, drho, theta = self._profile(v)
+        rho, drho, theta, sign = self._profile(v)
         ct, st = np.cos(theta), np.sin(theta)
-        g = np.stack([rho * ct - drho * st, rho * st + drho * ct], axis=-1)
+        g = np.stack([rho * ct - drho * st, rho * st + drho * ct], axis=-1) * sign[..., None]
         return np.where(r[..., None] > 0, g, 0.0)
 
 

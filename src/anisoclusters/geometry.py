@@ -88,7 +88,7 @@ def segment_point_distance(p, a, b):
     return np.linalg.norm(foot - p, axis=-1)
 
 
-def segments_properly_cross(p1, q1, p2, q2, eps=0.0):
+def segments_properly_cross(p1, q1, p2, q2):
     """Vectorized proper-crossing test for segment batches.
 
     True where open segments intersect at a single interior point. Shared
@@ -104,25 +104,50 @@ def segments_properly_cross(p1, q1, p2, q2, eps=0.0):
     rp = p2 - p1
     t = cross2(rp, d2)
     u = cross2(rp, d1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = t / denom
         u = u / denom
     ok = np.abs(denom) > 1e-300
-    return ok & (t > eps) & (t < 1 - eps) & (u > eps) & (u < 1 - eps)
+    return ok & (t > 0) & (t < 1) & (u > 0) & (u < 1)
 
 
-def polyline_self_intersects(pts, eps=1e-12):
+def box_overlap_pairs(p, q):
+    """Index pairs (a < b) of segments p[k]q[k] whose closed bounding boxes
+    overlap; two segments that properly cross always do.
+
+    Sort-and-sweep broad phase (Shamos and Hoey 1976; Bentley and Ottmann
+    1979): the boxes are sorted on xmin, each box pairs with the later boxes
+    whose xmin is at most its xmax, and those pairs are kept when their
+    y-extents overlap too. The cost follows the number of x-overlaps rather
+    than all n(n-1)/2 pairs.
+    """
+    p = np.asarray(p, float)
+    q = np.asarray(q, float)
+    lo = np.minimum(p, q)
+    hi = np.maximum(p, q)
+    order = np.argsort(lo[:, 0], kind="stable")
+    xlo = lo[order, 0]
+    # sorted box k overlaps in x exactly the boxes k+1 .. end[k]-1; end[k]
+    # is at least k+1 because xlo[k] <= xhi[k]
+    end = np.searchsorted(xlo, hi[order, 0], side="right")
+    count = end - np.arange(1, len(order) + 1)
+    ka = np.repeat(np.arange(len(order)), count)
+    first = np.cumsum(count) - count
+    kb = ka + 1 + np.arange(len(ka)) - np.repeat(first, count)
+    a, b = order[ka], order[kb]
+    keep = (lo[a, 1] <= hi[b, 1]) & (lo[b, 1] <= hi[a, 1])
+    a, b = a[keep], b[keep]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def polyline_self_intersects(pts):
     pts = np.asarray(pts, float)
-    n = len(pts) - 1
-    if n < 2:
+    if len(pts) < 3:
         return False
-    a = pts[:-1]
-    b = pts[1:]
-    i, j = np.triu_indices(n, k=2)
-    if len(i) == 0:
-        return False
-    hit = segments_properly_cross(a[i], b[i], a[j], b[j])
-    return bool(hit.any())
+    a, b = box_overlap_pairs(pts[:-1], pts[1:])
+    far = b - a >= 2
+    a, b = a[far], b[far]
+    return bool(segments_properly_cross(pts[a], pts[a + 1], pts[b], pts[b + 1]).any())
 
 
 def clip_segment_to_disk(p, q, center, radius, eps=1e-12):

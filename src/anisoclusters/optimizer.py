@@ -6,11 +6,16 @@ volumes are enforced with an augmented Lagrangian (penalty doubling,
 multiplier update per outer iteration); the inner loop is descent on
 finite-difference shape gradients with a Barzilai-Borwein trial step and
 Armijo backtracking. A step that makes two boundary segments cross is
-rejected and retried at half length. Vertices interior to a straight run of
-wall edges slide along the wall line, wall corners stay put, everything else
-moves freely with two degrees of freedom. Between outer iterations each
-non-wall edge is resampled to a uniform target segment length; edge
-endpoints, and with them every junction, survive resampling.
+rejected and retried at half length. The crossing check is exact but
+local: a sort-and-sweep broad phase over the segments' bounding boxes
+(cluster.crossing_pairs) keeps the few pairs whose boxes overlap, and only
+those go to the proper-crossing test; two segments that properly cross
+always have overlapping boxes, so no crossing is missed. Vertices interior
+to a straight run of wall edges slide along the wall line, wall corners
+stay put, everything else moves freely with two degrees of freedom. Between
+outer iterations each non-wall edge is resampled to a uniform target
+segment length; edge endpoints, and with them every junction, survive
+resampling.
 
 Wall edges carry constant perimeter (their geometry never changes as a set),
 so the optimization objective counts non-wall interfaces only, normalized by
@@ -245,13 +250,13 @@ def _apply_step(V, dofs, d):
     return out
 
 
-def _has_crossing(V, i0, i1, pairs):
-    """True when any of the segment pairs (a, b) of segments (i0, i1)
-    properly crosses at vertex positions V."""
-    pa, pb = pairs
-    if len(pa) == 0:
+def _has_crossing(V, i0, i1):
+    """True when two segments (i0, i1) properly cross at vertex positions V;
+    only the pairs left by the broad phase of crossing_pairs are tested."""
+    a, b = crossing_pairs(V, i0, i1)
+    if len(a) == 0:
         return False
-    hit = segments_properly_cross(V[i0[pa]], V[i1[pa]], V[i0[pb]], V[i1[pb]])
+    hit = segments_properly_cross(V[i0[a]], V[i1[a]], V[i0[b]], V[i1[b]])
     return bool(hit.any())
 
 
@@ -269,7 +274,6 @@ class _Evaluator:
         wall = _wall_edge_mask(cluster)
         self.seg_wall = wall[eid] if len(eid) else np.zeros(0, bool)
         self.active = (~self.seg_wall) & (left != right)
-        self.pairs = crossing_pairs(i0, i1)
 
     def perimeter(self, V):
         sel = self.active
@@ -331,7 +335,7 @@ class _Evaluator:
         return g
 
     def has_crossing(self, V):
-        return _has_crossing(V, self.i0, self.i1, self.pairs)
+        return _has_crossing(V, self.i0, self.i1)
 
 
 @dataclass
@@ -531,14 +535,13 @@ def _perturb_start(cluster, opts, k, rs_len):
     if dofs.n == 0:
         return cl
     i0, i1, _, _, _ = cl.segment_index_arrays()
-    pairs = crossing_pairs(i0, i1)
     caps = dofs.step_caps(cl.vertices)
     for trial in range(20):
         amp = opts.jitter * (0.5**trial)
         d = rng.normal(0.0, amp, dofs.n) * dofs.local_len
         d = np.clip(d, -caps, caps)
         Vt = _apply_step(cl.vertices, dofs, d)
-        if not _has_crossing(Vt, i0, i1, pairs):
+        if not _has_crossing(Vt, i0, i1):
             cl.vertices = Vt
             return cl
     return cluster.copy()

@@ -1,7 +1,11 @@
 """Cluster data structure, weighted perimeter/volume, and diagnostics."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anisoclusters import (
     Cluster,
@@ -27,6 +31,8 @@ from anisoclusters import (
     weighted_volume,
     weighted_volume_plain,
 )
+from anisoclusters.cluster import crossing_pairs
+from anisoclusters.geometry import polyline_self_intersects, segments_properly_cross
 
 
 def unit_disk_polygon(n=512):
@@ -180,6 +186,143 @@ class TestValidate:
     def test_vertex_index_out_of_range(self):
         cl = Cluster([[0.0, 0], [1, 0]], [Edge([0, 7], 1, 0)], 1)
         assert any("out of range" in p for p in validate(cl))
+
+
+def all_pairs(V, i0, i1):
+    """Oracle for crossing_pairs: all n(n-1)/2 segment pairs (a < b) that
+    share no endpoint, with no broad phase."""
+    a, b = np.triu_indices(len(i0), k=1)
+    share = (i0[a] == i0[b]) | (i0[a] == i1[b]) | (i1[a] == i0[b]) | (i1[a] == i1[b])
+    return a[~share], b[~share]
+
+
+def crossing_hits(pair_builder, V, i0, i1):
+    a, b = pair_builder(V, i0, i1)
+    hit = segments_properly_cross(V[i0[a]], V[i1[a]], V[i0[b]], V[i1[b]])
+    return sorted(zip(a[hit].tolist(), b[hit].tolist()))
+
+
+def assert_broad_phase_exact(V, i0, i1):
+    """crossing_pairs is the oracle's pairs with overlapping closed boxes,
+    and both give the same properly crossing pairs."""
+    V = np.asarray(V, dtype=float)
+    i0, i1 = np.asarray(i0), np.asarray(i1)
+    a, b = all_pairs(V, i0, i1)
+    lo = np.minimum(V[i0], V[i1])
+    hi = np.maximum(V[i0], V[i1])
+    boxes = np.all((lo[a] <= hi[b]) & (lo[b] <= hi[a]), axis=1)
+    pa, pb = crossing_pairs(V, i0, i1)
+    assert np.all(pa < pb)
+    pruned = sorted(zip(pa.tolist(), pb.tolist()))
+    assert pruned == sorted(zip(a[boxes].tolist(), b[boxes].tolist()))
+    hits = crossing_hits(crossing_pairs, V, i0, i1)
+    assert hits == crossing_hits(all_pairs, V, i0, i1)
+    return hits
+
+
+def closed_polygon(n):
+    i0 = np.arange(n)
+    return i0, np.roll(i0, -1)
+
+
+# coordinates on a 1/8 grid keep the crossing arithmetic exact, so the
+# degenerate cases (collinear, touching, tied boxes) carry no rounding noise
+grid_points = st.lists(
+    st.tuples(st.integers(-12, 12), st.integers(-12, 12)), min_size=3, max_size=40
+).map(lambda pts: np.array(pts, dtype=float) / 8.0)
+
+
+class TestCrossingBroadPhase:
+    @settings(max_examples=300, deadline=None)
+    @given(grid_points)
+    def test_random_grid_polygons_match_the_oracle(self, V):
+        assert_broad_phase_exact(V, *closed_polygon(len(V)))
+        # an open polyline: every pair of segments that are not neighbours
+        a, b = np.triu_indices(len(V) - 1, k=2)
+        oracle = segments_properly_cross(V[a], V[a + 1], V[b], V[b + 1]).any()
+        assert polyline_self_intersects(V) == oracle
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 80), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
+    def test_jittered_polygons_match_the_oracle(self, n, jitter, seed):
+        rng = np.random.default_rng(seed)
+        t = np.arange(n) * (2.0 * np.pi / n)
+        V = np.column_stack([np.cos(t), np.sin(t)]) + rng.normal(0.0, jitter, (n, 2))
+        assert_broad_phase_exact(V, *closed_polygon(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["bubble", "cross"]), st.floats(0.0, 0.2), st.integers(0, 2**32 - 1))
+    def test_jittered_clusters_match_the_oracle(self, kind, jitter, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "bubble":
+            n_arc, n_mid = rng.integers(4, 40), rng.integers(2, 12)
+            cl = double_bubble_cluster(n_arc=int(n_arc), n_mid=int(n_mid))
+        else:
+            cl = square_cross_cluster(n_sub=int(rng.integers(2, 12)))
+        V = cl.vertices + rng.normal(0.0, jitter, cl.vertices.shape)
+        i0, i1, _, _, _ = cl.segment_index_arrays()
+        assert_broad_phase_exact(V, i0, i1)
+
+    def test_boxes_touching_along_one_side(self):
+        # boxes [0,1]^2 and [1,2]x[0,1] share the side x = 1
+        V = [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [2.0, 1.0]]
+        assert assert_broad_phase_exact(V, [0, 2], [1, 3]) == []
+        assert len(crossing_pairs(np.array(V), np.array([0, 2]), np.array([1, 3]))[0]) == 1
+        # axis-parallel segments have zero-width boxes that meet only on
+        # their boundaries, yet these two cross at (1, 1)
+        V = [[0.0, 1.0], [2.0, 1.0], [1.0, 0.0], [1.0, 2.0]]
+        assert assert_broad_phase_exact(V, [0, 2], [1, 3]) == [(0, 1)]
+
+    def test_equal_xmin_ties_in_any_order(self):
+        V = np.array(
+            [[0.0, 0.0], [2.0, 2.0], [0.0, 2.0], [2.0, 0.0], [0.0, 5.0], [1.0, 5.0],
+             [0.0, -1.0], [0.0, 3.0]]
+        )
+        segs = [(0, 1), (2, 3), (4, 5), (6, 7)]
+        for perm in itertools.permutations(segs):
+            i0, i1 = np.array(perm).T
+            hits = assert_broad_phase_exact(V, i0, i1)
+            first, second = perm.index((0, 1)), perm.index((2, 3))
+            assert hits == [(min(first, second), max(first, second))]
+
+    def test_collinear_segments_on_one_wall_line(self):
+        # disjoint, abutting and overlapping pieces of the line y = 0
+        x = [0.0, 1.0, 2.0, 3.0, 0.5, 2.5, 3.0, 4.0]
+        V = np.column_stack([x, np.zeros(8)])
+        assert assert_broad_phase_exact(V, [0, 2, 4, 6], [1, 3, 5, 7]) == []
+
+    def test_collinear_disjoint_segments_are_never_tested(self):
+        # on a slanted line the narrow phase alone can report a spurious
+        # crossing from rounding; disjoint boxes keep such pairs out
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            d, o = rng.normal(size=2), rng.normal(size=2)
+            t = np.sort(rng.uniform(-3.0, 3.0, 4))
+            V = o + t[:, None] * d
+            assert len(crossing_pairs(V, np.array([0, 2]), np.array([1, 3]))[0]) == 0
+
+    def test_endpoint_touching_a_segment_interior(self):
+        # T junctions from either side, and a vertex of a polyline on a
+        # non-adjacent segment of the same polyline
+        V = [[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, -1.0]]
+        assert assert_broad_phase_exact(V, [0, 2, 4], [1, 3, 2]) == []
+        V = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [2.0, 2.0], [2.0, 0.0], [1.0, -1.0]])
+        assert assert_broad_phase_exact(V, [0, 1, 2, 3, 4], [1, 2, 3, 4, 5]) == []
+        assert not polyline_self_intersects(V)
+
+    def test_validate_lists_crossings_in_pair_order(self):
+        rng = np.random.default_rng(3)
+        V = rng.uniform(-1.0, 1.0, (40, 2))
+        loops = [Edge(list(range(20)) + [0], 1, 0), Edge(list(range(20, 40)) + [20], 2, 0)]
+        cl = Cluster(V, loops, 2)
+        i0, i1, _, _, eid = cl.segment_index_arrays()
+        expected = [
+            f"segments of edges {eid[a]} and {eid[b]} cross"
+            for a, b in crossing_hits(all_pairs, V, i0, i1)[:20]
+        ]
+        got = [p for p in validate(cl) if p.startswith("segments of edges")]
+        assert len(crossing_hits(all_pairs, V, i0, i1)) > 20
+        assert got == expected
 
 
 class TestResample:

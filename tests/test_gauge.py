@@ -103,6 +103,23 @@ def test_tabulated_matches_periodic_cubic_spline(n, rng):
     np.testing.assert_allclose(dprofile, ref(theta, 1), rtol=0.0, atol=1e-12)
 
 
+def test_tabulated_symmetric_flag_is_exact(rng):
+    n = 64
+    theta = np.arange(n) * (2.0 * np.pi / n)
+    u = unit_dir(np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 2000), theta]))
+    # the second half of the knots repeats the first bit for bit; computing
+    # cos(2 theta) on the full grid would differ from it by rounding
+    half = 1.0 + 0.1 * np.cos(2.0 * theta[: n // 2])
+    sym = ac.TabulatedGauge(np.tile(half, 2))
+    assert sym.symmetric
+    assert sym.value(u).tolist() == sym.value(-u).tolist()
+    assert sym.grad(u).tolist() == (-sym.grad(-u)).tolist()
+    # a profile that is point-symmetric only to 1e-6 is not symmetric
+    near = ac.TabulatedGauge(1.0 + 0.1 * np.cos(2.0 * theta) + 1e-6 * np.sin(theta))
+    assert not near.symmetric
+    assert np.abs(near.value(u) - near.value(-u)).max() > 1e-7
+
+
 def test_tangent_and_symmetrized_wrappers(rng):
     base = ac.ShiftedDiskGauge(np.array([0.3, 0.1]))
     tg = TangentGauge(base)

@@ -22,6 +22,7 @@ from anisoclusters import (
     weighted_perimeter,
     weighted_volume,
 )
+from anisoclusters import optimizer
 
 EUCLID = Density.constant(EuclideanGauge())
 
@@ -117,6 +118,32 @@ class TestMinimize:
         assert a.perimeter == b.perimeter
         assert np.array_equal(a.cluster.vertices, b.cluster.vertices)
         assert a.start_index == b.start_index
+
+    def test_broad_phase_leaves_the_solve_unchanged(self, monkeypatch):
+        def solve():
+            return minimize(
+                OptimizationProblem(
+                    double_bubble_cluster(n_arc=16, n_mid=5),
+                    EUCLID,
+                    [1.0, 1.0],
+                    SolveOptions(multi_start=2, seed=1),
+                )
+            )
+
+        pruned = solve()
+        oracle_calls = []
+
+        def all_pairs(V, i0, i1):
+            # every pair (a < b) sharing no endpoint, with no broad phase
+            oracle_calls.append(len(i0))
+            a, b = np.triu_indices(len(i0), k=1)
+            share = (i0[a] == i0[b]) | (i0[a] == i1[b]) | (i1[a] == i0[b]) | (i1[a] == i1[b])
+            return a[~share], b[~share]
+
+        monkeypatch.setattr(optimizer, "crossing_pairs", all_pairs)
+        oracle = solve()
+        assert oracle_calls and pruned.crossing_rejections > 0
+        assert pruned.spec() == oracle.spec()
 
     def test_multi_start_reports_every_run(self):
         rep = minimize(
