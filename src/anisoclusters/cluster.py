@@ -167,12 +167,15 @@ def fan_volume_terms(density, p, q, order=5):
     """Integral of g over each signed fan triangle (origin, p_i, q_i).
 
     p, q: (S, 2) segment endpoint batches. A fixed-order symmetric rule;
-    exact for polynomial g up to the rule degree, in particular constant g.
+    exact for polynomial g up to the rule degree, in particular constant g,
+    which skips the quadrature points but keeps the rule's weight sum.
     Summed with the orientation signs of a closed boundary, the terms give
     the weighted volume it encloses.
     """
     bary, wts = triangle_rule(order)
     areas = 0.5 * cross2(p, q)
+    if density.g_const is not None:
+        return areas * (density.g_const * wts).sum()
     pts = bary[None, :, 1, None] * p[:, None, :] + bary[None, :, 2, None] * q[:, None, :]
     gv = density.g_at(pts.reshape(-1, 2)).reshape(len(p), -1)
     return areas * (gv * wts[None, :]).sum(axis=1)
@@ -300,12 +303,13 @@ def _wedge_violations(cluster):
     return problems
 
 
-def crossing_pairs(V, i0, i1):
+def crossing_pairs(V, i0, i1, margin=0.0):
     """Index pairs (a < b) of segments (i0, i1) at vertex positions V that
-    share no endpoint and whose bounding boxes overlap: every pair whose
-    proper crossing makes a boundary self-intersect, found by the
+    share no endpoint and whose bounding boxes, grown by margin, overlap:
+    every pair whose proper crossing makes a boundary self-intersect, at V
+    or after any move of the vertices by at most margin each, found by the
     sort-and-sweep of box_overlap_pairs."""
-    a, b = box_overlap_pairs(V[i0], V[i1])
+    a, b = box_overlap_pairs(V[i0], V[i1], margin)
     share = (i0[a] == i0[b]) | (i0[a] == i1[b]) | (i1[a] == i0[b]) | (i1[a] == i1[b])
     return a[~share], b[~share]
 

@@ -70,6 +70,7 @@ class Density:
 
     h_min and h_max bound the gauge over the domain and the unit circle of
     directions; they feed the isoperimetric and boundary-length diagnostics.
+    g_const is the value of a constant g, and None when g is a callable.
     """
 
     def __init__(self, gauge, g=1.0, domain=None, h_min=None, h_max=None):
@@ -87,10 +88,10 @@ class Density:
             if not gval > 0:
                 raise ValueError("constant g must be positive")
             self._g = None
-            self._g_const = gval
+            self.g_const = gval
         elif callable(g):
             self._g = g
-            self._g_const = None
+            self.g_const = None
         else:
             raise ValueError("g must be a positive number or a callable")
         if h_min is None or h_max is None:
@@ -127,8 +128,8 @@ class Density:
 
     def g_at(self, pts):
         pts = np.asarray(pts, dtype=float)
-        if self._g_const is not None:
-            return np.full(pts.shape[:-1], self._g_const)
+        if self.g_const is not None:
+            return np.full(pts.shape[:-1], self.g_const)
         return np.asarray(self._g(pts), dtype=float)
 
     def h_at(self, pts, v):
@@ -153,8 +154,8 @@ class Density:
             gauge = _ScaledGauge(base_gauge, factor)
         else:
             gauge = lambda x: _ScaledGauge(base_gauge(x), factor)
-        if self._g_const is not None:
-            g = self._g_const * factor
+        if self.g_const is not None:
+            g = self.g_const * factor
         else:
             inner = self._g
             g = lambda pts: factor * np.asarray(inner(pts), dtype=float)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+_EPS = np.finfo(float).eps
 
 
 def rotate_cw(v):
@@ -92,7 +93,11 @@ def segments_properly_cross(p1, q1, p2, q2):
     """Vectorized proper-crossing test for segment batches.
 
     True where open segments intersect at a single interior point. Shared
-    endpoints and touching do not count. All inputs broadcast to (..., 2).
+    endpoints and touching do not count, and neither do parallel segments:
+    a pair counts as parallel when the cross product of its directions is
+    within a few ulps of what rounding the endpoint coordinates can put
+    there, so collinear segments on a slanted line never cross. All inputs
+    broadcast to (..., 2).
     """
     p1 = np.asarray(p1, float)
     q1 = np.asarray(q1, float)
@@ -107,13 +112,41 @@ def segments_properly_cross(p1, q1, p2, q2):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = t / denom
         u = u / denom
-    ok = np.abs(denom) > 1e-300
-    return ok & (t > 0) & (t < 1) & (u > 0) & (u < 1)
+    hit = (t > 0) & (t < 1) & (u > 0) & (u < 1)
+    if hit.any():
+        # the direction of a segment between rounded points is only as exact
+        # as its coordinates, so the noise in denom scales with their size
+        l1 = lambda v: np.abs(v).sum(axis=-1)
+        noise = l1(d1) * (l1(p2) + l1(q2)) + l1(d2) * (l1(p1) + l1(q1))
+        hit = hit & (np.abs(denom) > 4.0 * _EPS * noise)
+    return hit
 
 
-def box_overlap_pairs(p, q):
-    """Index pairs (a < b) of segments p[k]q[k] whose closed bounding boxes
-    overlap; two segments that properly cross always do.
+# endpoint k of (p1, q1, p2, q2) is measured against the other segment,
+# the one from endpoint _SEG_A[k] to endpoint _SEG_B[k]
+_SEG_A = np.array([2, 2, 0, 0])
+_SEG_B = np.array([3, 3, 1, 1])
+
+
+def segment_distance(p1, q1, p2, q2):
+    """Euclidean distance between the closed segments p1q1 and p2q2, for
+    batches that broadcast to (..., 2): zero where they properly cross,
+    otherwise the least distance from an endpoint of one to the other."""
+    P = np.stack(np.broadcast_arrays(*(np.asarray(v, float) for v in (p1, q1, p2, q2))))
+    x, y = P[..., 0], P[..., 1]
+    ax, ay = x[_SEG_A], y[_SEG_A]
+    dx, dy = x[_SEG_B] - ax, y[_SEG_B] - ay
+    px, py = x - ax, y - ay
+    t = np.clip((px * dx + py * dy) / np.maximum(dx * dx + dy * dy, 1e-300), 0.0, 1.0)
+    rx, ry = px - t * dx, py - t * dy
+    d = np.sqrt((rx * rx + ry * ry).min(axis=0))
+    return np.where(segments_properly_cross(*P), 0.0, d)
+
+
+def box_overlap_pairs(p, q, margin=0.0):
+    """Index pairs (a < b) of segments p[k]q[k] whose closed bounding boxes,
+    grown by margin on every side, overlap; two segments that properly cross
+    always do, and so do two that come within 2 * margin of each other.
 
     Sort-and-sweep broad phase (Shamos and Hoey 1976; Bentley and Ottmann
     1979): the boxes are sorted on xmin, each box pairs with the later boxes
@@ -123,8 +156,8 @@ def box_overlap_pairs(p, q):
     """
     p = np.asarray(p, float)
     q = np.asarray(q, float)
-    lo = np.minimum(p, q)
-    hi = np.maximum(p, q)
+    lo = np.minimum(p, q) - margin
+    hi = np.maximum(p, q) + margin
     order = np.argsort(lo[:, 0], kind="stable")
     xlo = lo[order, 0]
     # sorted box k overlaps in x exactly the boxes k+1 .. end[k]-1; end[k]

@@ -5,12 +5,15 @@ The solver keeps the cluster topology fixed and moves vertices. Chamber
 volumes are enforced with an augmented Lagrangian (penalty doubling,
 multiplier update per outer iteration); the inner loop is descent on
 finite-difference shape gradients with a Barzilai-Borwein trial step and
-Armijo backtracking. A step that makes two boundary segments cross is
-rejected and retried at half length. The crossing check is exact but
-local: a sort-and-sweep broad phase over the segments' bounding boxes
-(cluster.crossing_pairs) keeps the few pairs whose boxes overlap, and only
-those go to the proper-crossing test; two segments that properly cross
-always have overlapping boxes, so no crossing is missed. Vertices interior
+Armijo backtracking. Steps cannot fold the boundary (conservative
+advancement, after Mirtich 1996): each inner iteration caps every vertex's
+step below half its clearance, the distance between a segment at it and the
+nearest segment sharing no endpoint with that one; a point of a segment
+moves at most as far as its farther-moving endpoint, so no two such segments
+can meet. Only the pairs whose bounding boxes, grown by the reach of the
+iteration's first trial step, overlap (cluster.crossing_pairs) can come that
+close, so the clearances, and the exact crossing test that still guards
+every accepted step, look at those pairs alone. Vertices interior
 to a straight run of wall edges slide along the wall line, wall corners
 stay put, everything else moves freely with two degrees of freedom. Between
 outer iterations each non-wall edge is resampled to a uniform target
@@ -45,6 +48,7 @@ from .geometry import (
     clip_segment_to_disk,
     cross2,
     fit_endpoint_tangent,
+    segment_distance,
     segments_properly_cross,
     wrap_angle,
 )
@@ -250,14 +254,44 @@ def _apply_step(V, dofs, d):
     return out
 
 
-def _has_crossing(V, i0, i1):
-    """True when two segments (i0, i1) properly cross at vertex positions V;
-    only the pairs left by the broad phase of crossing_pairs are tested."""
-    a, b = crossing_pairs(V, i0, i1)
-    if len(a) == 0:
+def _has_crossing(V, i0, i1, ends=None):
+    """True when two segments (i0, i1) properly cross at vertex positions V.
+
+    ends is a (4, P) array of the endpoint indices (i0[a], i1[a], i0[b],
+    i1[b]) of the segment pairs (a, b) to test, by default those left by the
+    broad phase of crossing_pairs.
+    """
+    if ends is None:
+        a, b = crossing_pairs(V, i0, i1)
+        ends = np.stack([i0[a], i1[a], i0[b], i1[b]])
+    if ends.shape[1] == 0:
         return False
-    hit = segments_properly_cross(V[i0[a]], V[i1[a]], V[i0[b]], V[i1[b]])
-    return bool(hit.any())
+    return bool(segments_properly_cross(*V[ends]).any())
+
+
+def _clearance_caps(V, dofs, i0, i1, d):
+    """Per-dof caps under which no step moving each vertex at most as far as
+    step d does can make two segments that share no endpoint meet, and the
+    endpoint indices, as _has_crossing takes them, of the segment pairs that
+    such a step can make cross.
+
+    delta is the largest Euclidean reach of a vertex under d; pairs whose
+    boxes grown by delta do not overlap start more than 2 delta apart. On the
+    other pairs each vertex's clearance c_v is the least distance from a
+    segment at it to a segment sharing no endpoint with that one, and its
+    caps are 0.49 c_v / sqrt(ndof), a reach below c_v / 2; vertices in no
+    such pair get no cap (inf).
+    """
+    nv = len(V)
+    delta = float(np.sqrt(np.bincount(dofs.vert, weights=d * d, minlength=nv).max()))
+    a, b = crossing_pairs(V, i0, i1, margin=delta)
+    ends = np.stack([i0[a], i1[a], i0[b], i1[b]])
+    clearance = np.full(nv, np.inf)
+    if len(a):
+        dist = segment_distance(*V[ends])
+        np.minimum.at(clearance, ends.ravel(), np.tile(dist, 4))
+    ndof = np.bincount(dofs.vert, minlength=nv)[dofs.vert]
+    return 0.49 * clearance[dofs.vert] / np.sqrt(ndof), ends
 
 
 class _Evaluator:
@@ -334,9 +368,6 @@ class _Evaluator:
         np.add.at(g, dof, dval / (2.0 * h))
         return g
 
-    def has_crossing(self, V):
-        return _has_crossing(V, self.i0, self.i1)
-
 
 @dataclass
 class _InnerStats:
@@ -374,7 +405,11 @@ def _descend(V, dofs, ev, lam, mu, P0, opts, char_len):
             t = float(d_prev @ d_prev) / sy if sy > 1e-300 else 2.0 * t
         if t is None or not np.isfinite(t) or t <= 0:
             t = 0.05 * char_len / gn
+        # every trial step below is the first one scaled down and clipped,
+        # so its reach bounds theirs and one set of caps serves them all
         caps = dofs.step_caps(V)
+        safe, ends = _clearance_caps(V, dofs, ev.i0, ev.i1, np.clip(-t * g, -caps, caps))
+        caps = np.minimum(caps, safe)
         accepted = False
         tt = t
         f_ref = max(recent)
@@ -386,7 +421,7 @@ def _descend(V, dofs, ev, lam, mu, P0, opts, char_len):
             Vt = _apply_step(V, dofs, d)
             ft, Pt, et = ev.objective(Vt, lam, mu, P0)
             if ft <= f_ref + 1e-4 * gd:
-                if ev.has_crossing(Vt):
+                if _has_crossing(Vt, ev.i0, ev.i1, ends):
                     rejections += 1
                     tt *= 0.5
                     continue

@@ -31,8 +31,13 @@ from anisoclusters import (
     weighted_volume,
     weighted_volume_plain,
 )
-from anisoclusters.cluster import crossing_pairs
-from anisoclusters.geometry import polyline_self_intersects, segments_properly_cross
+from anisoclusters.cluster import crossing_pairs, fan_volume_terms
+from anisoclusters.geometry import (
+    polyline_self_intersects,
+    segment_distance,
+    segment_point_distance,
+    segments_properly_cross,
+)
 
 
 def unit_disk_polygon(n=512):
@@ -120,6 +125,17 @@ class TestSingleChamber:
         square = polygon_chamber(np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]]))
         d = Density(EuclideanGauge(), g=lambda p: 1.0 + p[..., 0])
         assert weighted_volume(square, d)[0] == pytest.approx(1.5, rel=1e-12)
+
+    def test_constant_g_volume_terms_match_the_quadrature_bit_for_bit(self):
+        # a callable g takes the quadrature path; the same constant given as
+        # a number skips the quadrature points but must keep every bit
+        rng = np.random.default_rng(7)
+        p, q = rng.normal(size=(2, 100_000, 2))
+        for g in (1.0, 0.7, 3.3):
+            const = Density(EuclideanGauge(), g=g)
+            field = Density(EuclideanGauge(), g=lambda pts, g=g: np.full(pts.shape[:-1], g))
+            assert const.g_const == g and field.g_const is None
+            assert np.array_equal(fan_volume_terms(const, p, q), fan_volume_terms(field, p, q))
 
 
 class TestSpecRoundTrip:
@@ -292,14 +308,45 @@ class TestCrossingBroadPhase:
         assert assert_broad_phase_exact(V, [0, 2, 4, 6], [1, 3, 5, 7]) == []
 
     def test_collinear_disjoint_segments_are_never_tested(self):
-        # on a slanted line the narrow phase alone can report a spurious
-        # crossing from rounding; disjoint boxes keep such pairs out
+        # disjoint pieces of a slanted line have disjoint boxes, so the
+        # broad phase never passes them on to the narrow phase
         rng = np.random.default_rng(5)
         for _ in range(2000):
             d, o = rng.normal(size=2), rng.normal(size=2)
             t = np.sort(rng.uniform(-3.0, 3.0, 4))
             V = o + t[:, None] * d
             assert len(crossing_pairs(V, np.array([0, 2]), np.array([1, 3]))[0]) == 0
+
+    def test_collinear_segments_on_slanted_lines_never_cross(self):
+        # points rounded onto random slanted lines, up to 1000 line lengths
+        # from the origin: overlapping, nested and disjoint pieces of one
+        # line are parallel, whatever rounding leaves in their cross product
+        rng = np.random.default_rng(8)
+        for scale in (0.0, 1.0, 10.0, 1000.0):
+            d = rng.normal(size=(20_000, 2))
+            o = scale * rng.normal(size=(20_000, 2))
+            t = np.sort(rng.uniform(-3.0, 3.0, (20_000, 4)), axis=1)
+            P = o[:, None, :] + t[..., None] * d[:, None, :]
+            for a, b, c, e in ((0, 2, 1, 3), (0, 3, 1, 2), (0, 1, 2, 3)):
+                assert not segments_properly_cross(P[:, a], P[:, b], P[:, c], P[:, e]).any()
+        # a genuine crossing at a tiny angle still counts
+        for angle in (1e-6, 1e-12):
+            u = np.array([np.cos(angle), np.sin(angle)])
+            assert segments_properly_cross([-1.0, 0.0], [1.0, 0.0], -u, u)
+
+    def test_margin_grows_every_box(self):
+        rng = np.random.default_rng(9)
+        for margin in (0.0, 0.01, 0.1, 0.5):
+            V = rng.uniform(-1.0, 1.0, (60, 2))
+            i0, i1 = closed_polygon(60)
+            a, b = all_pairs(V, i0, i1)
+            lo = np.minimum(V[i0], V[i1]) - margin
+            hi = np.maximum(V[i0], V[i1]) + margin
+            boxes = np.all((lo[a] <= hi[b]) & (lo[b] <= hi[a]), axis=1)
+            pa, pb = crossing_pairs(V, i0, i1, margin)
+            assert sorted(zip(pa.tolist(), pb.tolist())) == sorted(
+                zip(a[boxes].tolist(), b[boxes].tolist())
+            )
 
     def test_endpoint_touching_a_segment_interior(self):
         # T junctions from either side, and a vertex of a polyline on a
@@ -323,6 +370,33 @@ class TestCrossingBroadPhase:
         got = [p for p in validate(cl) if p.startswith("segments of edges")]
         assert len(crossing_hits(all_pairs, V, i0, i1)) > 20
         assert got == expected
+
+
+class TestSegmentDistance:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8))
+    def test_matches_a_dense_sample(self, coords):
+        p1, q1, p2, q2 = np.reshape(coords, (4, 2))
+        d = segment_distance(p1, q1, p2, q2)
+        # the distance to segment 2 is 1-Lipschitz along segment 1, so the
+        # least sampled value is at most half a sample step above the minimum
+        s = np.linspace(0.0, 1.0, 2001)[:, None]
+        sampled = segment_point_distance(p1 + s * (q1 - p1), p2, q2).min()
+        assert d <= sampled + 1e-12
+        assert d >= sampled - 0.5 * np.linalg.norm(q1 - p1) / 2000 - 1e-12
+        assert segment_distance(q2, p2, q1, p1) == pytest.approx(d, abs=1e-12)
+
+    def test_hand_built_cases(self):
+        cases = [
+            ([0, 0], [2, 0], [0, 0.5], [2, 0.5], 0.5),  # parallel
+            ([0, 0], [2, 0], [3, 0], [4, 0], 1.0),  # collinear, disjoint
+            ([0, 0], [2, 0], [1, -1], [1, 1], 0.0),  # crossing
+            ([0, 0], [2, 0], [1, 0], [1, 1], 0.0),  # T junction
+            ([0, 0], [2, 0], [2, 0], [3, 5], 0.0),  # shared endpoint
+            ([0, 0], [2, 0], [3, 1], [5, 1], np.sqrt(2)),  # corner to corner
+        ]
+        p1, q1, p2, q2, want = (np.array(c, dtype=float) for c in zip(*cases))
+        assert np.allclose(segment_distance(p1, q1, p2, q2), want, rtol=0, atol=1e-15)
 
 
 class TestResample:

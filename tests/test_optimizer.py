@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from anisoclusters import (
     Cluster,
@@ -23,6 +25,7 @@ from anisoclusters import (
     weighted_volume,
 )
 from anisoclusters import optimizer
+from anisoclusters.geometry import segments_properly_cross
 
 EUCLID = Density.constant(EuclideanGauge())
 
@@ -55,6 +58,91 @@ def exact_double_bubble(n_arc=48, n_mid=8):
     return Cluster(
         np.array(verts), [Edge(lid, 1, 0), Edge(rid, 2, 0), Edge(mid, 2, 1)], 2
     )
+
+
+def all_pairs(i0, i1):
+    """All segment pairs (a < b) that share no endpoint, with no broad phase."""
+    a, b = np.triu_indices(len(i0), k=1)
+    share = (i0[a] == i0[b]) | (i0[a] == i1[b]) | (i1[a] == i0[b]) | (i1[a] == i1[b])
+    return a[~share], b[~share]
+
+
+def crossing_set(V, i0, i1):
+    a, b = all_pairs(i0, i1)
+    hit = segments_properly_cross(V[i0[a]], V[i1[a]], V[i0[b]], V[i1[b]])
+    return set(zip(a[hit].tolist(), b[hit].tolist()))
+
+
+def jittered_cluster(kind, jitter, rng):
+    """A double bubble or a square cross with every vertex moved by up to
+    jitter segment lengths; None when that makes two segments cross."""
+    if kind == "bubble":
+        cl = double_bubble_cluster(n_arc=int(rng.integers(4, 40)), n_mid=int(rng.integers(2, 12)))
+    else:
+        cl = square_cross_cluster(n_sub=int(rng.integers(2, 12)))
+        for e in cl.edges:
+            if 0 in (e.left, e.right):
+                e.tags["wall"] = True
+    seg = optimizer._default_resample_len(cl)
+    cl.vertices = cl.vertices + rng.uniform(-jitter, jitter, cl.vertices.shape) * seg
+    i0, i1, _, _, _ = cl.segment_index_arrays()
+    return None if crossing_set(cl.vertices, i0, i1) else cl
+
+
+def first_step(dofs, V, rng):
+    """A first line-search step within dofs.step_caps: half the time a corner
+    of the box, which has the largest reach, else a random point in it."""
+    caps = dofs.step_caps(V)
+    if rng.random() < 0.5:
+        return caps * rng.choice([-1.0, 1.0], dofs.n)
+    return caps * rng.uniform(-1.0, 1.0, dofs.n)
+
+
+class TestClearanceCaps:
+    """The per-iteration caps of _descend: no line-search step within them
+    folds the boundary, and their candidate pairs hold every crossing that a
+    move within the first step's reach can make."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["bubble", "cross"]), st.floats(0.0, 0.4), st.integers(0, 2**32 - 1))
+    def test_steps_within_the_caps_never_cross(self, kind, jitter, seed):
+        rng = np.random.default_rng(seed)
+        cl = jittered_cluster(kind, jitter, rng)
+        assume(cl is not None)
+        dofs = optimizer._Dofs(cl, 1e-6, optimizer._default_resample_len(cl))
+        i0, i1, _, _, _ = cl.segment_index_arrays()
+        d0 = first_step(dofs, cl.vertices, rng)
+        safe, _ = optimizer._clearance_caps(cl.vertices, dofs, i0, i1, d0)
+        caps = np.minimum(dofs.step_caps(cl.vertices), safe)
+        for k in range(20):
+            # the first trial, then steps scaled down per dof and clipped
+            scale = 1.0 if k == 0 else rng.uniform(0.0, 1.0, dofs.n)
+            d = np.clip(scale * d0, -caps, caps)
+            assert not crossing_set(optimizer._apply_step(cl.vertices, dofs, d), i0, i1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["bubble", "cross"]), st.floats(0.0, 0.4), st.integers(0, 2**32 - 1))
+    def test_candidate_pairs_hold_every_crossing_within_reach(self, kind, jitter, seed):
+        rng = np.random.default_rng(seed)
+        cl = jittered_cluster(kind, jitter, rng)
+        assume(cl is not None)
+        V = cl.vertices
+        dofs = optimizer._Dofs(cl, 1e-6, optimizer._default_resample_len(cl))
+        i0, i1, _, _, _ = cl.segment_index_arrays()
+        d0 = first_step(dofs, V, rng)
+        delta = np.sqrt(np.bincount(dofs.vert, weights=d0 * d0, minlength=len(V)).max())
+        _, ends = optimizer._clearance_caps(V, dofs, i0, i1, d0)
+        candidates = {tuple(e) for e in ends.T.tolist()}
+        crossed = set()
+        for _ in range(20):
+            # any move of every vertex, pinned ones too, by at most delta
+            angle = rng.uniform(0.0, 2.0 * np.pi, len(V))
+            r = delta * np.sqrt(rng.uniform(0.0, 1.0, len(V)))
+            Vt = V + r[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+            crossed |= {
+                (int(i0[a]), int(i1[a]), int(i0[b]), int(i1[b])) for a, b in crossing_set(Vt, i0, i1)
+            }
+        assert crossed <= candidates
 
 
 class TestMinimize:
@@ -131,18 +219,18 @@ class TestMinimize:
             )
 
         pruned = solve()
+        # the clearance caps leave no trial step that folds the boundary
+        assert pruned.crossing_rejections == 0
         oracle_calls = []
 
-        def all_pairs(V, i0, i1):
-            # every pair (a < b) sharing no endpoint, with no broad phase
+        def all_pairs_check(V, i0, i1, ends=None):
+            # every pair sharing no endpoint, not only the candidate pairs
             oracle_calls.append(len(i0))
-            a, b = np.triu_indices(len(i0), k=1)
-            share = (i0[a] == i0[b]) | (i0[a] == i1[b]) | (i1[a] == i0[b]) | (i1[a] == i1[b])
-            return a[~share], b[~share]
+            return bool(crossing_set(V, i0, i1))
 
-        monkeypatch.setattr(optimizer, "crossing_pairs", all_pairs)
+        monkeypatch.setattr(optimizer, "_has_crossing", all_pairs_check)
         oracle = solve()
-        assert oracle_calls and pruned.crossing_rejections > 0
+        assert oracle_calls
         assert pruned.spec() == oracle.spec()
 
     def test_multi_start_reports_every_run(self):
