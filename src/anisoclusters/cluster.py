@@ -101,21 +101,27 @@ class Cluster:
         return cls(np.asarray(spec["vertices"], dtype=float), edges, int(spec["chambers"]))
 
 
-def segment_weights(density, mid, vec, left, right):
-    """Perimeter weight of each segment under the orientation convention."""
-    mid = np.asarray(mid, dtype=float)
-    vec = np.asarray(vec, dtype=float)
-    left = np.asarray(left)
-    right = np.asarray(right)
-    normal = rotate_cw(vec)
-    h_fwd = density.h_at(mid, normal)
-    h_rev = density.h_at(mid, -normal)
-    w = np.where(
+def orientation_rule(h_fwd, h_rev, left, right):
+    """Segment weights from their one-sided weights and side labels.
+
+    h_fwd is the gauge at the clockwise normal of the travel direction (the
+    outward normal of the left side), h_rev at its negative. White on the
+    right takes h_fwd, white on the left h_rev, two distinct colors their
+    mean, equal labels nothing.
+    """
+    left, right = np.asarray(left), np.asarray(right)
+    return np.where(
         left == right,
         0.0,
         np.where(right == 0, h_fwd, np.where(left == 0, h_rev, 0.5 * (h_fwd + h_rev))),
     )
-    return w
+
+
+def segment_weights(density, mid, vec, left, right):
+    """Perimeter weight of each segment under the orientation convention."""
+    mid = np.asarray(mid, dtype=float)
+    normal = rotate_cw(vec)
+    return orientation_rule(density.h_at(mid, normal), density.h_at(mid, -normal), left, right)
 
 
 def _subdivide(p, q, left, right, eid, subdiv):
@@ -181,49 +187,40 @@ def fan_volume_terms(density, p, q, order=5):
     return areas * (gv * wts[None, :]).sum(axis=1)
 
 
+def chamber_sums(terms, left, right, m):
+    """Signed per-chamber sums of segment terms, indexed by label - 1: each
+    term is added to its left chamber and subtracted from its right one;
+    white sides are dropped."""
+    out = np.zeros(m)
+    sel = left > 0
+    np.add.at(out, left[sel] - 1, terms[sel])
+    sel = right > 0
+    np.add.at(out, right[sel] - 1, -terms[sel])
+    return out
+
+
 def weighted_volume(cluster, density, order=5):
     """Weighted chamber volumes as a vector indexed by chamber label - 1,
     from the signed fan triangles of fan_volume_terms."""
     p, q, left, right, _ = cluster.segment_arrays()
-    vols = np.zeros(cluster.m)
     if len(p) == 0:
-        return vols
-    seg_int = fan_volume_terms(density, p, q, order)
-    sel_l = left > 0
-    np.add.at(vols, left[sel_l] - 1, seg_int[sel_l])
-    sel_r = right > 0
-    np.add.at(vols, right[sel_r] - 1, -seg_int[sel_r])
-    return vols
+        return np.zeros(cluster.m)
+    return chamber_sums(fan_volume_terms(density, p, q, order), left, right, cluster.m)
 
 
 def chamber_perimeter(cluster, density, label):
-    """Perimeter of a single chamber as a standalone set."""
+    """Perimeter of a single chamber as a standalone set: the chamber is the
+    one color, everything else white."""
     p, q, left, right, _ = cluster.segment_arrays()
-    total = 0.0
-    sel = left == label
-    if sel.any():
-        v = q[sel] - p[sel]
-        total += float(density.h_at(0.5 * (p[sel] + q[sel]), rotate_cw(v)).sum())
-    sel = right == label
-    if sel.any():
-        v = p[sel] - q[sel]
-        total += float(density.h_at(0.5 * (p[sel] + q[sel]), rotate_cw(v)).sum())
-    return total
+    w = segment_weights(density, 0.5 * (p + q), q - p, left == label, right == label)
+    return float(w.sum())
 
 
 def union_perimeter(cluster, density):
     """Perimeter of the union of all colored chambers."""
     p, q, left, right, _ = cluster.segment_arrays()
-    total = 0.0
-    sel = right == 0
-    if sel.any():
-        v = q[sel] - p[sel]
-        total += float(density.h_at(0.5 * (p[sel] + q[sel]), rotate_cw(v)).sum())
-    sel = left == 0
-    if sel.any():
-        v = p[sel] - q[sel]
-        total += float(density.h_at(0.5 * (p[sel] + q[sel]), rotate_cw(v)).sum())
-    return total
+    w = segment_weights(density, 0.5 * (p + q), q - p, left > 0, right > 0)
+    return float(w.sum())
 
 
 def validate(cluster, check_crossings=True):
@@ -262,13 +259,7 @@ def validate(cluster, check_crossings=True):
 def weighted_volume_plain(cluster):
     """Unweighted chamber areas (g = 1)."""
     p, q, left, right, _ = cluster.segment_arrays()
-    vols = np.zeros(cluster.m)
-    seg = 0.5 * cross2(p, q)
-    sel = left > 0
-    np.add.at(vols, left[sel] - 1, seg[sel])
-    sel = right > 0
-    np.add.at(vols, right[sel] - 1, -seg[sel])
-    return vols
+    return chamber_sums(0.5 * cross2(p, q), left, right, cluster.m)
 
 
 def _wedge_violations(cluster):

@@ -186,30 +186,6 @@ class _ScaledGauge(Gauge):
         return self.base.grad_is_smooth(v)
 
 
-def validate_density(density, n_pts=64, n_dirs=32, rng=None):
-    """Sampled sanity checks; returns a list of violation strings."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    problems = []
-    pts = density.domain.sample(rng, n_pts)
-    u = unit_dir(rng.uniform(0, 2 * np.pi, n_dirs))
-    for x in pts:
-        gauge = density.gauge_at(x)
-        vals = gauge.value(u)
-        if not np.all(np.isfinite(vals)):
-            problems.append(f"gauge not finite at {x.tolist()}")
-            break
-        if vals.min() < density.h_min - 1e-9 or vals.max() > density.h_max + 1e-9:
-            problems.append(
-                f"gauge range [{vals.min():.6g}, {vals.max():.6g}] at {x.tolist()} "
-                f"escapes stored bounds [{density.h_min:.6g}, {density.h_max:.6g}]"
-            )
-            break
-    gv = density.g_at(pts)
-    if not np.all(np.isfinite(gv)) or np.any(gv < 0):
-        problems.append("volume density g must be finite and nonnegative")
-    return problems
-
-
 def ball_volume(density, center, radius, n_r=48, n_t=96):
     """Weighted volume of a disk via tensor Gauss-Legendre in polar form."""
     center = np.asarray(center, dtype=float)

@@ -452,16 +452,6 @@ class RotatedGauge(Gauge):
         return self.base.grad_is_smooth(v @ self._rot)
 
 
-def tangent_gauge(h):
-    """Weight per unit oriented tangent for a normal-based gauge h."""
-    return TangentGauge(h)
-
-
-def interface_gauge(h):
-    """Two-sided interface weight for a normal-based gauge h."""
-    return SymmetrizedGauge(TangentGauge(h))
-
-
 _GAUGE_KINDS = {}
 
 

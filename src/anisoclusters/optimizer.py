@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import (
+    chamber_sums,
     crossing_pairs,
     fan_volume_terms,
     perimeter_breakdown,
@@ -296,8 +297,8 @@ def _clearance_caps(V, dofs, i0, i1, d):
 
 class _Evaluator:
     """Objective, volumes and finite-difference gradient on flat segment
-    arrays; volumes use weighted_volume's fan_volume_terms, so the reported
-    constraint errors are exactly the ones being minimized."""
+    arrays; volumes use weighted_volume's fan_volume_terms and chamber_sums,
+    so the reported constraint errors are exactly the ones being minimized."""
 
     def __init__(self, cluster, density, targets):
         self.density = density
@@ -320,15 +321,10 @@ class _Evaluator:
         return float(w.sum())
 
     def volumes(self, V):
-        vols = np.zeros(len(self.targets))
         if len(self.i0) == 0:
-            return vols
+            return np.zeros(len(self.targets))
         t = fan_volume_terms(self.density, V[self.i0], V[self.i1])
-        sel = self.left > 0
-        np.add.at(vols, self.left[sel] - 1, t[sel])
-        sel = self.right > 0
-        np.add.at(vols, self.right[sel] - 1, -t[sel])
-        return vols
+        return chamber_sums(t, self.left, self.right, len(self.targets))
 
     def objective(self, V, lam, mu, P0):
         P = self.perimeter(V)

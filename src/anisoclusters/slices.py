@@ -1,13 +1,14 @@
 """Radii-slice configurations in the unit disk and perimeter-decreasing moves.
 
 A configuration is a fan of radii of B(0,1) with a label per sector (0 is
-white). Interior perimeter follows the orientation convention used for
-clusters: a segment between a colored and a white region is weighed one
-sidedly, one between two distinct colored regions symmetrically. Each move
-family rewires the fan into an explicit competitor network with the same
-trace on the circle, so perimeter differences are exact; for strictly convex
-smooth gauges a strictly decreasing move exists whenever there are more than
-three radii.
+white). Each move family rewires the fan into an explicit competitor network
+with the same trace on the circle, so perimeter differences are exact; for
+strictly convex smooth gauges a strictly decreasing move exists whenever
+there are more than three radii. A network's perimeter is priced by the
+clusters' orientation rule (cluster.orientation_rule): a segment between a
+colored and a white region is weighed one sidedly, one between two distinct
+colored regions symmetrically. oriented_weight applies that rule to a whole
+network in one gauge call, and the weights are summed in segment order.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cluster import orientation_rule
 from .gauge import strict_convexity_margin
 from .geometry import TWO_PI, ccw_gap, cross2, polygon_area, rotate_cw, unit_dir, wrap_angle
 
@@ -23,15 +25,10 @@ EPS_GRID = tuple(0.5 ** k for k in range(1, 21))
 
 
 def oriented_weight(gauge, vec, left, right):
-    """Weight of a segment with travel vector vec and side labels."""
-    if left == right:
-        return 0.0
+    """Weights of segments with travel vectors vec (..., 2) and side labels."""
     n = rotate_cw(vec)
-    if right == 0:
-        return float(gauge.value(n))
-    if left == 0:
-        return float(gauge.value(-n))
-    return 0.5 * float(gauge.value(n) + gauge.value(-n))
+    h_fwd, h_rev = gauge.value(np.array([n, -n]))
+    return orientation_rule(h_fwd, h_rev, left, right)
 
 
 @dataclass
@@ -41,9 +38,6 @@ class NetSegment:
     left: int
     right: int
 
-    def vector(self):
-        return self.p1 - self.p0
-
 
 @dataclass
 class CompetitorNetwork:
@@ -51,9 +45,11 @@ class CompetitorNetwork:
     gauge: object
 
     def perimeter(self):
-        return sum(
-            oriented_weight(self.gauge, s.vector(), s.left, s.right) for s in self.segments
-        )
+        segs = self.segments
+        vec = np.array([s.p1 for s in segs]) - np.array([s.p0 for s in segs])
+        w = oriented_weight(self.gauge, vec, [s.left for s in segs], [s.right for s in segs])
+        # a sequential sum: analytically tied moves must keep their order
+        return sum(w.tolist())
 
     def trace_angles(self):
         """Angles where the network meets the unit circle."""
@@ -80,7 +76,8 @@ class SliceConfig:
 
     colors[i] labels the sector between angles[i] and angles[i+1] (wrapping
     cyclically); label 0 is the exterior. Radii separating two white sectors
-    are dropped on construction, so whites are never adjacent.
+    are dropped on construction, so whites are never adjacent. Angles, radius
+    endpoints and sector gaps are computed once, as read-only arrays.
     """
 
     def __init__(self, angles, colors, gauge):
@@ -93,7 +90,8 @@ class SliceConfig:
         order = np.argsort(angles, kind="stable")
         angles = angles[order]
         colors = [colors[k] for k in order]
-        if len(angles) >= 2 and np.min(np.diff(angles)) < 1e-12:
+        # the gap from the last radius back across angle 0 counts too
+        if len(angles) >= 2 and np.min(np.diff(angles, append=angles[0] + TWO_PI)) < 1e-12:
             raise ValueError("radii angles must be strictly increasing")
         # merge adjacent white sectors by dropping the radius between them
         changed = True
@@ -111,16 +109,20 @@ class SliceConfig:
         self.angles = angles
         self.colors = colors
         self.gauge = gauge
+        self._points = unit_dir(angles)
+        self._gaps = ccw_gap(angles, np.roll(angles, -1))
+        for a in (self.angles, self._points, self._gaps):
+            a.flags.writeable = False
 
     @property
     def n(self):
         return len(self.angles)
 
     def points(self):
-        return unit_dir(self.angles)
+        return self._points
 
     def gaps(self):
-        return ccw_gap(self.angles, np.roll(self.angles, -1))
+        return self._gaps
 
     def base_network(self):
         pts = self.points()
@@ -139,11 +141,6 @@ class SliceConfig:
             "angles_deg": [float(np.degrees(a)) for a in self.angles],
             "colors": list(self.colors),
         }
-
-
-def slice_perimeter(config):
-    """Interior weighted perimeter of the fan of radii."""
-    return config.perimeter()
 
 
 def _kept_radii(config, removed, relabel=None):
@@ -320,8 +317,16 @@ def enumerate_moves(config):
             yield ("tripod", m, eps), net
 
 
-def best_move(config):
-    """Best competitor over all families; delta > 0 means improvement."""
+def improve(config):
+    """Best competitor over all move families; delta > 0 means improvement.
+
+    Needs more than three radii. For smooth strictly convex gauges the
+    returned delta is positive; for kinked or flat-sided gauges the best
+    candidate is still returned, with the guarantee flag cleared (delta may
+    be nonpositive). Of equal deltas the first enumerated wins.
+    """
+    if config.n < 4:
+        raise ValueError("hypothesis not met: need more than three radii")
     base = config.perimeter()
     best = None
     for desc, net in enumerate_moves(config):
@@ -339,18 +344,6 @@ def best_move(config):
         perimeter_after=base - delta,
         guaranteed=_strictly_convex(config.gauge),
     )
-
-
-def improve(config):
-    """Strictly decreasing competitor for configurations with > 3 radii.
-
-    For smooth strictly convex gauges the returned delta is positive; for
-    kinked or flat-sided gauges the best candidate is still returned, with
-    the guarantee flag cleared (delta may be nonpositive).
-    """
-    if config.n < 4:
-        raise ValueError("hypothesis not met: need more than three radii")
-    return best_move(config)
 
 
 def _strictly_convex(gauge):

@@ -15,6 +15,8 @@ from anisoclusters import (
     EuclideanGauge,
     LpGauge,
     Rect,
+    ShiftedDiskGauge,
+    TabulatedGauge,
     chamber_perimeter,
     double_bubble_cluster,
     growth_estimate,
@@ -34,6 +36,7 @@ from anisoclusters import (
 from anisoclusters.cluster import crossing_pairs, fan_volume_terms
 from anisoclusters.geometry import (
     polyline_self_intersects,
+    rotate_cw,
     segment_distance,
     segment_point_distance,
     segments_properly_cross,
@@ -82,6 +85,73 @@ class TestCrossUnderMaxNorm:
                 2.0 + 2.0 * np.sqrt(2.0), abs=1e-12
             )
         assert union_perimeter(self.cluster, eu) == pytest.approx(8.0, abs=1e-12)
+
+
+def outward_perimeter(gauge, poly):
+    """Perimeter of a counterclockwise polygon as a standalone set: the gauge
+    at each side's outward normal, the clockwise turn of the side."""
+    poly = np.asarray(poly, dtype=float)
+    return float(gauge.value(rotate_cw(np.roll(poly, -1, axis=0) - poly)).sum())
+
+
+def odd_profile_gauge(n=64):
+    """Asymmetric gauge with angular profile 1 + 0.1 sin 3t (convex: the
+    profile plus its second derivative is 1 - 0.8 sin 3t > 0)."""
+    t = np.arange(n) * (2.0 * np.pi / n)
+    return TabulatedGauge(1.0 + 0.1 * np.sin(3.0 * t))
+
+
+@pytest.mark.parametrize(
+    "gauge",
+    [ShiftedDiskGauge((0.2, -0.1), 1.0), odd_profile_gauge()],
+    ids=["shifted-disk", "odd-profile"],
+)
+class TestChamberPerimeterUnderAsymmetricGauge:
+    """A triangle split into two chambers by a segment from its apex. Both
+    gauges weigh inward normals differently from outward ones, so a normal
+    swapped on some of a chamber's segments shows under either. Swapped on
+    all of them it shows only under the odd profile: the shifted disk's odd
+    part is linear, h(v) - h(-v) = -2 v.c / (R^2 - |c|^2), and sums to zero
+    around a closed boundary."""
+
+    T0, M, T1, T2 = [0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.5, 1.5]
+
+    def cluster(self):
+        edges = [Edge([0, 1], 1, 0), Edge([1, 2, 3], 2, 0), Edge([3, 0], 1, 0), Edge([1, 3], 1, 2)]
+        cluster = Cluster(np.array([self.T0, self.M, self.T1, self.T2]), edges, 2)
+        assert validate(cluster) == []
+        return cluster
+
+    def test_chambers(self, gauge):
+        cluster, density = self.cluster(), Density.constant(gauge)
+        for label, poly in ((1, [self.T0, self.M, self.T2]), (2, [self.M, self.T1, self.T2])):
+            expect = outward_perimeter(gauge, poly)
+            got = chamber_perimeter(cluster, density, label)
+            assert got == pytest.approx(expect, abs=1e-12), label
+
+    def test_union(self, gauge):
+        expect = outward_perimeter(gauge, [self.T0, self.T1, self.T2])
+        got = union_perimeter(self.cluster(), Density.constant(gauge))
+        assert got == pytest.approx(expect, abs=1e-12)
+
+    def test_cross_chambers(self, gauge):
+        # the square cross's chambers are the triangles (O, A, B), (O, B, C),
+        # (O, C, D), (O, D, A) for corners A..D counterclockwise from (1, 1)
+        cluster = square_cross_cluster(n_sub=4)
+        O, A, B, C, D = [0.0, 0.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]
+        for label, (P, Q) in enumerate(((A, B), (B, C), (C, D), (D, A)), start=1):
+            expect = outward_perimeter(gauge, [O, P, Q])
+            got = chamber_perimeter(cluster, Density.constant(gauge), label)
+            assert got == pytest.approx(expect, abs=1e-12), label
+
+
+def test_odd_profile_tells_outward_from_inward_normals():
+    # the premise of the odd-profile cases above: the inward-normal
+    # perimeter of each chamber differs from the outward one
+    gauge = odd_profile_gauge()
+    T0, M, T1, T2 = [0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.5, 1.5]
+    for poly in ([T0, M, T2], [M, T1, T2], [T0, T1, T2], [T0, [1.0, 1.0], [-1.0, 1.0]]):
+        assert abs(outward_perimeter(gauge, poly) - outward_perimeter(gauge, poly[::-1])) > 0.01
 
 
 class TestSingleChamber:

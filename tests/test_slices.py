@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from anisoclusters import (
+    CompetitorNetwork,
     EllipseGauge,
     EuclideanGauge,
     LpGauge,
@@ -16,9 +17,9 @@ from anisoclusters import (
     oriented_weight,
     path_length_gauge,
     shortcut_path,
-    slice_perimeter,
 )
 from anisoclusters.geometry import polyline_self_intersects, rotate_cw
+from anisoclusters.slices import enumerate_moves
 
 from conftest import random_slice_config, star_polygon
 
@@ -63,7 +64,17 @@ class TestSliceConfig:
             oriented_weight(gauge, pts[i], cfg.colors[i], cfg.colors[i - 1])
             for i in range(cfg.n)
         )
-        assert slice_perimeter(cfg) == pytest.approx(expect, abs=1e-12)
+        assert cfg.perimeter() == pytest.approx(expect, abs=1e-12)
+
+    def test_batch_matches_single_vectors(self):
+        gauge = ShiftedDiskGauge((0.2, -0.1), 1.0)
+        vec = np.random.default_rng(3).normal(size=(12, 2))
+        left = [0, 1, 2, 2, 0, 3, 1, 0, 2, 4, 1, 0]
+        right = [1, 0, 2, 1, 3, 0, 0, 2, 4, 2, 1, 0]
+        batch = oriented_weight(gauge, vec, left, right)
+        assert batch.shape == (12,)
+        for k in range(12):
+            assert batch[k] == oriented_weight(gauge, vec[k], left[k], right[k])
 
     def test_adjacent_whites_merge(self):
         cfg = SliceConfig(np.radians([0, 90, 180, 270]), [0, 0, 1, 2], EuclideanGauge())
@@ -87,6 +98,21 @@ class TestSliceConfig:
     def test_duplicate_angles_rejected(self):
         with pytest.raises(ValueError):
             SliceConfig(np.radians([0, 0, 90]), [1, 2, 3], EuclideanGauge())
+
+    def test_coincident_radii_across_angle_zero_rejected(self):
+        # a gap of 1e-13 is rejected mid-circle, so across angle 0 as well
+        for angles in ([1.0, 1.0 + 1e-13, 2.5, 4.0, 5.0], [0.0, 1.0, 2.5, 4.0, 2 * np.pi - 1e-13]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                SliceConfig(angles, [1, 2, 3, 4, 2], EuclideanGauge())
+
+    def test_points_and_gaps_are_fixed(self):
+        cfg = SliceConfig(np.radians([10, 80, 150, 220]), [1, 2, 3, 4], EuclideanGauge())
+        assert cfg.points() is cfg.points() and cfg.gaps() is cfg.gaps()
+        assert np.array_equal(cfg.points(), np.column_stack([np.cos(cfg.angles), np.sin(cfg.angles)]))
+        assert cfg.gaps().sum() == pytest.approx(2 * np.pi, abs=1e-12)
+        for a in (cfg.angles, cfg.points(), cfg.gaps()):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
     def test_all_white_collapses(self):
         with pytest.raises(ValueError):
@@ -205,6 +231,69 @@ class TestImprove:
         res = improve(cfg)
         assert res.delta <= 1e-12
         assert not res.guaranteed
+
+
+def scalar_perimeter(net, memo):
+    """Test-only oracle: the orientation rule written out one segment at a
+    time, with single-vector gauge calls, summed in segment order by the
+    builtin sum. memo holds the weights of segments already seen on the
+    same gauge."""
+    weights = []
+    for s in net.segments:
+        key = (s.p0.tobytes(), s.p1.tobytes(), s.left, s.right)
+        if key not in memo:
+            n = rotate_cw(s.p1 - s.p0)
+            if s.left == s.right:
+                memo[key] = 0.0
+            elif s.right == 0:
+                memo[key] = float(net.gauge.value(n))
+            elif s.left == 0:
+                memo[key] = float(net.gauge.value(-n))
+            else:
+                memo[key] = 0.5 * float(net.gauge.value(n) + net.gauge.value(-n))
+        weights.append(memo[key])
+    return sum(weights)
+
+
+def criterion_07_draws():
+    """The configurations of acceptance criterion 07, in its order."""
+    rng = np.random.default_rng(20240817)
+    gauges = [EuclideanGauge(), EllipseGauge([[2.0, 0.3], [0.3, 1.0]]), SmoothedL1Gauge(0.35)]
+    draws = [random_slice_config(rng, gauges[t % 3]) for t in range(200)]
+    for gauge in (LpGauge(np.inf), LpGauge(1.0), EuclideanGauge()):
+        draws.append(SliceConfig(np.radians([45, 135, 225, 315]), [1, 2, 3, 4], gauge))
+    return draws
+
+
+def test_improve_matches_the_scalar_oracle(monkeypatch):
+    # improve prices the base network and then every candidate; each price
+    # agrees with the oracle (single-vector and batched ellipse evaluations
+    # may differ in the last bit), and improve returns the oracle's move,
+    # the first of the largest oracle deltas
+    priced = []
+    price = CompetitorNetwork.perimeter
+
+    def recorded(net):
+        priced.append((net, price(net)))
+        return priced[-1][1]
+
+    monkeypatch.setattr(CompetitorNetwork, "perimeter", recorded)
+    for cfg in criterion_07_draws():
+        priced.clear()
+        res = improve(cfg)
+        memo = {}
+        (base_net, base), *candidates = priced
+        oracle_base = scalar_perimeter(base_net, memo)
+        assert abs(base - oracle_base) <= 1e-14, cfg.spec()
+        assert len(candidates) == sum(1 for _ in enumerate_moves(cfg))
+        best = None
+        for net, p in candidates:
+            q = scalar_perimeter(net, memo)
+            assert abs(p - q) <= 1e-14, cfg.spec()
+            if best is None or oracle_base - q > best[0]:
+                best = (oracle_base - q, net)
+        assert res.network is best[1], cfg.spec()
+        assert abs(res.delta - best[0]) <= 1e-14, cfg.spec()
 
 
 class TestPathLength:
