@@ -185,6 +185,9 @@ class _ScaledGauge(Gauge):
     def grad_is_smooth(self, v):
         return self.base.grad_is_smooth(v)
 
+    def continuation(self):
+        return tuple(_ScaledGauge(s, self.factor) for s in self.base.continuation())
+
 
 def ball_volume(density, center, radius, n_r=48, n_t=96):
     """Weighted volume of a disk via tensor Gauss-Legendre in polar form."""

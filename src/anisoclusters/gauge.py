@@ -52,6 +52,15 @@ class Gauge:
         out = np.ones(v.shape[:-1], dtype=bool)
         return out & (np.linalg.norm(v, axis=-1) > 0)
 
+    def continuation(self):
+        """Smooth surrogate gauges that converge to this one, coarsest first.
+
+        The solver descends on each surrogate in turn before the gauge
+        itself, so a kinked gauge is approached through smooth objectives
+        (homotopy continuation). Empty for gauges that need none.
+        """
+        return ()
+
     def boundary_point(self, theta):
         """Point of the unit ball boundary in direction theta."""
         u = unit_dir(theta)
@@ -107,6 +116,13 @@ class LpGauge(Gauge):
     def params(self):
         return {"p": self.p if np.isfinite(self.p) else "inf"}
 
+    def continuation(self):
+        # max <= l^p <= 2^(1/p) max: these come within 9, 2.2 and 0.5 % of
+        # the max norm
+        if np.isinf(self.p):
+            return (LpGauge(8), LpGauge(32), LpGauge(128))
+        return ()
+
     def value(self, v):
         v = np.abs(np.asarray(v, dtype=float))
         if np.isinf(self.p):
@@ -115,7 +131,10 @@ class LpGauge(Gauge):
         with np.errstate(divide="ignore", invalid="ignore"):
             r = v / m[..., None]
         r = np.where(m[..., None] > 0, r, 0.0)
-        return m * (r[..., 0] ** self.p + r[..., 1] ** self.p) ** (1.0 / self.p)
+        # ufunc powers only: the ** of a numpy scalar, which a single vector
+        # reaches, rounds differently from the batched ufunc loop
+        rp = r**self.p
+        return m * np.power(rp[..., 0] + rp[..., 1], 1.0 / self.p)
 
     def grad(self, v):
         v = np.asarray(v, dtype=float)
@@ -159,20 +178,29 @@ class EllipseGauge(Gauge):
         if np.linalg.eigvalsh(q).min() <= 0:
             raise ValueError("matrix must be positive definite")
         self.q = 0.5 * (q + q.T)
+        (self._a, self._b), (_, self._c) = self.q.tolist()
 
     def params(self):
         return {"matrix": self.q.tolist()}
 
+    def _value_qv(self, v):
+        """The value and both coordinates of Q v, computed coordinate by
+        coordinate: a matrix product rounds a single vector differently
+        from a batch."""
+        x, y = v[..., 0], v[..., 1]
+        qx, qy = self._a * x + self._b * y, self._b * x + self._c * y
+        return np.sqrt(np.maximum(x * qx + y * qy, 0.0)), qx, qy
+
     def value(self, v):
-        v = np.asarray(v, dtype=float)
-        qv = v @ self.q.T
-        return np.sqrt(np.maximum((v * qv).sum(axis=-1), 0.0))
+        return self._value_qv(np.asarray(v, dtype=float))[0]
 
     def grad(self, v):
         v = np.asarray(v, dtype=float)
-        s = self.value(v)
+        s, qx, qy = self._value_qv(v)
+        g = np.empty(v.shape)
+        g[..., 0], g[..., 1] = qx, qy
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = (v @ self.q.T) / s[..., None]
+            g /= s[..., None]
         return np.where(s[..., None] > 0, g, 0.0)
 
 

@@ -20,6 +20,14 @@ outer iterations each non-wall edge is resampled to a uniform target
 segment length; edge endpoints, and with them every junction, survive
 resampling.
 
+A gauge with a ladder of smooth surrogates (Gauge.continuation(), for now
+the max norm's l^8, l^32, l^128) is approached through it: before the outer
+loop, one inner descent on each surrogate in turn, at the starting
+multiplier and penalty, carries the cluster from stage to stage (homotopy
+continuation, Allgower and Georg 1990). Descent on the kinked gauge alone
+creeps along its flat directions; from the last surrogate's minimiser it
+has little left to do.
+
 Wall edges carry constant perimeter (their geometry never changes as a set),
 so the optimization objective counts non-wall interfaces only, normalized by
 the initial interface perimeter. Volume errors are relative to the targets.
@@ -43,6 +51,7 @@ from .cluster import (
     weighted_perimeter,
     weighted_volume,
 )
+from .density import Density
 from .geometry import (
     angle_between,
     angle_of,
@@ -113,6 +122,7 @@ class SolveReport:
     flags: list
     junctions: list = field(default_factory=list)
     starts: list = field(default_factory=list)
+    continuation: list = field(default_factory=list)
 
     def spec(self):
         return {
@@ -130,6 +140,7 @@ class SolveReport:
             "flags": list(self.flags),
             "junctions": list(self.junctions),
             "starts": list(self.starts),
+            "continuation": list(self.continuation),
             "cluster": self.cluster.spec(),
         }
 
@@ -482,6 +493,18 @@ def resample_cluster(cluster, target_len):
     return type(cluster)(np.asarray(verts), edges, cluster.m)
 
 
+def _descend_cluster(cl, density, targets, lam, mu, opts, rs_len):
+    """One inner descent from cl's vertices, which it moves to the result;
+    returns the evaluator and the inner statistics."""
+    ev = _Evaluator(cl, density, targets)
+    P0 = ev.perimeter(cl.vertices)
+    if P0 <= 0:
+        raise ValueError("cluster has no interface perimeter to minimize")
+    dofs = _Dofs(cl, opts.fd_scale, rs_len)
+    cl.vertices, st = _descend(cl.vertices.copy(), dofs, ev, lam, mu, P0, opts, rs_len)
+    return ev, st
+
+
 def _solve_single(cluster, density, targets, opts, start_index):
     rs_len = opts.resample_len if opts.resample_len else _default_resample_len(cluster)
     lam = np.zeros(len(targets))
@@ -489,24 +512,27 @@ def _solve_single(cluster, density, targets, opts, start_index):
     flags = []
     trace = []
     verr_trace = []
-    inner_total = 0
-    rejections = 0
     prev_emax = np.inf
     prev_stall_P = None
     converged = False
     cl = cluster
+    # the continuation ladder: one descent per smooth surrogate, same g
+    ladder = density.gauge_at(None).continuation() if density.uniform_gauge else ()
+    g = density.g_const if density.g_const is not None else density.g_at
+    stages = []
+    for gauge in ladder:
+        stage = Density(gauge, g=g, domain=density.domain)
+        _, st = _descend_cluster(cl, stage, targets, lam, mu, opts, rs_len)
+        stages.append((gauge, st))
+    inner_total = sum(st.iterations for _, st in stages)
+    rejections = sum(st.rejections for _, st in stages)
     ev = None
     outer = 0
     for outer in range(1, opts.max_outer + 1):
         if outer > 1:
             cl = resample_cluster(cl, rs_len)
-        dofs = _Dofs(cl, opts.fd_scale, rs_len)
-        ev = _Evaluator(cl, density, targets)
-        P0 = ev.perimeter(cl.vertices)
-        if P0 <= 0:
-            raise ValueError("cluster has no interface perimeter to minimize")
-        V, st = _descend(cl.vertices.copy(), dofs, ev, lam, mu, P0, opts, rs_len)
-        cl.vertices = V
+        ev, st = _descend_cluster(cl, density, targets, lam, mu, opts, rs_len)
+        V = cl.vertices
         vols = ev.volumes(V)
         e = (vols - targets) / targets
         emax = float(np.max(np.abs(e)))
@@ -519,10 +545,11 @@ def _solve_single(cluster, density, targets, opts, start_index):
             converged = True
             break
         if emax <= opts.vol_tol:
-            # kinked gauges leave no usable gradient at the optimum (descent
-            # creeps along flat directions forever), and fine meshes hit the
-            # finite-difference noise floor before grad_tol; accept once a
-            # second full pass confirms the perimeter is frozen to 1e-6
+            # a kinked gauge without a ladder, or one whose ladder does not
+            # end close to its minimiser, can leave no usable gradient at the
+            # optimum (descent creeps along flat directions), and fine meshes
+            # hit the finite-difference noise floor before grad_tol; accept
+            # once a second full pass confirms the perimeter is frozen to 1e-6
             if prev_stall_P is not None and abs(Pint - prev_stall_P) <= 1e-6 * (1 + Pint):
                 converged = True
                 flags.append("inner_stall_at_tolerance")
@@ -556,6 +583,9 @@ def _solve_single(cluster, density, targets, opts, start_index):
         crossing_rejections=rejections,
         start_index=start_index,
         flags=flags,
+        continuation=[
+            {"gauge": gauge.spec(), "inner_iterations": st.iterations} for gauge, st in stages
+        ],
     )
 
 

@@ -13,6 +13,7 @@ network in one gauge call, and the weights are summed in segment order.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,10 +347,17 @@ def improve(config):
     )
 
 
+_STRICTLY_CONVEX = weakref.WeakKeyDictionary()
+
+
 def _strictly_convex(gauge):
+    """Whether improve's guarantee holds for gauge; the 256-direction margin
+    is computed once per gauge instance."""
     if not getattr(gauge, "smooth", False):
         return False
-    return strict_convexity_margin(gauge, n_dirs=256) > 1e-9
+    if gauge not in _STRICTLY_CONVEX:
+        _STRICTLY_CONVEX[gauge] = strict_convexity_margin(gauge, n_dirs=256) > 1e-9
+    return _STRICTLY_CONVEX[gauge]
 
 
 def path_length_gauge(gauge, pts, reverse=False):

@@ -42,8 +42,7 @@ def tabulated_ellipse(n=64):
     return ac.TabulatedGauge(ac.EllipseGauge([[1.6, 0.25], [0.25, 1.0]]).value(u))
 
 
-@pytest.fixture
-def smooth_gauges():
+def smooth_gauge_list():
     return [
         ac.EuclideanGauge(),
         ac.EllipseGauge([[2.0, 0.3], [0.3, 1.0]]),
@@ -52,9 +51,24 @@ def smooth_gauges():
     ]
 
 
+def kinked_gauge_list():
+    return [ac.LpGauge(np.inf), ac.LpGauge(1.0), ac.SmoothedL1Gauge(0.35)]
+
+
+def all_gauge_list():
+    """One gauge of every kind, for tests that cannot take fixtures
+    (hypothesis tests)."""
+    return smooth_gauge_list() + kinked_gauge_list()
+
+
+@pytest.fixture
+def smooth_gauges():
+    return smooth_gauge_list()
+
+
 @pytest.fixture
 def kinked_gauges():
-    return [ac.LpGauge(np.inf), ac.LpGauge(1.0), ac.SmoothedL1Gauge(0.35)]
+    return kinked_gauge_list()
 
 
 @pytest.fixture

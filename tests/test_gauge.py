@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anisoclusters as ac
 from anisoclusters.gauge import TangentGauge
 from anisoclusters.geometry import rotate_ccw, rotate_cw, unit_dir
+
+from conftest import all_gauge_list
+
+# magnitudes from 1e-6 to 1e3, or exactly 0: squares of coordinates far
+# below that underflow, and no gauge formula is meant for them
+coord = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6))
+vectors = st.tuples(coord, coord).map(np.array)
+EVERY_KIND = all_gauge_list()
 
 
 def test_positive_homogeneity(all_gauges, rng):
@@ -20,6 +30,29 @@ def test_positivity_and_convexity(all_gauges, rng):
         assert g.value(u).min() > 0.0
         # subadditivity is convexity plus 1-homogeneity
         assert np.all(g.value(u + w) <= g.value(u) + g.value(w) + 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors, st.floats(1e-3, 1e3))
+def test_homogeneity_property(v, s):
+    for gauge in EVERY_KIND:
+        expected = s * float(gauge.value(v))
+        assert abs(float(gauge.value(s * v)) - expected) <= 1e-12 * expected, gauge
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors, vectors)
+def test_subadditivity_property(u, v):
+    for gauge in EVERY_KIND:
+        hu, hv = float(gauge.value(u)), float(gauge.value(v))
+        assert float(gauge.value(u + v)) <= hu + hv + 1e-12 * (hu + hv), gauge
+
+
+def test_single_vectors_round_like_batches(all_gauges, rng):
+    v = rng.normal(0.0, 1.0, (500, 2))
+    for g in all_gauges + [ac.LpGauge(3.0)]:
+        assert np.array_equal(np.array([g.value(x) for x in v]), g.value(v)), g
+        assert np.array_equal(np.array([g.grad(x) for x in v]), g.grad(v)), g
 
 
 def test_euler_identity_all_gauges(all_gauges, rng):

@@ -11,6 +11,7 @@ from anisoclusters import (
     Edge,
     EllipseGauge,
     EuclideanGauge,
+    LpGauge,
     OptimizationProblem,
     SolveOptions,
     ball_bound_check,
@@ -25,9 +26,10 @@ from anisoclusters import (
     weighted_volume,
 )
 from anisoclusters import optimizer
-from anisoclusters.geometry import segments_properly_cross
+from anisoclusters.geometry import hausdorff_to_segments, segments_properly_cross
 
 EUCLID = Density.constant(EuclideanGauge())
+MAXNORM = Density.constant(LpGauge(np.inf))
 
 
 def exact_double_bubble(n_arc=48, n_mid=8):
@@ -276,6 +278,66 @@ class TestMinimize:
         assert not rep.success
         assert "max_outer_reached" in rep.flags
         assert "non_convergence" in rep.flags
+
+
+def solve_cross(density, rng, targets=np.ones(4)):
+    cl = square_cross_cluster(n_sub=8, jitter=0.02, rng=np.random.default_rng(rng))
+    return minimize(OptimizationProblem(cl, density, targets, SolveOptions(max_outer=60)))
+
+
+class TestContinuation:
+    @pytest.mark.parametrize("rng", range(12))
+    def test_max_norm_cross_converges_on_the_diagonals(self, rng):
+        rep = solve_cross(MAXNORM, rng)
+        assert rep.success, rep.flags
+        assert "inner_stall_at_tolerance" not in rep.flags
+        assert interface_perimeter(rep.cluster, MAXNORM) <= 4.01
+        ids = sorted({v for e in rep.cluster.edges if not e.tags.get("wall") for v in e.vertices})
+        hd = hausdorff_to_segments(
+            rep.cluster.vertices[ids],
+            np.array([[-1.0, -1.0], [-1.0, 1.0]]),
+            np.array([[1.0, 1.0], [1.0, -1.0]]),
+        )
+        assert hd <= 0.05
+
+    def test_scaled_density_doubles_the_perimeter(self):
+        base = solve_cross(MAXNORM, 2)
+        scaled = solve_cross(MAXNORM.scaled(2.0), 2, targets=2.0 * np.ones(4))
+        assert scaled.success
+        assert scaled.perimeter == pytest.approx(2.0 * base.perimeter, rel=1e-6)
+        assert [c["inner_iterations"] for c in scaled.continuation] == [
+            c["inner_iterations"] for c in base.continuation
+        ]
+
+    def test_smooth_gauges_have_no_ladder(self, smooth_gauges):
+        for g in smooth_gauges:
+            assert g.continuation() == ()
+        rep = minimize(
+            OptimizationProblem(regular_polygon_chamber(32, area=np.pi), EUCLID, [np.pi])
+        )
+        assert rep.continuation == []
+        assert rep.spec()["continuation"] == []
+
+    def test_true_gauge_follows_the_last_stage(self, monkeypatch):
+        gauges, inner = [], []
+        descend = optimizer._descend
+
+        def recording(V, dofs, ev, *args):
+            gauges.append(ev.density.gauge_at(None).spec())
+            V, st = descend(V, dofs, ev, *args)
+            inner.append(st.iterations)
+            return V, st
+
+        monkeypatch.setattr(optimizer, "_descend", recording)
+        rep = solve_cross(MAXNORM, 0)
+        ladder = [g.spec() for g in LpGauge(np.inf).continuation()]
+        assert ladder == [{"kind": "lp", "p": p} for p in (8.0, 32.0, 128.0)]
+        assert [c["gauge"] for c in rep.spec()["continuation"]] == ladder
+        n = len(ladder)
+        assert gauges[:n] == ladder
+        assert gauges[n:] == [{"kind": "lp", "p": "inf"}] * rep.outer_iterations
+        assert [c["inner_iterations"] for c in rep.continuation] == inner[:n]
+        assert rep.inner_iterations == sum(inner)
 
 
 class TestProblemValidation:

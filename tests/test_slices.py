@@ -17,7 +17,9 @@ from anisoclusters import (
     oriented_weight,
     path_length_gauge,
     shortcut_path,
+    strict_convexity_margin,
 )
+from anisoclusters import slices
 from anisoclusters.geometry import polyline_self_intersects, rotate_cw
 from anisoclusters.slices import enumerate_moves
 
@@ -215,6 +217,37 @@ class TestImprove:
             res = improve(cfg)
             assert res.delta > 0, cfg.spec()
             assert res.guaranteed
+
+    def test_guarantee_margin_is_computed_once_per_gauge(self, monkeypatch):
+        calls = []
+
+        def counting_margin(gauge, n_dirs):
+            calls.append(gauge)
+            return strict_convexity_margin(gauge, n_dirs)
+
+        monkeypatch.setattr(slices, "strict_convexity_margin", counting_margin)
+        rng = np.random.default_rng(7)
+        gauges = [EuclideanGauge(), EllipseGauge([[2.0, 0.3], [0.3, 1.0]])]
+        for k in range(12):
+            assert improve(random_slice_config(rng, gauges[k % 2])).guaranteed
+        assert calls == gauges
+
+    def test_guarantee_on_criterion_07_draws(self):
+        # the draws and gauges of the acceptance criterion; the flag is the
+        # uncached 256-direction margin test
+        rng = np.random.default_rng(20240817)
+        gauges = [
+            EuclideanGauge(),
+            EllipseGauge([[2.0, 0.3], [0.3, 1.0]]),
+            SmoothedL1Gauge(0.35),
+        ]
+        expected = [g.smooth and strict_convexity_margin(g, n_dirs=256) > 1e-9 for g in gauges]
+        assert expected == [True, True, False]
+        for trial in range(200):
+            cfg = random_slice_config(rng, gauges[trial % 3])
+            if trial < 12:
+                assert improve(cfg).guaranteed == expected[trial % 3]
+            assert slices._strictly_convex(cfg.gauge) == expected[trial % 3]
 
     def test_smoothed_l1_improves_without_guarantee(self):
         rng = np.random.default_rng(99)
