@@ -24,7 +24,6 @@ from .geometry import (
     cross2,
     rotate_ccw,
     rotate_cw,
-    rotation_matrix,
     unit_dir,
     wrap_angle,
 )
@@ -458,7 +457,7 @@ class RotatedGauge(Gauge):
         self.angle = float(angle)
         self.smooth = base.smooth
         self.symmetric = base.symmetric
-        self._rot = rotation_matrix(self.angle)
+        self._cos, self._sin = np.cos(self.angle), np.sin(self.angle)
 
     @property
     def kind(self):
@@ -467,17 +466,24 @@ class RotatedGauge(Gauge):
     def params(self):
         return {"base": self.base.spec(), "angle": self.angle}
 
-    def value(self, v):
+    def _turn(self, v, sin):
+        """v rotated by the angle whose sine is sin (+-self._sin), computed
+        coordinate by coordinate: a matrix product rounds a single vector
+        differently from a batch."""
         v = np.asarray(v, dtype=float)
-        return self.base.value(v @ self._rot)  # v @ R == R^T v == rotate by -angle
+        x, y = v[..., 0], v[..., 1]
+        out = np.empty(v.shape)
+        out[..., 0], out[..., 1] = self._cos * x - sin * y, sin * x + self._cos * y
+        return out
+
+    def value(self, v):
+        return self.base.value(self._turn(v, -self._sin))
 
     def grad(self, v):
-        v = np.asarray(v, dtype=float)
-        return self.base.grad(v @ self._rot) @ self._rot.T
+        return self._turn(self.base.grad(self._turn(v, -self._sin)), self._sin)
 
     def grad_is_smooth(self, v):
-        v = np.asarray(v, dtype=float)
-        return self.base.grad_is_smooth(v @ self._rot)
+        return self.base.grad_is_smooth(self._turn(v, -self._sin))
 
 
 _GAUGE_KINDS = {}

@@ -30,11 +30,6 @@ def rotate_ccw(v):
     return out
 
 
-def rotation_matrix(angle):
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
 def unit_dir(theta):
     """Unit vector(s) at polar angle theta; theta may be an array."""
     theta = np.asarray(theta, dtype=float)

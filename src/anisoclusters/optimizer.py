@@ -20,6 +20,17 @@ outer iterations each non-wall edge is resampled to a uniform target
 segment length; edge endpoints, and with them every junction, survive
 resampling.
 
+The mesh is also repaired inside an outer iteration (remeshing on collapse,
+as Surface Evolver removes tiny edges during the evolution, Brakke 1992).
+When two vertices of an edge slide together, the clearance caps of their
+neighbours shrink with the collapsed segment, and the descent freezes
+until the step budget runs out. So an accepted step that leaves a segment
+shorter than COLLAPSE_FRACTION of the length resampling would give it ends
+the descent; the cluster is resampled, and the descent goes on at the same
+multiplier and penalty with the steps that remain of max_inner. Wall
+segments and one-segment edges, which resampling cannot lengthen, never
+count.
+
 A gauge with a ladder of smooth surrogates (Gauge.continuation(), for now
 the max norm's l^8, l^32, l^128) is approached through it: before the outer
 loop, one inner descent on each surrogate in turn, at the starting
@@ -63,6 +74,11 @@ from .geometry import (
     wrap_angle,
 )
 from .steiner import junction_residual
+
+# An accepted inner step that leaves a non-wall segment shorter than this
+# fraction of the length resampling would give it ends the descent; the
+# cluster is resampled and the descent goes on (_descend_cluster).
+COLLAPSE_FRACTION = 0.1
 
 
 @dataclass
@@ -120,6 +136,7 @@ class SolveReport:
     crossing_rejections: int
     start_index: int
     flags: list
+    resamples: int = 0
     junctions: list = field(default_factory=list)
     starts: list = field(default_factory=list)
     continuation: list = field(default_factory=list)
@@ -136,6 +153,7 @@ class SolveReport:
             "outer_iterations": int(self.outer_iterations),
             "inner_iterations": int(self.inner_iterations),
             "crossing_rejections": int(self.crossing_rejections),
+            "resamples": int(self.resamples),
             "start_index": int(self.start_index),
             "flags": list(self.flags),
             "junctions": list(self.junctions),
@@ -317,9 +335,22 @@ class _Evaluator:
         i0, i1, left, right, eid = cluster.segment_index_arrays()
         self.i0, self.i1 = i0, i1
         self.left, self.right = left, right
+        self.eid = eid
+        self.edge_closed = np.array([e.vertices[0] == e.vertices[-1] for e in cluster.edges])
         wall = _wall_edge_mask(cluster)
         self.seg_wall = wall[eid] if len(eid) else np.zeros(0, bool)
         self.active = (~self.seg_wall) & (left != right)
+
+    def collapsed(self, V, target_len):
+        """True when a non-wall segment is shorter than COLLAPSE_FRACTION of
+        the segment length resample_cluster would give its edge. Wall edges
+        are never resampled, and a single-segment edge is never shorter than
+        its resampled segments, so neither counts."""
+        lens = np.linalg.norm(V[self.i1] - V[self.i0], axis=1)
+        L = np.bincount(self.eid, weights=lens, minlength=len(self.edge_closed))
+        n = [_resample_count(Le, c, target_len) for Le, c in zip(L, self.edge_closed)]
+        spacing = (L / n)[self.eid]
+        return bool((~self.seg_wall & (lens < COLLAPSE_FRACTION * spacing)).any())
 
     def perimeter(self, V):
         sel = self.active
@@ -383,9 +414,13 @@ class _InnerStats:
     stalled: bool
     trace: list
     rejections: int
+    collapsed: bool = False
+    resamples: int = 0
 
 
-def _descend(V, dofs, ev, lam, mu, P0, opts, char_len):
+def _descend(V, dofs, ev, lam, mu, P0, opts, char_len, budget):
+    """At most budget inner steps; stops early on convergence, on a failed
+    line search (stalled) and on a step that collapses a segment."""
     f, Pint, e = ev.objective(V, lam, mu, P0)
     trace = [Pint]
     if dofs.n == 0:
@@ -397,11 +432,12 @@ def _descend(V, dofs, ev, lam, mu, P0, opts, char_len):
     rejections = 0
     converged = False
     stalled = False
+    collapsed = False
     it = 0
     # non-monotone acceptance window: Barzilai-Borwein steps on this badly
     # conditioned problem must be allowed transient objective increases
     recent = [f]
-    for it in range(1, opts.max_inner + 1):
+    for it in range(1, budget + 1):
         gn = float(np.max(np.abs(g)))
         if gn * char_len <= opts.grad_tol:
             converged = True
@@ -444,10 +480,18 @@ def _descend(V, dofs, ev, lam, mu, P0, opts, char_len):
         if len(recent) > 8:
             recent.pop(0)
         trace.append(Pint)
+        if ev.collapsed(V, char_len):
+            collapsed = True
+            break
         g_prev = g
         g = ev.gradient(V, lam, mu, e, P0, dofs)
         t = tt
-    return V, _InnerStats(it, converged, stalled, trace, rejections)
+    return V, _InnerStats(it, converged, stalled, trace, rejections, collapsed)
+
+
+def _resample_count(L, closed, target_len):
+    """Segments resample_cluster gives an edge of polyline length L."""
+    return max(3 if closed else 1, int(round(L / target_len))) if L > 0 else 1
 
 
 def resample_cluster(cluster, target_len):
@@ -477,8 +521,7 @@ def resample_cluster(cluster, target_len):
         pts = cluster.edge_points(e)
         seg = np.linalg.norm(pts[1:] - pts[:-1], axis=1)
         L = float(seg.sum())
-        closed = e.vertices[0] == e.vertices[-1]
-        n_new = max(3 if closed else 1, int(round(L / target_len))) if L > 0 else 1
+        n_new = _resample_count(L, e.vertices[0] == e.vertices[-1], target_len)
         ids = [old2new[e.vertices[0]]]
         if n_new > 1 and L > 0:
             s = np.concatenate([[0.0], np.cumsum(seg)])
@@ -494,15 +537,40 @@ def resample_cluster(cluster, target_len):
 
 
 def _descend_cluster(cl, density, targets, lam, mu, opts, rs_len):
-    """One inner descent from cl's vertices, which it moves to the result;
-    returns the evaluator and the inner statistics."""
-    ev = _Evaluator(cl, density, targets)
-    P0 = ev.perimeter(cl.vertices)
-    if P0 <= 0:
-        raise ValueError("cluster has no interface perimeter to minimize")
-    dofs = _Dofs(cl, opts.fd_scale, rs_len)
-    cl.vertices, st = _descend(cl.vertices.copy(), dofs, ev, lam, mu, P0, opts, rs_len)
-    return ev, st
+    """One inner descent from cl at fixed lam and mu, in at most
+    opts.max_inner steps. When a step collapses a segment
+    (_Evaluator.collapsed) and steps remain, the cluster is resampled and the
+    descent goes on from it with the rest of the budget and the same
+    objective. Moves cl's vertices; returns the final cluster, its evaluator
+    and the summed inner statistics."""
+    P0 = None
+    runs = []
+    while True:
+        ev = _Evaluator(cl, density, targets)
+        if P0 is None:
+            P0 = ev.perimeter(cl.vertices)
+            if P0 <= 0:
+                raise ValueError("cluster has no interface perimeter to minimize")
+        dofs = _Dofs(cl, opts.fd_scale, rs_len)
+        budget = opts.max_inner - sum(st.iterations for st in runs)
+        cl.vertices, st = _descend(
+            cl.vertices.copy(), dofs, ev, lam, mu, P0, opts, rs_len, budget
+        )
+        runs.append(st)
+        if not st.collapsed or st.iterations == budget:
+            break
+        cl = resample_cluster(cl, rs_len)
+    # one perimeter entry for the start, then one per accepted step
+    trace = runs[0].trace + [P for st in runs[1:] for P in st.trace[1:]]
+    return cl, ev, _InnerStats(
+        sum(st.iterations for st in runs),
+        st.converged,
+        st.stalled,
+        trace,
+        sum(st.rejections for st in runs),
+        st.collapsed,
+        len(runs) - 1,
+    )
 
 
 def _solve_single(cluster, density, targets, opts, start_index):
@@ -522,16 +590,17 @@ def _solve_single(cluster, density, targets, opts, start_index):
     stages = []
     for gauge in ladder:
         stage = Density(gauge, g=g, domain=density.domain)
-        _, st = _descend_cluster(cl, stage, targets, lam, mu, opts, rs_len)
+        cl, _, st = _descend_cluster(cl, stage, targets, lam, mu, opts, rs_len)
         stages.append((gauge, st))
     inner_total = sum(st.iterations for _, st in stages)
     rejections = sum(st.rejections for _, st in stages)
+    resamples = sum(st.resamples for _, st in stages)
     ev = None
     outer = 0
     for outer in range(1, opts.max_outer + 1):
         if outer > 1:
             cl = resample_cluster(cl, rs_len)
-        ev, st = _descend_cluster(cl, density, targets, lam, mu, opts, rs_len)
+        cl, ev, st = _descend_cluster(cl, density, targets, lam, mu, opts, rs_len)
         V = cl.vertices
         vols = ev.volumes(V)
         e = (vols - targets) / targets
@@ -541,6 +610,7 @@ def _solve_single(cluster, density, targets, opts, start_index):
         verr_trace.append(emax)
         inner_total += st.iterations
         rejections += st.rejections
+        resamples += st.resamples
         if emax <= opts.vol_tol and st.converged:
             converged = True
             break
@@ -583,6 +653,7 @@ def _solve_single(cluster, density, targets, opts, start_index):
         crossing_rejections=rejections,
         start_index=start_index,
         flags=flags,
+        resamples=resamples,
         continuation=[
             {"gauge": gauge.spec(), "inner_iterations": st.iterations} for gauge, st in stages
         ],

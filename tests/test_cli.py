@@ -61,6 +61,11 @@ class TestFastScenarios:
         assert run(task, scenario, tmp_path) == 0
         jsonschema.validate(read_report(tmp_path, scenario), schema)
 
+    @pytest.mark.parametrize("scenario", ["solve-disk.json", "solve-square-cross.json"])
+    def test_shipped_solves_never_resample_mid_descent(self, tmp_path, scenario):
+        assert run("solve", scenario, tmp_path) == 0
+        assert read_report(tmp_path, scenario)["result"]["resamples"] == 0
+
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("triples", "triples-lp-2.json", a) == 0

@@ -50,7 +50,8 @@ def test_subadditivity_property(u, v):
 
 def test_single_vectors_round_like_batches(all_gauges, rng):
     v = rng.normal(0.0, 1.0, (500, 2))
-    for g in all_gauges + [ac.LpGauge(3.0)]:
+    rotated = ac.RotatedGauge(ac.EllipseGauge([[2.0, 0.3], [0.3, 1.0]]), 0.3)
+    for g in all_gauges + [ac.LpGauge(3.0), rotated]:
         assert np.array_equal(np.array([g.value(x) for x in v]), g.value(v)), g
         assert np.array_equal(np.array([g.grad(x) for x in v]), g.grad(v)), g
 

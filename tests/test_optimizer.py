@@ -291,6 +291,7 @@ class TestContinuation:
         rep = solve_cross(MAXNORM, rng)
         assert rep.success, rep.flags
         assert "inner_stall_at_tolerance" not in rep.flags
+        assert rep.resamples == 0
         assert interface_perimeter(rep.cluster, MAXNORM) <= 4.01
         ids = sorted({v for e in rep.cluster.edges if not e.tags.get("wall") for v in e.vertices})
         hd = hausdorff_to_segments(
@@ -338,6 +339,93 @@ class TestContinuation:
         assert gauges[n:] == [{"kind": "lp", "p": "inf"}] * rep.outer_iterations
         assert [c["inner_iterations"] for c in rep.continuation] == inner[:n]
         assert rep.inner_iterations == sum(inner)
+
+
+def split_cross(gap, n_sub=8):
+    """The square cross with its center split into two triple junctions at
+    (-gap/2, 0) and (gap/2, 0), joined by a one-segment edge between the top
+    and bottom chambers."""
+    verts = [np.array(v) for v in ([1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0])]
+    verts += [np.array([-gap / 2, 0.0]), np.array([gap / 2, 0.0])]
+    edges = [Edge([k, (k + 1) % 4], k + 1, 0, {"wall": True}) for k in range(4)]
+    edges.append(Edge([4, 5], 1, 3))
+    for j, corner, left, right in ((5, 0, 1, 4), (4, 1, 2, 1), (4, 2, 3, 2), (5, 3, 4, 3)):
+        pts = np.linspace(verts[j], verts[corner], n_sub + 1)[1:-1]
+        edges.append(Edge([j, *range(len(verts), len(verts) + len(pts)), corner], left, right))
+        verts.extend(pts)
+    return Cluster(np.array(verts), edges, 4)
+
+
+def record_descents(monkeypatch):
+    """Per call of _descend_cluster, one (lam, mu, inner steps) entry per
+    _descend it runs."""
+    descents = []
+    descend_cluster, descend = optimizer._descend_cluster, optimizer._descend
+
+    def outer(*args):
+        descents.append([])
+        return descend_cluster(*args)
+
+    def inner(V, dofs, ev, lam, mu, *args):
+        V, st = descend(V, dofs, ev, lam, mu, *args)
+        descents[-1].append((lam.copy(), mu, st.iterations))
+        return V, st
+
+    monkeypatch.setattr(optimizer, "_descend_cluster", outer)
+    monkeypatch.setattr(optimizer, "_descend", inner)
+    return descents
+
+
+def solve_bubble(opts=None):
+    return minimize(
+        OptimizationProblem(
+            double_bubble_cluster(n_arc=48, n_mid=16), EUCLID, [1.0, 1.0], opts or SolveOptions()
+        )
+    )
+
+
+class TestRemeshOnCollapse:
+    """A step that collapses a segment sends the descent through
+    resample_cluster and on, in the same outer iteration."""
+
+    def test_bubble_resamples_and_reruns_identically(self):
+        a, b = solve_bubble(), solve_bubble()
+        assert a.success
+        assert a.resamples > 0
+        assert a.spec()["resamples"] == a.resamples
+        assert a.spec() == b.spec()
+
+    def test_restarts_keep_the_multipliers_and_share_the_budget(self, monkeypatch):
+        descents = record_descents(monkeypatch)
+        opts = SolveOptions(max_outer=2, max_inner=20)
+        rep = solve_bubble(opts)
+        assert len(descents) == rep.outer_iterations
+        assert rep.resamples == sum(len(runs) - 1 for runs in descents) > 0
+        assert rep.inner_iterations == sum(it for runs in descents for _, _, it in runs)
+        for runs in descents:
+            lam, mu, _ = runs[0]
+            assert all(np.array_equal(l, lam) and m == mu for l, m, _ in runs)
+            assert sum(it for _, _, it in runs) <= opts.max_inner
+
+    def test_a_short_one_segment_edge_never_restarts(self):
+        cl = split_cross(0.01)
+        rs_len = optimizer._default_resample_len(cl)
+        assert 0.01 < optimizer.COLLAPSE_FRACTION * rs_len
+        rep = minimize(OptimizationProblem(cl, EUCLID, np.ones(4), SolveOptions(max_outer=2)))
+        # the trace holds one entry per outer iteration plus one per accepted step
+        assert len(rep.perimeter_trace) > rep.outer_iterations
+        assert rep.resamples == 0
+
+    def test_a_short_wall_segment_never_restarts(self):
+        cl = square_cross_cluster(n_sub=8, jitter=0.02, rng=np.random.default_rng(0))
+        # one extra wall vertex 1e-3 from the corner (1, 1), sliding along the top wall
+        cl.vertices = np.vstack([cl.vertices, [1.0 - 1e-3, 1.0]])
+        cl.edges[0] = Edge([0, len(cl.vertices) - 1, 1], 1, 0, {"wall": True})
+        assert 1e-3 < optimizer.COLLAPSE_FRACTION * optimizer._default_resample_len(cl)
+        rep = minimize(OptimizationProblem(cl, EUCLID, np.ones(4), SolveOptions(max_outer=2)))
+        # the trace holds one entry per outer iteration plus one per accepted step
+        assert len(rep.perimeter_trace) > rep.outer_iterations
+        assert rep.resamples == 0
 
 
 class TestProblemValidation:
