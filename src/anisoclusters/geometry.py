@@ -207,6 +207,19 @@ def clip_segment_to_disk(p, q, center, radius, eps=1e-12):
     return (t0, t1)
 
 
+def _tri_rule_5():
+    """The 7-point degree-5 rule (Radon 1948) in closed form: the centroid,
+    and the points with barycentric coordinates (a, a, 1 - 2a) and their
+    permutations for a = (6 -+ sqrt 15)/21, weighted (155 -+ sqrt 15)/1200."""
+    r = np.sqrt(15.0)
+    rows, wts = [[1 / 3, 1 / 3, 1 / 3]], [9 / 40]
+    for a, b, w in (((6 + r) / 21, (9 - 2 * r) / 21, (155 + r) / 1200),
+                    ((6 - r) / 21, (9 + 2 * r) / 21, (155 - r) / 1200)):
+        rows += [[b, a, a], [a, b, a], [a, a, b]]
+        wts += [w] * 3
+    return np.array(rows), np.array(wts)
+
+
 # Symmetric triangle quadrature rules on the reference triangle, given as
 # (barycentric coordinates, weights summing to 1). Exact degrees: 1, 2, 5.
 _TRI_RULES = {
@@ -215,30 +228,7 @@ _TRI_RULES = {
         np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]]),
         np.array([1 / 3, 1 / 3, 1 / 3]),
     ),
-    5: (
-        np.array(
-            [
-                [1 / 3, 1 / 3, 1 / 3],
-                [0.059715871789770, 0.470142064105115, 0.470142064105115],
-                [0.470142064105115, 0.059715871789770, 0.470142064105115],
-                [0.470142064105115, 0.470142064105115, 0.059715871789770],
-                [0.797426985353087, 0.101286507323456, 0.101286507323456],
-                [0.101286507323456, 0.797426985353087, 0.101286507323456],
-                [0.101286507323456, 0.101286507323456, 0.797426985353087],
-            ]
-        ),
-        np.array(
-            [
-                0.225,
-                0.132394152788506,
-                0.132394152788506,
-                0.132394152788506,
-                0.125939180544827,
-                0.125939180544827,
-                0.125939180544827,
-            ]
-        ),
-    ),
+    5: _tri_rule_5(),
 }
 
 

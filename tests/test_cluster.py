@@ -1,6 +1,7 @@
 """Cluster data structure, weighted perimeter/volume, and diagnostics."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from anisoclusters.geometry import (
     segment_distance,
     segment_point_distance,
     segments_properly_cross,
+    triangle_rule,
 )
 
 
@@ -206,6 +208,25 @@ class TestSingleChamber:
             field = Density(EuclideanGauge(), g=lambda pts, g=g: np.full(pts.shape[:-1], g))
             assert const.g_const == g and field.g_const is None
             assert np.array_equal(fan_volume_terms(const, p, q), fan_volume_terms(field, p, q))
+
+
+class TestTriangleRule:
+    # each rule is exact up to the degree of its name
+    @pytest.mark.parametrize("order", [1, 2, 5])
+    def test_weights_sum_to_one(self, order):
+        _, wts = triangle_rule(order)
+        assert abs(wts.sum() - 1.0) <= 2 * np.spacing(1.0)
+
+    @pytest.mark.parametrize("order", [1, 2, 5])
+    def test_monomials_are_integrated_exactly(self, order):
+        # the mean of l1^a l2^b l3^c over a triangle is 2 a! b! c! / (a+b+c+2)!
+        bary, wts = triangle_rule(order)
+        for a, b, c in itertools.product(range(order + 1), repeat=3):
+            if a + b + c > order:
+                continue
+            got = float((wts * bary[:, 0] ** a * bary[:, 1] ** b * bary[:, 2] ** c).sum())
+            f = math.factorial
+            assert abs(got - 2 * f(a) * f(b) * f(c) / f(a + b + c + 2)) <= 1e-14, (a, b, c)
 
 
 class TestSpecRoundTrip:
