@@ -543,14 +543,12 @@ def _descend_cluster(cl, density, targets, lam, mu, opts, rs_len):
     descent goes on from it with the rest of the budget and the same
     objective. Moves cl's vertices; returns the final cluster, its evaluator
     and the summed inner statistics."""
-    P0 = None
+    ev = _Evaluator(cl, density, targets)
+    P0 = ev.perimeter(cl.vertices)
+    if P0 <= 0:
+        raise ValueError("cluster has no interface perimeter to minimize")
     runs = []
     while True:
-        ev = _Evaluator(cl, density, targets)
-        if P0 is None:
-            P0 = ev.perimeter(cl.vertices)
-            if P0 <= 0:
-                raise ValueError("cluster has no interface perimeter to minimize")
         dofs = _Dofs(cl, opts.fd_scale, rs_len)
         budget = opts.max_inner - sum(st.iterations for st in runs)
         cl.vertices, st = _descend(
@@ -560,6 +558,7 @@ def _descend_cluster(cl, density, targets, lam, mu, opts, rs_len):
         if not st.collapsed or st.iterations == budget:
             break
         cl = resample_cluster(cl, rs_len)
+        ev = _Evaluator(cl, density, targets)
     # one perimeter entry for the start, then one per accepted step
     trace = runs[0].trace + [P for st in runs[1:] for P in st.trace[1:]]
     return cl, ev, _InnerStats(
