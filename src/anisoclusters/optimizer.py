@@ -335,22 +335,24 @@ class _Evaluator:
         i0, i1, left, right, eid = cluster.segment_index_arrays()
         self.i0, self.i1 = i0, i1
         self.left, self.right = left, right
-        self.eid = eid
-        self.edge_closed = np.array([e.vertices[0] == e.vertices[-1] for e in cluster.edges])
         wall = _wall_edge_mask(cluster)
         self.seg_wall = wall[eid] if len(eid) else np.zeros(0, bool)
         self.active = (~self.seg_wall) & (left != right)
+        # the segments resampling redistributes, for collapsed()
+        cut = ~self.seg_wall
+        self.cut_i0, self.cut_i1, self.cut_eid = i0[cut], i1[cut], eid[cut]
+        self.min_count = np.array([_min_count(e) for e in cluster.edges])
 
     def collapsed(self, V, target_len):
         """True when a non-wall segment is shorter than COLLAPSE_FRACTION of
         the segment length resample_cluster would give its edge. Wall edges
         are never resampled, and a single-segment edge is never shorter than
         its resampled segments, so neither counts."""
-        lens = np.linalg.norm(V[self.i1] - V[self.i0], axis=1)
-        L = np.bincount(self.eid, weights=lens, minlength=len(self.edge_closed))
-        n = [_resample_count(Le, c, target_len) for Le, c in zip(L, self.edge_closed)]
-        spacing = (L / n)[self.eid]
-        return bool((~self.seg_wall & (lens < COLLAPSE_FRACTION * spacing)).any())
+        d = V[self.cut_i1] - V[self.cut_i0]
+        lens = np.hypot(d[:, 0], d[:, 1])
+        L = np.bincount(self.cut_eid, weights=lens, minlength=len(self.min_count))
+        spacing = L / _resample_count(L, self.min_count, target_len)
+        return bool((lens < COLLAPSE_FRACTION * spacing[self.cut_eid]).any())
 
     def perimeter(self, V):
         sel = self.active
@@ -489,9 +491,15 @@ def _descend(V, dofs, ev, lam, mu, P0, opts, char_len, budget):
     return V, _InnerStats(it, converged, stalled, trace, rejections, collapsed)
 
 
-def _resample_count(L, closed, target_len):
-    """Segments resample_cluster gives an edge of polyline length L."""
-    return max(3 if closed else 1, int(round(L / target_len))) if L > 0 else 1
+def _min_count(edge):
+    """Fewest segments resampling leaves an edge: a closed one keeps three."""
+    return 3 if edge.vertices[0] == edge.vertices[-1] else 1
+
+
+def _resample_count(L, min_count, target_len):
+    """Segments resample_cluster gives edges of polyline lengths L > 0
+    (arrays or scalars)."""
+    return np.maximum(min_count, np.rint(L / target_len))
 
 
 def resample_cluster(cluster, target_len):
@@ -521,7 +529,7 @@ def resample_cluster(cluster, target_len):
         pts = cluster.edge_points(e)
         seg = np.linalg.norm(pts[1:] - pts[:-1], axis=1)
         L = float(seg.sum())
-        n_new = _resample_count(L, e.vertices[0] == e.vertices[-1], target_len)
+        n_new = int(_resample_count(L, _min_count(e), target_len)) if L > 0 else 1
         ids = [old2new[e.vertices[0]]]
         if n_new > 1 and L > 0:
             s = np.concatenate([[0.0], np.cumsum(seg)])
