@@ -169,16 +169,16 @@ def relative_perimeter(cluster, density, center, radius, eps=1e-12):
     return total
 
 
-def fan_volume_terms(density, p, q, order=5):
+def fan_volume_terms(density, p, q):
     """Integral of g over each signed fan triangle (origin, p_i, q_i).
 
-    p, q: (S, 2) segment endpoint batches. A fixed-order symmetric rule;
-    exact for polynomial g up to the rule degree, in particular constant g,
+    p, q: (S, 2) segment endpoint batches. The symmetric order-5 triangle
+    rule; exact for polynomial g up to degree 5, in particular constant g,
     which skips the quadrature points but keeps the rule's weight sum.
     Summed with the orientation signs of a closed boundary, the terms give
     the weighted volume it encloses.
     """
-    bary, wts = triangle_rule(order)
+    bary, wts = triangle_rule(5)
     areas = 0.5 * cross2(p, q)
     if density.g_const is not None:
         return areas * (density.g_const * wts).sum()
@@ -199,13 +199,13 @@ def chamber_sums(terms, left, right, m):
     return out
 
 
-def weighted_volume(cluster, density, order=5):
+def weighted_volume(cluster, density):
     """Weighted chamber volumes as a vector indexed by chamber label - 1,
     from the signed fan triangles of fan_volume_terms."""
     p, q, left, right, _ = cluster.segment_arrays()
     if len(p) == 0:
         return np.zeros(cluster.m)
-    return chamber_sums(fan_volume_terms(density, p, q, order), left, right, cluster.m)
+    return chamber_sums(fan_volume_terms(density, p, q), left, right, cluster.m)
 
 
 def chamber_perimeter(cluster, density, label):

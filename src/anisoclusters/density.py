@@ -30,9 +30,6 @@ class Rect:
             & (pts[..., 1] <= self.ymax)
         )
 
-    def diameter(self):
-        return float(np.hypot(self.xmax - self.xmin, self.ymax - self.ymin))
-
     def sample(self, rng, n):
         x = rng.uniform(self.xmin, self.xmax, n)
         y = rng.uniform(self.ymin, self.ymax, n)
@@ -52,9 +49,6 @@ class DiskDomain:
     def contains(self, pts):
         pts = np.asarray(pts, dtype=float)
         return np.linalg.norm(pts - self.center, axis=-1) <= self.radius
-
-    def diameter(self):
-        return 2.0 * self.radius
 
     def sample(self, rng, n):
         r = self.radius * np.sqrt(rng.uniform(0.0, 1.0, n))

@@ -486,9 +486,6 @@ class RotatedGauge(Gauge):
         return self.base.grad_is_smooth(self._turn(v, -self._sin))
 
 
-_GAUGE_KINDS = {}
-
-
 def gauge_from_spec(spec):
     """Build a gauge from its serialized form (kind tag plus parameters)."""
     if not isinstance(spec, dict) or "kind" not in spec:

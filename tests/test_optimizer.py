@@ -13,6 +13,7 @@ from anisoclusters import (
     EuclideanGauge,
     LpGauge,
     OptimizationProblem,
+    RotatedGauge,
     SolveOptions,
     ball_bound_check,
     detect_junctions,
@@ -26,7 +27,14 @@ from anisoclusters import (
     weighted_volume,
 )
 from anisoclusters import optimizer
-from anisoclusters.geometry import hausdorff_to_segments, segments_properly_cross
+from anisoclusters.cluster import orientation_rule
+from anisoclusters.geometry import (
+    hausdorff_to_segments,
+    rotate_ccw,
+    rotate_cw,
+    segments_properly_cross,
+)
+from conftest import all_gauge_list
 
 EUCLID = Density.constant(EuclideanGauge())
 MAXNORM = Density.constant(LpGauge(np.inf))
@@ -111,7 +119,9 @@ class TestClearanceCaps:
         rng = np.random.default_rng(seed)
         cl = jittered_cluster(kind, jitter, rng)
         assume(cl is not None)
-        dofs = optimizer._Dofs(cl, 1e-6, optimizer._default_resample_len(cl))
+        dofs = optimizer._Mesh(
+            cl, EUCLID, np.ones(cl.m), 1e-6, optimizer._default_resample_len(cl)
+        )
         i0, i1, _, _, _ = cl.segment_index_arrays()
         d0 = first_step(dofs, cl.vertices, rng)
         safe, _ = optimizer._clearance_caps(cl.vertices, dofs, i0, i1, d0)
@@ -129,7 +139,9 @@ class TestClearanceCaps:
         cl = jittered_cluster(kind, jitter, rng)
         assume(cl is not None)
         V = cl.vertices
-        dofs = optimizer._Dofs(cl, 1e-6, optimizer._default_resample_len(cl))
+        dofs = optimizer._Mesh(
+            cl, EUCLID, np.ones(cl.m), 1e-6, optimizer._default_resample_len(cl)
+        )
         i0, i1, _, _, _ = cl.segment_index_arrays()
         d0 = first_step(dofs, V, rng)
         delta = np.sqrt(np.bincount(dofs.vert, weights=d0 * d0, minlength=len(V)).max())
@@ -323,9 +335,9 @@ class TestContinuation:
         gauges, inner = [], []
         descend = optimizer._descend
 
-        def recording(V, dofs, ev, *args):
-            gauges.append(ev.density.gauge_at(None).spec())
-            V, st = descend(V, dofs, ev, *args)
+        def recording(V, mesh, *args):
+            gauges.append(mesh.density.gauge_at(None).spec())
+            V, st = descend(V, mesh, *args)
             inner.append(st.iterations)
             return V, st
 
@@ -366,8 +378,8 @@ def record_descents(monkeypatch):
         descents.append([])
         return descend_cluster(*args)
 
-    def inner(V, dofs, ev, lam, mu, *args):
-        V, st = descend(V, dofs, ev, lam, mu, *args)
+    def inner(V, mesh, lam, mu, *args):
+        V, st = descend(V, mesh, lam, mu, *args)
         descents[-1].append((lam.copy(), mu, st.iterations))
         return V, st
 
@@ -426,6 +438,215 @@ class TestRemeshOnCollapse:
         # the trace holds one entry per outer iteration plus one per accepted step
         assert len(rep.perimeter_trace) > rep.outer_iterations
         assert rep.resamples == 0
+
+
+def zigzag_lens():
+    """Two chambers above and below a zig-zag edge tagged fixed, from (-1, 0)
+    through (0, 0) to (1, 0) with corners at (+-0.5, -0.3), closed by two
+    free arcs."""
+    t = np.linspace(0.0, np.pi, 17)[1:-1]
+    top = np.column_stack([np.cos(t), 0.8 * np.sin(t)])
+    bottom = np.column_stack([np.cos(t + np.pi), 0.9 * np.sin(t + np.pi) - 0.2])
+    zigzag = [[-1.0, 0.0], [-0.5, -0.3], [0.0, 0.0], [0.5, -0.3], [1.0, 0.0]]
+    top_ids = list(range(5, 5 + len(top)))
+    bottom_ids = list(range(5 + len(top), 5 + len(top) + len(bottom)))
+    edges = [
+        Edge([0, 1, 2, 3, 4], 1, 2, {"fixed": True}),
+        Edge([4, *top_ids, 0], 1, 0),
+        Edge([0, *bottom_ids, 4], 2, 0),
+    ]
+    return Cluster(np.vstack([zigzag, top, bottom]), edges, 2)
+
+
+class TestFixedEdges:
+    """An edge tagged fixed is counted in the objective but never moves:
+    descent pins its vertices, and neither resampling nor the collapse check
+    touches it."""
+
+    def test_a_fixed_zigzag_keeps_its_vertices(self):
+        cl = zigzag_lens()
+        zigzag = cl.edge_points(cl.edges[0])
+        resampled = optimizer.resample_cluster(cl, 0.15)
+        assert np.array_equal(resampled.edge_points(resampled.edges[0]), zigzag)
+        # the free arcs are resampled
+        assert len(resampled.vertices) != len(cl.vertices)
+        rep = minimize(OptimizationProblem(cl, EUCLID, [1.5, 1.5], SolveOptions(max_outer=10)))
+        assert rep.outer_iterations > 1
+        assert np.array_equal(rep.cluster.edge_points(rep.cluster.edges[0]), zigzag)
+
+    def test_a_short_fixed_segment_never_restarts(self):
+        cl = square_cross_cluster(n_sub=8, jitter=0.02, rng=np.random.default_rng(0))
+        # one extra vertex 1e-3 from the corner (1, 1) on the fixed interface to it
+        e = cl.edges[4]
+        assert e.vertices[-1] == 0
+        corner, last = cl.vertices[0], cl.vertices[e.vertices[-2]]
+        near = corner + 1e-3 * (last - corner) / np.linalg.norm(last - corner)
+        cl.vertices = np.vstack([cl.vertices, near])
+        ids = [*e.vertices[:-1], len(cl.vertices) - 1, 0]
+        cl.edges[4] = Edge(ids, e.left, e.right, {"fixed": True})
+        assert 1e-3 < optimizer.COLLAPSE_FRACTION * optimizer._default_resample_len(cl)
+        rep = minimize(OptimizationProblem(cl, EUCLID, np.ones(4), SolveOptions(max_outer=2)))
+        # the trace holds one entry per outer iteration plus one per accepted step
+        assert len(rep.perimeter_trace) > rep.outer_iterations
+        assert rep.resamples == 0
+
+
+def walled_plus(rng, jitter=0.03, n_wall=3, n_arm=6):
+    """The square [-1, 1]^2 cut into its quadrants (chambers 1-4
+    counterclockwise from the top right) by four arms from a jittered
+    center to the wall midpoints. Every wall side is two walls of n_wall
+    segments, so the arms end at sliding vertices."""
+    corners = [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]
+    mids = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+    verts = [np.array(p) for p in corners + mids] + [rng.normal(0.0, jitter, 2)]
+
+    def run(a, b, n, jit):
+        t = np.linspace(0.0, 1.0, n + 1)[1:-1, None]
+        pts = (1.0 - t) * verts[a] + t * verts[b] + rng.normal(0.0, jit, (n - 1, 2))
+        verts.extend(pts)
+        return [a, *range(len(verts) - len(pts), len(verts)), b]
+
+    edges = []
+    for k in range(4):
+        # counterclockwise from the midpoint before corner k to the one after it
+        edges.append(Edge(run(4 + k, k, n_wall, 0.0), k + 1, 0, {"wall": True}))
+        edges.append(Edge(run(k, 4 + (k + 1) % 4, n_wall, 0.0), k + 1, 0, {"wall": True}))
+    for k in range(4):
+        # the arm to midpoint k has chamber k + 1 on its left
+        edges.append(Edge(run(8, 4 + k, n_arm, jitter), k + 1, k or 4))
+    return Cluster(np.array(verts), edges, 4)
+
+
+def analytic_gradient(mesh, V, lam, mu, e, P0):
+    """mesh.gradient in closed form, for a uniform gauge and constant g.
+
+    A segment's weight depends on h(n) and h(-n) at n = rotate_cw(Q - P),
+    whose derivative in Q is rotate_ccw(grad h(n)); its fan volume term is
+    g cross(P, Q) / 2, with derivatives g rotate_cw(Q) / 2 in P and
+    g rotate_ccw(P) / 2 in Q."""
+    gauge = mesh.density.gauge_at(None)
+    P, Q = V[mesh.i0], V[mesh.i1]
+    n = rotate_cw(Q - P)
+    dw = rotate_ccw(
+        orientation_rule(gauge.grad(n), -gauge.grad(-n), mesh.left[:, None], mesh.right[:, None])
+    )
+    dw = np.where(mesh.active[:, None], dw, 0.0) / P0
+    c = (lam + mu * e) / mesh.targets
+    a = np.where(mesh.left > 0, c[mesh.left - 1], 0.0) - np.where(
+        mesh.right > 0, c[mesh.right - 1], 0.0
+    )
+    dv = 0.5 * mesh.density.g_const * a[:, None]
+    G = np.zeros_like(V)
+    np.add.at(G, mesh.i0, dv * rotate_cw(Q) - dw)
+    np.add.at(G, mesh.i1, dv * rotate_ccw(P) + dw)
+    return (G[mesh.vert] * mesh.uvec).sum(axis=1)
+
+
+GRADIENT_GAUGES = all_gauge_list() + [
+    LpGauge(3.0),
+    RotatedGauge(EllipseGauge([[2.0, 0.3], [0.3, 1.0]]), 0.3),
+]
+
+
+class TestGradient:
+    """The finite-difference shape gradient against its closed form."""
+
+    @pytest.mark.parametrize("gauge", GRADIENT_GAUGES, ids=lambda g: g.kind)
+    @pytest.mark.parametrize("kind", ["bubble", "walled"])
+    def test_matches_the_analytic_gradient(self, gauge, kind):
+        rng = np.random.default_rng(7)
+        if kind == "bubble":
+            cl = double_bubble_cluster(n_arc=12, n_mid=4)
+            cl.vertices = cl.vertices + rng.uniform(-0.02, 0.02, cl.vertices.shape)
+        else:
+            cl = walled_plus(rng)
+        density = Density.constant(gauge, g=1.7)
+        targets = 1.05 * weighted_volume(cl, density)
+        mesh = optimizer._Mesh(cl, density, targets, 1e-6, optimizer._default_resample_len(cl))
+        if kind == "walled":
+            assert len(mesh.wall_nbs) > 0
+        V = cl.vertices
+        lam = np.linspace(-0.3, 0.4, cl.m)
+        P0 = mesh.perimeter(V)
+        _, _, e = mesh.objective(V, lam, 20.0, P0)
+        fd = mesh.gradient(V, lam, 20.0, e, P0)
+        exact = analytic_gradient(mesh, V, lam, 20.0, e, P0)
+        assert np.max(np.abs(fd - exact)) <= 1e-7 * np.max(np.abs(exact))
+
+
+def per_vertex_dof_map(cl, fd_scale, char_len):
+    """The dof map and stencil of _Mesh, built vertex by vertex from Python
+    lists of incident segments: the reference for its array construction."""
+    V = cl.vertices
+    i0, i1, _, _, eid = cl.segment_index_arrays()
+    wall_seg = np.array([bool(cl.edges[k].tags.get("wall")) for k in eid], dtype=bool)
+    incident = [[] for _ in V]
+    for s in range(len(i0)):
+        incident[i0[s]].append(s)
+        incident[i1[s]].append(s)
+    seglen = np.linalg.norm(V[i1] - V[i0], axis=1)
+    fixed = {v for e in cl.edges if e.tags.get("fixed") for v in e.vertices}
+    vert, uvec, local, wall_nbs = [], [], [], []
+    for v in range(len(V)):
+        if not incident[v] or v in fixed:
+            continue
+        loc = max(float(np.mean(seglen[incident[v]])), 1e-9 * char_len)
+        wsegs = [s for s in incident[v] if wall_seg[s]]
+        if not wsegs:
+            vert += [v, v]
+            uvec += [[1.0, 0.0], [0.0, 1.0]]
+            local += [loc, loc]
+            continue
+        nbs, dirs = [], []
+        for s in wsegs:
+            o = i1[s] if i0[s] == v else i0[s]
+            d = V[o] - V[v]
+            if np.linalg.norm(d) >= 1e-300:
+                nbs.append(int(o))
+                dirs.append(d / np.linalg.norm(d))
+        if dirs and all(abs(d[0] * dirs[0][1] - d[1] * dirs[0][0]) <= 1e-9 for d in dirs):
+            vert.append(v)
+            uvec.append(dirs[0])
+            local.append(loc)
+            wall_nbs.append((len(vert) - 1, nbs))
+    dofs_of = [[j for j, u in enumerate(vert) if u == v] for v in range(len(V))]
+    ent = [
+        (s, slot, j)
+        for s in range(len(i0))
+        for slot, v in enumerate((i0[s], i1[s]))
+        for j in dofs_of[v]
+    ]
+    return {
+        "vert": np.array(vert, dtype=int),
+        "uvec": np.array(uvec, dtype=float).reshape(-1, 2),
+        "local_len": np.array(local),
+        "h_fd": fd_scale * np.array(local),
+        "wall_nbs": wall_nbs,
+        "ent": np.array(ent, dtype=int).reshape(-1, 3),
+    }
+
+
+class TestMesh:
+    @pytest.mark.parametrize("kind", ["bubble", "cross", "polygon", "walled"])
+    def test_dof_map_matches_the_per_vertex_construction(self, kind):
+        if kind == "bubble":
+            cl = double_bubble_cluster(n_arc=48, n_mid=16)
+        elif kind == "cross":
+            cl = square_cross_cluster(n_sub=8, jitter=0.02, rng=np.random.default_rng(3))
+        elif kind == "polygon":
+            cl = regular_polygon_chamber(64, area=1.0)
+        else:
+            cl = walled_plus(np.random.default_rng(0))
+            cl.edges[-1].tags["fixed"] = True
+        rs_len = optimizer._default_resample_len(cl)
+        mesh = optimizer._Mesh(cl, EUCLID, np.ones(cl.m), 1e-6, rs_len)
+        ref = per_vertex_dof_map(cl, 1e-6, rs_len)
+        assert mesh.n == len(ref["vert"])
+        for name in ("vert", "uvec", "local_len", "h_fd"):
+            assert np.array_equal(getattr(mesh, name), ref[name]), name
+        assert mesh.wall_nbs == ref["wall_nbs"]
+        ent = np.column_stack([mesh.ent_seg, mesh.ent_slot, mesh.ent_dof])
+        assert np.array_equal(ent, ref["ent"])
 
 
 class TestProblemValidation:
