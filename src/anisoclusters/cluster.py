@@ -262,6 +262,25 @@ def weighted_volume_plain(cluster):
     return chamber_sums(0.5 * cross2(p, q), left, right, cluster.m)
 
 
+def vertex_arms(cluster):
+    """The edge ends at each vertex, keyed by vertex index in order of first
+    appearance. Each arm records its edge, whether the edge starts there
+    (forward), the chord of its first segment pointing away from the vertex,
+    and the labels left and right of that outgoing direction: an edge's own
+    labels at its start, swapped at its end."""
+    arms = {}
+    for k, e in enumerate(cluster.edges):
+        idx = e.vertices
+        pts = cluster.vertices[np.asarray(idx, dtype=int)]
+        arms.setdefault(idx[0], []).append(
+            {"edge": k, "forward": True, "chord": pts[1] - pts[0], "left": e.left, "right": e.right}
+        )
+        arms.setdefault(idx[-1], []).append(
+            {"edge": k, "forward": False, "chord": pts[-2] - pts[-1], "left": e.right, "right": e.left}
+        )
+    return arms
+
+
 def _wedge_violations(cluster):
     """Angular label consistency around every vertex.
 
@@ -270,20 +289,12 @@ def _wedge_violations(cluster):
     next. Mismatches mean the edges do not tile a neighborhood consistently.
     """
     problems = []
-    incident = {}
-    for k, e in enumerate(cluster.edges):
-        idx = e.vertices
-        pts = cluster.vertices[np.asarray(idx, dtype=int)]
-        d0 = pts[1] - pts[0]
-        dn = pts[-2] - pts[-1]
-        # at the start vertex the wedge CCW of the outgoing direction is e.left
-        incident.setdefault(idx[0], []).append((np.arctan2(d0[1], d0[0]), e.left, e.right, k))
-        # at the end vertex the roles swap
-        incident.setdefault(idx[-1], []).append((np.arctan2(dn[1], dn[0]), e.right, e.left, k))
-    for v, ends in incident.items():
-        if len(ends) < 2:
+    for v, arms in vertex_arms(cluster).items():
+        if len(arms) < 2:
             continue
-        ends = sorted(ends)
+        ends = sorted(
+            (np.arctan2(a["chord"][1], a["chord"][0]), a["left"], a["right"], a["edge"]) for a in arms
+        )
         for a, b in zip(ends, ends[1:] + ends[:1]):
             # wedge between direction a and the next direction b (ccw):
             # label ccw of a must equal label cw of b
@@ -371,8 +382,7 @@ def isoperimetric_check(polygon, density, c_vol, eta):
     polygon = np.asarray(polygon, dtype=float)
     p = polygon
     q = np.roll(polygon, -1, axis=0)
-    v = q - p
-    lhs = float(density.h_at(0.5 * (p + q), rotate_cw(v)).sum())
+    lhs = float(segment_weights(density, 0.5 * (p + q), q - p, 1, 0).sum())
     vol = float(fan_volume_terms(density, p, q).sum())
     rhs = density.h_min / c_vol ** (1.0 / eta) * vol ** (1.0 / eta)
     slack = lhs - rhs

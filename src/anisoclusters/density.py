@@ -176,9 +176,6 @@ class _ScaledGauge(Gauge):
     def grad(self, v):
         return self.factor * self.base.grad(v)
 
-    def grad_is_smooth(self, v):
-        return self.base.grad_is_smooth(v)
-
     def continuation(self):
         return tuple(_ScaledGauge(s, self.factor) for s in self.base.continuation())
 

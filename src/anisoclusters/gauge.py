@@ -1,17 +1,14 @@
-"""Convex gauges on the plane and the weight functions they induce.
+"""Convex gauges on the plane.
 
 A gauge is a convex, positively 1-homogeneous function that is positive away
 from the origin. Its unit ball {v : value(v) <= 1} is a convex body containing
 the origin in its interior; asymmetric balls give asymmetric gauges.
 
-Two derived weights show up throughout:
-
-* ``TangentGauge(h)`` evaluates h on the 90-degree clockwise rotation of its
-  argument. If a curve is traversed with a chamber on its left, the rotated
-  tangent is that chamber's outward normal, so this is the cost per unit of
-  oriented tangent vector.
-* ``SymmetrizedGauge(g)`` averages g(v) and g(-v); applied to a tangent gauge
-  it is the weight of an interface counted once from each side.
+A Density's gauge is a function of the normal. A segment traversed with a
+chamber on its left costs the gauge at its tangent rotated clockwise, that
+chamber's outward normal. cluster.orientation_rule says how the two sides
+of a segment combine; steiner.junction_residual differentiates the same
+rule at a triple junction.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from .geometry import (
     angle_between,
     cross2,
     rotate_ccw,
-    rotate_cw,
     unit_dir,
     wrap_angle,
 )
@@ -44,12 +40,6 @@ class Gauge:
     def grad(self, v):
         """A (sub)gradient at each v; 0-homogeneous away from the origin."""
         raise NotImplementedError
-
-    def grad_is_smooth(self, v):
-        """Boolean mask, False where grad returned a non-unique subgradient."""
-        v = np.asarray(v, dtype=float)
-        out = np.ones(v.shape[:-1], dtype=bool)
-        return out & (np.linalg.norm(v, axis=-1) > 0)
 
     def continuation(self):
         """Smooth surrogate gauges that converge to this one, coarsest first.
@@ -153,15 +143,6 @@ class LpGauge(Gauge):
             r = a / val[..., None]
         r = np.where(val[..., None] > 0, r, 0.0)
         return r ** (self.p - 1.0) * s
-
-    def grad_is_smooth(self, v):
-        v = np.asarray(v, dtype=float)
-        ok = np.linalg.norm(v, axis=-1) > 0
-        if np.isinf(self.p):
-            return ok & (np.abs(np.abs(v[..., 0]) - np.abs(v[..., 1])) > 0)
-        if self.p == 1.0:
-            return ok & (np.abs(v) > 0).all(axis=-1)
-        return ok
 
 
 class EllipseGauge(Gauge):
@@ -290,7 +271,7 @@ class SmoothedL1Gauge(Gauge):
 
     def grad(self, v):
         v = np.asarray(v, dtype=float)
-        smoothmask = self.grad_is_smooth(v)
+        smoothmask = self._off_corner(v)
         c = self.centers[self._sector(v)]
         g = _circle_gauge_grad(v, c, self.arc_radius)
         if np.all(smoothmask):
@@ -304,8 +285,9 @@ class SmoothedL1Gauge(Gauge):
         mid = 0.5 * (g1 + g2)
         return np.where(smoothmask[..., None], g, mid)
 
-    def grad_is_smooth(self, v):
-        v = np.asarray(v, dtype=float)
+    def _off_corner(self, v):
+        """False at the origin and along the corner directions |x| == |y|,
+        where the gradient is not unique."""
         ok = np.linalg.norm(v, axis=-1) > 0
         return ok & (np.abs(np.abs(v[..., 0]) - np.abs(v[..., 1])) > 1e-12 * np.abs(v).max(axis=-1))
 
@@ -395,60 +377,6 @@ class TabulatedGauge(Gauge):
         return np.where(r[..., None] > 0, g, 0.0)
 
 
-class TangentGauge(Gauge):
-    """base gauge evaluated on the clockwise rotation of the argument."""
-
-    def __init__(self, base):
-        self.base = base
-        self.smooth = base.smooth
-        self.symmetric = base.symmetric
-
-    @property
-    def kind(self):
-        return f"tangent({self.base.kind})"
-
-    def params(self):
-        return {"base": self.base.spec()}
-
-    def value(self, v):
-        return self.base.value(rotate_cw(v))
-
-    def grad(self, v):
-        return rotate_ccw(self.base.grad(rotate_cw(v)))
-
-    def grad_is_smooth(self, v):
-        return self.base.grad_is_smooth(rotate_cw(v))
-
-
-class SymmetrizedGauge(Gauge):
-    """(base(v) + base(-v)) / 2; always a symmetric gauge."""
-
-    symmetric = True
-
-    def __init__(self, base):
-        self.base = base
-        self.smooth = base.smooth
-
-    @property
-    def kind(self):
-        return f"symmetrized({self.base.kind})"
-
-    def params(self):
-        return {"base": self.base.spec()}
-
-    def value(self, v):
-        v = np.asarray(v, dtype=float)
-        return 0.5 * (self.base.value(v) + self.base.value(-v))
-
-    def grad(self, v):
-        v = np.asarray(v, dtype=float)
-        return 0.5 * (self.base.grad(v) - self.base.grad(-v))
-
-    def grad_is_smooth(self, v):
-        v = np.asarray(v, dtype=float)
-        return self.base.grad_is_smooth(v) & self.base.grad_is_smooth(-v)
-
-
 class RotatedGauge(Gauge):
     """base gauge with its unit ball rotated by a fixed angle."""
 
@@ -481,9 +409,6 @@ class RotatedGauge(Gauge):
 
     def grad(self, v):
         return self._turn(self.base.grad(self._turn(v, -self._sin)), self._sin)
-
-    def grad_is_smooth(self, v):
-        return self.base.grad_is_smooth(self._turn(v, -self._sin))
 
 
 def gauge_from_spec(spec):

@@ -66,6 +66,7 @@ from .cluster import (
     perimeter_breakdown,
     segment_weights,
     validate,
+    vertex_arms,
     weighted_perimeter,
     weighted_volume,
 )
@@ -579,8 +580,9 @@ def _descend_cluster(cl, density, targets, lam, mu, opts, rs_len):
     )
 
 
-def _solve_single(cluster, density, targets, opts, start_index):
-    rs_len = opts.resample_len if opts.resample_len else _default_resample_len(cluster)
+def _solve_single(cluster, density, targets, opts, start_index, rs_len):
+    """One start of minimize from cluster. rs_len, the resampling length,
+    comes from the problem's cluster, so every start resamples alike."""
     lam = np.zeros(len(targets))
     mu = float(opts.penalty0)
     flags = []
@@ -702,7 +704,7 @@ def minimize(problem):
     runs = []
     for k in range(max(1, int(opts.multi_start))):
         cl = _perturb_start(problem, k, rs_len) if k > 0 else problem.cluster.copy()
-        runs.append(_solve_single(cl, problem.density, targets, opts, k))
+        runs.append(_solve_single(cl, problem.density, targets, opts, k, rs_len))
     champ = runs[0]
     for r in runs[1:]:
         if r.success != champ.success:
@@ -724,21 +726,6 @@ def minimize(problem):
     return champ
 
 
-def _arm_table(cluster):
-    """Incident edge ends per vertex with outgoing-oriented labels."""
-    arms = {}
-    for k, e in enumerate(cluster.edges):
-        idx = e.vertices
-        pts = cluster.vertices[np.asarray(idx, dtype=int)]
-        arms.setdefault(idx[0], []).append(
-            {"edge": k, "forward": True, "chord": pts[1] - pts[0], "left": e.left, "right": e.right}
-        )
-        arms.setdefault(idx[-1], []).append(
-            {"edge": k, "forward": False, "chord": pts[-2] - pts[-1], "left": e.right, "right": e.left}
-        )
-    return arms
-
-
 @dataclass
 class JunctionInfo:
     vertex: int
@@ -747,15 +734,6 @@ class JunctionInfo:
     arms: list
     sector_colors: list
     non_triple: bool
-
-    def spec(self):
-        return {
-            "vertex": int(self.vertex),
-            "point": [float(self.point[0]), float(self.point[1])],
-            "n_arms": int(self.n_arms),
-            "sector_colors": [int(c) for c in self.sector_colors],
-            "non_triple": bool(self.non_triple),
-        }
 
 
 def detect_junctions(cluster, radius=0.0):
@@ -767,7 +745,7 @@ def detect_junctions(cluster, radius=0.0):
     radius merges nearby candidates, keeping the one with the most arms.
     """
     out = []
-    for v, lst in sorted(_arm_table(cluster).items()):
+    for v, lst in sorted(vertex_arms(cluster).items()):
         if len(lst) < 3:
             continue
         labels = {a["left"] for a in lst} | {a["right"] for a in lst}
@@ -928,14 +906,6 @@ class BallBoundReport:
     worst_ratio: float
     bound: float
     ok: bool
-
-    def spec(self):
-        return {
-            "ratios": [float(r) for r in self.ratios],
-            "worst_ratio": float(self.worst_ratio),
-            "bound": float(self.bound),
-            "ok": bool(self.ok),
-        }
 
 
 def ball_bound_check(cluster, density, centers, radii):

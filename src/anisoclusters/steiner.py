@@ -1,10 +1,13 @@
 """Weighted Fermat points and admissible boundary-direction triples.
 
 A triple junction with arcs leaving a point O along three directions is
-stationary exactly when a combination of gauge gradients along those
-directions vanishes. For a symmetric gauge the combination is the plain sum
-of gradients; with asymmetry each arc contributes its two one-sided weights
-according to which sectors around the junction are white.
+stationary exactly when the gradients of the arms' weights, taken with
+respect to their directions, sum to zero (each gradient is a Cahn-Hoffman
+vector; Hoffman and Cahn 1972). junction_residual prices each arm as the
+solver prices a segment, through cluster.orientation_rule: an arm beside
+the white sector carries its one-sided weight, an arm between two chambers
+the mean of its two sides. For a symmetric gauge every arm's gradient is
+the plain gauge gradient at its normal, rotated back.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gauge import TangentGauge
-from .geometry import TWO_PI, angle_of, cross2, unit_dir, wrap_angle
+from .cluster import orientation_rule
+from .geometry import TWO_PI, angle_of, cross2, rotate_ccw, rotate_cw, unit_dir, wrap_angle
 
 
 @dataclass
@@ -154,35 +157,36 @@ def junction_residual(density, origin, directions, colors):
     normal-based Gauge. directions: three outgoing arc vectors ordered
     clockwise. colors[i] is the label of the sector swept clockwise from
     directions[i] to directions[i+1]; label 0 is white and at most one
-    sector may be white. Zero residual is the first-order stationarity
-    condition for the junction.
+    sector may be white. Arm i has colors[i] on its right and colors[i-1]
+    on its left, and its weight's gradient follows the orientation rule of
+    cluster.segment_weights, so the residual is minus the gradient, with
+    respect to the junction point, of the arms' perimeter. Zero residual is
+    the first-order stationarity condition for the junction.
     """
-    normal_gauge = density.gauge_at(origin) if hasattr(density, "gauge_at") else density
+    gauge = density.gauge_at(origin) if hasattr(density, "gauge_at") else density
     dirs = np.asarray(directions, dtype=float)
     if dirs.shape != (3, 2):
         raise ValueError("need exactly three directions")
     if np.any(np.linalg.norm(dirs, axis=1) < 1e-300):
         raise ValueError("directions must be nonzero")
-    hh = TangentGauge(normal_gauge)
     th = angle_of(dirs)
     cw_gaps = wrap_angle(th - np.roll(th, -1))
     if not np.isclose(cw_gaps.sum(), TWO_PI, atol=1e-9):
         raise ValueError("directions must be ordered clockwise")
-    colors = list(colors)
-    if len(colors) != 3:
+    colors = np.asarray(colors, dtype=int)
+    if colors.shape != (3,):
         raise ValueError("need exactly three sector colors")
-    whites = [i for i, c in enumerate(colors) if c == 0]
+    whites = np.flatnonzero(colors == 0)
     if len(whites) > 1:
         raise ValueError("at most one white sector around a triple junction")
-    if whites:
-        w = whites[0]
-        dirs = np.roll(dirs, -w, axis=0)
-        g = hh.grad(dirs)
-        gm = hh.grad(-dirs)
-        return g[0] - gm[1] + 0.5 * (g[2] - gm[2])
-    g = hh.grad(dirs)
-    gm = hh.grad(-dirs)
-    return 0.5 * (g - gm).sum(axis=0)
+    # the white sector first, so its two arms are summed first
+    w = whites[0] if len(whites) else 0
+    dirs, colors = np.roll(dirs, -w, axis=0), np.roll(colors, -w)
+    normal = rotate_cw(dirs)
+    # gradients of the one-sided weights h(rotate_cw d) and h(-rotate_cw d)
+    fwd = rotate_ccw(gauge.grad(normal))
+    rev = -rotate_ccw(gauge.grad(-normal))
+    return orientation_rule(fwd, rev, np.roll(colors, 1)[:, None], colors[:, None]).sum(axis=0)
 
 
 def admissible_pairs(gauge, a, resolution=720, tol=1e-9, max_newton=60):

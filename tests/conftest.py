@@ -42,6 +42,15 @@ def tabulated_ellipse(n=64):
     return ac.TabulatedGauge(ac.EllipseGauge([[1.6, 0.25], [0.25, 1.0]]).value(u))
 
 
+def odd_profile_gauge(n=64):
+    """Asymmetric gauge with angular profile 1 + 0.1 sin 3t (convex: the
+    profile plus its second derivative is 1 - 0.8 sin 3t > 0). Unlike the
+    shifted disk's, its odd part is not linear, so it does not sum to zero
+    around a closed boundary or a junction."""
+    t = np.arange(n) * (2.0 * np.pi / n)
+    return ac.TabulatedGauge(1.0 + 0.1 * np.sin(3.0 * t))
+
+
 def smooth_gauge_list():
     return [
         ac.EuclideanGauge(),

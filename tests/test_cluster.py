@@ -17,7 +17,6 @@ from anisoclusters import (
     LpGauge,
     Rect,
     ShiftedDiskGauge,
-    TabulatedGauge,
     chamber_perimeter,
     double_bubble_cluster,
     growth_estimate,
@@ -43,6 +42,7 @@ from anisoclusters.geometry import (
     segments_properly_cross,
     triangle_rule,
 )
+from conftest import odd_profile_gauge
 
 
 def unit_disk_polygon(n=512):
@@ -94,13 +94,6 @@ def outward_perimeter(gauge, poly):
     at each side's outward normal, the clockwise turn of the side."""
     poly = np.asarray(poly, dtype=float)
     return float(gauge.value(rotate_cw(np.roll(poly, -1, axis=0) - poly)).sum())
-
-
-def odd_profile_gauge(n=64):
-    """Asymmetric gauge with angular profile 1 + 0.1 sin 3t (convex: the
-    profile plus its second derivative is 1 - 0.8 sin 3t > 0)."""
-    t = np.arange(n) * (2.0 * np.pi / n)
-    return TabulatedGauge(1.0 + 0.1 * np.sin(3.0 * t))
 
 
 @pytest.mark.parametrize(

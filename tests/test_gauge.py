@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anisoclusters as ac
-from anisoclusters.gauge import TangentGauge
-from anisoclusters.geometry import rotate_ccw, rotate_cw, unit_dir
+from anisoclusters.geometry import rotate_ccw, unit_dir
 
 from conftest import all_gauge_list
 
@@ -152,16 +151,6 @@ def test_tabulated_symmetric_flag_is_exact(rng):
     near = ac.TabulatedGauge(1.0 + 0.1 * np.cos(2.0 * theta) + 1e-6 * np.sin(theta))
     assert not near.symmetric
     assert np.abs(near.value(u) - near.value(-u)).max() > 1e-7
-
-
-def test_tangent_and_symmetrized_wrappers(rng):
-    base = ac.ShiftedDiskGauge(np.array([0.3, 0.1]))
-    tg = TangentGauge(base)
-    sg = ac.SymmetrizedGauge(base)
-    v = rng.normal(0.0, 1.0, (100, 2))
-    np.testing.assert_allclose(tg.value(v), base.value(rotate_cw(v)), rtol=1e-14)
-    np.testing.assert_allclose(sg.value(v), 0.5 * (base.value(v) + base.value(-v)), rtol=1e-14)
-    assert sg.value(v).tolist() == sg.value(-v).tolist()
 
 
 def test_unit_ball_boundary_on_level_set(all_gauges):

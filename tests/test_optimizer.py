@@ -20,6 +20,7 @@ from anisoclusters import (
     double_bubble_cluster,
     interface_perimeter,
     minimize,
+    perimeter_breakdown,
     regular_polygon_chamber,
     square_cross_cluster,
     steiner_diagnose,
@@ -259,6 +260,26 @@ class TestMinimize:
         assert len(rep.starts) == 3
         assert rep.perimeter <= min(s["perimeter"] for s in rep.starts) + 1e-12
         assert {s["start"] for s in rep.starts} == {0, 1, 2}
+
+    def test_every_start_resamples_to_the_problem_length(self, monkeypatch):
+        # the jittered starts resample to the length of the problem's
+        # cluster, not to one recomputed from their own jittered vertices
+        lens = []
+        resample = optimizer.resample_cluster
+
+        def recorded(cluster, target_len):
+            lens.append(target_len)
+            return resample(cluster, target_len)
+
+        monkeypatch.setattr(optimizer, "resample_cluster", recorded)
+        problem = OptimizationProblem(
+            regular_polygon_chamber(32, area=np.pi),
+            EUCLID,
+            [np.pi],
+            SolveOptions(multi_start=3, seed=11),
+        )
+        assert len(minimize(problem).starts) == 3
+        assert lens and set(lens) == {optimizer._default_resample_len(problem.cluster)}
 
     def test_report_internal_consistency(self):
         rep = minimize(
@@ -647,6 +668,29 @@ class TestMesh:
         assert mesh.wall_nbs == ref["wall_nbs"]
         ent = np.column_stack([mesh.ent_seg, mesh.ent_slot, mesh.ent_dof])
         assert np.array_equal(ent, ref["ent"])
+
+
+@pytest.mark.parametrize("gauge", all_gauge_list(), ids=lambda g: g.kind)
+def test_a_callable_of_one_gauge_prices_like_the_constant_density(gauge):
+    # Density's callable fork, fed one gauge everywhere, evaluates that
+    # gauge point by point and must agree with the batched constant density
+    # bit for bit
+    const = Density.constant(gauge)
+    field = Density(lambda x: gauge)
+    assert not field.uniform_gauge
+    assert (field.h_min, field.h_max) == (const.h_min, const.h_max)
+    cl = double_bubble_cluster(n_arc=12, n_mid=4)
+    cl.vertices = cl.vertices + np.random.default_rng(5).normal(0.0, 0.01, cl.vertices.shape)
+    assert perimeter_breakdown(cl, field).tolist() == perimeter_breakdown(cl, const).tolist()
+    assert steiner_diagnose(cl, field).spec() == steiner_diagnose(cl, const).spec()
+    lam, mu = np.array([0.3, -0.2]), 10.0
+    grads = []
+    for density in (field, const):
+        mesh = optimizer._Mesh(cl, density, [1.0, 1.0], 1e-6, optimizer._default_resample_len(cl))
+        P0 = mesh.perimeter(cl.vertices)
+        _, _, e = mesh.objective(cl.vertices, lam, mu, P0)
+        grads.append(mesh.gradient(cl.vertices, lam, mu, e, P0).tolist())
+    assert grads[0] == grads[1]
 
 
 class TestProblemValidation:

@@ -16,7 +16,9 @@ from anisoclusters import (
     fermat_point,
     junction_residual,
 )
+from anisoclusters.cluster import segment_weights
 from anisoclusters.geometry import unit_dir
+from conftest import odd_profile_gauge, smooth_gauge_list
 
 TERMINALS = np.array([[0.0, 0.0], [2.0, 0.2], [0.7, 1.8]])
 
@@ -178,6 +180,59 @@ class TestJunctionResidual:
             junction_residual(
                 EuclideanGauge(), np.zeros(2), unit_dir(np.radians([0.0, 90.0])), [1, 2]
             )
+
+
+def arms_perimeter(density, origin, ends, colors):
+    """Perimeter of the three segments from origin to ends, each priced as
+    the solver prices a segment. Walking out along arm i, the sector swept
+    clockwise from it, colors[i], is on the right; colors[i - 1] on the left."""
+    colors = np.asarray(colors)
+    mid, vec = 0.5 * (origin + ends), ends - origin
+    return float(segment_weights(density, mid, vec, np.roll(colors, 1), colors).sum())
+
+
+JUNCTION_GAUGES = smooth_gauge_list() + [
+    RotatedGauge(ShiftedDiskGauge((0.3, 0.1), 1.0), 0.7),
+    odd_profile_gauge(),
+]
+
+
+class TestJunctionResidualIsThePerimeterGradient:
+    @pytest.mark.parametrize(
+        "gauge",
+        JUNCTION_GAUGES,
+        ids=["euclid", "ellipse", "shifted", "tabulated", "rotated-shifted", "odd-profile"],
+    )
+    @pytest.mark.parametrize("colors", [[0, 1, 2], [1, 0, 2], [1, 2, 0], [1, 2, 3]])
+    def test_matches_central_differences(self, gauge, colors, rng):
+        density = Density.constant(gauge)
+        eps = 1e-6
+        for _ in range(5):
+            origin = rng.normal(0.0, 1.0, 2)
+            th = np.sort(rng.uniform(0.0, 2.0 * np.pi, 3))[::-1]
+            ends = origin + rng.uniform(0.5, 2.0, 3)[:, None] * unit_dir(th)
+            fd = np.zeros(2)
+            for k in range(2):
+                step = eps * np.eye(2)[k]
+                fd[k] = (
+                    arms_perimeter(density, origin + step, ends, colors)
+                    - arms_perimeter(density, origin - step, ends, colors)
+                ) / (2.0 * eps)
+            r = junction_residual(density, origin, ends - origin, colors)
+            assert np.abs(r + fd).max() <= 1e-7
+
+    def test_odd_profile_residual_depends_on_the_white_sector(self):
+        # the premise of the odd-profile cases: each white position gives
+        # another residual. Under the shifted disk they all coincide
+        dirs = unit_dir(np.radians([90.0, -30.0, -150.0]))
+        colorings = ([0, 1, 2], [1, 0, 2], [1, 2, 0], [1, 2, 3])
+
+        def gaps(gauge):
+            rs = [junction_residual(gauge, np.zeros(2), dirs, c) for c in colorings]
+            return [np.abs(a - b).max() for i, a in enumerate(rs) for b in rs[i + 1 :]]
+
+        assert min(gaps(odd_profile_gauge())) > 1e-3
+        assert max(gaps(ShiftedDiskGauge((0.2, -0.1), 1.0))) < 1e-12
 
 
 class TestAdmissiblePairs:
