@@ -118,10 +118,17 @@ def orientation_rule(h_fwd, h_rev, left, right):
 
 
 def segment_weights(density, mid, vec, left, right):
-    """Perimeter weight of each segment under the orientation convention."""
+    """Perimeter weight of each segment under the orientation convention, in
+    one Density.h_at call: of the clockwise normals alone when the density
+    is symmetric, whose two sides are equal bit for bit, else of the normals
+    and their negatives stacked."""
     mid = np.asarray(mid, dtype=float)
     normal = rotate_cw(vec)
-    return orientation_rule(density.h_at(mid, normal), density.h_at(mid, -normal), left, right)
+    if density.symmetric:
+        h = density.h_at(mid, normal)
+        return orientation_rule(h, h, left, right)
+    h_fwd, h_rev = density.h_at(np.stack([mid, mid]), np.stack([normal, -normal]))
+    return orientation_rule(h_fwd, h_rev, left, right)
 
 
 def _subdivide(p, q, left, right, eid, subdiv):
@@ -146,9 +153,7 @@ def perimeter_breakdown(cluster, density, subdiv=1):
     if len(p) == 0:
         return np.zeros(len(cluster.edges))
     w = segment_weights(density, 0.5 * (p + q), q - p, left, right)
-    out = np.zeros(len(cluster.edges))
-    np.add.at(out, eid, w)
-    return out
+    return np.bincount(eid, weights=w, minlength=len(cluster.edges))
 
 
 def relative_perimeter(cluster, density, center, radius, eps=1e-12):
@@ -187,16 +192,23 @@ def fan_volume_terms(density, p, q):
     return areas * (gv * wts[None, :]).sum(axis=1)
 
 
-def chamber_sums(terms, left, right, m):
+def chamber_index(left, right):
+    """What chamber_sums adds, for segments with side labels left and right:
+    (segment, sign, chamber) arrays holding each segment with a colored left
+    side, sign +1 and its left label - 1, then each with a colored right
+    side, sign -1 and its right label - 1, in segment order."""
+    on_left, on_right = np.flatnonzero(left > 0), np.flatnonzero(right > 0)
+    seg = np.concatenate([on_left, on_right])
+    sign = np.repeat([1.0, -1.0], [len(on_left), len(on_right)])
+    return seg, sign, np.concatenate([left[on_left], right[on_right]]) - 1
+
+
+def chamber_sums(terms, index, m):
     """Signed per-chamber sums of segment terms, indexed by label - 1: each
-    term is added to its left chamber and subtracted from its right one;
-    white sides are dropped."""
-    out = np.zeros(m)
-    sel = left > 0
-    np.add.at(out, left[sel] - 1, terms[sel])
-    sel = right > 0
-    np.add.at(out, right[sel] - 1, -terms[sel])
-    return out
+    term is added to its left chamber and subtracted from its right one, in
+    the order of index (chamber_index); white sides are dropped."""
+    seg, sign, chamber = index
+    return np.bincount(chamber, weights=terms[seg] * sign, minlength=m)
 
 
 def weighted_volume(cluster, density):
@@ -205,7 +217,7 @@ def weighted_volume(cluster, density):
     p, q, left, right, _ = cluster.segment_arrays()
     if len(p) == 0:
         return np.zeros(cluster.m)
-    return chamber_sums(fan_volume_terms(density, p, q), left, right, cluster.m)
+    return chamber_sums(fan_volume_terms(density, p, q), chamber_index(left, right), cluster.m)
 
 
 def chamber_perimeter(cluster, density, label):
@@ -259,7 +271,7 @@ def validate(cluster, check_crossings=True):
 def weighted_volume_plain(cluster):
     """Unweighted chamber areas (g = 1)."""
     p, q, left, right, _ = cluster.segment_arrays()
-    return chamber_sums(0.5 * cross2(p, q), left, right, cluster.m)
+    return chamber_sums(0.5 * cross2(p, q), chamber_index(left, right), cluster.m)
 
 
 def vertex_arms(cluster):
@@ -311,7 +323,7 @@ def crossing_pairs(V, i0, i1, margin=0.0):
     every pair whose proper crossing makes a boundary self-intersect, at V
     or after any move of the vertices by at most margin each, found by the
     sort-and-sweep of box_overlap_pairs."""
-    a, b = box_overlap_pairs(V[i0], V[i1], margin)
+    a, b = box_overlap_pairs(V.take(i0, axis=0), V.take(i1, axis=0), margin)
     share = (i0[a] == i0[b]) | (i0[a] == i1[b]) | (i1[a] == i0[b]) | (i1[a] == i1[b])
     return a[~share], b[~share]
 
@@ -376,14 +388,17 @@ def _ball_centers(domain, r, n, rng, max_tries=200):
 def isoperimetric_check(polygon, density, c_vol, eta):
     """Perimeter >= (h_min / C_vol^(1/eta)) * volume^(1/eta) for one chamber.
 
-    polygon: (n, 2) counterclockwise vertices of a single colored chamber.
-    Returns (ok, slack) with slack = lhs - rhs.
+    polygon: (n, 2) counterclockwise vertices of a single colored chamber;
+    a polygon whose weighted volume is not positive is not counterclockwise
+    and raises ValueError. Returns (ok, slack) with slack = lhs - rhs.
     """
     polygon = np.asarray(polygon, dtype=float)
     p = polygon
     q = np.roll(polygon, -1, axis=0)
     lhs = float(segment_weights(density, 0.5 * (p + q), q - p, 1, 0).sum())
     vol = float(fan_volume_terms(density, p, q).sum())
+    if not vol > 0:
+        raise ValueError(f"polygon is not counterclockwise: its weighted volume is {vol:.6g}")
     rhs = density.h_min / c_vol ** (1.0 / eta) * vol ** (1.0 / eta)
     slack = lhs - rhs
     return slack >= 0, slack

@@ -64,7 +64,12 @@ class Density:
 
     h_min and h_max bound the gauge over the domain and the unit circle of
     directions; they feed the isoperimetric and boundary-length diagnostics.
-    g_const is the value of a constant g, and None when g is a callable.
+    A bound not given is probed from the gauge on sampled points of the
+    domain; one that is not finite (a gauge field that overflows there) is
+    an error, and the caller passes h_min and h_max instead. g_const is the
+    value of a constant g, and None when g is a callable. symmetric is true
+    when h(x, -v) == h(x, v) holds bit for bit: for a uniform gauge whose
+    Gauge.symmetric is set, and for no gauge field.
     """
 
     def __init__(self, gauge, g=1.0, domain=None, h_min=None, h_max=None):
@@ -88,12 +93,19 @@ class Density:
             self.g_const = None
         else:
             raise ValueError("g must be a positive number or a callable")
+        self.symmetric = self.uniform_gauge and gauge.symmetric
         if h_min is None or h_max is None:
             lo, hi = self._probe_gauge_range()
             h_min = lo if h_min is None else h_min
             h_max = hi if h_max is None else h_max
         self.h_min = float(h_min)
         self.h_max = float(h_max)
+        if not (np.isfinite(self.h_min) and np.isfinite(self.h_max)):
+            raise ValueError(
+                f"gauge bounds are not finite (h_min {self.h_min}, h_max {self.h_max}): "
+                "a gauge field that overflows where the domain is probed needs h_min "
+                "and h_max passed"
+            )
         if not 0 < self.h_min <= self.h_max:
             raise ValueError("need 0 < h_min <= h_max")
 

@@ -31,7 +31,10 @@ class Gauge:
     kind = "abstract"
     #: True when the gauge is C^1 away from the origin.
     smooth = True
-    #: True when value(v) == value(-v) holds exactly by construction.
+    #: True when value(-v) == value(v) and grad(-v) == -grad(v) hold bit for
+    #: bit by construction. cluster.segment_weights relies on it: it prices
+    #: one side of every segment and takes it for both, so a gauge that sets
+    #: it and breaks it changes every perimeter the solver sees.
     symmetric = False
 
     def value(self, v):
@@ -76,8 +79,11 @@ class EuclideanGauge(Gauge):
     symmetric = True
 
     def value(self, v):
+        # np.linalg.norm's formula, sqrt(x^2 + y^2) summed in that order,
+        # without its reduction over an axis of two
         v = np.asarray(v, dtype=float)
-        return np.linalg.norm(v, axis=-1)
+        x, y = v[..., 0], v[..., 1]
+        return np.sqrt(x * x + y * y)
 
     def grad(self, v):
         v = np.asarray(v, dtype=float)

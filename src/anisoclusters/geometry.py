@@ -151,19 +151,20 @@ def box_overlap_pairs(p, q, margin=0.0):
     """
     p = np.asarray(p, float)
     q = np.asarray(q, float)
-    lo = np.minimum(p, q) - margin
-    hi = np.maximum(p, q) + margin
-    order = np.argsort(lo[:, 0], kind="stable")
-    xlo = lo[order, 0]
+    # coordinate columns: gathers from a 1d array are much cheaper than row
+    # gathers from an (n, 2) one
+    xlo, ylo = (np.minimum(p, q) - margin).T
+    xhi, yhi = (np.maximum(p, q) + margin).T
+    order = np.argsort(xlo, kind="stable")
     # sorted box k overlaps in x exactly the boxes k+1 .. end[k]-1; end[k]
     # is at least k+1 because xlo[k] <= xhi[k]
-    end = np.searchsorted(xlo, hi[order, 0], side="right")
+    end = np.searchsorted(xlo[order], xhi[order], side="right")
     count = end - np.arange(1, len(order) + 1)
     ka = np.repeat(np.arange(len(order)), count)
     first = np.cumsum(count) - count
     kb = ka + 1 + np.arange(len(ka)) - np.repeat(first, count)
     a, b = order[ka], order[kb]
-    keep = (lo[a, 1] <= hi[b, 1]) & (lo[b, 1] <= hi[a, 1])
+    keep = (ylo[a] <= yhi[b]) & (ylo[b] <= yhi[a])
     a, b = a[keep], b[keep]
     return np.minimum(a, b), np.maximum(a, b)
 

@@ -60,6 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import (
+    chamber_index,
     chamber_sums,
     crossing_pairs,
     fan_volume_terms,
@@ -209,8 +210,13 @@ def _default_resample_len(cluster):
 
 
 def _apply_step(V, mesh, d):
-    out = V.copy()
-    np.add.at(out, mesh.vert, mesh.uvec * d[:, None])
+    """Vertex positions V moved by the dof step d: each dof adds its unit
+    vector times its entry to its vertex, a vertex's first dof before its
+    second (as np.add.at would), each rank as one gather of the step
+    (mesh.step_ranks) and one add."""
+    step = np.append(mesh.uvec * d[:, None], -0.0)
+    out = V + step.take(mesh.step_ranks[0])
+    out += step.take(mesh.step_ranks[1])
     return out
 
 
@@ -239,7 +245,7 @@ def _clearance_caps(V, mesh, i0, i1, d):
     boxes grown by delta do not overlap start more than 2 delta apart. On the
     other pairs each vertex's clearance c_v is the least distance from a
     segment at it to a segment sharing no endpoint with that one, and its
-    caps are 0.49 c_v / sqrt(ndof), a reach below c_v / 2; vertices in no
+    caps are 0.49 c_v / sqrt(ndof_v), a reach below c_v / 2; vertices in no
     such pair get no cap (inf).
     """
     nv = len(V)
@@ -248,10 +254,9 @@ def _clearance_caps(V, mesh, i0, i1, d):
     ends = np.stack([i0[a], i1[a], i0[b], i1[b]])
     clearance = np.full(nv, np.inf)
     if len(a):
-        dist = segment_distance(*V[ends])
+        dist = segment_distance(*V.take(ends, axis=0))
         np.minimum.at(clearance, ends.ravel(), np.tile(dist, 4))
-    ndof = np.bincount(mesh.vert, minlength=nv)[mesh.vert]
-    return 0.49 * clearance[mesh.vert] / np.sqrt(ndof), ends
+    return 0.49 * clearance[mesh.vert] / mesh.sqrt_ndof, ends
 
 
 class _Mesh:
@@ -327,17 +332,58 @@ class _Mesh:
         self.local_len = local[self.vert]
         self.h_fd = fd_scale * self.local_len
 
+        # _apply_step's two ranks: for every vertex coordinate, the flat
+        # position in uvec * d of the vertex's first dof, then of its second,
+        # or of the -0.0 appended after it where the vertex has no such dof
+        pad = 2 * self.n
+        self.step_ranks = np.full((2, nv, 2), pad)
+        for k in range(2):
+            has = ndof > k
+            self.step_ranks[k, has] = 2 * (first[has] + k)[:, None] + np.arange(2)
+        self.sqrt_ndof = np.sqrt(ndof[self.vert])
+        self.base_caps = 0.45 * self.local_len
+
         # finite-difference stencil: one entry per (segment, endpoint, dof)
         per_end = ndof[ends]
         ent = np.repeat(np.arange(len(ends)), per_end)
         offset = np.arange(len(ent)) - np.repeat(np.cumsum(per_end) - per_end, per_end)
         self.ent_seg, self.ent_slot = np.divmod(ent, 2)
         self.ent_dof = first[ends[ent]] + offset
+        self._init_evaluations(i0, i1, left, right)
+
+    def _init_evaluations(self, i0, i1, left, right):
+        """The gathers, masks and scatter indices of perimeter, volumes and
+        gradient, fixed per mesh."""
+        act = np.flatnonzero(self.active)
+        self.act_i0, self.act_i1 = i0[act], i1[act]
+        self.act_left, self.act_right = left[act], right[act]
+        self.chambers = chamber_index(left, right)
+        # the stencil's two signs stacked: row r < E is entry r displaced by
+        # +h along its dof, row E + r the same entry by -h. fd_ends[0] and
+        # fd_ends[1] hold the rows' start and end vertices, fd_disp their
+        # displacements: -0.0, which adds exactly nothing, on the endpoint
+        # that stays. Starts and ends are kept in separate blocks, as
+        # elementwise numpy loops over (n, 2) rows that are not contiguous
+        # run an order of magnitude slower
+        seg, slot, dof = self.ent_seg, self.ent_slot, self.ent_dof
+        E = len(seg)
+        h = self.h_fd[dof]
+        disp = self.uvec[dof] * h[:, None]
+        self.fd_ends = np.tile(np.stack([i0[seg], i1[seg]]), 2)
+        self.fd_disp = np.full((2, 2 * E, 2), -0.0)
+        self.fd_disp[np.tile(slot, 2), np.arange(2 * E)] = np.concatenate([disp, -disp])
+        self.fd_two_h = 2.0 * h
+        self.fd_left, self.fd_right = left[seg], right[seg]
+        # the entries of active segments, whose weights enter the gradient
+        self.fd_act = np.flatnonzero(self.active[seg])
+        self.fd_act_rows = np.concatenate([self.fd_act, E + self.fd_act])
+        self.fd_act_left = np.tile(self.fd_left[self.fd_act], 2)
+        self.fd_act_right = np.tile(self.fd_right[self.fd_act], 2)
 
     def step_caps(self, V):
         """Per-dof displacement bound: a fraction of the local edge length,
         and for sliding vertices also of the distance to wall neighbors."""
-        caps = 0.45 * self.local_len.copy()
+        caps = self.base_caps.copy()
         for j, nbs in self.wall_nbs:
             if nbs:
                 d = min(float(np.linalg.norm(V[n] - V[self.vert[j]])) for n in nbs)
@@ -349,27 +395,24 @@ class _Mesh:
         COLLAPSE_FRACTION of the segment length resample_cluster would give
         its edge. Kept edges are never resampled, and a single-segment edge
         is never shorter than its resampled segments, so neither counts."""
-        d = V[self.cut_i1] - V[self.cut_i0]
+        d = V.take(self.cut_i1, axis=0) - V.take(self.cut_i0, axis=0)
         lens = np.hypot(d[:, 0], d[:, 1])
         L = np.bincount(self.cut_eid, weights=lens, minlength=len(self.min_count))
         spacing = L / _resample_count(L, self.min_count, target_len)
         return bool((lens < COLLAPSE_FRACTION * spacing[self.cut_eid]).any())
 
     def perimeter(self, V):
-        sel = self.active
-        if not sel.any():
+        if len(self.act_i0) == 0:
             return 0.0
-        P, Q = V[self.i0[sel]], V[self.i1[sel]]
-        w = segment_weights(
-            self.density, 0.5 * (P + Q), Q - P, self.left[sel], self.right[sel]
-        )
+        P, Q = V.take(self.act_i0, axis=0), V.take(self.act_i1, axis=0)
+        w = segment_weights(self.density, 0.5 * (P + Q), Q - P, self.act_left, self.act_right)
         return float(w.sum())
 
     def volumes(self, V):
         if len(self.i0) == 0:
             return np.zeros(len(self.targets))
-        t = fan_volume_terms(self.density, V[self.i0], V[self.i1])
-        return chamber_sums(t, self.left, self.right, len(self.targets))
+        t = fan_volume_terms(self.density, V.take(self.i0, axis=0), V.take(self.i1, axis=0))
+        return chamber_sums(t, self.chambers, len(self.targets))
 
     def objective(self, V, lam, mu, P0):
         P = self.perimeter(V)
@@ -378,36 +421,28 @@ class _Mesh:
         return f, P, e
 
     def gradient(self, V, lam, mu, e, P0):
-        g = np.zeros(self.n)
-        if len(self.ent_seg) == 0:
-            return g
-        seg, slot, dof = self.ent_seg, self.ent_slot, self.ent_dof
-        P, Q = V[self.i0[seg]], V[self.i1[seg]]
-        h = self.h_fd[dof]
-        disp = self.uvec[dof] * h[:, None]
-        on0 = (slot == 0)[:, None]
-        Pp = np.where(on0, P + disp, P)
-        Qp = np.where(on0, Q, Q + disp)
-        Pm = np.where(on0, P - disp, P)
-        Qm = np.where(on0, Q, Q - disp)
-
-        dval = np.zeros(len(seg))
-        act = self.active[seg]
-        if act.any():
-            sl, sr = self.left[seg], self.right[seg]
-            wp = segment_weights(self.density, 0.5 * (Pp + Qp), Qp - Pp, sl, sr)
-            wm = segment_weights(self.density, 0.5 * (Pm + Qm), Qm - Pm, sl, sr)
-            dval = np.where(act, (wp - wm) / P0, 0.0)
-
-        c = (lam + mu * e) / self.targets
-        a = np.where(self.left > 0, c[self.left - 1], 0.0) - np.where(
-            self.right > 0, c[self.right - 1], 0.0
-        )
-        dval = dval + a[seg] * (
-            fan_volume_terms(self.density, Pp, Qp) - fan_volume_terms(self.density, Pm, Qm)
-        )
-        np.add.at(g, dof, dval / (2.0 * h))
-        return g
+        """Central differences of the objective along every dof, from one
+        segment_weights and one fan_volume_terms call on the stencil's two
+        signs stacked; each entry's difference goes to its dof."""
+        E = len(self.ent_seg)
+        if E == 0:
+            return np.zeros(self.n)
+        X = V.take(self.fd_ends, axis=0)
+        X += self.fd_disp
+        P, Q = X
+        dval = np.zeros(E)
+        if len(self.fd_act):
+            Pa, Qa = X.take(self.fd_act_rows, axis=1)
+            w = segment_weights(
+                self.density, 0.5 * (Pa + Qa), Qa - Pa, self.fd_act_left, self.fd_act_right
+            )
+            k = len(self.fd_act)
+            dval[self.fd_act] = (w[:k] - w[k:]) / P0
+        # c[label]: the volume multiplier of chamber label, 0 for white
+        c = np.concatenate([[0.0], (lam + mu * e) / self.targets])
+        t = fan_volume_terms(self.density, P, Q)
+        dval += (c[self.fd_left] - c[self.fd_right]) * (t[:E] - t[E:])
+        return np.bincount(self.ent_dof, weights=dval / self.fd_two_h, minlength=self.n)
 
 
 @dataclass
