@@ -34,6 +34,7 @@ from anisoclusters import (
     weighted_volume_plain,
 )
 from anisoclusters.cluster import crossing_pairs, fan_volume_terms
+from anisoclusters.density import _ScaledGauge
 from anisoclusters.geometry import (
     polyline_self_intersects,
     rotate_cw,
@@ -540,6 +541,13 @@ class TestIsoperimetricBound:
         _, s2 = isoperimetric_check(3.0 * poly, d, c_vol=4.0, eta=2.0)
         assert s2 == pytest.approx(3.0 * s1, rel=1e-9)
 
+    def test_clockwise_polygon_is_rejected(self):
+        d = Density.constant(EuclideanGauge())
+        square_cw = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
+        assert isoperimetric_check(square_cw[::-1], d, c_vol=4.0, eta=2.0)[0]
+        with pytest.raises(ValueError, match="not counterclockwise"):
+            isoperimetric_check(square_cw, d, c_vol=4.0, eta=2.0)
+
     def test_growth_fit_recovers_euclidean_ball_law(self):
         d = Density.constant(EuclideanGauge(), domain=Rect(-2, 2, -2, 2))
         c_vol, eta = growth_estimate(
@@ -555,6 +563,22 @@ class TestIsoperimetricBound:
 
 
 class TestConstructorErrors:
+    def test_overflowing_gauge_bounds_are_rejected(self):
+        # e^{|x|^2} times the Euclidean gauge, sampled on the default
+        # +-1e6 box, overflows: both probed bounds come out inf
+        def field(x):
+            return _ScaledGauge(EuclideanGauge(), float(np.exp(np.dot(x, x))))
+
+        with np.errstate(over="ignore"):
+            assert field(np.array([1e6, 0.0])).value(np.array([1.0, 0.0])) == np.inf
+            with pytest.raises(ValueError, match="not finite.*pass"):
+                Density(field, g=lambda p: np.exp((p * p).sum(axis=-1)))
+            # the caller's bounds are taken as they are
+            d = Density(field, g=lambda p: np.exp((p * p).sum(axis=-1)), h_min=1.0, h_max=np.e)
+        assert (d.h_min, d.h_max) == (1.0, np.e)
+        with pytest.raises(ValueError, match="not finite"):
+            Density(EuclideanGauge(), h_min=1.0, h_max=np.inf)
+
     def test_bad_vertex_shape(self):
         with pytest.raises(ValueError):
             Cluster(np.zeros((4, 3)), [], 1)

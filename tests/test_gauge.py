@@ -6,13 +6,66 @@ from hypothesis import strategies as st
 import anisoclusters as ac
 from anisoclusters.geometry import rotate_ccw, unit_dir
 
-from conftest import all_gauge_list
+from anisoclusters.density import _ScaledGauge
+
+from conftest import all_gauge_list, odd_profile_gauge
 
 # magnitudes from 1e-6 to 1e3, or exactly 0: squares of coordinates far
 # below that underflow, and no gauge formula is meant for them
 coord = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6))
 vectors = st.tuples(coord, coord).map(np.array)
 EVERY_KIND = all_gauge_list()
+
+
+def _point_symmetric_profile(n=64):
+    """A tabulated profile whose second half of knots repeats the first bit
+    for bit."""
+    half = 1.0 + 0.1 * np.cos(2.0 * np.arange(n // 2) * (2.0 * np.pi / n))
+    return ac.TabulatedGauge(np.tile(half, 2))
+
+
+ROTATION = 0.3
+SYMMETRIC_KINDS = [g for g in EVERY_KIND if g.symmetric] + [
+    ac.LpGauge(1.5),
+    ac.LpGauge(3.0),
+    ac.ShiftedDiskGauge(np.zeros(2), 1.3),
+    ac.RotatedGauge(ac.EllipseGauge([[2.0, 0.3], [0.3, 1.0]]), ROTATION),
+    ac.RotatedGauge(ac.LpGauge(1.0), ROTATION),
+    _ScaledGauge(ac.SmoothedL1Gauge(0.35), 1.7),
+    _point_symmetric_profile(),
+]
+# axis and diagonal directions: the corners of the max norm, l^1 and
+# smoothed l^1 balls, and of the rotated l^1 ball
+SPECIAL_DIRECTIONS = np.vstack(
+    [
+        unit_dir(np.arange(8) * (np.pi / 4.0)),
+        [[1.0, 1.0], [-1.0, 1.0], [1.0, 0.0], [0.0, -1.0]],
+        unit_dir(ROTATION + np.arange(8) * (np.pi / 4.0)),
+    ]
+)
+special_vectors = st.tuples(
+    st.sampled_from(range(len(SPECIAL_DIRECTIONS))), st.floats(1e-6, 1e3)
+).map(lambda ks: ks[1] * SPECIAL_DIRECTIONS[ks[0]])
+
+
+def test_symmetric_flags():
+    # every kind the symmetric property runs on sets the flag, one per
+    # conftest kind that is point symmetric by construction
+    assert {g.kind for g in EVERY_KIND if g.symmetric} == {"euclidean", "ellipse", "lp", "smoothed-l1"}
+    assert all(g.symmetric for g in SYMMETRIC_KINDS)
+    assert not ac.ShiftedDiskGauge(np.array([0.0, -0.3])).symmetric
+    assert not odd_profile_gauge().symmetric
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(vectors, special_vectors))
+def test_symmetric_gauges_are_even_bit_for_bit(v):
+    # cluster.segment_weights prices one side of a segment under a
+    # symmetric gauge and takes it for both: value(-v) must equal value(v)
+    # exactly, and grad(-v) must equal -grad(v)
+    for gauge in SYMMETRIC_KINDS:
+        assert float(gauge.value(-v)) == float(gauge.value(v)), (gauge, v)
+        assert np.array_equal(gauge.grad(-v), -gauge.grad(v)), (gauge, v)
 
 
 def test_positive_homogeneity(all_gauges, rng):

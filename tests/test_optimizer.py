@@ -14,6 +14,7 @@ from anisoclusters import (
     LpGauge,
     OptimizationProblem,
     RotatedGauge,
+    ShiftedDiskGauge,
     SolveOptions,
     ball_bound_check,
     detect_junctions,
@@ -28,14 +29,15 @@ from anisoclusters import (
     weighted_volume,
 )
 from anisoclusters import optimizer
-from anisoclusters.cluster import orientation_rule
+from anisoclusters.cluster import fan_volume_terms, orientation_rule
 from anisoclusters.geometry import (
     hausdorff_to_segments,
     rotate_ccw,
     rotate_cw,
+    segment_distance,
     segments_properly_cross,
 )
-from conftest import all_gauge_list
+from conftest import all_gauge_list, odd_profile_gauge
 
 EUCLID = Density.constant(EuclideanGauge())
 MAXNORM = Density.constant(LpGauge(np.inf))
@@ -668,6 +670,162 @@ class TestMesh:
         assert mesh.wall_nbs == ref["wall_nbs"]
         ent = np.column_stack([mesh.ent_seg, mesh.ent_slot, mesh.ent_dof])
         assert np.array_equal(ent, ref["ent"])
+
+
+def two_sided_weights(density, P, Q, left, right):
+    """Segment weights with each side priced by its own h_at call."""
+    n = rotate_cw(Q - P)
+    mid = 0.5 * (P + Q)
+    return orientation_rule(density.h_at(mid, n), density.h_at(mid, -n), left, right)
+
+
+def reference_volumes(mesh, V):
+    t = fan_volume_terms(mesh.density, V[mesh.i0], V[mesh.i1])
+    out = np.zeros(len(mesh.targets))
+    sel = mesh.left > 0
+    np.add.at(out, mesh.left[sel] - 1, t[sel])
+    sel = mesh.right > 0
+    np.add.at(out, mesh.right[sel] - 1, -t[sel])
+    return out
+
+
+def reference_objective(mesh, V, lam, mu, P0):
+    sel = mesh.active
+    P = float(
+        two_sided_weights(
+            mesh.density, V[mesh.i0[sel]], V[mesh.i1[sel]], mesh.left[sel], mesh.right[sel]
+        ).sum()
+    )
+    e = (reference_volumes(mesh, V) - mesh.targets) / mesh.targets
+    return P / P0 + float((lam * e).sum()) + 0.5 * mu * float((e * e).sum()), P, e
+
+
+def reference_gradient(mesh, V, lam, mu, e, P0):
+    """mesh.gradient evaluated sign by sign: the + and - stencils priced by
+    separate calls, two-sided weights by one h_at call per side, and the
+    entries added to their dofs by np.add.at."""
+    seg, slot, dof = mesh.ent_seg, mesh.ent_slot, mesh.ent_dof
+    P, Q = V[mesh.i0[seg]], V[mesh.i1[seg]]
+    h = mesh.h_fd[dof]
+    disp = mesh.uvec[dof] * h[:, None]
+    on0 = (slot == 0)[:, None]
+    Pp, Qp = np.where(on0, P + disp, P), np.where(on0, Q, Q + disp)
+    Pm, Qm = np.where(on0, P - disp, P), np.where(on0, Q, Q - disp)
+    sl, sr = mesh.left[seg], mesh.right[seg]
+    wp = two_sided_weights(mesh.density, Pp, Qp, sl, sr)
+    wm = two_sided_weights(mesh.density, Pm, Qm, sl, sr)
+    dval = np.where(mesh.active[seg], (wp - wm) / P0, 0.0)
+    c = (lam + mu * e) / mesh.targets
+    a = np.where(mesh.left > 0, c[mesh.left - 1], 0.0) - np.where(
+        mesh.right > 0, c[mesh.right - 1], 0.0
+    )
+    dval = dval + a[seg] * (
+        fan_volume_terms(mesh.density, Pp, Qp) - fan_volume_terms(mesh.density, Pm, Qm)
+    )
+    g = np.zeros(mesh.n)
+    np.add.at(g, dof, dval / (2.0 * h))
+    return g
+
+
+def reference_collapsed(mesh, V, target_len):
+    d = V[mesh.cut_i1] - V[mesh.cut_i0]
+    lens = np.hypot(d[:, 0], d[:, 1])
+    L = np.zeros(len(mesh.min_count))
+    np.add.at(L, mesh.cut_eid, lens)
+    spacing = L / np.maximum(mesh.min_count, np.rint(L / target_len))
+    return bool((lens < optimizer.COLLAPSE_FRACTION * spacing[mesh.cut_eid]).any())
+
+
+def reference_apply_step(V, mesh, d):
+    out = V.copy()
+    np.add.at(out, mesh.vert, mesh.uvec * d[:, None])
+    return out
+
+
+def reference_clearance_caps(V, mesh, d):
+    nv = len(V)
+    reach = np.zeros(nv)
+    np.add.at(reach, mesh.vert, d * d)
+    a, b = optimizer.crossing_pairs(V, mesh.i0, mesh.i1, margin=float(np.sqrt(reach.max())))
+    ends = np.stack([mesh.i0[a], mesh.i1[a], mesh.i0[b], mesh.i1[b]])
+    clearance = np.full(nv, np.inf)
+    for k, (p1, q1, p2, q2) in enumerate(ends.T):
+        dist = float(segment_distance(V[p1], V[q1], V[p2], V[q2]))
+        for v in (p1, q1, p2, q2):
+            clearance[v] = min(clearance[v], dist)
+    ndof = np.zeros(nv)
+    np.add.at(ndof, mesh.vert, 1.0)
+    return 0.49 * clearance[mesh.vert] / np.sqrt(ndof[mesh.vert]), ends
+
+
+def oracle_mesh(kind, rng):
+    if kind == "bubble":
+        cl = double_bubble_cluster(n_arc=10, n_mid=4)
+        cl.vertices = cl.vertices + rng.uniform(-0.02, 0.02, cl.vertices.shape)
+    elif kind == "cross":
+        cl = square_cross_cluster(n_sub=12, jitter=0.02, rng=rng)
+    else:
+        cl = walled_plus(rng, n_arm=4)
+        cl.edges[-1].tags["fixed"] = True
+    return cl
+
+
+ORACLE_DENSITIES = {
+    "euclidean": Density.constant(EuclideanGauge()),
+    "l3": Density.constant(LpGauge(3.0), g=1.3),
+    "odd-profile": Density.constant(odd_profile_gauge()),
+    "shifted-disk": Density.constant(ShiftedDiskGauge(np.array([0.0, -0.3]))),
+    # a gauge field and a volume density that both vary with position
+    "field": Density(
+        lambda x: RotatedGauge(EllipseGauge([[1.0, 0.0], [0.0, 0.5]]), float(np.tanh(x[0]))),
+        g=lambda p: 1.0 + 0.3 * np.tanh(p[..., 0] * p[..., 1]),
+    ),
+}
+
+
+class TestFusedEvaluations:
+    """_Mesh's evaluations and the step helpers of _descend against the
+    same formulas written one call per stencil sign, per side and per
+    scatter entry: equal bit for bit."""
+
+    @pytest.mark.parametrize("name", ORACLE_DENSITIES)
+    @pytest.mark.parametrize("kind", ["bubble", "cross", "walled"])
+    def test_match_the_unfused_reference(self, kind, name):
+        density = ORACLE_DENSITIES[name]
+        rng = np.random.default_rng(11)
+        cl = oracle_mesh(kind, rng)
+        V = cl.vertices
+        rs_len = optimizer._default_resample_len(cl)
+        targets = 1.05 * weighted_volume(cl, density)
+        mesh = optimizer._Mesh(cl, density, targets, 1e-6, rs_len)
+        assert mesh.n > 0
+        assert density.symmetric == (name in ("euclidean", "l3"))
+        lam, mu = np.linspace(-0.3, 0.4, cl.m), 20.0
+        P0 = mesh.perimeter(V)
+        assert P0 == reference_objective(mesh, V, lam, mu, 1.0)[1]
+        assert mesh.volumes(V).tolist() == reference_volumes(mesh, V).tolist()
+        f, P, e = mesh.objective(V, lam, mu, P0)
+        rf, rP, re = reference_objective(mesh, V, lam, mu, P0)
+        assert (f, P, e.tolist()) == (rf, rP, re.tolist())
+        g = mesh.gradient(V, lam, mu, e, P0)
+        assert g.tolist() == reference_gradient(mesh, V, lam, mu, e, P0).tolist()
+        caps = mesh.step_caps(V)
+        # the largest first step, a random one with some zero entries, and -g
+        steps = [caps, caps * rng.uniform(-1.0, 1.0, mesh.n) * (rng.random(mesh.n) < 0.8)]
+        steps.append(np.clip(-g, -caps, caps))
+        for d in steps:
+            Vt = optimizer._apply_step(V, mesh, d)
+            assert Vt.tolist() == reference_apply_step(V, mesh, d).tolist()
+            safe, ends = optimizer._clearance_caps(V, mesh, mesh.i0, mesh.i1, d)
+            ref_safe, ref_ends = reference_clearance_caps(V, mesh, d)
+            assert safe.tolist() == ref_safe.tolist()
+            assert np.array_equal(ends, ref_ends)
+            # at 100 rs_len resampling leaves one segment per open edge
+            for target_len in (rs_len, 100.0 * rs_len):
+                assert mesh.collapsed(Vt, target_len) == reference_collapsed(mesh, Vt, target_len)
+        # the caps of the largest step see pairs, and some step collapses
+        assert np.isfinite(reference_clearance_caps(V, mesh, caps)[0]).any()
+        assert reference_collapsed(mesh, V, 100.0 * rs_len) or kind == "walled"
 
 
 @pytest.mark.parametrize("gauge", all_gauge_list(), ids=lambda g: g.kind)
