@@ -240,16 +240,6 @@ class ShiftedDiskGauge(Gauge):
         return _circle_gauge_grad(v, self.center, self.radius)
 
 
-def _upper_half(v):
-    """v or -v, whichever lies in the upper half-plane (the positive x axis
-    included, the negative one not), and the sign (+-1) that maps v to it. A
-    point-symmetric gauge evaluated there gives value(-v) == value(v) and
-    grad(-v) == -grad(v) bit for bit, whatever its formula rounds."""
-    lower = (v[..., 1] < 0) | ((v[..., 1] == 0) & (v[..., 0] < 0))
-    sign = np.where(lower, -1.0, 1.0)
-    return v * sign[..., None], sign
-
-
 class SmoothedL1Gauge(Gauge):
     """Four-arc ball through the corners (+-1, +-1), arc curvature kappa.
 
@@ -257,8 +247,6 @@ class SmoothedL1Gauge(Gauge):
     circular arcs of radius 1/kappa, keeping the four corners. The result is
     strictly convex and uniformly round but still kinked at the corners.
     Requires 0 < kappa < 1/sqrt(2); beyond that the corner angles invert.
-    Evaluated at whichever of v and -v lies in the upper half-plane: near a
-    corner, the arcs picked for v and -v round differently.
     """
 
     kind = "smoothed-l1"
@@ -279,21 +267,28 @@ class SmoothedL1Gauge(Gauge):
         return {"kappa": self.kappa}
 
     def _sector(self, v):
-        theta = np.arctan2(v[..., 1], v[..., 0])
-        return np.mod(np.floor((theta + np.pi / 4) / (np.pi / 2)).astype(int), 4)
+        """Index k of the arc around direction k * 90 degrees that prices v.
+        A v below the x axis takes the arc opposite to that of -v: near a
+        corner, arctan2 of v and of -v can round to different sides of it,
+        and v and -v must get opposite arcs for the gauge to be symmetric
+        bit for bit."""
+        x, y = v[..., 0], v[..., 1]
+        lower = y < 0
+        theta = np.arctan2(np.abs(y), np.where(lower, -x, x))
+        return np.mod(np.floor((theta + np.pi / 4) / (np.pi / 2)).astype(int) + 2 * lower, 4)
 
     def value(self, v):
-        v, _ = _upper_half(np.asarray(v, dtype=float))
+        v = np.asarray(v, dtype=float)
         c = self.centers[self._sector(v)]
         return _circle_gauge_value(v, c, self.arc_radius)
 
     def grad(self, v):
-        v, sign = _upper_half(np.asarray(v, dtype=float))
+        v = np.asarray(v, dtype=float)
         smoothmask = self._off_corner(v)
         c = self.centers[self._sector(v)]
         g = _circle_gauge_grad(v, c, self.arc_radius)
         if np.all(smoothmask):
-            return g * sign[..., None]
+            return g
         # corner directions: average the one-sided gradients of the two arcs
         # meeting there (a valid subgradient of the max of the two supporting
         # circle gauges); the corner at angle (2k+1) pi/4 joins arcs k and k+1
@@ -301,7 +296,7 @@ class SmoothedL1Gauge(Gauge):
         g1 = _circle_gauge_grad(v, self.centers[k], self.arc_radius)
         g2 = _circle_gauge_grad(v, self.centers[np.mod(k + 1, 4)], self.arc_radius)
         mid = 0.5 * (g1 + g2)
-        return np.where(smoothmask[..., None], g, mid) * sign[..., None]
+        return np.where(smoothmask[..., None], g, mid)
 
     def _off_corner(self, v):
         """False at the origin and along the corner directions |x| == |y|,
@@ -374,7 +369,9 @@ class TabulatedGauge(Gauge):
         """
         sign = np.ones(v.shape[:-1])
         if self.symmetric:
-            v, sign = _upper_half(v)
+            lower = (v[..., 1] < 0) | ((v[..., 1] == 0) & (v[..., 0] < 0))
+            sign = np.where(lower, -1.0, 1.0)
+            v = v * sign[..., None]
         theta = wrap_angle(np.arctan2(v[..., 1], v[..., 0]))
         return (*self._spline(theta), theta, sign)
 

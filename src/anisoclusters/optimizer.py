@@ -27,6 +27,15 @@ sees each sampled cluster through one _Mesh, which holds the segment
 arrays, the degrees of freedom, the finite-difference stencil and the
 evaluations on them.
 
+Each evaluation makes one gauge call. The objective prices the segments
+through one segment_weights call, which evaluates one side only when the
+density is symmetric (Density.symmetric) and both sides stacked otherwise;
+the gradient prices the + and - stencil in one segment_weights and one
+fan_volume_terms call. Everything fixed per mesh (gathers, displacements,
+masks, scatter indices) is built once with it; gathers use take, and
+scatters np.bincount, which adds in the order np.add.at does. The iterates
+are the same, bit for bit, as those of one call per side and stencil sign.
+
 The mesh is also repaired inside an outer iteration (remeshing on collapse,
 as Surface Evolver removes tiny edges during the evolution, Brakke 1992).
 When two vertices of an edge slide together, the clearance caps of their
