@@ -267,15 +267,16 @@ class SmoothedL1Gauge(Gauge):
         return {"kappa": self.kappa}
 
     def _sector(self, v):
-        """Index k of the arc around direction k * 90 degrees that prices v.
-        A v below the x axis takes the arc opposite to that of -v: near a
-        corner, arctan2 of v and of -v can round to different sides of it,
-        and v and -v must get opposite arcs for the gauge to be symmetric
-        bit for bit."""
-        x, y = v[..., 0], v[..., 1]
-        lower = y < 0
-        theta = np.arctan2(np.abs(y), np.where(lower, -x, x))
-        return np.mod(np.floor((theta + np.pi / 4) / (np.pi / 2)).astype(int) + 2 * lower, 4)
+        """Index k of the arc around direction k * 90 degrees that prices v:
+        arc 0 or 2 where |x| > |y|, by the sign of x, else arc 1 or 3, by the
+        sign of y. Exact comparisons give v and -v opposite arcs, which the
+        symmetric flag needs bit for bit (arctan2 of v and of -v can round to
+        different sides of a corner); where |x| == |y| both arcs meeting at
+        the corner price v alike."""
+        a = np.abs(v)
+        vertical = a[..., 0] <= a[..., 1]
+        along = np.where(vertical, v[..., 1], v[..., 0])
+        return vertical + 2 * (along <= 0)
 
     def value(self, v):
         v = np.asarray(v, dtype=float)

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anisoclusters as ac
-from anisoclusters.geometry import rotate_ccw, unit_dir
-
 from anisoclusters.density import _ScaledGauge
+from anisoclusters.geometry import rotate_ccw, unit_dir
 
 from conftest import all_gauge_list, odd_profile_gauge
 
@@ -66,6 +65,19 @@ def test_symmetric_gauges_are_even_bit_for_bit(v):
     for gauge in SYMMETRIC_KINDS:
         assert float(gauge.value(-v)) == float(gauge.value(v)), (gauge, v)
         assert np.array_equal(gauge.grad(-v), -gauge.grad(v)), (gauge, v)
+
+
+def test_symmetric_gauges_are_even_on_direction_grids(rng):
+    # batches, as segment_weights prices them: random vectors and the
+    # direction grids that probes and tests sample, whose corner directions
+    # come out of unit_dir a few ulps off the diagonals
+    v = np.vstack(
+        [rng.normal(0.0, 1.0, (20_000, 2))]
+        + [unit_dir(np.arange(n) * (2.0 * np.pi / n)) for n in (8, 64, 256, 720)]
+    )
+    for gauge in SYMMETRIC_KINDS:
+        assert np.array_equal(gauge.value(-v), gauge.value(v)), gauge
+        assert np.array_equal(gauge.grad(-v), -gauge.grad(v)), gauge
 
 
 def test_positive_homogeneity(all_gauges, rng):
