@@ -27,7 +27,7 @@ from .optimizer import (
     minimize,
     steiner_diagnose,
 )
-from .report import make_report, write_report
+from .report import make_report, plain, write_report
 from .scenario import TASKS, ScenarioError, load_scenario
 from .slices import SliceConfig, improve
 from .steiner import admissible_pairs, fermat_modes_for_colors, fermat_point
@@ -39,10 +39,6 @@ EXIT_NO_CONVERGENCE = 3
 OUT_ENV = "ANISOCLUSTERS_OUT"
 
 
-def _point(p):
-    return [float(p[0]), float(p[1])]
-
-
 def _run_fermat(scn, seed):
     a, b, c = scn.payload["terminals"]
     if "colors" in scn.payload:
@@ -51,14 +47,14 @@ def _run_fermat(scn, seed):
         modes = scn.payload.get("modes", ("sym", "sym", "sym"))
     res = fermat_point(scn.gauge, a, b, c, modes=modes, tol=scn.payload.get("tol", 1e-10))
     result = {
-        "point": _point(res.point),
-        "value": float(res.value),
-        "iterations": int(res.iterations),
-        "gradient_norm": float(res.gradient_norm),
-        "modes": list(modes),
-        "terminals": [_point(t) for t in (a, b, c)],
+        "point": res.point,
+        "value": res.value,
+        "iterations": res.iterations,
+        "gradient_norm": res.gradient_norm,
+        "modes": modes,
+        "terminals": [a, b, c],
         "degenerate_vertex": res.degenerate_vertex,
-        "collinear": bool(res.collinear),
+        "collinear": res.collinear,
     }
 
     def render():
@@ -76,17 +72,17 @@ def _run_triples(scn, seed):
         tol=scn.payload.get("tol", 1e-9),
     )
     result = {
-        "point": _point(a),
+        "point": a,
         "count": len(pairs),
         "pairs": [
             {
-                "a": _point(t.a),
-                "b": _point(t.b),
-                "c": _point(t.c),
-                "angle_b_deg": float(np.degrees(t.angle_b)),
-                "angle_c_deg": float(np.degrees(t.angle_c)),
-                "residual": float(t.residual),
-                "iterations": int(t.iterations),
+                "a": t.a,
+                "b": t.b,
+                "c": t.c,
+                "angle_b_deg": np.degrees(t.angle_b),
+                "angle_c_deg": np.degrees(t.angle_c),
+                "residual": t.residual,
+                "iterations": t.iterations,
             }
             for t in pairs
         ],
@@ -103,12 +99,12 @@ def _run_slices(scn, seed):
     config = SliceConfig(scn.payload["angles"], scn.payload["colors"], scn.gauge)
     res = improve(config)
     result = {
-        "config": config.spec(),
-        "perimeter_before": float(res.perimeter_before),
-        "perimeter_after": float(res.perimeter_after),
-        "delta": float(res.delta),
-        "move": list(res.move),
-        "guaranteed": bool(res.guaranteed),
+        "config": config,
+        "perimeter_before": res.perimeter_before,
+        "perimeter_after": res.perimeter_after,
+        "delta": res.delta,
+        "move": res.move,
+        "guaranteed": res.guaranteed,
     }
 
     def render():
@@ -124,13 +120,12 @@ def _run_slices(scn, seed):
 def _run_perimeter(scn, seed):
     cluster = scn.payload["cluster"]
     density = scn.density
-    vols = weighted_volume(cluster, density)
     result = {
-        "perimeter": float(weighted_perimeter(cluster, density)),
-        "interface_perimeter": float(interface_perimeter(cluster, density)),
-        "volumes": [float(v) for v in vols],
-        "edge_perimeters": [float(w) for w in perimeter_breakdown(cluster, density)],
-        "chambers": int(cluster.m),
+        "perimeter": weighted_perimeter(cluster, density),
+        "interface_perimeter": interface_perimeter(cluster, density),
+        "volumes": weighted_volume(cluster, density),
+        "edge_perimeters": perimeter_breakdown(cluster, density),
+        "chambers": cluster.m,
         "validation": validate(cluster),
     }
 
@@ -141,13 +136,11 @@ def _run_perimeter(scn, seed):
 
 
 def _run_solve(scn, seed):
-    options = dict(scn.payload["options"])
-    options["seed"] = seed
     problem = OptimizationProblem(
         cluster=scn.payload["cluster"],
         density=scn.density,
         targets=scn.payload["targets"],
-        options=SolveOptions(**options),
+        options=SolveOptions(**scn.payload.get("options", {}), seed=seed),
     )
     report = minimize(problem)
     result = report.spec()
@@ -182,18 +175,17 @@ def _run_gaugeprobe(scn, seed):
     u = unit_dir(np.arange(n) * (2.0 * np.pi / n))
     values = gauge.value(u)
     grads = gauge.grad(u)
-    euler = float(np.abs(np.sum(grads * u, axis=1) - values).max())
     result = {
-        "gauge": gauge.spec(),
-        "directions": int(n),
-        "h_min": float(values.min()),
-        "h_max": float(values.max()),
-        "euler_residual": euler,
-        "smooth": bool(gauge.smooth),
-        "symmetric": bool(gauge.symmetric),
-        "strict_convexity_margin": float(strict_convexity_margin(gauge, n_dirs=n)),
-        "roundedness_constant": float(roundedness_constant(gauge)),
-        "boundary": [_point(p) for p in unit_ball_boundary(gauge, n=min(n, 64))],
+        "gauge": gauge,
+        "directions": n,
+        "h_min": values.min(),
+        "h_max": values.max(),
+        "euler_residual": np.abs(np.sum(grads * u, axis=1) - values).max(),
+        "smooth": gauge.smooth,
+        "symmetric": gauge.symmetric,
+        "strict_convexity_margin": strict_convexity_margin(gauge, n_dirs=n),
+        "roundedness_constant": roundedness_constant(gauge),
+        "boundary": unit_ball_boundary(gauge, n=min(n, 64)),
     }
 
     def render():
@@ -249,10 +241,7 @@ def main(argv=None):
         if seed < 0:
             raise ScenarioError("scenario.seed", "seed must be nonnegative")
         result, render, code = _RUNNERS[scn.task](scn, seed)
-    except ScenarioError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as err:
+    except ValueError as err:  # ScenarioError included
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
 
@@ -272,7 +261,7 @@ def main(argv=None):
     if args.verbose:
         for key in ("perimeter", "value", "delta", "count", "success"):
             if isinstance(result, dict) and key in result:
-                print(f"{key}: {result[key]}")
+                print(f"{key}: {plain(result[key])}")
     for path in wrote:
         print(f"wrote {path}")
     return code

@@ -19,13 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    TRIANGLE_RULE,
     box_overlap_pairs,
     cross2,
     clip_segment_to_disk,
     rotate_cw,
     segments_properly_cross,
-    triangle_rule,
 )
+from .report import plain
 
 
 @dataclass
@@ -80,17 +81,12 @@ class Cluster:
         return deg
 
     def spec(self):
-        out = []
+        edges = []
         for e in self.edges:
-            d = {"vertices": [int(i) for i in e.vertices], "left": e.left, "right": e.right}
+            edges.append({"vertices": e.vertices, "left": e.left, "right": e.right})
             if e.tags:
-                d["tags"] = dict(e.tags)
-            out.append(d)
-        return {
-            "vertices": [[float(x), float(y)] for x, y in self.vertices],
-            "edges": out,
-            "chambers": self.m,
-        }
+                edges[-1]["tags"] = e.tags
+        return plain({"vertices": self.vertices, "edges": edges, "chambers": self.m})
 
     @classmethod
     def from_spec(cls, spec):
@@ -131,25 +127,14 @@ def segment_weights(density, mid, vec, left, right):
     return orientation_rule(h_fwd, h_rev, left, right)
 
 
-def _subdivide(p, q, left, right, eid, subdiv):
-    if subdiv <= 1:
-        return p, q, left, right, eid
-    t = np.linspace(0.0, 1.0, subdiv + 1)
-    pp = p[:, None, :] + t[None, :-1, None] * (q - p)[:, None, :]
-    qq = p[:, None, :] + t[None, 1:, None] * (q - p)[:, None, :]
-    rep = lambda a: np.repeat(a, subdiv, axis=0)
-    return pp.reshape(-1, 2), qq.reshape(-1, 2), rep(left), rep(right), rep(eid)
-
-
-def weighted_perimeter(cluster, density, subdiv=1):
+def weighted_perimeter(cluster, density):
     """Cluster perimeter; each interface counted once from each side."""
-    return float(perimeter_breakdown(cluster, density, subdiv=subdiv).sum())
+    return float(perimeter_breakdown(cluster, density).sum())
 
 
-def perimeter_breakdown(cluster, density, subdiv=1):
+def perimeter_breakdown(cluster, density):
     """Per-edge perimeter contributions, aligned with cluster.edges."""
     p, q, left, right, eid = cluster.segment_arrays()
-    p, q, left, right, eid = _subdivide(p, q, left, right, eid, subdiv)
     if len(p) == 0:
         return np.zeros(len(cluster.edges))
     w = segment_weights(density, 0.5 * (p + q), q - p, left, right)
@@ -183,7 +168,7 @@ def fan_volume_terms(density, p, q):
     Summed with the orientation signs of a closed boundary, the terms give
     the weighted volume it encloses.
     """
-    bary, wts = triangle_rule(5)
+    bary, wts = TRIANGLE_RULE
     areas = 0.5 * cross2(p, q)
     if density.g_const is not None:
         return areas * (density.g_const * wts).sum()

@@ -35,9 +35,6 @@ class Rect:
         y = rng.uniform(self.ymin, self.ymax, n)
         return np.column_stack([x, y])
 
-    def spec(self):
-        return {"shape": "rect", "x": [self.xmin, self.xmax], "y": [self.ymin, self.ymax]}
-
 
 class DiskDomain:
     def __init__(self, center, radius):
@@ -54,9 +51,6 @@ class DiskDomain:
         r = self.radius * np.sqrt(rng.uniform(0.0, 1.0, n))
         t = rng.uniform(0.0, 2 * np.pi, n)
         return self.center + r[:, None] * unit_dir(t)
-
-    def spec(self):
-        return {"shape": "disk", "center": self.center.tolist(), "radius": self.radius}
 
 
 class Density:

@@ -425,45 +425,48 @@ class RotatedGauge(Gauge):
         return self._turn(self.base.grad(self._turn(v, -self._sin)), self._sin)
 
 
+# kind: (class, {parameter: what it must be}), parameters in constructor order
+_NUMBER, _LIST = "a finite number", "a list of finite numbers"
+_SPEC_KINDS = {
+    "euclidean": (EuclideanGauge, {}),
+    "lp": (LpGauge, {"p": "a finite number or 'inf'"}),
+    "ellipse": (EllipseGauge, {"matrix": _LIST}),
+    "smoothed-l1": (SmoothedL1Gauge, {"kappa": _NUMBER}),
+    "shifted-disk": (ShiftedDiskGauge, {"center": _LIST, "radius": _NUMBER}),
+    "tabulated": (TabulatedGauge, {"values": _LIST}),
+}
+
+
 def gauge_from_spec(spec):
-    """Build a gauge from its serialized form (kind tag plus parameters)."""
+    """Build a gauge from its serialized form (kind tag plus parameters).
+    Numbers must be finite and not booleans; an l^p gauge's p may also be
+    "inf", the max norm."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("gauge spec must be a mapping with a 'kind' entry")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _SPEC_KINDS:
+        raise ValueError(f"unknown gauge kind {kind!r}")
+    make, params = _SPEC_KINDS[kind]
     extra = {k: v for k, v in spec.items() if k != "kind"}
-    if kind == "euclidean":
-        _expect_keys(extra, set(), kind)
-        return EuclideanGauge()
-    if kind == "lp":
-        _expect_keys(extra, {"p"}, kind)
-        p = extra["p"]
-        return LpGauge(np.inf if p == "inf" else float(p))
-    if kind == "ellipse":
-        _expect_keys(extra, {"matrix"}, kind)
-        return EllipseGauge(extra["matrix"])
-    if kind == "smoothed-l1":
-        _expect_keys(extra, {"kappa"}, kind)
-        return SmoothedL1Gauge(float(extra["kappa"]))
-    if kind == "shifted-disk":
-        _expect_keys(extra, {"center", "radius"}, kind)
-        return ShiftedDiskGauge(extra["center"], float(extra["radius"]))
-    if kind == "tabulated":
-        _expect_keys(extra, {"values"}, kind)
-        return TabulatedGauge(extra["values"])
-    raise ValueError(f"unknown gauge kind {kind!r}")
-
-
-def _expect_keys(extra, wanted, kind):
-    got = set(extra)
-    if got != wanted:
-        unknown = sorted(got - wanted)
-        missing = sorted(wanted - got)
-        parts = []
-        if unknown:
-            parts.append(f"unknown keys {unknown}")
-        if missing:
-            parts.append(f"missing keys {missing}")
+    unknown, missing = sorted(set(extra) - set(params)), sorted(set(params) - set(extra))
+    if unknown or missing:
+        parts = [f"unknown keys {unknown}"] if unknown else []
+        parts += [f"missing keys {missing}"] if missing else []
         raise ValueError(f"gauge kind {kind!r}: " + ", ".join(parts))
+    for key, what in params.items():
+        value = extra[key]
+        if kind == "lp" and value == "inf":
+            extra[key] = np.inf
+        elif isinstance(value, list) != (what == _LIST) or not _finite_numbers(value):
+            raise ValueError(f"gauge kind {kind!r}: {key} must be {what}")
+    return make(*(extra[key] for key in params))
+
+
+def _finite_numbers(value):
+    """True for a finite number (not a bool) or a list whose entries are."""
+    if isinstance(value, list):
+        return all(_finite_numbers(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and bool(np.isfinite(value))
 
 
 def unit_ball_boundary(gauge, n=256):

@@ -221,23 +221,9 @@ def _tri_rule_5():
     return np.array(rows), np.array(wts)
 
 
-# Symmetric triangle quadrature rules on the reference triangle, given as
-# (barycentric coordinates, weights summing to 1). Exact degrees: 1, 2, 5.
-_TRI_RULES = {
-    1: (np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0])),
-    2: (
-        np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]]),
-        np.array([1 / 3, 1 / 3, 1 / 3]),
-    ),
-    5: _tri_rule_5(),
-}
-
-
-def triangle_rule(order):
-    """Barycentric points and weights for a fixed-order symmetric rule."""
-    if order not in _TRI_RULES:
-        raise ValueError(f"no triangle rule of order {order}; choose from {sorted(_TRI_RULES)}")
-    return _TRI_RULES[order]
+# The symmetric triangle quadrature rule on the reference triangle, exact up
+# to degree 5, as (barycentric coordinates, weights summing to 1).
+TRIANGLE_RULE = _tri_rule_5()
 
 
 def fit_endpoint_tangent(pts, k=4):

@@ -91,12 +91,22 @@ from .geometry import (
     segments_properly_cross,
     wrap_angle,
 )
+from .report import plain
 from .steiner import junction_residual
 
 # An accepted inner step that leaves a segment of a free edge shorter than
 # this fraction of the length resampling would give it ends the descent; the
 # cluster is resampled and the descent goes on (_descend_cluster).
 COLLAPSE_FRACTION = 0.1
+
+# The finite-difference step of a dof as a fraction of the mean length of
+# the segments at its vertex (_Mesh), the augmented Lagrangian's starting
+# penalty mu (_solve_single), and the spread of a multi-start's jitter as a
+# fraction of the local segment length, before halving on a crossing
+# (_perturb_start).
+FD_SCALE = 1e-6
+PENALTY0 = 10.0
+JITTER = 0.05
 
 
 @dataclass
@@ -105,12 +115,8 @@ class SolveOptions:
     max_inner: int = 200
     vol_tol: float = 1e-6
     grad_tol: float = 1e-5
-    resample_len: float | None = None
     multi_start: int = 1
     seed: int = 0
-    fd_scale: float = 1e-6
-    penalty0: float = 10.0
-    jitter: float = 0.05
 
 
 @dataclass
@@ -160,25 +166,7 @@ class SolveReport:
     continuation: list = field(default_factory=list)
 
     def spec(self):
-        return {
-            "success": bool(self.success),
-            "perimeter": float(self.perimeter),
-            "interface_perimeter": float(self.interface_perimeter),
-            "volumes": [float(v) for v in self.volumes],
-            "volume_errors": [float(v) for v in self.volume_errors],
-            "perimeter_trace": [float(v) for v in self.perimeter_trace],
-            "volume_error_trace": [float(v) for v in self.volume_error_trace],
-            "outer_iterations": int(self.outer_iterations),
-            "inner_iterations": int(self.inner_iterations),
-            "crossing_rejections": int(self.crossing_rejections),
-            "resamples": int(self.resamples),
-            "start_index": int(self.start_index),
-            "flags": list(self.flags),
-            "junctions": list(self.junctions),
-            "starts": list(self.starts),
-            "continuation": list(self.continuation),
-            "cluster": self.cluster.spec(),
-        }
+        return plain(vars(self))
 
 
 def _edge_roles(cluster):
@@ -282,7 +270,7 @@ class _Mesh:
     (_edge_roles).
     """
 
-    def __init__(self, cluster, density, targets, fd_scale, char_len):
+    def __init__(self, cluster, density, targets, char_len):
         self.density = density
         self.targets = np.asarray(targets, dtype=float)
         V = cluster.vertices
@@ -339,7 +327,7 @@ class _Mesh:
             self.uvec[first[v]] = u
         self.wall_nbs = [(int(first[v]), nbs) for v, (_, nbs) in slide.items()]
         self.local_len = local[self.vert]
-        self.h_fd = fd_scale * self.local_len
+        self.h_fd = FD_SCALE * self.local_len
 
         # _apply_step's two ranks: for every vertex coordinate, the flat
         # position in uvec * d of the vertex's first dof, then of its second,
@@ -598,7 +586,7 @@ def _descend_cluster(cl, density, targets, lam, mu, opts, rs_len):
     descent goes on from it with the rest of the budget and the same
     objective. Moves cl's vertices; returns the final cluster, its mesh and
     the summed inner statistics."""
-    mesh = _Mesh(cl, density, targets, opts.fd_scale, rs_len)
+    mesh = _Mesh(cl, density, targets, rs_len)
     P0 = mesh.perimeter(cl.vertices)
     if P0 <= 0:
         raise ValueError("cluster has no interface perimeter to minimize")
@@ -610,7 +598,7 @@ def _descend_cluster(cl, density, targets, lam, mu, opts, rs_len):
         if not st.collapsed or st.iterations == budget:
             break
         cl = resample_cluster(cl, rs_len)
-        mesh = _Mesh(cl, density, targets, opts.fd_scale, rs_len)
+        mesh = _Mesh(cl, density, targets, rs_len)
     # one perimeter entry for the start, then one per accepted step
     trace = runs[0].trace + [P for st in runs[1:] for P in st.trace[1:]]
     return cl, mesh, _InnerStats(
@@ -628,7 +616,7 @@ def _solve_single(cluster, density, targets, opts, start_index, rs_len):
     """One start of minimize from cluster. rs_len, the resampling length,
     comes from the problem's cluster, so every start resamples alike."""
     lam = np.zeros(len(targets))
-    mu = float(opts.penalty0)
+    mu = PENALTY0
     flags = []
     trace = []
     verr_trace = []
@@ -707,7 +695,7 @@ def _solve_single(cluster, density, targets, opts, start_index, rs_len):
         flags=flags,
         resamples=resamples,
         continuation=[
-            {"gauge": gauge.spec(), "inner_iterations": st.iterations} for gauge, st in stages
+            {"gauge": gauge, "inner_iterations": st.iterations} for gauge, st in stages
         ],
     )
 
@@ -718,12 +706,12 @@ def _perturb_start(problem, k, rs_len):
     opts = problem.options
     rng = np.random.default_rng([int(opts.seed), int(k)])
     cl = problem.cluster.copy()
-    mesh = _Mesh(cl, problem.density, problem.targets, opts.fd_scale, rs_len)
+    mesh = _Mesh(cl, problem.density, problem.targets, rs_len)
     if mesh.n == 0:
         return cl
     caps = mesh.step_caps(cl.vertices)
     for trial in range(20):
-        amp = opts.jitter * (0.5**trial)
+        amp = JITTER * (0.5**trial)
         d = rng.normal(0.0, amp, mesh.n) * mesh.local_len
         d = np.clip(d, -caps, caps)
         Vt = _apply_step(cl.vertices, mesh, d)
@@ -744,7 +732,7 @@ def minimize(problem):
     """
     opts = problem.options
     targets = np.asarray(problem.targets, dtype=float)
-    rs_len = opts.resample_len if opts.resample_len else _default_resample_len(problem.cluster)
+    rs_len = _default_resample_len(problem.cluster)
     runs = []
     for k in range(max(1, int(opts.multi_start))):
         cl = _perturb_start(problem, k, rs_len) if k > 0 else problem.cluster.copy()
@@ -759,9 +747,9 @@ def minimize(problem):
     champ.starts = [
         {
             "start": r.start_index,
-            "perimeter": float(r.perimeter),
-            "success": bool(r.success),
-            "max_volume_error": float(np.max(np.abs(r.volume_errors))),
+            "perimeter": r.perimeter,
+            "success": r.success,
+            "max_volume_error": np.max(np.abs(r.volume_errors)),
         }
         for r in runs
     ]
@@ -845,18 +833,7 @@ class JunctionDiagnostic:
     flags: list
 
     def spec(self):
-        return {
-            "vertex": int(self.vertex),
-            "point": [float(self.point[0]), float(self.point[1])],
-            "n_arms": int(self.n_arms),
-            "non_triple": bool(self.non_triple),
-            "sector_colors": [int(c) for c in self.sector_colors],
-            "angles_deg": [float(a) for a in self.angles_deg],
-            "tangents": [[float(x), float(y)] for x, y in self.tangents],
-            "residual": None if self.residual is None else [float(v) for v in self.residual],
-            "residual_norm": None if self.residual_norm is None else float(self.residual_norm),
-            "flags": list(self.flags),
-        }
+        return plain(vars(self))
 
 
 @dataclass
@@ -867,12 +844,7 @@ class DiagnoseReport:
     flags: list
 
     def spec(self):
-        return {
-            "junctions": [j.spec() for j in self.junctions],
-            "arc_turning": [float(a) for a in self.arc_turning],
-            "max_turning": float(self.max_turning),
-            "flags": list(self.flags),
-        }
+        return plain(vars(self))
 
 
 def steiner_diagnose(cluster, density, fit_points=5, merge_radius=0.0):

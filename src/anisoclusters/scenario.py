@@ -3,8 +3,13 @@
 A scenario names exactly one task and carries the blocks that task needs.
 Validation is strict: unknown keys anywhere in the tree raise a
 ScenarioError carrying the dotted path of the offending key, so typos never
-silently alter an experiment. Angles in files are degrees; everything
+silently alter an experiment, and so do non-finite numbers (NaN, Infinity),
+which Python's JSON reader accepts. Angles in files are degrees; everything
 internal is radians.
+
+Each block is read through one table from its keys to their converters
+(_block). A converter takes a value and its dotted path and returns what the
+runtime uses, or raises a ScenarioError at that path.
 
 The top-level "gauge" block always parameterizes the weight the task itself
 consumes: junction tasks (fermat, triples) weight oriented segments with it
@@ -15,7 +20,8 @@ perimeter density h.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,31 +29,9 @@ from . import builders
 from .cluster import Cluster
 from .density import Density, DiskDomain, Rect
 from .gauge import gauge_from_spec
+from .optimizer import SolveOptions
 
 SCHEMA_VERSION = 1
-
-TASKS = ("fermat", "triples", "slices", "perimeter", "solve", "diagnose", "gaugeprobe")
-
-_TOP_KEYS = ("version", "task", "gauge", "g", "domain", "seed", "out")
-
-_SOLVE_OPTION_KEYS = (
-    "max_outer",
-    "max_inner",
-    "vol_tol",
-    "grad_tol",
-    "resample_len",
-    "multi_start",
-    "fd_scale",
-    "penalty0",
-    "jitter",
-)
-
-_BUILDERS = {
-    "square-cross": ("center", "n_sub", "jitter", "seed", "half"),
-    "regular-polygon": ("n", "area", "center"),
-    "double-bubble": ("n_arc", "n_mid", "width", "height", "bulge"),
-    "polygon": ("points",),
-}
 
 
 class ScenarioError(ValueError):
@@ -69,7 +53,6 @@ class Scenario:
     seed: int | None = None
     out_report: str | None = None
     out_svg: str | None = None
-    raw: dict = field(default_factory=dict)
 
 
 def _mapping(obj, path):
@@ -78,30 +61,53 @@ def _mapping(obj, path):
     return obj
 
 
-def _check_keys(obj, path, required, optional=()):
+def _block(obj, path, table, required=(), tag=()):
+    """The entries of mapping obj, each converted at its dotted path by its
+    key's converter in table, or read as a block by its key's nested table.
+    A key in neither table nor tag, the keys the caller reads, is an error."""
     _mapping(obj, path)
     for key in obj:
-        if key not in required and key not in optional:
+        if key not in table and key not in tag:
             raise ScenarioError(f"{path}.{key}", "unknown key")
     for key in required:
         if key not in obj:
             raise ScenarioError(path, f"missing required key {key!r}")
+    out = {}
+    for key, convert in table.items():
+        if key in obj:
+            at = f"{path}.{key}"
+            out[key] = _block(obj[key], at, convert) if isinstance(convert, dict) else convert(obj[key], at)
+    return out
 
 
-def _number(obj, path, positive=False):
+def _number(obj, path):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ScenarioError(path, "expected a number")
-    if positive and not obj > 0:
-        raise ScenarioError(path, "must be positive")
+    if not math.isfinite(obj):
+        raise ScenarioError(path, "expected a finite number")
     return float(obj)
 
 
-def _integer(obj, path, minimum=None):
+def _positive(obj, path):
+    value = _number(obj, path)
+    if not value > 0:
+        raise ScenarioError(path, "must be positive")
+    return value
+
+
+def _integer(obj, path):
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise ScenarioError(path, "expected an integer")
-    if minimum is not None and obj < minimum:
-        raise ScenarioError(path, f"must be at least {minimum}")
-    return int(obj)
+    return obj
+
+
+def _at_least(minimum):
+    def convert(obj, path):
+        if _integer(obj, path) < minimum:
+            raise ScenarioError(path, f"must be at least {minimum}")
+        return obj
+
+    return convert
 
 
 def _point(obj, path):
@@ -110,29 +116,52 @@ def _point(obj, path):
     return np.array([_number(obj[0], f"{path}[0]"), _number(obj[1], f"{path}[1]")])
 
 
-def _point_list(obj, path, exactly=None, at_least=None):
-    if not isinstance(obj, list):
-        raise ScenarioError(path, "expected a list of points")
-    if exactly is not None and len(obj) != exactly:
-        raise ScenarioError(path, f"expected exactly {exactly} points")
-    if at_least is not None and len(obj) < at_least:
-        raise ScenarioError(path, f"expected at least {at_least} points")
-    return np.array([_point(p, f"{path}[{k}]") for k, p in enumerate(obj)])
+def _points(exactly=None, at_least=None):
+    def convert(obj, path):
+        if not isinstance(obj, list):
+            raise ScenarioError(path, "expected a list of points")
+        if exactly is not None and len(obj) != exactly:
+            raise ScenarioError(path, f"expected exactly {exactly} points")
+        if at_least is not None and len(obj) < at_least:
+            raise ScenarioError(path, f"expected at least {at_least} points")
+        return np.array([_point(p, f"{path}[{k}]") for k, p in enumerate(obj)])
+
+    return convert
 
 
-def _number_list(obj, path, at_least=1):
-    if not isinstance(obj, list) or len(obj) < at_least:
-        raise ScenarioError(path, f"expected a list of at least {at_least} numbers")
-    return [_number(v, f"{path}[{k}]") for k, v in enumerate(obj)]
+def _numbers(at_least):
+    def convert(obj, path):
+        if not isinstance(obj, list) or len(obj) < at_least:
+            raise ScenarioError(path, f"expected a list of at least {at_least} numbers")
+        return [_number(v, f"{path}[{k}]") for k, v in enumerate(obj)]
+
+    return convert
 
 
-def _int_list(obj, path, minimum=0):
+def _indices(obj, path):
     if not isinstance(obj, list):
         raise ScenarioError(path, "expected a list of integers")
-    return [_integer(v, f"{path}[{k}]", minimum=minimum) for k, v in enumerate(obj)]
+    return [_at_least(0)(v, f"{path}[{k}]") for k, v in enumerate(obj)]
 
 
-def _parse_gauge(obj, path):
+def _instance(kind, message):
+    def convert(obj, path):
+        if not isinstance(obj, kind):
+            raise ScenarioError(path, message)
+        return obj
+
+    return convert
+
+
+_boolean = _instance(bool, "expected a boolean")
+_file_name = _instance(str, "expected a file name")
+
+
+def _rng(obj, path):
+    return np.random.default_rng(_at_least(0)(obj, path))
+
+
+def _gauge(obj, path):
     _mapping(obj, path)
     if "kind" not in obj:
         raise ScenarioError(path, "missing required key 'kind'")
@@ -142,186 +171,153 @@ def _parse_gauge(obj, path):
         raise ScenarioError(path, str(err)) from err
 
 
-def _parse_domain(obj, path):
-    _mapping(obj, path)
-    shape = obj.get("shape")
-    if shape == "rect":
-        _check_keys(obj, path, required=("shape", "xmin", "xmax", "ymin", "ymax"))
-        return Rect(
-            _number(obj["xmin"], f"{path}.xmin"),
-            _number(obj["xmax"], f"{path}.xmax"),
-            _number(obj["ymin"], f"{path}.ymin"),
-            _number(obj["ymax"], f"{path}.ymax"),
-        )
-    if shape == "disk":
-        _check_keys(obj, path, required=("shape", "center", "radius"))
-        return DiskDomain(_point(obj["center"], f"{path}.center"), _number(obj["radius"], f"{path}.radius", positive=True))
-    raise ScenarioError(f"{path}.shape", "expected 'rect' or 'disk'")
-
-
-def _parse_cluster(obj, path):
-    _mapping(obj, path)
-    if "builder" in obj:
-        _check_keys(obj, path, required=("builder",))
-        b = _mapping(obj["builder"], f"{path}.builder")
-        if "name" not in b:
-            raise ScenarioError(f"{path}.builder", "missing required key 'name'")
-        name = b["name"]
-        if name not in _BUILDERS:
-            raise ScenarioError(f"{path}.builder.name", f"unknown builder {name!r}")
-        _check_keys(b, f"{path}.builder", required=("name",), optional=_BUILDERS[name])
-        kw = {}
-        bp = f"{path}.builder"
-        if name == "square-cross":
-            if "center" in b:
-                kw["center"] = _point(b["center"], f"{bp}.center")
-            if "n_sub" in b:
-                kw["n_sub"] = _integer(b["n_sub"], f"{bp}.n_sub", minimum=1)
-            if "jitter" in b:
-                kw["jitter"] = _number(b["jitter"], f"{bp}.jitter")
-            if "seed" in b:
-                kw["rng"] = np.random.default_rng(_integer(b["seed"], f"{bp}.seed", minimum=0))
-            if "half" in b:
-                kw["half"] = _number(b["half"], f"{bp}.half", positive=True)
-            return builders.square_cross_cluster(**kw)
-        if name == "regular-polygon":
-            if "n" in b:
-                kw["n"] = _integer(b["n"], f"{bp}.n", minimum=3)
-            if "area" in b:
-                kw["area"] = _number(b["area"], f"{bp}.area", positive=True)
-            if "center" in b:
-                kw["center"] = _point(b["center"], f"{bp}.center")
-            return builders.regular_polygon_chamber(**kw)
-        if name == "double-bubble":
-            for key in ("width", "height", "bulge"):
-                if key in b:
-                    kw[key] = _number(b[key], f"{bp}.{key}", positive=True)
-            for key in ("n_arc", "n_mid"):
-                if key in b:
-                    kw[key] = _integer(b[key], f"{bp}.{key}", minimum=1)
-            return builders.double_bubble_cluster(**kw)
-        pts = _point_list(b.get("points"), f"{bp}.points", at_least=3)
-        return builders.polygon_chamber(pts)
-
-    _check_keys(obj, path, required=("vertices", "edges", "chambers"))
-    vertices = _point_list(obj["vertices"], f"{path}.vertices", at_least=2)
-    chambers = _integer(obj["chambers"], f"{path}.chambers", minimum=1)
-    if not isinstance(obj["edges"], list) or not obj["edges"]:
-        raise ScenarioError(f"{path}.edges", "expected a non-empty list")
-    edges = []
-    for k, e in enumerate(obj["edges"]):
-        ep = f"{path}.edges[{k}]"
-        _check_keys(e, ep, required=("vertices", "left", "right"), optional=("tags",))
-        idx = _int_list(e["vertices"], f"{ep}.vertices", minimum=0)
-        if len(idx) < 2:
-            raise ScenarioError(f"{ep}.vertices", "expected at least two vertex indices")
-        left = _integer(e["left"], f"{ep}.left", minimum=0)
-        right = _integer(e["right"], f"{ep}.right", minimum=0)
-        tags = {}
-        if "tags" in e:
-            _check_keys(e["tags"], f"{ep}.tags", required=(), optional=("wall", "fixed"))
-            for t, v in e["tags"].items():
-                if not isinstance(v, bool):
-                    raise ScenarioError(f"{ep}.tags.{t}", "expected a boolean")
-                tags[t] = v
-        edges.append({"vertices": idx, "left": left, "right": right, "tags": tags})
-    spec = {"vertices": vertices.tolist(), "edges": edges, "chambers": chambers}
-    return Cluster.from_spec(spec)
-
-
-def _parse_fermat(obj, path):
-    _check_keys(obj, path, required=("terminals",), optional=("modes", "colors", "tol"))
-    payload = {"terminals": _point_list(obj["terminals"], f"{path}.terminals", exactly=3)}
-    if "modes" in obj and "colors" in obj:
-        raise ScenarioError(path, "give either 'modes' or 'colors', not both")
-    if "modes" in obj:
-        modes = obj["modes"]
-        if not isinstance(modes, list) or len(modes) != 3:
-            raise ScenarioError(f"{path}.modes", "expected three of 'out'/'in'/'sym'")
-        for k, m in enumerate(modes):
-            if m not in ("out", "in", "sym"):
-                raise ScenarioError(f"{path}.modes[{k}]", "expected 'out', 'in' or 'sym'")
-        payload["modes"] = tuple(modes)
-    if "colors" in obj:
-        colors = _int_list(obj["colors"], f"{path}.colors", minimum=0)
-        if len(colors) != 3:
-            raise ScenarioError(f"{path}.colors", "expected three sector colors")
-        payload["colors"] = colors
-    if "tol" in obj:
-        payload["tol"] = _number(obj["tol"], f"{path}.tol", positive=True)
-    return payload
-
-
-def _parse_triples(obj, path):
-    _check_keys(obj, path, required=("point",), optional=("resolution", "tol"))
-    payload = {"point": _point(obj["point"], f"{path}.point")}
-    if "resolution" in obj:
-        payload["resolution"] = _integer(obj["resolution"], f"{path}.resolution", minimum=16)
-    if "tol" in obj:
-        payload["tol"] = _number(obj["tol"], f"{path}.tol", positive=True)
-    return payload
-
-
-def _parse_slices(obj, path):
-    _check_keys(obj, path, required=("angles_deg", "colors"))
-    angles = _number_list(obj["angles_deg"], f"{path}.angles_deg", at_least=2)
-    colors = _int_list(obj["colors"], f"{path}.colors", minimum=0)
-    if len(colors) != len(angles):
-        raise ScenarioError(f"{path}.colors", "need one color per radius")
-    return {"angles": np.radians(angles), "colors": colors}
-
-
-def _parse_solve(obj, path):
-    _check_keys(obj, path, required=("cluster", "targets"), optional=("options",))
-    payload = {
-        "cluster": _parse_cluster(obj["cluster"], f"{path}.cluster"),
-        "targets": np.array(_number_list(obj["targets"], f"{path}.targets")),
-    }
-    options = {}
-    if "options" in obj:
-        op = f"{path}.options"
-        _check_keys(obj["options"], op, required=(), optional=_SOLVE_OPTION_KEYS)
-        for key, val in obj["options"].items():
-            if key in ("max_outer", "max_inner", "multi_start"):
-                options[key] = _integer(val, f"{op}.{key}", minimum=1)
-            else:
-                options[key] = _number(val, f"{op}.{key}", positive=True)
-    payload["options"] = options
-    return payload
-
-
-def _parse_diagnose(obj, path):
-    _check_keys(obj, path, required=("cluster",), optional=("fit_points", "merge_radius"))
-    payload = {"cluster": _parse_cluster(obj["cluster"], f"{path}.cluster")}
-    if "fit_points" in obj:
-        payload["fit_points"] = _integer(obj["fit_points"], f"{path}.fit_points", minimum=2)
-    if "merge_radius" in obj:
-        payload["merge_radius"] = _number(obj["merge_radius"], f"{path}.merge_radius", positive=True)
-    return payload
-
-
-def _parse_perimeter(obj, path):
-    _check_keys(obj, path, required=("cluster",))
-    return {"cluster": _parse_cluster(obj["cluster"], f"{path}.cluster")}
-
-
-def _parse_gaugeprobe(obj, path):
-    _check_keys(obj, path, required=(), optional=("directions",))
-    payload = {}
-    if "directions" in obj:
-        payload["directions"] = _integer(obj["directions"], f"{path}.directions", minimum=8)
-    return payload
-
-
-_TASK_PARSERS = {
-    "fermat": _parse_fermat,
-    "triples": _parse_triples,
-    "slices": _parse_slices,
-    "perimeter": _parse_perimeter,
-    "solve": _parse_solve,
-    "diagnose": _parse_diagnose,
-    "gaugeprobe": _parse_gaugeprobe,
+_DOMAINS = {
+    "rect": (Rect, {"xmin": _number, "xmax": _number, "ymin": _number, "ymax": _number}),
+    "disk": (DiskDomain, {"center": _point, "radius": _positive}),
 }
+
+
+def _domain(obj, path):
+    shape = _mapping(obj, path).get("shape")
+    if not isinstance(shape, str) or shape not in _DOMAINS:
+        raise ScenarioError(f"{path}.shape", "expected 'rect' or 'disk'")
+    make, table = _DOMAINS[shape]
+    return make(**_block(obj, path, table, required=tuple(table), tag=("shape",)))
+
+
+# builder name: (function, {key: converter}, required keys). Each key is
+# passed as the builder's keyword of that name; seed is passed as the rng it
+# seeds (_BUILDER_KEYWORDS)
+_BUILDERS = {
+    "square-cross": (
+        builders.square_cross_cluster,
+        {"center": _point, "n_sub": _at_least(1), "jitter": _number, "seed": _rng, "half": _positive},
+        (),
+    ),
+    "regular-polygon": (
+        builders.regular_polygon_chamber,
+        {"n": _at_least(3), "area": _positive, "center": _point},
+        (),
+    ),
+    "double-bubble": (
+        builders.double_bubble_cluster,
+        {
+            "n_arc": _at_least(1),
+            "n_mid": _at_least(1),
+            "width": _positive,
+            "height": _positive,
+            "bulge": _positive,
+        },
+        (),
+    ),
+    "polygon": (builders.polygon_chamber, {"points": _points(at_least=3)}, ("points",)),
+}
+_BUILDER_KEYWORDS = {"seed": "rng"}
+
+
+def _edge_vertices(obj, path):
+    idx = _indices(obj, path)
+    if len(idx) < 2:
+        raise ScenarioError(path, "expected at least two vertex indices")
+    return idx
+
+
+_EDGE = {
+    "vertices": _edge_vertices,
+    "left": _at_least(0),
+    "right": _at_least(0),
+    "tags": {"wall": _boolean, "fixed": _boolean},
+}
+
+
+def _edges(obj, path):
+    if not isinstance(obj, list) or not obj:
+        raise ScenarioError(path, "expected a non-empty list")
+    required = ("vertices", "left", "right")
+    return [_block(e, f"{path}[{k}]", _EDGE, required) for k, e in enumerate(obj)]
+
+
+_INLINE_CLUSTER = {"vertices": _points(at_least=2), "chambers": _at_least(1), "edges": _edges}
+
+
+def _cluster(obj, path):
+    _mapping(obj, path)
+    if "builder" not in obj:
+        return Cluster.from_spec(_block(obj, path, _INLINE_CLUSTER, required=tuple(_INLINE_CLUSTER)))
+    _block(obj, path, {}, tag=("builder",))  # no inline keys beside a builder
+    bp = f"{path}.builder"
+    b = _mapping(obj["builder"], bp)
+    if "name" not in b:
+        raise ScenarioError(bp, "missing required key 'name'")
+    if not isinstance(b["name"], str) or b["name"] not in _BUILDERS:
+        raise ScenarioError(f"{bp}.name", f"unknown builder {b['name']!r}")
+    build, table, required = _BUILDERS[b["name"]]
+    kw = _block(b, bp, table, required, tag=("name",))
+    return build(**{_BUILDER_KEYWORDS.get(key, key): value for key, value in kw.items()})
+
+
+def _modes(obj, path):
+    if not isinstance(obj, list) or len(obj) != 3:
+        raise ScenarioError(path, "expected three of 'out'/'in'/'sym'")
+    for k, m in enumerate(obj):
+        if m not in ("out", "in", "sym"):
+            raise ScenarioError(f"{path}[{k}]", "expected 'out', 'in' or 'sym'")
+    return tuple(obj)
+
+
+def _sector_colors(obj, path):
+    colors = _indices(obj, path)
+    if len(colors) != 3:
+        raise ScenarioError(path, "expected three sector colors")
+    return colors
+
+
+# the solve options are SolveOptions' fields but the seed, which comes from
+# the scenario or the command line: integers >= 1 where the default is an
+# integer, positive numbers otherwise
+_SOLVE_OPTIONS = {
+    f.name: _at_least(1) if type(f.default) is int else _positive
+    for f in fields(SolveOptions)
+    if f.name != "seed"
+}
+
+# task: ({key: converter}, required keys)
+_TASK_BLOCKS = {
+    "fermat": (
+        {"terminals": _points(exactly=3), "modes": _modes, "colors": _sector_colors, "tol": _positive},
+        ("terminals",),
+    ),
+    "triples": ({"point": _point, "resolution": _at_least(16), "tol": _positive}, ("point",)),
+    "slices": ({"angles_deg": _numbers(2), "colors": _indices}, ("angles_deg", "colors")),
+    "perimeter": ({"cluster": _cluster}, ("cluster",)),
+    "solve": ({"cluster": _cluster, "targets": _numbers(1), "options": _SOLVE_OPTIONS}, ("cluster", "targets")),
+    "diagnose": ({"cluster": _cluster, "fit_points": _at_least(2), "merge_radius": _positive}, ("cluster",)),
+    "gaugeprobe": ({"directions": _at_least(8)}, ()),
+}
+
+TASKS = tuple(_TASK_BLOCKS)
+
+# the top-level keys but version, task and the task block
+_TOP = {
+    "gauge": _gauge,
+    "g": _positive,
+    "domain": _domain,
+    "seed": _at_least(0),
+    "out": {"report": _file_name, "svg": _file_name},
+}
+
+
+def _task_payload(task, obj, path):
+    """The converted task block, with the checks that join its keys."""
+    table, required = _TASK_BLOCKS[task]
+    payload = _block(obj, path, table, required)
+    if task == "fermat" and "modes" in payload and "colors" in payload:
+        raise ScenarioError(path, "give either 'modes' or 'colors', not both")
+    if task == "slices":
+        if len(payload["colors"]) != len(payload["angles_deg"]):
+            raise ScenarioError(f"{path}.colors", "need one color per radius")
+        payload["angles"] = np.radians(payload.pop("angles_deg"))
+    return payload
 
 
 def parse_scenario(raw):
@@ -337,44 +333,20 @@ def parse_scenario(raw):
     task = raw["task"]
     if task not in TASKS:
         raise ScenarioError("scenario.task", f"unknown task {task!r}; expected one of {list(TASKS)}")
-    _check_keys(raw, "scenario", required=("version", "task", "gauge"), optional=tuple(_TOP_KEYS) + (task,))
     if task not in raw:
         raise ScenarioError("scenario", f"missing required block {task!r}")
-
-    gauge = _parse_gauge(raw["gauge"], "scenario.gauge")
-    g = 1.0
-    if "g" in raw:
-        g = _number(raw["g"], "scenario.g", positive=True)
-    domain = _parse_domain(raw["domain"], "scenario.domain") if "domain" in raw else None
-    density = Density(gauge, g=g, domain=domain)
-
-    seed = None
-    if "seed" in raw:
-        seed = _integer(raw["seed"], "scenario.seed", minimum=0)
-
-    out_report = out_svg = None
-    if "out" in raw:
-        _check_keys(raw["out"], "scenario.out", required=(), optional=("report", "svg"))
-        if "report" in raw["out"]:
-            if not isinstance(raw["out"]["report"], str):
-                raise ScenarioError("scenario.out.report", "expected a file name")
-            out_report = raw["out"]["report"]
-        if "svg" in raw["out"]:
-            if not isinstance(raw["out"]["svg"], str):
-                raise ScenarioError("scenario.out.svg", "expected a file name")
-            out_svg = raw["out"]["svg"]
-
-    payload = _TASK_PARSERS[task](_mapping(raw[task], f"scenario.{task}"), f"scenario.{task}")
+    top = _block(raw, "scenario", _TOP, required=("gauge",), tag=("version", "task", task))
+    out = top.get("out", {})
+    path = f"scenario.{task}"
     return Scenario(
         version=version,
         task=task,
-        gauge=gauge,
-        density=density,
-        payload=payload,
-        seed=seed,
-        out_report=out_report,
-        out_svg=out_svg,
-        raw=raw,
+        gauge=top["gauge"],
+        density=Density(top["gauge"], g=top.get("g", 1.0), domain=top.get("domain")),
+        payload=_task_payload(task, _mapping(raw[task], path), path),
+        seed=top.get("seed"),
+        out_report=out.get("report"),
+        out_svg=out.get("svg"),
     )
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from .cluster import orientation_rule
 from .gauge import strict_convexity_margin
 from .geometry import TWO_PI, ccw_gap, cross2, polygon_area, rotate_cw, unit_dir, wrap_angle
+from .report import plain
 
 EPS_GRID = tuple(0.5 ** k for k in range(1, 21))
 
@@ -138,10 +139,7 @@ class SliceConfig:
         return self.base_network().perimeter()
 
     def spec(self):
-        return {
-            "angles_deg": [float(np.degrees(a)) for a in self.angles],
-            "colors": list(self.colors),
-        }
+        return plain({"angles_deg": np.degrees(self.angles), "colors": self.colors})
 
 
 def _kept_radii(config, removed, relabel=None):

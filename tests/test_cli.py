@@ -120,6 +120,17 @@ class TestFailureModes:
         assert code == 2
         assert "scenario.fermat.tolerance" in capsys.readouterr().err
 
+    def test_nan_target_exits_2_before_solving(self, tmp_path, capsys):
+        raw = json.loads((SCENARIO_DIR / "solve-disk.json").read_text())
+        raw["solve"]["targets"] = [float("nan")]
+        p = tmp_path / "nan.json"
+        p.write_text(json.dumps(raw))
+        assert "NaN" in p.read_text()
+        code = main(["solve", "--scenario", str(p), "--out", str(tmp_path)])
+        assert code == 2
+        assert "scenario.solve.targets[0]" in capsys.readouterr().err
+        assert not (tmp_path / "solve.json").exists()
+
     def test_unconverged_solve_exits_3_but_writes(self, tmp_path):
         raw = json.loads((SCENARIO_DIR / "solve-disk.json").read_text())
         raw.setdefault("solve", {}).setdefault("options", {})["max_outer"] = 1

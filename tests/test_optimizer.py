@@ -122,9 +122,7 @@ class TestClearanceCaps:
         rng = np.random.default_rng(seed)
         cl = jittered_cluster(kind, jitter, rng)
         assume(cl is not None)
-        dofs = optimizer._Mesh(
-            cl, EUCLID, np.ones(cl.m), 1e-6, optimizer._default_resample_len(cl)
-        )
+        dofs = optimizer._Mesh(cl, EUCLID, np.ones(cl.m), optimizer._default_resample_len(cl))
         i0, i1, _, _, _ = cl.segment_index_arrays()
         d0 = first_step(dofs, cl.vertices, rng)
         safe, _ = optimizer._clearance_caps(cl.vertices, dofs, i0, i1, d0)
@@ -142,9 +140,7 @@ class TestClearanceCaps:
         cl = jittered_cluster(kind, jitter, rng)
         assume(cl is not None)
         V = cl.vertices
-        dofs = optimizer._Mesh(
-            cl, EUCLID, np.ones(cl.m), 1e-6, optimizer._default_resample_len(cl)
-        )
+        dofs = optimizer._Mesh(cl, EUCLID, np.ones(cl.m), optimizer._default_resample_len(cl))
         i0, i1, _, _, _ = cl.segment_index_arrays()
         d0 = first_step(dofs, V, rng)
         delta = np.sqrt(np.bincount(dofs.vert, weights=d0 * d0, minlength=len(V)).max())
@@ -585,7 +581,7 @@ class TestGradient:
             cl = walled_plus(rng)
         density = Density.constant(gauge, g=1.7)
         targets = 1.05 * weighted_volume(cl, density)
-        mesh = optimizer._Mesh(cl, density, targets, 1e-6, optimizer._default_resample_len(cl))
+        mesh = optimizer._Mesh(cl, density, targets, optimizer._default_resample_len(cl))
         if kind == "walled":
             assert len(mesh.wall_nbs) > 0
         V = cl.vertices
@@ -597,9 +593,10 @@ class TestGradient:
         assert np.max(np.abs(fd - exact)) <= 1e-7 * np.max(np.abs(exact))
 
 
-def per_vertex_dof_map(cl, fd_scale, char_len):
+def per_vertex_dof_map(cl, char_len):
     """The dof map and stencil of _Mesh, built vertex by vertex from Python
-    lists of incident segments: the reference for its array construction."""
+    lists of incident segments: the reference for its array construction.
+    Its finite-difference steps are 1e-6 of the local length."""
     V = cl.vertices
     i0, i1, _, _, eid = cl.segment_index_arrays()
     wall_seg = np.array([bool(cl.edges[k].tags.get("wall")) for k in eid], dtype=bool)
@@ -643,7 +640,7 @@ def per_vertex_dof_map(cl, fd_scale, char_len):
         "vert": np.array(vert, dtype=int),
         "uvec": np.array(uvec, dtype=float).reshape(-1, 2),
         "local_len": np.array(local),
-        "h_fd": fd_scale * np.array(local),
+        "h_fd": 1e-6 * np.array(local),
         "wall_nbs": wall_nbs,
         "ent": np.array(ent, dtype=int).reshape(-1, 3),
     }
@@ -662,8 +659,8 @@ class TestMesh:
             cl = walled_plus(np.random.default_rng(0))
             cl.edges[-1].tags["fixed"] = True
         rs_len = optimizer._default_resample_len(cl)
-        mesh = optimizer._Mesh(cl, EUCLID, np.ones(cl.m), 1e-6, rs_len)
-        ref = per_vertex_dof_map(cl, 1e-6, rs_len)
+        mesh = optimizer._Mesh(cl, EUCLID, np.ones(cl.m), rs_len)
+        ref = per_vertex_dof_map(cl, rs_len)
         assert mesh.n == len(ref["vert"])
         for name in ("vert", "uvec", "local_len", "h_fd"):
             assert np.array_equal(getattr(mesh, name), ref[name]), name
@@ -797,7 +794,7 @@ class TestFusedEvaluations:
         V = cl.vertices
         rs_len = optimizer._default_resample_len(cl)
         targets = 1.05 * weighted_volume(cl, density)
-        mesh = optimizer._Mesh(cl, density, targets, 1e-6, rs_len)
+        mesh = optimizer._Mesh(cl, density, targets, rs_len)
         assert mesh.n > 0
         assert density.symmetric == (name in ("euclidean", "l3"))
         lam, mu = np.linspace(-0.3, 0.4, cl.m), 20.0
@@ -844,7 +841,7 @@ def test_a_callable_of_one_gauge_prices_like_the_constant_density(gauge):
     lam, mu = np.array([0.3, -0.2]), 10.0
     grads = []
     for density in (field, const):
-        mesh = optimizer._Mesh(cl, density, [1.0, 1.0], 1e-6, optimizer._default_resample_len(cl))
+        mesh = optimizer._Mesh(cl, density, [1.0, 1.0], optimizer._default_resample_len(cl))
         P0 = mesh.perimeter(cl.vertices)
         _, _, e = mesh.objective(cl.vertices, lam, mu, P0)
         grads.append(mesh.gradient(cl.vertices, lam, mu, e, P0).tolist())

@@ -1,6 +1,7 @@
 """Scenario parsing: strict validation with dotted error paths."""
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,18 +13,16 @@ from anisoclusters import (
     EuclideanGauge,
     Rect,
     ScenarioError,
+    SolveOptions,
     load_scenario,
     parse_scenario,
 )
+from anisoclusters import scenario
+from anisoclusters.cli import _RUNNERS
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-SCHEMA_PATH = (
-    Path(__file__).resolve().parent.parent
-    / "src"
-    / "anisoclusters"
-    / "schemas"
-    / "scenario.schema.json"
-)
+SCHEMA_DIR = Path(__file__).resolve().parent.parent / "src" / "anisoclusters" / "schemas"
+SCHEMA_PATH = SCHEMA_DIR / "scenario.schema.json"
 
 
 def base(task, block, **top):
@@ -248,6 +247,86 @@ class TestErrorPaths:
 
     def test_scenario_must_be_mapping(self):
         assert err_path([1, 2, 3]) == "scenario"
+
+    def test_retired_solve_option_rejected(self):
+        # fd_scale, penalty0, resample_len and jitter are solver constants now
+        for key in ("fd_scale", "penalty0", "resample_len", "jitter"):
+            blk = dict(SOLVE, options={key: 1.0})
+            assert err_path(base("solve", blk)) == f"scenario.solve.options.{key}"
+
+
+def err(raw):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(raw)
+    return exc.value.path, exc.value.message
+
+
+class TestNonFiniteNumbers:
+    # json.load reads NaN and Infinity; a scenario must not pass them on
+
+    def test_nan_target(self):
+        blk = dict(SOLVE, targets=[float("nan")])
+        assert err(base("solve", blk)) == ("scenario.solve.targets[0]", "expected a finite number")
+
+    def test_infinite_g(self):
+        raw = base("triples", TRIPLES, g=float("inf"))
+        assert err(raw) == ("scenario.g", "expected a finite number")
+
+    def test_nan_terminal(self):
+        blk = {"terminals": [[0, 0], [1, float("nan")], [0.5, 1]]}
+        assert err(base("fermat", blk)) == ("scenario.fermat.terminals[1][1]", "expected a finite number")
+
+    def test_read_from_a_file(self, tmp_path):
+        p = tmp_path / "nan.json"
+        p.write_text('{"version": 1, "task": "triples", "gauge": {"kind": "euclidean"}, '
+                     '"triples": {"point": [0, 1], "tol": NaN}}')
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(p)
+        assert exc.value.path == "scenario.triples.tol"
+
+
+class TestGaugeParameterTypes:
+    # gauge parameters are JSON numbers (p may be "inf"), as the schema says
+
+    @pytest.mark.parametrize(
+        "gauge,key",
+        [
+            pytest.param({"kind": "lp", "p": True}, "p", id="p-true"),
+            pytest.param({"kind": "lp", "p": "2"}, "p", id="p-string"),
+            pytest.param({"kind": "lp", "p": float("nan")}, "p", id="p-nan"),
+            pytest.param({"kind": "smoothed-l1", "kappa": "0.35"}, "kappa", id="kappa-string"),
+            pytest.param({"kind": "ellipse", "matrix": [[1, "0"], [0, 1]]}, "matrix", id="matrix-string"),
+            pytest.param(
+                {"kind": "shifted-disk", "center": [0, "0.2"], "radius": 1}, "center", id="center-string"
+            ),
+            pytest.param({"kind": "tabulated", "values": [1.0] * 7 + ["1"]}, "values", id="values-string"),
+        ],
+    )
+    def test_non_number_rejected_at_the_gauge(self, gauge, key):
+        raw = base("triples", TRIPLES)
+        raw["gauge"] = gauge
+        path, message = err(raw)
+        assert path == "scenario.gauge"
+        assert f"{key} must be" in message
+
+    def test_inf_spelling_still_loads_the_max_norm(self):
+        raw = base("triples", TRIPLES)
+        raw["gauge"] = {"kind": "lp", "p": "inf"}
+        assert parse_scenario(raw).gauge.spec() == {"kind": "lp", "p": "inf"}
+
+
+class TestSchemaAndCodeAgree:
+    def test_solve_options_builders_and_tasks(self):
+        defs = json.loads(SCHEMA_PATH.read_text())["$defs"]
+        options = set(defs["solve"]["properties"]["options"]["properties"])
+        assert options == {f.name for f in fields(SolveOptions)} - {"seed"}
+        builder = defs["cluster"]["oneOf"][0]["properties"]["builder"]["properties"]
+        tables = {key for _, table, _ in scenario._BUILDERS.values() for key in table}
+        assert set(builder) - {"name"} == tables
+        assert set(builder["name"]["enum"]) == set(scenario._BUILDERS)
+        task_enum = json.loads(SCHEMA_PATH.read_text())["properties"]["task"]["enum"]
+        report_enum = json.loads((SCHEMA_DIR / "report.schema.json").read_text())["properties"]["task"]["enum"]
+        assert set(task_enum) == set(report_enum) == set(scenario.TASKS) == set(_RUNNERS)
 
 
 class TestLoadScenario:
