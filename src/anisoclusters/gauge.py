@@ -13,6 +13,8 @@ rule at a triple junction.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .geometry import (
@@ -463,10 +465,11 @@ def gauge_from_spec(spec):
 
 
 def _finite_numbers(value):
-    """True for a finite number (not a bool) or a list whose entries are."""
+    """True for a number (not a bool) a float holds finitely, or a list of them."""
     if isinstance(value, list):
         return all(_finite_numbers(v) for v in value)
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and bool(np.isfinite(value))
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
 
 
 def unit_ball_boundary(gauge, n=256):

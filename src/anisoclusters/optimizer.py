@@ -703,8 +703,7 @@ def _solve_single(cluster, density, targets, opts, start_index, rs_len):
 def _perturb_start(problem, k, rs_len):
     """A copy of problem.cluster with its movable vertices jittered, seeded
     by (seed, k); unperturbed when every jitter tried makes a crossing."""
-    opts = problem.options
-    rng = np.random.default_rng([int(opts.seed), int(k)])
+    rng = np.random.default_rng([int(problem.options.seed), int(k)])
     cl = problem.cluster.copy()
     mesh = _Mesh(cl, problem.density, problem.targets, rs_len)
     if mesh.n == 0:

@@ -1,10 +1,10 @@
 """Scenario files: one JSON tree describing a single task run.
 
 A scenario names exactly one task and carries the blocks that task needs.
-Validation is strict: unknown keys anywhere in the tree raise a
-ScenarioError carrying the dotted path of the offending key, so typos never
-silently alter an experiment, and so do non-finite numbers (NaN, Infinity),
-which Python's JSON reader accepts. Angles in files are degrees; everything
+Validation is strict: unknown keys anywhere in the tree, and non-finite
+numbers (NaN and Infinity, which Python's JSON reader accepts), raise a
+ScenarioError carrying the dotted path of the offending value, so typos
+never silently alter an experiment. Angles in files are degrees; everything
 internal is radians.
 
 Each block is read through one table from its keys to their converters
@@ -20,7 +20,7 @@ perimeter density h.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -83,7 +83,7 @@ def _block(obj, path, table, required=(), tag=()):
 def _number(obj, path):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ScenarioError(path, "expected a number")
-    if not math.isfinite(obj):
+    if not abs(obj) <= sys.float_info.max:  # NaN, infinities and ints no float holds
         raise ScenarioError(path, "expected a finite number")
     return float(obj)
 
@@ -275,7 +275,7 @@ def _sector_colors(obj, path):
 # the solve options are SolveOptions' fields but the seed, which comes from
 # the scenario or the command line: integers >= 1 where the default is an
 # integer, positive numbers otherwise
-_SOLVE_OPTIONS = {
+_OPTIONS = {
     f.name: _at_least(1) if type(f.default) is int else _positive
     for f in fields(SolveOptions)
     if f.name != "seed"
@@ -290,7 +290,7 @@ _TASK_BLOCKS = {
     "triples": ({"point": _point, "resolution": _at_least(16), "tol": _positive}, ("point",)),
     "slices": ({"angles_deg": _numbers(2), "colors": _indices}, ("angles_deg", "colors")),
     "perimeter": ({"cluster": _cluster}, ("cluster",)),
-    "solve": ({"cluster": _cluster, "targets": _numbers(1), "options": _SOLVE_OPTIONS}, ("cluster", "targets")),
+    "solve": ({"cluster": _cluster, "targets": _numbers(1), "options": _OPTIONS}, ("cluster", "targets")),
     "diagnose": ({"cluster": _cluster, "fit_points": _at_least(2), "merge_radius": _positive}, ("cluster",)),
     "gaugeprobe": ({"directions": _at_least(8)}, ()),
 }

@@ -276,6 +276,12 @@ class TestNonFiniteNumbers:
         blk = {"terminals": [[0, 0], [1, float("nan")], [0.5, 1]]}
         assert err(base("fermat", blk)) == ("scenario.fermat.terminals[1][1]", "expected a finite number")
 
+    def test_integer_no_float_holds(self):
+        raw = base("triples", TRIPLES, g=10**400)
+        assert err(raw) == ("scenario.g", "expected a finite number")
+        raw["g"], raw["gauge"] = 1, {"kind": "lp", "p": 10**400}
+        assert err(raw)[0] == "scenario.gauge"
+
     def test_read_from_a_file(self, tmp_path):
         p = tmp_path / "nan.json"
         p.write_text('{"version": 1, "task": "triples", "gauge": {"kind": "euclidean"}, '
