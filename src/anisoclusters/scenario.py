@@ -197,7 +197,7 @@ _BUILDERS = {
     "regular-polygon": (
         builders.regular_polygon_chamber,
         {"n": _at_least(3), "area": _positive, "center": _point},
-        (),
+        ("n",),
     ),
     "double-bubble": (
         builders.double_bubble_cluster,

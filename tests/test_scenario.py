@@ -202,6 +202,14 @@ class TestErrorPaths:
             == "scenario.perimeter.cluster.builder.n_sub"
         )
 
+    def test_builder_required_parameter(self):
+        # regular_polygon_chamber has no default n; it raised TypeError
+        blk = {"cluster": {"builder": {"name": "regular-polygon", "area": 1.0}}}
+        assert err(base("perimeter", blk)) == (
+            "scenario.perimeter.cluster.builder",
+            "missing required key 'n'",
+        )
+
     def test_non_boolean_tag(self):
         blk = {
             "cluster": {
