@@ -105,6 +105,7 @@ class LpGauge(Gauge):
             raise ValueError("p must be >= 1 or inf")
         self.p = float(p)
         self.smooth = p not in (1.0, np.inf)
+        self._max_norm = self.p == np.inf
 
     @property
     def kind(self):
@@ -116,18 +117,16 @@ class LpGauge(Gauge):
     def continuation(self):
         # max <= l^p <= 2^(1/p) max: these come within 9, 2.2 and 0.5 % of
         # the max norm
-        if np.isinf(self.p):
+        if self._max_norm:
             return (LpGauge(8), LpGauge(32), LpGauge(128))
         return ()
 
     def value(self, v):
         v = np.abs(np.asarray(v, dtype=float))
-        if np.isinf(self.p):
-            return v.max(axis=-1)
-        m = v.max(axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = v / m[..., None]
-        r = np.where(m[..., None] > 0, r, 0.0)
+        m = np.maximum(v[..., 0], v[..., 1])
+        if self._max_norm:
+            return m
+        r = np.divide(v, m[..., None], out=np.zeros_like(v), where=m[..., None] > 0)
         # ufunc powers only: the ** of a numpy scalar, which a single vector
         # reaches, rounds differently from the batched ufunc loop
         rp = r**self.p
@@ -137,7 +136,7 @@ class LpGauge(Gauge):
         v = np.asarray(v, dtype=float)
         a = np.abs(v)
         s = np.sign(v)
-        if np.isinf(self.p):
+        if self._max_norm:
             # subgradient: the max coordinate wins; split evenly on ties
             is_max = a >= a.max(axis=-1)[..., None] - 0.0
             tie = a[..., 0] == a[..., 1]
@@ -147,9 +146,7 @@ class LpGauge(Gauge):
         if self.p == 1.0:
             return s
         val = self.value(v)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = a / val[..., None]
-        r = np.where(val[..., None] > 0, r, 0.0)
+        r = np.divide(a, val[..., None], out=np.zeros_like(a), where=val[..., None] > 0)
         return r ** (self.p - 1.0) * s
 
 

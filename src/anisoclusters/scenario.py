@@ -182,7 +182,11 @@ def _domain(obj, path):
     if not isinstance(shape, str) or shape not in _DOMAINS:
         raise ScenarioError(f"{path}.shape", "expected 'rect' or 'disk'")
     make, table = _DOMAINS[shape]
-    return make(**_block(obj, path, table, required=tuple(table), tag=("shape",)))
+    kwargs = _block(obj, path, table, required=tuple(table), tag=("shape",))
+    try:
+        return make(**kwargs)
+    except ValueError as err:
+        raise ScenarioError(path, str(err)) from err
 
 
 # builder name: (function, {key: converter}, required keys). Each key is

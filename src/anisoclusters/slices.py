@@ -7,14 +7,22 @@ strictly convex smooth gauges a strictly decreasing move exists whenever
 there are more than three radii. A network's perimeter is priced by the
 clusters' orientation rule (cluster.orientation_rule): a segment between a
 colored and a white region is weighed one sidedly, one between two distinct
-colored regions symmetrically. oriented_weight applies that rule to a whole
-network in one gauge call, and the weights are summed in segment order.
+colored regions symmetrically, by oriented_weight.
+
+Each move family is stated once, as arrays: for one configuration it gives
+a table of candidates (one row each, slides and tripods over all of
+EPS_GRID) with their segments in network order. improve stacks the base
+network and every family's rows, prices all their segments in one
+oriented_weight call, sums each row's weights in segment order, and builds
+a CompetitorNetwork only for the winner; enumerate_moves and the move_*
+functions build their networks from the same rows.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,13 +135,7 @@ class SliceConfig:
         return self._gaps
 
     def base_network(self):
-        pts = self.points()
-        O = np.zeros(2)
-        segs = [
-            NetSegment(O, pts[i], self.colors[i], self.colors[i - 1])
-            for i in range(self.n)
-        ]
-        return CompetitorNetwork(segments=segs, gauge=self.gauge)
+        return _network(self, _base(self), 0)
 
     def perimeter(self):
         return self.base_network().perimeter()
@@ -142,178 +144,273 @@ class SliceConfig:
         return plain({"angles_deg": np.degrees(self.angles), "colors": self.colors})
 
 
-def _kept_radii(config, removed, relabel=None):
-    """Radius segments minus removed indices, with optional label overrides.
+_FLAT = np.pi - 1e-12
 
-    relabel maps radius index -> (left, right) with None meaning keep.
+
+class _Table(NamedTuple):
+    """Candidate networks of one configuration as one table.
+
+    Row r is the network of moves[r]: its segments are the columns c with
+    real[r, c], in column order, running from p0[r, c] to p1[r, c] with the
+    labels left[r, c] and right[r, c]. Columns where real is False pad the
+    row and are never priced.
     """
-    pts = config.points()
-    O = np.zeros(2)
-    segs = []
-    for i in range(config.n):
-        if i in removed:
-            continue
-        left, right = config.colors[i], config.colors[i - 1]
-        if relabel and i in relabel:
-            nl, nr = relabel[i]
-            left = left if nl is None else nl
-            right = right if nr is None else nr
-        segs.append(NetSegment(O, pts[i], left, right))
-    return segs
+
+    moves: list
+    p0: np.ndarray
+    p1: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    real: np.ndarray
 
 
-def move_chord(config, k):
-    """Cut the sector k with the chord between its two radius endpoints.
+def _rows(config, moves, keep, left, right, extra=()):
+    """Rows of the radii kept in keep, with labels left/right, followed by
+    the extra segments; each extra is one column (q0, q1, left, right) of
+    per-row arrays."""
+    count, n = keep.shape
+    cols = [(np.zeros((count, n, 2)), np.broadcast_to(config.points(), (count, n, 2)), left, right, keep)]
+    for q0, q1, l, r in extra:
+        cols.append((q0[:, None], q1[:, None], l[:, None], r[:, None], np.ones((count, 1), bool)))
+    return _Table(list(moves), *(np.concatenate(a, axis=1) for a in zip(*cols)))
+
+
+def _stack(tables):
+    """One table of the rows of tables, in order, padded to equal width."""
+    width = max(t.real.shape[1] for t in tables)
+    out = [np.zeros((sum(len(t.moves) for t in tables), width) + a.shape[2:], a.dtype) for a in tables[0][1:]]
+    row = 0
+    for t in tables:
+        count, cols = t.real.shape
+        for o, a in zip(out, t[1:]):
+            o[row : row + count, :cols] = a
+        row += count
+    return _Table([m for t in tables for m in t.moves], *out)
+
+
+def _labels(config, count):
+    """Each radius's (left, right) labels, one row per candidate."""
+    c = np.array(config.colors)
+    return c, np.tile(c, (count, 1)), np.tile(np.roll(c, 1), (count, 1))
+
+
+def _base(config):
+    _, left, right = _labels(config, 1)
+    return _rows(config, [None], np.ones((1, config.n), bool), left, right)
+
+
+def _chords(config, ks):
+    """Cut each sector k of ks with the chord between its two radius endpoints.
 
     The radius absorbed into the relabeled inner triangle depends on which
     neighbouring sectors are white; the circular segment beyond the chord
     keeps the sector's label so the trace on the circle is unchanged.
+    Sectors spanning pi or more give no row.
     """
-    n = config.n
-    if config.gaps()[k] >= np.pi - 1e-12:
-        return None
-    c_p = config.colors[(k - 1) % n]
-    c_int = config.colors[k]
-    c_q = config.colors[(k + 1) % n]
-    kq = (k + 1) % n
-    if c_p == 0 and c_q == 0:
-        removed, tri = {k, kq}, 0
-    elif c_q == 0 and c_p != 0:
-        removed, tri = {k}, c_p
-    else:
-        removed, tri = {kq}, c_q
-    relabel = {}
-    if k not in removed:
-        relabel[k] = (tri, None)
-    if kq not in removed:
-        relabel[kq] = (None, tri)
-    segs = _kept_radii(config, removed, relabel)
-    pts = config.points()
-    segs.append(NetSegment(pts[k], pts[kq], tri, c_int))
-    return CompetitorNetwork(segments=segs, gauge=config.gauge)
+    n, pts = config.n, config.points()
+    ks = np.asarray(ks, dtype=int)
+    ks = ks[~(config.gaps()[ks] >= _FLAT)]
+    kq = (ks + 1) % n
+    c, left, right = _labels(config, len(ks))
+    c_p, c_int, c_q = c[ks - 1], c[ks], c[kq]
+    both = (c_p == 0) & (c_q == 0)
+    q_white = (c_q == 0) & ~both
+    # the triangle takes the label of the radius it absorbs
+    tri = np.where(both, 0, np.where(q_white, c_p, c_q))
+    row = np.arange(len(ks))
+    keep = np.ones((len(ks), n), bool)
+    keep[row, ks] = ~(both | q_white)
+    keep[row, kq] = q_white
+    left[row, ks] = tri
+    right[row, kq] = tri
+    moves = [("chord", k) for k in ks.tolist()]
+    return _rows(config, moves, keep, left, right, [(pts[ks], pts[kq], tri, c_int)])
 
 
-def move_join_whites(config, j, k):
-    """Chord off the colored span of sectors j..k between two white sectors.
+def _white_spans(config):
+    """(j, k): each maximal run of colored sectors j..k after a white one."""
+    n, colors = config.n, config.colors
+    spans = []
+    for j in range(n):
+        if colors[(j - 1) % n] != 0 or colors[j] == 0:
+            continue
+        k = j
+        while colors[(k + 1) % n] != 0:
+            k += 1
+        spans.append((j, k % n))
+    return spans
+
+
+def _join_whites(config, spans):
+    """Chord off each colored span of sectors j..k between two white sectors.
 
     Removes the two radii bounding the span, cuts from the span's end
-    radius to its start radius, and clips the interior radii to the chord;
-    the region under the chord merges with the white sectors.
+    radius to its start radius, and adds the part of each interior radius
+    beyond the chord; the region under the chord merges with the white
+    sectors. The interior radii themselves are kept whole as well, so their
+    parts under the chord are priced too. Spans that are not colored runs
+    between whites, or that span pi or more, give no row.
     """
-    n = config.n
-    span = list(range(j, j + (k - j) % n + 1))
-    idx = [s % n for s in span]
-    if any(config.colors[s] == 0 for s in idx):
-        return None
-    if config.colors[(j - 1) % n] != 0 or config.colors[(idx[-1] + 1) % n] != 0:
-        return None
-    gaps = config.gaps()
-    angle = sum(gaps[s] for s in idx)
-    if angle >= np.pi - 1e-12:
-        return None
-    kq = (idx[-1] + 1) % n
-    removed = {j % n, kq}
-    segs = _kept_radii(config, removed)
-    pts = config.points()
-    p_end, p_start = pts[kq], pts[j % n]
-    chord = p_start - p_end
-    pieces = []
-    prev = p_end
-    for s in reversed(idx[1:]):
+    n, pts, gaps = config.n, config.points(), config.gaps()
+    c = np.array(config.colors)
+    tables = []
+    for j, k in spans:
+        idx = np.arange(j, j + (k - j) % n + 1) % n
+        kq, j = (idx[-1] + 1) % n, j % n
+        if np.any(c[idx] == 0) or c[j - 1] != 0 or c[kq] != 0:
+            continue
+        # gaps summed one after another: the test at pi sees the last bit
+        if sum(gaps[idx].tolist()) >= _FLAT:
+            continue
+        _, left, right = _labels(config, 1)
+        keep = np.ones((1, n), bool)
+        keep[0, [j, kq]] = False
         # radius s crosses the chord at parameter t along p_end -> p_start
-        u = pts[s]
-        t = -float(cross2(p_end, u)) / float(cross2(chord, u))
-        hit = p_end + t * chord
-        segs.append(NetSegment(hit, u, config.colors[s], config.colors[s - 1]))
-        pieces.append(NetSegment(prev, hit, config.colors[s], 0))
-        prev = hit
-    pieces.append(NetSegment(prev, p_start, config.colors[j % n], 0))
-    segs.extend(pieces)
-    return CompetitorNetwork(segments=segs, gauge=config.gauge)
+        p_end, p_start = pts[kq], pts[j]
+        chord = p_start - p_end
+        inner = idx[1:][::-1]
+        u = pts[inner]
+        t = -cross2(p_end, u) / cross2(chord, u)
+        hits = p_end + t[:, None] * chord
+        clipped = [(h, p, c[s], c[s - 1]) for h, p, s in zip(hits, u, inner)]
+        ends = np.vstack([p_end, hits, p_start])
+        labels = np.append(c[inner], c[j])
+        pieces = [(a, b, lab, 0) for a, b, lab in zip(ends[:-1], ends[1:], labels)]
+        extra = [tuple(np.array([x]) for x in seg) for seg in clipped + pieces]
+        tables.append(_rows(config, [("join-whites", j, k % n)], keep, left, right, extra))
+    return _stack(tables) if tables else None
 
 
-def move_slide(config, m, side, eps):
-    """Slide the inner endpoint of radius m a distance eps along a neighbour.
+def _slides(config, pairs, eps):
+    """Slide the inner endpoint of radius m a distance e along a neighbour,
+    for each (m, side) of pairs and each e of eps.
 
     side +1 slides along the next radius counterclockwise, -1 along the
     previous one. The sliver swept between the old and new segment takes the
-    label of the sector on the far side of radius m.
+    label of the sector on the far side of radius m. Pairs whose swept
+    sector spans pi or more give no rows.
     """
-    n = config.n
+    n, pts, gaps = config.n, config.points(), config.gaps()
+    m, side = np.array(pairs, dtype=int).reshape(-1, 2).T
     j = (m + side) % n
-    gaps = config.gaps()
-    gap = gaps[m] if side == 1 else gaps[j]
-    if gap >= np.pi - 1e-12:
-        return None
-    pts = config.points()
-    v = eps * pts[j]
-    if side == 1:
-        near, far = config.colors[m], config.colors[(m - 1) % n]
-        chord_left, chord_right = near, far
-        stub_left, stub_right = config.colors[j], far
-    else:
-        near, far = config.colors[(m - 1) % n], config.colors[m]
-        chord_left, chord_right = far, near
-        stub_left, stub_right = far, config.colors[(j - 1) % n]
-    segs = _kept_radii(config, {m, j})
-    segs.append(NetSegment(v, pts[m], chord_left, chord_right))
-    segs.append(NetSegment(np.zeros(2), v, stub_left, stub_right))
-    segs.append(NetSegment(v, pts[j], config.colors[j], config.colors[(j - 1) % n]))
+    ok = ~(np.where(side == 1, gaps[m], gaps[j]) >= _FLAT)
+    m, side, j = m[ok], side[ok], j[ok]
+    c, left, right = _labels(config, len(m))
+    keep = np.ones((len(m), n), bool)
+    keep[np.arange(len(m)), m] = False
+    keep[np.arange(len(m)), j] = False
+    ahead = side == 1
+    stub_left = np.where(ahead, c[j], c[m])
+    stub_right = np.where(ahead, c[m - 1], c[j - 1])
+    e = len(eps)
+    v = (np.asarray(eps, dtype=float)[None, :, None] * pts[j][:, None, :]).reshape(-1, 2)
+    m, j, stub_left, stub_right = (np.repeat(a, e) for a in (m, j, stub_left, stub_right))
+    moves = [("slide", a, s, x) for a, s in zip(m[::e].tolist(), side.tolist()) for x in eps]
+    extra = [
+        (v, pts[m], c[m], c[m - 1]),
+        (np.zeros_like(v), v, stub_left, stub_right),
+        (v, pts[j], c[j], c[j - 1]),
+    ]
+    return _rows(config, moves, *(np.repeat(a, e, axis=0) for a in (keep, left, right)), extra)
+
+
+def _tripods(config, ms, eps):
+    """Replace radii m and m+1 by a Y for each m of ms and each e of eps:
+    two triple points instead of one.
+
+    The inner vertex sits at e times the sum of the two radius directions;
+    the three new segments carry the labels of the three sectors around the
+    replaced pair. Sectors spanning pi or more give no rows.
+    """
+    n, pts = config.n, config.points()
+    m = np.asarray(ms, dtype=int)
+    m = m[~(config.gaps()[m] >= _FLAT)]
+    mq = (m + 1) % n
+    c, left, right = _labels(config, len(m))
+    keep = np.ones((len(m), n), bool)
+    keep[np.arange(len(m)), m] = False
+    keep[np.arange(len(m)), mq] = False
+    e = len(eps)
+    w = (np.asarray(eps, dtype=float)[None, :, None] * (pts[m] + pts[mq])[:, None, :]).reshape(-1, 2)
+    moves = [("tripod", a, x) for a in m.tolist() for x in eps]
+    m, mq = np.repeat(m, e), np.repeat(mq, e)
+    extra = [
+        (np.zeros_like(w), w, c[mq], c[m - 1]),
+        (w, pts[m], c[m], c[m - 1]),
+        (w, pts[mq], c[mq], c[m]),
+    ]
+    return _rows(config, moves, *(np.repeat(a, e, axis=0) for a in (keep, left, right)), extra)
+
+
+def _families(config):
+    """Every move family's rows, in enumerate_moves order."""
+    n = range(config.n)
+    tables = [
+        _chords(config, n),
+        _join_whites(config, _white_spans(config)),
+        _slides(config, [(m, side) for m in n for side in (1, -1)], EPS_GRID),
+        _tripods(config, n, EPS_GRID),
+    ]
+    return [t for t in tables if t is not None]
+
+
+def _network(config, rows, r):
+    """The competitor network of row r."""
+    p0, p1 = rows.p0[r].copy(), rows.p1[r].copy()
+    left, right = rows.left[r].tolist(), rows.right[r].tolist()
+    segs = [NetSegment(p0[s], p1[s], left[s], right[s]) for s in np.flatnonzero(rows.real[r])]
     return CompetitorNetwork(segments=segs, gauge=config.gauge)
+
+
+def _only(config, rows):
+    return _network(config, rows, 0) if rows is not None and rows.moves else None
+
+
+def _perimeters(gauge, rows):
+    """Each row's perimeter. Every real segment is priced in one
+    oriented_weight call; each row's weights are then summed in segment
+    order, because analytically tied moves must keep their order (the
+    padding adds exact zeros)."""
+    real = rows.real
+    w = np.zeros(real.shape)
+    w[real] = oriented_weight(gauge, rows.p1[real] - rows.p0[real], rows.left[real], rows.right[real])
+    return np.cumsum(w, axis=1)[:, -1]
+
+
+def _priced(config):
+    """The table of the base network (row 0) and every candidate, in
+    enumerate_moves order, and each row's perimeter."""
+    rows = _stack([_base(config), *_families(config)])
+    return rows, _perimeters(config.gauge, rows)
+
+
+def move_chord(config, k):
+    """The chord move at sector k (see _chords), or None."""
+    return _only(config, _chords(config, [k]))
+
+
+def move_join_whites(config, j, k):
+    """The join-whites move of the span of sectors j..k (see _join_whites),
+    or None."""
+    return _only(config, _join_whites(config, [(j, k)]))
+
+
+def move_slide(config, m, side, eps):
+    """The slide of radius m by eps towards side (see _slides), or None."""
+    return _only(config, _slides(config, [(m, side)], (eps,)))
 
 
 def move_tripod(config, m, eps):
-    """Replace radii m and m+1 by a Y: two triple points instead of one.
-
-    The inner vertex sits at eps times the sum of the two radius directions;
-    the three new segments carry the labels of the three sectors around the
-    replaced pair.
-    """
-    n = config.n
-    mq = (m + 1) % n
-    if config.gaps()[m] >= np.pi - 1e-12:
-        return None
-    pts = config.points()
-    w = eps * (pts[m] + pts[mq])
-    c_ab = config.colors[(m - 1) % n]
-    c_bc = config.colors[m]
-    c_cd = config.colors[mq]
-    segs = _kept_radii(config, {m, mq})
-    segs.append(NetSegment(np.zeros(2), w, c_cd, c_ab))
-    segs.append(NetSegment(w, pts[m], c_bc, c_ab))
-    segs.append(NetSegment(w, pts[mq], c_cd, c_bc))
-    return CompetitorNetwork(segments=segs, gauge=config.gauge)
+    """The tripod at radii m and m+1 with inner vertex scale eps (see
+    _tripods), or None."""
+    return _only(config, _tripods(config, [m], (eps,)))
 
 
 def enumerate_moves(config):
     """Yield (move descriptor, network) over all families, deterministic order."""
-    n = config.n
-    for k in range(n):
-        net = move_chord(config, k)
-        if net is not None:
-            yield ("chord", k), net
-    for j in range(n):
-        if config.colors[(j - 1) % n] != 0 or config.colors[j] == 0:
-            continue
-        k = j
-        while config.colors[(k + 1) % n] != 0:
-            k += 1
-        net = move_join_whites(config, j, k % n)
-        if net is not None:
-            yield ("join-whites", j, k % n), net
-    for m in range(n):
-        for side in (1, -1):
-            for eps in EPS_GRID:
-                net = move_slide(config, m, side, eps)
-                if net is None:
-                    break
-                yield ("slide", m, side, eps), net
-    for m in range(n):
-        for eps in EPS_GRID:
-            net = move_tripod(config, m, eps)
-            if net is None:
-                break
-            yield ("tripod", m, eps), net
+    rows = _stack(_families(config))
+    for r, move in enumerate(rows.moves):
+        yield move, _network(config, rows, r)
 
 
 def improve(config):
@@ -322,23 +419,23 @@ def improve(config):
     Needs more than three radii. For smooth strictly convex gauges the
     returned delta is positive; for kinked or flat-sided gauges the best
     candidate is still returned, with the guarantee flag cleared (delta may
-    be nonpositive). Of equal deltas the first enumerated wins.
+    be nonpositive). Of equal deltas the first enumerated wins. The base
+    network and every candidate are priced in one oriented_weight call, and
+    only the winner is built as a network.
     """
     if config.n < 4:
         raise ValueError("hypothesis not met: need more than three radii")
-    base = config.perimeter()
-    best = None
-    for desc, net in enumerate_moves(config):
-        delta = base - net.perimeter()
-        if best is None or delta > best[0]:
-            best = (delta, desc, net)
-    if best is None:
+    rows, prices = _priced(config)
+    if len(rows.moves) == 1:
         raise ValueError("no applicable move (all sectors span at least pi)")
-    delta, desc, net = best
+    base = float(prices[0])
+    deltas = base - prices[1:]
+    r = int(np.argmax(deltas))
+    delta = float(deltas[r])
     return ImproveResult(
-        network=net,
+        network=_network(config, rows, r + 1),
         delta=delta,
-        move=desc,
+        move=rows.moves[r + 1],
         perimeter_before=base,
         perimeter_after=base - delta,
         guaranteed=_strictly_convex(config.gauge),

@@ -120,6 +120,57 @@ def test_single_vectors_round_like_batches(all_gauges, rng):
         assert np.array_equal(np.array([g.grad(x) for x in v]), g.grad(v)), g
 
 
+def _lp_value_reference(p, v):
+    """LpGauge.value as an errstate block and a where, with the exponent
+    tested on every call: the formula the gauge must reproduce bit for bit."""
+    v = np.abs(np.asarray(v, dtype=float))
+    if np.isinf(p):
+        return v.max(axis=-1)
+    m = v.max(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = v / m[..., None]
+    r = np.where(m[..., None] > 0, r, 0.0)
+    rp = r**p
+    return m * np.power(rp[..., 0] + rp[..., 1], 1.0 / p)
+
+
+def _lp_grad_reference(p, v):
+    v = np.asarray(v, dtype=float)
+    a = np.abs(v)
+    s = np.sign(v)
+    if np.isinf(p):
+        is_max = a >= a.max(axis=-1)[..., None] - 0.0
+        tie = a[..., 0] == a[..., 1]
+        g = np.where(is_max, s, 0.0)
+        return np.where(tie[..., None], 0.5 * g, g)
+    if p == 1.0:
+        return s
+    val = _lp_value_reference(p, v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = a / val[..., None]
+    r = np.where(val[..., None] > 0, r, 0.0)
+    return r ** (p - 1.0) * s
+
+
+LP_EXPONENTS = (1.0, 1.5, 3.0, 8.0, 128.0, np.inf)
+# the origin and the axis directions, where the ratio to the largest
+# coordinate is 0/0 or has a zero entry
+LP_EDGE_VECTORS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [0.0, 2.5e-3]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(vectors, special_vectors), min_size=1, max_size=6))
+def test_lp_gauge_matches_its_reference_formula_bit_for_bit(vs):
+    batch = np.vstack(vs + list(LP_EDGE_VECTORS))
+    for p in LP_EXPONENTS:
+        gauge = ac.LpGauge(p)
+        assert np.array_equal(gauge.value(batch), _lp_value_reference(p, batch)), p
+        assert np.array_equal(gauge.grad(batch), _lp_grad_reference(p, batch)), p
+        for v in batch:
+            assert gauge.value(v) == _lp_value_reference(p, v), (p, v)
+            assert np.array_equal(gauge.grad(v), _lp_grad_reference(p, v)), (p, v)
+
+
 def test_euler_identity_all_gauges(all_gauges, rng):
     # any (sub)gradient of a 1-homogeneous convex function satisfies grad.v = value;
     # the exact diagonal directions are the corners of the kinked balls

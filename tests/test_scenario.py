@@ -182,6 +182,20 @@ class TestErrorPaths:
         raw = base("triples", TRIPLES, domain={"shape": "hexagon"})
         assert err_path(raw) == "scenario.domain.shape"
 
+    @pytest.mark.parametrize(
+        "domain",
+        [
+            {"shape": "rect", "xmin": 1, "xmax": -1, "ymin": -1, "ymax": 1},
+            {"shape": "rect", "xmin": -1, "xmax": 1, "ymin": 2, "ymax": 2},
+        ],
+    )
+    def test_empty_rect_domain(self, domain):
+        raw = base("triples", TRIPLES, domain=domain)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(raw)
+        assert exc.value.path == "scenario.domain"
+        assert "empty rectangle" in exc.value.message
+
     def test_unknown_builder(self):
         blk = {"cluster": {"builder": {"name": "megacross"}}}
         assert err_path(base("perimeter", blk)) == "scenario.perimeter.cluster.builder.name"
@@ -334,10 +348,14 @@ class TestSchemaAndCodeAgree:
         defs = json.loads(SCHEMA_PATH.read_text())["$defs"]
         options = set(defs["solve"]["properties"]["options"]["properties"])
         assert options == {f.name for f in fields(SolveOptions)} - {"seed"}
-        builder = defs["cluster"]["oneOf"][0]["properties"]["builder"]["properties"]
-        tables = {key for _, table, _ in scenario._BUILDERS.values() for key in table}
-        assert set(builder) - {"name"} == tables
-        assert set(builder["name"]["enum"]) == set(scenario._BUILDERS)
+        builder = defs["cluster"]["oneOf"][0]["properties"]["builder"]
+        assert set(builder["properties"]["name"]["enum"]) == set(scenario._BUILDERS)
+        # one branch per builder, with its keys and required keys
+        branches = {b["properties"]["name"]["const"]: b for b in builder["oneOf"]}
+        assert set(branches) == set(scenario._BUILDERS)
+        for name, (_, table, required) in scenario._BUILDERS.items():
+            assert set(branches[name]["properties"]) - {"name"} == set(table), name
+            assert set(branches[name].get("required", ())) == set(required), name
         task_enum = json.loads(SCHEMA_PATH.read_text())["properties"]["task"]["enum"]
         report_enum = json.loads((SCHEMA_DIR / "report.schema.json").read_text())["properties"]["task"]["enum"]
         assert set(task_enum) == set(report_enum) == set(scenario.TASKS) == set(_RUNNERS)
@@ -381,6 +399,43 @@ class TestShippedScenarios:
             raw = json.loads(f.read_text())
             errors = list(validator.iter_errors(raw))
             assert errors == [], f"{f.name}: {[e.message for e in errors]}"
+
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            {"name": "square-cross", "n_sub": 2, "half": 1.5, "jitter": 0.1, "seed": 3},
+            {"name": "regular-polygon", "n": 6, "area": 2.0},
+            {"name": "double-bubble", "n_arc": 8, "bulge": 0.5},
+            {"name": "polygon", "points": [[0, 0], [1, 0], [0, 1]]},
+        ],
+        ids=lambda b: b["name"],
+    )
+    def test_schema_and_loader_accept_each_builder(self, builder):
+        import jsonschema
+
+        raw = base("perimeter", {"cluster": {"builder": builder}})
+        validator = jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text()))
+        assert list(validator.iter_errors(raw)) == []
+        parse_scenario(raw)
+
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            {"name": "regular-polygon"},
+            {"name": "square-cross", "n_arc": 8},
+            {"name": "polygon"},
+            {"name": "double-bubble", "points": [[0, 0], [1, 0], [0, 1]]},
+        ],
+        ids=["polygon-without-n", "cross-with-n_arc", "polygon-without-points", "bubble-with-points"],
+    )
+    def test_schema_rejects_what_the_loader_rejects(self, builder):
+        import jsonschema
+
+        raw = base("perimeter", {"cluster": {"builder": builder}})
+        with pytest.raises(ScenarioError):
+            parse_scenario(raw)
+        validator = jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text()))
+        assert list(validator.iter_errors(raw)) != []
 
     def test_schema_rejects_unknown_top_key(self):
         import jsonschema

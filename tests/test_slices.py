@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from anisoclusters import (
-    CompetitorNetwork,
     EllipseGauge,
     EuclideanGauge,
     LpGauge,
@@ -23,7 +22,7 @@ from anisoclusters import slices
 from anisoclusters.geometry import polyline_self_intersects, rotate_cw
 from anisoclusters.slices import enumerate_moves
 
-from conftest import random_slice_config, star_polygon
+from conftest import odd_profile_gauge, random_slice_config, star_polygon
 
 
 class TestOrientedWeight:
@@ -186,6 +185,49 @@ class TestMoves:
         assert move_join_whites(wide, 0, 1) is None
 
 
+    def test_moves_keep_side_labels_consistent(self):
+        # around every vertex, the region between two neighbouring arms has
+        # one label, read on the counterclockwise side of the one and the
+        # clockwise side of the other; at the circle the arcs keep their
+        # sector's label inside and the exterior (-1) outside. join-whites
+        # moves that clip interior radii keep those radii whole from the
+        # centre as well, so their sides disagree under the chord: they are
+        # left out here
+        rng = np.random.default_rng(5)
+        checked = set()
+        for _ in range(15):
+            cfg = random_slice_config(rng, EuclideanGauge())
+            for desc, net in enumerate_moves(cfg):
+                if desc[0] == "join-whites" and desc[1] != desc[2]:
+                    continue
+                assert side_label_faults(cfg, net) == [], desc
+                checked.add(desc[0])
+        assert checked == {"chord", "join-whites", "slide", "tripod"}
+
+
+def side_label_faults(cfg, net):
+    """Vertices of net where neighbouring arms disagree on the label between
+    them; the circle's arcs count as arms at each radius endpoint."""
+    arms = {}
+
+    def add(p, d, ccw, cw):
+        key = (round(float(p[0]), 9), round(float(p[1]), 9))
+        arms.setdefault(key, []).append((float(np.arctan2(d[1], d[0])), ccw, cw))
+
+    for s in net.segments:
+        add(s.p0, s.p1 - s.p0, s.left, s.right)
+        add(s.p1, s.p0 - s.p1, s.right, s.left)
+    for i, p in enumerate(cfg.points()):
+        tangent = np.array([-p[1], p[0]])
+        add(p, tangent, cfg.colors[i], -1)
+        add(p, -tangent, -1, cfg.colors[i - 1])
+    faults = []
+    for key, around in arms.items():
+        around.sort()
+        if any(a[1] != b[2] for a, b in zip(around, around[1:] + around[:1])):
+            faults.append(key)
+    return faults
+
 class TestImprove:
     def test_needs_more_than_three_radii(self):
         cfg = SliceConfig(np.radians([0, 120, 240]), [1, 2, 3], EuclideanGauge())
@@ -298,35 +340,69 @@ def criterion_07_draws():
     return draws
 
 
-def test_improve_matches_the_scalar_oracle(monkeypatch):
-    # improve prices the base network and then every candidate; each price
-    # agrees with the oracle (single-vector and batched ellipse evaluations
-    # may differ in the last bit), and improve returns the oracle's move,
-    # the first of the largest oracle deltas
-    priced = []
-    price = CompetitorNetwork.perimeter
-
-    def recorded(net):
-        priced.append((net, price(net)))
-        return priced[-1][1]
-
-    monkeypatch.setattr(CompetitorNetwork, "perimeter", recorded)
+def test_improve_matches_the_scalar_oracle():
+    # improve prices the base network (row 0 of its table) and then every
+    # candidate; each price agrees with the oracle (single-vector and
+    # batched ellipse evaluations may differ in the last bit), and improve
+    # returns the oracle's move, the first of the largest oracle deltas
     for cfg in criterion_07_draws():
-        priced.clear()
         res = improve(cfg)
+        rows, prices = slices._priced(cfg)
         memo = {}
-        (base_net, base), *candidates = priced
-        oracle_base = scalar_perimeter(base_net, memo)
-        assert abs(base - oracle_base) <= 1e-14, cfg.spec()
-        assert len(candidates) == sum(1 for _ in enumerate_moves(cfg))
+        oracle_base = scalar_perimeter(cfg.base_network(), memo)
+        assert abs(prices[0] - oracle_base) <= 1e-14, cfg.spec()
+        enumerated = list(enumerate_moves(cfg))
+        assert len(prices) - 1 == len(enumerated), cfg.spec()
         best = None
-        for net, p in candidates:
+        for (desc, net), move, p in zip(enumerated, rows.moves[1:], prices[1:]):
+            assert desc == move, cfg.spec()
             q = scalar_perimeter(net, memo)
             assert abs(p - q) <= 1e-14, cfg.spec()
             if best is None or oracle_base - q > best[0]:
-                best = (oracle_base - q, net)
-        assert res.network is best[1], cfg.spec()
+                best = (oracle_base - q, desc)
+        assert res.move == best[1], cfg.spec()
         assert abs(res.delta - best[0]) <= 1e-14, cfg.spec()
+
+
+def reference_improve(config):
+    """Test-only reference: improve as a loop over the enumerated networks,
+    each priced by its own oriented_weight call and summed in segment
+    order, keeping the first strictly largest delta."""
+    base = config.perimeter()
+    best = None
+    for desc, net in enumerate_moves(config):
+        delta = base - net.perimeter()
+        if best is None or delta > best[0]:
+            best = (delta, desc, net)
+    delta, desc, net = best
+    return desc, delta, base, base - delta, net
+
+
+def white_sector_draws():
+    """Random configurations, most with white sectors, under asymmetric and
+    kinked gauges."""
+    rng = np.random.default_rng(4242)
+    gauges = [ShiftedDiskGauge((0.2, -0.1), 1.0), odd_profile_gauge(), LpGauge(np.inf), LpGauge(1.0)]
+    return [random_slice_config(rng, gauges[t % 4]) for t in range(60)]
+
+
+def test_improve_equals_the_per_network_loop():
+    draws = criterion_07_draws() + white_sector_draws()
+    families = set()
+    for cfg in draws:
+        res = improve(cfg)
+        move, delta, before, after, net = reference_improve(cfg)
+        assert res.move == move, cfg.spec()
+        assert res.delta == delta, cfg.spec()
+        assert res.perimeter_before == before, cfg.spec()
+        assert res.perimeter_after == after, cfg.spec()
+        assert len(res.network.segments) == len(net.segments), cfg.spec()
+        for a, b in zip(res.network.segments, net.segments):
+            assert np.array_equal(a.p0, b.p0) and np.array_equal(a.p1, b.p1), cfg.spec()
+            assert (a.left, a.right) == (b.left, b.right), cfg.spec()
+        families.update(desc[0] for desc, _ in enumerate_moves(cfg))
+    assert families == {"chord", "join-whites", "slide", "tripod"}
+    assert sum(0 in cfg.colors for cfg in draws) >= 100
 
 
 class TestPathLength:
