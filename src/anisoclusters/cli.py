@@ -154,12 +154,7 @@ def _run_solve(scn, seed):
 
 def _run_diagnose(scn, seed):
     cluster = scn.payload["cluster"]
-    rep = steiner_diagnose(
-        cluster,
-        scn.density,
-        fit_points=scn.payload.get("fit_points", 5),
-        merge_radius=scn.payload.get("merge_radius", 0.0),
-    )
+    rep = steiner_diagnose(cluster, scn.density, fit_points=scn.payload.get("fit_points", 5))
     result = rep.spec()
 
     def render():

@@ -77,7 +77,6 @@ from .cluster import (
     segment_weights,
     validate,
     vertex_arms,
-    weighted_perimeter,
     weighted_volume,
 )
 from .density import Density
@@ -677,13 +676,15 @@ def _solve_single(cluster, density, targets, opts, start_index, rs_len):
     errors = (vols - targets) / targets
     emax = float(np.max(np.abs(errors)))
     success = converged and emax <= opts.vol_tol
-    if not success and "non_convergence" not in flags:
+    if not success:
         flags.append("non_convergence")
+    parts = perimeter_breakdown(cl, density)
+    wall, _, _ = _edge_roles(cl)
     return SolveReport(
         cluster=cl,
         success=success,
-        perimeter=weighted_perimeter(cl, density),
-        interface_perimeter=interface_perimeter(cl, density),
+        perimeter=float(parts.sum()),
+        interface_perimeter=float(parts[~wall].sum()),
         volumes=vols,
         volume_errors=errors,
         perimeter_trace=trace,
@@ -767,13 +768,12 @@ class JunctionInfo:
     non_triple: bool
 
 
-def detect_junctions(cluster, radius=0.0):
+def detect_junctions(cluster):
     """Vertices where three or more distinct chamber labels meet.
 
     Arms are reported in clockwise order with unit chord directions;
     sector_colors[i] is the label swept clockwise from arm i to arm i+1.
-    Junctions with other than three arms are flagged non_triple. A positive
-    radius merges nearby candidates, keeping the one with the most arms.
+    Junctions with other than three arms are flagged non_triple.
     """
     out = []
     for v, lst in sorted(vertex_arms(cluster).items()):
@@ -802,19 +802,6 @@ def detect_junctions(cluster, radius=0.0):
                 non_triple=len(arms) != 3,
             )
         )
-    if radius and radius > 0 and len(out) > 1:
-        merged, used = [], [False] * len(out)
-        for i in range(len(out)):
-            if used[i]:
-                continue
-            grp = [i]
-            for j in range(i + 1, len(out)):
-                if not used[j] and np.linalg.norm(out[i].point - out[j].point) <= radius:
-                    used[j] = True
-                    grp.append(j)
-            rep = max(grp, key=lambda g: (out[g].n_arms, -out[g].vertex))
-            merged.append(out[rep])
-        out = merged
     return out
 
 
@@ -846,7 +833,7 @@ class DiagnoseReport:
         return plain(vars(self))
 
 
-def steiner_diagnose(cluster, density, fit_points=5, merge_radius=0.0):
+def steiner_diagnose(cluster, density, fit_points=5):
     """Junction stationarity residuals and arc smoothness statistics.
 
     Tangents at each junction come from a circle fit through the first
@@ -857,7 +844,7 @@ def steiner_diagnose(cluster, density, fit_points=5, merge_radius=0.0):
     """
     junctions = []
     flags = []
-    for info in detect_junctions(cluster, radius=merge_radius):
+    for info in detect_junctions(cluster):
         jflags = []
         tangents = []
         for a in info.arms:

@@ -30,6 +30,7 @@ from .cluster import Cluster
 from .density import Density, DiskDomain, Rect
 from .gauge import gauge_from_spec
 from .optimizer import SolveOptions
+from .steiner import MODE_SIDES
 
 SCHEMA_VERSION = 1
 
@@ -264,7 +265,7 @@ def _modes(obj, path):
     if not isinstance(obj, list) or len(obj) != 3:
         raise ScenarioError(path, "expected three of 'out'/'in'/'sym'")
     for k, m in enumerate(obj):
-        if m not in ("out", "in", "sym"):
+        if m not in MODE_SIDES:
             raise ScenarioError(f"{path}[{k}]", "expected 'out', 'in' or 'sym'")
     return tuple(obj)
 
@@ -295,7 +296,7 @@ _TASK_BLOCKS = {
     "slices": ({"angles_deg": _numbers(2), "colors": _indices}, ("angles_deg", "colors")),
     "perimeter": ({"cluster": _cluster}, ("cluster",)),
     "solve": ({"cluster": _cluster, "targets": _numbers(1), "options": _OPTIONS}, ("cluster", "targets")),
-    "diagnose": ({"cluster": _cluster, "fit_points": _at_least(2), "merge_radius": _positive}, ("cluster",)),
+    "diagnose": ({"cluster": _cluster, "fit_points": _at_least(2)}, ("cluster",)),
     "gaugeprobe": ({"directions": _at_least(8)}, ()),
 }
 

@@ -6,8 +6,10 @@ respect to their directions, sum to zero (each gradient is a Cahn-Hoffman
 vector; Hoffman and Cahn 1972). junction_residual prices each arm as the
 solver prices a segment, through cluster.orientation_rule: an arm beside
 the white sector carries its one-sided weight, an arm between two chambers
-the mean of its two sides. For a symmetric gauge every arm's gradient is
-the plain gauge gradient at its normal, rotated back.
+the mean of its two sides. fermat_point prices its three arms through the
+same rule, each arm's mode naming its side labels in MODE_SIDES. For a
+symmetric gauge every arm's gradient is the plain gauge gradient at its
+normal, rotated back.
 """
 
 from __future__ import annotations
@@ -52,20 +54,11 @@ class AdmissibleTriple:
         return np.array([self.a, self.b, self.c])
 
 
-def _term_value_grad(gauge, x, p, mode):
-    """Value and d/dp of one Fermat term for terminal x."""
-    if mode == "out":
-        v = gauge.value(x - p)
-        g = -gauge.grad(x - p)
-    elif mode == "in":
-        v = gauge.value(p - x)
-        g = gauge.grad(p - x)
-    elif mode == "sym":
-        v = 0.5 * (gauge.value(x - p) + gauge.value(p - x))
-        g = 0.5 * (gauge.grad(p - x) - gauge.grad(x - p))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return float(v), g
+# mode: the (left, right) side labels orientation_rule reads for the arm
+# from the junction point P to terminal X, whose forward weight is
+# gauge(X - P): "out" has white on the right and pays gauge(X - P), "in"
+# white on the left and pays gauge(P - X), "sym" two chambers and their mean
+MODE_SIDES = {"out": (1, 0), "in": (0, 1), "sym": (1, 2)}
 
 
 def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_iter=5000):
@@ -73,11 +66,19 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
 
     gauge weighs oriented segments (a tangent gauge); modes pick each
     terminal's orientation: 'out' costs gauge(X - P), 'in' costs
-    gauge(P - X), 'sym' averages both. Descent with backtracking from the
-    centroid; stops when the gradient norm drops below tol * scale or no
-    strictly decreasing step remains. A minimizer within 1e-8 * scale of a
-    terminal is snapped to it and flagged as degenerate.
+    gauge(P - X), 'sym' averages both. Each arm is priced, value and
+    gradient, through cluster.orientation_rule with its MODE_SIDES labels.
+    Descent with backtracking from the centroid; stops when the gradient
+    norm drops below tol * scale or no strictly decreasing step remains. A
+    minimizer within 1e-8 * scale of a terminal is snapped to it and flagged
+    as degenerate.
     """
+    if isinstance(modes, str) or len(modes) != 3:
+        raise ValueError("need exactly three modes, one per terminal")
+    for mode in modes:
+        if mode not in MODE_SIDES:
+            raise ValueError(f"unknown mode {mode!r}")
+    left, right = np.array([MODE_SIDES[m] for m in modes]).T
     pts = np.array([a, b, c], dtype=float)
     scale = max(np.linalg.norm(pts[i] - pts[j]) for i in range(3) for j in range(i + 1, 3))
     if scale <= 0 or min(
@@ -88,13 +89,16 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
     collinear = area2 < 1e-12 * scale * scale
 
     def objective(p):
-        val = 0.0
-        grad = np.zeros(2)
-        for x, mode in zip(pts, modes):
-            v, g = _term_value_grad(gauge, x, p, mode)
-            val += v
-            grad += g
-        return val, grad
+        # one gauge call each for the value and the gradient of all six
+        # one-sided weights, gauge(X - P) then gauge(P - X); d/dP of the
+        # forward weight is -grad(X - P), of the reverse one grad(P - X)
+        arms = np.concatenate([pts - p, p - pts])
+        h, dh = gauge.value(arms), gauge.grad(arms)
+        w = orientation_rule(h[:3], h[3:], left, right).tolist()
+        dw = orientation_rule(-dh[:3], dh[3:], left[:, None], right[:, None])
+        # summed in terminal order, one term at a time (sum() of floats
+        # compensates its rounding from Python 3.12 on)
+        return w[0] + w[1] + w[2], np.zeros(2) + dw[0] + dw[1] + dw[2]
 
     p = pts.mean(axis=0)
     fval, grad = objective(p)
@@ -138,6 +142,8 @@ def fermat_modes_for_colors(colors):
     white sector: the two arcs bounding it carry full one-sided weights.
     """
     colors = list(colors)
+    if len(colors) != 3:
+        raise ValueError("need exactly three sector colors")
     whites = [i for i, c in enumerate(colors) if c == 0]
     if len(whites) == 0:
         return ("sym", "sym", "sym"), 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import rotate_ccw, unit_dir
+from .steiner import MODE_SIDES
 
 PALETTE = (
     "#a6cee3",
@@ -248,16 +249,13 @@ def render_cluster_svg(cluster, junction_points=None, size=640, arrows=True):
 def render_network_svg(segments, ghost_segments=None, circle_radius=None, size=640):
     """Slice networks: optional reference circle, segments with weight arrows.
 
-    segments: iterable of objects with p0, p1, left, right attributes (or
-    4-tuples). ghost_segments are drawn dashed gray underneath, for
-    before/after comparisons.
+    segments: iterable of objects with p0, p1, left, right attributes.
+    ghost_segments are drawn dashed gray underneath, for before/after
+    comparisons.
     """
 
     def unpack(s):
-        if hasattr(s, "p0"):
-            return np.asarray(s.p0, float), np.asarray(s.p1, float), s.left, s.right
-        p0, p1, left, right = s
-        return np.asarray(p0, float), np.asarray(p1, float), left, right
+        return np.asarray(s.p0, float), np.asarray(s.p1, float), s.left, s.right
 
     segs = [unpack(s) for s in segments]
     ghosts = [unpack(s) for s in ghost_segments or []]
@@ -310,7 +308,9 @@ def render_gauge_svg(gauge, n=256, size=640):
 
 
 def render_fermat_svg(terminals, point, modes, size=640):
-    """Terminals, the junction point, and one weighted arm per terminal."""
+    """Terminals, the junction point, and one weighted arm per terminal. An
+    arm's arrows are those of the segment from the point to its terminal
+    with its mode's side labels (steiner.MODE_SIDES)."""
     terminals = np.asarray(terminals, dtype=float)
     point = np.asarray(point, dtype=float)
     lo, hi = _bbox(np.vstack([terminals, point[None, :]]))
@@ -320,14 +320,7 @@ def render_fermat_svg(terminals, point, modes, size=640):
     labels = ("A", "B", "C")
     for x, mode, lab in zip(terminals, modes, labels):
         elements.append(_polyline(canvas, [point, x], "#222222", 1.8))
-        mid = 0.5 * (point + x)
-        if mode == "out":
-            elements.extend(_arrow(canvas, mid, x - point, ARROW_PX))
-        elif mode == "in":
-            elements.extend(_arrow(canvas, mid, point - x, ARROW_PX))
-        else:
-            elements.extend(_arrow(canvas, mid, x - point, HALF_ARROW_PX, 4.0))
-            elements.extend(_arrow(canvas, mid, point - x, HALF_ARROW_PX, 4.0))
+        elements.extend(_segment_arrows(canvas, point, x, *MODE_SIDES[mode]))
         elements.append(_marker(canvas, x, 4.0, "#1f78b4"))
         elements.append(_text(canvas, x, lab))
     elements.append(_marker(canvas, point, 4.5, "#d62728"))

@@ -883,11 +883,6 @@ class TestJunctionDetection:
         assert by_arms[-1].non_triple
         assert sorted(by_arms[-1].sector_colors) == [1, 2, 3, 4]
 
-    def test_merge_radius_keeps_largest(self):
-        js = detect_junctions(square_cross_cluster(n_sub=4), radius=3.0)
-        assert len(js) == 1
-        assert js[0].n_arms == 4
-
     def test_arms_ordered_clockwise(self):
         for j in detect_junctions(exact_double_bubble()):
             ang = np.array([a["angle"] for a in j.arms])

@@ -19,6 +19,7 @@ from anisoclusters import (
 )
 from anisoclusters import scenario
 from anisoclusters.cli import _RUNNERS
+from anisoclusters.steiner import MODE_SIDES
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "src" / "anisoclusters" / "schemas"
@@ -276,6 +277,10 @@ class TestErrorPaths:
             blk = dict(SOLVE, options={key: 1.0})
             assert err_path(base("solve", blk)) == f"scenario.solve.options.{key}"
 
+    def test_retired_merge_radius_rejected(self):
+        blk = dict(DIAGNOSE, merge_radius=0.5)
+        assert err(base("diagnose", blk)) == ("scenario.diagnose.merge_radius", "unknown key")
+
 
 def err(raw):
     with pytest.raises(ScenarioError) as exc:
@@ -359,6 +364,13 @@ class TestSchemaAndCodeAgree:
         task_enum = json.loads(SCHEMA_PATH.read_text())["properties"]["task"]["enum"]
         report_enum = json.loads((SCHEMA_DIR / "report.schema.json").read_text())["properties"]["task"]["enum"]
         assert set(task_enum) == set(report_enum) == set(scenario.TASKS) == set(_RUNNERS)
+
+    def test_task_blocks_and_modes(self):
+        defs = json.loads(SCHEMA_PATH.read_text())["$defs"]
+        for task, (table, required) in scenario._TASK_BLOCKS.items():
+            assert set(defs[task]["properties"]) == set(table), task
+            assert set(defs[task].get("required", ())) == set(required), task
+        assert defs["fermat"]["properties"]["modes"]["items"]["enum"] == list(MODE_SIDES)
 
 
 class TestLoadScenario:

@@ -1,5 +1,7 @@
 """Anisotropic three-terminal junctions and admissible direction pairs."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
@@ -18,7 +20,8 @@ from anisoclusters import (
 )
 from anisoclusters.cluster import segment_weights
 from anisoclusters.geometry import unit_dir
-from conftest import odd_profile_gauge, smooth_gauge_list
+from anisoclusters.steiner import MODE_SIDES
+from conftest import all_gauge_list, odd_profile_gauge, smooth_gauge_list
 
 TERMINALS = np.array([[0.0, 0.0], [2.0, 0.2], [0.7, 1.8]])
 
@@ -124,6 +127,104 @@ class TestFermatPoint:
         with pytest.raises(ValueError):
             fermat_point(EuclideanGauge(), *TERMINALS, modes=("out", "out", "spin"))
 
+    @pytest.mark.parametrize("modes", [("out", "out"), ("out",) * 4, (), "sym"])
+    def test_rejects_other_than_three_modes(self, modes):
+        # two modes once dropped terminal C; a string was read letter by letter
+        with pytest.raises(ValueError, match="three modes"):
+            fermat_point(EuclideanGauge(), *TERMINALS, modes=modes)
+
+    def test_one_value_and_one_grad_call_per_evaluation(self):
+        gauge = CountingGauge(ShiftedDiskGauge((0.2, -0.1), 1.0))
+        res = fermat_point(gauge, *TERMINALS, modes=("out", "in", "sym"))
+        assert gauge.shapes["value"] == gauge.shapes["grad"]
+        assert len(gauge.shapes["value"]) > res.iterations
+        assert set(gauge.shapes["value"]) == {(6, 2)}
+
+
+class CountingGauge:
+    """A gauge that records the shape of every value and grad batch."""
+
+    def __init__(self, base):
+        self.base = base
+        self.shapes = {"value": [], "grad": []}
+
+    def value(self, v):
+        self.shapes["value"].append(np.shape(v))
+        return self.base.value(v)
+
+    def grad(self, v):
+        self.shapes["grad"].append(np.shape(v))
+        return self.base.grad(v)
+
+
+def reference_fermat(gauge, pts, modes):
+    """fermat_point's descent, at its default tol and max_iter, with each arm
+    priced on its own, by mode: (point, value, iterations)."""
+
+    def term(x, p, mode):
+        if mode == "out":
+            return float(gauge.value(x - p)), -gauge.grad(x - p)
+        if mode == "in":
+            return float(gauge.value(p - x)), gauge.grad(p - x)
+        v = 0.5 * (gauge.value(x - p) + gauge.value(p - x))
+        return float(v), 0.5 * (gauge.grad(p - x) - gauge.grad(x - p))
+
+    def objective(p):
+        val, grad = 0.0, np.zeros(2)
+        for x, mode in zip(pts, modes):
+            v, g = term(x, p, mode)
+            val += v
+            grad += g
+        return val, grad
+
+    scale = max(np.linalg.norm(pts[i] - pts[j]) for i in range(3) for j in range(i + 1, 3))
+    p = pts.mean(axis=0)
+    fval, grad = objective(p)
+    step = 0.25 * scale
+    it = 0
+    for it in range(1, 5001):
+        gn = float(np.linalg.norm(grad))
+        if gn <= 1e-10 * scale:
+            break
+        d = -grad / gn
+        t = step
+        while t > 1e-16 * scale:
+            cand = p + t * d
+            fc, gc = objective(cand)
+            if fc < fval - 1e-4 * t * gn:
+                p, fval, grad = cand, fc, gc
+                step = min(2.0 * t, 0.25 * scale)
+                break
+            t *= 0.5
+        else:
+            break
+    d2term = np.linalg.norm(pts - p, axis=1)
+    k = int(np.argmin(d2term))
+    if d2term[k] <= 1e-8 * scale:
+        p = pts[k].copy()
+        fval = objective(p)[0]
+    return p, fval, it
+
+
+class TestFermatPricingMatchesPerArmReference:
+    """fermat_point prices its arms through orientation_rule in one batch;
+    the per-arm pricing by mode must give the same iterates bit for bit."""
+
+    @pytest.mark.parametrize(
+        "gauge",
+        all_gauge_list(),
+        ids=["euclid", "ellipse", "shifted", "tabulated", "max", "l1", "smoothed-l1"],
+    )
+    def test_bit_identical(self, gauge):
+        obtuse = np.array([[0.0, 0.0], [1.0, 0.0], [-0.8, 0.3]])
+        cases = [(TERMINALS, m) for m in itertools.product(MODE_SIDES, repeat=3)]
+        cases += [(obtuse, (m,) * 3) for m in MODE_SIDES]
+        for pts, modes in cases:
+            res = fermat_point(gauge, *pts, modes=modes)
+            point, value, iterations = reference_fermat(gauge, pts, modes)
+            assert res.point.tobytes() == point.tobytes(), modes
+            assert (res.value, res.iterations) == (value, iterations), modes
+
 
 class TestModesForColors:
     def test_all_colored_is_two_sided(self):
@@ -138,6 +239,11 @@ class TestModesForColors:
     def test_two_whites_rejected(self):
         with pytest.raises(ValueError):
             fermat_modes_for_colors([0, 0, 1])
+
+    @pytest.mark.parametrize("colors", [[1, 2], [0, 1, 2, 3]])
+    def test_other_than_three_colors_rejected(self, colors):
+        with pytest.raises(ValueError, match="three sector colors"):
+            fermat_modes_for_colors(colors)
 
 
 class TestJunctionResidual:
