@@ -17,13 +17,13 @@ import sys
 import numpy as np
 
 from . import __version__, svg
-from .cluster import perimeter_breakdown, validate, weighted_perimeter, weighted_volume
+from .cluster import perimeter_breakdown, validate, weighted_volume
 from .gauge import roundedness_constant, strict_convexity_margin, unit_ball_boundary
 from .geometry import unit_dir
 from .optimizer import (
     OptimizationProblem,
     SolveOptions,
-    interface_perimeter,
+    _edge_roles,
     minimize,
     steiner_diagnose,
 )
@@ -119,12 +119,12 @@ def _run_slices(scn, seed):
 
 def _run_perimeter(scn, seed):
     cluster = scn.payload["cluster"]
-    density = scn.density
+    parts = perimeter_breakdown(cluster, scn.density)
     result = {
-        "perimeter": weighted_perimeter(cluster, density),
-        "interface_perimeter": interface_perimeter(cluster, density),
-        "volumes": weighted_volume(cluster, density),
-        "edge_perimeters": perimeter_breakdown(cluster, density),
+        "perimeter": float(parts.sum()),
+        "interface_perimeter": float(parts[~_edge_roles(cluster)[0]].sum()),
+        "volumes": weighted_volume(cluster, scn.density),
+        "edge_perimeters": parts,
         "chambers": cluster.m,
         "validation": validate(cluster),
     }

@@ -356,7 +356,8 @@ class TabulatedGauge(Gauge):
         m0, m1 = self._moments[k], self._moments[k1]
         c0 = y0 - m0 * (h * h / 6.0)
         c1 = y1 - m1 * (h * h / 6.0)
-        val = (m0 * s**3 + m1 * t**3) / (6.0 * h) + (c0 * s + c1 * t) / h
+        # np.power, not **: a numpy scalar's ** rounds unlike the batched ufunc
+        val = (m0 * np.power(s, 3) + m1 * np.power(t, 3)) / (6.0 * h) + (c0 * s + c1 * t) / h
         der = (m1 * t * t - m0 * s * s) / (2.0 * h) + (y1 - y0) / h - (m1 - m0) * (h / 6.0)
         return val, der
 

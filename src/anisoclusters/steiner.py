@@ -14,7 +14,8 @@ normal, rotated back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -198,11 +199,12 @@ def junction_residual(density, origin, directions, colors):
 def admissible_pairs(gauge, a, resolution=720, tol=1e-9, max_newton=60):
     """All boundary pairs {B, C} forming a stationary triple with A.
 
-    Scans the (phi_B, phi_C) torus at the given resolution for cells where
-    both components of grad(A) + grad(B) + grad(C) change sign, refines each
-    candidate with damped Newton on finite-difference Jacobians, keeps roots
-    with residual below tol, and deduplicates unordered pairs. Requires a
-    smooth gauge; kinked gauges have no usable gradient field.
+    Scans the (phi_B, phi_C) torus, resolution >= 16 angles a side, for cells
+    whose corners bracket zero in both components of grad(A) + grad(B) +
+    grad(C): per-axis corner bounds test component 0 on the whole torus, and
+    component 1 on its survivors. Refines each cell with damped Newton on
+    finite-difference Jacobians, keeps roots with residual below tol, and
+    deduplicates unordered pairs. Requires a smooth gauge.
 
     A is scaled onto the unit ball; B and C are unit-ball boundary points
     of the gauge passed, not Cahn-Hoffman vectors. The balance is on their
@@ -213,6 +215,8 @@ def admissible_pairs(gauge, a, resolution=720, tol=1e-9, max_newton=60):
     sum to zero obey tan(alpha) = -(2**p - 1)**(1/p) instead; the two laws
     agree only at p = 2.
     """
+    if isinstance(resolution, bool) or not isinstance(resolution, Integral) or resolution < 16:
+        raise ValueError(f"resolution must be an integer >= 16, got {resolution!r}")
     if not gauge.smooth:
         raise ValueError("kinked gauge: admissible pairs need a C1 gauge")
     a = np.asarray(a, dtype=float)
@@ -225,21 +229,7 @@ def admissible_pairs(gauge, a, resolution=720, tol=1e-9, max_newton=60):
 
     n = int(resolution)
     phis = np.arange(n) * (TWO_PI / n)
-    G = gauge.grad(unit_dir(phis))  # (n, 2)
-
-    F1 = g0[0] + G[:, 0][:, None] + G[:, 0][None, :]
-    F2 = g0[1] + G[:, 1][:, None] + G[:, 1][None, :]
-
-    def cellknot(F):
-        c00 = F
-        c10 = np.roll(F, -1, axis=0)
-        c01 = np.roll(F, -1, axis=1)
-        c11 = np.roll(np.roll(F, -1, axis=0), -1, axis=1)
-        mn = np.minimum(np.minimum(c00, c10), np.minimum(c01, c11))
-        mx = np.maximum(np.maximum(c00, c10), np.maximum(c01, c11))
-        return (mn <= 0) & (mx >= 0)
-
-    cells = np.argwhere(cellknot(F1) & cellknot(F2))
+    cells = _bracketing_cells(g0, gauge.grad(unit_dir(phis)))
 
     def residual(phi):
         return g0 + gauge.grad(unit_dir(phi[0])) + gauge.grad(unit_dir(phi[1]))
@@ -321,6 +311,18 @@ def admissible_pairs(gauge, a, resolution=720, tol=1e-9, max_newton=60):
         )
     out.sort(key=lambda t: (t.angle_b, t.angle_c))
     return out
+
+
+def _bracketing_cells(g0, grads):
+    """Cells (i, j), row-major, whose corners (i or i+1 by j or j+1, cyclic)
+    bracket zero in both components of F[i, j] = g0 + grads[i] + grads[j]."""
+    nxt = np.roll(grads, -1, axis=0)
+    lo, hi = np.minimum(grads, nxt), np.maximum(grads, nxt)
+    # rounding is monotone, so F's least corner rounds to fl(fl(g0 + lo[i]) + lo[j]) and
+    # its greatest likewise with hi; and fl(x + y) <= 0 exactly when x <= -y
+    i, j = np.nonzero(((g0[0] + lo[:, 0])[:, None] <= -lo[:, 0]) & ((g0[0] + hi[:, 0])[:, None] >= -hi[:, 0]))
+    keep = (g0[1] + lo[i, 1] + lo[j, 1] <= 0) & (g0[1] + hi[i, 1] + hi[j, 1] >= 0)
+    return np.column_stack([i[keep], j[keep]])
 
 
 def _point_angle(u, v):

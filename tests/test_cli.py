@@ -66,6 +66,17 @@ class TestFastScenarios:
         assert run("solve", scenario, tmp_path) == 0
         assert read_report(tmp_path, scenario)["result"]["resamples"] == 0
 
+    def test_perimeter_prices_the_cluster_once(self, tmp_path, monkeypatch):
+        # perimeter, interface_perimeter and edge_perimeters are sums of one
+        # per-edge breakdown
+        calls = []
+        price = anisoclusters.cluster.segment_weights
+        monkeypatch.setattr(
+            anisoclusters.cluster, "segment_weights", lambda *args: calls.append(1) or price(*args)
+        )
+        assert run("perimeter", "perimeter-square-cross.json", tmp_path) == 0
+        assert len(calls) == 1
+
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("triples", "triples-lp-2.json", a) == 0

@@ -1,6 +1,7 @@
 """Anisotropic three-terminal junctions and admissible direction pairs."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +18,11 @@ from anisoclusters import (
     fermat_modes_for_colors,
     fermat_point,
     junction_residual,
+    steiner,
 )
 from anisoclusters.cluster import segment_weights
 from anisoclusters.geometry import unit_dir
-from anisoclusters.steiner import MODE_SIDES
+from anisoclusters.steiner import MODE_SIDES, _bracketing_cells
 from conftest import all_gauge_list, odd_profile_gauge, smooth_gauge_list
 
 TERMINALS = np.array([[0.0, 0.0], [2.0, 0.2], [0.7, 1.8]])
@@ -341,6 +343,35 @@ class TestJunctionResidualIsThePerimeterGradient:
         assert max(gaps(ShiftedDiskGauge((0.2, -0.1), 1.0))) < 1e-12
 
 
+# every smooth kind, the odd profile and l^p off p = 2; the reference points
+# are scaled onto each unit ball, so only their directions matter
+SCAN_GAUGES = smooth_gauge_list() + [odd_profile_gauge(), LpGauge(1.5), LpGauge(3.0), LpGauge(5.0)]
+SCAN_IDS = ["euclid", "ellipse", "shifted", "tabulated", "odd-profile", "l1.5", "l3", "l5"]
+SCAN_POINTS = [np.array([0.0, 1.0]), np.array([0.8, -0.6]), np.array([-1.0, 0.25])]
+
+
+def _dense_cells(g0, grads):
+    """Cells whose four corners bracket zero in both components, each corner
+    taken from a full n x n array: the reference for the separable scan."""
+    F1 = g0[0] + grads[:, 0][:, None] + grads[:, 0][None, :]
+    F2 = g0[1] + grads[:, 1][:, None] + grads[:, 1][None, :]
+
+    def cellknot(F):
+        c00 = F
+        c10 = np.roll(F, -1, axis=0)
+        c01 = np.roll(F, -1, axis=1)
+        c11 = np.roll(np.roll(F, -1, axis=0), -1, axis=1)
+        mn = np.minimum(np.minimum(c00, c10), np.minimum(c01, c11))
+        mx = np.maximum(np.maximum(c00, c10), np.maximum(c01, c11))
+        return (mn <= 0) & (mx >= 0)
+
+    return np.argwhere(cellknot(F1) & cellknot(F2))
+
+
+def _triple_fields(t):
+    return (t.a.tobytes(), t.b.tobytes(), t.c.tobytes(), t.angle_b, t.angle_c, t.residual, t.iterations)
+
+
 class TestAdmissiblePairs:
     def test_euclidean_unique_symmetric_pair(self):
         pairs = admissible_pairs(EuclideanGauge(), np.array([0.0, 1.0]), resolution=360)
@@ -387,3 +418,42 @@ class TestAdmissiblePairs:
         R = 50.0
         res = fermat_point(gauge, R * t.a, R * t.b, R * t.c)
         assert np.linalg.norm(res.point) < 1e-2
+
+    @pytest.mark.parametrize("resolution", [0, -5, 15, 2.7, 720.0, True, "720"])
+    def test_rejects_resolution_other_than_an_integer_from_16(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            admissible_pairs(EuclideanGauge(), np.array([0.0, 1.0]), resolution=resolution)
+
+    def test_accepts_numpy_integer_resolution(self):
+        assert len(admissible_pairs(EuclideanGauge(), np.array([0.0, 1.0]), resolution=np.int64(16))) == 1
+
+    @pytest.mark.parametrize("resolution", [16, 97, 240, 720])
+    @pytest.mark.parametrize("gauge", SCAN_GAUGES, ids=SCAN_IDS)
+    def test_scan_matches_the_dense_four_corner_scan(self, gauge, resolution, monkeypatch):
+        seen = []
+
+        def dense(g0, grads):
+            cells = _dense_cells(g0, grads)
+            assert np.array_equal(_bracketing_cells(g0, grads), cells)
+            seen.append(len(cells))
+            return cells
+
+        for a in SCAN_POINTS:
+            triples = admissible_pairs(gauge, a, resolution=resolution)
+            with monkeypatch.context() as m:
+                m.setattr(steiner, "_bracketing_cells", dense)
+                reference = admissible_pairs(gauge, a, resolution=resolution)
+            assert [_triple_fields(t) for t in triples] == [_triple_fields(t) for t in reference]
+        assert len(seen) == len(SCAN_POINTS)
+
+    def test_scan_builds_no_full_torus_float_array(self):
+        gauge, a, n = LpGauge(3.0), np.array([0.0, 1.0]), 720
+        admissible_pairs(gauge, a, resolution=n)
+        tracemalloc.start()
+        try:
+            admissible_pairs(gauge, a, resolution=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+
