@@ -6,21 +6,41 @@ respect to their directions, sum to zero (each gradient is a Cahn-Hoffman
 vector; Hoffman and Cahn 1972). junction_residual prices each arm as the
 solver prices a segment, through cluster.orientation_rule: an arm beside
 the white sector carries its one-sided weight, an arm between two chambers
-the mean of its two sides. fermat_point prices its three arms through the
-same rule, each arm's mode naming its side labels in MODE_SIDES. For a
-symmetric gauge every arm's gradient is the plain gauge gradient at its
-normal, rotated back.
+the mean of its two sides, from one gauge call for the normals and their
+negatives. fermat_point prices its three arms through the same rule, each
+arm's mode naming its side labels in MODE_SIDES: the rule is linear in the
+two one-sided weights, so it yields each arm's pair of coefficients once
+per solve. For a symmetric gauge every arm's gradient is the plain gauge
+gradient at its normal, rotated back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Integral
 
 import numpy as np
 
 from .cluster import orientation_rule
 from .geometry import TWO_PI, angle_of, cross2, rotate_ccw, rotate_cw, unit_dir, wrap_angle
+
+
+def _equal_fields(self, other):
+    """Dataclass equality that compares ndarray fields by dtype, shape and
+    bytes, and every other field with ==."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for f in fields(self):
+        x, y = getattr(self, f.name), getattr(other, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if not (
+                isinstance(x, np.ndarray) and isinstance(y, np.ndarray)
+                and (x.dtype, x.shape) == (y.dtype, y.shape) and x.tobytes() == y.tobytes()
+            ):
+                return False
+        elif not x == y:
+            return False
+    return True
 
 
 @dataclass
@@ -31,6 +51,8 @@ class FermatResult:
     gradient_norm: float
     degenerate_vertex: int | None = None
     collinear: bool = False
+
+    __eq__ = _equal_fields
 
 
 @dataclass
@@ -51,6 +73,8 @@ class AdmissibleTriple:
     residual: float
     iterations: int
 
+    __eq__ = _equal_fields
+
     def points(self):
         return np.array([self.a, self.b, self.c])
 
@@ -68,11 +92,14 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
     gauge weighs oriented segments (a tangent gauge); modes pick each
     terminal's orientation: 'out' costs gauge(X - P), 'in' costs
     gauge(P - X), 'sym' averages both. Each arm is priced, value and
-    gradient, through cluster.orientation_rule with its MODE_SIDES labels.
-    Descent with backtracking from the centroid; stops when the gradient
-    norm drops below tol * scale or no strictly decreasing step remains. A
-    minimizer within 1e-8 * scale of a terminal is snapped to it and flagged
-    as degenerate.
+    gradient, with the coefficients cluster.orientation_rule gives its
+    MODE_SIDES labels, all six one-sided weights in one gauge call.
+    Terminals must be finite and pairwise distinct. Descent with
+    backtracking from the centroid: every trial point costs one value call,
+    and the gradient is taken only at the start and at accepted points.
+    Stops when the gradient norm drops below tol * scale or no strictly
+    decreasing step remains. A minimizer within 1e-8 * scale of a terminal
+    is snapped to it and flagged as degenerate.
     """
     if isinstance(modes, str) or len(modes) != 3:
         raise ValueError("need exactly three modes, one per terminal")
@@ -81,6 +108,8 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
             raise ValueError(f"unknown mode {mode!r}")
     left, right = np.array([MODE_SIDES[m] for m in modes]).T
     pts = np.array([a, b, c], dtype=float)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("terminals must be finite")
     scale = max(np.linalg.norm(pts[i] - pts[j]) for i in range(3) for j in range(i + 1, 3))
     if scale <= 0 or min(
         np.linalg.norm(pts[i] - pts[j]) for i in range(3) for j in range(i + 1, 3)
@@ -89,20 +118,33 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
     area2 = abs(float(cross2(pts[1] - pts[0], pts[2] - pts[0])))
     collinear = area2 < 1e-12 * scale * scale
 
-    def objective(p):
-        # one gauge call each for the value and the gradient of all six
-        # one-sided weights, gauge(X - P) then gauge(P - X); d/dP of the
-        # forward weight is -grad(X - P), of the reverse one grad(P - X)
-        arms = np.concatenate([pts - p, p - pts])
-        h, dh = gauge.value(arms), gauge.grad(arms)
-        w = orientation_rule(h[:3], h[3:], left, right).tolist()
-        dw = orientation_rule(-dh[:3], dh[3:], left[:, None], right[:, None])
-        # summed in terminal order, one term at a time (sum() of floats
-        # compensates its rounding from Python 3.12 on)
-        return w[0] + w[1] + w[2], np.zeros(2) + dw[0] + dw[1] + dw[2]
+    # orientation_rule is linear in its two one-sided weights, so each arm's
+    # coefficients, (1, 0) for out, (0, 1) for in and (1/2, 1/2) for sym, are
+    # taken from it once. They round as its selection and mean do:
+    # x*1 + y*0 = x, and x/2 + y/2 = (x + y)/2 since halving is exact
+    fwd = orientation_rule(1.0, 0.0, left, right)
+    rev = orientation_rule(0.0, 1.0, left, right)
+    dfwd, drev = -fwd[:, None], rev[:, None]
+    # the six arms X - P, then P - X (negation is exact, so -(X - P) = P - X)
+    both = np.concatenate([pts, pts])
+    sides = np.array([[1.0]] * 3 + [[-1.0]] * 3)
+
+    def value(p):
+        # one gauge call for the six one-sided weights, gauge(X - P) then
+        # gauge(P - X), summed in terminal order, one term at a time (sum()
+        # of floats compensates its rounding from Python 3.12 on)
+        h = gauge.value((both - p) * sides)
+        w = (h[:3] * fwd + h[3:] * rev).tolist()
+        return w[0] + w[1] + w[2]
+
+    def gradient(p):
+        # d/dP of the forward weight is -grad(X - P), of the reverse one grad(P - X)
+        dh = gauge.grad((both - p) * sides)
+        dw = dh[:3] * dfwd + dh[3:] * drev
+        return np.zeros(2) + dw[0] + dw[1] + dw[2]
 
     p = pts.mean(axis=0)
-    fval, grad = objective(p)
+    fval, grad = value(p), gradient(p)
     step = 0.25 * scale
     it = 0
     for it in range(1, max_iter + 1):
@@ -114,9 +156,9 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
         moved = False
         while t > 1e-16 * scale:
             cand = p + t * d
-            fc, gc = objective(cand)
+            fc = value(cand)
             if fc < fval - 1e-4 * t * gn:
-                p, fval, grad = cand, fc, gc
+                p, fval, grad = cand, fc, gradient(cand)
                 step = min(2.0 * t, 0.25 * scale)
                 moved = True
                 break
@@ -129,7 +171,7 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
     k = int(np.argmin(d2term))
     if d2term[k] <= 1e-8 * scale:
         p = pts[k].copy()
-        fval = objective(p)[0]
+        fval = value(p)
         degenerate = k
     return FermatResult(point=p, value=fval, iterations=it, gradient_norm=gn,
                         degenerate_vertex=degenerate, collinear=collinear)
@@ -190,9 +232,10 @@ def junction_residual(density, origin, directions, colors):
     w = whites[0] if len(whites) else 0
     dirs, colors = np.roll(dirs, -w, axis=0), np.roll(colors, -w)
     normal = rotate_cw(dirs)
-    # gradients of the one-sided weights h(rotate_cw d) and h(-rotate_cw d)
-    fwd = rotate_ccw(gauge.grad(normal))
-    rev = -rotate_ccw(gauge.grad(-normal))
+    # gradients of the one-sided weights h(rotate_cw d) and h(-rotate_cw d),
+    # in one gauge call for the normals and their negatives
+    g = gauge.grad(np.concatenate([normal, -normal]))
+    fwd, rev = rotate_ccw(g[:3]), -rotate_ccw(g[3:])
     return orientation_rule(fwd, rev, np.roll(colors, 1)[:, None], colors[:, None]).sum(axis=0)
 
 
