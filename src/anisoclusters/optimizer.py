@@ -40,12 +40,13 @@ The mesh is also repaired inside an outer iteration (remeshing on collapse,
 as Surface Evolver removes tiny edges during the evolution, Brakke 1992).
 When two vertices of an edge slide together, the clearance caps of their
 neighbours shrink with the collapsed segment, and the descent freezes
-until the step budget runs out. So an accepted step that leaves a segment
-shorter than COLLAPSE_FRACTION of the length resampling would give it ends
-the descent; the cluster is resampled, and the descent goes on at the same
+until the step budget runs out. So when an accepted step leaves a segment
+shorter than COLLAPSE_FRACTION of the length resampling would give it,
+_descend resamples the cluster and starts over from it at the same
 multiplier and penalty with the steps that remain of max_inner. Segments of
 kept edges and one-segment edges, which resampling cannot lengthen, never
-count.
+count. Each descent records why it stopped: converged, stalled (the line
+search found no acceptable step) or out of budget.
 
 A gauge with a ladder of smooth surrogates (Gauge.continuation(), for now
 the max norm's l^8, l^32, l^128) is approached through it: before the outer
@@ -65,6 +66,7 @@ scaling of g, h and the targets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -94,8 +96,8 @@ from .report import plain
 from .steiner import junction_residual
 
 # An accepted inner step that leaves a segment of a free edge shorter than
-# this fraction of the length resampling would give it ends the descent; the
-# cluster is resampled and the descent goes on (_descend_cluster).
+# this fraction of the length resampling would give it sends _descend
+# through resample_cluster and on from the resampled cluster.
 COLLAPSE_FRACTION = 0.1
 
 # The finite-difference step of a dof as a fraction of the mean length of
@@ -110,12 +112,26 @@ JITTER = 0.05
 
 @dataclass
 class SolveOptions:
+    """The solve's budgets and tolerances, checked as the scenario loader
+    checks them: max_outer, max_inner and multi_start are integers >= 1,
+    seed an integer >= 0, vol_tol and grad_tol positive finite numbers."""
+
     max_outer: int = 30
     max_inner: int = 200
     vol_tol: float = 1e-6
     grad_tol: float = 1e-5
     multi_start: int = 1
     seed: int = 0
+
+    def __post_init__(self):
+        for name, least in (("max_outer", 1), ("max_inner", 1), ("multi_start", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("vol_tol", "grad_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < np.inf:
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
 @dataclass
@@ -442,85 +458,109 @@ class _Mesh:
 
 
 @dataclass
-class _InnerStats:
+class _Descent:
+    """What one inner descent did: its steps (loop entries, so a convergence
+    check counts as one), why it stopped ("converged", "stalled" when the
+    line search found no acceptable step, or "budget" when max_inner steps
+    ran out), the interface perimeter at its start and after each accepted
+    step, and its crossing rejections and resamplings on collapse."""
+
     iterations: int
-    converged: bool
-    stalled: bool
+    stop: str
     trace: list
     rejections: int
-    collapsed: bool = False
-    resamples: int = 0
+    resamples: int
 
 
-def _descend(V, mesh, lam, mu, P0, opts, char_len, budget):
-    """At most budget inner steps; stops early on convergence, on a failed
-    line search (stalled) and on a step that collapses a segment."""
-    f, Pint, e = mesh.objective(V, lam, mu, P0)
-    trace = [Pint]
-    if mesh.n == 0:
-        return V, _InnerStats(0, True, False, trace, 0)
-    g = mesh.gradient(V, lam, mu, e, P0)
-    g_prev = None
-    d_prev = None
-    t = None
-    rejections = 0
-    converged = False
-    stalled = False
-    collapsed = False
-    it = 0
-    # non-monotone acceptance window: Barzilai-Borwein steps on this badly
-    # conditioned problem must be allowed transient objective increases
-    recent = [f]
-    for it in range(1, budget + 1):
-        gn = float(np.max(np.abs(g)))
-        if gn * char_len <= opts.grad_tol:
-            converged = True
+def _descend(cl, density, targets, lam, mu, opts, rs_len):
+    """One inner descent from cl at fixed lam and mu, in at most
+    opts.max_inner steps; stops early on convergence and on a failed line
+    search. When a step collapses a segment (_Mesh.collapsed) and steps
+    remain, the cluster is resampled and the descent starts over from it
+    with the rest of the budget and the same objective. Moves cl's vertices;
+    returns the final cluster, its mesh and the _Descent record."""
+    mesh = _Mesh(cl, density, targets, rs_len)
+    V = cl.vertices
+    P0 = mesh.perimeter(V)
+    if P0 <= 0:
+        raise ValueError("cluster has no interface perimeter to minimize")
+    trace = []
+    rejections = resamples = it = 0
+    stop = "budget"
+    while True:
+        f, Pint, e = mesh.objective(V, lam, mu, P0)
+        # one perimeter entry for the start, then one per accepted step
+        if not resamples:
+            trace.append(Pint)
+        if mesh.n == 0:
+            stop = "converged"
             break
-        if g_prev is not None and d_prev is not None:
-            y = g - g_prev
-            sy = float(d_prev @ y)
-            t = float(d_prev @ d_prev) / sy if sy > 1e-300 else 2.0 * t
-        if t is None or not np.isfinite(t) or t <= 0:
-            t = 0.05 * char_len / gn
-        # every trial step below is the first one scaled down and clipped,
-        # so its reach bounds theirs and one set of caps serves them all
-        caps = mesh.step_caps(V)
-        safe, ends = _clearance_caps(V, mesh, mesh.i0, mesh.i1, np.clip(-t * g, -caps, caps))
-        caps = np.minimum(caps, safe)
-        accepted = False
-        tt = t
-        f_ref = max(recent)
-        for _ in range(60):
-            d = np.clip(-tt * g, -caps, caps)
-            gd = float(g @ d)
-            if gd >= 0.0:
-                break
-            Vt = _apply_step(V, mesh, d)
-            ft, Pt, et = mesh.objective(Vt, lam, mu, P0)
-            if ft <= f_ref + 1e-4 * gd:
-                if _has_crossing(Vt, mesh.i0, mesh.i1, ends):
-                    rejections += 1
-                    tt *= 0.5
-                    continue
-                V, f, Pint, e = Vt, ft, Pt, et
-                d_prev = d
-                accepted = True
-                break
-            tt *= 0.5
-        if not accepted:
-            stalled = True
-            break
-        recent.append(f)
-        if len(recent) > 8:
-            recent.pop(0)
-        trace.append(Pint)
-        if mesh.collapsed(V, char_len):
-            collapsed = True
-            break
-        g_prev = g
         g = mesh.gradient(V, lam, mu, e, P0)
-        t = tt
-    return V, _InnerStats(it, converged, stalled, trace, rejections, collapsed)
+        g_prev = None
+        d_prev = None
+        t = None
+        collapsed = False
+        # non-monotone acceptance window: Barzilai-Borwein steps on this badly
+        # conditioned problem must be allowed transient objective increases
+        recent = [f]
+        while it < opts.max_inner:
+            it += 1
+            gn = float(np.max(np.abs(g)))
+            if gn * rs_len <= opts.grad_tol:
+                stop = "converged"
+                break
+            if g_prev is not None and d_prev is not None:
+                y = g - g_prev
+                sy = float(d_prev @ y)
+                t = float(d_prev @ d_prev) / sy if sy > 1e-300 else 2.0 * t
+            if t is None or not np.isfinite(t) or t <= 0:
+                t = 0.05 * rs_len / gn
+            # every trial step below is the first one scaled down and clipped,
+            # so its reach bounds theirs and one set of caps serves them all
+            caps = mesh.step_caps(V)
+            safe, ends = _clearance_caps(V, mesh, mesh.i0, mesh.i1, np.clip(-t * g, -caps, caps))
+            caps = np.minimum(caps, safe)
+            accepted = False
+            tt = t
+            f_ref = max(recent)
+            for _ in range(60):
+                d = np.clip(-tt * g, -caps, caps)
+                gd = float(g @ d)
+                if gd >= 0.0:
+                    break
+                Vt = _apply_step(V, mesh, d)
+                ft, Pt, et = mesh.objective(Vt, lam, mu, P0)
+                if ft <= f_ref + 1e-4 * gd:
+                    if _has_crossing(Vt, mesh.i0, mesh.i1, ends):
+                        rejections += 1
+                        tt *= 0.5
+                        continue
+                    V, f, Pint, e = Vt, ft, Pt, et
+                    d_prev = d
+                    accepted = True
+                    break
+                tt *= 0.5
+            if not accepted:
+                stop = "stalled"
+                break
+            recent.append(f)
+            if len(recent) > 8:
+                recent.pop(0)
+            trace.append(Pint)
+            if mesh.collapsed(V, rs_len):
+                collapsed = True
+                break
+            g_prev = g
+            g = mesh.gradient(V, lam, mu, e, P0)
+            t = tt
+        cl.vertices = V
+        if not collapsed or it == opts.max_inner:
+            break
+        cl = resample_cluster(cl, rs_len)
+        mesh = _Mesh(cl, density, targets, rs_len)
+        V = cl.vertices
+        resamples += 1
+    return cl, mesh, _Descent(it, stop, trace, rejections, resamples)
 
 
 def _min_count(edge):
@@ -578,46 +618,12 @@ def resample_cluster(cluster, target_len):
     return type(cluster)(np.asarray(verts), edges, cluster.m)
 
 
-def _descend_cluster(cl, density, targets, lam, mu, opts, rs_len):
-    """One inner descent from cl at fixed lam and mu, in at most
-    opts.max_inner steps. When a step collapses a segment
-    (_Mesh.collapsed) and steps remain, the cluster is resampled and the
-    descent goes on from it with the rest of the budget and the same
-    objective. Moves cl's vertices; returns the final cluster, its mesh and
-    the summed inner statistics."""
-    mesh = _Mesh(cl, density, targets, rs_len)
-    P0 = mesh.perimeter(cl.vertices)
-    if P0 <= 0:
-        raise ValueError("cluster has no interface perimeter to minimize")
-    runs = []
-    while True:
-        budget = opts.max_inner - sum(st.iterations for st in runs)
-        cl.vertices, st = _descend(cl.vertices.copy(), mesh, lam, mu, P0, opts, rs_len, budget)
-        runs.append(st)
-        if not st.collapsed or st.iterations == budget:
-            break
-        cl = resample_cluster(cl, rs_len)
-        mesh = _Mesh(cl, density, targets, rs_len)
-    # one perimeter entry for the start, then one per accepted step
-    trace = runs[0].trace + [P for st in runs[1:] for P in st.trace[1:]]
-    return cl, mesh, _InnerStats(
-        sum(st.iterations for st in runs),
-        st.converged,
-        st.stalled,
-        trace,
-        sum(st.rejections for st in runs),
-        st.collapsed,
-        len(runs) - 1,
-    )
-
-
 def _solve_single(cluster, density, targets, opts, start_index, rs_len):
     """One start of minimize from cluster. rs_len, the resampling length,
     comes from the problem's cluster, so every start resamples alike."""
     lam = np.zeros(len(targets))
     mu = PENALTY0
     flags = []
-    trace = []
     verr_trace = []
     prev_emax = np.inf
     prev_stall_P = None
@@ -626,31 +632,21 @@ def _solve_single(cluster, density, targets, opts, start_index, rs_len):
     # the continuation ladder: one descent per smooth surrogate, same g
     ladder = density.gauge_at(None).continuation() if density.uniform_gauge else ()
     g = density.g_const if density.g_const is not None else density.g_at
-    stages = []
+    descents = []
     for gauge in ladder:
         stage = Density(gauge, g=g, domain=density.domain)
-        cl, _, st = _descend_cluster(cl, stage, targets, lam, mu, opts, rs_len)
-        stages.append((gauge, st))
-    inner_total = sum(st.iterations for _, st in stages)
-    rejections = sum(st.rejections for _, st in stages)
-    resamples = sum(st.resamples for _, st in stages)
-    mesh = None
-    outer = 0
+        cl, _, rec = _descend(cl, stage, targets, lam, mu, opts, rs_len)
+        descents.append(rec)
     for outer in range(1, opts.max_outer + 1):
         if outer > 1:
             cl = resample_cluster(cl, rs_len)
-        cl, mesh, st = _descend_cluster(cl, density, targets, lam, mu, opts, rs_len)
-        V = cl.vertices
-        vols = mesh.volumes(V)
+        cl, mesh, rec = _descend(cl, density, targets, lam, mu, opts, rs_len)
+        descents.append(rec)
+        vols = mesh.volumes(cl.vertices)
         e = (vols - targets) / targets
         emax = float(np.max(np.abs(e)))
-        Pint = mesh.perimeter(V)
-        trace.extend(st.trace)
         verr_trace.append(emax)
-        inner_total += st.iterations
-        rejections += st.rejections
-        resamples += st.resamples
-        if emax <= opts.vol_tol and st.converged:
+        if emax <= opts.vol_tol and rec.stop == "converged":
             converged = True
             break
         if emax <= opts.vol_tol:
@@ -659,6 +655,7 @@ def _solve_single(cluster, density, targets, opts, start_index, rs_len):
             # stall with the exact shape gradient too, so finite-difference
             # error (~1e-9 relative) is not the cause. Accept once a second
             # full pass confirms the perimeter is frozen to 1e-6
+            Pint = mesh.perimeter(cl.vertices)
             if prev_stall_P is not None and abs(Pint - prev_stall_P) <= 1e-6 * (1 + Pint):
                 converged = True
                 flags.append("inner_stall_at_tolerance")
@@ -671,32 +668,27 @@ def _solve_single(cluster, density, targets, opts, start_index, rs_len):
             mu = min(2.0 * mu, 1e8)
         prev_emax = max(emax, 1e-300)
     if not converged:
-        flags.append("max_outer_reached")
-    vols = mesh.volumes(cl.vertices)
-    errors = (vols - targets) / targets
-    emax = float(np.max(np.abs(errors)))
-    success = converged and emax <= opts.vol_tol
-    if not success:
-        flags.append("non_convergence")
+        flags += ["max_outer_reached", "non_convergence"]
     parts = perimeter_breakdown(cl, density)
     wall, _, _ = _edge_roles(cl)
     return SolveReport(
         cluster=cl,
-        success=success,
+        success=converged,
         perimeter=float(parts.sum()),
         interface_perimeter=float(parts[~wall].sum()),
         volumes=vols,
-        volume_errors=errors,
-        perimeter_trace=trace,
+        volume_errors=e,
+        perimeter_trace=[P for rec in descents[len(ladder):] for P in rec.trace],
         volume_error_trace=verr_trace,
         outer_iterations=outer,
-        inner_iterations=inner_total,
-        crossing_rejections=rejections,
+        inner_iterations=sum(rec.iterations for rec in descents),
+        crossing_rejections=sum(rec.rejections for rec in descents),
         start_index=start_index,
         flags=flags,
-        resamples=resamples,
+        resamples=sum(rec.resamples for rec in descents),
         continuation=[
-            {"gauge": gauge, "inner_iterations": st.iterations} for gauge, st in stages
+            {"gauge": gauge, "inner_iterations": rec.iterations}
+            for gauge, rec in zip(ladder, descents)
         ],
     )
 
@@ -734,7 +726,7 @@ def minimize(problem):
     targets = np.asarray(problem.targets, dtype=float)
     rs_len = _default_resample_len(problem.cluster)
     runs = []
-    for k in range(max(1, int(opts.multi_start))):
+    for k in range(opts.multi_start):
         cl = _perturb_start(problem, k, rs_len) if k > 0 else problem.cluster.copy()
         runs.append(_solve_single(cl, problem.density, targets, opts, k, rs_len))
     champ = runs[0]

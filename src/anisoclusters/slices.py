@@ -14,8 +14,8 @@ a table of candidates (one row each, slides and tripods over all of
 EPS_GRID) with their segments in network order. improve stacks the base
 network and every family's rows, prices all their segments in one
 oriented_weight call, sums each row's weights in segment order, and builds
-a CompetitorNetwork only for the winner; enumerate_moves and the move_*
-functions build their networks from the same rows.
+a CompetitorNetwork only for the winner; enumerate_moves builds every
+candidate's network from the same rows.
 """
 
 from __future__ import annotations
@@ -362,10 +362,6 @@ def _network(config, rows, r):
     return CompetitorNetwork(segments=segs, gauge=config.gauge)
 
 
-def _only(config, rows):
-    return _network(config, rows, 0) if rows is not None and rows.moves else None
-
-
 def _perimeters(gauge, rows):
     """Each row's perimeter. Every real segment is priced in one
     oriented_weight call; each row's weights are then summed in segment
@@ -382,28 +378,6 @@ def _priced(config):
     enumerate_moves order, and each row's perimeter."""
     rows = _stack([_base(config), *_families(config)])
     return rows, _perimeters(config.gauge, rows)
-
-
-def move_chord(config, k):
-    """The chord move at sector k (see _chords), or None."""
-    return _only(config, _chords(config, [k]))
-
-
-def move_join_whites(config, j, k):
-    """The join-whites move of the span of sectors j..k (see _join_whites),
-    or None."""
-    return _only(config, _join_whites(config, [(j, k)]))
-
-
-def move_slide(config, m, side, eps):
-    """The slide of radius m by eps towards side (see _slides), or None."""
-    return _only(config, _slides(config, [(m, side)], (eps,)))
-
-
-def move_tripod(config, m, eps):
-    """The tripod at radii m and m+1 with inner vertex scale eps (see
-    _tripods), or None."""
-    return _only(config, _tripods(config, [m], (eps,)))
 
 
 def enumerate_moves(config):

@@ -45,10 +45,15 @@ def _equal_fields(self, other):
 
 @dataclass
 class FermatResult:
+    """stop says why the descent ended: "converged" (the gradient norm fell
+    to tol * scale), "stalled" (no strictly decreasing step) or "budget"
+    (max_iter steps taken, the last one unchecked)."""
+
     point: np.ndarray
     value: float
     iterations: int
     gradient_norm: float
+    stop: str
     degenerate_vertex: int | None = None
     collinear: bool = False
 
@@ -97,9 +102,10 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
     Terminals must be finite and pairwise distinct. Descent with
     backtracking from the centroid: every trial point costs one value call,
     and the gradient is taken only at the start and at accepted points.
-    Stops when the gradient norm drops below tol * scale or no strictly
-    decreasing step remains. A minimizer within 1e-8 * scale of a terminal
-    is snapped to it and flagged as degenerate.
+    Stops when the gradient norm drops below tol * scale, when no strictly
+    decreasing step remains or after max_iter steps; FermatResult.stop says
+    which. A minimizer within 1e-8 * scale of a terminal is snapped to it
+    and flagged as degenerate.
     """
     if isinstance(modes, str) or len(modes) != 3:
         raise ValueError("need exactly three modes, one per terminal")
@@ -147,9 +153,11 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
     fval, grad = value(p), gradient(p)
     step = 0.25 * scale
     it = 0
+    stop = "budget"
     for it in range(1, max_iter + 1):
         gn = float(np.linalg.norm(grad))
         if gn <= tol * scale:
+            stop = "converged"
             break
         d = -grad / gn
         t = step
@@ -164,6 +172,7 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
                 break
             t *= 0.5
         if not moved:
+            stop = "stalled"
             break
     gn = float(np.linalg.norm(grad))
     degenerate = None
@@ -173,7 +182,7 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
         p = pts[k].copy()
         fval = value(p)
         degenerate = k
-    return FermatResult(point=p, value=fval, iterations=it, gradient_norm=gn,
+    return FermatResult(point=p, value=fval, iterations=it, gradient_norm=gn, stop=stop,
                         degenerate_vertex=degenerate, collinear=collinear)
 
 

@@ -354,11 +354,11 @@ class TestContinuation:
         gauges, inner = [], []
         descend = optimizer._descend
 
-        def recording(V, mesh, *args):
-            gauges.append(mesh.density.gauge_at(None).spec())
-            V, st = descend(V, mesh, *args)
-            inner.append(st.iterations)
-            return V, st
+        def recording(cl, density, *args):
+            gauges.append(density.gauge_at(None).spec())
+            cl, mesh, rec = descend(cl, density, *args)
+            inner.append(rec.iterations)
+            return cl, mesh, rec
 
         monkeypatch.setattr(optimizer, "_descend", recording)
         rep = solve_cross(MAXNORM, 0)
@@ -388,22 +388,31 @@ def split_cross(gap, n_sub=8):
 
 
 def record_descents(monkeypatch):
-    """Per call of _descend_cluster, one (lam, mu, inner steps) entry per
-    _descend it runs."""
+    """Per call of _descend: the (lam, mu) of every _Mesh.objective call it
+    makes, the resample_cluster calls it makes, and its record."""
     descents = []
-    descend_cluster, descend = optimizer._descend_cluster, optimizer._descend
+    descend, objective = optimizer._descend, optimizer._Mesh.objective
+    resample = optimizer.resample_cluster
 
-    def outer(*args):
-        descents.append([])
-        return descend_cluster(*args)
+    def recording_descend(*args):
+        descents.append({"multipliers": [], "resamplings": 0})
+        cl, mesh, rec = descend(*args)
+        descents[-1]["record"] = rec
+        return cl, mesh, rec
 
-    def inner(V, mesh, lam, mu, *args):
-        V, st = descend(V, mesh, lam, mu, *args)
-        descents[-1].append((lam.copy(), mu, st.iterations))
-        return V, st
+    def recording_objective(self, V, lam, mu, P0):
+        descents[-1]["multipliers"].append((lam.copy(), mu))
+        return objective(self, V, lam, mu, P0)
 
-    monkeypatch.setattr(optimizer, "_descend_cluster", outer)
-    monkeypatch.setattr(optimizer, "_descend", inner)
+    def recording_resample(*args):
+        # the resampling between outer iterations comes after a record
+        if descents and "record" not in descents[-1]:
+            descents[-1]["resamplings"] += 1
+        return resample(*args)
+
+    monkeypatch.setattr(optimizer, "_descend", recording_descend)
+    monkeypatch.setattr(optimizer._Mesh, "objective", recording_objective)
+    monkeypatch.setattr(optimizer, "resample_cluster", recording_resample)
     return descents
 
 
@@ -431,12 +440,27 @@ class TestRemeshOnCollapse:
         opts = SolveOptions(max_outer=2, max_inner=20)
         rep = solve_bubble(opts)
         assert len(descents) == rep.outer_iterations
-        assert rep.resamples == sum(len(runs) - 1 for runs in descents) > 0
-        assert rep.inner_iterations == sum(it for runs in descents for _, _, it in runs)
-        for runs in descents:
-            lam, mu, _ = runs[0]
-            assert all(np.array_equal(l, lam) and m == mu for l, m, _ in runs)
-            assert sum(it for _, _, it in runs) <= opts.max_inner
+        assert rep.resamples == sum(d["resamplings"] for d in descents) > 0
+        assert [d["record"].resamples for d in descents] == [d["resamplings"] for d in descents]
+        assert rep.inner_iterations == sum(d["record"].iterations for d in descents)
+        for d in descents:
+            lam, mu = d["multipliers"][0]
+            assert all(np.array_equal(l, lam) and m == mu for l, m in d["multipliers"])
+            assert d["record"].iterations <= opts.max_inner
+
+    def test_a_descent_out_of_steps_stops_on_its_budget(self, monkeypatch):
+        descents = record_descents(monkeypatch)
+        rep = solve_bubble(SolveOptions(max_inner=5))
+        assert len(descents) == rep.outer_iterations
+        assert [(d["record"].stop, d["record"].iterations) for d in descents] == [
+            ("budget", 5)
+        ] * rep.outer_iterations
+
+    def test_a_clean_solve_ends_on_a_converged_descent(self, monkeypatch):
+        descents = record_descents(monkeypatch)
+        rep = solve_bubble()
+        assert rep.success and rep.flags == []
+        assert descents[-1]["record"].stop == "converged"
 
     def test_a_short_one_segment_edge_never_restarts(self):
         cl = split_cross(0.01)
@@ -865,6 +889,40 @@ class TestProblemValidation:
     def test_targets_too_far_from_initial_volumes(self):
         with pytest.raises(ValueError):
             OptimizationProblem(regular_polygon_chamber(16, area=np.pi), EUCLID, [100.0])
+
+
+class TestSolveOptions:
+    """SolveOptions takes the scenario loader's bounds: integers >= 1 for the
+    budgets and multi_start, an integer >= 0 for the seed, positive finite
+    numbers for the tolerances."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_outer": 0},
+            {"max_outer": 2.5},
+            {"max_outer": True},
+            {"max_inner": 0},
+            {"max_inner": -3},
+            {"multi_start": 0},
+            {"seed": -1},
+            {"seed": 1.0},
+            {"vol_tol": 0.0},
+            {"vol_tol": np.inf},
+            {"grad_tol": np.nan},
+            {"grad_tol": -1e-5},
+            {"grad_tol": "1e-5"},
+        ],
+        ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()),
+    )
+    def test_out_of_bounds_options_are_rejected(self, bad):
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
+            SolveOptions(**bad)
+
+    def test_numpy_scalars_within_bounds_are_accepted(self):
+        opts = SolveOptions(max_outer=np.int64(3), seed=np.int64(0), vol_tol=np.float64(1e-4))
+        assert (opts.max_outer, opts.vol_tol) == (3, 1e-4)
 
 
 class TestJunctionDetection:

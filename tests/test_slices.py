@@ -11,8 +11,6 @@ from anisoclusters import (
     SliceConfig,
     SmoothedL1Gauge,
     improve,
-    move_chord,
-    move_join_whites,
     oriented_weight,
     path_length_gauge,
     shortcut_path,
@@ -146,14 +144,15 @@ class TestMoves:
     def test_chord_skips_wide_sectors(self):
         cfg = SliceConfig(np.radians([0, 90, 150]), [1, 2, 3], EuclideanGauge())
         # sector from 150 deg back to 0 deg spans 210 deg
-        assert move_chord(cfg, 2) is None
-        assert move_chord(cfg, 0) is not None
+        moves = dict(enumerate_moves(cfg))
+        assert moves.get(("chord", 2)) is None
+        assert moves.get(("chord", 0)) is not None
 
     def test_chord_cuts_euclidean_fan(self):
         # two radii 60 deg apart: chord replaces the far radius pattern;
         # compare against a hand-built competitor perimeter
         cfg = SliceConfig(np.radians([0, 60, 180, 240]), [1, 2, 1, 2], EuclideanGauge())
-        net = move_chord(cfg, 0)
+        net = dict(enumerate_moves(cfg)).get(("chord", 0))
         assert net is not None
         assert net.perimeter() < cfg.perimeter()
 
@@ -161,7 +160,7 @@ class TestMoves:
         cfg = SliceConfig(
             np.radians([0, 40, 80, 180, 300]), [1, 2, 0, 3, 0], EuclideanGauge()
         )
-        net = move_join_whites(cfg, 0, 1)
+        net = dict(enumerate_moves(cfg)).get(("join-whites", 0, 1))
         assert net is not None
         # pieces under the chord carry white on the outside
         whites = [s for s in net.segments if s.right == 0]
@@ -172,7 +171,7 @@ class TestMoves:
         cfg = SliceConfig(
             np.radians([0, 40, 80, 180, 300]), [1, 2, 0, 3, 4], EuclideanGauge()
         )
-        assert move_join_whites(cfg, 0, 1) is None
+        assert [desc for desc, _ in enumerate_moves(cfg) if desc[0] == "join-whites"] == []
 
     def test_join_whites_skips_wide_spans(self):
         cfg = SliceConfig(
@@ -182,7 +181,7 @@ class TestMoves:
         wide = SliceConfig(
             np.radians([0, 100, 200, 250, 300]), [1, 2, 0, 3, 0], EuclideanGauge()
         )
-        assert move_join_whites(wide, 0, 1) is None
+        assert dict(enumerate_moves(wide)).get(("join-whites", 0, 1)) is None
 
 
     def test_moves_keep_side_labels_consistent(self):

@@ -64,6 +64,14 @@ class TestFermatPoint:
         assert res.value == pytest.approx(ref.fun, abs=1e-9)
         assert np.linalg.norm(res.point - ref.x) < 1e-5
 
+    def test_stop_names_the_exit(self):
+        scale = max(np.linalg.norm(TERMINALS - np.roll(TERMINALS, 1, axis=0), axis=1))
+        loose = fermat_point(EuclideanGauge(), *TERMINALS, tol=1e-6)
+        assert loose.stop == "converged" and loose.gradient_norm <= 1e-6 * scale
+        short = fermat_point(EuclideanGauge(), *TERMINALS, max_iter=3)
+        assert (short.stop, short.iterations) == ("budget", 3)
+        assert short.gradient_norm > 1e-10 * scale
+
     def test_value_consistent_with_cost(self):
         gauge = ShiftedDiskGauge((0.0, 0.3), 1.0)
         modes = ("out", "in", "sym")
@@ -271,6 +279,7 @@ class TestFermatPricingMatchesPerArmReference:
         stalled = fermat_point(LpGauge(3.0), *HARD_EXITS)
         assert stalled.iterations < 5000 and stalled.degenerate_vertex is None
         assert stalled.gradient_norm > 1e-10 * scale
+        assert stalled.stop == "stalled"
         snapped = fermat_point(ShiftedDiskGauge((0.2, -0.1)), *HARD_EXITS)
         assert snapped.degenerate_vertex is not None
         assert snapped.point.tobytes() == HARD_EXITS[snapped.degenerate_vertex].tobytes()
