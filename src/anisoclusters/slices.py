@@ -15,7 +15,8 @@ EPS_GRID) with their segments in network order. improve stacks the base
 network and every family's rows, prices all their segments in one
 oriented_weight call, sums each row's weights in segment order, and builds
 a CompetitorNetwork only for the winner; enumerate_moves builds every
-candidate's network from the same rows.
+candidate's network from the same rows. A network holds its segments as
+arrays, one row each, so a result that keeps it stays small.
 """
 
 from __future__ import annotations
@@ -49,15 +50,28 @@ class NetSegment:
     right: int
 
 
-@dataclass
+@dataclass(slots=True)
 class CompetitorNetwork:
-    segments: list
+    """A network of k segments, stored as arrays: segment s runs from
+    p0[s] to p1[s] (each (k, 2)) with the labels left[s] and right[s]
+    (each (k,))."""
+
+    p0: np.ndarray
+    p1: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     gauge: object
 
+    @property
+    def segments(self):
+        """The segments as NetSegments, built on each read."""
+        return [
+            NetSegment(a, b, l, r)
+            for a, b, l, r in zip(self.p0, self.p1, self.left.tolist(), self.right.tolist())
+        ]
+
     def perimeter(self):
-        segs = self.segments
-        vec = np.array([s.p1 for s in segs]) - np.array([s.p0 for s in segs])
-        w = oriented_weight(self.gauge, vec, [s.left for s in segs], [s.right for s in segs])
+        w = oriented_weight(self.gauge, self.p1 - self.p0, self.left, self.right)
         # a sequential sum: analytically tied moves must keep their order
         return sum(w.tolist())
 
@@ -71,7 +85,7 @@ class CompetitorNetwork:
         return sorted(set(round(a, 12) for a in out))
 
 
-@dataclass
+@dataclass(slots=True)
 class ImproveResult:
     network: CompetitorNetwork
     delta: float
@@ -356,10 +370,9 @@ def _families(config):
 
 def _network(config, rows, r):
     """The competitor network of row r."""
-    p0, p1 = rows.p0[r].copy(), rows.p1[r].copy()
-    left, right = rows.left[r].tolist(), rows.right[r].tolist()
-    segs = [NetSegment(p0[s], p1[s], left[s], right[s]) for s in np.flatnonzero(rows.real[r])]
-    return CompetitorNetwork(segments=segs, gauge=config.gauge)
+    real = rows.real[r]
+    return CompetitorNetwork(rows.p0[r, real], rows.p1[r, real], rows.left[r, real], rows.right[r, real],
+                             config.gauge)
 
 
 def _perimeters(gauge, rows):

@@ -10,14 +10,18 @@ the mean of its two sides, from one gauge call for the normals and their
 negatives. fermat_point prices its three arms through the same rule, each
 arm's mode naming its side labels in MODE_SIDES: the rule is linear in the
 two one-sided weights, so it yields each arm's pair of coefficients once
-per solve. For a symmetric gauge every arm's gradient is the plain gauge
-gradient at its normal, rotated back.
+per solve. Its objective is convex, so it first tests whether a terminal
+is the minimizer (Kuhn's vertex test, certified for any convex gauge by a
+Lipschitz bound between sampled directions) and otherwise descends by
+BFGS from the centroid (Nocedal and Wright, Numerical Optimization, ch. 6).
+For a symmetric gauge every arm's gradient is the plain gauge gradient at
+its normal, rotated back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -45,9 +49,10 @@ def _equal_fields(self, other):
 
 @dataclass
 class FermatResult:
-    """stop says why the descent ended: "converged" (the gradient norm fell
-    to tol * scale), "stalled" (no strictly decreasing step) or "budget"
-    (max_iter steps taken, the last one unchecked)."""
+    """stop says why the solve ended: "converged" (a terminal certified as
+    the minimizer, or the gradient norm fell to tol * scale), "stalled" (no
+    acceptable step) or "budget" (max_iter steps taken, the last one
+    unchecked)."""
 
     point: np.ndarray
     value: float
@@ -91,6 +96,22 @@ class AdmissibleTriple:
 MODE_SIDES = {"out": (1, 0), "in": (0, 1), "sym": (1, 2)}
 
 
+# the terminal certificate reads each arm's one-sided slope on this many
+# equally spaced unit directions, and their negatives, in one gauge call
+CERTIFICATE_DIRECTIONS = 256
+_CERT_U = unit_dir(np.arange(CERTIFICATE_DIRECTIONS) * (TWO_PI / CERTIFICATE_DIRECTIONS))
+_CERT_PM_U = np.concatenate([_CERT_U, -_CERT_U])
+for _a in (_CERT_U, _CERT_PM_U):
+    _a.flags.writeable = False
+# a unit direction lies within 2 sin(pi/(2N)) of a sample, and a gauge's
+# largest value on the circle is at most its largest sample / cos(pi/N)
+# (the sampled N-gon holds the disk of radius cos(pi/N)); the slack covers
+# the rounding of the sampled slopes, relative to their Lipschitz bound
+_CERT_GAP = 2.0 * np.sin(np.pi / (2 * CERTIFICATE_DIRECTIONS))
+_CERT_COS = np.cos(np.pi / CERTIFICATE_DIRECTIONS)
+_CERT_SLACK = 64 * np.finfo(float).eps
+
+
 def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_iter=5000):
     """Minimize the three-terminal anisotropic junction objective.
 
@@ -99,14 +120,28 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
     gauge(P - X), 'sym' averages both. Each arm is priced, value and
     gradient, with the coefficients cluster.orientation_rule gives its
     MODE_SIDES labels, all six one-sided weights in one gauge call.
-    Terminals must be finite and pairwise distinct. Descent with
-    backtracking from the centroid: every trial point costs one value call,
-    and the gradient is taken only at the start and at accepted points.
-    Stops when the gradient norm drops below tol * scale, when no strictly
-    decreasing step remains or after max_iter steps; FermatResult.stop says
-    which. A minimizer within 1e-8 * scale of a terminal is snapped to it
-    and flagged as degenerate.
+    Terminals must be finite and pairwise distinct; tol is a positive
+    finite number and max_iter an integer >= 1.
+
+    First a terminal test (Kuhn's vertex-optimality test, made exact for a
+    convex gauge by a Lipschitz bound between sampled directions) settles a
+    minimizer that is a terminal: the result is that terminal, bit for bit,
+    with iterations 0, gradient_norm 0.0 (the least-norm subgradient),
+    stop "converged" and degenerate_vertex set. Otherwise a BFGS descent
+    with Armijo backtracking from a unit step runs from the centroid:
+    every trial point costs one value call, and the gradient is taken at
+    the start, at accepted points and at trials whose value ties the
+    current one within 4 ulps (such a trial is accepted when it halves the
+    gradient norm). The inverse Hessian starts at scale/4 times the
+    identity and is reset to it when it gives no descent direction, and
+    once when a line search along it fails. The descent stops when the
+    gradient norm drops below tol * scale, when no acceptable step remains
+    or after max_iter steps; FermatResult.stop says which. A minimizer
+    within 1e-8 * scale of a terminal is snapped to it and flagged as
+    degenerate.
     """
+    _check_tol(tol)
+    _check_count("max_iter", max_iter)
     if isinstance(modes, str) or len(modes) != 3:
         raise ValueError("need exactly three modes, one per terminal")
     for mode in modes:
@@ -122,7 +157,7 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
     ) < 1e-12:
         raise ValueError("terminals must be pairwise distinct")
     area2 = abs(float(cross2(pts[1] - pts[0], pts[2] - pts[0])))
-    collinear = area2 < 1e-12 * scale * scale
+    collinear = bool(area2 < 1e-12 * scale * scale)
 
     # orientation_rule is linear in its two one-sided weights, so each arm's
     # coefficients, (1, 0) for out, (0, 1) for in and (1/2, 1/2) for sym, are
@@ -149,32 +184,62 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
         dw = dh[:3] * dfwd + dh[3:] * drev
         return np.zeros(2) + dw[0] + dw[1] + dw[2]
 
+    k = _certified_terminal(gauge, pts, fwd, rev)
+    if k is not None:
+        p = pts[k].copy()
+        return FermatResult(point=p, value=value(p), iterations=0, gradient_norm=0.0,
+                            stop="converged", degenerate_vertex=k, collinear=collinear)
+
     p = pts.mean(axis=0)
     fval, grad = value(p), gradient(p)
-    step = 0.25 * scale
+    gn = float(np.linalg.norm(grad))
+    h0 = 0.25 * scale * np.eye(2)
+    hinv = h0
+    restarted = False
     it = 0
     stop = "budget"
     for it in range(1, max_iter + 1):
-        gn = float(np.linalg.norm(grad))
         if gn <= tol * scale:
             stop = "converged"
             break
-        d = -grad / gn
-        t = step
-        moved = False
-        while t > 1e-16 * scale:
-            cand = p + t * d
-            fc = value(cand)
-            if fc < fval - 1e-4 * t * gn:
-                p, fval, grad = cand, fc, gradient(cand)
-                step = min(2.0 * t, 0.25 * scale)
-                moved = True
+        d = -(hinv @ grad)
+        slope = float(grad @ d)
+        if not slope < 0:
+            hinv = h0
+            d = -(hinv @ grad)
+            slope = float(grad @ d)
+        t = 1.0
+        floor = 1e-16 * scale / float(np.linalg.norm(d))
+        cand = None
+        while t > floor:
+            trial = p + t * d
+            fc = value(trial)
+            if fc < fval + 1e-4 * t * slope:
+                cand, gc = trial, gradient(trial)
                 break
+            # a value within rounding of the current one cannot decide the
+            # step; the gradient norm does, if the trial at least halves it
+            if abs(fc - fval) <= 4.0 * np.spacing(abs(fval)):
+                gc = gradient(trial)
+                if float(np.linalg.norm(gc)) <= 0.5 * gn:
+                    cand = trial
+                    break
             t *= 0.5
-        if not moved:
+        if cand is None:
+            if hinv is not h0 and not restarted:
+                # the curvature model may be what failed: retry along -H0 g, once
+                hinv, restarted = h0, True
+                continue
             stop = "stalled"
             break
-    gn = float(np.linalg.norm(grad))
+        s, y = cand - p, gc - grad
+        sy = float(s @ y)
+        if sy > 0:
+            # the BFGS update of the inverse Hessian, (I - s y'/sy) H (I - y s'/sy) + s s'/sy
+            hy = hinv @ y
+            hinv = hinv + ((sy + float(y @ hy)) / sy * np.outer(s, s) - np.outer(hy, s) - np.outer(s, hy)) / sy
+        p, fval, grad = cand, fc, gc
+        gn = float(np.linalg.norm(grad))
     degenerate = None
     d2term = np.linalg.norm(pts - p, axis=1)
     k = int(np.argmin(d2term))
@@ -184,6 +249,45 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
         degenerate = k
     return FermatResult(point=p, value=fval, iterations=it, gradient_norm=gn, stop=stop,
                         degenerate_vertex=degenerate, collinear=collinear)
+
+
+def _certified_terminal(gauge, pts, fwd, rev):
+    """The terminal k proved to minimize the junction objective, or None.
+
+    For P = X_k + s u (s > 0, u a unit vector), convexity of the other two
+    arms gives F(P) - F(X_k) >= s (g_k . u + phi_k(u)), where g_k is their
+    gradient (any subgradient) at X_k and phi_k(u) = fwd_k h(-u) + rev_k h(u)
+    is arm k's one-sided slope. X_k is certified when that bound is
+    positive in every direction: its least value over the sampled
+    directions exceeds a Lipschitz bound on its change between neighbouring
+    samples, plus a rounding slack. One grad call prices the arms at the
+    three terminals and one value call the sampled directions.
+    """
+    n = CERTIFICATE_DIRECTIONS
+    # the six arms X_j - X_k, then X_k - X_j, for each terminal k
+    arms = pts[None, :, :] - pts[:, None, :]
+    dh = gauge.grad(np.concatenate([arms, -arms], axis=1).reshape(18, 2)).reshape(3, 6, 2)
+    dw = dh[:, :3] * -fwd[None, :, None] + dh[:, 3:] * rev[None, :, None]
+    # arm k is not differentiable at X_k: its rows are masked out
+    dw[np.arange(3), np.arange(3)] = 0.0
+    g = dw.sum(axis=1)
+    h = gauge.value(_CERT_PM_U)
+    phi = fwd[:, None] * h[None, n:] + rev[:, None] * h[None, :n]
+    # elementwise, so that no row's rounding depends on the other rows
+    psi = g[:, :1] * _CERT_U[:, 0] + g[:, 1:] * _CERT_U[:, 1] + phi
+    lip = np.hypot(g[:, 0], g[:, 1]) + phi.max(axis=1) / _CERT_COS
+    certified = np.flatnonzero(psi.min(axis=1) > lip * (_CERT_GAP + _CERT_SLACK))
+    return int(certified[0]) if len(certified) else None
+
+
+def _check_tol(tol):
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 < tol < np.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+
+
+def _check_count(name, value):
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def fermat_modes_for_colors(colors):
@@ -255,7 +359,8 @@ def admissible_pairs(gauge, a, resolution=720, tol=1e-9, max_newton=60):
     whose corners bracket zero in both components of grad(A) + grad(B) +
     grad(C): per-axis corner bounds test component 0 on the whole torus, and
     component 1 on its survivors. Refines each cell with damped Newton on
-    finite-difference Jacobians, keeps roots with residual below tol, and
+    finite-difference Jacobians (at most max_newton steps, an integer >= 1),
+    keeps roots with residual below tol (a positive finite number), and
     deduplicates unordered pairs. Requires a smooth gauge.
 
     A is scaled onto the unit ball; B and C are unit-ball boundary points
@@ -269,6 +374,8 @@ def admissible_pairs(gauge, a, resolution=720, tol=1e-9, max_newton=60):
     """
     if isinstance(resolution, bool) or not isinstance(resolution, Integral) or resolution < 16:
         raise ValueError(f"resolution must be an integer >= 16, got {resolution!r}")
+    _check_tol(tol)
+    _check_count("max_newton", max_newton)
     if not gauge.smooth:
         raise ValueError("kinked gauge: admissible pairs need a C1 gauge")
     a = np.asarray(a, dtype=float)

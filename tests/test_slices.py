@@ -1,5 +1,8 @@
 """Slice configurations, competitor moves, and path shortcutting."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -402,6 +405,32 @@ def test_improve_equals_the_per_network_loop():
         families.update(desc[0] for desc, _ in enumerate_moves(cfg))
     assert families == {"chord", "join-whites", "slide", "tripod"}
     assert sum(0 in cfg.colors for cfg in draws) >= 100
+
+
+def test_improve_result_retains_little_memory():
+    # the winner's network is four arrays, not one object per segment
+    cfg = SliceConfig(np.radians([0, 40, 100, 150, 200, 250, 290, 330]), [1, 2, 3, 1, 2, 3, 1, 2], EuclideanGauge())
+    improve(cfg)  # the gauge's guarantee flag is cached on the first call
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        results = [improve(cfg) for _ in range(10)]
+        gc.collect()
+        retained = (tracemalloc.get_traced_memory()[0] - before) / len(results)
+    finally:
+        tracemalloc.stop()
+    assert cfg.n == 8 and len(results[0].network.segments) == 9
+    assert retained < 1500
+
+
+def test_network_segments_read_the_arrays():
+    cfg = SliceConfig(np.radians([0, 60, 180, 240]), [1, 2, 1, 2], EuclideanGauge())
+    net = dict(enumerate_moves(cfg))[("chord", 0)]
+    segs = net.segments
+    assert [(s.left, s.right) for s in segs] == list(zip(net.left.tolist(), net.right.tolist()))
+    assert all(type(s.left) is int and type(s.right) is int for s in segs)
+    assert np.array_equal([s.p0 for s in segs], net.p0) and np.array_equal([s.p1 for s in segs], net.p1)
+    assert net.perimeter() == scalar_perimeter(net, {})
 
 
 class TestPathLength:

@@ -22,7 +22,7 @@ from anisoclusters import (
     steiner,
 )
 from anisoclusters.cluster import segment_weights
-from anisoclusters.geometry import unit_dir
+from anisoclusters.geometry import TWO_PI, unit_dir
 from anisoclusters.steiner import MODE_SIDES, _bracketing_cells
 from conftest import all_gauge_list, odd_profile_gauge, smooth_gauge_list
 
@@ -41,6 +41,18 @@ def junction_cost(gauge, pts, modes, p):
     return total
 
 
+# the second triangle of the benchmark's junctions workload: a steepest
+# descent with a fixed first step ended l^3 on a failed line search after
+# 755 iterations, and took the shifted disk's out arms to a terminal in 458
+HARD_EXITS = np.array([
+    [0.2999375903353436, 0.3464005862381443],
+    [-0.8533322572245561, 0.7485938031682629],
+    [0.7116518033323143, -0.23894636912363265],
+])
+# its angle at the first terminal exceeds 120 degrees
+OBTUSE = np.array([[0.0, 0.0], [1.0, 0.0], [-0.8, 0.3]])
+
+
 class TestFermatPoint:
     @pytest.mark.parametrize(
         "gauge",
@@ -53,11 +65,12 @@ class TestFermatPoint:
         ids=["euclid", "ellipse", "shifted", "lp3"],
     )
     @pytest.mark.parametrize("modes", [("out",) * 3, ("in",) * 3, ("sym",) * 3])
-    def test_matches_derivative_free_minimizer(self, gauge, modes):
-        res = fermat_point(gauge, *TERMINALS, modes=modes)
+    @pytest.mark.parametrize("pts", [TERMINALS, HARD_EXITS, OBTUSE], ids=["plain", "hard-exits", "obtuse"])
+    def test_matches_derivative_free_minimizer(self, gauge, modes, pts):
+        res = fermat_point(gauge, *pts, modes=modes)
         ref = scipy_minimize(
-            lambda p: junction_cost(gauge, TERMINALS, modes, p),
-            TERMINALS.mean(axis=0),
+            lambda p: junction_cost(gauge, pts, modes, p),
+            pts.mean(axis=0),
             method="Nelder-Mead",
             options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
         )
@@ -95,14 +108,14 @@ class TestFermatPoint:
             assert np.degrees(np.arccos(cosang)) == pytest.approx(120.0, abs=1e-4)
 
     def test_obtuse_triangle_snaps_to_vertex(self):
-        res = fermat_point(
-            EuclideanGauge(),
-            np.array([0.0, 0.0]),
-            np.array([1.0, 0.0]),
-            np.array([-0.8, 0.3]),
-        )
+        gauge = CountingGauge(EuclideanGauge())
+        res = fermat_point(gauge, *OBTUSE)
         assert res.degenerate_vertex == 0
-        assert np.allclose(res.point, [0.0, 0.0])
+        assert res.point.tobytes() == OBTUSE[0].tobytes()
+        assert (res.iterations, res.gradient_norm, res.stop) == (0, 0.0, "converged")
+        assert res.value == junction_cost(EuclideanGauge(), OBTUSE, ("out",) * 3, OBTUSE[0])
+        # the certificate's two calls, then the value at the terminal
+        assert gauge.shapes == {"value": [(512, 2), (6, 2)], "grad": [(18, 2)]}
 
     def test_collinear_flag(self):
         res = fermat_point(
@@ -111,8 +124,9 @@ class TestFermatPoint:
             np.array([1.0, 0.0]),
             np.array([2.0, 0.0]),
         )
-        assert res.collinear
+        assert res.collinear is True
         assert res.value == pytest.approx(2.0, abs=1e-12)
+        assert fermat_point(EuclideanGauge(), *TERMINALS).collinear is False
 
     def test_rotation_equivariance(self):
         base = EllipseGauge([[2.0, 0.3], [0.3, 1.0]])
@@ -147,15 +161,44 @@ class TestFermatPoint:
     def test_value_at_every_trial_point_gradient_only_at_accepted_ones(self):
         gauge = CountingGauge(ShiftedDiskGauge((0.2, -0.1), 1.0))
         res = fermat_point(gauge, *TERMINALS, modes=("out", "in", "sym"))
-        assert res.iterations < 5000 and res.degenerate_vertex is None
-        assert set(gauge.shapes["value"]) == set(gauge.shapes["grad"]) == {(6, 2)}
-        priced = [arms.tobytes() for arms in gauge.batches["value"]]
+        assert res.stop == "converged" and res.degenerate_vertex is None
+        # the terminal test: the sampled directions and the arms at the terminals
+        assert gauge.shapes["value"][0] == (512, 2) and gauge.shapes["grad"][0] == (18, 2)
+        assert set(gauge.shapes["value"][1:]) == set(gauge.shapes["grad"][1:]) == {(6, 2)}
+        priced = [arms.tobytes() for arms in gauge.batches["value"][1:]]
         # the start and every trial point, each priced once
         assert len(set(priced)) == len(priced)
         # the gradient at the start and at each accepted point, all priced before
-        assert len(gauge.batches["grad"]) == res.iterations
-        assert all(arms.tobytes() in priced for arms in gauge.batches["grad"])
-        assert len(priced) > len(gauge.batches["grad"])
+        grads = gauge.batches["grad"][1:]
+        assert len(grads) == res.iterations
+        assert all(arms.tobytes() in priced for arms in grads)
+
+    def test_a_rounding_tie_is_settled_by_the_gradient(self):
+        # on HARD_EXITS the l^3 value stops falling before the gradient norm
+        # reaches tol: a trial whose value ties the current one within
+        # rounding takes its gradient, and is accepted when that halves the
+        # gradient norm
+        gauge = CountingGauge(LpGauge(3.0))
+        res = fermat_point(gauge, *HARD_EXITS)
+        scale = max(np.linalg.norm(HARD_EXITS - np.roll(HARD_EXITS, 1, axis=0), axis=1))
+        assert res.stop == "converged" and res.gradient_norm <= 1e-10 * scale
+        # all three arms are "out": a point's value sums its first three weights
+        value = {
+            arms.tobytes(): h[0] + h[1] + h[2]
+            for arms, h in zip(gauge.batches["value"][1:], gauge.outputs["value"][1:])
+        }
+        at_grads = [value[arms.tobytes()] for arms in gauge.batches["grad"][1:]]
+        assert any(b >= a for a, b in zip(at_grads, at_grads[1:]))
+
+    def test_rejects_invalid_solver_arguments(self):
+        for bad in (np.nan, -1.0, 0.0, np.inf, True, "1e-10", None):
+            with pytest.raises(ValueError, match="tol must be a positive finite number"):
+                fermat_point(EuclideanGauge(), *TERMINALS, tol=bad)
+        for bad in (0, -3, 2.5, True, None):
+            with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+                fermat_point(EuclideanGauge(), *TERMINALS, max_iter=bad)
+        res = fermat_point(EuclideanGauge(), *TERMINALS, tol=np.float32(1e-6), max_iter=np.int64(1))
+        assert (res.stop, res.iterations) == ("budget", 1)
 
     @pytest.mark.parametrize("bad", [[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]])
     def test_rejects_non_finite_terminals(self, bad):
@@ -177,17 +220,21 @@ class TestFermatPoint:
 
 
 class CountingGauge:
-    """A gauge that records every value and grad batch and its shape."""
+    """A gauge that records every value and grad batch and its shape, and
+    every value batch's weights."""
 
     def __init__(self, base):
         self.base = base
         self.shapes = {"value": [], "grad": []}
         self.batches = {"value": [], "grad": []}
+        self.outputs = {"value": []}
 
     def value(self, v):
         self.shapes["value"].append(np.shape(v))
         self.batches["value"].append(np.array(v, dtype=float))
-        return self.base.value(v)
+        h = self.base.value(v)
+        self.outputs["value"].append(np.asarray(h).tolist())
+        return h
 
     def grad(self, v):
         self.shapes["grad"].append(np.shape(v))
@@ -196,62 +243,103 @@ class CountingGauge:
 
 
 def reference_fermat(gauge, pts, modes):
-    """fermat_point's descent, at its default tol and max_iter, with each arm
-    priced on its own, by mode: (point, value, iterations)."""
+    """fermat_point, terminal test and descent, at its default tol and
+    max_iter, with each arm priced on its own, by mode: (point, value,
+    iterations)."""
 
-    def term(x, p, mode):
+    def term_value(x, p, mode):
         if mode == "out":
-            return float(gauge.value(x - p)), -gauge.grad(x - p)
+            return float(gauge.value(x - p))
         if mode == "in":
-            return float(gauge.value(p - x)), gauge.grad(p - x)
-        v = 0.5 * (gauge.value(x - p) + gauge.value(p - x))
-        return float(v), 0.5 * (gauge.grad(p - x) - gauge.grad(x - p))
+            return float(gauge.value(p - x))
+        return float(0.5 * (gauge.value(x - p) + gauge.value(p - x)))
 
-    def objective(p):
-        val, grad = 0.0, np.zeros(2)
+    def term_grad(x, p, mode):
+        if mode == "out":
+            return -gauge.grad(x - p)
+        if mode == "in":
+            return gauge.grad(p - x)
+        return 0.5 * (gauge.grad(p - x) - gauge.grad(x - p))
+
+    def value(p):
+        val = 0.0
         for x, mode in zip(pts, modes):
-            v, g = term(x, p, mode)
-            val += v
-            grad += g
-        return val, grad
+            val += term_value(x, p, mode)
+        return val
+
+    def gradient(p):
+        grad = np.zeros(2)
+        for x, mode in zip(pts, modes):
+            grad += term_grad(x, p, mode)
+        return grad
+
+    def slope(mode, u):
+        # the arm's weight at P = X + s u, over s
+        if mode == "out":
+            return gauge.value(-u)
+        if mode == "in":
+            return gauge.value(u)
+        return 0.5 * (gauge.value(-u) + gauge.value(u))
+
+    # the terminal test: the other arms' gradient and the arm's own slope
+    n = steiner.CERTIFICATE_DIRECTIONS
+    u = unit_dir(np.arange(n) * (TWO_PI / n))
+    for k in range(3):
+        g = np.zeros(2)
+        for j in range(3):
+            if j != k:
+                g += term_grad(pts[j], pts[k], modes[j])
+        phi = slope(modes[k], u)
+        psi = g[0] * u[:, 0] + g[1] * u[:, 1] + phi
+        lip = np.hypot(g[0], g[1]) + phi.max() / np.cos(np.pi / n)
+        if psi.min() > lip * (2.0 * np.sin(np.pi / (2 * n)) + 64 * np.finfo(float).eps):
+            return pts[k].copy(), value(pts[k]), 0
 
     scale = max(np.linalg.norm(pts[i] - pts[j]) for i in range(3) for j in range(i + 1, 3))
     p = pts.mean(axis=0)
-    fval, grad = objective(p)
-    step = 0.25 * scale
+    fval, grad = value(p), gradient(p)
+    gn = float(np.linalg.norm(grad))
+    h0 = 0.25 * scale * np.eye(2)
+    hinv, restarted = h0, False
     it = 0
     for it in range(1, 5001):
-        gn = float(np.linalg.norm(grad))
         if gn <= 1e-10 * scale:
             break
-        d = -grad / gn
-        t = step
-        while t > 1e-16 * scale:
-            cand = p + t * d
-            fc, gc = objective(cand)
-            if fc < fval - 1e-4 * t * gn:
-                p, fval, grad = cand, fc, gc
-                step = min(2.0 * t, 0.25 * scale)
+        d = -(hinv @ grad)
+        if not float(grad @ d) < 0:
+            hinv = h0
+            d = -(hinv @ grad)
+        slope_d = float(grad @ d)
+        t, floor, cand = 1.0, 1e-16 * scale / float(np.linalg.norm(d)), None
+        while t > floor:
+            fc = value(p + t * d)
+            if fc < fval + 1e-4 * t * slope_d:
+                cand, gc = p + t * d, gradient(p + t * d)
                 break
+            if abs(fc - fval) <= 4.0 * np.spacing(abs(fval)):
+                gc = gradient(p + t * d)
+                if float(np.linalg.norm(gc)) <= 0.5 * gn:
+                    cand = p + t * d
+                    break
             t *= 0.5
-        else:
+        if cand is None:
+            if hinv is not h0 and not restarted:
+                hinv, restarted = h0, True
+                continue
             break
+        s, y = cand - p, gc - grad
+        sy = float(s @ y)
+        if sy > 0:
+            hy = hinv @ y
+            hinv = hinv + ((sy + float(y @ hy)) / sy * np.outer(s, s) - np.outer(hy, s) - np.outer(s, hy)) / sy
+        p, fval, grad = cand, fc, gc
+        gn = float(np.linalg.norm(grad))
     d2term = np.linalg.norm(pts - p, axis=1)
     k = int(np.argmin(d2term))
     if d2term[k] <= 1e-8 * scale:
         p = pts[k].copy()
-        fval = objective(p)[0]
+        fval = value(p)
     return p, fval, it
-
-
-# the second triangle of the benchmark's junctions workload: in fermat_point
-# l^3 ends on a failed line search after 755 iterations, and the shifted
-# disk's out arms reach a terminal after 458 and are snapped to it
-HARD_EXITS = np.array([
-    [0.2999375903353436, 0.3464005862381443],
-    [-0.8533322572245561, 0.7485938031682629],
-    [0.7116518033323143, -0.23894636912363265],
-])
 
 
 class TestFermatPricingMatchesPerArmReference:
@@ -265,9 +353,8 @@ class TestFermatPricingMatchesPerArmReference:
         ids=["euclid", "ellipse", "shifted", "tabulated", "max", "l1", "smoothed-l1", "l3"],
     )
     def test_bit_identical(self, gauge):
-        obtuse = np.array([[0.0, 0.0], [1.0, 0.0], [-0.8, 0.3]])
         cases = [(TERMINALS, m) for m in itertools.product(MODE_SIDES, repeat=3)]
-        cases += [(pts, (m,) * 3) for pts in (obtuse, HARD_EXITS) for m in MODE_SIDES]
+        cases += [(pts, (m,) * 3) for pts in (OBTUSE, HARD_EXITS) for m in MODE_SIDES]
         for pts, modes in cases:
             res = fermat_point(gauge, *pts, modes=modes)
             point, value, iterations = reference_fermat(gauge, pts, modes)
@@ -276,13 +363,52 @@ class TestFermatPricingMatchesPerArmReference:
 
     def test_hard_exits_are_reached(self):
         scale = max(np.linalg.norm(HARD_EXITS - np.roll(HARD_EXITS, 1, axis=0), axis=1))
-        stalled = fermat_point(LpGauge(3.0), *HARD_EXITS)
-        assert stalled.iterations < 5000 and stalled.degenerate_vertex is None
-        assert stalled.gradient_norm > 1e-10 * scale
-        assert stalled.stop == "stalled"
+        lp3 = fermat_point(LpGauge(3.0), *HARD_EXITS)
+        assert lp3.iterations < 5000 and lp3.degenerate_vertex is None
+        assert lp3.gradient_norm <= 1e-10 * scale
+        assert lp3.stop == "converged"
         snapped = fermat_point(ShiftedDiskGauge((0.2, -0.1)), *HARD_EXITS)
         assert snapped.degenerate_vertex is not None
         assert snapped.point.tobytes() == HARD_EXITS[snapped.degenerate_vertex].tobytes()
+
+
+def junction_costs(gauge, pts, modes, q):
+    """junction_cost at each row of q, each arm priced by mode in one batch."""
+    total = np.zeros(len(q))
+    for x, mode in zip(pts, modes):
+        if mode == "out":
+            total += gauge.value(x - q)
+        elif mode == "in":
+            total += gauge.value(q - x)
+        else:
+            total += 0.5 * (gauge.value(x - q) + gauge.value(q - x))
+    return total
+
+
+def test_no_false_terminal_certificate():
+    # dense polar probes from 1e-6 to 1e-1 scale around every terminal the
+    # test certifies find no lower value; half the triangles have their
+    # third terminal near the first side, so that many terminals certify
+    rng = np.random.default_rng(19)
+    gauges = all_gauge_list() + [odd_profile_gauge()]
+    offsets = (np.geomspace(1e-6, 1e-1, 11)[:, None, None] * unit_dir(np.arange(720) * (TWO_PI / 720))).reshape(-1, 2)
+    certified = set()
+    for i in range(200):
+        gauge = gauges[i % len(gauges)]
+        pts = rng.uniform(-1.0, 1.0, (3, 2))
+        if i % 2:
+            pts[2] = pts[0] + rng.uniform(0.1, 0.9) * (pts[1] - pts[0]) + rng.normal(0.0, 0.1, 2)
+        modes = tuple(rng.choice(list(MODE_SIDES), 3))
+        res = fermat_point(gauge, *pts, modes=modes)
+        if res.iterations:
+            continue
+        assert (res.stop, res.gradient_norm) == ("converged", 0.0)
+        assert res.point.tobytes() == pts[res.degenerate_vertex].tobytes()
+        scale = max(np.linalg.norm(pts - np.roll(pts, 1, axis=0), axis=1))
+        costs = junction_costs(gauge, pts, modes, res.point + scale * offsets)
+        assert costs.min() >= res.value - 1e-12 * max(1.0, abs(res.value)), (i, modes)
+        certified.add(i % len(gauges))
+    assert certified == set(range(len(gauges)))
 
 
 class TestModesForColors:
@@ -491,6 +617,16 @@ class TestAdmissiblePairs:
     def test_rejects_resolution_other_than_an_integer_from_16(self, resolution):
         with pytest.raises(ValueError, match="resolution"):
             admissible_pairs(EuclideanGauge(), np.array([0.0, 1.0]), resolution=resolution)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"tol": bad}, "tol must be a positive finite number") for bad in (np.nan, -1.0, 0.0, np.inf, True)]
+        + [({"max_newton": bad}, "max_newton must be an integer >= 1") for bad in (0, -2, 2.5, True)],
+    )
+    def test_rejects_invalid_solver_arguments(self, kwargs, message):
+        # tol=nan or -1 once found no pair for the Euclidean gauge, which has one
+        with pytest.raises(ValueError, match=message):
+            admissible_pairs(EuclideanGauge(), np.array([0.0, 1.0]), resolution=16, **kwargs)
 
     def test_accepts_numpy_integer_resolution(self):
         assert len(admissible_pairs(EuclideanGauge(), np.array([0.0, 1.0]), resolution=np.int64(16))) == 1
