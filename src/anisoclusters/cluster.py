@@ -10,6 +10,10 @@ gauge weight evaluated at the colored side's outward normal (the clockwise
 rotation of the travel direction when white is on the right); a segment
 between two distinct colored chambers carries the mean of the two oriented
 weights; a segment with equal labels on both sides carries nothing.
+
+vertex_arms lists the arms at each vertex clockwise, for the wedge check
+and junction detection; relative_perimeter and ball_bound_check clip all
+segments to a disk in one clip_segments_to_disk call.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ import numpy as np
 
 from .geometry import (
     TRIANGLE_RULE,
+    angle_of,
     box_overlap_pairs,
+    clip_segments_to_disk,
     cross2,
-    clip_segment_to_disk,
     rotate_cw,
     segments_properly_cross,
 )
@@ -141,22 +146,59 @@ def perimeter_breakdown(cluster, density):
     return np.bincount(eid, weights=w, minlength=len(cluster.edges))
 
 
+def _ordered_sum(x):
+    """Sum of x from first to last, as a loop adds it; 0.0 when x is empty."""
+    return float(np.cumsum(x)[-1]) if len(x) else 0.0
+
+
 def relative_perimeter(cluster, density, center, radius, eps=1e-12):
-    """Perimeter contribution inside a closed disk; exact segment clipping."""
+    """Perimeter contribution inside a closed disk; exact segment clipping
+    (clip_segments_to_disk), the clipped pieces priced in one
+    segment_weights call and summed in segment order."""
     p, q, left, right, _ = cluster.segment_arrays()
-    total = 0.0
-    for k in range(len(p)):
-        if left[k] == right[k]:
-            continue
-        span = clip_segment_to_disk(p[k], q[k], center, radius, eps=eps)
-        if span is None:
-            continue
-        t0, t1 = span
-        a = p[k] + t0 * (q[k] - p[k])
-        b = p[k] + t1 * (q[k] - p[k])
-        w = segment_weights(density, 0.5 * (a + b), b - a, left[k : k + 1], right[k : k + 1])
-        total += float(w[0])
-    return total
+    sel = left != right
+    p, q, left, right = p[sel], q[sel], left[sel], right[sel]
+    t0, t1, keep = clip_segments_to_disk(p, q, center, radius, eps=eps)
+    p, d = p[keep], q[keep] - p[keep]
+    a = p + t0[keep, None] * d
+    b = p + t1[keep, None] * d
+    return _ordered_sum(segment_weights(density, 0.5 * (a + b), b - a, left[keep], right[keep]))
+
+
+@dataclass
+class BallBoundReport:
+    ratios: np.ndarray
+    worst_ratio: float
+    bound: float
+    ok: bool
+
+
+def ball_bound_check(cluster, density, centers, radii):
+    """Euclidean boundary length inside sampled balls against 7 h_max/h_min.
+
+    For each ball, sums the Euclidean length of boundary segments clipped to
+    the ball (one clip_segments_to_disk call) and divides by the radius; the
+    check passes when the worst ratio stays below the bound. One radius
+    serves every center; radii must be positive finite numbers.
+    """
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    radii = np.asarray(radii, dtype=float).ravel()
+    if len(radii) == 1:
+        radii = np.full(len(centers), radii[0])
+    if len(radii) != len(centers):
+        raise ValueError("need one radius per center")
+    p, q, left, right, _ = cluster.segment_arrays()
+    sel = left != right
+    p, q = p[sel], q[sel]
+    lens = np.linalg.norm(q - p, axis=1)
+    ratios = []
+    for c, r in zip(centers, radii):
+        t0, t1, keep = clip_segments_to_disk(p, q, c, r)
+        ratios.append(_ordered_sum(((t1 - t0) * lens)[keep]) / r)
+    ratios = np.asarray(ratios)
+    worst = float(ratios.max()) if len(ratios) else 0.0
+    bound = 7.0 * density.h_max / density.h_min
+    return BallBoundReport(ratios=ratios, worst_ratio=worst, bound=float(bound), ok=bool(worst < bound))
 
 
 def fan_volume_terms(density, p, q):
@@ -261,9 +303,10 @@ def weighted_volume_plain(cluster):
 
 def vertex_arms(cluster):
     """The edge ends at each vertex, keyed by vertex index in order of first
-    appearance. Each arm records its edge, whether the edge starts there
-    (forward), the chord of its first segment pointing away from the vertex,
-    and the labels left and right of that outgoing direction: an edge's own
+    appearance, in clockwise order (ties in order of first appearance). Each
+    arm records its edge, whether the edge starts there (forward), the chord
+    of its first segment pointing away from the vertex and its angle, and
+    the labels left and right of that outgoing direction: an edge's own
     labels at its start, swapped at its end."""
     arms = {}
     for k, e in enumerate(cluster.edges):
@@ -275,29 +318,30 @@ def vertex_arms(cluster):
         arms.setdefault(idx[-1], []).append(
             {"edge": k, "forward": False, "chord": pts[-2] - pts[-1], "left": e.right, "right": e.left}
         )
+    for lst in arms.values():
+        for a in lst:
+            a["angle"] = float(angle_of(a["chord"]))
+        lst.sort(key=lambda a: -a["angle"])
     return arms
 
 
 def _wedge_violations(cluster):
     """Angular label consistency around every vertex.
 
-    For each vertex, incident edge ends are sorted by direction; the label
-    counterclockwise of one direction must match the label clockwise of the
+    Walking each vertex's arms counterclockwise (vertex_arms reversed), the
+    label counterclockwise of one arm must match the label clockwise of the
     next. Mismatches mean the edges do not tile a neighborhood consistently.
     """
     problems = []
     for v, arms in vertex_arms(cluster).items():
         if len(arms) < 2:
             continue
-        ends = sorted(
-            (np.arctan2(a["chord"][1], a["chord"][0]), a["left"], a["right"], a["edge"]) for a in arms
-        )
-        for a, b in zip(ends, ends[1:] + ends[:1]):
-            # wedge between direction a and the next direction b (ccw):
-            # label ccw of a must equal label cw of b
-            if a[1] != b[2]:
+        ccw = arms[::-1]
+        for a, b in zip(ccw, ccw[1:] + ccw[:1]):
+            if a["left"] != b["right"]:
                 problems.append(
-                    f"vertex {v}: wedge between edges {a[3]} and {b[3]} sees labels {a[1]} vs {b[2]}"
+                    f"vertex {v}: wedge between edges {a['edge']} and {b['edge']} "
+                    f"sees labels {a['left']} vs {b['right']}"
                 )
     return problems
 

@@ -7,6 +7,8 @@ fully-vectorized path.
 
 from __future__ import annotations
 
+from numbers import Real
+
 import numpy as np
 
 from .gauge import Gauge
@@ -76,10 +78,10 @@ class Density:
             self.uniform_gauge = False
         else:
             raise ValueError("gauge must be a Gauge or a callable point -> Gauge")
-        if isinstance(g, (int, float)):
+        if isinstance(g, Real) and not isinstance(g, bool):
             gval = float(g)
-            if not gval > 0:
-                raise ValueError("constant g must be positive")
+            if not 0 < gval < np.inf:
+                raise ValueError(f"constant g must be a positive finite number, got {g!r}")
             self._g = None
             self.g_const = gval
         elif callable(g):

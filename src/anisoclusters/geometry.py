@@ -179,33 +179,33 @@ def polyline_self_intersects(pts):
     return bool(segments_properly_cross(pts[a], pts[a + 1], pts[b], pts[b + 1]).any())
 
 
-def clip_segment_to_disk(p, q, center, radius, eps=1e-12):
-    """Parameter interval [t0, t1] of segment p+t(q-p) inside a closed disk.
+def clip_segments_to_disk(p, q, center, radius, eps=1e-12):
+    """Parameter intervals [t0, t1] of segments p + t (q - p) inside a closed
+    disk, over a batch: p, q are (S, 2) endpoint arrays, and the result is
+    the arrays (t0, t1, keep).
 
-    Returns None when the intersection is empty or a tangency shorter than
-    eps in parameter length.
+    keep is False where the intersection is empty or a tangency no longer
+    than eps in parameter length; a segment of length zero is kept whole
+    (t0 = 0, t1 = 1) when its point lies in the disk. radius must be a
+    positive finite number.
     """
+    if not 0 < radius < np.inf:
+        raise ValueError(f"radius must be a positive finite number, got {radius!r}")
     p = np.asarray(p, float)
-    q = np.asarray(q, float)
-    c = np.asarray(center, float)
-    d = q - p
-    f = p - c
-    a = float(d @ d)
-    if a < 1e-300:
-        return (0.0, 1.0) if float(f @ f) <= radius * radius else None
-    b = 2.0 * float(f @ d)
-    cc = float(f @ f) - radius * radius
-    disc = b * b - 4 * a * cc
-    if disc < 0.0:
-        return None
-    sq = np.sqrt(disc)
-    t0 = (-b - sq) / (2 * a)
-    t1 = (-b + sq) / (2 * a)
-    t0 = max(t0, 0.0)
-    t1 = min(t1, 1.0)
-    if t1 - t0 <= eps:
-        return None
-    return (t0, t1)
+    d = np.asarray(q, float) - p
+    f = p - np.asarray(center, float)
+    a = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    b = 2.0 * (f[:, 0] * d[:, 0] + f[:, 1] * d[:, 1])
+    ff = f[:, 0] * f[:, 0] + f[:, 1] * f[:, 1]
+    r2 = radius * radius
+    disc = b * b - 4 * a * (ff - r2)
+    point = a < 1e-300
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.sqrt(disc)
+        t0 = np.where(point, 0.0, np.maximum((-b - sq) / (2 * a), 0.0))
+        t1 = np.where(point, 1.0, np.minimum((-b + sq) / (2 * a), 1.0))
+    keep = np.where(point, ff <= r2, (disc >= 0.0) & (t1 - t0 > eps))
+    return t0, t1, keep
 
 
 def _tri_rule_5():

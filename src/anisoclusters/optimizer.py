@@ -1,5 +1,5 @@
 """Constrained perimeter minimization over polygonal clusters, plus the
-junction and regularity diagnostics applied to the results.
+junction and regularity diagnosis of the results (steiner_diagnose).
 
 The solver keeps the cluster topology fixed and moves vertices. Chamber
 volumes are enforced with an augmented Lagrangian (penalty doubling,
@@ -78,14 +78,12 @@ from .cluster import (
     perimeter_breakdown,
     segment_weights,
     validate,
-    vertex_arms,
     weighted_volume,
 )
 from .density import Density
 from .geometry import (
     angle_between,
     angle_of,
-    clip_segment_to_disk,
     cross2,
     fit_endpoint_tangent,
     segment_distance,
@@ -93,7 +91,7 @@ from .geometry import (
     wrap_angle,
 )
 from .report import plain
-from .steiner import junction_residual
+from .steiner import detect_junctions, junction_residual
 
 # An accepted inner step that leaves a segment of a free edge shorter than
 # this fraction of the length resampling would give it sends _descend
@@ -147,6 +145,8 @@ class OptimizationProblem:
             raise ValueError(
                 f"need {self.cluster.m} target volumes, got {len(self.targets)}"
             )
+        if not np.isfinite(self.targets).all():
+            raise ValueError(f"target volumes must be finite, got {self.targets}")
         if np.any(self.targets <= 0):
             raise ValueError("target volumes must be strictly positive")
         problems = validate(self.cluster)
@@ -582,6 +582,8 @@ def resample_cluster(cluster, target_len):
     verbatim. Interior vertices are placed at even arclength along the old
     polyline, which can only shorten it.
     """
+    if isinstance(target_len, bool) or not isinstance(target_len, Real) or not 0 < target_len < np.inf:
+        raise ValueError(f"target_len must be a positive finite number, got {target_len!r}")
     _, _, kept = _edge_roles(cluster)
     keep = []
     seen = set()
@@ -751,53 +753,6 @@ def minimize(problem):
 
 
 @dataclass
-class JunctionInfo:
-    vertex: int
-    point: np.ndarray
-    n_arms: int
-    arms: list
-    sector_colors: list
-    non_triple: bool
-
-
-def detect_junctions(cluster):
-    """Vertices where three or more distinct chamber labels meet.
-
-    Arms are reported in clockwise order with unit chord directions;
-    sector_colors[i] is the label swept clockwise from arm i to arm i+1.
-    Junctions with other than three arms are flagged non_triple.
-    """
-    out = []
-    for v, lst in sorted(vertex_arms(cluster).items()):
-        if len(lst) < 3:
-            continue
-        labels = {a["left"] for a in lst} | {a["right"] for a in lst}
-        if len(labels) < 3:
-            continue
-        ang = [float(angle_of(a["chord"])) for a in lst]
-        order = sorted(range(len(lst)), key=lambda i: (-ang[i], i))
-        arms = []
-        for i in order:
-            a = dict(lst[i])
-            nc = float(np.linalg.norm(a["chord"]))
-            a["dir"] = a["chord"] / nc if nc > 0 else np.asarray(a["chord"], float)
-            a["angle"] = ang[i]
-            arms.append(a)
-        colors = [a["right"] for a in arms]
-        out.append(
-            JunctionInfo(
-                vertex=int(v),
-                point=cluster.vertices[v].copy(),
-                n_arms=len(arms),
-                arms=arms,
-                sector_colors=colors,
-                non_triple=len(arms) != 3,
-            )
-        )
-    return out
-
-
-@dataclass
 class JunctionDiagnostic:
     vertex: int
     point: np.ndarray
@@ -892,44 +847,3 @@ def steiner_diagnose(cluster, density, fit_points=5):
         max_turning=max(arc_turning, default=0.0),
         flags=flags,
     )
-
-
-@dataclass
-class BallBoundReport:
-    ratios: np.ndarray
-    worst_ratio: float
-    bound: float
-    ok: bool
-
-
-def ball_bound_check(cluster, density, centers, radii):
-    """Euclidean boundary length inside sampled balls against 7 h_max/h_min.
-
-    For each ball, sums the Euclidean length of boundary segments clipped to
-    the ball and divides by the radius; the check passes when the worst
-    ratio stays below the bound.
-    """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    radii = np.asarray(radii, dtype=float).ravel()
-    if len(radii) == 1:
-        radii = np.full(len(centers), radii[0])
-    if len(radii) != len(centers):
-        raise ValueError("need one radius per center")
-    p, q, left, right, _ = cluster.segment_arrays()
-    sel = left != right
-    p, q = p[sel], q[sel]
-    lens = np.linalg.norm(q - p, axis=1)
-    ratios = []
-    for c, r in zip(centers, radii):
-        if r <= 0:
-            raise ValueError("ball radii must be positive")
-        total = 0.0
-        for k in range(len(p)):
-            span = clip_segment_to_disk(p[k], q[k], c, r)
-            if span is not None:
-                total += (span[1] - span[0]) * lens[k]
-        ratios.append(total / r)
-    ratios = np.asarray(ratios)
-    worst = float(ratios.max()) if len(ratios) else 0.0
-    bound = 7.0 * density.h_max / density.h_min
-    return BallBoundReport(ratios=ratios, worst_ratio=worst, bound=float(bound), ok=bool(worst < bound))

@@ -1,21 +1,24 @@
-"""Weighted Fermat points and admissible boundary-direction triples.
+"""Junctions of a cluster, weighted Fermat points and admissible
+boundary-direction triples.
 
-A triple junction with arcs leaving a point O along three directions is
-stationary exactly when the gradients of the arms' weights, taken with
-respect to their directions, sum to zero (each gradient is a Cahn-Hoffman
-vector; Hoffman and Cahn 1972). junction_residual prices each arm as the
-solver prices a segment, through cluster.orientation_rule: an arm beside
-the white sector carries its one-sided weight, an arm between two chambers
-the mean of its two sides, from one gauge call for the normals and their
-negatives. fermat_point prices its three arms through the same rule, each
-arm's mode naming its side labels in MODE_SIDES: the rule is linear in the
-two one-sided weights, so it yields each arm's pair of coefficients once
-per solve. Its objective is convex, so it first tests whether a terminal
-is the minimizer (Kuhn's vertex test, certified for any convex gauge by a
-Lipschitz bound between sampled directions) and otherwise descends by
-BFGS from the centroid (Nocedal and Wright, Numerical Optimization, ch. 6).
-For a symmetric gauge every arm's gradient is the plain gauge gradient at
-its normal, rotated back.
+detect_junctions finds the vertices where three or more arms and labels
+meet, arms clockwise (cluster.vertex_arms). A triple junction with arcs
+leaving a point O along three directions is stationary exactly when the
+gradients of the arms' weights, taken with respect to their directions, sum
+to zero (each gradient is a Cahn-Hoffman vector; Hoffman and Cahn 1972).
+junction_residual prices each arm as the solver prices a segment, through
+cluster.orientation_rule: an arm beside the white sector carries its
+one-sided weight, an arm between two chambers the mean of its two sides,
+from one gauge call for the normals and their negatives. fermat_point
+prices its three arms through the same rule, each arm's mode naming its
+side labels in MODE_SIDES: the rule is linear in the two one-sided weights,
+so it yields each arm's pair of coefficients once per solve. Its objective
+is convex, so it first tests whether a terminal is the minimizer (Kuhn's
+vertex test, certified for any convex gauge by a Lipschitz bound between
+sampled directions) and otherwise descends by BFGS from the centroid
+(Nocedal and Wright, Numerical Optimization, ch. 6). For a symmetric gauge
+every arm's gradient is the plain gauge gradient at its normal, rotated
+back.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .cluster import orientation_rule
+from .cluster import orientation_rule, vertex_arms
 from .geometry import TWO_PI, angle_of, cross2, rotate_ccw, rotate_cw, unit_dir, wrap_angle
 
 
@@ -310,6 +313,40 @@ def fermat_modes_for_colors(colors):
     modes[w] = "out"
     modes[(w + 1) % 3] = "in"
     return tuple(modes), w
+
+
+@dataclass
+class JunctionInfo:
+    vertex: int
+    point: np.ndarray
+    n_arms: int
+    arms: list
+    sector_colors: list
+    non_triple: bool
+
+
+def detect_junctions(cluster):
+    """Vertices where three or more arms and distinct labels meet, in vertex
+    order, with their arms clockwise as cluster.vertex_arms gives them.
+    sector_colors[i], arm i's right label, is the label swept clockwise from
+    arm i to arm i+1, as junction_residual takes it. Junctions with other
+    than three arms are flagged non_triple."""
+    out = []
+    for v, arms in sorted(vertex_arms(cluster).items()):
+        labels = {a["left"] for a in arms} | {a["right"] for a in arms}
+        if len(arms) < 3 or len(labels) < 3:
+            continue
+        out.append(
+            JunctionInfo(
+                vertex=int(v),
+                point=cluster.vertices[v].copy(),
+                n_arms=len(arms),
+                arms=arms,
+                sector_colors=[a["right"] for a in arms],
+                non_triple=len(arms) != 3,
+            )
+        )
+    return out
 
 
 def junction_residual(density, origin, directions, colors):

@@ -3,9 +3,9 @@
 perfbench/spans.py wraps program functions by "module:attribute" (or
 "module:Class.method") and reads some of their parameters and report
 fields. A name that leaves its module, or a field that is renamed, drops
-its metric from every traced run with no more than a warning; these tests
-catch that in the test suite instead. spans.py is loaded by path and only
-read.
+its metric from every traced run with no more than a warning; so does a
+name that stays but is no longer called. These tests catch that in the
+test suite instead. spans.py is loaded by path and only read.
 """
 
 import importlib.util
@@ -15,6 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from anisoclusters import optimizer
+from anisoclusters.builders import double_bubble_cluster
+from anisoclusters.density import Density
+from anisoclusters.gauge import EuclideanGauge
 from anisoclusters.optimizer import SolveReport
 from anisoclusters.steiner import fermat_point
 
@@ -41,3 +45,29 @@ def test_the_fields_the_hooks_read_exist():
     names = {f.name for f in fields(SolveReport)}
     read = {"inner_iterations", "outer_iterations", "crossing_rejections", "perimeter_trace"}
     assert read - names == set()
+
+
+def test_the_solver_hooks_fire(spans):
+    rec = spans.Recorder()
+    spans.install_hooks(rec)
+    try:
+        problem = optimizer.OptimizationProblem(
+            double_bubble_cluster(n_arc=12, n_mid=4),
+            Density(EuclideanGauge()),
+            [1.0, 1.0],
+            optimizer.SolveOptions(max_outer=3),
+        )
+        optimizer.minimize(problem)
+    finally:
+        spans.remove_hooks(rec)
+    fired = set(spans.aggregate(rec.table()))
+    expected = {
+        "optimizer.minimize",
+        "optimizer.steiner_diagnose",
+        "steiner.junction_residual",
+        "optimizer.resample_cluster",
+        "cluster.validate",
+        "cluster.segment_weights",
+        "geometry.segments_properly_cross",
+    }
+    assert expected - fired == set()

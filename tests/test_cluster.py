@@ -33,10 +33,11 @@ from anisoclusters import (
     weighted_volume,
     weighted_volume_plain,
 )
-from anisoclusters.cluster import crossing_pairs, fan_volume_terms
+from anisoclusters.cluster import crossing_pairs, fan_volume_terms, vertex_arms
 from anisoclusters.density import _ScaledGauge
 from anisoclusters.geometry import (
     TRIANGLE_RULE,
+    clip_segments_to_disk,
     polyline_self_intersects,
     rotate_cw,
     segment_distance,
@@ -280,6 +281,39 @@ class TestValidate:
         assert any("out of range" in p for p in validate(cl))
 
 
+def wedge_reference(cluster):
+    """The wedge check as it was before vertex_arms ordered the arms: each
+    vertex's arms sorted counterclockwise as (angle, left, right, edge)
+    tuples, the label left of one arm compared with the label right of the
+    next."""
+    problems = []
+    for v, arms in vertex_arms(cluster).items():
+        if len(arms) < 2:
+            continue
+        ends = sorted(
+            (np.arctan2(a["chord"][1], a["chord"][0]), a["left"], a["right"], a["edge"]) for a in arms
+        )
+        for a, b in zip(ends, ends[1:] + ends[:1]):
+            if a[1] != b[2]:
+                problems.append(
+                    f"vertex {v}: wedge between edges {a[3]} and {b[3]} sees labels {a[1]} vs {b[2]}"
+                )
+    return problems
+
+
+class TestWedgeViolations:
+    def test_messages_match_the_tuple_sort(self):
+        # swapping one edge's labels breaks the wedges at both its ends
+        for base in (square_cross_cluster(n_sub=3), double_bubble_cluster(n_arc=12, n_mid=4)):
+            for k in range(len(base.edges)):
+                cl = base.copy()
+                e = cl.edges[k]
+                e.left, e.right = e.right, e.left
+                want = wedge_reference(cl)
+                assert want
+                assert [p for p in validate(cl, check_crossings=False) if "wedge" in p] == want
+
+
 def all_pairs(V, i0, i1):
     """Oracle for crossing_pairs: all n(n-1)/2 segment pairs (a < b) that
     share no endpoint, with no broad phase."""
@@ -475,6 +509,93 @@ class TestSegmentDistance:
         assert np.allclose(segment_distance(p1, q1, p2, q2), want, rtol=0, atol=1e-15)
 
 
+def clip_segment_to_disk(p, q, center, radius, eps=1e-12):
+    """The scalar clip of one segment that clip_segments_to_disk replaced,
+    kept as its reference: [t0, t1] of p + t (q - p) inside the closed disk,
+    or None when that is empty or a tangency no longer than eps."""
+    p, q, c = (np.asarray(x, float) for x in (p, q, center))
+    d, f = q - p, p - c
+    a = float(d @ d)
+    if a < 1e-300:
+        return (0.0, 1.0) if float(f @ f) <= radius * radius else None
+    b = 2.0 * float(f @ d)
+    disc = b * b - 4 * a * (float(f @ f) - radius * radius)
+    if disc < 0.0:
+        return None
+    sq = np.sqrt(disc)
+    t0, t1 = max((-b - sq) / (2 * a), 0.0), min((-b + sq) / (2 * a), 1.0)
+    return None if t1 - t0 <= eps else (t0, t1)
+
+
+class TestDiskClip:
+    # unit disk about the origin; the chord at height y0 has parameter
+    # length 1e-4 on its length-2 segment
+    y0 = np.sqrt(1.0 - 1e-8)
+    CASES = [
+        ([-1.0, 1.0], [1.0, 1.0]),  # tangent: a single point
+        ([-0.2, 0.0], [0.3, 0.1]),  # both endpoints inside
+        ([-2.0, 0.0], [2.0, 0.0]),  # through the center
+        ([0.0, 0.0], [2.0, 0.0]),  # one endpoint inside
+        ([0.6, 0.8], [2.0, 0.0]),  # starts on the circle, leaves
+        ([2.0, 2.0], [3.0, 1.0]),  # misses
+        ([0.1, 0.1], [0.1, 0.1]),  # zero length, inside
+        ([2.0, 0.0], [2.0, 0.0]),  # zero length, outside
+        ([-1.0, y0], [1.0, y0]),  # a short chord near the top
+    ]
+
+    def test_hand_built_cases(self):
+        p, q = (np.array(x) for x in zip(*self.CASES))
+        t0, t1, keep = clip_segments_to_disk(p, q, [0.0, 0.0], 1.0)
+        assert keep.tolist() == [False, True, True, True, False, False, True, False, True]
+        want = [(0.0, 1.0), (0.25, 0.75), (0.0, 0.5)]
+        assert np.allclose(np.column_stack([t0, t1])[1:4], want, rtol=0, atol=1e-15)
+        assert (t0[6], t1[6]) == (0.0, 1.0)
+        assert t1[8] - t0[8] == pytest.approx(1e-4, rel=1e-6)
+        # the short chord is dropped once eps exceeds its parameter length
+        _, _, keep = clip_segments_to_disk(p, q, [0.0, 0.0], 1.0, eps=1e-3)
+        assert keep.tolist() == [False, True, True, True, False, False, True, False, False]
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-3])
+    def test_matches_the_scalar_clip(self, eps):
+        rng = np.random.default_rng(5)
+        p = np.vstack([np.array([c[0] for c in self.CASES]), rng.normal(size=(400, 2))])
+        q = np.vstack([np.array([c[1] for c in self.CASES]), p[len(self.CASES):] + 0.4 * rng.normal(size=(400, 2))])
+        center, radius = np.array([0.1, -0.2]), 0.9
+        t0, t1, keep = clip_segments_to_disk(p, q, center, radius, eps)
+        for k in range(len(p)):
+            ref = clip_segment_to_disk(p[k], q[k], center, radius, eps)
+            assert keep[k] == (ref is not None)
+            # the scalar reference takes its dot products from BLAS, whose
+            # rounding may differ in the last bits
+            if ref is not None:
+                assert (t0[k], t1[k]) == pytest.approx(ref, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+    def test_radius_must_be_positive_finite(self, radius):
+        with pytest.raises(ValueError, match="positive finite"):
+            clip_segments_to_disk(np.zeros((1, 2)), np.ones((1, 2)), [0.0, 0.0], radius)
+
+
+class TestVertexArms:
+    def test_arms_come_clockwise_ties_in_order_of_appearance(self):
+        # the arms at vertex 0 appear at angles pi/2, -pi/2 (an edge end),
+        # 0, pi and 0 again
+        V = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [2.0, 0.0]]
+        edges = [
+            Edge([0, 2], 1, 2),
+            Edge([4, 0], 2, 3),
+            Edge([0, 1], 3, 1),
+            Edge([0, 3], 1, 2),
+            Edge([0, 5], 2, 1),
+        ]
+        arms = vertex_arms(Cluster(V, edges, 3))[0]
+        assert [a["edge"] for a in arms] == [3, 0, 2, 4, 1]
+        assert [a["angle"] for a in arms] == [np.pi, np.pi / 2, 0.0, 0.0, -np.pi / 2]
+        end = arms[-1]
+        assert (end["forward"], end["left"], end["right"]) == (False, 3, 2)
+        assert end["chord"].tolist() == [0.0, -1.0]
+
+
 class TestResample:
     def test_perimeter_never_increases(self):
         d = Density.constant(EuclideanGauge())
@@ -508,6 +629,11 @@ class TestResample:
                     cl.vertices[np.asarray(e0.vertices)],
                     rs.vertices[np.asarray(e1.vertices)],
                 )
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, True])
+    def test_target_len_must_be_positive_finite(self, bad):
+        with pytest.raises(ValueError, match="target_len must be a positive finite number"):
+            resample_cluster(regular_polygon_chamber(16), bad)
 
     def test_segment_count_tracks_target(self):
         cl = regular_polygon_chamber(16, area=np.pi)
@@ -569,6 +695,16 @@ class TestConstructorErrors:
         assert (d.h_min, d.h_max) == (1.0, np.e)
         with pytest.raises(ValueError, match="not finite"):
             Density(EuclideanGauge(), h_min=1.0, h_max=np.inf)
+
+    def test_constant_g_is_a_positive_finite_real(self):
+        for g in (2, 2.0, np.int64(2), np.float32(2)):
+            assert Density(EuclideanGauge(), g=g).g_const == 2.0
+        for g in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive finite"):
+                Density(EuclideanGauge(), g=g)
+        for g in (True, np.bool_(True), "2"):
+            with pytest.raises(ValueError, match="callable"):
+                Density(EuclideanGauge(), g=g)
 
     def test_bad_vertex_shape(self):
         with pytest.raises(ValueError):

@@ -881,6 +881,11 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             OptimizationProblem(regular_polygon_chamber(16), EUCLID, [-1.0])
 
+    def test_non_finite_target_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                OptimizationProblem(regular_polygon_chamber(16), EUCLID, [bad])
+
     def test_invalid_cluster_rejected(self):
         bad = Cluster([[0.0, 0], [1, 0], [0, 1]], [Edge([0, 1, 2, 0], 1, 1)], 1)
         with pytest.raises(ValueError):
@@ -999,6 +1004,11 @@ class TestBallBound:
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError):
             ball_bound_check(exact_double_bubble(), EUCLID, [[0.0, 0.0]], [0.0])
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="positive finite"):
+            ball_bound_check(exact_double_bubble(), EUCLID, [[0.0, 0.0]], [radius])
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
