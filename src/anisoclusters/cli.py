@@ -23,7 +23,7 @@ from .geometry import unit_dir
 from .optimizer import (
     OptimizationProblem,
     SolveOptions,
-    _edge_roles,
+    interface_sum,
     minimize,
     steiner_diagnose,
 )
@@ -122,7 +122,7 @@ def _run_perimeter(scn, seed):
     parts = perimeter_breakdown(cluster, scn.density)
     result = {
         "perimeter": float(parts.sum()),
-        "interface_perimeter": float(parts[~_edge_roles(cluster)[0]].sum()),
+        "interface_perimeter": interface_sum(cluster, parts),
         "volumes": weighted_volume(cluster, scn.density),
         "edge_perimeters": parts,
         "chambers": cluster.m,

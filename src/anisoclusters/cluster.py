@@ -122,12 +122,17 @@ def segment_weights(density, mid, vec, left, right):
     """Perimeter weight of each segment under the orientation convention, in
     one Density.h_at call: of the clockwise normals alone when the density
     is symmetric, whose two sides are equal bit for bit, else of the normals
-    and their negatives stacked."""
+    and their negatives stacked.
+
+    With equal sides orientation_rule(h, h, left, right) is h wherever the
+    labels differ, since its mean 0.5 * (h + h) rounds to h (doubling and
+    halving are exact below half the largest double), and 0 where they are
+    equal: one where."""
     mid = np.asarray(mid, dtype=float)
     normal = rotate_cw(vec)
     if density.symmetric:
         h = density.h_at(mid, normal)
-        return orientation_rule(h, h, left, right)
+        return np.where(np.asarray(left) == np.asarray(right), 0.0, h)
     h_fwd, h_rev = density.h_at(np.stack([mid, mid]), np.stack([normal, -normal]))
     return orientation_rule(h_fwd, h_rev, left, right)
 

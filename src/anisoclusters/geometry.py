@@ -138,6 +138,15 @@ def segment_distance(p1, q1, p2, q2):
     return np.where(segments_properly_cross(*P), 0.0, d)
 
 
+def grown_boxes(p, q, margin=0.0):
+    """The bounding boxes of segments p[k]q[k] grown by margin on every
+    side, as coordinate columns (xlo, ylo, xhi, yhi): gathers from a 1d
+    array are much cheaper than row gathers from an (n, 2) one."""
+    xlo, ylo = (np.minimum(p, q) - margin).T
+    xhi, yhi = (np.maximum(p, q) + margin).T
+    return xlo, ylo, xhi, yhi
+
+
 def box_overlap_pairs(p, q, margin=0.0):
     """Index pairs (a < b) of segments p[k]q[k] whose closed bounding boxes,
     grown by margin on every side, overlap; two segments that properly cross
@@ -149,12 +158,7 @@ def box_overlap_pairs(p, q, margin=0.0):
     y-extents overlap too. The cost follows the number of x-overlaps rather
     than all n(n-1)/2 pairs.
     """
-    p = np.asarray(p, float)
-    q = np.asarray(q, float)
-    # coordinate columns: gathers from a 1d array are much cheaper than row
-    # gathers from an (n, 2) one
-    xlo, ylo = (np.minimum(p, q) - margin).T
-    xhi, yhi = (np.maximum(p, q) + margin).T
+    xlo, ylo, xhi, yhi = grown_boxes(np.asarray(p, float), np.asarray(q, float), margin)
     order = np.argsort(xlo, kind="stable")
     # sorted box k overlaps in x exactly the boxes k+1 .. end[k]-1; end[k]
     # is at least k+1 because xlo[k] <= xhi[k]

@@ -13,7 +13,12 @@ moves at most as far as its farther-moving endpoint, so no two such segments
 can meet. Only the pairs whose bounding boxes, grown by the reach of the
 iteration's first trial step, overlap (cluster.crossing_pairs) can come that
 close, so the clearances, and the exact crossing test that still guards
-every accepted step, look at those pairs alone.
+every accepted step, look at those pairs alone. The vertices move a small
+fraction of a segment per step, so the sort-and-sweep that finds those
+pairs runs once per mesh with a skin of one resampling length, and again
+only when the vertices have drifted too far; each step filters that
+neighbour list with the same box test (Verlet 1967; _Mesh.near_ends) and
+gets the sweep's pairs in the sweep's order.
 
 Each edge has one role, read from its tags by _edge_roles. A free edge is
 counted in the objective, its vertices move with two degrees of freedom,
@@ -29,12 +34,14 @@ evaluations on them.
 
 Each evaluation makes one gauge call. The objective prices the segments
 through one segment_weights call, which evaluates one side only when the
-density is symmetric (Density.symmetric) and both sides stacked otherwise;
-the gradient prices the + and - stencil in one segment_weights and one
+density is symmetric (Density.symmetric), where the orientation rule
+reduces to one where on the labels, and both sides stacked otherwise; the
+gradient prices the + and - stencil in one segment_weights and one
 fan_volume_terms call. Everything fixed per mesh (gathers, displacements,
-masks, scatter indices) is built once with it; gathers use take, and
-scatters np.bincount, which adds in the order np.add.at does. The iterates
-are the same, bit for bit, as those of one call per side and stencil sign.
+masks, scatter indices, the broad phase's neighbour list) is built once
+with it; gathers use take, and scatters np.bincount, which adds in the
+order np.add.at does. The iterates are the same, bit for bit, as those of
+one call per side and stencil sign and one sweep per step.
 
 The mesh is also repaired inside an outer iteration (remeshing on collapse,
 as Surface Evolver removes tiny edges during the evolution, Brakke 1992).
@@ -86,6 +93,7 @@ from .geometry import (
     angle_of,
     cross2,
     fit_endpoint_tangent,
+    grown_boxes,
     segment_distance,
     segments_properly_cross,
     wrap_angle,
@@ -204,8 +212,14 @@ def _edge_roles(cluster):
 
 def interface_perimeter(cluster, density):
     """Weighted perimeter of the non-wall edges only."""
+    return interface_sum(cluster, perimeter_breakdown(cluster, density))
+
+
+def interface_sum(cluster, parts):
+    """The sum over the non-wall edges of parts, a per-edge breakdown of
+    cluster aligned with cluster.edges (as perimeter_breakdown gives it)."""
     wall, _, _ = _edge_roles(cluster)
-    return float(perimeter_breakdown(cluster, density)[~wall].sum())
+    return float(parts[~wall].sum())
 
 
 def _default_resample_len(cluster):
@@ -247,25 +261,24 @@ def _has_crossing(V, i0, i1, ends=None):
     return bool(segments_properly_cross(*V[ends]).any())
 
 
-def _clearance_caps(V, mesh, i0, i1, d):
+def _clearance_caps(V, mesh, d):
     """Per-dof caps under which no step moving each vertex at most as far as
-    step d does can make two segments that share no endpoint meet, and the
-    endpoint indices, as _has_crossing takes them, of the segment pairs that
-    such a step can make cross.
+    step d does can make two segments of the mesh that share no endpoint
+    meet, and the endpoint indices, as _has_crossing takes them, of the
+    segment pairs that such a step can make cross.
 
     delta is the largest Euclidean reach of a vertex under d; pairs whose
     boxes grown by delta do not overlap start more than 2 delta apart. On the
-    other pairs each vertex's clearance c_v is the least distance from a
-    segment at it to a segment sharing no endpoint with that one, and its
-    caps are 0.49 c_v / sqrt(ndof_v), a reach below c_v / 2; vertices in no
-    such pair get no cap (inf).
+    other pairs (mesh.near_ends) each vertex's clearance c_v is the least
+    distance from a segment at it to a segment sharing no endpoint with that
+    one, and its caps are 0.49 c_v / sqrt(ndof_v), a reach below c_v / 2;
+    vertices in no such pair get no cap (inf).
     """
     nv = len(V)
     delta = float(np.sqrt(np.bincount(mesh.vert, weights=d * d, minlength=nv).max()))
-    a, b = crossing_pairs(V, i0, i1, margin=delta)
-    ends = np.stack([i0[a], i1[a], i0[b], i1[b]])
+    ends = mesh.near_ends(V, delta)
     clearance = np.full(nv, np.inf)
-    if len(a):
+    if ends.shape[1]:
         dist = segment_distance(*V.take(ends, axis=0))
         np.minimum.at(clearance, ends.ravel(), np.tile(dist, 4))
     return 0.49 * clearance[mesh.vert] / mesh.sqrt_ndof, ends
@@ -283,10 +296,17 @@ class _Mesh:
     incident wall segments are all parallel slides along that line with one
     degree of freedom; wall corners and vertices of pinned edges carry none
     (_edge_roles).
+
+    char_len, the resampling length, sets the finite-difference floor and
+    the skin of the neighbour list behind near_ends.
     """
 
     def __init__(self, cluster, density, targets, char_len):
         self.density = density
+        self.skin = char_len
+        # near_ends' list: the positions and margin of its build, its pairs
+        # and their endpoint indices
+        self._near = None
         self.targets = np.asarray(targets, dtype=float)
         V = cluster.vertices
         nv = len(V)
@@ -391,6 +411,53 @@ class _Mesh:
         self.fd_act_rows = np.concatenate([self.fd_act, E + self.fd_act])
         self.fd_act_left = np.tile(self.fd_left[self.fd_act], 2)
         self.fd_act_right = np.tile(self.fd_right[self.fd_act], 2)
+
+    def near_ends(self, V, delta):
+        """The endpoint indices (i0[a], i1[a], i0[b], i1[b]), as
+        _has_crossing takes them, of the pairs (a, b) that
+        crossing_pairs(V, i0, i1, margin=delta) gives, equal and in its
+        order, read from a neighbour list built once per mesh with a skin
+        (Verlet 1967).
+
+        The list holds crossing_pairs at the positions V0 of its build and a
+        margin of at least the skin. If no coordinate has moved by more than
+        drift since, a segment's box at V grown by delta lies inside its box
+        at V0 grown by drift + delta, so two boxes that overlap at V overlap
+        at V0 with margin drift + delta, and the pair is listed while
+        drift + delta <= margin. The list is rebuilt once 2 (drift + delta)
+        exceeds its margin; that keeps half the margin spare for the
+        rounding of the box bounds, a few ulps of the coordinates. The build
+        margin is the skin, or 2 delta when that is larger, so the list
+        serves its first step too.
+
+        The listed pairs are tested with the sweep's own grown boxes
+        (geometry.grown_boxes at V and delta). The sweep ranks segments by
+        a stable sort of the boxes' xlo, that is by (xlo, index), and emits
+        a pair at its lower-ranked segment, then by the rank of the other;
+        the kept pairs are sorted on those two ranks' keys.
+        """
+        rebuild = self._near is None
+        if not rebuild:
+            V0, margin, a, b, ends = self._near
+            rebuild = 2.0 * (float(np.abs(V - V0).max()) + delta) > margin
+        if rebuild:
+            margin = max(self.skin, 2.0 * delta)
+            a, b = crossing_pairs(V, self.i0, self.i1, margin=margin)
+            ends = np.stack([self.i0[a], self.i1[a], self.i0[b], self.i1[b]])
+            self._near = (V.copy(), margin, a, b, ends)
+        pa, qa, pb, qb = V.take(ends, axis=0)
+        xlo_a, ylo_a, xhi_a, yhi_a = grown_boxes(pa, qa, delta)
+        xlo_b, ylo_b, xhi_b, yhi_b = grown_boxes(pb, qb, delta)
+        keep = np.flatnonzero(
+            (xlo_a <= xhi_b) & (xlo_b <= xhi_a) & (ylo_a <= yhi_b) & (ylo_b <= yhi_a)
+        )
+        if len(keep) > 1:
+            a, b, xa, xb = a[keep], b[keep], xlo_a[keep], xlo_b[keep]
+            # a < b on the list, so a ranks first exactly when xa <= xb
+            first = xa <= xb
+            lo, hi = np.where(first, a, b), np.where(first, b, a)
+            keep = keep[np.lexsort((hi, np.maximum(xa, xb), lo, np.minimum(xa, xb)))]
+        return ends[:, keep]
 
     def step_caps(self, V):
         """Per-dof displacement bound: a fraction of the local edge length,
@@ -518,7 +585,7 @@ def _descend(cl, density, targets, lam, mu, opts, rs_len):
             # every trial step below is the first one scaled down and clipped,
             # so its reach bounds theirs and one set of caps serves them all
             caps = mesh.step_caps(V)
-            safe, ends = _clearance_caps(V, mesh, mesh.i0, mesh.i1, np.clip(-t * g, -caps, caps))
+            safe, ends = _clearance_caps(V, mesh, np.clip(-t * g, -caps, caps))
             caps = np.minimum(caps, safe)
             accepted = False
             tt = t
@@ -594,7 +661,9 @@ def resample_cluster(cluster, target_len):
                 seen.add(v)
                 keep.append(v)
     old2new = {old: k for k, old in enumerate(keep)}
-    verts = [cluster.vertices[v] for v in keep]
+    # the kept vertices, then each resampled edge's interior ones
+    blocks = [cluster.vertices[keep]]
+    nverts = len(keep)
     edges = []
     for e, k in zip(cluster.edges, kept):
         if k:
@@ -612,12 +681,12 @@ def resample_cluster(cluster, target_len):
             s_new = np.linspace(0.0, L, n_new + 1)[1:-1]
             xs = np.interp(s_new, s, pts[:, 0])
             ys = np.interp(s_new, s, pts[:, 1])
-            start = len(verts)
-            verts.extend(np.column_stack([xs, ys]))
-            ids.extend(range(start, start + n_new - 1))
+            blocks.append(np.column_stack([xs, ys]))
+            ids.extend(range(nverts, nverts + n_new - 1))
+            nverts += n_new - 1
         ids.append(old2new[e.vertices[-1]])
         edges.append(type(e)(ids, e.left, e.right, dict(e.tags)))
-    return type(cluster)(np.asarray(verts), edges, cluster.m)
+    return type(cluster)(np.concatenate(blocks), edges, cluster.m)
 
 
 def _solve_single(cluster, density, targets, opts, start_index, rs_len):
@@ -672,12 +741,11 @@ def _solve_single(cluster, density, targets, opts, start_index, rs_len):
     if not converged:
         flags += ["max_outer_reached", "non_convergence"]
     parts = perimeter_breakdown(cl, density)
-    wall, _, _ = _edge_roles(cl)
     return SolveReport(
         cluster=cl,
         success=converged,
         perimeter=float(parts.sum()),
-        interface_perimeter=float(parts[~wall].sum()),
+        interface_perimeter=interface_sum(cl, parts),
         volumes=vols,
         volume_errors=e,
         perimeter_trace=[P for rec in descents[len(ladder):] for P in rec.trace],

@@ -33,7 +33,13 @@ from anisoclusters import (
     weighted_volume,
     weighted_volume_plain,
 )
-from anisoclusters.cluster import crossing_pairs, fan_volume_terms, vertex_arms
+from anisoclusters.cluster import (
+    crossing_pairs,
+    fan_volume_terms,
+    orientation_rule,
+    segment_weights,
+    vertex_arms,
+)
 from anisoclusters.density import _ScaledGauge
 from anisoclusters.geometry import (
     TRIANGLE_RULE,
@@ -149,6 +155,38 @@ def test_odd_profile_tells_outward_from_inward_normals():
     T0, M, T1, T2 = [0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.5, 1.5]
     for poly in ([T0, M, T2], [M, T1, T2], [T0, T1, T2], [T0, [1.0, 1.0], [-1.0, 1.0]]):
         assert abs(outward_perimeter(gauge, poly) - outward_perimeter(gauge, poly[::-1])) > 0.01
+
+
+class _FixedWeights:
+    """A symmetric density whose h_at returns given weights."""
+
+    symmetric = True
+
+    def __init__(self, h):
+        self.h = h
+
+    def h_at(self, mid, normal):
+        return self.h
+
+
+def test_symmetric_weights_are_the_orientation_rule_bit_for_bit():
+    # segment_weights prices a symmetric density's segments with one where
+    # on the labels; orientation_rule(h, h, ...) must give the same bits:
+    # equal labels 0, white on either side h, two chambers 0.5 * (h + h)
+    tiny = np.nextafter(0.0, 1.0)
+    h = np.array([0.0, tiny, 1e-300, 0.3, 1.0, 2.0 / 3.0, 7.5, 1e300, np.finfo(float).max / 2])
+    density = _FixedWeights(h)
+    mid = vec = np.zeros((len(h), 2))
+    n = len(h)
+    for left, right in itertools.product(range(3), repeat=2):
+        for lab in ((left, right), (np.full(n, left), np.full(n, right))):
+            got = segment_weights(density, mid, vec, *lab)
+            assert got.tobytes() == orientation_rule(h, h, *lab).tobytes(), lab
+            assert got.tolist() == (np.zeros(n) if left == right else h).tolist()
+    # boolean labels, as chamber_perimeter passes them
+    left, right = np.array([True, False, True] * 3), np.array([True, True, False] * 3)
+    got = segment_weights(density, mid, vec, left, right)
+    assert got.tobytes() == orientation_rule(h, h, left, right).tobytes()
 
 
 class TestSingleChamber:

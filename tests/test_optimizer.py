@@ -20,6 +20,7 @@ from anisoclusters import (
     detect_junctions,
     double_bubble_cluster,
     interface_perimeter,
+    interface_sum,
     minimize,
     perimeter_breakdown,
     regular_polygon_chamber,
@@ -125,7 +126,7 @@ class TestClearanceCaps:
         dofs = optimizer._Mesh(cl, EUCLID, np.ones(cl.m), optimizer._default_resample_len(cl))
         i0, i1, _, _, _ = cl.segment_index_arrays()
         d0 = first_step(dofs, cl.vertices, rng)
-        safe, _ = optimizer._clearance_caps(cl.vertices, dofs, i0, i1, d0)
+        safe, _ = optimizer._clearance_caps(cl.vertices, dofs, d0)
         caps = np.minimum(dofs.step_caps(cl.vertices), safe)
         for k in range(20):
             # the first trial, then steps scaled down per dof and clipped
@@ -144,7 +145,7 @@ class TestClearanceCaps:
         i0, i1, _, _, _ = cl.segment_index_arrays()
         d0 = first_step(dofs, V, rng)
         delta = np.sqrt(np.bincount(dofs.vert, weights=d0 * d0, minlength=len(V)).max())
-        _, ends = optimizer._clearance_caps(V, dofs, i0, i1, d0)
+        _, ends = optimizer._clearance_caps(V, dofs, d0)
         candidates = {tuple(e) for e in ends.T.tolist()}
         crossed = set()
         for _ in range(20):
@@ -837,7 +838,7 @@ class TestFusedEvaluations:
         for d in steps:
             Vt = optimizer._apply_step(V, mesh, d)
             assert Vt.tolist() == reference_apply_step(V, mesh, d).tolist()
-            safe, ends = optimizer._clearance_caps(V, mesh, mesh.i0, mesh.i1, d)
+            safe, ends = optimizer._clearance_caps(V, mesh, d)
             ref_safe, ref_ends = reference_clearance_caps(V, mesh, d)
             assert safe.tolist() == ref_safe.tolist()
             assert np.array_equal(ends, ref_ends)
@@ -847,6 +848,67 @@ class TestFusedEvaluations:
         # the caps of the largest step see pairs, and some step collapses
         assert np.isfinite(reference_clearance_caps(V, mesh, caps)[0]).any()
         assert reference_collapsed(mesh, V, 100.0 * rs_len) or kind == "walled"
+
+
+def neighbour_list_problem(kind):
+    """The n_arc=48 bubble, which collapses and resamples; the jittered
+    max-norm cross, with walls and the continuation ladder; walled_plus
+    with a fixed edge."""
+    if kind == "bubble":
+        return OptimizationProblem(double_bubble_cluster(n_arc=48, n_mid=16), EUCLID, [1.0, 1.0])
+    if kind == "cross":
+        cl = square_cross_cluster(n_sub=8, jitter=0.02, rng=np.random.default_rng(0))
+        return OptimizationProblem(cl, MAXNORM, np.ones(4), SolveOptions(max_outer=60))
+    cl = walled_plus(np.random.default_rng(5))
+    cl.edges[-1].tags["fixed"] = True
+    targets = weighted_volume(cl, EUCLID) * np.array([1.1, 0.9, 1.05, 0.95])
+    return OptimizationProblem(cl, EUCLID, targets, SolveOptions(max_outer=5))
+
+
+class TestNeighbourList:
+    """The broad phase of _clearance_caps reads a neighbour list built once
+    per mesh (_Mesh.near_ends) and rebuilt only after enough drift; every
+    step still sees the pairs of a fresh sweep, in the sweep's order."""
+
+    @pytest.mark.parametrize("kind", ["bubble", "cross", "walled"])
+    def test_every_step_sees_the_sweeps_pairs(self, kind, monkeypatch):
+        caps = optimizer._clearance_caps
+        pairs = []
+
+        def checked(V, mesh, d):
+            safe, ends = caps(V, mesh, d)
+            delta = float(np.sqrt(np.bincount(mesh.vert, weights=d * d, minlength=len(V)).max()))
+            a, b = optimizer.crossing_pairs(V, mesh.i0, mesh.i1, margin=delta)
+            assert np.array_equal(ends, np.stack([mesh.i0[a], mesh.i1[a], mesh.i0[b], mesh.i1[b]]))
+            # the pairs on the list, and those the step keeps
+            pairs.append((len(mesh._near[2]), len(a)))
+            return safe, ends
+
+        monkeypatch.setattr(optimizer, "_clearance_caps", checked)
+        rep = minimize(neighbour_list_problem(kind))
+        listed, kept = np.array(pairs).T
+        assert len(pairs) >= 50 and (listed > kept).any()
+        if kind == "bubble":
+            assert rep.resamples > 0 and kept.any()
+        elif kind == "cross":
+            assert rep.continuation
+        else:
+            assert kept.any()
+
+    def test_the_sweep_runs_far_less_often_than_the_steps(self, monkeypatch):
+        sweep = optimizer.crossing_pairs
+        calls = []
+        monkeypatch.setattr(
+            optimizer, "crossing_pairs", lambda *args, **kw: calls.append(1) or sweep(*args, **kw)
+        )
+        rep = minimize(neighbour_list_problem("bubble"))
+        assert rep.success and rep.resamples > 0
+        # at least one build per mesh: one per outer iteration and resample
+        assert rep.outer_iterations + rep.resamples <= len(calls) <= rep.inner_iterations // 2
+        calls.clear()
+        rep = minimize(neighbour_list_problem("cross"))
+        assert rep.success
+        assert len(calls) <= rep.inner_iterations // 10
 
 
 @pytest.mark.parametrize("gauge", all_gauge_list(), ids=lambda g: g.kind)
@@ -1018,6 +1080,12 @@ class TestBallBound:
 
 
 class TestInterfacePerimeter:
+    def test_sum_of_a_breakdown_is_the_interface_perimeter(self):
+        cl = square_cross_cluster(n_sub=4, jitter=0.05)
+        parts = perimeter_breakdown(cl, MAXNORM)
+        assert interface_sum(cl, parts) == interface_perimeter(cl, MAXNORM)
+        assert interface_sum(cl, parts) < float(parts.sum())
+
     def test_walls_excluded(self):
         cl = square_cross_cluster(n_sub=4)
         total = weighted_perimeter(cl, EUCLID)

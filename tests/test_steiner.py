@@ -115,7 +115,7 @@ class TestFermatPoint:
         assert (res.iterations, res.gradient_norm, res.stop) == (0, 0.0, "converged")
         assert res.value == junction_cost(EuclideanGauge(), OBTUSE, ("out",) * 3, OBTUSE[0])
         # the certificate's two calls, then the value at the terminal
-        assert gauge.shapes == {"value": [(512, 2), (6, 2)], "grad": [(18, 2)]}
+        assert gauge.shapes == {"value": [(1024, 2), (6, 2)], "grad": [(18, 2)]}
 
     def test_collinear_flag(self):
         res = fermat_point(
@@ -163,7 +163,7 @@ class TestFermatPoint:
         res = fermat_point(gauge, *TERMINALS, modes=("out", "in", "sym"))
         assert res.stop == "converged" and res.degenerate_vertex is None
         # the terminal test: the sampled directions and the arms at the terminals
-        assert gauge.shapes["value"][0] == (512, 2) and gauge.shapes["grad"][0] == (18, 2)
+        assert gauge.shapes["value"][0] == (1024, 2) and gauge.shapes["grad"][0] == (18, 2)
         assert set(gauge.shapes["value"][1:]) == set(gauge.shapes["grad"][1:]) == {(6, 2)}
         priced = [arms.tobytes() for arms in gauge.batches["value"][1:]]
         # the start and every trial point, each priced once
@@ -370,6 +370,15 @@ class TestFermatPricingMatchesPerArmReference:
         snapped = fermat_point(ShiftedDiskGauge((0.2, -0.1)), *HARD_EXITS)
         assert snapped.degenerate_vertex is not None
         assert snapped.point.tobytes() == HARD_EXITS[snapped.degenerate_vertex].tobytes()
+
+    def test_shifted_disk_terminal_is_certified(self):
+        # terminal 0 minimizes the shifted disk's out arms; with 256 sampled
+        # directions its certificate margin (0.0252) fell below the
+        # Lipschitz bound (0.0261), and a 47-step descent stalled there
+        res = fermat_point(ShiftedDiskGauge((0.2, -0.1)), *HARD_EXITS)
+        assert (res.iterations, res.gradient_norm, res.stop) == (0, 0.0, "converged")
+        assert res.degenerate_vertex == 0
+        assert res.point.tobytes() == HARD_EXITS[0].tobytes()
 
 
 def junction_costs(gauge, pts, modes, q):
