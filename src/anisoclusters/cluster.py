@@ -211,14 +211,14 @@ def fan_volume_terms(density, p, q):
 
     p, q: (S, 2) segment endpoint batches. The symmetric order-5 triangle
     rule; exact for polynomial g up to degree 5, in particular constant g,
-    which skips the quadrature points but keeps the rule's weight sum.
-    Summed with the orientation signs of a closed boundary, the terms give
-    the weighted volume it encloses.
+    which skips the quadrature points but keeps the rule's weight sum
+    (Density.g_rule_sum). Summed with the orientation signs of a closed
+    boundary, the terms give the weighted volume it encloses.
     """
-    bary, wts = TRIANGLE_RULE
     areas = 0.5 * cross2(p, q)
-    if density.g_const is not None:
-        return areas * (density.g_const * wts).sum()
+    if density.g_rule_sum is not None:
+        return areas * density.g_rule_sum
+    bary, wts = TRIANGLE_RULE
     pts = bary[None, :, 1, None] * p[:, None, :] + bary[None, :, 2, None] * q[:, None, :]
     gv = density.g_at(pts.reshape(-1, 2)).reshape(len(p), -1)
     return areas * (gv * wts[None, :]).sum(axis=1)

@@ -12,7 +12,7 @@ from numbers import Real
 import numpy as np
 
 from .gauge import Gauge
-from .geometry import unit_dir
+from .geometry import TRIANGLE_RULE, unit_dir
 
 
 class Rect:
@@ -63,9 +63,12 @@ class Density:
     A bound not given is probed from the gauge on sampled points of the
     domain; one that is not finite (a gauge field that overflows there) is
     an error, and the caller passes h_min and h_max instead. g_const is the
-    value of a constant g, and None when g is a callable. symmetric is true
-    when h(x, -v) == h(x, v) holds bit for bit: for a uniform gauge whose
-    Gauge.symmetric is set, and for no gauge field.
+    value of a constant g, and None when g is a callable. g_rule_sum is
+    g_const times the weights of geometry.TRIANGLE_RULE, summed: the factor
+    by which cluster.fan_volume_terms turns a signed fan area into its
+    volume under a constant g, and None when g is a callable. symmetric is
+    true when h(x, -v) == h(x, v) holds bit for bit: for a uniform gauge
+    whose Gauge.symmetric is set, and for no gauge field.
     """
 
     def __init__(self, gauge, g=1.0, domain=None, h_min=None, h_max=None):
@@ -84,9 +87,11 @@ class Density:
                 raise ValueError(f"constant g must be a positive finite number, got {g!r}")
             self._g = None
             self.g_const = gval
+            self.g_rule_sum = (gval * TRIANGLE_RULE[1]).sum()
         elif callable(g):
             self._g = g
             self.g_const = None
+            self.g_rule_sum = None
         else:
             raise ValueError("g must be a positive number or a callable")
         self.symmetric = self.uniform_gauge and gauge.symmetric

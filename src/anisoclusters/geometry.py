@@ -147,6 +147,18 @@ def grown_boxes(p, q, margin=0.0):
     return xlo, ylo, xhi, yhi
 
 
+def box_gap(pa, qa, pb, qb):
+    """The gap between the bounding boxes of segments pa qa and pb qb, for
+    batches of (n, 2) endpoints: the larger of their x and y separations,
+    negative where the boxes overlap. Up to rounding, the boxes grown by m
+    on every side overlap exactly when the gap is at most 2 m."""
+    xlo_a, ylo_a, xhi_a, yhi_a = grown_boxes(pa, qa)
+    xlo_b, ylo_b, xhi_b, yhi_b = grown_boxes(pb, qb)
+    gap = np.maximum(xlo_a - xhi_b, xlo_b - xhi_a)
+    np.maximum(gap, ylo_a - yhi_b, out=gap)
+    return np.maximum(gap, ylo_b - yhi_a, out=gap)
+
+
 def box_overlap_pairs(p, q, margin=0.0):
     """Index pairs (a < b) of segments p[k]q[k] whose closed bounding boxes,
     grown by margin on every side, overlap; two segments that properly cross

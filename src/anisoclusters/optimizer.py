@@ -16,9 +16,11 @@ close, so the clearances, and the exact crossing test that still guards
 every accepted step, look at those pairs alone. The vertices move a small
 fraction of a segment per step, so the sort-and-sweep that finds those
 pairs runs once per mesh with a skin of one resampling length, and again
-only when the vertices have drifted too far; each step filters that
-neighbour list with the same box test (Verlet 1967; _Mesh.near_ends) and
-gets the sweep's pairs in the sweep's order.
+only when the drift since then and the step's reach use up the skin. The
+neighbour list is sorted by how far apart each pair's boxes were at its
+build, and each step applies the same box test to the pairs that drift
+and reach can have brought within range alone, often none (Verlet 1967;
+_Mesh.near_ends), and gets the sweep's pairs in the sweep's order.
 
 Each edge has one role, read from its tags by _edge_roles. A free edge is
 counted in the objective, its vertices move with two degrees of freedom,
@@ -91,6 +93,7 @@ from .density import Density
 from .geometry import (
     angle_between,
     angle_of,
+    box_gap,
     cross2,
     fit_endpoint_tangent,
     grown_boxes,
@@ -272,15 +275,17 @@ def _clearance_caps(V, mesh, d):
     other pairs (mesh.near_ends) each vertex's clearance c_v is the least
     distance from a segment at it to a segment sharing no endpoint with that
     one, and its caps are 0.49 c_v / sqrt(ndof_v), a reach below c_v / 2;
-    vertices in no such pair get no cap (inf).
+    vertices in no such pair get no cap (inf). With no such pair at all,
+    the caps are the mesh's read-only all-inf array.
     """
     nv = len(V)
     delta = float(np.sqrt(np.bincount(mesh.vert, weights=d * d, minlength=nv).max()))
     ends = mesh.near_ends(V, delta)
+    if not ends.shape[1]:
+        return mesh.no_caps, ends
     clearance = np.full(nv, np.inf)
-    if ends.shape[1]:
-        dist = segment_distance(*V.take(ends, axis=0))
-        np.minimum.at(clearance, ends.ravel(), np.tile(dist, 4))
+    dist = segment_distance(*V.take(ends, axis=0))
+    np.minimum.at(clearance, ends.ravel(), np.tile(dist, 4))
     return 0.49 * clearance[mesh.vert] / mesh.sqrt_ndof, ends
 
 
@@ -304,8 +309,9 @@ class _Mesh:
     def __init__(self, cluster, density, targets, char_len):
         self.density = density
         self.skin = char_len
-        # near_ends' list: the positions and margin of its build, its pairs
-        # and their endpoint indices
+        # near_ends' list: the positions, margin and rounding slack of its
+        # build, and its pairs' box gaps, pairs and endpoint indices, in gap
+        # order
         self._near = None
         self.targets = np.asarray(targets, dtype=float)
         V = cluster.vertices
@@ -373,6 +379,8 @@ class _Mesh:
             has = ndof > k
             self.step_ranks[k, has] = 2 * (first[has] + k)[:, None] + np.arange(2)
         self.sqrt_ndof = np.sqrt(ndof[self.vert])
+        self.no_caps = np.full(self.n, np.inf)
+        self.no_caps.flags.writeable = False
         self.base_caps = 0.45 * self.local_len
 
         # finite-difference stencil: one entry per (segment, endpoint, dof)
@@ -420,31 +428,43 @@ class _Mesh:
         (Verlet 1967).
 
         The list holds crossing_pairs at the positions V0 of its build and a
-        margin of at least the skin. If no coordinate has moved by more than
-        drift since, a segment's box at V grown by delta lies inside its box
-        at V0 grown by drift + delta, so two boxes that overlap at V overlap
-        at V0 with margin drift + delta, and the pair is listed while
-        drift + delta <= margin. The list is rebuilt once 2 (drift + delta)
-        exceeds its margin; that keeps half the margin spare for the
-        rounding of the box bounds, a few ulps of the coordinates. The build
-        margin is the skin, or 2 delta when that is larger, so the list
-        serves its first step too.
+        margin of at least the skin, sorted by each pair's box gap at V0
+        (geometry.box_gap). If no coordinate has moved by more than drift
+        since, each side of a segment's box has moved by at most drift, so a
+        pair whose boxes at V grown by delta overlap has a gap at V0 of at
+        most 2 (drift + delta), and it is listed while drift + delta is at
+        most the margin. Rounding moves each of these bounds by a few ulps of
+        the coordinates and the margin; the slack, 16 eps times the largest
+        coordinate at V0 plus the margin, covers that with room to spare.
+        The list is rebuilt once drift + delta exceeds the margin less the
+        slack. The build margin is the skin, or 2 delta when that is larger,
+        so the list serves its first step too.
 
-        The listed pairs are tested with the sweep's own grown boxes
-        (geometry.grown_boxes at V and delta). The sweep ranks segments by
-        a stable sort of the boxes' xlo, that is by (xlo, index), and emits
-        a pair at its lower-ranked segment, then by the rank of the other;
-        the kept pairs are sorted on those two ranks' keys.
+        Each step tests only the listed pairs whose gap is at most
+        2 (drift + delta) plus the slack, a prefix of the list, with the
+        sweep's own grown boxes (geometry.grown_boxes at V and delta). The
+        sweep ranks segments by a stable sort of the boxes' xlo, that is by
+        (xlo, index), and emits a pair at its lower-ranked segment, then by
+        the rank of the other; the kept pairs are sorted on those two ranks'
+        keys.
         """
-        rebuild = self._near is None
-        if not rebuild:
-            V0, margin, a, b, ends = self._near
-            rebuild = 2.0 * (float(np.abs(V - V0).max()) + delta) > margin
-        if rebuild:
+        near = self._near
+        drift = 0.0 if near is None else float(np.abs(V - near[0]).max())
+        if near is None or drift + delta > near[1] - near[2]:
             margin = max(self.skin, 2.0 * delta)
             a, b = crossing_pairs(V, self.i0, self.i1, margin=margin)
             ends = np.stack([self.i0[a], self.i1[a], self.i0[b], self.i1[b]])
-            self._near = (V.copy(), margin, a, b, ends)
+            gap = box_gap(*V.take(ends, axis=0))
+            order = np.argsort(gap, kind="stable")
+            slack = 16.0 * np.finfo(float).eps * (float(np.abs(V).max()) + margin)
+            near = (V.copy(), margin, slack, gap[order], a[order], b[order], ends[:, order])
+            self._near = near
+            drift = 0.0
+        _, _, slack, gap, a, b, ends = near
+        k = int(np.searchsorted(gap, 2.0 * (drift + delta) + slack, side="right"))
+        if k == 0:
+            return ends[:, :0]
+        a, b, ends = a[:k], b[:k], ends[:, :k]
         pa, qa, pb, qb = V.take(ends, axis=0)
         xlo_a, ylo_a, xhi_a, yhi_a = grown_boxes(pa, qa, delta)
         xlo_b, ylo_b, xhi_b, yhi_b = grown_boxes(pb, qb, delta)

@@ -44,6 +44,7 @@ from anisoclusters.density import _ScaledGauge
 from anisoclusters.geometry import (
     TRIANGLE_RULE,
     clip_segments_to_disk,
+    cross2,
     polyline_self_intersects,
     rotate_cw,
     segment_distance,
@@ -234,6 +235,22 @@ class TestSingleChamber:
             field = Density(EuclideanGauge(), g=lambda pts, g=g: np.full(pts.shape[:-1], g))
             assert const.g_const == g and field.g_const is None
             assert np.array_equal(fan_volume_terms(const, p, q), fan_volume_terms(field, p, q))
+
+    def test_the_stored_rule_sum_is_the_inline_expression(self):
+        # Density keeps the constant-g factor of fan_volume_terms; it must be
+        # the sum the kernel once formed on every call, bit for bit, for a
+        # constant density and for its scaled copies
+        rng = np.random.default_rng(8)
+        p, q = rng.normal(size=(2, 1000, 2))
+        areas = 0.5 * cross2(p, q)
+        for g in (1.0, 0.7, 3.3, 1e-3, 2.0**0.5, 7e5):
+            base = Density(EuclideanGauge(), g=g)
+            for d in (base, base.scaled(0.3), base.scaled(np.pi), base.scaled(0.3).scaled(11.0)):
+                inline = (d.g_const * TRIANGLE_RULE[1]).sum()
+                assert d.g_rule_sum == inline
+                assert np.array_equal(fan_volume_terms(d, p, q), areas * inline)
+        field = Density(EuclideanGauge(), g=lambda pts: np.ones(pts.shape[:-1]))
+        assert field.g_rule_sum is None and field.scaled(2.0).g_rule_sum is None
 
 
 class TestTriangleRule:

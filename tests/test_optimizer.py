@@ -32,6 +32,8 @@ from anisoclusters import (
 from anisoclusters import optimizer
 from anisoclusters.cluster import fan_volume_terms, orientation_rule
 from anisoclusters.geometry import (
+    box_gap,
+    grown_boxes,
     hausdorff_to_segments,
     rotate_ccw,
     rotate_cw,
@@ -850,6 +852,41 @@ class TestFusedEvaluations:
         assert reference_collapsed(mesh, V, 100.0 * rs_len) or kind == "walled"
 
 
+class WholeListNeighbours:
+    """_Mesh.near_ends as first written, before its list was sorted by box
+    gap: the whole list filtered at every step, and rebuilt once
+    2 (drift + delta) exceeds the margin, which keeps half the margin for
+    rounding. The reference of the walk test; builds counts its sweeps."""
+
+    def __init__(self, mesh):
+        self.mesh, self.near, self.builds = mesh, None, 0
+
+    def __call__(self, V, delta):
+        mesh = self.mesh
+        rebuild = self.near is None
+        if not rebuild:
+            V0, margin, a, b, ends = self.near
+            rebuild = 2.0 * (float(np.abs(V - V0).max()) + delta) > margin
+        if rebuild:
+            margin = max(mesh.skin, 2.0 * delta)
+            a, b = optimizer.crossing_pairs(V, mesh.i0, mesh.i1, margin=margin)
+            ends = np.stack([mesh.i0[a], mesh.i1[a], mesh.i0[b], mesh.i1[b]])
+            self.near = (V.copy(), margin, a, b, ends)
+            self.builds += 1
+        pa, qa, pb, qb = V.take(ends, axis=0)
+        xlo_a, ylo_a, xhi_a, yhi_a = grown_boxes(pa, qa, delta)
+        xlo_b, ylo_b, xhi_b, yhi_b = grown_boxes(pb, qb, delta)
+        keep = np.flatnonzero(
+            (xlo_a <= xhi_b) & (xlo_b <= xhi_a) & (ylo_a <= yhi_b) & (ylo_b <= yhi_a)
+        )
+        if len(keep) > 1:
+            a, b, xa, xb = a[keep], b[keep], xlo_a[keep], xlo_b[keep]
+            first = xa <= xb
+            lo, hi = np.where(first, a, b), np.where(first, b, a)
+            keep = keep[np.lexsort((hi, np.maximum(xa, xb), lo, np.minimum(xa, xb)))]
+        return ends[:, keep]
+
+
 def neighbour_list_problem(kind):
     """The n_arc=48 bubble, which collapses and resamples; the jittered
     max-norm cross, with walls and the continuation ladder; walled_plus
@@ -881,7 +918,7 @@ class TestNeighbourList:
             a, b = optimizer.crossing_pairs(V, mesh.i0, mesh.i1, margin=delta)
             assert np.array_equal(ends, np.stack([mesh.i0[a], mesh.i1[a], mesh.i0[b], mesh.i1[b]]))
             # the pairs on the list, and those the step keeps
-            pairs.append((len(mesh._near[2]), len(a)))
+            pairs.append((len(mesh._near[4]), len(a)))
             return safe, ends
 
         monkeypatch.setattr(optimizer, "_clearance_caps", checked)
@@ -895,6 +932,43 @@ class TestNeighbourList:
         else:
             assert kept.any()
 
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    @pytest.mark.parametrize("walk", ["straight", "random"])
+    @pytest.mark.parametrize("kind", ["bubble", "cross"])
+    def test_walks_past_the_rebuild_threshold_see_the_sweeps_pairs(self, kind, walk, offset):
+        # no solve: the vertices walk far past the drift that rebuilds the
+        # list, under offsets whose rounding the slack must cover. On a
+        # straight walk every coordinate moves the same distance each step
+        # in a fixed direction, so facing box sides close in at exactly twice
+        # the drift. Every other reach puts a pair's boxes at V just on the
+        # edge of overlapping, half of those one ulp either side of it
+        rng = np.random.default_rng([int(offset), len(walk), len(kind)])
+        cl = oracle_mesh(kind, rng)
+        mesh = optimizer._Mesh(cl, EUCLID, np.ones(cl.m), optimizer._default_resample_len(cl))
+        whole = WholeListNeighbours(mesh)
+        V = cl.vertices + offset
+        step = mesh.skin / 25.0
+        signs = rng.choice([-1.0, 1.0], V.shape)
+        builds, near = 0, None
+        for k in range(150):
+            V = V + step * (signs if walk == "straight" else rng.normal(0.0, 2.0, V.shape))
+            a, b = optimizer.crossing_pairs(V, mesh.i0, mesh.i1, margin=mesh.skin / 2)
+            gap = box_gap(V[mesh.i0[a]], V[mesh.i1[a]], V[mesh.i0[b]], V[mesh.i1[b]])
+            gap = gap[gap >= 0.0]
+            if k % 2 and len(gap):
+                delta = float(rng.choice(gap)) / 2.0
+                if k % 4 == 1:
+                    delta = float(np.nextafter(delta, rng.choice([0.0, np.inf])))
+            else:
+                delta = float(rng.uniform(0.0, mesh.skin / 3.0))
+            a, b = optimizer.crossing_pairs(V, mesh.i0, mesh.i1, margin=delta)
+            fresh = np.stack([mesh.i0[a], mesh.i1[a], mesh.i0[b], mesh.i1[b]])
+            assert np.array_equal(mesh.near_ends(V, delta), fresh), k
+            assert np.array_equal(whole(V, delta), fresh), k
+            builds += mesh._near is not near
+            near = mesh._near
+        assert 3 <= builds <= whole.builds
+
     def test_the_sweep_runs_far_less_often_than_the_steps(self, monkeypatch):
         sweep = optimizer.crossing_pairs
         calls = []
@@ -903,8 +977,10 @@ class TestNeighbourList:
         )
         rep = minimize(neighbour_list_problem("bubble"))
         assert rep.success and rep.resamples > 0
-        # at least one build per mesh: one per outer iteration and resample
-        assert rep.outer_iterations + rep.resamples <= len(calls) <= rep.inner_iterations // 2
+        # at least one build per mesh: one per outer iteration and resample.
+        # The rule rebuilds 21 times here (rebuilding at twice the drift
+        # plus reach, it took 40); 25 leaves about a fifth for solver changes
+        assert rep.outer_iterations + rep.resamples <= len(calls) <= 25
         calls.clear()
         rep = minimize(neighbour_list_problem("cross"))
         assert rep.success
