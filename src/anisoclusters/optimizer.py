@@ -13,14 +13,15 @@ moves at most as far as its farther-moving endpoint, so no two such segments
 can meet. Only the pairs whose bounding boxes, grown by the reach of the
 iteration's first trial step, overlap (cluster.crossing_pairs) can come that
 close, so the clearances, and the exact crossing test that still guards
-every accepted step, look at those pairs alone. The vertices move a small
+every accepted step, look at those pairs alone, as a set: a per-vertex
+minimum and an any() read them in any order. The vertices move a small
 fraction of a segment per step, so the sort-and-sweep that finds those
 pairs runs once per mesh with a skin of one resampling length, and again
 only when the drift since then and the step's reach use up the skin. The
 neighbour list is sorted by how far apart each pair's boxes were at its
 build, and each step applies the same box test to the pairs that drift
 and reach can have brought within range alone, often none (Verlet 1967;
-_Mesh.near_ends), and gets the sweep's pairs in the sweep's order.
+_Mesh.near_ends).
 
 Each edge has one role, read from its tags by _edge_roles. A free edge is
 counted in the objective, its vertices move with two degrees of freedom,
@@ -43,7 +44,7 @@ fan_volume_terms call. Everything fixed per mesh (gathers, displacements,
 masks, scatter indices, the broad phase's neighbour list) is built once
 with it; gathers use take, and scatters np.bincount, which adds in the
 order np.add.at does. The iterates are the same, bit for bit, as those of
-one call per side and stencil sign and one sweep per step.
+one call per side and stencil sign.
 
 The mesh is also repaired inside an outer iteration (remeshing on collapse,
 as Surface Evolver removes tiny edges during the evolution, Brakke 1992).
@@ -249,16 +250,10 @@ def _apply_step(V, mesh, d):
     return out
 
 
-def _has_crossing(V, i0, i1, ends=None):
-    """True when two segments (i0, i1) properly cross at vertex positions V.
-
-    ends is a (4, P) array of the endpoint indices (i0[a], i1[a], i0[b],
-    i1[b]) of the segment pairs (a, b) to test, by default those left by the
-    broad phase of crossing_pairs.
-    """
-    if ends is None:
-        a, b = crossing_pairs(V, i0, i1)
-        ends = np.stack([i0[a], i1[a], i0[b], i1[b]])
+def _has_crossing(V, ends):
+    """True when some pair of segments properly crosses at vertex positions
+    V. ends is a (4, P) array of the endpoint indices (i0[a], i1[a], i0[b],
+    i1[b]) of the segment pairs (a, b) to test, in any order."""
     if ends.shape[1] == 0:
         return False
     return bool(segments_properly_cross(*V[ends]).any())
@@ -268,7 +263,7 @@ def _clearance_caps(V, mesh, d):
     """Per-dof caps under which no step moving each vertex at most as far as
     step d does can make two segments of the mesh that share no endpoint
     meet, and the endpoint indices, as _has_crossing takes them, of the
-    segment pairs that such a step can make cross.
+    segment pairs that such a step can make cross, in any order.
 
     delta is the largest Euclidean reach of a vertex under d; pairs whose
     boxes grown by delta do not overlap start more than 2 delta apart. On the
@@ -310,8 +305,7 @@ class _Mesh:
         self.density = density
         self.skin = char_len
         # near_ends' list: the positions, margin and rounding slack of its
-        # build, and its pairs' box gaps, pairs and endpoint indices, in gap
-        # order
+        # build, and its pairs' box gaps and endpoint indices, in gap order
         self._near = None
         self.targets = np.asarray(targets, dtype=float)
         V = cluster.vertices
@@ -423,9 +417,8 @@ class _Mesh:
     def near_ends(self, V, delta):
         """The endpoint indices (i0[a], i1[a], i0[b], i1[b]), as
         _has_crossing takes them, of the pairs (a, b) that
-        crossing_pairs(V, i0, i1, margin=delta) gives, equal and in its
-        order, read from a neighbour list built once per mesh with a skin
-        (Verlet 1967).
+        crossing_pairs(V, i0, i1, margin=delta) gives, in any order, read
+        from a neighbour list built once per mesh with a skin (Verlet 1967).
 
         The list holds crossing_pairs at the positions V0 of its build and a
         margin of at least the skin, sorted by each pair's box gap at V0
@@ -442,11 +435,7 @@ class _Mesh:
 
         Each step tests only the listed pairs whose gap is at most
         2 (drift + delta) plus the slack, a prefix of the list, with the
-        sweep's own grown boxes (geometry.grown_boxes at V and delta). The
-        sweep ranks segments by a stable sort of the boxes' xlo, that is by
-        (xlo, index), and emits a pair at its lower-ranked segment, then by
-        the rank of the other; the kept pairs are sorted on those two ranks'
-        keys.
+        sweep's own grown boxes (geometry.grown_boxes at V and delta).
         """
         near = self._near
         drift = 0.0 if near is None else float(np.abs(V - near[0]).max())
@@ -457,26 +446,18 @@ class _Mesh:
             gap = box_gap(*V.take(ends, axis=0))
             order = np.argsort(gap, kind="stable")
             slack = 16.0 * np.finfo(float).eps * (float(np.abs(V).max()) + margin)
-            near = (V.copy(), margin, slack, gap[order], a[order], b[order], ends[:, order])
+            near = (V.copy(), margin, slack, gap[order], ends[:, order])
             self._near = near
             drift = 0.0
-        _, _, slack, gap, a, b, ends = near
+        _, _, slack, gap, ends = near
         k = int(np.searchsorted(gap, 2.0 * (drift + delta) + slack, side="right"))
         if k == 0:
             return ends[:, :0]
-        a, b, ends = a[:k], b[:k], ends[:, :k]
+        ends = ends[:, :k]
         pa, qa, pb, qb = V.take(ends, axis=0)
         xlo_a, ylo_a, xhi_a, yhi_a = grown_boxes(pa, qa, delta)
         xlo_b, ylo_b, xhi_b, yhi_b = grown_boxes(pb, qb, delta)
-        keep = np.flatnonzero(
-            (xlo_a <= xhi_b) & (xlo_b <= xhi_a) & (ylo_a <= yhi_b) & (ylo_b <= yhi_a)
-        )
-        if len(keep) > 1:
-            a, b, xa, xb = a[keep], b[keep], xlo_a[keep], xlo_b[keep]
-            # a < b on the list, so a ranks first exactly when xa <= xb
-            first = xa <= xb
-            lo, hi = np.where(first, a, b), np.where(first, b, a)
-            keep = keep[np.lexsort((hi, np.maximum(xa, xb), lo, np.minimum(xa, xb)))]
+        keep = (xlo_a <= xhi_b) & (xlo_b <= xhi_a) & (ylo_a <= yhi_b) & (ylo_b <= yhi_a)
         return ends[:, keep]
 
     def step_caps(self, V):
@@ -484,9 +465,8 @@ class _Mesh:
         and for sliding vertices also of the distance to wall neighbors."""
         caps = self.base_caps.copy()
         for j, nbs in self.wall_nbs:
-            if nbs:
-                d = min(float(np.linalg.norm(V[n] - V[self.vert[j]])) for n in nbs)
-                caps[j] = min(caps[j], 0.4 * d)
+            d = min(float(np.linalg.norm(V[n] - V[self.vert[j]])) for n in nbs)
+            caps[j] = min(caps[j], 0.4 * d)
         return caps
 
     def collapsed(self, V, target_len):
@@ -596,7 +576,7 @@ def _descend(cl, density, targets, lam, mu, opts, rs_len):
             if gn * rs_len <= opts.grad_tol:
                 stop = "converged"
                 break
-            if g_prev is not None and d_prev is not None:
+            if g_prev is not None:
                 y = g - g_prev
                 sy = float(d_prev @ y)
                 t = float(d_prev @ d_prev) / sy if sy > 1e-300 else 2.0 * t
@@ -618,7 +598,7 @@ def _descend(cl, density, targets, lam, mu, opts, rs_len):
                 Vt = _apply_step(V, mesh, d)
                 ft, Pt, et = mesh.objective(Vt, lam, mu, P0)
                 if ft <= f_ref + 1e-4 * gd:
-                    if _has_crossing(Vt, mesh.i0, mesh.i1, ends):
+                    if _has_crossing(Vt, ends):
                         rejections += 1
                         tt *= 0.5
                         continue
@@ -797,7 +777,7 @@ def _perturb_start(problem, k, rs_len):
         d = rng.normal(0.0, amp, mesh.n) * mesh.local_len
         d = np.clip(d, -caps, caps)
         Vt = _apply_step(cl.vertices, mesh, d)
-        if not _has_crossing(Vt, mesh.i0, mesh.i1):
+        if not _has_crossing(Vt, mesh.near_ends(Vt, 0.0)):
             cl.vertices = Vt
             return cl
     return problem.cluster.copy()
@@ -819,13 +799,7 @@ def minimize(problem):
     for k in range(opts.multi_start):
         cl = _perturb_start(problem, k, rs_len) if k > 0 else problem.cluster.copy()
         runs.append(_solve_single(cl, problem.density, targets, opts, k, rs_len))
-    champ = runs[0]
-    for r in runs[1:]:
-        if r.success != champ.success:
-            if r.success:
-                champ = r
-        elif r.perimeter < champ.perimeter:
-            champ = r
+    champ = min(runs, key=lambda r: (not r.success, r.perimeter))
     champ.starts = [
         {
             "start": r.start_index,

@@ -1,5 +1,6 @@
 """End-to-end command line runs against the shipped scenarios."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -31,8 +32,81 @@ FAST_SCENARIOS = [
 ]
 
 
+# The SHA-256 of each shipped scenario's report and SVG. A change that
+# alters a report or an SVG updates its digests here and names the file in
+# CHANGES.md.
+SHIPPED_DIGESTS = {
+    "diagnose-double-bubble.json": (
+        "06bf3439ad1ed6ab3a77aa73988960ba56a0531a268cbb506f6ecc435b792cad",
+        "ce484958f2b825fa9cd875e71901966af8cef8eec3b71a718628c4e975eb5709",
+    ),
+    "fermat-euclidean.json": (
+        "808ff465692c10c8dae1bb2550e41b092992a522819a188589b6f79611c39b58",
+        "cac40e443335aaf6c0991ac7f70ba6018ac800de2079a9bf3d891cc59f4c8aff",
+    ),
+    "gaugeprobe-smoothed-l1.json": (
+        "cf775134340e375f58659345575e16d0f4662d10e6f5a6139ec35d93da37602d",
+        "32f498866f777b72912f4e459fed483d6980b8115537fa7d0fad284894b00a11",
+    ),
+    "perimeter-square-cross.json": (
+        "95ed6944366deca7bc5ef089c117250d08da91522c4a12bed9b4f2dab72dce98",
+        "ed1407b7995f6308193ba61c8374520789f9786d38e1637526ef1fc332eb3ec5",
+    ),
+    "slices-cross-maxnorm.json": (
+        "09b08dadb2cf1b49bde7cb7cb08931e8834201e22008c9a9040dcde0493689f1",
+        "c70aae570edd32c8c52da1482653b1ff97250e7609c670f7a397e5fc34d70548",
+    ),
+    "slices-five-radii.json": (
+        "36e80142117ed0fe9bb93a2054650c6768721b391b0dc4311dbca694ab0e5fdc",
+        "59da151054d2824d8043e3f22f7f90414772e7ec2da2020ee8087b73afc02b44",
+    ),
+    "solve-disk.json": (
+        "484eae3d460b1891a19801056ef515bc7ba0d1322f439c7a9681005d14238853",
+        "74c553acf975f2cac8e3458062835c78b916d07a71be4002447a62ea50cc89c1",
+    ),
+    "solve-double-bubble.json": (
+        "2da3fc59bd74f50960084cc49b81f2bff9b4cbcaee973fb711ec68ad3bede7b3",
+        "c6bbf29d77be79d86edd02ed27a463a8f24d5d68ce38995013c9bec960102e2a",
+    ),
+    "solve-square-cross.json": (
+        "acd8521b9249333cb76e3a31c60509dc32ad04be51ffa0070c9b6f1f43ca5e5a",
+        "e4b132ecb094915f9bfa6c88ba4e0a929782c340d89f4bae28a11295463ce69a",
+    ),
+    "triples-euclidean.json": (
+        "f184b7d1e9144a45f6b7ac9bbaddc4382754f74d1c5d0a2672e5656e09490fb2",
+        "1801dee0c2cee21b2ff40db21727fe60eacf9f58ff52e21fbc971b3c56871845",
+    ),
+    "triples-lp-2.json": (
+        "05119f5ae0d5c17ab4b7442da76fc20b7737f14ff8d22ebda92fff429736841d",
+        "1801dee0c2cee21b2ff40db21727fe60eacf9f58ff52e21fbc971b3c56871845",
+    ),
+    "triples-shifted-disk.json": (
+        "def0029c83f5713d4043f7cf2015906c50a896186fbacf24363857e398577d02",
+        "bfa2863725fbde674b87254ccfd1bc6e02b6856fde4e3356f2cb555224b918c7",
+    ),
+}
+
+
 def run(task, scenario, out, *extra):
     return main([task, "--scenario", str(SCENARIO_DIR / scenario), "--out", str(out), *extra])
+
+
+@pytest.fixture(scope="module")
+def shipped(tmp_path_factory):
+    """The output directory of a shipped scenario's run with --svg, which
+    must exit 0. Each scenario runs once, on first use, for all the tests of
+    this module."""
+    dirs = {}
+
+    def out_dir(scenario):
+        if scenario not in dirs:
+            out = tmp_path_factory.mktemp(Path(scenario).stem)
+            task = json.loads((SCENARIO_DIR / scenario).read_text())["task"]
+            assert run(task, scenario, out, "--svg") == 0
+            dirs[scenario] = out
+        return dirs[scenario]
+
+    return out_dir
 
 
 def read_report(out_dir, scenario):
@@ -43,9 +117,8 @@ def read_report(out_dir, scenario):
 
 class TestFastScenarios:
     @pytest.mark.parametrize("task,scenario", FAST_SCENARIOS, ids=lambda v: v)
-    def test_runs_clean(self, tmp_path, task, scenario):
-        assert run(task, scenario, tmp_path) == 0
-        rep = read_report(tmp_path, scenario)
+    def test_runs_clean(self, shipped, task, scenario):
+        rep = read_report(shipped(scenario), scenario)
         assert rep["schema"] == "anisoclusters-report"
         assert rep["version"] == 1
         assert rep["task"] == task
@@ -54,17 +127,26 @@ class TestFastScenarios:
         assert isinstance(rep["result"], dict)
 
     @pytest.mark.parametrize("task,scenario", FAST_SCENARIOS, ids=lambda v: v)
-    def test_reports_match_json_schema(self, tmp_path, task, scenario):
+    def test_reports_match_json_schema(self, shipped, task, scenario):
         import jsonschema
 
         schema = json.loads(REPORT_SCHEMA_PATH.read_text())
-        assert run(task, scenario, tmp_path) == 0
-        jsonschema.validate(read_report(tmp_path, scenario), schema)
+        jsonschema.validate(read_report(shipped(scenario), scenario), schema)
 
     @pytest.mark.parametrize("scenario", ["solve-disk.json", "solve-square-cross.json"])
-    def test_shipped_solves_never_resample_mid_descent(self, tmp_path, scenario):
-        assert run("solve", scenario, tmp_path) == 0
-        assert read_report(tmp_path, scenario)["result"]["resamples"] == 0
+    def test_shipped_solves_never_resample_mid_descent(self, shipped, scenario):
+        assert read_report(shipped(scenario), scenario)["result"]["resamples"] == 0
+
+    @pytest.mark.parametrize("scenario", sorted(SHIPPED_DIGESTS))
+    def test_reports_and_svgs_match_their_pinned_digests(self, shipped, scenario):
+        out = shipped(scenario)
+        report, svg = sorted(out.iterdir(), key=lambda f: f.suffix != ".json")
+        assert (report.suffix, svg.suffix) == (".json", ".svg")
+        got = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (report, svg))
+        assert got == SHIPPED_DIGESTS[scenario]
+
+    def test_every_shipped_scenario_is_pinned(self):
+        assert sorted(SHIPPED_DIGESTS) == sorted(p.name for p in SCENARIO_DIR.glob("*.json"))
 
     def test_perimeter_prices_the_cluster_once(self, tmp_path, monkeypatch):
         # perimeter, interface_perimeter and edge_perimeters are sums of one

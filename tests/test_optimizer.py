@@ -238,12 +238,21 @@ class TestMinimize:
         # the clearance caps leave no trial step that folds the boundary
         assert pruned.crossing_rejections == 0
         oracle_calls = []
+        meshes = []
 
-        def all_pairs_check(V, i0, i1, ends=None):
-            # every pair sharing no endpoint, not only the candidate pairs
-            oracle_calls.append(len(i0))
-            return bool(crossing_set(V, i0, i1))
+        class RecordedMesh(optimizer._Mesh):
+            def __init__(self, *args):
+                super().__init__(*args)
+                meshes.append(self)
 
+        def all_pairs_check(V, ends):
+            # every pair of the latest mesh's segments sharing no endpoint,
+            # not only the candidate pairs
+            mesh = meshes[-1]
+            oracle_calls.append(ends.shape[1])
+            return bool(crossing_set(V, mesh.i0, mesh.i1))
+
+        monkeypatch.setattr(optimizer, "_Mesh", RecordedMesh)
         monkeypatch.setattr(optimizer, "_has_crossing", all_pairs_check)
         oracle = solve()
         assert oracle_calls
@@ -299,6 +308,52 @@ class TestMinimize:
         assert rep.volume_error_trace[-1] <= 1e-6
         spec = rep.spec()
         assert spec["success"] and isinstance(spec["cluster"], dict)
+
+    @pytest.mark.parametrize(
+        "runs, champion",
+        [
+            # a success beats a failure with a lower or equal perimeter
+            ([(False, 1.0), (True, 2.0)], 1),
+            ([(True, 2.0), (False, 2.0)], 0),
+            # the lowest perimeter wins within each class
+            ([(True, 3.0), (False, 1.0), (True, 2.0), (True, 2.5)], 2),
+            ([(False, 3.0), (False, 2.0), (False, 2.5)], 1),
+            # of two equal perimeters, the lower start index wins
+            ([(False, 1.0), (True, 2.0), (True, 2.0)], 1),
+            ([(False, 2.0), (False, 2.0), (True, 3.0), (False, 1.0), (False, 1.0)], 2),
+            ([(False, 2.0), (False, 1.0), (False, 1.0)], 1),
+        ],
+    )
+    def test_champion_is_the_first_success_of_least_perimeter(self, monkeypatch, runs, champion):
+        def scripted(cluster, density, targets, opts, start_index, rs_len):
+            success, perimeter = runs[start_index]
+            return optimizer.SolveReport(
+                cluster=cluster,
+                success=success,
+                perimeter=perimeter,
+                interface_perimeter=perimeter,
+                volumes=targets,
+                volume_errors=np.zeros(len(targets)),
+                perimeter_trace=[],
+                volume_error_trace=[],
+                outer_iterations=1,
+                inner_iterations=0,
+                crossing_rejections=0,
+                start_index=start_index,
+                flags=[],
+            )
+
+        monkeypatch.setattr(optimizer, "_solve_single", scripted)
+        rep = minimize(
+            OptimizationProblem(
+                regular_polygon_chamber(16, area=np.pi),
+                EUCLID,
+                [np.pi],
+                SolveOptions(multi_start=len(runs)),
+            )
+        )
+        assert rep.start_index == champion
+        assert [(s["success"], s["perimeter"]) for s in rep.starts] == runs
 
     def test_exhausted_budget_reports_failure(self):
         rep = minimize(
@@ -843,7 +898,7 @@ class TestFusedEvaluations:
             safe, ends = optimizer._clearance_caps(V, mesh, d)
             ref_safe, ref_ends = reference_clearance_caps(V, mesh, d)
             assert safe.tolist() == ref_safe.tolist()
-            assert np.array_equal(ends, ref_ends)
+            assert np.array_equal(columns_sorted(ends), columns_sorted(ref_ends))
             # at 100 rs_len resampling leaves one segment per open edge
             for target_len in (rs_len, 100.0 * rs_len):
                 assert mesh.collapsed(Vt, target_len) == reference_collapsed(mesh, Vt, target_len)
@@ -852,11 +907,18 @@ class TestFusedEvaluations:
         assert reference_collapsed(mesh, V, 100.0 * rs_len) or kind == "walled"
 
 
+def columns_sorted(ends):
+    """The columns of ends, (4, P) endpoint indices of segment pairs, in
+    lexicographic order: two arrays hold the same pairs exactly when these
+    are equal."""
+    return ends[:, np.lexsort(ends[::-1])]
+
+
 class WholeListNeighbours:
-    """_Mesh.near_ends as first written, before its list was sorted by box
-    gap: the whole list filtered at every step, and rebuilt once
-    2 (drift + delta) exceeds the margin, which keeps half the margin for
-    rounding. The reference of the walk test; builds counts its sweeps."""
+    """_Mesh.near_ends without its list's sort by box gap: the whole list
+    filtered at every step, and rebuilt once 2 (drift + delta) exceeds the
+    margin, which keeps half the margin for rounding. The reference of the
+    walk test; builds counts its sweeps."""
 
     def __init__(self, mesh):
         self.mesh, self.near, self.builds = mesh, None, 0
@@ -865,25 +927,18 @@ class WholeListNeighbours:
         mesh = self.mesh
         rebuild = self.near is None
         if not rebuild:
-            V0, margin, a, b, ends = self.near
+            V0, margin, ends = self.near
             rebuild = 2.0 * (float(np.abs(V - V0).max()) + delta) > margin
         if rebuild:
             margin = max(mesh.skin, 2.0 * delta)
             a, b = optimizer.crossing_pairs(V, mesh.i0, mesh.i1, margin=margin)
             ends = np.stack([mesh.i0[a], mesh.i1[a], mesh.i0[b], mesh.i1[b]])
-            self.near = (V.copy(), margin, a, b, ends)
+            self.near = (V.copy(), margin, ends)
             self.builds += 1
         pa, qa, pb, qb = V.take(ends, axis=0)
         xlo_a, ylo_a, xhi_a, yhi_a = grown_boxes(pa, qa, delta)
         xlo_b, ylo_b, xhi_b, yhi_b = grown_boxes(pb, qb, delta)
-        keep = np.flatnonzero(
-            (xlo_a <= xhi_b) & (xlo_b <= xhi_a) & (ylo_a <= yhi_b) & (ylo_b <= yhi_a)
-        )
-        if len(keep) > 1:
-            a, b, xa, xb = a[keep], b[keep], xlo_a[keep], xlo_b[keep]
-            first = xa <= xb
-            lo, hi = np.where(first, a, b), np.where(first, b, a)
-            keep = keep[np.lexsort((hi, np.maximum(xa, xb), lo, np.minimum(xa, xb)))]
+        keep = (xlo_a <= xhi_b) & (xlo_b <= xhi_a) & (ylo_a <= yhi_b) & (ylo_b <= yhi_a)
         return ends[:, keep]
 
 
@@ -905,7 +960,7 @@ def neighbour_list_problem(kind):
 class TestNeighbourList:
     """The broad phase of _clearance_caps reads a neighbour list built once
     per mesh (_Mesh.near_ends) and rebuilt only after enough drift; every
-    step still sees the pairs of a fresh sweep, in the sweep's order."""
+    step still sees the pairs of a fresh sweep, in some order."""
 
     @pytest.mark.parametrize("kind", ["bubble", "cross", "walled"])
     def test_every_step_sees_the_sweeps_pairs(self, kind, monkeypatch):
@@ -916,9 +971,10 @@ class TestNeighbourList:
             safe, ends = caps(V, mesh, d)
             delta = float(np.sqrt(np.bincount(mesh.vert, weights=d * d, minlength=len(V)).max()))
             a, b = optimizer.crossing_pairs(V, mesh.i0, mesh.i1, margin=delta)
-            assert np.array_equal(ends, np.stack([mesh.i0[a], mesh.i1[a], mesh.i0[b], mesh.i1[b]]))
+            fresh = np.stack([mesh.i0[a], mesh.i1[a], mesh.i0[b], mesh.i1[b]])
+            assert np.array_equal(columns_sorted(ends), columns_sorted(fresh))
             # the pairs on the list, and those the step keeps
-            pairs.append((len(mesh._near[4]), len(a)))
+            pairs.append((len(mesh._near[3]), len(a)))
             return safe, ends
 
         monkeypatch.setattr(optimizer, "_clearance_caps", checked)
@@ -962,12 +1018,32 @@ class TestNeighbourList:
             else:
                 delta = float(rng.uniform(0.0, mesh.skin / 3.0))
             a, b = optimizer.crossing_pairs(V, mesh.i0, mesh.i1, margin=delta)
-            fresh = np.stack([mesh.i0[a], mesh.i1[a], mesh.i0[b], mesh.i1[b]])
-            assert np.array_equal(mesh.near_ends(V, delta), fresh), k
-            assert np.array_equal(whole(V, delta), fresh), k
+            fresh = columns_sorted(np.stack([mesh.i0[a], mesh.i1[a], mesh.i0[b], mesh.i1[b]]))
+            assert np.array_equal(columns_sorted(mesh.near_ends(V, delta)), fresh), k
+            assert np.array_equal(columns_sorted(whole(V, delta)), fresh), k
             builds += mesh._near is not near
             near = mesh._near
         assert 3 <= builds <= whole.builds
+
+    @pytest.mark.parametrize("kind", ["bubble", "cross"])
+    def test_the_pairs_order_leaves_the_solve_unchanged(self, kind, monkeypatch):
+        # _clearance_caps takes a per-vertex minimum over the pairs and
+        # _has_crossing an any(), so the order of near_ends' pairs is free
+        unpatched = minimize(neighbour_list_problem(kind))
+        near_ends = optimizer._Mesh.near_ends
+        longest = [0]
+
+        def reversed_ends(mesh, V, delta):
+            ends = near_ends(mesh, V, delta)
+            longest[0] = max(longest[0], ends.shape[1])
+            return ends[:, ::-1]
+
+        monkeypatch.setattr(optimizer._Mesh, "near_ends", reversed_ends)
+        reversed_ = minimize(neighbour_list_problem(kind))
+        assert reversed_.spec() == unpatched.spec()
+        assert reversed_.cluster.vertices.tobytes() == unpatched.cluster.vertices.tobytes()
+        # the bubble's steps see several pairs at once; no cross step sees one
+        assert longest[0] > 1 if kind == "bubble" else longest[0] == 0
 
     def test_the_sweep_runs_far_less_often_than_the_steps(self, monkeypatch):
         sweep = optimizer.crossing_pairs
