@@ -66,11 +66,27 @@ continuation, Allgower and Georg 1990). Descent on the kinked gauge alone
 creeps along its flat directions; from the last surrogate's minimiser it
 has little left to do.
 
+Every start begins at the targets' total volume wherever one rescale puts
+it there exactly (_volume_matched): with no kept edge and a constant g, the
+problem's cluster is scaled about the mean of its vertices by
+s = sqrt(sum of targets / sum of volumes), since a volume scales as s**2.
+The first descent then need not shrink or grow the cluster; shrinking
+shortens every segment, and the short ones collapse (from the builder's
+start, at 2.4 times its target volumes, the n_arc=48 double bubble
+resamples six times on collapse; from the matched one, once). A wall or a
+fixed edge cannot move, and a callable g breaks the s**2 law, so such a
+cluster starts as given; so does one with s exactly 1. The resampling
+length still comes from the problem's cluster, so the final resolution is
+the same either way.
+
 Wall edges carry constant perimeter (their geometry never changes as a set),
 so the optimization objective counts non-wall interfaces only, normalized by
 the initial interface perimeter. Volume errors are relative to the targets.
-Both normalizations make the iterates exactly invariant under a common
-scaling of g, h and the targets.
+Both normalizations make the iterates invariant under a common scaling of
+g, h and the targets: bit for bit when the factor is a power of two, which
+scales every rounded intermediate exactly; otherwise up to rounding, which
+can move a solve's step count (an ellipse 64-gon of area 1.3, target 1,
+takes the same steps at factors 1, 2 and 0.5, and others at 3 and 0.7).
 """
 
 from __future__ import annotations
@@ -763,11 +779,29 @@ def _solve_single(cluster, density, targets, opts, start_index, rs_len):
     )
 
 
-def _perturb_start(problem, k, rs_len):
-    """A copy of problem.cluster with its movable vertices jittered, seeded
-    by (seed, k); unperturbed when every jitter tried makes a crossing."""
-    rng = np.random.default_rng([int(problem.options.seed), int(k)])
+def _volume_matched(problem):
+    """The cluster every start of minimize begins from: a copy of
+    problem.cluster scaled about the mean of its vertices by
+    s = sqrt(sum of targets / sum of weighted volumes), whose total volume
+    under a constant g meets the targets'. Unscaled when an edge is kept,
+    when g is a callable, and when s is exactly 1 (see the module
+    docstring)."""
     cl = problem.cluster.copy()
+    _, _, kept = _edge_roles(cl)
+    if kept.any() or problem.density.g_const is None:
+        return cl
+    s = float(np.sqrt(problem.targets.sum() / weighted_volume(cl, problem.density).sum()))
+    if s != 1.0:
+        center = cl.vertices.mean(axis=0)
+        cl.vertices = center + s * (cl.vertices - center)
+    return cl
+
+
+def _perturb_start(problem, start, k, rs_len):
+    """A copy of start with its movable vertices jittered, seeded by
+    (seed, k); unperturbed when every jitter tried makes a crossing."""
+    rng = np.random.default_rng([int(problem.options.seed), int(k)])
+    cl = start.copy()
     mesh = _Mesh(cl, problem.density, problem.targets, rs_len)
     if mesh.n == 0:
         return cl
@@ -780,14 +814,15 @@ def _perturb_start(problem, k, rs_len):
         if not _has_crossing(Vt, mesh.near_ends(Vt, 0.0)):
             cl.vertices = Vt
             return cl
-    return problem.cluster.copy()
+    return start.copy()
 
 
 def minimize(problem):
     """Minimize weighted perimeter at fixed chamber volumes.
 
-    Runs multi_start independent solves (start 0 unperturbed, the rest with
-    jittered movable vertices), each fully deterministic given the seed, and
+    Runs multi_start independent solves from the volume-matched start
+    (_volume_matched; start 0 as it is, the rest with jittered movable
+    vertices), each fully deterministic given the seed, and
     returns the report of the best start: successful runs first, then lowest
     weighted perimeter, ties broken by start index. The chosen report also
     carries the junction diagnostics of its final cluster.
@@ -795,9 +830,10 @@ def minimize(problem):
     opts = problem.options
     targets = np.asarray(problem.targets, dtype=float)
     rs_len = _default_resample_len(problem.cluster)
+    start = _volume_matched(problem)
     runs = []
     for k in range(opts.multi_start):
-        cl = _perturb_start(problem, k, rs_len) if k > 0 else problem.cluster.copy()
+        cl = _perturb_start(problem, start, k, rs_len) if k > 0 else start.copy()
         runs.append(_solve_single(cl, problem.density, targets, opts, k, rs_len))
     champ = min(runs, key=lambda r: (not r.success, r.perimeter))
     champ.starts = [

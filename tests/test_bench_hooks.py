@@ -52,7 +52,9 @@ def test_the_solver_hooks_fire(spans):
     spans.install_hooks(rec)
     try:
         problem = optimizer.OptimizationProblem(
-            double_bubble_cluster(n_arc=12, n_mid=4),
+            # the crossing guard tests pairs on this bubble; on the n_arc=12
+            # one, started at its target volume, no pair comes near
+            double_bubble_cluster(n_arc=48, n_mid=16),
             Density(EuclideanGauge()),
             [1.0, 1.0],
             optimizer.SolveOptions(max_outer=3),

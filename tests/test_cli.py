@@ -65,8 +65,8 @@ SHIPPED_DIGESTS = {
         "74c553acf975f2cac8e3458062835c78b916d07a71be4002447a62ea50cc89c1",
     ),
     "solve-double-bubble.json": (
-        "2da3fc59bd74f50960084cc49b81f2bff9b4cbcaee973fb711ec68ad3bede7b3",
-        "c6bbf29d77be79d86edd02ed27a463a8f24d5d68ce38995013c9bec960102e2a",
+        "172e5ad39bbbcfa4b221ab5df229fd63fbd7ba40e920221737164063a600cbbc",
+        "41f9674bee557edc7ecb433fec8114c80de2893fa952727734b63f12729733e9",
     ),
     "solve-square-cross.json": (
         "acd8521b9249333cb76e3a31c60509dc32ad04be51ffa0070c9b6f1f43ca5e5a",
