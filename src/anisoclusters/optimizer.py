@@ -79,6 +79,22 @@ cluster starts as given; so does one with s exactly 1. The resampling
 length still comes from the problem's cluster, so the final resolution is
 the same either way.
 
+Such a start also begins at its Euler pressure when the gauge is uniform
+(_start_multipliers): the continuation ladder's descents and the first
+outer iteration run at lam_i = -T_i / (2 sum_j T_j) for targets T, s == 1
+or not, where every other start runs them at lam = 0. h is 1-homogeneous
+and a volume 2-homogeneous, so along the dilation about any point the
+objective below changes at the rate P / P0 + 2 sum_i (lam_i + mu e_i) V_i
+/ T_i. At the volume-matched start P0 = P and sum V = sum T, so with mu = 0
+this lam makes that rate exactly 0 whatever the perimeter, and the first
+descent no longer shrinks the cluster to shorten it. It gives every
+chamber the same pressure, P0 / (2 sum T): the volume-weighted mean of the
+pressures that the Euler identity P = 2 sum p_i V_i of a minimiser fixes,
+exact for one chamber and for equal ones. On the n_arc=48 equal bubble the first
+descent ends at a volume error of 1.0e-4 instead of 2.5e-2, and the solve
+takes 51 steps instead of 113. A kept edge, a callable g or a gauge field
+breaks the homogeneity, so such a cluster begins at lam = 0.
+
 Wall edges carry constant perimeter (their geometry never changes as a set),
 so the optimization objective counts non-wall interfaces only, normalized by
 the initial interface perimeter. Volume errors are relative to the targets.
@@ -706,9 +722,10 @@ def resample_cluster(cluster, target_len):
 
 
 def _solve_single(cluster, density, targets, opts, start_index, rs_len):
-    """One start of minimize from cluster. rs_len, the resampling length,
-    comes from the problem's cluster, so every start resamples alike."""
-    lam = np.zeros(len(targets))
+    """One start of minimize from cluster, at the multipliers of
+    _start_multipliers. rs_len, the resampling length, comes from the
+    problem's cluster, so every start resamples alike."""
+    lam = _start_multipliers(cluster, density, targets)
     mu = PENALTY0
     flags = []
     verr_trace = []
@@ -779,6 +796,23 @@ def _solve_single(cluster, density, targets, opts, start_index, rs_len):
     )
 
 
+def _dilatable(cluster, density):
+    """True when a dilation moves every vertex of cluster and scales each
+    chamber's weighted volume by its square: no edge is kept and g is
+    constant."""
+    _, _, kept = _edge_roles(cluster)
+    return not kept.any() and density.g_const is not None
+
+
+def _start_multipliers(cluster, density, targets):
+    """The volume multipliers lam a start of minimize from cluster begins
+    with: lam_i = -T_i / (2 sum_j T_j) for targets T when cluster is
+    dilatable and the gauge uniform, else 0 (see the module docstring)."""
+    if not (_dilatable(cluster, density) and density.uniform_gauge):
+        return np.zeros(len(targets))
+    return -targets / (2.0 * targets.sum())
+
+
 def _volume_matched(problem):
     """The cluster every start of minimize begins from: a copy of
     problem.cluster scaled about the mean of its vertices by
@@ -787,8 +821,7 @@ def _volume_matched(problem):
     when g is a callable, and when s is exactly 1 (see the module
     docstring)."""
     cl = problem.cluster.copy()
-    _, _, kept = _edge_roles(cl)
-    if kept.any() or problem.density.g_const is None:
+    if not _dilatable(cl, problem.density):
         return cl
     s = float(np.sqrt(problem.targets.sum() / weighted_volume(cl, problem.density).sum()))
     if s != 1.0:

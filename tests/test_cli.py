@@ -61,12 +61,12 @@ SHIPPED_DIGESTS = {
         "59da151054d2824d8043e3f22f7f90414772e7ec2da2020ee8087b73afc02b44",
     ),
     "solve-disk.json": (
-        "484eae3d460b1891a19801056ef515bc7ba0d1322f439c7a9681005d14238853",
-        "74c553acf975f2cac8e3458062835c78b916d07a71be4002447a62ea50cc89c1",
+        "3e2f00d0474799dc409f9aa9dfc9539bb6a7631107a9de848922a43cbcf5cfe9",
+        "c1a21647cc155677082135e53ed5f3ff95a649f834ffe30a98f3081ca977a7f6",
     ),
     "solve-double-bubble.json": (
-        "172e5ad39bbbcfa4b221ab5df229fd63fbd7ba40e920221737164063a600cbbc",
-        "41f9674bee557edc7ecb433fec8114c80de2893fa952727734b63f12729733e9",
+        "7b924f648a7a35438aeedc9c30669c9ede09833cda9787c76964a1ae77f7103c",
+        "b6038cf2f76a567a1b91001bec3f2d6d28a95c720cf7c7f7b18e465fb6d31aab",
     ),
     "solve-square-cross.json": (
         "acd8521b9249333cb76e3a31c60509dc32ad04be51ffa0070c9b6f1f43ca5e5a",
