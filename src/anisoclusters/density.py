@@ -11,7 +11,7 @@ from numbers import Real
 
 import numpy as np
 
-from .gauge import Gauge
+from .gauge import Gauge, LinearGauge
 from .geometry import TRIANGLE_RULE, unit_dir
 
 
@@ -153,44 +153,21 @@ class Density:
         return out.reshape(pts.shape[:-1])
 
     def scaled(self, factor):
-        """Density with both g and h multiplied by a positive constant."""
+        """Density with both g and h multiplied by a positive constant; h goes
+        through factor times the identity, the same by 1-homogeneity."""
         if not factor > 0:
             raise ValueError("factor must be positive")
-        base_gauge = self._gauge
+        base_gauge, scale = self._gauge, factor * np.eye(2)
         if self.uniform_gauge:
-            gauge = _ScaledGauge(base_gauge, factor)
+            gauge = LinearGauge(base_gauge, scale)
         else:
-            gauge = lambda x: _ScaledGauge(base_gauge(x), factor)
+            gauge = lambda x: LinearGauge(base_gauge(x), scale)
         if self.g_const is not None:
             g = self.g_const * factor
         else:
             inner = self._g
             g = lambda pts: factor * np.asarray(inner(pts), dtype=float)
         return Density(gauge, g=g, domain=self.domain, h_min=self.h_min * factor, h_max=self.h_max * factor)
-
-
-class _ScaledGauge(Gauge):
-    def __init__(self, base, factor):
-        self.base = base
-        self.factor = float(factor)
-        self.smooth = base.smooth
-        self.symmetric = base.symmetric
-
-    @property
-    def kind(self):
-        return f"scaled({self.base.kind})"
-
-    def params(self):
-        return {"base": self.base.spec(), "factor": self.factor}
-
-    def value(self, v):
-        return self.factor * self.base.value(v)
-
-    def grad(self, v):
-        return self.factor * self.base.grad(v)
-
-    def continuation(self):
-        return tuple(_ScaledGauge(s, self.factor) for s in self.base.continuation())
 
 
 def ball_volume(density, center, radius, n_r=48, n_t=96):

@@ -150,45 +150,6 @@ class LpGauge(Gauge):
         return r ** (self.p - 1.0) * s
 
 
-class EllipseGauge(Gauge):
-    """sqrt(v . Q v) for symmetric positive definite Q."""
-
-    kind = "ellipse"
-    symmetric = True
-
-    def __init__(self, matrix):
-        q = np.asarray(matrix, dtype=float)
-        if q.shape != (2, 2) or abs(q[0, 1] - q[1, 0]) > 1e-14:
-            raise ValueError("matrix must be symmetric 2x2")
-        if np.linalg.eigvalsh(q).min() <= 0:
-            raise ValueError("matrix must be positive definite")
-        self.q = 0.5 * (q + q.T)
-        (self._a, self._b), (_, self._c) = self.q.tolist()
-
-    def params(self):
-        return {"matrix": self.q.tolist()}
-
-    def _value_qv(self, v):
-        """The value and both coordinates of Q v, computed coordinate by
-        coordinate: a matrix product rounds a single vector differently
-        from a batch."""
-        x, y = v[..., 0], v[..., 1]
-        qx, qy = self._a * x + self._b * y, self._b * x + self._c * y
-        return np.sqrt(np.maximum(x * qx + y * qy, 0.0)), qx, qy
-
-    def value(self, v):
-        return self._value_qv(np.asarray(v, dtype=float))[0]
-
-    def grad(self, v):
-        v = np.asarray(v, dtype=float)
-        s, qx, qy = self._value_qv(v)
-        g = np.empty(v.shape)
-        g[..., 0], g[..., 1] = qx, qy
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g /= s[..., None]
-        return np.where(s[..., None] > 0, g, 0.0)
-
-
 def _circle_gauge_value(v, centers, radius):
     """Minkowski functional of a circle |x - c| = radius, vectorized.
 
@@ -391,15 +352,82 @@ class TabulatedGauge(Gauge):
         return np.where(r[..., None] > 0, g, 0.0)
 
 
-class RotatedGauge(Gauge):
-    """base gauge with its unit ball rotated by a fixed angle."""
+def _apply(m, v):
+    """m v for a 2x2 m given as nested floats, computed coordinate by
+    coordinate: a matrix product rounds a single vector differently from a
+    batch."""
+    v = np.asarray(v, dtype=float)
+    x, y = v[..., 0], v[..., 1]
+    (a, b), (c, d) = m
+    out = np.empty(v.shape)
+    out[..., 0], out[..., 1] = a * x + b * y, c * x + d * y
+    return out
 
-    def __init__(self, base, angle):
+
+class LinearGauge(Gauge):
+    """base through an invertible linear map M: h(M v), with gradient
+    M^T grad h(M v). Its unit ball is M^-1 times the base's; it is as smooth
+    and as symmetric as the base, and its continuation ladder is the base's
+    through the same M."""
+
+    def __init__(self, base, matrix):
+        m = np.asarray(matrix, dtype=float)
+        if m.shape != (2, 2) or not np.all(np.isfinite(m)):
+            raise ValueError("matrix must be a finite 2x2")
+        if m[0, 0] * m[1, 1] == m[0, 1] * m[1, 0]:
+            raise ValueError("matrix must be invertible")
         self.base = base
-        self.angle = float(angle)
+        self.matrix = m
         self.smooth = base.smooth
         self.symmetric = base.symmetric
-        self._cos, self._sin = np.cos(self.angle), np.sin(self.angle)
+        self._m, self._mt = m.tolist(), m.T.tolist()
+
+    @property
+    def kind(self):
+        return f"linear({self.base.kind})"
+
+    def params(self):
+        return {"base": self.base.spec(), "matrix": self.matrix.tolist()}
+
+    def continuation(self):
+        return tuple(LinearGauge(stage, self.matrix) for stage in self.base.continuation())
+
+    def value(self, v):
+        return self.base.value(_apply(self._m, v))
+
+    def grad(self, v):
+        return _apply(self._mt, self.base.grad(_apply(self._m, v)))
+
+
+class EllipseGauge(LinearGauge):
+    """sqrt(v . Q v) for symmetric positive definite Q: the Euclidean gauge
+    through Q^(1/2), since |Q^(1/2) v|^2 = v . Q v."""
+
+    kind = "ellipse"
+
+    def __init__(self, matrix):
+        q = np.asarray(matrix, dtype=float)
+        if q.shape != (2, 2) or abs(q[0, 1] - q[1, 0]) > 1e-14:
+            raise ValueError("matrix must be symmetric 2x2")
+        self.q = 0.5 * (q + q.T)
+        w, u = np.linalg.eigh(self.q)
+        if w.min() <= 0:
+            raise ValueError("matrix must be positive definite")
+        root = (u * np.sqrt(w)) @ u.T
+        super().__init__(EuclideanGauge(), 0.5 * (root + root.T))
+
+    def params(self):
+        return {"matrix": self.q.tolist()}
+
+
+class RotatedGauge(LinearGauge):
+    """base gauge with its unit ball rotated by a fixed angle: base through
+    the rotation by -angle."""
+
+    def __init__(self, base, angle):
+        self.angle = float(angle)
+        c, s = np.cos(self.angle), np.sin(self.angle)
+        super().__init__(base, [[c, s], [-s, c]])
 
     @property
     def kind(self):
@@ -407,22 +435,6 @@ class RotatedGauge(Gauge):
 
     def params(self):
         return {"base": self.base.spec(), "angle": self.angle}
-
-    def _turn(self, v, sin):
-        """v rotated by the angle whose sine is sin (+-self._sin), computed
-        coordinate by coordinate: a matrix product rounds a single vector
-        differently from a batch."""
-        v = np.asarray(v, dtype=float)
-        x, y = v[..., 0], v[..., 1]
-        out = np.empty(v.shape)
-        out[..., 0], out[..., 1] = self._cos * x - sin * y, sin * x + self._cos * y
-        return out
-
-    def value(self, v):
-        return self.base.value(self._turn(v, -self._sin))
-
-    def grad(self, v):
-        return self._turn(self.base.grad(self._turn(v, -self._sin)), self._sin)
 
 
 # kind: (class, {parameter: what it must be}), parameters in constructor order

@@ -58,22 +58,20 @@ kept edges and one-segment edges, which resampling cannot lengthen, never
 count. Each descent records why it stopped: converged, stalled (the line
 search found no acceptable step) or out of budget.
 
-A gauge with a ladder of smooth surrogates (Gauge.continuation(), for now
-the max norm's l^8, l^32, l^128) is approached through it: before the outer
-loop, one inner descent on each surrogate in turn, at the starting
-multiplier and penalty, carries the cluster from stage to stage (homotopy
-continuation, Allgower and Georg 1990). Descent on the kinked gauge alone
-creeps along its flat directions; from the last surrogate's minimiser it
-has little left to do.
+A gauge with a ladder of smooth surrogates (Gauge.continuation(): the max
+norm's l^8, l^32, l^128, through whatever linear map the gauge applies to
+it) is approached through it: before the outer loop, one inner descent on
+each surrogate in turn, at the starting multiplier and penalty, carries the
+cluster from stage to stage (homotopy continuation, Allgower and Georg
+1990). Descent on the kinked gauge alone creeps along its flat directions;
+from the last surrogate's minimiser it has little left to do.
 
 Every start begins at the targets' total volume wherever one rescale puts
 it there exactly (_volume_matched): with no kept edge and a constant g, the
 problem's cluster is scaled about the mean of its vertices by
 s = sqrt(sum of targets / sum of volumes), since a volume scales as s**2.
 The first descent then need not shrink or grow the cluster; shrinking
-shortens every segment, and the short ones collapse (from the builder's
-start, at 2.4 times its target volumes, the n_arc=48 double bubble
-resamples six times on collapse; from the matched one, once). A wall or a
+shortens every segment, and the short ones collapse. A wall or a
 fixed edge cannot move, and a callable g breaks the s**2 law, so such a
 cluster starts as given; so does one with s exactly 1. The resampling
 length still comes from the problem's cluster, so the final resolution is
@@ -87,13 +85,11 @@ and a volume 2-homogeneous, so along the dilation about any point the
 objective below changes at the rate P / P0 + 2 sum_i (lam_i + mu e_i) V_i
 / T_i. At the volume-matched start P0 = P and sum V = sum T, so with mu = 0
 this lam makes that rate exactly 0 whatever the perimeter, and the first
-descent no longer shrinks the cluster to shorten it. It gives every
-chamber the same pressure, P0 / (2 sum T): the volume-weighted mean of the
+descent need not shrink the cluster to shorten it. It gives every chamber
+the same pressure, P0 / (2 sum T): the volume-weighted mean of the
 pressures that the Euler identity P = 2 sum p_i V_i of a minimiser fixes,
-exact for one chamber and for equal ones. On the n_arc=48 equal bubble the first
-descent ends at a volume error of 1.0e-4 instead of 2.5e-2, and the solve
-takes 51 steps instead of 113. A kept edge, a callable g or a gauge field
-breaks the homogeneity, so such a cluster begins at lam = 0.
+exact for one chamber and for equal ones. A kept edge, a callable g or a
+gauge field breaks the homogeneity, so such a cluster begins at lam = 0.
 
 Wall edges carry constant perimeter (their geometry never changes as a set),
 so the optimization objective counts non-wall interfaces only, normalized by
@@ -366,7 +362,11 @@ class _Mesh:
         order = np.argsort(ends[at_wall], kind="stable")
         at, other = ends[at_wall][order], ends[at_wall ^ 1][order]
         slide = {}
-        for v, others in zip(np.unique(at), np.split(other, np.flatnonzero(np.diff(at)) + 1)):
+        # at is sorted, so each vertex's run starts at a cut of np.diff; not
+        # np.unique, whose import of numpy.ma every solve would pay
+        cuts = np.flatnonzero(np.diff(at)) + 1
+        starts = at[np.concatenate(([0], cuts))] if len(at) else at
+        for v, others in zip(starts, np.split(other, cuts)):
             if ndof[v] == 0:
                 continue
             ndof[v] = 0

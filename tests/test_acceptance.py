@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven numbered end-to-end checks with pinned tolerances.
+"""Acceptance gate: twelve numbered end-to-end checks with pinned tolerances.
 
 Each criterion is one test so `pytest -v` prints one pass/fail line per
 criterion. Wall-clock budgets are asserted inside every test. The three
@@ -319,12 +319,16 @@ def test_criterion_10_isoperimetric_and_ball_bounds():
     assert elapsed < 30.0, f"took {elapsed:.1f}s (budget 30s)"
 
 
-def test_criterion_11_standard_double_bubble_oracle():
-    # Two unit areas: three circular arcs of one radius r meeting at 120
-    # degrees, the middle one straight (Foisy et al. 1993). Each chamber is
-    # a disk less a segment of angle 2 pi / 3, of area r^2 (2 pi / 3 + sqrt(3) / 4)
+def standard_double_bubble_perimeter():
+    """Two unit areas: three circular arcs of one radius r meeting at 120
+    degrees, the middle one straight (Foisy et al. 1993). Each chamber is a
+    disk less a segment of angle 2 pi / 3, of area r^2 (2 pi / 3 + sqrt(3) / 4)."""
     r = 1.0 / np.sqrt(2.0 * np.pi / 3.0 + np.sqrt(3.0) / 4.0)
-    exact = (8.0 * np.pi / 3.0 + np.sqrt(3.0)) * r
+    return (8.0 * np.pi / 3.0 + np.sqrt(3.0)) * r
+
+
+def test_criterion_11_standard_double_bubble_oracle():
+    exact = standard_double_bubble_perimeter()
     assert abs(exact - 6.3591293) <= 1e-7
     t0 = time.perf_counter()
     errors = []
@@ -349,3 +353,65 @@ def test_criterion_11_standard_double_bubble_oracle():
         assert coarse >= 3.0 * fine, f"refinement cut the error only {coarse / fine:.2f}x"
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"took {elapsed:.1f}s (budget 60s)"
+
+
+def _gaps_deg(directions):
+    """The angles between consecutive directions, counterclockwise, in degrees."""
+    a = np.sort(np.arctan2(directions[:, 1], directions[:, 0]) % (2.0 * np.pi))
+    return np.degrees(np.diff(np.append(a, a[0] + 2.0 * np.pi)))
+
+
+ELLIPSE_ORACLE_QS = (np.diag([1.0, 0.5]), np.diag([1.0, 0.25]), np.array([[2.0, 0.3], [0.3, 1.0]]))
+
+
+def test_criterion_12_ellipse_double_bubble_oracle():
+    # For h(nu) = sqrt(nu . Q nu), A = sqrt(det Q) Q^(-1/2) has cofactor
+    # matrix det(A) A^-T = Q^(1/2), so h(rotate_cw(e)) = |rotate_cw(A e)| on
+    # every segment: P_h(E) = P_euclid(A E), and |A E| = sqrt(det Q) |E|.
+    # The minimisers for two unit areas are the A^-1 images of the standard
+    # double bubbles of areas sqrt(det Q): P* = 6.3591293 (det Q)^(1/4), and
+    # the junction angles are those of the A^-1 image of the 120 degree tripod
+    t0 = time.perf_counter()
+    euclid = Density.constant(EUCLID)
+    # the builder's bubble is mirror symmetric about both axes, and a
+    # diagonal Q keeps that symmetry: the tripod keeps its straight arm
+    # vertical, so its A^-1 image gives the solve's own angles
+    tripod = unit_dir(np.radians([90.0, 210.0, 330.0]))
+    for q in ELLIPSE_ORACLE_QS:
+        w, u = np.linalg.eigh(q)
+        det = float(np.prod(w))
+        A = np.sqrt(det) * (u / np.sqrt(w)) @ u.T
+        exact = standard_double_bubble_perimeter() * det**0.25
+        closed = np.sort(_gaps_deg(tripod @ np.linalg.inv(A).T))
+        density = Density.constant(ac.EllipseGauge(q))
+        errors, off_closed = [], []
+        for n_arc in (48, 96):
+            at = f"Q={q.tolist()}, n_arc={n_arc}"
+            rep = ac.minimize(
+                ac.OptimizationProblem(
+                    ac.double_bubble_cluster(n_arc=n_arc, n_mid=n_arc // 3),
+                    density,
+                    [1.0, 1.0],
+                    ac.SolveOptions(max_outer=30),
+                )
+            )
+            assert rep.success and rep.flags == [], f"{at}: flags {rep.flags}"
+            errors.append(rep.perimeter - exact)
+            mapped = rep.cluster.copy()
+            mapped.vertices = mapped.vertices @ A.T
+            junctions = ac.steiner_diagnose(mapped, euclid).junctions
+            assert len(junctions) == 2 and len(rep.junctions) == 2, at
+            for j in junctions:
+                worst = max(abs(a - 120.0) for a in j.angles_deg)
+                assert worst <= 0.5, f"{at}: A-image angle {worst:.3f} deg off 120"
+            off_closed.append(
+                max(np.abs(np.sort(j["angles_deg"]) - closed).max() for j in rep.junctions)
+            )
+        at = f"Q={q.tolist()}"
+        assert all(e > 0 for e in errors), f"{at}: perimeter below P* {exact}: {errors}"
+        assert errors[0] >= 3.0 * errors[1], f"{at}: refinement cut the error only {errors[0] / errors[1]:.2f}x"
+        if q[0, 1] == 0.0:
+            assert off_closed[1] <= 0.5, f"{at}: angles {off_closed[1]:.3f} deg off {closed}"
+            assert off_closed[1] < off_closed[0], f"{at}: angles off the closed form {off_closed}"
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 30.0, f"took {elapsed:.1f}s (budget 30s)"

@@ -14,6 +14,7 @@ from anisoclusters import (
     Edge,
     EllipseGauge,
     EuclideanGauge,
+    LinearGauge,
     LpGauge,
     Rect,
     ShiftedDiskGauge,
@@ -40,7 +41,6 @@ from anisoclusters.cluster import (
     segment_weights,
     vertex_arms,
 )
-from anisoclusters.density import _ScaledGauge
 from anisoclusters.geometry import (
     TRIANGLE_RULE,
     clip_segments_to_disk,
@@ -736,10 +736,11 @@ class TestIsoperimetricBound:
 
 class TestConstructorErrors:
     def test_overflowing_gauge_bounds_are_rejected(self):
-        # e^{|x|^2} times the Euclidean gauge, sampled on the default
-        # +-1e6 box, overflows: both probed bounds come out inf
+        # the Euclidean gauge through e^{|x|^2} times the identity, capped at
+        # e^700 to keep the map finite, overflows when squared on the
+        # default +-1e6 box: both probed bounds come out inf
         def field(x):
-            return _ScaledGauge(EuclideanGauge(), float(np.exp(np.dot(x, x))))
+            return LinearGauge(EuclideanGauge(), np.exp(min(np.dot(x, x), 700.0)) * np.eye(2))
 
         with np.errstate(over="ignore"):
             assert field(np.array([1e6, 0.0])).value(np.array([1.0, 0.0])) == np.inf

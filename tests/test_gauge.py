@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anisoclusters as ac
-from anisoclusters.density import _ScaledGauge
 from anisoclusters.geometry import rotate_ccw, unit_dir
 
 from conftest import all_gauge_list, odd_profile_gauge, tabulated_ellipse
@@ -24,13 +23,17 @@ def _point_symmetric_profile(n=64):
 
 
 ROTATION = 0.3
+SHEAR = [[1.2, 0.4], [-0.1, 0.8]]
+# a shear of an asymmetric base: no scenario kind, so not in all_gauge_list
+SHEARED_DISK = ac.LinearGauge(ac.ShiftedDiskGauge((0.2, -0.1)), SHEAR)
 SYMMETRIC_KINDS = [g for g in EVERY_KIND if g.symmetric] + [
     ac.LpGauge(1.5),
     ac.LpGauge(3.0),
     ac.ShiftedDiskGauge(np.zeros(2), 1.3),
     ac.RotatedGauge(ac.EllipseGauge([[2.0, 0.3], [0.3, 1.0]]), ROTATION),
     ac.RotatedGauge(ac.LpGauge(1.0), ROTATION),
-    _ScaledGauge(ac.SmoothedL1Gauge(0.35), 1.7),
+    ac.Density(ac.SmoothedL1Gauge(0.35)).scaled(1.7).gauge_at(None),
+    ac.LinearGauge(ac.LpGauge(np.inf), SHEAR),
     _point_symmetric_profile(),
 ]
 # axis and diagonal directions: the corners of the max norm, l^1 and
@@ -53,6 +56,7 @@ def test_symmetric_flags():
     assert {g.kind for g in EVERY_KIND if g.symmetric} == {"euclidean", "ellipse", "lp", "smoothed-l1"}
     assert all(g.symmetric for g in SYMMETRIC_KINDS)
     assert not ac.ShiftedDiskGauge(np.array([0.0, -0.3])).symmetric
+    assert not SHEARED_DISK.symmetric
     assert not odd_profile_gauge().symmetric
 
 
@@ -115,7 +119,7 @@ def test_subadditivity_property(u, v):
 def test_single_vectors_round_like_batches(all_gauges, rng):
     v = rng.normal(0.0, 1.0, (500, 2))
     rotated = ac.RotatedGauge(ac.EllipseGauge([[2.0, 0.3], [0.3, 1.0]]), 0.3)
-    for g in all_gauges + [ac.LpGauge(3.0), rotated]:
+    for g in all_gauges + [ac.LpGauge(3.0), rotated, SHEARED_DISK]:
         assert np.array_equal(np.array([g.value(x) for x in v]), g.value(v)), g
         assert np.array_equal(np.array([g.grad(x) for x in v]), g.grad(v)), g
 
@@ -331,3 +335,46 @@ def test_rotated_gauge_equivariance(rng):
     g = ac.RotatedGauge(base, phi)
     v = rng.normal(0.0, 1.0, (100, 2))
     np.testing.assert_allclose(g.value(v @ R.T), base.value(v), rtol=1e-12)
+
+
+def test_linear_gauge_is_its_base_through_the_map(rng):
+    # value h(M v) and gradient M^T grad h(M v), against matrix products
+    m = np.array(SHEAR)
+    base = SHEARED_DISK.base
+    v = np.vstack([rng.normal(0.0, 1.0, (500, 2)), np.zeros((1, 2))])
+    np.testing.assert_allclose(SHEARED_DISK.value(v), base.value(v @ m.T), rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(SHEARED_DISK.grad(v), base.grad(v @ m.T) @ m, rtol=1e-13, atol=1e-15)
+    assert SHEARED_DISK.smooth
+    for bad in ([[1.0, 2.0], [0.5, 1.0]], [[1.0, np.inf], [0.0, 1.0]], np.eye(3)):
+        with pytest.raises(ValueError):
+            ac.LinearGauge(ac.EuclideanGauge(), bad)
+
+
+def test_ellipse_is_the_euclidean_gauge_through_the_root_of_q(rng):
+    q = np.array([[2.0, 0.3], [0.3, 1.0]])
+    g = ac.EllipseGauge(q)
+    assert isinstance(g.base, ac.EuclideanGauge)
+    np.testing.assert_allclose(g.matrix @ g.matrix, q, rtol=0.0, atol=1e-15)
+    assert g.spec() == {"kind": "ellipse", "matrix": q.tolist()}
+    v = rng.normal(0.0, 1.0, (500, 2))
+    qv = v @ q
+    np.testing.assert_allclose(g.value(v), np.sqrt((v * qv).sum(axis=1)), rtol=1e-14)
+    np.testing.assert_allclose(g.grad(v), qv / g.value(v)[:, None], rtol=1e-13)
+    # a diagonal Q has the exact root of its entries
+    assert np.array_equal(ac.EllipseGauge(np.diag([4.0, 0.25])).matrix, np.diag([2.0, 0.5]))
+
+
+def test_rotated_and_scaled_max_norms_keep_the_ladder(rng):
+    # each stage of the continuation is the base's stage through the same map
+    v = rng.normal(0.0, 1.0, (200, 2))
+    rotated = ac.RotatedGauge(ac.LpGauge(np.inf), ROTATION)
+    scaled = ac.Density(ac.LpGauge(np.inf)).scaled(1.7).gauge_at(None)
+    for g in (rotated, scaled):
+        ladder = g.continuation()
+        assert [s.base.p for s in ladder] == [8.0, 32.0, 128.0]
+        for stage in ladder:
+            assert isinstance(stage, ac.LinearGauge) and stage.smooth
+            assert np.array_equal(stage.matrix, g.matrix)
+            expect = ac.LpGauge(stage.base.p).value(v @ g.matrix.T)
+            np.testing.assert_allclose(stage.value(v), expect, rtol=1e-14)
+    assert ac.EllipseGauge([[2.0, 0.3], [0.3, 1.0]]).continuation() == ()

@@ -1,5 +1,9 @@
 """Constrained perimeter minimization and junction diagnostics."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +15,7 @@ from anisoclusters import (
     Edge,
     EllipseGauge,
     EuclideanGauge,
+    LinearGauge,
     LpGauge,
     OptimizationProblem,
     RotatedGauge,
@@ -29,6 +34,7 @@ from anisoclusters import (
     weighted_perimeter,
     weighted_volume,
 )
+import anisoclusters
 from anisoclusters import optimizer
 from anisoclusters.cluster import fan_volume_terms, orientation_rule
 from anisoclusters.geometry import (
@@ -903,6 +909,34 @@ class TestCommonScaling:
         ]
 
 
+class TestAffineEquivalence:
+    """For a linear map A with det A > 0 and cof A = det(A) A^-T, rotating
+    A e by 90 degrees gives cof A applied to the rotated e, so a cluster's
+    perimeter under h at A E is its perimeter under h through cof A at E, and
+    its volumes scale by det A. The two problems have the same minimisers up
+    to A. Resampling and the step caps are Euclidean, so the solves take
+    different paths: compare perimeters, not iterates. l^3 is left out: it
+    has stationary points that are not minima, and the two solves can end on
+    different ones."""
+
+    @pytest.mark.parametrize("base", [EuclideanGauge(), ShiftedDiskGauge((0.0, -0.3))], ids=lambda g: g.kind)
+    @pytest.mark.parametrize("A", [np.diag([1.0, 0.5]), np.array([[1.0, 0.4], [0.0, 1.0]])], ids=["diag", "shear"])
+    def test_the_image_problem_solves_to_the_same_perimeter(self, base, A):
+        det = float(np.linalg.det(A))
+        through = Density.constant(LinearGauge(base, det * np.linalg.inv(A).T))
+        start = double_bubble_cluster(n_arc=48, n_mid=16)
+        image = start.copy()
+        image.vertices = start.vertices @ A.T
+        direct = Density.constant(base)
+        P_start = weighted_perimeter(start, through)
+        assert abs(weighted_perimeter(image, direct) - P_start) <= 1e-14 * P_start
+        opts = SolveOptions(max_outer=30)
+        rep = minimize(OptimizationProblem(start, through, [1.0, 1.0], opts))
+        rep_image = minimize(OptimizationProblem(image, direct, [det, det], opts))
+        assert rep.success and rep_image.success, (rep.flags, rep_image.flags)
+        assert abs(rep.perimeter - rep_image.perimeter) <= 2e-4 * rep_image.perimeter
+
+
 def analytic_gradient(mesh, V, lam, mu, e, P0):
     """mesh.gradient in closed form, for a uniform gauge and constant g.
 
@@ -931,6 +965,7 @@ def analytic_gradient(mesh, V, lam, mu, e, P0):
 GRADIENT_GAUGES = all_gauge_list() + [
     LpGauge(3.0),
     RotatedGauge(EllipseGauge([[2.0, 0.3], [0.3, 1.0]]), 0.3),
+    LinearGauge(ShiftedDiskGauge((0.2, -0.1)), [[1.2, 0.4], [-0.1, 0.8]]),
 ]
 
 
@@ -1380,6 +1415,23 @@ def test_a_callable_of_one_gauge_prices_like_the_constant_density(gauge):
         _, _, e = mesh.objective(cl.vertices, lam, mu, P0)
         grads.append(mesh.gradient(cl.vertices, lam, mu, e, P0).tolist())
     assert grads[0] == grads[1]
+
+
+def test_a_solve_imports_no_masked_arrays():
+    # numpy.ma costs ~10 ms to import and no solve needs it; np.unique
+    # imports it on first use. A walled cross runs the wall-slide grouping
+    src = str(Path(anisoclusters.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import anisoclusters as ac; "
+        "p = ac.OptimizationProblem(ac.square_cross_cluster(n_sub=4), "
+        "ac.Density.constant(ac.LpGauge(float('inf'))), [1.0] * 4, ac.SolveOptions(max_outer=1, max_inner=5)); "
+        "ac.minimize(p); "
+        "q = ac.OptimizationProblem(ac.double_bubble_cluster(n_arc=12, n_mid=4), "
+        "ac.Density.constant(ac.EuclideanGauge()), [1.0, 1.0], ac.SolveOptions(max_outer=1, max_inner=5)); "
+        "ac.minimize(q); print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestProblemValidation:

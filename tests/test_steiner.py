@@ -12,6 +12,7 @@ from anisoclusters import (
     Density,
     EllipseGauge,
     EuclideanGauge,
+    LinearGauge,
     LpGauge,
     RotatedGauge,
     ShiftedDiskGauge,
@@ -27,6 +28,8 @@ from anisoclusters.steiner import MODE_SIDES, _bracketing_cells
 from conftest import all_gauge_list, odd_profile_gauge, smooth_gauge_list
 
 TERMINALS = np.array([[0.0, 0.0], [2.0, 0.2], [0.7, 1.8]])
+# linear maps for the affine oracles: a shear with a turn, and a squeeze
+LINEAR_MAPS = [np.array([[1.2, 0.4], [-0.1, 0.8]]), np.diag([1.0, 0.5])]
 
 
 def junction_cost(gauge, pts, modes, p):
@@ -138,6 +141,19 @@ class TestFermatPoint:
         res1 = fermat_point(RotatedGauge(base, theta), *(TERMINALS @ R.T))
         assert res1.value == pytest.approx(res0.value, rel=1e-8)
         assert np.linalg.norm(res1.point - R @ res0.point) < 1e-6
+
+    @pytest.mark.parametrize("base", [EuclideanGauge(), ShiftedDiskGauge((0.2, -0.1))], ids=["euclid", "shifted"])
+    @pytest.mark.parametrize("M", LINEAR_MAPS, ids=["shear", "squeeze"])
+    @pytest.mark.parametrize("modes", [("out",) * 3, ("in",) * 3, ("sym",) * 3, ("out", "in", "sym")])
+    @pytest.mark.parametrize("pts", [TERMINALS, HARD_EXITS, OBTUSE], ids=["plain", "hard-exits", "obtuse"])
+    def test_linear_image_maps_the_point(self, base, M, modes, pts):
+        # h(M (X - P)) summed over the arms is the base's junction cost at
+        # M P with terminals M X, so its minimiser is M^-1 of the base's
+        scale = max(np.linalg.norm(pts - np.roll(pts, 1, axis=0), axis=1))
+        res = fermat_point(LinearGauge(base, M), *pts, modes=modes)
+        image = fermat_point(base, *(pts @ M.T), modes=modes)
+        assert np.linalg.norm(res.point - np.linalg.solve(M, image.point)) <= 1e-8 * scale
+        assert res.value == pytest.approx(image.value, rel=1e-9)
 
     def test_rejects_duplicate_terminals(self):
         with pytest.raises(ValueError):
@@ -588,6 +604,43 @@ class TestAdmissiblePairs:
             t = pairs[0]
             assert t.angle_b == pytest.approx(alpha, abs=1e-3)
             assert t.angle_c == pytest.approx(alpha, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "base", [EuclideanGauge(), LpGauge(3.0), ShiftedDiskGauge((0.2, -0.1))], ids=lambda g: g.kind
+    )
+    @pytest.mark.parametrize("M", LINEAR_MAPS, ids=["shear", "squeeze"])
+    @pytest.mark.parametrize("a", [np.array([0.0, 1.0]), np.array([1.3, -0.4])], ids=["up", "skew"])
+    def test_linear_image_maps_the_pairs(self, base, M, a):
+        # the gradient of h through M is M^T grad h(M v), and M^T is
+        # invertible: a triple balances through M exactly when its M image
+        # balances under h, and M^-1 carries h's unit ball onto the image's
+        pairs = admissible_pairs(LinearGauge(base, M), a)
+        image = admissible_pairs(base, M @ a)
+        assert len(pairs) == len(image) == 1
+        t, u = pairs[0], image[0]
+        back = [np.linalg.solve(M, x) for x in (u.a, u.b, u.c)]
+        assert np.abs(t.a - back[0]).max() <= 1e-7
+        err = min(
+            max(np.abs(t.b - back[1]).max(), np.abs(t.c - back[2]).max()),
+            max(np.abs(t.b - back[2]).max(), np.abs(t.c - back[1]).max()),
+        )
+        assert err <= 1e-7
+
+    @pytest.mark.parametrize("q", [[[2.0, 0.3], [0.3, 1.0]], [[1.0, 0.0], [0.0, 0.25]]])
+    @pytest.mark.parametrize("a", [[0.0, 1.0], [1.3, -0.4], [-0.2, -1.0]])
+    def test_ellipse_pair_in_closed_form(self, q, a):
+        # the ellipse is the Euclidean gauge through R = Q^(1/2), whose one
+        # pair at R a is R a / |R a| turned by +-120 degrees
+        gauge = EllipseGauge(q)
+        R = gauge.matrix
+        pairs = admissible_pairs(gauge, np.array(a))
+        assert len(pairs) == 1
+        ra = R @ np.array(a)
+        turns = np.arctan2(ra[1], ra[0]) + np.array([1.0, -1.0]) * (TWO_PI / 3.0)
+        expect = np.linalg.solve(R, unit_dir(turns).T).T
+        got = np.array([pairs[0].b, pairs[0].c])
+        err = min(np.abs(got - expect).max(), np.abs(got[::-1] - expect).max())
+        assert err <= 1e-7
 
     def test_shifted_disk_has_none(self):
         # the ball shifted against the reference direction leaves no
