@@ -114,6 +114,10 @@ def segments_properly_cross(p1, q1, p2, q2):
         l1 = lambda v: np.abs(v).sum(axis=-1)
         noise = l1(d1) * (l1(p2) + l1(q2)) + l1(d2) * (l1(p1) + l1(q1))
         hit = hit & (np.abs(denom) > 4.0 * _EPS * noise)
+        # segments that share an end point meet there and nowhere else;
+        # when both end there, t and u are 1 but may round to either side
+        same = lambda v, w: (v == w).all(axis=-1)
+        hit = hit & ~(same(p1, p2) | same(p1, q2) | same(q1, p2) | same(q1, q2))
     return hit
 
 

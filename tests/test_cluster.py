@@ -499,6 +499,14 @@ class TestCrossingBroadPhase:
             u = np.array([np.cos(angle), np.sin(angle)])
             assert segments_properly_cross([-1.0, 0.0], [1.0, 0.0], -u, u)
 
+    def test_shared_end_points_never_cross(self):
+        # every orientation of two segments with one common end point b,
+        # over random triples (a, b, c)
+        rng = np.random.default_rng(11)
+        a, b, c = rng.normal(size=(3, 200_000, 2))
+        for pair in ((a, b, c, b), (a, b, b, c), (b, a, c, b), (b, a, b, c)):
+            assert not segments_properly_cross(*pair).any()
+
     def test_margin_grows_every_box(self):
         rng = np.random.default_rng(9)
         for margin in (0.0, 0.01, 0.1, 0.5):
