@@ -258,12 +258,11 @@ def _white_spans(config):
 def _join_whites(config, spans):
     """Chord off each colored span of sectors j..k between two white sectors.
 
-    Removes the two radii bounding the span, cuts from the span's end
-    radius to its start radius, and adds the part of each interior radius
-    beyond the chord; the region under the chord merges with the white
-    sectors. The interior radii themselves are kept whole as well, so their
-    parts under the chord are priced too. Spans that are not colored runs
-    between whites, or that span pi or more, give no row.
+    Removes every radius of the span, cuts from the span's end radius to
+    its start radius, and puts back the part of each interior radius beyond
+    the chord; the region under the chord merges with the white sectors.
+    Spans that are not colored runs between whites, or that span pi or
+    more, give no row.
     """
     n, pts, gaps = config.n, config.points(), config.gaps()
     c = np.array(config.colors)
@@ -279,6 +278,7 @@ def _join_whites(config, spans):
         _, left, right = _labels(config, 1)
         keep = np.ones((1, n), bool)
         keep[0, [j, kq]] = False
+        keep[0, idx[1:]] = False
         # radius s crosses the chord at parameter t along p_end -> p_start
         p_end, p_start = pts[kq], pts[j]
         chord = p_start - p_end

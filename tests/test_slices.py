@@ -191,17 +191,12 @@ class TestMoves:
         # around every vertex, the region between two neighbouring arms has
         # one label, read on the counterclockwise side of the one and the
         # clockwise side of the other; at the circle the arcs keep their
-        # sector's label inside and the exterior (-1) outside. join-whites
-        # moves that clip interior radii keep those radii whole from the
-        # centre as well, so their sides disagree under the chord: they are
-        # left out here
+        # sector's label inside and the exterior (-1) outside
         rng = np.random.default_rng(5)
         checked = set()
         for _ in range(15):
             cfg = random_slice_config(rng, EuclideanGauge())
             for desc, net in enumerate_moves(cfg):
-                if desc[0] == "join-whites" and desc[1] != desc[2]:
-                    continue
                 assert side_label_faults(cfg, net) == [], desc
                 checked.add(desc[0])
         assert checked == {"chord", "join-whites", "slide", "tripod"}
