@@ -17,6 +17,13 @@ oriented_weight call, sums each row's weights in segment order, and builds
 a CompetitorNetwork only for the winner; enumerate_moves builds every
 candidate's network from the same rows. A network holds its segments as
 arrays, one row each, so a result that keeps it stays small.
+
+shortcut_path is the paper's other explicit competitor: a path between two
+points inside the polygon that two paths between them bound, no longer in
+both directions together than the two paths. It uses geometry's predicates
+for its crossing tests: polyline_self_intersects rejects crossing paths,
+and each chain's chords are tested against every polygon edge in one
+segments_properly_cross call.
 """
 
 from __future__ import annotations
@@ -27,9 +34,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cluster import orientation_rule
+from .cluster import _ordered_sum, orientation_rule
 from .gauge import strict_convexity_margin
-from .geometry import TWO_PI, ccw_gap, cross2, polygon_area, rotate_cw, unit_dir, wrap_angle
+from .geometry import (
+    TWO_PI,
+    ccw_gap,
+    cross2,
+    polygon_area,
+    polyline_self_intersects,
+    rotate_cw,
+    segments_properly_cross,
+    unit_dir,
+    wrap_angle,
+)
 from .report import plain
 
 EPS_GRID = tuple(0.5 ** k for k in range(1, 21))
@@ -73,7 +90,7 @@ class CompetitorNetwork:
     def perimeter(self):
         w = oriented_weight(self.gauge, self.p1 - self.p0, self.left, self.right)
         # a sequential sum: analytically tied moves must keep their order
-        return sum(w.tolist())
+        return _ordered_sum(w)
 
     def trace_angles(self):
         """Angles where the network meets the unit circle."""
@@ -273,7 +290,7 @@ def _join_whites(config, spans):
         if np.any(c[idx] == 0) or c[j - 1] != 0 or c[kq] != 0:
             continue
         # gaps summed one after another: the test at pi sees the last bit
-        if sum(gaps[idx].tolist()) >= _FLAT:
+        if _ordered_sum(gaps[idx]) >= _FLAT:
             continue
         _, left, right = _labels(config, 1)
         keep = np.ones((1, n), bool)
@@ -464,7 +481,8 @@ def shortcut_path(tau1, tau2):
         raise ValueError("paths need at least two points")
     if not (np.allclose(c1[0], c2[-1]) and np.allclose(c1[-1], c2[0])):
         raise ValueError("endpoints must match: tau1 P->Q, tau2 Q->P")
-    _check_simple(c1, c2)
+    if polyline_self_intersects(np.vstack([c1[:-1], c2[:-1], c1[:1]])):
+        raise ValueError("paths cross: the enclosed region is not simple")
     return _shortcut(c1, c2)
 
 
@@ -476,68 +494,38 @@ def _dedup(pts, tol=1e-12):
     return np.array(keep)
 
 
-def _check_simple(c1, c2):
-    poly = np.vstack([c1[:-1], c2[:-1]])
-    n = len(poly)
-    scale = max(np.ptp(poly[:, 0]), np.ptp(poly[:, 1]), 1e-30)
-    for i in range(n):
-        a0, a1 = poly[i], poly[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            b0, b1 = poly[j], poly[(j + 1) % n]
-            if _segments_cross(a0, a1, b0, b1, 1e-12 * scale):
-                raise ValueError("paths cross: the enclosed region is not simple")
+def _interior_chord(chain, poly, tol):
+    """The first chord (i, j), j > i + 1, between vertices of chain whose
+    open segment lies in the open interior of poly, in the order i
+    ascending and then j descending; None if there is none.
 
-
-def _segments_cross(a0, a1, b0, b1, tol):
-    d1 = a1 - a0
-    d2 = b1 - b0
-    den = float(cross2(d1, d2))
-    if abs(den) < tol * max(np.linalg.norm(d1), np.linalg.norm(d2), tol):
-        return False
-    t = float(cross2(b0 - a0, d2)) / den
-    s = float(cross2(b0 - a0, d1)) / den
-    return 1e-9 < t < 1 - 1e-9 and 1e-9 < s < 1 - 1e-9
-
-
-def _polygon(c1, c2):
-    return np.vstack([c1[:-1], c2[:-1]])
-
-
-def _point_in_poly(pt, poly):
-    x, y = pt
-    inside = False
-    n = len(poly)
-    for i in range(n):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % n]
-        if (y0 > y) != (y1 > y):
-            xc = x0 + (y - y0) / (y1 - y0) * (x1 - x0)
-            if xc > x:
-                inside = not inside
-    return inside
-
-
-def _open_segment_interior(b, d, poly, tol):
-    """True if the open segment bd lies in the open interior of poly."""
-    if np.linalg.norm(d - b) < tol:
-        return False
-    n = len(poly)
-    for i in range(n):
-        p0, p1 = poly[i], poly[(i + 1) % n]
-        if _segments_cross(b, d, p0, p1, tol):
-            return False
-    # no boundary vertex may sit on the open segment
+    All chords are tested at once. A chord qualifies when it is at least
+    tol long, crosses no edge of poly, passes within tol of no vertex of
+    poly, and an even-odd ray cast towards +x puts its midpoint inside.
+    """
+    i, j = np.triu_indices(len(chain), 2)
+    b, d = chain[i][:, None], chain[j][:, None]  # one chord per row
+    p, q = poly, np.roll(poly, -1, axis=0)  # one edge p -> q per column
     seg = d - b
-    L2 = float(seg @ seg)
-    for p in poly:
-        t = float((p - b) @ seg) / L2
-        if 1e-9 < t < 1 - 1e-9:
-            if np.linalg.norm(b + t * seg - p) < tol:
-                return False
-    mid = 0.5 * (b + d)
-    return _point_in_poly(mid, poly)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # each vertex's foot on the chord's line
+        t = ((p - b) * seg).sum(axis=-1) / (seg * seg).sum(axis=-1)
+        off = b + t[..., None] * seg - p
+        on = (t > 1e-9) & (t < 1 - 1e-9) & (np.hypot(off[..., 0], off[..., 1]) < tol)
+        # where each edge meets the horizontal through the chord's midpoint
+        x, y = np.moveaxis(0.5 * (b + d), -1, 0)
+        xc = p[:, 0] + (y - p[:, 1]) / (q[:, 1] - p[:, 1]) * (q[:, 0] - p[:, 0])
+    rays = ((p[:, 1] > y) != (q[:, 1] > y)) & (xc > x)
+    ok = (
+        (np.hypot(seg[:, 0, 0], seg[:, 0, 1]) >= tol)
+        & ~segments_properly_cross(b, d, p, q).any(axis=1)
+        & ~on.any(axis=1)
+        & (rays.sum(axis=1) % 2 == 1)
+    )
+    if not ok.any():
+        return None
+    first = i[ok][0]
+    return int(first), int(j[ok & (i == first)].max())
 
 
 def _shortcut(c1, c2, depth=0):
@@ -545,20 +533,19 @@ def _shortcut(c1, c2, depth=0):
         raise RuntimeError("shortcut recursion failed to terminate")
     if len(c1) == 2 or len(c2) == 2:
         return np.array([c1[0], c1[-1]])
-    poly = _polygon(c1, c2)
+    poly = np.vstack([c1[:-1], c2[:-1]])
     scale = max(np.ptp(poly[:, 0]), np.ptp(poly[:, 1]), 1e-30)
     tol = 1e-11 * scale
 
     # swallow any pocket: a same-chain vertex pair seeing each other inside
     for chain, other, first in ((c1, c2, True), (c2, c1, False)):
-        m = len(chain)
-        for i in range(m - 2):
-            for j in range(m - 1, i + 1, -1):
-                if _open_segment_interior(chain[i], chain[j], poly, tol):
-                    new_chain = np.vstack([chain[: i + 1], chain[j:]])
-                    if first:
-                        return _shortcut(new_chain, other, depth + 1)
-                    return _shortcut(other, new_chain, depth + 1)
+        chord = _interior_chord(chain, poly, tol)
+        if chord is not None:
+            i, j = chord
+            new_chain = np.vstack([chain[: i + 1], chain[j:]])
+            if first:
+                return _shortcut(new_chain, other, depth + 1)
+            return _shortcut(other, new_chain, depth + 1)
 
     orient = 1.0 if polygon_area(poly) > 0 else -1.0
     for chain_id, chain in ((0, c1), (1, c2)):
@@ -588,19 +575,14 @@ def _parallel_cut(a, b, c, chain_id, i, c1, c2, tol):
     nrm /= np.linalg.norm(nrm)
     hb = float((b - a) @ nrm)
     sgn = 1.0 if hb > 0 else -1.0
-    best = None
-    for d_idx in range(1, len(other) - 1):
-        p = other[d_idx]
-        h = sgn * float((p - a) @ nrm)
-        if h < -tol or h > abs(hb) - tol:
-            continue
-        if not _inside_triangle(p, a, b, c, tol):
-            continue
-        if best is None or h > best[0]:
-            best = (h, d_idx)
-    if best is None:
+    # the first of the deepest inner vertices inside the corner triangle;
+    # each depth is its own 1-d dot product, rounded as hb is
+    p = other[1:-1]
+    h = sgn * ((p - a)[:, None, :] @ nrm)[:, 0]
+    ok = (h >= -tol) & (h <= abs(hb) - tol) & _inside_triangle(p, a, b, c, tol)
+    if not ok.any():
         return None
-    h, d_idx = best
+    d_idx = 1 + int(np.argmax(np.where(ok, h, -np.inf)))
     d = other[d_idx]
     at = _line_hit(d, ac, a, b)
     ct = _line_hit(d, ac, b, c)
@@ -620,14 +602,14 @@ def _parallel_cut(a, b, c, chain_id, i, c1, c2, tol):
 
 
 def _inside_triangle(p, a, b, c, tol):
-    s1 = float(cross2(b - a, p - a))
-    s2 = float(cross2(c - b, p - b))
-    s3 = float(cross2(a - c, p - c))
+    """Whether each point of p (k, 2) lies in the closed triangle abc, up
+    to a relative 1e-9 of its area."""
+    s1 = cross2(b - a, p - a)
+    s2 = cross2(c - b, p - b)
+    s3 = cross2(a - c, p - c)
     area = abs(float(cross2(b - a, c - a)))
     lo = -1e-9 * max(area, tol)
-    pos = s1 >= lo and s2 >= lo and s3 >= lo
-    neg = s1 <= -lo and s2 <= -lo and s3 <= -lo
-    return pos or neg
+    return ((s1 >= lo) & (s2 >= lo) & (s3 >= lo)) | ((s1 <= -lo) & (s2 <= -lo) & (s3 <= -lo))
 
 
 def _line_hit(origin, direction, s0, s1):

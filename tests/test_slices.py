@@ -1,6 +1,7 @@
 """Slice configurations, competitor moves, and path shortcutting."""
 
 import gc
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -307,9 +308,9 @@ class TestImprove:
 
 def scalar_perimeter(net, memo):
     """Test-only oracle: the orientation rule written out one segment at a
-    time, with single-vector gauge calls, summed in segment order by the
-    builtin sum. memo holds the weights of segments already seen on the
-    same gauge."""
+    time, with single-vector gauge calls, added in segment order one at a
+    time. memo holds the weights of segments already seen on the same
+    gauge."""
     weights = []
     for s in net.segments:
         key = (s.p0.tobytes(), s.p1.tobytes(), s.left, s.right)
@@ -324,7 +325,10 @@ def scalar_perimeter(net, memo):
             else:
                 memo[key] = 0.5 * float(net.gauge.value(n) + net.gauge.value(-n))
         weights.append(memo[key])
-    return sum(weights)
+    total = 0.0
+    for w in weights:
+        total += w
+    return total
 
 
 def criterion_07_draws():
@@ -428,6 +432,14 @@ def test_network_segments_read_the_arrays():
     assert net.perimeter() == scalar_perimeter(net, {})
 
 
+def test_network_perimeter_adds_in_segment_order():
+    # 2^53 + 1 + 1 is 2^53 one term at a time; the builtin sum() of Python
+    # 3.12 and later compensates its rounding and gives 2^53 + 2
+    p1 = np.array([[2.0 ** 53, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    net = slices.CompetitorNetwork(np.zeros((3, 2)), p1, np.ones(3, int), np.zeros(3, int), EuclideanGauge())
+    assert net.perimeter() == 2.0 ** 53
+
+
 class TestPathLength:
     def test_reverse_matters_for_asymmetric_gauge(self):
         gauge = ShiftedDiskGauge((0.2, -0.1), 1.0)
@@ -507,3 +519,55 @@ class TestShortcut:
     def test_short_chain_rejected(self):
         with pytest.raises(ValueError):
             shortcut_path(np.array([[0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
+def split_at(poly, k):
+    """The two paths between vertices 0 and k of a closed polygon."""
+    return poly[: k + 1], np.vstack([poly[k:], poly[:1]])
+
+
+def criterion_08_splits():
+    """The star splits of acceptance criterion 08, in its order."""
+    rng = np.random.default_rng(20240818)
+    for _ in range(500):
+        rng.normal(size=(int(rng.integers(2, 9)), 2))
+    for _ in range(500):
+        poly = star_polygon(rng, int(rng.integers(6, 16)))
+        yield split_at(poly, int(rng.integers(2, len(poly) - 1)))
+
+
+def quarter_grid_splits(count=1200):
+    """Splits of polygons with vertices on a 1/4 grid, so that collinear,
+    touching, repeated and crossing vertices all occur: star polygons
+    rounded to the grid, and random grid points sorted by angle about
+    their mean or left in random order."""
+    rng = np.random.default_rng(27)
+    for _ in range(count):
+        kind = int(rng.integers(3))
+        if kind == 0:
+            poly = np.round(4.0 * star_polygon(rng, int(rng.integers(6, 16)), 0.5, 2.5)) / 4.0
+        else:
+            poly = rng.integers(-4, 5, size=(int(rng.integers(5, 11)), 2)) / 4.0
+            if kind == 1:
+                c = poly - poly.mean(axis=0)
+                poly = poly[np.argsort(np.arctan2(c[:, 1], c[:, 0]), kind="stable")]
+        yield split_at(poly, int(rng.integers(2, len(poly) - 1)))
+
+
+def shortcut_outcome(tau1, tau2):
+    """shortcut_path's output as bytes, or its error's type and message."""
+    try:
+        tau = shortcut_path(tau1, tau2)
+    except (ValueError, RuntimeError) as e:
+        return f"{type(e).__name__}: {e}".encode()
+    return repr(tau.shape).encode() + tau.tobytes()
+
+
+def test_shortcut_outputs_are_pinned():
+    # one digest over every output and error on 1,700 splits, taken from the
+    # scalar predicates that geometry's batched ones replaced; 350 of the
+    # grid splits cross and 7 have no convex corner
+    digest = hashlib.sha256()
+    for tau1, tau2 in [*criterion_08_splits(), *quarter_grid_splits()]:
+        digest.update(shortcut_outcome(tau1, tau2))
+    assert digest.hexdigest() == "81549aad49933d1fe3c4098527ab8076c748b60c7d44d4850f16c5d609521c52"
