@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .density import ball_volume
 from .geometry import (
     TRIANGLE_RULE,
     angle_of,
@@ -385,8 +386,6 @@ def growth_estimate(density, radii, centers_per_radius=8, rng=None):
     if len(radii) < 3:
         raise ValueError("need at least three radii for a growth fit")
     rng = np.random.default_rng(0) if rng is None else rng
-    from .density import ball_volume
-
     worst = np.zeros(len(radii))
     all_vols = []
     for k, r in enumerate(radii):

@@ -12,7 +12,7 @@ from numbers import Real
 import numpy as np
 
 from .gauge import Gauge, LinearGauge
-from .geometry import TRIANGLE_RULE, unit_dir
+from .geometry import TRIANGLE_RULE, positive_number, unit_dir
 
 
 class Rect:
@@ -41,9 +41,7 @@ class Rect:
 class DiskDomain:
     def __init__(self, center, radius):
         self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        self.radius = float(positive_number("radius", radius))
 
     def contains(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -82,9 +80,7 @@ class Density:
         else:
             raise ValueError("gauge must be a Gauge or a callable point -> Gauge")
         if isinstance(g, Real) and not isinstance(g, bool):
-            gval = float(g)
-            if not 0 < gval < np.inf:
-                raise ValueError(f"constant g must be a positive finite number, got {g!r}")
+            gval = float(positive_number("constant g", g))
             self._g = None
             self.g_const = gval
             self.g_rule_sum = (gval * TRIANGLE_RULE[1]).sum()
@@ -155,8 +151,7 @@ class Density:
     def scaled(self, factor):
         """Density with both g and h multiplied by a positive constant; h goes
         through factor times the identity, the same by 1-homogeneity."""
-        if not factor > 0:
-            raise ValueError("factor must be positive")
+        positive_number("factor", factor)
         base_gauge, scale = self._gauge, factor * np.eye(2)
         if self.uniform_gauge:
             gauge = LinearGauge(base_gauge, scale)

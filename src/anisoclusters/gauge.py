@@ -21,6 +21,7 @@ from .geometry import (
     TWO_PI,
     angle_between,
     cross2,
+    positive_number,
     rotate_ccw,
     unit_dir,
     wrap_angle,
@@ -101,7 +102,7 @@ class LpGauge(Gauge):
     symmetric = True
 
     def __init__(self, p):
-        if p != np.inf and not p >= 1:
+        if isinstance(p, (bool, np.bool_)) or (p != np.inf and not p >= 1):
             raise ValueError("p must be >= 1 or inf")
         self.p = float(p)
         self.smooth = p not in (1.0, np.inf)
@@ -184,6 +185,7 @@ class ShiftedDiskGauge(Gauge):
         center = np.asarray(center, dtype=float)
         if center.shape != (2,):
             raise ValueError("center must be a plane point")
+        positive_number("radius", radius)
         if not radius > np.linalg.norm(center):
             raise ValueError("origin must be interior: |center| < radius")
         self.center = center

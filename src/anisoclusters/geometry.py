@@ -1,15 +1,34 @@
 """Low-level planar geometry helpers shared by the other modules.
 
 Everything works on numpy arrays with points in the last axis of size 2 and
-vectorizes over leading axes where it matters (segment batches).
+vectorizes over leading axes where it matters (segment batches). The two
+argument checks that the whole package shares sit here too.
 """
 
 from __future__ import annotations
+
+from numbers import Integral, Real
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
 _EPS = np.finfo(float).eps
+
+
+def positive_number(name, value):
+    """value, when it is a real number (not a bool) with 0 < value < inf;
+    otherwise a ValueError that names it."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < np.inf:
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return value
+
+
+def integer_at_least(name, value, least):
+    """value, when it is an integer (not a bool) of at least least;
+    otherwise a ValueError that names it."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def rotate_cw(v):
@@ -209,8 +228,7 @@ def clip_segments_to_disk(p, q, center, radius, eps=1e-12):
     (t0 = 0, t1 = 1) when its point lies in the disk. radius must be a
     positive finite number.
     """
-    if not 0 < radius < np.inf:
-        raise ValueError(f"radius must be a positive finite number, got {radius!r}")
+    positive_number("radius", radius)
     p = np.asarray(p, float)
     d = np.asarray(q, float) - p
     f = p - np.asarray(center, float)

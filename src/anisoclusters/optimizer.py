@@ -104,7 +104,6 @@ takes the same steps at factors 1, 2 and 0.5, and others at 3 and 0.7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -126,6 +125,8 @@ from .geometry import (
     cross2,
     fit_endpoint_tangent,
     grown_boxes,
+    integer_at_least,
+    positive_number,
     segment_distance,
     segments_properly_cross,
     wrap_angle,
@@ -163,13 +164,9 @@ class SolveOptions:
 
     def __post_init__(self):
         for name, least in (("max_outer", 1), ("max_inner", 1), ("multi_start", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            integer_at_least(name, getattr(self, name), least)
         for name in ("vol_tol", "grad_tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < np.inf:
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+            positive_number(name, getattr(self, name))
 
 
 @dataclass
@@ -681,8 +678,7 @@ def resample_cluster(cluster, target_len):
     verbatim. Interior vertices are placed at even arclength along the old
     polyline, which can only shorten it.
     """
-    if isinstance(target_len, bool) or not isinstance(target_len, Real) or not 0 < target_len < np.inf:
-        raise ValueError(f"target_len must be a positive finite number, got {target_len!r}")
+    positive_number("target_len", target_len)
     _, _, kept = _edge_roles(cluster)
     keep = []
     seen = set()

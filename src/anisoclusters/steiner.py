@@ -24,12 +24,21 @@ back.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from numbers import Integral, Real
 
 import numpy as np
 
 from .cluster import orientation_rule, vertex_arms
-from .geometry import TWO_PI, angle_of, cross2, rotate_ccw, rotate_cw, unit_dir, wrap_angle
+from .geometry import (
+    TWO_PI,
+    angle_of,
+    cross2,
+    integer_at_least,
+    positive_number,
+    rotate_ccw,
+    rotate_cw,
+    unit_dir,
+    wrap_angle,
+)
 
 
 def _equal_fields(self, other):
@@ -146,8 +155,8 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
     within 1e-8 * scale of a terminal is snapped to it and flagged as
     degenerate.
     """
-    _check_tol(tol)
-    _check_count("max_iter", max_iter)
+    positive_number("tol", tol)
+    integer_at_least("max_iter", max_iter, 1)
     if isinstance(modes, str) or len(modes) != 3:
         raise ValueError("need exactly three modes, one per terminal")
     for mode in modes:
@@ -286,16 +295,6 @@ def _certified_terminal(gauge, pts, fwd, rev):
     return int(certified[0]) if len(certified) else None
 
 
-def _check_tol(tol):
-    if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 < tol < np.inf:
-        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
-
-
-def _check_count(name, value):
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def fermat_modes_for_colors(colors):
     """Terminal modes matching a junction's sector colors.
 
@@ -412,10 +411,9 @@ def admissible_pairs(gauge, a, resolution=720, tol=1e-9, max_newton=60):
     sum to zero obey tan(alpha) = -(2**p - 1)**(1/p) instead; the two laws
     agree only at p = 2.
     """
-    if isinstance(resolution, bool) or not isinstance(resolution, Integral) or resolution < 16:
-        raise ValueError(f"resolution must be an integer >= 16, got {resolution!r}")
-    _check_tol(tol)
-    _check_count("max_newton", max_newton)
+    integer_at_least("resolution", resolution, 16)
+    positive_number("tol", tol)
+    integer_at_least("max_newton", max_newton, 1)
     if not gauge.smooth:
         raise ValueError("kinked gauge: admissible pairs need a C1 gauge")
     a = np.asarray(a, dtype=float)

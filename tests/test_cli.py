@@ -186,6 +186,22 @@ class TestSeedPrecedence:
         rep = json.loads((tmp_path / "fermat.json").read_text())
         assert rep["seed"] == 9
 
+    def test_modes_from_sector_colors(self, tmp_path):
+        # a fermat scenario may give its sector colors instead of its
+        # modes: the two arcs next to the white sector become one-sided
+        raw = json.loads((SCENARIO_DIR / "fermat-euclidean.json").read_text())
+        del raw["fermat"]["modes"]
+        raw["fermat"]["colors"] = [1, 2, 0]
+        p = tmp_path / "colors.json"
+        p.write_text(json.dumps(raw))
+        assert main(["fermat", "--scenario", str(p), "--out", str(tmp_path)]) == 0
+        result = json.loads((tmp_path / "fermat.json").read_text())["result"]
+        assert result["modes"] == ["in", "sym", "out"]
+        expect = anisoclusters.fermat_point(
+            anisoclusters.EuclideanGauge(), *raw["fermat"]["terminals"], modes=("in", "sym", "out")
+        )
+        assert result["point"] == pytest.approx(expect.point.tolist(), abs=1e-9)
+
     def test_negative_cli_seed_rejected(self, tmp_path, capsys):
         code = run("fermat", "fermat-euclidean.json", tmp_path, "--seed", "-3")
         assert code == 2

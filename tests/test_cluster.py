@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from anisoclusters import (
     Cluster,
     Density,
+    DiskDomain,
     Edge,
     EllipseGauge,
     EuclideanGauge,
@@ -251,6 +252,29 @@ class TestSingleChamber:
                 assert np.array_equal(fan_volume_terms(d, p, q), areas * inline)
         field = Density(EuclideanGauge(), g=lambda pts: np.ones(pts.shape[:-1]))
         assert field.g_rule_sum is None and field.scaled(2.0).g_rule_sum is None
+
+
+class TestDensityFields:
+    def test_disk_domain_samples_fill_the_closed_disk(self):
+        dom = DiskDomain([1.0, -2.0], 0.5)
+        assert dom.contains([[1.5, -2.0], [1.0, -1.5], [1.0, -2.0]]).all()
+        assert not dom.contains([[1.51, -2.0], [0.0, 0.0]]).any()
+        pts = dom.sample(np.random.default_rng(4), 4000)
+        assert pts.shape == (4000, 2) and dom.contains(pts).all()
+        # uniform in area: a quarter of the points within half the radius
+        r = np.linalg.norm(pts - dom.center, axis=1)
+        assert abs(np.mean(r < 0.25) - 0.25) < 0.03
+
+    def test_scaling_a_gauge_field_scales_h_and_g(self):
+        field = lambda x: ShiftedDiskGauge((0.1 * np.tanh(x[0]), 0.0), 1.0)
+        d = Density(field, g=lambda p: 1.0 + (p * p).sum(axis=-1), domain=DiskDomain([0.0, 0.0], 2.0))
+        s = d.scaled(1.7)
+        assert not s.uniform_gauge and s.g_const is None
+        rng = np.random.default_rng(6)
+        pts, v = rng.normal(size=(2, 50, 2))
+        np.testing.assert_allclose(s.h_at(pts, v), 1.7 * d.h_at(pts, v), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(s.g_at(pts), 1.7 * d.g_at(pts), rtol=1e-15, atol=0.0)
+        assert (s.h_min, s.h_max) == (1.7 * d.h_min, 1.7 * d.h_max)
 
 
 class TestTriangleRule:
@@ -633,7 +657,7 @@ class TestDiskClip:
             if ref is not None:
                 assert (t0[k], t1[k]) == pytest.approx(ref, rel=0, abs=1e-12)
 
-    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf, True])
     def test_radius_must_be_positive_finite(self, radius):
         with pytest.raises(ValueError, match="positive finite"):
             clip_segments_to_disk(np.zeros((1, 2)), np.ones((1, 2)), [0.0, 0.0], radius)
@@ -769,6 +793,17 @@ class TestConstructorErrors:
         for g in (True, np.bool_(True), "2"):
             with pytest.raises(ValueError, match="callable"):
                 Density(EuclideanGauge(), g=g)
+
+    def test_disk_domain_radius_is_a_positive_finite_real(self):
+        for radius in (0.0, -1.0, np.inf, np.nan, True):
+            with pytest.raises(ValueError, match="radius must be a positive finite number"):
+                DiskDomain([0.0, 0.0], radius)
+
+    def test_scale_factor_is_a_positive_finite_real(self):
+        d = Density(EuclideanGauge())
+        for factor in (0.0, -2.0, np.inf, np.nan, True):
+            with pytest.raises(ValueError, match="factor must be a positive finite number"):
+                d.scaled(factor)
 
     def test_bad_vertex_shape(self):
         with pytest.raises(ValueError):

@@ -322,6 +322,17 @@ def test_gauge_from_spec_rejections():
         ac.gauge_from_spec({"kind": "shifted-disk", "center": [0.0, 2.0], "radius": 1.0})
 
 
+def test_constructors_reject_bools_and_unbounded_radii():
+    # True is an int to Python, but no l^p exponent; an infinite radius
+    # would price every direction as NaN
+    for p in (True, np.True_):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            ac.LpGauge(p)
+    for radius in (np.inf, np.nan, 0.0, True):
+        with pytest.raises(ValueError, match="radius must be a positive finite number"):
+            ac.ShiftedDiskGauge((0.2, -0.1), radius)
+
+
 def test_tabulated_rejects_nonconvex_profile():
     values = 1.0 + 0.3 * np.abs(np.sin(np.arange(64) * 2.0 * np.pi / 64 * 2))
     with pytest.raises(ValueError):
