@@ -311,7 +311,7 @@ def scalar_perimeter(net, memo):
     time, with single-vector gauge calls, added in segment order one at a
     time. memo holds the weights of segments already seen on the same
     gauge."""
-    weights = []
+    total = 0.0
     for s in net.segments:
         key = (s.p0.tobytes(), s.p1.tobytes(), s.left, s.right)
         if key not in memo:
@@ -324,10 +324,7 @@ def scalar_perimeter(net, memo):
                 memo[key] = float(net.gauge.value(-n))
             else:
                 memo[key] = 0.5 * float(net.gauge.value(n) + net.gauge.value(-n))
-        weights.append(memo[key])
-    total = 0.0
-    for w in weights:
-        total += w
+        total += memo[key]
     return total
 
 
