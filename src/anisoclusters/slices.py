@@ -12,11 +12,12 @@ colored regions symmetrically, by oriented_weight.
 Each move family is stated once, as arrays: for one configuration it gives
 a table of candidates (one row each, slides and tripods over all of
 EPS_GRID) with their segments in network order. improve stacks the base
-network and every family's rows, prices all their segments in one
-oriented_weight call, sums each row's weights in segment order, and builds
-a CompetitorNetwork only for the winner; enumerate_moves builds every
-candidate's network from the same rows. A network holds its segments as
-arrays, one row each, so a result that keeps it stays small.
+network and every family's rows, prices the configuration's radii once and
+every other segment in one more oriented_weight call, and sums each row's
+weights in segment order; its result keeps only the winning move, and
+rebuilds the winner's network from that move's one-row table when read.
+enumerate_moves builds every candidate's network from the same rows. A
+network holds its segments as arrays, one row each.
 
 shortcut_path is the paper's other explicit competitor: a path between two
 points inside the polygon that two paths between them bound, no longer in
@@ -104,12 +105,22 @@ class CompetitorNetwork:
 
 @dataclass(slots=True)
 class ImproveResult:
-    network: CompetitorNetwork
+    """The best move of config. It keeps the configuration and the move, not
+    the winner's segments: network rebuilds them from the move's one-row
+    family table on each read, bit for bit as improve priced them."""
+
+    config: SliceConfig
     delta: float
     move: tuple
     perimeter_before: float
     perimeter_after: float
     guaranteed: bool
+
+    @property
+    def network(self):
+        """The winning competitor network."""
+        kind, *args = self.move
+        return _network(self.config, _ONE_MOVE[kind](self.config, *args), 0)
 
 
 class SliceConfig:
@@ -118,7 +129,8 @@ class SliceConfig:
     colors[i] labels the sector between angles[i] and angles[i+1] (wrapping
     cyclically); label 0 is the exterior. Radii separating two white sectors
     are dropped on construction, so whites are never adjacent. Angles, radius
-    endpoints and sector gaps are computed once, as read-only arrays.
+    endpoints, sector gaps and each radius's (left, right) labels are
+    computed once, as read-only arrays.
     """
 
     def __init__(self, angles, colors, gauge):
@@ -152,7 +164,9 @@ class SliceConfig:
         self.gauge = gauge
         self._points = unit_dir(angles)
         self._gaps = ccw_gap(angles, np.roll(angles, -1))
-        for a in (self.angles, self._points, self._gaps):
+        self._left = np.array(colors)
+        self._right = np.roll(self._left, 1)
+        for a in (self.angles, self._points, self._gaps, self._left, self._right):
             a.flags.writeable = False
 
     @property
@@ -220,9 +234,10 @@ def _stack(tables):
 
 
 def _labels(config, count):
-    """Each radius's (left, right) labels, one row per candidate."""
-    c = np.array(config.colors)
-    return c, np.tile(c, (count, 1)), np.tile(np.roll(c, 1), (count, 1))
+    """The sector labels, and each radius's (left, right) labels repeated
+    into one writable row per candidate."""
+    c = config._left
+    return c, np.repeat(c[None], count, axis=0), np.repeat(config._right[None], count, axis=0)
 
 
 def _base(config):
@@ -282,7 +297,7 @@ def _join_whites(config, spans):
     more, give no row.
     """
     n, pts, gaps = config.n, config.points(), config.gaps()
-    c = np.array(config.colors)
+    c = config._left
     tables = []
     for j, k in spans:
         idx = np.arange(j, j + (k - j) % n + 1) % n
@@ -385,6 +400,15 @@ def _families(config):
     return [t for t in tables if t is not None]
 
 
+# each family's table of one move, from the move's descriptor fields
+_ONE_MOVE = {
+    "chord": lambda config, k: _chords(config, [k]),
+    "join-whites": lambda config, j, k: _join_whites(config, [(j, k)]),
+    "slide": lambda config, m, side, e: _slides(config, [(m, side)], (e,)),
+    "tripod": lambda config, m, e: _tripods(config, [m], (e,)),
+}
+
+
 def _network(config, rows, r):
     """The competitor network of row r."""
     real = rows.real[r]
@@ -392,14 +416,23 @@ def _network(config, rows, r):
                              config.gauge)
 
 
-def _perimeters(gauge, rows):
-    """Each row's perimeter. Every real segment is priced in one
-    oriented_weight call; each row's weights are then summed in segment
-    order, because analytically tied moves must keep their order (the
-    padding adds exact zeros)."""
-    real = rows.real
+def _perimeters(config, rows):
+    """Each row's perimeter. The first n columns of every row are the radii,
+    the same n vectors in every row: they are priced in one oriented_weight
+    call whose labels spread them over the rows, and the real extra segments
+    of all rows in one more. A gauge call rounds each vector alike whatever
+    else the batch holds, so every weight has the bits of pricing its
+    segment alone. Each row's weights are then summed in segment order,
+    because analytically tied moves must keep their order (the padding adds
+    exact zeros)."""
+    n, real = config.n, rows.real
     w = np.zeros(real.shape)
-    w[real] = oriented_weight(gauge, rows.p1[real] - rows.p0[real], rows.left[real], rows.right[real])
+    w[:, :n] = np.where(
+        real[:, :n], oriented_weight(config.gauge, config.points(), rows.left[:, :n], rows.right[:, :n]), 0.0
+    )
+    extra = real[:, n:]
+    p0, p1, left, right = (a[:, n:][extra] for a in (rows.p0, rows.p1, rows.left, rows.right))
+    w[:, n:][extra] = oriented_weight(config.gauge, p1 - p0, left, right)
     return np.cumsum(w, axis=1)[:, -1]
 
 
@@ -407,7 +440,7 @@ def _priced(config):
     """The table of the base network (row 0) and every candidate, in
     enumerate_moves order, and each row's perimeter."""
     rows = _stack([_base(config), *_families(config)])
-    return rows, _perimeters(config.gauge, rows)
+    return rows, _perimeters(config, rows)
 
 
 def enumerate_moves(config):
@@ -424,8 +457,10 @@ def improve(config):
     returned delta is positive; for kinked or flat-sided gauges the best
     candidate is still returned, with the guarantee flag cleared (delta may
     be nonpositive). Of equal deltas the first enumerated wins. The base
-    network and every candidate are priced in one oriented_weight call, and
-    only the winner is built as a network.
+    network and every candidate are priced together: the configuration's
+    radii in one oriented_weight call and every other segment in one more.
+    The result keeps the configuration and the winning move, and builds the
+    winner's network only when it is read.
     """
     if config.n < 4:
         raise ValueError("hypothesis not met: need more than three radii")
@@ -437,7 +472,7 @@ def improve(config):
     r = int(np.argmax(deltas))
     delta = float(deltas[r])
     return ImproveResult(
-        network=_network(config, rows, r + 1),
+        config=config,
         delta=delta,
         move=rows.moves[r + 1],
         perimeter_before=base,
@@ -473,7 +508,9 @@ def shortcut_path(tau1, tau2):
     Returns an injective path tau from P to Q inside the closed region
     bounded by tau1 + tau2 with len(tau) + len(reversed tau) at most
     len(tau1) + len(tau2) for every convex 1-homogeneous length gauge; the
-    construction is purely geometric and gauge independent.
+    construction is purely geometric and gauge independent. When some part
+    of the region has no convex corner, the construction is tried once more
+    without the vertices that either path runs straight through.
     """
     c1 = _dedup(np.asarray(tau1, dtype=float))
     c2 = _dedup(np.asarray(tau2, dtype=float))
@@ -483,7 +520,16 @@ def shortcut_path(tau1, tau2):
         raise ValueError("endpoints must match: tau1 P->Q, tau2 Q->P")
     if polyline_self_intersects(np.vstack([c1[:-1], c2[:-1], c1[:1]])):
         raise ValueError("paths cross: the enclosed region is not simple")
-    return _shortcut(c1, c2)
+    try:
+        return _shortcut(c1, c2)
+    except RuntimeError:
+        # a vertex that a chain runs straight through can block every chord
+        # and leave some part with no convex corner; without such vertices
+        # the region and, for every gauge, both chains' lengths are the same
+        s1, s2 = _straighten(c1), _straighten(c2)
+        if len(s1) == len(c1) and len(s2) == len(c2):
+            raise
+        return _shortcut(s1, s2)
 
 
 def _dedup(pts, tol=1e-12):
@@ -561,6 +607,14 @@ def _shortcut(c1, c2, depth=0):
             right = _shortcut(t1b, t2b, depth + 1)
             return np.vstack([left[:-1], right])
     raise RuntimeError("no convex corner found: degenerate polygon input")
+
+
+def _straighten(chain):
+    """chain without the interior vertices it passes straight through: those
+    whose two edges point the same way, at an angle below 1e-11 radians."""
+    a, b = chain[1:-1] - chain[:-2], chain[2:] - chain[1:-1]
+    straight = (np.abs(cross2(a, b)) <= 1e-11 * np.hypot(*a.T) * np.hypot(*b.T)) & ((a * b).sum(axis=1) > 0)
+    return chain[np.concatenate([[True], ~straight, [True]])]
 
 
 def _parallel_cut(a, b, c, chain_id, i, c1, c2, tol):

@@ -391,6 +391,16 @@ def junction_residual(density, origin, directions, colors):
     return orientation_rule(fwd, rev, np.roll(colors, 1)[:, None], colors[:, None]).sum(axis=0)
 
 
+# the scan's column blocks: n x n/12 block tests and 12 cell tests per
+# passing block, against n x n cell tests
+_CELL_BLOCK = 12
+# the finite-difference Jacobian's step, and its probes: +eps and -eps
+# along each angle in turn (the negated rows carry -0.0, so phi + probe
+# rounds as phi - step does)
+_FD_EPS = 1e-7
+_FD_PROBES = _FD_EPS * np.array([[1.0, 0.0], [-1.0, -0.0], [0.0, 1.0], [-0.0, -1.0]])
+
+
 def admissible_pairs(gauge, a, resolution=720, tol=1e-9, max_newton=60):
     """All boundary pairs {B, C} forming a stationary triple with A.
 
@@ -429,7 +439,9 @@ def admissible_pairs(gauge, a, resolution=720, tol=1e-9, max_newton=60):
     cells = _bracketing_cells(g0, gauge.grad(unit_dir(phis)))
 
     def residual(phi):
-        return g0 + gauge.grad(unit_dir(phi[0])) + gauge.grad(unit_dir(phi[1]))
+        # phi (..., 2): the gradients at both angles of each pair, from one gauge call
+        g = gauge.grad(unit_dir(phi))
+        return g0 + g[..., 0, :] + g[..., 1, :]
 
     h_cell = TWO_PI / n
     roots = []
@@ -442,12 +454,9 @@ def admissible_pairs(gauge, a, resolution=720, tol=1e-9, max_newton=60):
             if rn < tol:
                 ok = True
                 break
-            eps = 1e-7
-            J = np.empty((2, 2))
-            for k in range(2):
-                dp = np.zeros(2)
-                dp[k] = eps
-                J[:, k] = (residual(phi + dp) - residual(phi - dp)) / (2 * eps)
+            # central differences along each angle, the four probes in one call
+            rp = residual(phi + _FD_PROBES)
+            J = ((rp[0::2] - rp[1::2]) / (2 * _FD_EPS)).T
             try:
                 delta = np.linalg.solve(J, -r)
             except np.linalg.LinAlgError:
@@ -512,12 +521,33 @@ def admissible_pairs(gauge, a, resolution=720, tol=1e-9, max_newton=60):
 
 def _bracketing_cells(g0, grads):
     """Cells (i, j), row-major, whose corners (i or i+1 by j or j+1, cyclic)
-    bracket zero in both components of F[i, j] = g0 + grads[i] + grads[j]."""
+    bracket zero in both components of F[i, j] = g0 + grads[i] + grads[j].
+
+    Component 0 is tested first on blocks of _CELL_BLOCK consecutive
+    columns: a row can bracket in some cell of a block only if it passes
+    against the block's largest -lo and least -hi. Only the cells of the
+    blocks that pass are tested one by one, and component 1 on the cells
+    that survive, so the cells and their order are those of the full
+    n x n test.
+    """
+    n = len(grads)
     nxt = np.roll(grads, -1, axis=0)
     lo, hi = np.minimum(grads, nxt), np.maximum(grads, nxt)
     # rounding is monotone, so F's least corner rounds to fl(fl(g0 + lo[i]) + lo[j]) and
     # its greatest likewise with hi; and fl(x + y) <= 0 exactly when x <= -y
-    i, j = np.nonzero(((g0[0] + lo[:, 0])[:, None] <= -lo[:, 0]) & ((g0[0] + hi[:, 0])[:, None] >= -hi[:, 0]))
+    row_lo, row_hi = g0[0] + lo[:, 0], g0[0] + hi[:, 0]
+    col_lo, col_hi = -lo[:, 0], -hi[:, 0]
+    starts = np.arange(0, n, _CELL_BLOCK)
+    # fmax and fmin skip NaN, so a NaN column cannot hide its block's others
+    i, blk = np.nonzero(
+        (row_lo[:, None] <= np.fmax.reduceat(col_lo, starts)) & (row_hi[:, None] >= np.fmin.reduceat(col_hi, starts))
+    )
+    j = (starts[blk][:, None] + np.arange(_CELL_BLOCK)).ravel()
+    i = np.repeat(i, _CELL_BLOCK)
+    inside = j < n
+    i, j = i[inside], j[inside]
+    keep = (row_lo[i] <= col_lo[j]) & (row_hi[i] >= col_hi[j])
+    i, j = i[keep], j[keep]
     keep = (g0[1] + lo[i, 1] + lo[j, 1] <= 0) & (g0[1] + hi[i, 1] + hi[j, 1] >= 0)
     return np.column_stack([i[keep], j[keep]])
 

@@ -340,26 +340,25 @@ def criterion_07_draws():
 
 def test_improve_matches_the_scalar_oracle():
     # improve prices the base network (row 0 of its table) and then every
-    # candidate; each price agrees with the oracle (single-vector and
-    # batched ellipse evaluations may differ in the last bit), and improve
+    # candidate; each price is the oracle's, bit for bit, and improve
     # returns the oracle's move, the first of the largest oracle deltas
     for cfg in criterion_07_draws():
         res = improve(cfg)
         rows, prices = slices._priced(cfg)
         memo = {}
         oracle_base = scalar_perimeter(cfg.base_network(), memo)
-        assert abs(prices[0] - oracle_base) <= 1e-14, cfg.spec()
+        assert prices[0] == oracle_base, cfg.spec()
         enumerated = list(enumerate_moves(cfg))
         assert len(prices) - 1 == len(enumerated), cfg.spec()
         best = None
         for (desc, net), move, p in zip(enumerated, rows.moves[1:], prices[1:]):
             assert desc == move, cfg.spec()
             q = scalar_perimeter(net, memo)
-            assert abs(p - q) <= 1e-14, cfg.spec()
+            assert p == q, cfg.spec()
             if best is None or oracle_base - q > best[0]:
                 best = (oracle_base - q, desc)
         assert res.move == best[1], cfg.spec()
-        assert abs(res.delta - best[0]) <= 1e-14, cfg.spec()
+        assert res.delta == best[0], cfg.spec()
 
 
 def reference_improve(config):
@@ -404,7 +403,8 @@ def test_improve_equals_the_per_network_loop():
 
 
 def test_improve_result_retains_little_memory():
-    # the winner's network is four arrays, not one object per segment
+    # the result keeps the configuration and the winning move, not the
+    # winner's segments: ~225 B, against ~1,200 B with the network's arrays
     cfg = SliceConfig(np.radians([0, 40, 100, 150, 200, 250, 290, 330]), [1, 2, 3, 1, 2, 3, 1, 2], EuclideanGauge())
     improve(cfg)  # the gauge's guarantee flag is cached on the first call
     tracemalloc.start()
@@ -416,7 +416,7 @@ def test_improve_result_retains_little_memory():
     finally:
         tracemalloc.stop()
     assert cfg.n == 8 and len(results[0].network.segments) == 9
-    assert retained < 1500
+    assert retained < 450
 
 
 def test_network_segments_read_the_arrays():
@@ -513,6 +513,13 @@ class TestShortcut:
         with pytest.raises(ValueError):
             shortcut_path(tau1, tau2)
 
+    def test_straight_chain_gives_the_chord(self):
+        # every chord of the straight tau1 has a vertex on it, and none of its
+        # corners is convex
+        tau1 = np.array([[1.5, 0.5], [0.25, 0.5], [-0.5, 0.5], [-2.0, 0.5]])
+        tau2 = np.array([[-2.0, 0.5], [-1.75, -0.75], [-0.25, -1.0], [0.25, -0.25], [1.5, 0.5]])
+        assert np.array_equal(shortcut_path(tau1, tau2), tau1[[0, -1]])
+
     def test_short_chain_rejected(self):
         with pytest.raises(ValueError):
             shortcut_path(np.array([[0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]]))
@@ -563,8 +570,10 @@ def shortcut_outcome(tau1, tau2):
 def test_shortcut_outputs_are_pinned():
     # one digest over every output and error on 1,700 splits, taken from the
     # scalar predicates that geometry's batched ones replaced; 350 of the
-    # grid splits cross and 7 have no convex corner
+    # grid splits cross and 6 have no convex corner, none of them simple.
+    # Grid split 1016 runs straight through (-0.5, 0) and takes the retry
+    # without it
     digest = hashlib.sha256()
     for tau1, tau2 in [*criterion_08_splits(), *quarter_grid_splits()]:
         digest.update(shortcut_outcome(tau1, tau2))
-    assert digest.hexdigest() == "81549aad49933d1fe3c4098527ab8076c748b60c7d44d4850f16c5d609521c52"
+    assert digest.hexdigest() == "3a4ab169175c495d6f6c480d036692666249a39c8771881d9e298ccabf224be2"

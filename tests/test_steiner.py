@@ -712,6 +712,30 @@ class TestAdmissiblePairs:
             assert triples == reference
         assert len(seen) == len(SCAN_POINTS)
 
+    @pytest.mark.parametrize("n", [16, 17, 97, 721])
+    @pytest.mark.parametrize("table", ["rough", "constant", "flat", "ties"])
+    def test_block_scan_matches_the_dense_scan_on_synthetic_tables(self, n, table):
+        rng = np.random.default_rng(n)
+        if table == "rough":
+            # steep random gradients: few cells bracket, scattered over the torus
+            g0 = rng.normal(size=2)
+            grads = -0.5 * g0 + rng.normal(size=(n, 2)) * rng.choice([0.01, 1.0, 100.0], size=(n, 1))
+        elif table == "constant":
+            # component 0 is exactly zero on the whole torus: every cell brackets it
+            g0 = np.array([-1.0, rng.normal()])
+            grads = np.column_stack([np.full(n, 0.5), -0.5 * g0[1] + rng.normal(size=n)])
+        elif table == "flat":
+            # both components are: every cell survives
+            g0, grads = np.array([-1.0, 2.0]), np.tile([0.5, -1.0], (n, 1))
+        else:
+            # quarter steps: exact zeros of F, and equal corners side by side
+            g0 = rng.integers(-4, 5, size=2) / 4.0
+            grads = rng.integers(-3, 4, size=(n, 2)) / 4.0
+        cells = _bracketing_cells(g0, grads)
+        expect = _dense_cells(g0, grads)
+        assert cells.dtype == expect.dtype and np.array_equal(cells, expect)
+        assert len(expect) == n * n if table == "flat" else 0 < len(expect) < n * n
+
     def test_scan_builds_no_full_torus_float_array(self):
         gauge, a, n = LpGauge(3.0), np.array([0.0, 1.0]), 720
         admissible_pairs(gauge, a, resolution=n)
