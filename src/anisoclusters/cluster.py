@@ -119,22 +119,24 @@ def orientation_rule(h_fwd, h_rev, left, right):
     )
 
 
-def segment_weights(density, mid, vec, left, right):
-    """Perimeter weight of each segment under the orientation convention, in
-    one Density.h_at call: of the clockwise normals alone when the density
-    is symmetric, whose two sides are equal bit for bit, else of the normals
-    and their negatives stacked.
+def segment_weights(density, p, q, left, right):
+    """Perimeter weight of each segment from p to q, (S, 2) arrays of its
+    endpoints, under the orientation convention, in one Density.h_at call:
+    of the clockwise normals of q - p alone when the density is symmetric,
+    whose two sides are equal bit for bit, else of the normals and their
+    negatives stacked. The midpoints 0.5 * (p + q) are formed only for a
+    gauge field, the one h_at that reads its points.
 
     With equal sides orientation_rule(h, h, left, right) is h wherever the
     labels differ, since its mean 0.5 * (h + h) rounds to h (doubling and
     halving are exact below half the largest double), and 0 where they are
     equal: one where."""
-    mid = np.asarray(mid, dtype=float)
-    normal = rotate_cw(vec)
+    normal = rotate_cw(q - p)
     if density.symmetric:
-        h = density.h_at(mid, normal)
+        h = density.h_at(None, normal)
         return np.where(np.asarray(left) == np.asarray(right), 0.0, h)
-    h_fwd, h_rev = density.h_at(np.stack([mid, mid]), np.stack([normal, -normal]))
+    mid = None if density.uniform_gauge else np.stack([0.5 * (p + q)] * 2)
+    h_fwd, h_rev = density.h_at(mid, np.stack([normal, -normal]))
     return orientation_rule(h_fwd, h_rev, left, right)
 
 
@@ -148,7 +150,7 @@ def perimeter_breakdown(cluster, density):
     p, q, left, right, eid = cluster.segment_arrays()
     if len(p) == 0:
         return np.zeros(len(cluster.edges))
-    w = segment_weights(density, 0.5 * (p + q), q - p, left, right)
+    w = segment_weights(density, p, q, left, right)
     return np.bincount(eid, weights=w, minlength=len(cluster.edges))
 
 
@@ -168,7 +170,7 @@ def relative_perimeter(cluster, density, center, radius, eps=1e-12):
     p, d = p[keep], q[keep] - p[keep]
     a = p + t0[keep, None] * d
     b = p + t1[keep, None] * d
-    return _ordered_sum(segment_weights(density, 0.5 * (a + b), b - a, left[keep], right[keep]))
+    return _ordered_sum(segment_weights(density, a, b, left[keep], right[keep]))
 
 
 @dataclass
@@ -257,14 +259,14 @@ def chamber_perimeter(cluster, density, label):
     """Perimeter of a single chamber as a standalone set: the chamber is the
     one color, everything else white."""
     p, q, left, right, _ = cluster.segment_arrays()
-    w = segment_weights(density, 0.5 * (p + q), q - p, left == label, right == label)
+    w = segment_weights(density, p, q, left == label, right == label)
     return float(w.sum())
 
 
 def union_perimeter(cluster, density):
     """Perimeter of the union of all colored chambers."""
     p, q, left, right, _ = cluster.segment_arrays()
-    w = segment_weights(density, 0.5 * (p + q), q - p, left > 0, right > 0)
+    w = segment_weights(density, p, q, left > 0, right > 0)
     return float(w.sum())
 
 
@@ -428,7 +430,7 @@ def isoperimetric_check(polygon, density, c_vol, eta):
     polygon = np.asarray(polygon, dtype=float)
     p = polygon
     q = np.roll(polygon, -1, axis=0)
-    lhs = float(segment_weights(density, 0.5 * (p + q), q - p, 1, 0).sum())
+    lhs = float(segment_weights(density, p, q, 1, 0).sum())
     vol = float(fan_volume_terms(density, p, q).sum())
     if not vol > 0:
         raise ValueError(f"polygon is not counterclockwise: its weighted volume is {vol:.6g}")

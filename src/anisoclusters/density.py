@@ -136,11 +136,13 @@ class Density:
         return np.asarray(self._g(pts), dtype=float)
 
     def h_at(self, pts, v):
-        """Gauge values h(x, v) for matched batches of points and vectors."""
-        pts = np.asarray(pts, dtype=float)
+        """Gauge values h(x, v) for matched batches of points and vectors.
+        Only a gauge field reads the points: a uniform gauge prices v alone,
+        and its callers may pass None for pts."""
         v = np.asarray(v, dtype=float)
         if self.uniform_gauge:
             return self._gauge.value(v)
+        pts = np.asarray(pts, dtype=float)
         flat_p = pts.reshape(-1, 2)
         flat_v = v.reshape(-1, 2)
         out = np.empty(len(flat_p))

@@ -16,12 +16,12 @@ close, so the clearances, and the exact crossing test that still guards
 every accepted step, look at those pairs alone, as a set: a per-vertex
 minimum and an any() read them in any order. The vertices move a small
 fraction of a segment per step, so the sort-and-sweep that finds those
-pairs runs once per mesh with a skin of one resampling length, and again
-only when the drift since then and the step's reach use up the skin. The
-neighbour list is sorted by how far apart each pair's boxes were at its
-build, and each step applies the same box test to the pairs that drift
-and reach can have brought within range alone, often none (Verlet 1967;
-_Mesh.near_ends).
+pairs runs once per vertex numbering with a skin of one resampling length,
+and again only when the drift since then and the step's reach use up the
+skin. The neighbour list is sorted by how far apart each pair's boxes were
+at its build, and each step applies the same box test to the pairs that
+drift and reach can have brought within range alone, often none (Verlet
+1967; _Mesh.near_ends).
 
 Each edge has one role, read from its tags by _edge_roles. A free edge is
 counted in the objective, its vertices move with two degrees of freedom,
@@ -35,16 +35,26 @@ sees each sampled cluster through one _Mesh, which holds the segment
 arrays, the degrees of freedom, the finite-difference stencil and the
 evaluations on them.
 
-Each evaluation makes one gauge call. The objective prices the segments
-through one segment_weights call, which evaluates one side only when the
-density is symmetric (Density.symmetric), where the orientation rule
-reduces to one where on the labels, and both sides stacked otherwise; the
-gradient prices the + and - stencil in one segment_weights and one
-fan_volume_terms call. Everything fixed per mesh (gathers, displacements,
-masks, scatter indices, the broad phase's neighbour list) is built once
-with it; gathers use take, and scatters np.bincount, which adds in the
-order np.add.at does. The iterates are the same, bit for bit, as those of
-one call per side and stencil sign.
+Each evaluation makes one gauge call. The objective gathers every
+segment's endpoints once and prices the perimeter and the volumes from
+that gather. Its segment_weights call takes the endpoints, forms midpoints
+only for a gauge field, the one density whose h_at reads them, and
+evaluates one side only when the density is symmetric (Density.symmetric),
+where the orientation rule reduces to one where on the labels, and both
+sides stacked otherwise. The gradient prices the + and - stencil in one
+segment_weights and one fan_volume_terms call, on the stencil as gathered
+when every entry is active. Gathers use take, and scatters np.bincount,
+which adds in the order np.add.at does. The iterates are the same, bit
+for bit, as those of one call per side and stencil sign.
+
+What depends on the vertex numbering alone (segment arrays, masks,
+gathers, scatter indices, the dof map, the stencil's layout and the broad
+phase's neighbour list) is built once per numbering. A resampling or a
+continuation stage that leaves every edge's vertex list as it was hands
+the mesh before it to the new _Mesh, which carries those tables over and
+recomputes only what depends on the positions: the local lengths, the
+finite-difference steps and displacements, the step caps and the slides of
+wall vertices. The iterates are those of a mesh built afresh, bit for bit.
 
 The mesh is also repaired inside an outer iteration (remeshing on collapse,
 as Surface Evolver removes tiny edges during the evolution, Brakke 1992).
@@ -267,9 +277,10 @@ def _default_resample_len(cluster):
 def _apply_step(V, mesh, d):
     """Vertex positions V moved by the dof step d: each dof adds its unit
     vector times its entry to its vertex, a vertex's first dof before its
-    second (as np.add.at would), each rank as one gather of the step
-    (mesh.step_ranks) and one add."""
-    step = np.append(mesh.uvec * d[:, None], -0.0)
+    second (as np.add.at would), each rank as one gather of the step, kept
+    in the mesh's step_buffer (mesh.step_ranks), and one add."""
+    step = mesh.step_buffer
+    np.multiply(mesh.uvec, d[:, None], out=step[:-1].reshape(-1, 2))
     out = V + step.take(mesh.step_ranks[0])
     out += step.take(mesh.step_ranks[1])
     return out
@@ -324,48 +335,42 @@ class _Mesh:
 
     char_len, the resampling length, sets the finite-difference floor and
     the skin of the neighbour list behind near_ends.
+
+    Given prev, the mesh of an earlier cluster, a mesh of a cluster with the
+    same vertex numbering (as many vertices, and every edge's vertex list,
+    labels and role equal) starts from prev's index tables and neighbour
+    list, whose drift rule covers the vertices moved since its build, and
+    recomputes only what depends on the positions; its dof map and stencil
+    are rebuilt too if a wall vertex no longer slides as it did. Either way
+    it equals a mesh built without prev, array for array.
     """
 
-    def __init__(self, cluster, density, targets, char_len):
+    def __init__(self, cluster, density, targets, char_len, prev=None):
+        V = cluster.vertices
+        roles = _edge_roles(cluster)
+        numbering = (
+            len(V),
+            [(tuple(e.vertices), e.left, e.right) for e in cluster.edges],
+            [role.tolist() for role in roles[:2]],
+        )
+        carried = prev is not None and prev.numbering == numbering
+        if carried:
+            self.__dict__.update(prev.__dict__)
+        else:
+            self.numbering = numbering
+            self._index(cluster, roles)
         self.density = density
         self.skin = char_len
-        # near_ends' list: the positions, margin and rounding slack of its
-        # build, and its pairs' box gaps and endpoint indices, in gap order
-        self._near = None
         self.targets = np.asarray(targets, dtype=float)
-        V = cluster.vertices
-        nv = len(V)
-        i0, i1, left, right, eid = cluster.segment_index_arrays()
-        self.i0, self.i1 = i0, i1
-        self.left, self.right = left, right
-        wall, pinned, kept = (role[eid] for role in _edge_roles(cluster))
-        self.active = ~wall & (left != right)
-        # the segments resampling redistributes, for collapsed()
-        cut = ~kept
-        self.cut_i0, self.cut_i1, self.cut_eid = i0[cut], i1[cut], eid[cut]
-        self.min_count = np.array([_min_count(e) for e in cluster.edges])
 
-        # segment s has its start at ends[2 s] and its end at ends[2 s + 1]
-        ends = np.stack([i0, i1], 1).ravel()
-        seglen = np.linalg.norm(V[i1] - V[i0], axis=1)
-        count = np.bincount(ends, minlength=nv)
-        total = np.bincount(ends, weights=np.repeat(seglen, 2), minlength=nv)
-        local = np.maximum(total / np.maximum(count, 1), 1e-9 * char_len)
-        ndof = np.where(count > 0, 2, 0)
-        ndof[ends[np.repeat(pinned, 2)]] = 0
+        seglen = np.linalg.norm(V[self.i1] - V[self.i0], axis=1)
+        total = np.bincount(self.ends, weights=np.repeat(seglen, 2), minlength=len(V))
+        local = np.maximum(total / np.maximum(self.count, 1), 1e-9 * char_len)
 
         # vertices at a wall slide along it, or are pinned at a corner
-        at_wall = np.flatnonzero(np.repeat(wall, 2))
-        order = np.argsort(ends[at_wall], kind="stable")
-        at, other = ends[at_wall][order], ends[at_wall ^ 1][order]
+        ndof = self.ndof_unwalled.copy()
         slide = {}
-        # at is sorted, so each vertex's run starts at a cut of np.diff; not
-        # np.unique, whose import of numpy.ma every solve would pay
-        cuts = np.flatnonzero(np.diff(at)) + 1
-        starts = at[np.concatenate(([0], cuts))] if len(at) else at
-        for v, others in zip(starts, np.split(other, cuts)):
-            if ndof[v] == 0:
-                continue
+        for v, others in self.wall_runs:
             ndof[v] = 0
             nbs, dirs = [], []
             for o in others:
@@ -378,25 +383,92 @@ class _Mesh:
             if dirs and not any(abs(cross2(dirs[0], d)) > 1e-9 for d in dirs[1:]):
                 ndof[v] = 1
                 slide[int(v)] = (dirs[0], nbs)
+        if not (carried and np.array_equal(ndof, self.ndof)):
+            self._dofs(ndof)
+        if slide:
+            # on a copy: a carried uvec is prev's own
+            self.uvec = self.uvec.copy()
+            for v, (u, _) in slide.items():
+                self.uvec[self.first[v]] = u
+        self.wall_nbs = [(int(self.first[v]), nbs) for v, (_, nbs) in slide.items()]
+        self.local_len = local[self.vert]
+        self.h_fd = FD_SCALE * self.local_len
+        self.base_caps = 0.45 * self.local_len
+        h = self.h_fd[self.ent_dof]
+        disp = self.uvec[self.ent_dof] * h[:, None]
+        self.fd_disp = np.full((2, 2 * len(h), 2), -0.0)
+        self.fd_disp[self.fd_disp_at] = np.concatenate([disp, -disp])
+        self.fd_two_h = 2.0 * h
 
+    def _index(self, cluster, roles):
+        """The tables fixed by the vertex numbering and the edge roles
+        (_edge_roles): segment arrays, collapse check, vertex incidence,
+        wall runs, the objective's gathers and masks, and an empty neighbour
+        list."""
+        nv = len(cluster.vertices)
+        i0, i1, left, right, eid = cluster.segment_index_arrays()
+        self.i0, self.i1 = i0, i1
+        self.left, self.right = left, right
+        wall, pinned, kept = (role[eid] for role in roles)
+        self.active = ~wall & (left != right)
+        # the segments resampling redistributes, for collapsed()
+        cut = ~kept
+        self.cut_i0, self.cut_i1, self.cut_eid = i0[cut], i1[cut], eid[cut]
+        self.min_count = np.array([_min_count(e) for e in cluster.edges])
+
+        # segment s has its start at ends[2 s] and its end at ends[2 s + 1]
+        self.ends = ends = np.stack([i0, i1], 1).ravel()
+        self.count = np.bincount(ends, minlength=nv)
+        # the dofs before walls: two at a vertex of a segment, none pinned
+        ndof = np.where(self.count > 0, 2, 0)
+        ndof[ends[np.repeat(pinned, 2)]] = 0
+        self.ndof_unwalled = ndof
+        # each unpinned vertex at a wall and its wall neighbours. at is
+        # sorted, so each vertex's run starts at a cut of np.diff; not
+        # np.unique, whose import of numpy.ma every solve would pay
+        at_wall = np.flatnonzero(np.repeat(wall, 2))
+        order = np.argsort(ends[at_wall], kind="stable")
+        at, other = ends[at_wall][order], ends[at_wall ^ 1][order]
+        cuts = np.flatnonzero(np.diff(at)) + 1
+        starts = at[np.concatenate(([0], cuts))] if len(at) else at
+        self.wall_runs = [
+            (v, others) for v, others in zip(starts, np.split(other, cuts)) if ndof[v]
+        ]
+
+        # the objective gathers every segment's endpoints at once, stacked:
+        # seg_ends[0] the starts, seg_ends[1] the ends; the perimeter reads
+        # the active segments, all of them or a take of act
+        self.seg_ends = np.stack([i0, i1])
+        act = np.flatnonzero(self.active)
+        self.act = None if len(act) == len(i0) else act
+        self.act_left, self.act_right = left[act], right[act]
+        self.chambers = chamber_index(left, right)
+        # near_ends' list: the positions, margin and rounding slack of its
+        # build, and its pairs' box gaps and endpoint indices, in gap order
+        self._near = None
+
+    def _dofs(self, ndof):
+        """The tables fixed by the dof count of every vertex: the dof map,
+        _apply_step's ranks and buffer, the unit vectors of free dofs, and
+        the finite-difference stencil's gathers, masks and scatter indices."""
+        nv = len(ndof)
+        self.ndof = ndof
         # dofs in vertex order, a vertex's dofs adjacent
-        first = np.cumsum(ndof) - ndof
+        first = self.first = np.cumsum(ndof) - ndof
         self.vert = np.repeat(np.arange(nv), ndof)
         self.n = len(self.vert)
+        # a sliding dof's unit vector is set from the positions
         self.uvec = np.zeros((self.n, 2))
         free = first[ndof == 2]
         self.uvec[free, 0] = 1.0
         self.uvec[free + 1, 1] = 1.0
-        for v, (u, _) in slide.items():
-            self.uvec[first[v]] = u
-        self.wall_nbs = [(int(first[v]), nbs) for v, (_, nbs) in slide.items()]
-        self.local_len = local[self.vert]
-        self.h_fd = FD_SCALE * self.local_len
 
         # _apply_step's two ranks: for every vertex coordinate, the flat
-        # position in uvec * d of the vertex's first dof, then of its second,
-        # or of the -0.0 appended after it where the vertex has no such dof
+        # position in step_buffer (uvec * d) of the vertex's first dof, then
+        # of its second, or of the -0.0 after it where the vertex has no
+        # such dof
         pad = 2 * self.n
+        self.step_buffer = np.full(pad + 1, -0.0)
         self.step_ranks = np.full((2, nv, 2), pad)
         for k in range(2):
             has = ndof > k
@@ -404,39 +476,25 @@ class _Mesh:
         self.sqrt_ndof = np.sqrt(ndof[self.vert])
         self.no_caps = np.full(self.n, np.inf)
         self.no_caps.flags.writeable = False
-        self.base_caps = 0.45 * self.local_len
 
         # finite-difference stencil: one entry per (segment, endpoint, dof)
+        ends = self.ends
         per_end = ndof[ends]
         ent = np.repeat(np.arange(len(ends)), per_end)
         offset = np.arange(len(ent)) - np.repeat(np.cumsum(per_end) - per_end, per_end)
-        self.ent_seg, self.ent_slot = np.divmod(ent, 2)
+        seg, slot = self.ent_seg, self.ent_slot = np.divmod(ent, 2)
         self.ent_dof = first[ends[ent]] + offset
-        self._init_evaluations(i0, i1, left, right)
-
-    def _init_evaluations(self, i0, i1, left, right):
-        """The gathers, masks and scatter indices of perimeter, volumes and
-        gradient, fixed per mesh."""
-        act = np.flatnonzero(self.active)
-        self.act_i0, self.act_i1 = i0[act], i1[act]
-        self.act_left, self.act_right = left[act], right[act]
-        self.chambers = chamber_index(left, right)
         # the stencil's two signs stacked: row r < E is entry r displaced by
         # +h along its dof, row E + r the same entry by -h. fd_ends[0] and
-        # fd_ends[1] hold the rows' start and end vertices, fd_disp their
-        # displacements: -0.0, which adds exactly nothing, on the endpoint
-        # that stays. Starts and ends are kept in separate blocks, as
-        # elementwise numpy loops over (n, 2) rows that are not contiguous
-        # run an order of magnitude slower
-        seg, slot, dof = self.ent_seg, self.ent_slot, self.ent_dof
+        # fd_ends[1] hold the rows' start and end vertices, fd_disp (set at
+        # fd_disp_at) their displacements: -0.0, which adds exactly
+        # nothing, on the endpoint that stays. Starts and ends are kept in
+        # separate blocks, as elementwise numpy loops over (n, 2) rows that
+        # are not contiguous run an order of magnitude slower
         E = len(seg)
-        h = self.h_fd[dof]
-        disp = self.uvec[dof] * h[:, None]
-        self.fd_ends = np.tile(np.stack([i0[seg], i1[seg]]), 2)
-        self.fd_disp = np.full((2, 2 * E, 2), -0.0)
-        self.fd_disp[np.tile(slot, 2), np.arange(2 * E)] = np.concatenate([disp, -disp])
-        self.fd_two_h = 2.0 * h
-        self.fd_left, self.fd_right = left[seg], right[seg]
+        self.fd_ends = np.tile(np.stack([self.i0[seg], self.i1[seg]]), 2)
+        self.fd_disp_at = (np.tile(slot, 2), np.arange(2 * E))
+        self.fd_left, self.fd_right = self.left[seg], self.right[seg]
         # the entries of active segments, whose weights enter the gradient
         self.fd_act = np.flatnonzero(self.active[seg])
         self.fd_act_rows = np.concatenate([self.fd_act, E + self.fd_act])
@@ -510,42 +568,56 @@ class _Mesh:
         return bool((lens < COLLAPSE_FRACTION * spacing[self.cut_eid]).any())
 
     def perimeter(self, V):
-        if len(self.act_i0) == 0:
-            return 0.0
-        P, Q = V.take(self.act_i0, axis=0), V.take(self.act_i1, axis=0)
-        w = segment_weights(self.density, 0.5 * (P + Q), Q - P, self.act_left, self.act_right)
-        return float(w.sum())
+        return self._perimeter(V.take(self.seg_ends, axis=0))
 
     def volumes(self, V):
-        if len(self.i0) == 0:
+        return self._volumes(V.take(self.seg_ends, axis=0))
+
+    def _perimeter(self, X):
+        """The interface perimeter from every segment's endpoints X, stacked
+        as V.take(seg_ends, axis=0) gives them."""
+        if not len(self.act_left):
+            return 0.0
+        P, Q = X if self.act is None else X.take(self.act, axis=1)
+        return float(segment_weights(self.density, P, Q, self.act_left, self.act_right).sum())
+
+    def _volumes(self, X):
+        if not len(self.i0):
             return np.zeros(len(self.targets))
-        t = fan_volume_terms(self.density, V.take(self.i0, axis=0), V.take(self.i1, axis=0))
+        t = fan_volume_terms(self.density, X[0], X[1])
         return chamber_sums(t, self.chambers, len(self.targets))
 
     def objective(self, V, lam, mu, P0):
-        P = self.perimeter(V)
-        e = (self.volumes(V) - self.targets) / self.targets
+        """The objective, the interface perimeter and the relative volume
+        errors, all from one gather of the segments' endpoints."""
+        X = V.take(self.seg_ends, axis=0)
+        P = self._perimeter(X)
+        e = (self._volumes(X) - self.targets) / self.targets
         f = P / P0 + float((lam * e).sum()) + 0.5 * mu * float((e * e).sum())
         return f, P, e
 
     def gradient(self, V, lam, mu, e, P0):
         """Central differences of the objective along every dof, from one
         segment_weights and one fan_volume_terms call on the stencil's two
-        signs stacked; each entry's difference goes to its dof."""
+        signs stacked; each entry's difference goes to its dof. When every
+        entry is active, the stencil is priced as it stands, without a take
+        of its active rows."""
         E = len(self.ent_seg)
         if E == 0:
             return np.zeros(self.n)
         X = V.take(self.fd_ends, axis=0)
         X += self.fd_disp
         P, Q = X
-        dval = np.zeros(E)
-        if len(self.fd_act):
-            Pa, Qa = X.take(self.fd_act_rows, axis=1)
-            w = segment_weights(
-                self.density, 0.5 * (Pa + Qa), Qa - Pa, self.fd_act_left, self.fd_act_right
-            )
-            k = len(self.fd_act)
-            dval[self.fd_act] = (w[:k] - w[k:]) / P0
+        k = len(self.fd_act)
+        if k == E:
+            w = segment_weights(self.density, P, Q, self.fd_act_left, self.fd_act_right)
+            dval = (w[:k] - w[k:]) / P0
+        else:
+            dval = np.zeros(E)
+            if k:
+                Pa, Qa = X.take(self.fd_act_rows, axis=1)
+                w = segment_weights(self.density, Pa, Qa, self.fd_act_left, self.fd_act_right)
+                dval[self.fd_act] = (w[:k] - w[k:]) / P0
         # c[label]: the volume multiplier of chamber label, 0 for white
         c = np.concatenate([[0.0], (lam + mu * e) / self.targets])
         t = fan_volume_terms(self.density, P, Q)
@@ -568,14 +640,16 @@ class _Descent:
     resamples: int
 
 
-def _descend(cl, density, targets, lam, mu, opts, rs_len):
+def _descend(cl, density, targets, lam, mu, opts, rs_len, mesh):
     """One inner descent from cl at fixed lam and mu, in at most
     opts.max_inner steps; stops early on convergence and on a failed line
     search. When a step collapses a segment (_Mesh.collapsed) and steps
     remain, the cluster is resampled and the descent starts over from it
-    with the rest of the budget and the same objective. Moves cl's vertices;
-    returns the final cluster, its mesh and the _Descent record."""
-    mesh = _Mesh(cl, density, targets, rs_len)
+    with the rest of the budget and the same objective. mesh, the mesh of
+    the previous descent or None, is passed on as prev to the first _Mesh,
+    and each mesh to the next. Moves cl's vertices; returns the final
+    cluster, its mesh and the _Descent record."""
+    mesh = _Mesh(cl, density, targets, rs_len, mesh)
     V = cl.vertices
     P0 = mesh.perimeter(V)
     if P0 <= 0:
@@ -613,14 +687,17 @@ def _descend(cl, density, targets, lam, mu, opts, rs_len):
                 t = 0.05 * rs_len / gn
             # every trial step below is the first one scaled down and clipped,
             # so its reach bounds theirs and one set of caps serves them all
+            # np.minimum(np.maximum(.)) is np.clip, bit for bit on finite
+            # steps, without its wrapper
             caps = mesh.step_caps(V)
-            safe, ends = _clearance_caps(V, mesh, np.clip(-t * g, -caps, caps))
+            safe, ends = _clearance_caps(V, mesh, np.minimum(np.maximum(-t * g, -caps), caps))
             caps = np.minimum(caps, safe)
+            low = -caps
             accepted = False
             tt = t
             f_ref = max(recent)
             for _ in range(60):
-                d = np.clip(-tt * g, -caps, caps)
+                d = np.minimum(np.maximum(-tt * g, low), caps)
                 gd = float(g @ d)
                 if gd >= 0.0:
                     break
@@ -653,7 +730,7 @@ def _descend(cl, density, targets, lam, mu, opts, rs_len):
         if not collapsed or it == opts.max_inner:
             break
         cl = resample_cluster(cl, rs_len)
-        mesh = _Mesh(cl, density, targets, rs_len)
+        mesh = _Mesh(cl, density, targets, rs_len, mesh)
         V = cl.vertices
         resamples += 1
     return cl, mesh, _Descent(it, stop, trace, rejections, resamples)
@@ -733,14 +810,15 @@ def _solve_single(cluster, density, targets, opts, start_index, rs_len):
     ladder = density.gauge_at(None).continuation() if density.uniform_gauge else ()
     g = density.g_const if density.g_const is not None else density.g_at
     descents = []
+    mesh = None
     for gauge in ladder:
         stage = Density(gauge, g=g, domain=density.domain)
-        cl, _, rec = _descend(cl, stage, targets, lam, mu, opts, rs_len)
+        cl, mesh, rec = _descend(cl, stage, targets, lam, mu, opts, rs_len, mesh)
         descents.append(rec)
     for outer in range(1, opts.max_outer + 1):
         if outer > 1:
             cl = resample_cluster(cl, rs_len)
-        cl, mesh, rec = _descend(cl, density, targets, lam, mu, opts, rs_len)
+        cl, mesh, rec = _descend(cl, density, targets, lam, mu, opts, rs_len, mesh)
         descents.append(rec)
         vols = mesh.volumes(cl.vertices)
         e = (vols - targets) / targets

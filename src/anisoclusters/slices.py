@@ -23,8 +23,9 @@ shortcut_path is the paper's other explicit competitor: a path between two
 points inside the polygon that two paths between them bound, no longer in
 both directions together than the two paths. It uses geometry's predicates
 for its crossing tests: polyline_self_intersects rejects crossing paths,
-and each chain's chords are tested against every polygon edge in one
-segments_properly_cross call.
+each chain's chords are tested against every polygon edge in one
+segments_properly_cross call, and where no convex corner is left,
+segment_distance finds the touching paths that it rejects too.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .geometry import (
     polygon_area,
     polyline_self_intersects,
     rotate_cw,
+    segment_distance,
     segments_properly_cross,
     unit_dir,
     wrap_angle,
@@ -511,6 +513,11 @@ def shortcut_path(tau1, tau2):
     construction is purely geometric and gauge independent. When some part
     of the region has no convex corner, the construction is tried once more
     without the vertices that either path runs straight through.
+
+    Paths that cross raise ValueError. Paths that only touch (P = Q, a
+    repeated vertex, or a vertex on an edge not at it) also bound a polygon
+    that is not simple: they raise ValueError where the construction finds
+    no convex corner, and give the path it finds elsewhere.
     """
     c1 = _dedup(np.asarray(tau1, dtype=float))
     c2 = _dedup(np.asarray(tau2, dtype=float))
@@ -520,16 +527,34 @@ def shortcut_path(tau1, tau2):
         raise ValueError("endpoints must match: tau1 P->Q, tau2 Q->P")
     if polyline_self_intersects(np.vstack([c1[:-1], c2[:-1], c1[:1]])):
         raise ValueError("paths cross: the enclosed region is not simple")
-    try:
-        return _shortcut(c1, c2)
-    except RuntimeError:
-        # a vertex that a chain runs straight through can block every chord
-        # and leave some part with no convex corner; without such vertices
-        # the region and, for every gauge, both chains' lengths are the same
-        s1, s2 = _straighten(c1), _straighten(c2)
-        if len(s1) == len(c1) and len(s2) == len(c2):
-            raise
-        return _shortcut(s1, s2)
+    # a vertex that a chain runs straight through can block every chord and
+    # leave some part with no convex corner; without such vertices the
+    # region and, for every gauge, both chains' lengths are the same
+    attempts = [(c1, c2)]
+    s1, s2 = _straighten(c1), _straighten(c2)
+    if len(s1) < len(c1) or len(s2) < len(c2):
+        attempts.append((s1, s2))
+    for chains in attempts:
+        try:
+            return _shortcut(*chains)
+        except RuntimeError as err:
+            failure = err
+    if _touches_itself(np.vstack([c1[:-1], c2[:-1]])):
+        raise ValueError("paths touch: the enclosed region is not simple") from failure
+    raise failure
+
+
+def _touches_itself(ring):
+    """Whether some vertex of the closed polygon ring lies on an edge not
+    at it, to the construction's tolerance of 1e-11 times the ring's extent:
+    a repeated vertex lies on the edges at its twin."""
+    n = len(ring)
+    k, i = np.indices((n, n)).reshape(2, -1)
+    j = (i + 1) % n
+    far = (k != i) & (k != j)
+    v = ring[k[far]]
+    scale = max(np.ptp(ring[:, 0]), np.ptp(ring[:, 1]), 1e-30)
+    return bool((segment_distance(v, v, ring[i[far]], ring[j[far]]) <= 1e-11 * scale).any())
 
 
 def _dedup(pts, tol=1e-12):

@@ -167,7 +167,7 @@ class _FixedWeights:
     def __init__(self, h):
         self.h = h
 
-    def h_at(self, mid, normal):
+    def h_at(self, pts, normal):
         return self.h
 
 
@@ -178,16 +178,16 @@ def test_symmetric_weights_are_the_orientation_rule_bit_for_bit():
     tiny = np.nextafter(0.0, 1.0)
     h = np.array([0.0, tiny, 1e-300, 0.3, 1.0, 2.0 / 3.0, 7.5, 1e300, np.finfo(float).max / 2])
     density = _FixedWeights(h)
-    mid = vec = np.zeros((len(h), 2))
+    p = q = np.zeros((len(h), 2))
     n = len(h)
     for left, right in itertools.product(range(3), repeat=2):
         for lab in ((left, right), (np.full(n, left), np.full(n, right))):
-            got = segment_weights(density, mid, vec, *lab)
+            got = segment_weights(density, p, q, *lab)
             assert got.tobytes() == orientation_rule(h, h, *lab).tobytes(), lab
             assert got.tolist() == (np.zeros(n) if left == right else h).tolist()
     # boolean labels, as chamber_perimeter passes them
     left, right = np.array([True, False, True] * 3), np.array([True, True, False] * 3)
-    got = segment_weights(density, mid, vec, left, right)
+    got = segment_weights(density, p, q, left, right)
     assert got.tobytes() == orientation_rule(h, h, left, right).tobytes()
 
 

@@ -513,6 +513,33 @@ class TestShortcut:
         with pytest.raises(ValueError):
             shortcut_path(tau1, tau2)
 
+    @pytest.mark.parametrize(
+        "tau1, tau2",
+        [
+            # quarter-grid split 7: P = Q
+            (
+                [[0.75, -0.75], [-0.25, 0.5], [0.75, -0.75]],
+                [[0.75, -0.75], [-0.75, -1.0], [0.0, 0.0], [0.75, -0.75]],
+            ),
+            # split 791: Q lies on tau1's first segment
+            (
+                [[0.75, 1.0], [0.75, -0.75], [1.0, 0.25], [0.75, 0.0]],
+                [[0.75, 0.0], [-1.0, 0.0], [0.75, 1.0]],
+            ),
+            # split 870: tau1 and tau2 both pass through (-0.25, 1.0)
+            (
+                [[-1.0, -1.0], [-0.25, 1.0], [0.5, -0.25], [-0.75, -0.5], [-0.25, 1.0], [-0.5, 0.75]],
+                [[-0.5, 0.75], [-0.25, 1.0], [-1.0, -1.0]],
+            ),
+        ],
+        ids=["p-equals-q", "vertex-on-edge", "repeated-vertex"],
+    )
+    def test_touching_chains_rejected(self, tau1, tau2):
+        # no proper crossing, but the polygon is not simple, and no convex
+        # corner is left to cut
+        with pytest.raises(ValueError, match="paths touch"):
+            shortcut_path(np.array(tau1), np.array(tau2))
+
     def test_straight_chain_gives_the_chord(self):
         # every chord of the straight tau1 has a vertex on it, and none of its
         # corners is convex
@@ -570,10 +597,12 @@ def shortcut_outcome(tau1, tau2):
 def test_shortcut_outputs_are_pinned():
     # one digest over every output and error on 1,700 splits, taken from the
     # scalar predicates that geometry's batched ones replaced; 350 of the
-    # grid splits cross and 6 have no convex corner, none of them simple.
-    # Grid split 1016 runs straight through (-0.5, 0) and takes the retry
-    # without it
+    # grid splits cross, and 6 touch without crossing and have no convex
+    # corner, which raised RuntimeError until touching paths were rejected
+    # with ValueError; every path returned stayed the same. 16 other
+    # touching splits return a path. Grid split 1016 runs straight through
+    # (-0.5, 0) and takes the retry without it
     digest = hashlib.sha256()
     for tau1, tau2 in [*criterion_08_splits(), *quarter_grid_splits()]:
         digest.update(shortcut_outcome(tau1, tau2))
-    assert digest.hexdigest() == "3a4ab169175c495d6f6c480d036692666249a39c8771881d9e298ccabf224be2"
+    assert digest.hexdigest() == "2cdc1d2efc1904628318f41771b5394308c91bc2fc786180eec855d22a82c229"

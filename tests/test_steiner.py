@@ -511,8 +511,7 @@ def arms_perimeter(density, origin, ends, colors):
     the solver prices a segment. Walking out along arm i, the sector swept
     clockwise from it, colors[i], is on the right; colors[i - 1] on the left."""
     colors = np.asarray(colors)
-    mid, vec = 0.5 * (origin + ends), ends - origin
-    return float(segment_weights(density, mid, vec, np.roll(colors, 1), colors).sum())
+    return float(segment_weights(density, origin, ends, np.roll(colors, 1), colors).sum())
 
 
 JUNCTION_GAUGES = smooth_gauge_list() + [
