@@ -119,22 +119,24 @@ def orientation_rule(h_fwd, h_rev, left, right):
     )
 
 
+def symmetric_rule(h, left, right):
+    """orientation_rule(h, h, left, right), for a symmetric density or gauge
+    whose two sides are equal bit for bit: h wherever the labels differ,
+    since the mean 0.5 * (h + h) rounds to h (doubling and halving are exact
+    below half the largest double), and 0 where they are equal: one where."""
+    return np.where(np.asarray(left) == np.asarray(right), 0.0, h)
+
+
 def segment_weights(density, p, q, left, right):
     """Perimeter weight of each segment from p to q, (S, 2) arrays of its
     endpoints, under the orientation convention, in one Density.h_at call:
-    of the clockwise normals of q - p alone when the density is symmetric,
-    whose two sides are equal bit for bit, else of the normals and their
-    negatives stacked. The midpoints 0.5 * (p + q) are formed only for a
-    gauge field, the one h_at that reads its points.
-
-    With equal sides orientation_rule(h, h, left, right) is h wherever the
-    labels differ, since its mean 0.5 * (h + h) rounds to h (doubling and
-    halving are exact below half the largest double), and 0 where they are
-    equal: one where."""
+    of the clockwise normals of q - p alone when the density is symmetric
+    (symmetric_rule), else of the normals and their negatives stacked. The
+    midpoints 0.5 * (p + q) are formed only for a gauge field, the one h_at
+    that reads its points."""
     normal = rotate_cw(q - p)
     if density.symmetric:
-        h = density.h_at(None, normal)
-        return np.where(np.asarray(left) == np.asarray(right), 0.0, h)
+        return symmetric_rule(density.h_at(None, normal), left, right)
     mid = None if density.uniform_gauge else np.stack([0.5 * (p + q)] * 2)
     h_fwd, h_rev = density.h_at(mid, np.stack([normal, -normal]))
     return orientation_rule(h_fwd, h_rev, left, right)

@@ -35,9 +35,10 @@ class Gauge:
     #: True when the gauge is C^1 away from the origin.
     smooth = True
     #: True when value(-v) == value(v) and grad(-v) == -grad(v) hold bit for
-    #: bit by construction. cluster.segment_weights relies on it: it prices
-    #: one side of every segment and takes it for both, so a gauge that sets
-    #: it and breaks it changes every perimeter the solver sees.
+    #: bit by construction. cluster.segment_weights and
+    #: slices.oriented_weight rely on it: they price one side of every
+    #: segment and take it for both, so a gauge that sets it and breaks it
+    #: changes every perimeter the solver and the slice moves see.
     symmetric = False
 
     def value(self, v):

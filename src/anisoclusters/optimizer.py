@@ -37,15 +37,16 @@ evaluations on them.
 
 Each evaluation makes one gauge call. The objective gathers every
 segment's endpoints once and prices the perimeter and the volumes from
-that gather. Its segment_weights call takes the endpoints, forms midpoints
-only for a gauge field, the one density whose h_at reads them, and
-evaluates one side only when the density is symmetric (Density.symmetric),
-where the orientation rule reduces to one where on the labels, and both
-sides stacked otherwise. The gradient prices the + and - stencil in one
-segment_weights and one fan_volume_terms call, on the stencil as gathered
-when every entry is active. Gathers use take, and scatters np.bincount,
-which adds in the order np.add.at does. The iterates are the same, bit
-for bit, as those of one call per side and stencil sign.
+that gather; after an accepted step the collapse check reads its segment
+lengths from the same gather. Its segment_weights call takes the
+endpoints, forms midpoints only for a gauge field, the one density whose
+h_at reads them, and evaluates one side only when the density is symmetric
+(Density.symmetric), where the orientation rule reduces to one where on
+the labels, and both sides stacked otherwise. The gradient prices the +
+and - stencil in one segment_weights and one fan_volume_terms call, on the
+stencil as gathered when every entry is active. Gathers use take, and
+scatters np.bincount, which adds in the order np.add.at does. The iterates
+are the same, bit for bit, as those of one call per side and stencil sign.
 
 What depends on the vertex numbering alone (segment arrays, masks,
 gathers, scatter indices, the dof map, the stencil's layout and the broad
@@ -411,9 +412,11 @@ class _Mesh:
         self.left, self.right = left, right
         wall, pinned, kept = (role[eid] for role in roles)
         self.active = ~wall & (left != right)
-        # the segments resampling redistributes, for collapsed()
-        cut = ~kept
-        self.cut_i0, self.cut_i1, self.cut_eid = i0[cut], i1[cut], eid[cut]
+        # the segments resampling redistributes, for collapsed(): all of
+        # them (None) or a take of cut
+        cut = np.flatnonzero(~kept)
+        self.cut = None if len(cut) == len(i0) else cut
+        self.cut_eid = eid[cut]
         self.min_count = np.array([_min_count(e) for e in cluster.edges])
 
         # segment s has its start at ends[2 s] and its end at ends[2 s + 1]
@@ -556,12 +559,14 @@ class _Mesh:
             caps[j] = min(caps[j], 0.4 * d)
         return caps
 
-    def collapsed(self, V, target_len):
+    def collapsed(self, X, target_len):
         """True when a segment of a free edge is shorter than
         COLLAPSE_FRACTION of the segment length resample_cluster would give
         its edge. Kept edges are never resampled, and a single-segment edge
-        is never shorter than its resampled segments, so neither counts."""
-        d = V.take(self.cut_i1, axis=0) - V.take(self.cut_i0, axis=0)
+        is never shorter than its resampled segments, so neither counts.
+        X holds every segment's endpoints, as objective gathered them."""
+        P, Q = X if self.cut is None else X.take(self.cut, axis=1)
+        d = Q - P
         lens = np.hypot(d[:, 0], d[:, 1])
         L = np.bincount(self.cut_eid, weights=lens, minlength=len(self.min_count))
         spacing = L / _resample_count(L, self.min_count, target_len)
@@ -590,7 +595,11 @@ class _Mesh:
     def objective(self, V, lam, mu, P0):
         """The objective, the interface perimeter and the relative volume
         errors, all from one gather of the segments' endpoints."""
-        X = V.take(self.seg_ends, axis=0)
+        return self._objective(V.take(self.seg_ends, axis=0), lam, mu, P0)
+
+    def _objective(self, X, lam, mu, P0):
+        """objective from every segment's endpoints X, stacked as
+        V.take(seg_ends, axis=0) gives them."""
         P = self._perimeter(X)
         e = (self._volumes(X) - self.targets) / self.targets
         f = P / P0 + float((lam * e).sum()) + 0.5 * mu * float((e * e).sum())
@@ -702,13 +711,14 @@ def _descend(cl, density, targets, lam, mu, opts, rs_len, mesh):
                 if gd >= 0.0:
                     break
                 Vt = _apply_step(V, mesh, d)
-                ft, Pt, et = mesh.objective(Vt, lam, mu, P0)
+                Xt = Vt.take(mesh.seg_ends, axis=0)
+                ft, Pt, et = mesh._objective(Xt, lam, mu, P0)
                 if ft <= f_ref + 1e-4 * gd:
                     if _has_crossing(Vt, ends):
                         rejections += 1
                         tt *= 0.5
                         continue
-                    V, f, Pint, e = Vt, ft, Pt, et
+                    V, X, f, Pint, e = Vt, Xt, ft, Pt, et
                     d_prev = d
                     accepted = True
                     break
@@ -720,7 +730,7 @@ def _descend(cl, density, targets, lam, mu, opts, rs_len, mesh):
             if len(recent) > 8:
                 recent.pop(0)
             trace.append(Pint)
-            if mesh.collapsed(V, rs_len):
+            if mesh.collapsed(X, rs_len):
                 collapsed = True
                 break
             g_prev = g

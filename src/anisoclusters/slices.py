@@ -9,15 +9,17 @@ clusters' orientation rule (cluster.orientation_rule): a segment between a
 colored and a white region is weighed one sidedly, one between two distinct
 colored regions symmetrically, by oriented_weight.
 
-Each move family is stated once, as arrays: for one configuration it gives
-a table of candidates (one row each, slides and tripods over all of
-EPS_GRID) with their segments in network order. improve stacks the base
-network and every family's rows, prices the configuration's radii once and
-every other segment in one more oriented_weight call, and sums each row's
-weights in segment order; its result keeps only the winning move, and
-rebuilds the winner's network from that move's one-row table when read.
-enumerate_moves builds every candidate's network from the same rows. A
-network holds its segments as arrays, one row each.
+Each move family is stated once, as arrays: for one configuration it
+selects its moves (slides and tripods over all of EPS_GRID) and writes one
+row per candidate, in place, into a table that every family shares and that
+is sized once. A row holds the configuration's radii only as labels and a
+mask, and its extra segments as endpoint arrays. improve prices the radii
+once and every extra segment in one more oriented_weight call, sums each
+row's weights in segment order, and decodes only the winning row's move from
+its family and offset; its result rebuilds the winner's network from that
+move's one-row table, written by the same family, when read. enumerate_moves
+decodes every row of the same table. A network holds its segments as arrays,
+one row each.
 
 shortcut_path is the paper's other explicit competitor: a path between two
 points inside the polygon that two paths between them bound, no longer in
@@ -31,12 +33,13 @@ segment_distance finds the touching paths that it rejects too.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .cluster import _ordered_sum, orientation_rule
+from .cluster import _ordered_sum, orientation_rule, symmetric_rule
 from .gauge import strict_convexity_margin
 from .geometry import (
     TWO_PI,
@@ -56,8 +59,12 @@ EPS_GRID = tuple(0.5 ** k for k in range(1, 21))
 
 
 def oriented_weight(gauge, vec, left, right):
-    """Weights of segments with travel vectors vec (..., 2) and side labels."""
+    """Weights of segments with travel vectors vec (..., 2) and side labels,
+    in one gauge call: of the clockwise normals alone for a symmetric gauge
+    (cluster.symmetric_rule), else of the normals and their negatives."""
     n = rotate_cw(vec)
+    if gauge.symmetric:
+        return symmetric_rule(gauge.value(n), left, right)
     h_fwd, h_rev = gauge.value(np.array([n, -n]))
     return orientation_rule(h_fwd, h_rev, left, right)
 
@@ -108,8 +115,9 @@ class CompetitorNetwork:
 @dataclass(slots=True)
 class ImproveResult:
     """The best move of config. It keeps the configuration and the move, not
-    the winner's segments: network rebuilds them from the move's one-row
-    family table on each read, bit for bit as improve priced them."""
+    the winner's segments: network rebuilds them on each read from a table
+    of the move's one row, which its family writes bit for bit as for
+    improve's table."""
 
     config: SliceConfig
     delta: float
@@ -122,7 +130,7 @@ class ImproveResult:
     def network(self):
         """The winning competitor network."""
         kind, *args = self.move
-        return _network(self.config, _ONE_MOVE[kind](self.config, *args), 0)
+        return _one_network(self.config, _ONE_MOVE[kind](self.config, *args))
 
 
 class SliceConfig:
@@ -182,7 +190,7 @@ class SliceConfig:
         return self._gaps
 
     def base_network(self):
-        return _network(self, _base(self), 0)
+        return _one_network(self, _BASE)
 
     def perimeter(self):
         return self.base_network().perimeter()
@@ -194,57 +202,83 @@ class SliceConfig:
 _FLAT = np.pi - 1e-12
 
 
+class _Block(NamedTuple):
+    """One move family's rows of a table, a grid of one row per head and
+    step in row-major order: len(heads) by len(eps), or by 1 for a family
+    without steps. write(left, right, real, p0, p1) fills them in place,
+    given the table's arrays restricted to the block's rows and shaped
+    (heads, steps, ...) as views; width is the most extra segments a row
+    has."""
+
+    heads: list
+    eps: tuple
+    width: int
+    write: Callable
+
+    def move(self, i):
+        """The move of the block's row i: its head, with its step if any."""
+        if not self.eps:
+            return self.heads[i]
+        e = len(self.eps)
+        return self.heads[i // e] + (self.eps[i % e],)
+
+
 class _Table(NamedTuple):
     """Candidate networks of one configuration as one table.
 
-    Row r is the network of moves[r]: its segments are the columns c with
-    real[r, c], in column order, running from p0[r, c] to p1[r, c] with the
-    labels left[r, c] and right[r, c]. Columns where real is False pad the
-    row and are never priced.
+    Columns c < n stand for the configuration's n radii, in every row from
+    the origin to config.points()[c]; column n + c is the row's extra
+    segment c, from p0[r, c] to p1[r, c]. Row r's network is its columns c
+    with real[r, c], in column order, with the labels left[r, c] and
+    right[r, c]; other columns are never priced. The rows are the blocks'
+    grids one after another, blocks holding each one's first row, and
+    move(r) decodes row r's move from its block and its offset there.
     """
 
-    moves: list
-    p0: np.ndarray
-    p1: np.ndarray
+    blocks: tuple
     left: np.ndarray
     right: np.ndarray
     real: np.ndarray
+    p0: np.ndarray
+    p1: np.ndarray
+
+    def move(self, r):
+        """Row r's move, from the last block that starts at or before r."""
+        for first, block in reversed(self.blocks):
+            if r >= first:
+                return block.move(r - first)
+
+    @property
+    def moves(self):
+        """Every row's move, in row order."""
+        return [self.move(r) for r in range(len(self.real))]
 
 
-def _rows(config, moves, keep, left, right, extra=()):
-    """Rows of the radii kept in keep, with labels left/right, followed by
-    the extra segments; each extra is one column (q0, q1, left, right) of
-    per-row arrays."""
-    count, n = keep.shape
-    cols = [(np.zeros((count, n, 2)), np.broadcast_to(config.points(), (count, n, 2)), left, right, keep)]
-    for q0, q1, l, r in extra:
-        cols.append((q0[:, None], q1[:, None], l[:, None], r[:, None], np.ones((count, 1), bool)))
-    return _Table(list(moves), *(np.concatenate(a, axis=1) for a in zip(*cols)))
+def _table(config, blocks):
+    """The table of the blocks' rows, in order. Its arrays are sized once
+    for every block and start as the base network in each row, every extra
+    column white and at the centre; each block then writes its own rows in
+    place."""
+    n = config.n
+    grids = [(len(b.heads), len(b.eps) or 1) for b in blocks]
+    rows = sum([h * e for h, e in grids])
+    width = n + max([b.width for b in blocks])
+    left, right = np.zeros((2, rows, width), int)
+    left[:, :n], right[:, :n] = config._left, config._right
+    real = np.zeros((rows, width), bool)
+    real[:, :n] = True
+    p0, p1 = np.zeros((2, rows, width - n, 2))
+    arrays = (left, right, real, p0, p1)
+    firsts, first = [], 0
+    for block, (h, e) in zip(blocks, grids):
+        block.write(*[a[first : first + h * e].reshape((h, e) + a.shape[1:]) for a in arrays])
+        firsts.append(first)
+        first += h * e
+    return _Table(tuple(zip(firsts, blocks)), *arrays)
 
 
-def _stack(tables):
-    """One table of the rows of tables, in order, padded to equal width."""
-    width = max(t.real.shape[1] for t in tables)
-    out = [np.zeros((sum(len(t.moves) for t in tables), width) + a.shape[2:], a.dtype) for a in tables[0][1:]]
-    row = 0
-    for t in tables:
-        count, cols = t.real.shape
-        for o, a in zip(out, t[1:]):
-            o[row : row + count, :cols] = a
-        row += count
-    return _Table([m for t in tables for m in t.moves], *out)
-
-
-def _labels(config, count):
-    """The sector labels, and each radius's (left, right) labels repeated
-    into one writable row per candidate."""
-    c = config._left
-    return c, np.repeat(c[None], count, axis=0), np.repeat(config._right[None], count, axis=0)
-
-
-def _base(config):
-    _, left, right = _labels(config, 1)
-    return _rows(config, [None], np.ones((1, config.n), bool), left, right)
+# the base network: every radius, no extra segment
+_BASE = _Block([None], (), 0, lambda *rows: None)
 
 
 def _chords(config, ks):
@@ -255,24 +289,26 @@ def _chords(config, ks):
     keeps the sector's label so the trace on the circle is unchanged.
     Sectors spanning pi or more give no row.
     """
-    n, pts = config.n, config.points()
+    n, pts, c = config.n, config.points(), config._left
     ks = np.asarray(ks, dtype=int)
     ks = ks[~(config.gaps()[ks] >= _FLAT)]
     kq = (ks + 1) % n
-    c, left, right = _labels(config, len(ks))
     c_p, c_int, c_q = c[ks - 1], c[ks], c[kq]
     both = (c_p == 0) & (c_q == 0)
     q_white = (c_q == 0) & ~both
     # the triangle takes the label of the radius it absorbs
     tri = np.where(both, 0, np.where(q_white, c_p, c_q))
-    row = np.arange(len(ks))
-    keep = np.ones((len(ks), n), bool)
-    keep[row, ks] = ~(both | q_white)
-    keep[row, kq] = q_white
-    left[row, ks] = tri
-    right[row, kq] = tri
-    moves = [("chord", k) for k in ks.tolist()]
-    return _rows(config, moves, keep, left, right, [(pts[ks], pts[kq], tri, c_int)])
+
+    def write(left, right, real, p0, p1):
+        row = np.arange(len(ks))
+        real[row, 0, ks] = ~(both | q_white)
+        real[row, 0, kq] = q_white
+        left[row, 0, ks] = tri
+        right[row, 0, kq] = tri
+        p0[:, 0, 0], p1[:, 0, 0] = pts[ks], pts[kq]
+        left[:, 0, n], right[:, 0, n], real[:, 0, n] = tri, c_int, True
+
+    return _Block([("chord", k) for k in ks.tolist()], (), 1, write)
 
 
 def _white_spans(config):
@@ -298,9 +334,8 @@ def _join_whites(config, spans):
     Spans that are not colored runs between whites, or that span pi or
     more, give no row.
     """
-    n, pts, gaps = config.n, config.points(), config.gaps()
-    c = config._left
-    tables = []
+    n, pts, gaps, c = config.n, config.points(), config.gaps(), config._left
+    runs = []
     for j, k in spans:
         idx = np.arange(j, j + (k - j) % n + 1) % n
         kq, j = (idx[-1] + 1) % n, j % n
@@ -309,24 +344,32 @@ def _join_whites(config, spans):
         # gaps summed one after another: the test at pi sees the last bit
         if _ordered_sum(gaps[idx]) >= _FLAT:
             continue
-        _, left, right = _labels(config, 1)
-        keep = np.ones((1, n), bool)
-        keep[0, [j, kq]] = False
-        keep[0, idx[1:]] = False
-        # radius s crosses the chord at parameter t along p_end -> p_start
-        p_end, p_start = pts[kq], pts[j]
-        chord = p_start - p_end
-        inner = idx[1:][::-1]
-        u = pts[inner]
-        t = -cross2(p_end, u) / cross2(chord, u)
-        hits = p_end + t[:, None] * chord
-        clipped = [(h, p, c[s], c[s - 1]) for h, p, s in zip(hits, u, inner)]
-        ends = np.vstack([p_end, hits, p_start])
-        labels = np.append(c[inner], c[j])
-        pieces = [(a, b, lab, 0) for a, b, lab in zip(ends[:-1], ends[1:], labels)]
-        extra = [tuple(np.array([x]) for x in seg) for seg in clipped + pieces]
-        tables.append(_rows(config, [("join-whites", j, k % n)], keep, left, right, extra))
-    return _stack(tables) if tables else None
+        runs.append((j, k % n, idx, kq))
+
+    def write(left, right, real, p0, p1):
+        for row, (j, _, idx, kq) in enumerate(runs):
+            real[row, 0, idx] = False
+            real[row, 0, kq] = False
+            # radius s crosses the chord at parameter t along p_end -> p_start
+            p_end, p_start = pts[kq], pts[j]
+            chord = p_start - p_end
+            inner = idx[1:][::-1]
+            u = pts[inner]
+            t = -cross2(p_end, u) / cross2(chord, u)
+            hits = p_end + t[:, None] * chord
+            # each interior radius beyond the chord, then the chord's pieces
+            # from p_end through the hits to p_start, white on their right
+            s, x = len(inner), n + len(inner)
+            p0[row, 0, :s], p1[row, 0, :s] = hits, u
+            left[row, 0, n:x], right[row, 0, n:x] = c[inner], c[inner - 1]
+            p0[row, 0, s], p0[row, 0, s + 1 : 2 * s + 1] = p_end, hits
+            p1[row, 0, s : 2 * s], p1[row, 0, 2 * s] = hits, p_start
+            left[row, 0, x : x + s], left[row, 0, x + s] = c[inner], c[j]
+            right[row, 0, x : x + s + 1] = 0
+            real[row, 0, n : x + s + 1] = True
+
+    width = max([2 * len(idx) - 1 for _, _, idx, _ in runs], default=0)
+    return _Block([("join-whites", j, k) for j, k, _, _ in runs], (), width, write)
 
 
 def _slides(config, pairs, eps):
@@ -338,28 +381,27 @@ def _slides(config, pairs, eps):
     label of the sector on the far side of radius m. Pairs whose swept
     sector spans pi or more give no rows.
     """
-    n, pts, gaps = config.n, config.points(), config.gaps()
+    n, pts, gaps, c = config.n, config.points(), config.gaps(), config._left
     m, side = np.array(pairs, dtype=int).reshape(-1, 2).T
     j = (m + side) % n
     ok = ~(np.where(side == 1, gaps[m], gaps[j]) >= _FLAT)
     m, side, j = m[ok], side[ok], j[ok]
-    c, left, right = _labels(config, len(m))
-    keep = np.ones((len(m), n), bool)
-    keep[np.arange(len(m)), m] = False
-    keep[np.arange(len(m)), j] = False
-    ahead = side == 1
-    stub_left = np.where(ahead, c[j], c[m])
-    stub_right = np.where(ahead, c[m - 1], c[j - 1])
-    e = len(eps)
-    v = (np.asarray(eps, dtype=float)[None, :, None] * pts[j][:, None, :]).reshape(-1, 2)
-    m, j, stub_left, stub_right = (np.repeat(a, e) for a in (m, j, stub_left, stub_right))
-    moves = [("slide", a, s, x) for a, s in zip(m[::e].tolist(), side.tolist()) for x in eps]
-    extra = [
-        (v, pts[m], c[m], c[m - 1]),
-        (np.zeros_like(v), v, stub_left, stub_right),
-        (v, pts[j], c[j], c[j - 1]),
-    ]
-    return _rows(config, moves, *(np.repeat(a, e, axis=0) for a in (keep, left, right)), extra)
+
+    def write(left, right, real, p0, p1):
+        pair = np.arange(len(m))
+        real[pair, :, m] = False
+        real[pair, :, j] = False
+        # the slid endpoint v, a step e along radius j; the extras are
+        # v -> radius m's end, the stub centre -> v, and v -> radius j's end
+        v = np.asarray(eps, dtype=float)[:, None] * pts[j][:, None]
+        p0[:, :, 0] = p0[:, :, 2] = p1[:, :, 1] = v
+        p1[:, :, 0], p1[:, :, 2] = pts[m][:, None], pts[j][:, None]
+        ahead = side == 1
+        left[:, :, n : n + 3] = c[np.array([m, np.where(ahead, j, m), j])].T[:, None]
+        right[:, :, n : n + 3] = c[np.array([m - 1, np.where(ahead, m - 1, j - 1), j - 1])].T[:, None]
+        real[:, :, n : n + 3] = True
+
+    return _Block([("slide", a, s) for a, s in zip(m.tolist(), side.tolist())], eps, 3, write)
 
 
 def _tripods(config, ms, eps):
@@ -370,39 +412,28 @@ def _tripods(config, ms, eps):
     the three new segments carry the labels of the three sectors around the
     replaced pair. Sectors spanning pi or more give no rows.
     """
-    n, pts = config.n, config.points()
+    n, pts, c = config.n, config.points(), config._left
     m = np.asarray(ms, dtype=int)
     m = m[~(config.gaps()[m] >= _FLAT)]
     mq = (m + 1) % n
-    c, left, right = _labels(config, len(m))
-    keep = np.ones((len(m), n), bool)
-    keep[np.arange(len(m)), m] = False
-    keep[np.arange(len(m)), mq] = False
-    e = len(eps)
-    w = (np.asarray(eps, dtype=float)[None, :, None] * (pts[m] + pts[mq])[:, None, :]).reshape(-1, 2)
-    moves = [("tripod", a, x) for a in m.tolist() for x in eps]
-    m, mq = np.repeat(m, e), np.repeat(mq, e)
-    extra = [
-        (np.zeros_like(w), w, c[mq], c[m - 1]),
-        (w, pts[m], c[m], c[m - 1]),
-        (w, pts[mq], c[mq], c[m]),
-    ]
-    return _rows(config, moves, *(np.repeat(a, e, axis=0) for a in (keep, left, right)), extra)
+
+    def write(left, right, real, p0, p1):
+        pair = np.arange(len(m))
+        real[pair, :, m] = False
+        real[pair, :, mq] = False
+        # the inner vertex w; the extras are centre -> w, w -> radius m's
+        # end and w -> radius m+1's end
+        w = np.asarray(eps, dtype=float)[:, None] * (pts[m] + pts[mq])[:, None]
+        p1[:, :, 0] = p0[:, :, 1] = p0[:, :, 2] = w
+        p1[:, :, 1], p1[:, :, 2] = pts[m][:, None], pts[mq][:, None]
+        left[:, :, n : n + 3] = c[np.array([mq, m, mq])].T[:, None]
+        right[:, :, n : n + 3] = c[np.array([m - 1, m - 1, m])].T[:, None]
+        real[:, :, n : n + 3] = True
+
+    return _Block([("tripod", a) for a in m.tolist()], eps, 3, write)
 
 
-def _families(config):
-    """Every move family's rows, in enumerate_moves order."""
-    n = range(config.n)
-    tables = [
-        _chords(config, n),
-        _join_whites(config, _white_spans(config)),
-        _slides(config, [(m, side) for m in n for side in (1, -1)], EPS_GRID),
-        _tripods(config, n, EPS_GRID),
-    ]
-    return [t for t in tables if t is not None]
-
-
-# each family's table of one move, from the move's descriptor fields
+# each family's block of one move, from the move's descriptor fields
 _ONE_MOVE = {
     "chord": lambda config, k: _chords(config, [k]),
     "join-whites": lambda config, j, k: _join_whites(config, [(j, k)]),
@@ -411,45 +442,74 @@ _ONE_MOVE = {
 }
 
 
-def _network(config, rows, r):
-    """The competitor network of row r."""
-    real = rows.real[r]
-    return CompetitorNetwork(rows.p0[r, real], rows.p1[r, real], rows.left[r, real], rows.right[r, real],
-                             config.gauge)
+def _networks(config, table):
+    """The competitor network of every row of table, in row order. The real
+    columns of all rows, read row by row, are every network's segments one
+    network after another; each network gets a copy of its run."""
+    n, real = config.n, table.real
+    rows = len(real)
+    p0 = np.concatenate([np.zeros((rows, n, 2)), table.p0], axis=1)[real]
+    p1 = np.concatenate([np.broadcast_to(config.points(), (rows, n, 2)), table.p1], axis=1)[real]
+    left, right = table.left[real], table.right[real]
+    ends = real.sum(axis=1).cumsum().tolist()
+    return [
+        CompetitorNetwork(p0[a:b].copy(), p1[a:b].copy(), left[a:b].copy(), right[a:b].copy(), config.gauge)
+        for a, b in zip([0] + ends[:-1], ends)
+    ]
 
 
-def _perimeters(config, rows):
-    """Each row's perimeter. The first n columns of every row are the radii,
-    the same n vectors in every row: they are priced in one oriented_weight
-    call whose labels spread them over the rows, and the real extra segments
-    of all rows in one more. A gauge call rounds each vector alike whatever
-    else the batch holds, so every weight has the bits of pricing its
-    segment alone. Each row's weights are then summed in segment order,
-    because analytically tied moves must keep their order (the padding adds
-    exact zeros)."""
-    n, real = config.n, rows.real
+def _one_network(config, block):
+    """The network of block's one row."""
+    (network,) = _networks(config, _table(config, [block]))
+    return network
+
+
+def _candidates(config):
+    """The table of the base network (row 0) and every move family's rows,
+    in enumerate_moves order."""
+    n = range(config.n)
+    return _table(config, [
+        _BASE,
+        _chords(config, n),
+        _join_whites(config, _white_spans(config)),
+        _slides(config, [(m, side) for m in n for side in (1, -1)], EPS_GRID),
+        _tripods(config, n, EPS_GRID),
+    ])
+
+
+def _perimeters(config, table):
+    """Each row's perimeter. The radii are the same n vectors in every row:
+    they are priced in one oriented_weight call whose labels spread them
+    over the rows, and the real extra segments of all rows in one more. A
+    gauge call rounds each vector alike whatever else the batch holds, so
+    every weight has the bits of pricing its segment alone. Each row's
+    weights are then summed in segment order, because analytically tied
+    moves must keep their order (columns that are not real add exact
+    zeros)."""
+    n, real = config.n, table.real
     w = np.zeros(real.shape)
-    w[:, :n] = np.where(
-        real[:, :n], oriented_weight(config.gauge, config.points(), rows.left[:, :n], rows.right[:, :n]), 0.0
-    )
-    extra = real[:, n:]
-    p0, p1, left, right = (a[:, n:][extra] for a in (rows.p0, rows.p1, rows.left, rows.right))
-    w[:, n:][extra] = oriented_weight(config.gauge, p1 - p0, left, right)
-    return np.cumsum(w, axis=1)[:, -1]
+    radii = oriented_weight(config.gauge, config.points(), table.left[:, :n], table.right[:, :n])
+    w[:, :n] = np.where(real[:, :n], radii, 0.0)
+    # the real extras, read by flat index: extra segment c of row r is at
+    # r * W + c in p0 and p1 (each row W extras wide), and at r * (n + W) +
+    # n + c in the other arrays
+    extra = np.flatnonzero(real[:, n:])
+    at = extra + (extra // table.p0.shape[1] + 1) * n
+    vec = table.p1.reshape(-1, 2).take(extra, axis=0) - table.p0.reshape(-1, 2).take(extra, axis=0)
+    w.put(at, oriented_weight(config.gauge, vec, table.left.take(at), table.right.take(at)))
+    return w.cumsum(axis=1)[:, -1]
 
 
 def _priced(config):
-    """The table of the base network (row 0) and every candidate, in
-    enumerate_moves order, and each row's perimeter."""
-    rows = _stack([_base(config), *_families(config)])
-    return rows, _perimeters(config, rows)
+    """The table of _candidates, and each row's perimeter."""
+    table = _candidates(config)
+    return table, _perimeters(config, table)
 
 
 def enumerate_moves(config):
     """Yield (move descriptor, network) over all families, deterministic order."""
-    rows = _stack(_families(config))
-    for r, move in enumerate(rows.moves):
-        yield move, _network(config, rows, r)
+    table = _candidates(config)
+    yield from zip(table.moves[1:], _networks(config, table)[1:])
 
 
 def improve(config):
@@ -461,22 +521,22 @@ def improve(config):
     be nonpositive). Of equal deltas the first enumerated wins. The base
     network and every candidate are priced together: the configuration's
     radii in one oriented_weight call and every other segment in one more.
-    The result keeps the configuration and the winning move, and builds the
-    winner's network only when it is read.
+    Only the winner's move is decoded; the result keeps the configuration
+    and that move, and builds the winner's network only when it is read.
     """
     if config.n < 4:
         raise ValueError("hypothesis not met: need more than three radii")
-    rows, prices = _priced(config)
-    if len(rows.moves) == 1:
+    table, prices = _priced(config)
+    if len(prices) == 1:
         raise ValueError("no applicable move (all sectors span at least pi)")
     base = float(prices[0])
     deltas = base - prices[1:]
-    r = int(np.argmax(deltas))
+    r = int(deltas.argmax())
     delta = float(deltas[r])
     return ImproveResult(
         config=config,
         delta=delta,
-        move=rows.moves[r + 1],
+        move=table.move(r + 1),
         perimeter_before=base,
         perimeter_after=base - delta,
         guaranteed=_strictly_convex(config.gauge),

@@ -1253,7 +1253,8 @@ def reference_gradient(mesh, V, lam, mu, e, P0):
 
 
 def reference_collapsed(mesh, V, target_len):
-    d = V[mesh.cut_i1] - V[mesh.cut_i0]
+    cut = np.arange(len(mesh.i0)) if mesh.cut is None else mesh.cut
+    d = V[mesh.i1[cut]] - V[mesh.i0[cut]]
     lens = np.hypot(d[:, 0], d[:, 1])
     L = np.zeros(len(mesh.min_count))
     np.add.at(L, mesh.cut_eid, lens)
@@ -1334,6 +1335,8 @@ class TestFusedEvaluations:
             prev.near_ends(dilated.vertices, 0.0)
         mesh = optimizer._Mesh(cl, density, targets, rs_len, prev)
         assert (mesh.i0 is getattr(prev, "i0", None)) == carried
+        # the bubble resamples every segment, and collapsed() reads them all
+        assert (mesh.cut is None) == (kind == "bubble")
         assert mesh.n > 0
         assert density.symmetric == (name in ("euclidean", "l3"))
         lam, mu = np.linspace(-0.3, 0.4, cl.m), 20.0
@@ -1358,7 +1361,8 @@ class TestFusedEvaluations:
             assert np.array_equal(columns_sorted(ends), columns_sorted(ref_ends))
             # at 100 rs_len resampling leaves one segment per open edge
             for target_len in (rs_len, 100.0 * rs_len):
-                assert mesh.collapsed(Vt, target_len) == reference_collapsed(mesh, Vt, target_len)
+                Xt = Vt.take(mesh.seg_ends, axis=0)
+                assert mesh.collapsed(Xt, target_len) == reference_collapsed(mesh, Vt, target_len)
         # the caps of the largest step see pairs, and some step collapses
         assert np.isfinite(reference_clearance_caps(V, mesh, caps)[0]).any()
         assert reference_collapsed(mesh, V, 100.0 * rs_len) or kind == "walled"

@@ -402,6 +402,30 @@ def test_improve_equals_the_per_network_loop():
     assert sum(0 in cfg.colors for cfg in draws) >= 100
 
 
+def improve_outcome(res):
+    """improve's result as bytes: delta, move, both perimeters, the
+    guarantee flag, and the winning network's four arrays."""
+    net = res.network
+    fields = (res.delta, res.move, res.perimeter_before, res.perimeter_after, res.guaranteed)
+    arrays = (net.p0, net.p1, net.left, net.right)
+    return repr(fields).encode() + b"".join(repr((a.dtype.str, a.shape)).encode() + a.tobytes() for a in arrays)
+
+
+def test_improve_outputs_are_pinned():
+    # one digest over improve's results on 413 configurations: criterion 07's
+    # draws, the white-sector draws, and 150 seeded configurations of 4 to 8
+    # radii under the Euclidean, ellipse and smoothed-l1 gauges; taken from
+    # the table stacked from one table per family, before the families
+    # wrote their rows in place
+    rng = np.random.default_rng(30)
+    gauges = [EuclideanGauge(), EllipseGauge([[2.0, 0.3], [0.3, 1.0]]), SmoothedL1Gauge(0.35)]
+    seeded = [random_slice_config(rng, gauges[t % 3]) for t in range(150)]
+    digest = hashlib.sha256()
+    for cfg in [*criterion_07_draws(), *white_sector_draws(), *seeded]:
+        digest.update(improve_outcome(improve(cfg)))
+    assert digest.hexdigest() == "dd8af5c53f21d0f5e640b13761ad11f59d6eac5fd9ba41336f8fefeb618921a4"
+
+
 def test_improve_result_retains_little_memory():
     # the result keeps the configuration and the winning move, not the
     # winner's segments: ~225 B, against ~1,200 B with the network's arrays
