@@ -78,20 +78,25 @@ class Gauge:
         return f"{type(self).__name__}({ps})"
 
 
+def _euclidean_norm(v):
+    """np.linalg.norm(v, axis=-1)'s formula, sqrt(x^2 + y^2) summed in that
+    order, without its reduction over an axis of two."""
+    x, y = v[..., 0], v[..., 1]
+    return np.sqrt(x * x + y * y)
+
+
 class EuclideanGauge(Gauge):
     kind = "euclidean"
     symmetric = True
 
     def value(self, v):
-        # np.linalg.norm's formula, sqrt(x^2 + y^2) summed in that order,
-        # without its reduction over an axis of two
-        v = np.asarray(v, dtype=float)
-        x, y = v[..., 0], v[..., 1]
-        return np.sqrt(x * x + y * y)
+        return _euclidean_norm(np.asarray(v, dtype=float))
 
     def grad(self, v):
+        # the norm from the shared helper, not from self.value: a profiler
+        # that wraps value would count the nested call as an outer one
         v = np.asarray(v, dtype=float)
-        n = np.linalg.norm(v, axis=-1)
+        n = _euclidean_norm(v)
         with np.errstate(divide="ignore", invalid="ignore"):
             g = v / n[..., None]
         return np.where(n[..., None] > 0, g, 0.0)
@@ -161,8 +166,11 @@ def _circle_gauge_value(v, centers, radius):
     v = np.asarray(v, dtype=float)
     c = np.asarray(centers, dtype=float)
     a = radius * radius - (c * c).sum(axis=-1)
-    vc = (v * c).sum(axis=-1)
-    vv = (v * v).sum(axis=-1)
+    return _circle_root(a, (v * c).sum(axis=-1), (v * v).sum(axis=-1))
+
+
+def _circle_root(a, vc, vv):
+    """The positive root lam of lam^2 a + 2 lam vc - vv = 0, a = R^2 - |c|^2."""
     return (-vc + np.sqrt(vc * vc + a * vv)) / a
 
 
@@ -225,6 +233,9 @@ class SmoothedL1Gauge(Gauge):
         # arc centers for directions around 0, 90, 180, 270 degrees
         self.centers = np.array([[1 - s, 0], [0, 1 - s], [s - 1, 0], [0, s - 1]])
         self.arc_radius = r
+        # every centre is 1 - s along an axis, so R^2 - |c|^2 is one number
+        self._offset = float(1 - s)
+        self._shift = r * r - self._offset * self._offset
 
     def params(self):
         return {"kappa": self.kappa}
@@ -242,9 +253,14 @@ class SmoothedL1Gauge(Gauge):
         return vertical + 2 * (along <= 0)
 
     def value(self, v):
+        # _circle_gauge_value at the centre _sector picks, without gathering
+        # it: that centre's one nonzero coordinate is 1 - s on the side of
+        # v's larger coordinate, so v . c is (1 - s) max(|x|, |y|) (the other
+        # product is a zero, which adds exactly)
         v = np.asarray(v, dtype=float)
-        c = self.centers[self._sector(v)]
-        return _circle_gauge_value(v, c, self.arc_radius)
+        a = np.abs(v)
+        vc = self._offset * np.maximum(a[..., 0], a[..., 1])
+        return _circle_root(self._shift, vc, (v * v).sum(axis=-1))
 
     def grad(self, v):
         v = np.asarray(v, dtype=float)

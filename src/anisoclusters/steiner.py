@@ -18,11 +18,23 @@ vertex test, certified for any convex gauge by a Lipschitz bound between
 sampled directions) and otherwise descends by BFGS from the centroid
 (Nocedal and Wright, Numerical Optimization, ch. 6). For a symmetric gauge
 every arm's gradient is the plain gauge gradient at its normal, rotated
-back.
+back. The certificate's sampled directions are priced once per gauge
+instance.
+
+admissible_pairs finds the partners B, C of a reference point A whose
+gradients balance A's: the triples that meet at other than 120 degrees
+under an anisotropic gauge. It scans the torus of partner angles for the
+cells that bracket a root, by block bounds and then cell by cell, and
+refines every such cell in one lockstep damped Newton: each stage (the
+start, the finite-difference probes, each line-search trial) is one gauge
+call over all the cells it concerns, and each cell takes the steps a run of
+its own would take, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -166,10 +178,9 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
     pts = np.array([a, b, c], dtype=float)
     if not np.all(np.isfinite(pts)):
         raise ValueError("terminals must be finite")
-    scale = max(np.linalg.norm(pts[i] - pts[j]) for i in range(3) for j in range(i + 1, 3))
-    if scale <= 0 or min(
-        np.linalg.norm(pts[i] - pts[j]) for i in range(3) for j in range(i + 1, 3)
-    ) < 1e-12:
+    dists = [_norm(pts[i] - pts[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    scale = max(dists)
+    if scale <= 0 or min(dists) < 1e-12:
         raise ValueError("terminals must be pairwise distinct")
     area2 = abs(float(cross2(pts[1] - pts[0], pts[2] - pts[0])))
     collinear = bool(area2 < 1e-12 * scale * scale)
@@ -207,7 +218,7 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
 
     p = pts.mean(axis=0)
     fval, grad = value(p), gradient(p)
-    gn = float(np.linalg.norm(grad))
+    gn = _norm(grad)
     h0 = 0.25 * scale * np.eye(2)
     hinv = h0
     restarted = False
@@ -224,7 +235,7 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
             d = -(hinv @ grad)
             slope = float(grad @ d)
         t = 1.0
-        floor = 1e-16 * scale / float(np.linalg.norm(d))
+        floor = 1e-16 * scale / _norm(d)
         cand = None
         while t > floor:
             trial = p + t * d
@@ -236,7 +247,7 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
             # step; the gradient norm does, if the trial at least halves it
             if abs(fc - fval) <= 4.0 * np.spacing(abs(fval)):
                 gc = gradient(trial)
-                if float(np.linalg.norm(gc)) <= 0.5 * gn:
+                if _norm(gc) <= 0.5 * gn:
                     cand = trial
                     break
             t *= 0.5
@@ -254,7 +265,7 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
             hy = hinv @ y
             hinv = hinv + ((sy + float(y @ hy)) / sy * np.outer(s, s) - np.outer(hy, s) - np.outer(s, hy)) / sy
         p, fval, grad = cand, fc, gc
-        gn = float(np.linalg.norm(grad))
+        gn = _norm(grad)
     degenerate = None
     d2term = np.linalg.norm(pts - p, axis=1)
     k = int(np.argmin(d2term))
@@ -286,13 +297,27 @@ def _certified_terminal(gauge, pts, fwd, rev):
     # arm k is not differentiable at X_k: its rows are masked out
     dw[np.arange(3), np.arange(3)] = 0.0
     g = dw.sum(axis=1)
-    h = gauge.value(_CERT_PM_U)
+    h = _certificate_values(gauge)
     phi = fwd[:, None] * h[None, n:] + rev[:, None] * h[None, :n]
     # elementwise, so that no row's rounding depends on the other rows
     psi = g[:, :1] * _CERT_U[:, 0] + g[:, 1:] * _CERT_U[:, 1] + phi
     lip = np.hypot(g[:, 0], g[:, 1]) + phi.max(axis=1) / _CERT_COS
     certified = np.flatnonzero(psi.min(axis=1) > lip * (_CERT_GAP + _CERT_SLACK))
     return int(certified[0]) if len(certified) else None
+
+
+_CERT_VALUES = weakref.WeakKeyDictionary()
+
+
+def _certificate_values(gauge):
+    """gauge.value at the sampled directions and their negatives, priced
+    once per gauge instance and kept read-only."""
+    h = _CERT_VALUES.get(gauge)
+    if h is None:
+        h = gauge.value(_CERT_PM_U)
+        h.flags.writeable = False
+        _CERT_VALUES[gauge] = h
+    return h
 
 
 def fermat_modes_for_colors(colors):
@@ -406,11 +431,13 @@ def admissible_pairs(gauge, a, resolution=720, tol=1e-9, max_newton=60):
 
     Scans the (phi_B, phi_C) torus, resolution >= 16 angles a side, for cells
     whose corners bracket zero in both components of grad(A) + grad(B) +
-    grad(C): per-axis corner bounds test component 0 on the whole torus, and
-    component 1 on its survivors. Refines each cell with damped Newton on
-    finite-difference Jacobians (at most max_newton steps, an integer >= 1),
-    keeps roots with residual below tol (a positive finite number), and
-    deduplicates unordered pairs. Requires a smooth gauge.
+    grad(C): per-axis corner bounds test both components on blocks of
+    columns, then cell by cell (_bracketing_cells). Refines every cell with
+    damped Newton on finite-difference Jacobians (at most max_newton steps,
+    an integer >= 1), all cells in lockstep, one gauge call per stage
+    (_lockstep_newton); keeps roots with residual below tol (a positive
+    finite number), and deduplicates unordered pairs. Requires a smooth
+    gauge.
 
     A is scaled onto the unit ball; B and C are unit-ball boundary points
     of the gauge passed, not Cahn-Hoffman vectors. The balance is on their
@@ -437,6 +464,8 @@ def admissible_pairs(gauge, a, resolution=720, tol=1e-9, max_newton=60):
     n = int(resolution)
     phis = np.arange(n) * (TWO_PI / n)
     cells = _bracketing_cells(g0, gauge.grad(unit_dir(phis)))
+    if not len(cells):
+        return []
 
     def residual(phi):
         # phi (..., 2): the gradients at both angles of each pair, from one gauge call
@@ -444,47 +473,13 @@ def admissible_pairs(gauge, a, resolution=720, tol=1e-9, max_newton=60):
         return g0 + g[..., 0, :] + g[..., 1, :]
 
     h_cell = TWO_PI / n
-    roots = []
-    for i, j in cells:
-        phi = np.array([phis[i] + 0.5 * h_cell, phis[j] + 0.5 * h_cell])
-        r = residual(phi)
-        ok = False
-        for it in range(1, max_newton + 1):
-            rn = np.linalg.norm(r)
-            if rn < tol:
-                ok = True
-                break
-            # central differences along each angle, the four probes in one call
-            rp = residual(phi + _FD_PROBES)
-            J = ((rp[0::2] - rp[1::2]) / (2 * _FD_EPS)).T
-            try:
-                delta = np.linalg.solve(J, -r)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(delta)):
-                break
-            lam = 1.0
-            while lam > 1e-6:
-                cand = phi + lam * delta
-                rc = residual(cand)
-                if np.linalg.norm(rc) < rn:
-                    phi, r = cand, rc
-                    break
-                lam *= 0.5
-            else:
-                break
-        if not ok:
-            continue
-        phi = wrap_angle(phi)
-        # reject triples with coincident directions
-        sep = [
-            min(wrap_angle(phi[0] - phi_a), wrap_angle(phi_a - phi[0])),
-            min(wrap_angle(phi[1] - phi_a), wrap_angle(phi_a - phi[1])),
-            min(wrap_angle(phi[0] - phi[1]), wrap_angle(phi[1] - phi[0])),
-        ]
-        if min(sep) < 1e-6:
-            continue
-        roots.append((phi, float(np.linalg.norm(residual(phi))), it))
+    phi, its = _lockstep_newton(residual, phis[cells] + 0.5 * h_cell, tol, max_newton)
+    phi = wrap_angle(phi)
+    # reject triples with coincident directions
+    d = np.column_stack([phi[:, 0] - phi_a, phi[:, 1] - phi_a, phi[:, 0] - phi[:, 1]])
+    keep = ~(np.minimum(wrap_angle(d), wrap_angle(-d)).min(axis=1) < 1e-6)
+    phi, its = phi[keep], its[keep]
+    roots = list(zip(phi, _norms(residual(phi)).tolist(), its.tolist())) if len(phi) else []
 
     # deduplicate unordered pairs on the torus
     uniq = []
@@ -519,34 +514,113 @@ def admissible_pairs(gauge, a, resolution=720, tol=1e-9, max_newton=60):
     return out
 
 
+def _lockstep_newton(residual, phi, tol, max_newton):
+    """Damped Newton on finite-difference Jacobians from every row of phi
+    (k, 2) at once: the rows that converge, in row order, and the
+    iteration at which each did.
+
+    Each row takes the steps a Newton run of its own would take: up to
+    max_newton residual checks, each below tol ending the row's run and
+    each above it taking one step, the Jacobian from central differences
+    of step _FD_EPS, and the step halved from 1 until the residual norm
+    falls (the row fails below 1e-6, or on a singular Jacobian or a
+    non-finite step). Every stage (the start, the four probes, each trial
+    of the line search) is one residual call over the rows it concerns,
+    and the rows share the iteration count and the trial step.
+    """
+    r = residual(phi)
+    rn = _norms(r)
+    its = np.zeros(len(phi), dtype=int)
+    live = np.arange(len(phi))
+    for it in range(1, max_newton + 1):
+        done = rn[live] < tol
+        its[live[done]] = it
+        live = live[~done]
+        if not len(live) or it == max_newton:
+            break
+        # central differences along each angle, the four probes of every row in one call
+        rp = residual(phi[live, None, :] + _FD_PROBES)
+        J = ((rp[:, 0::2] - rp[:, 1::2]) / (2 * _FD_EPS)).transpose(0, 2, 1)
+        delta = _solve(J, -r[live])
+        finite = np.isfinite(delta).all(axis=1)
+        live, delta = live[finite], delta[finite]
+        lam = 1.0
+        search = np.arange(len(live))
+        while lam > 1e-6 and len(search):
+            rows = live[search]
+            cand = phi[rows] + lam * delta[search]
+            rc = residual(cand)
+            rcn = _norms(rc)
+            better = rcn < rn[rows]
+            rows = rows[better]
+            phi[rows], r[rows], rn[rows] = cand[better], rc[better], rcn[better]
+            search = search[~better]
+            lam *= 0.5
+        # the rows whose line search found no step
+        live = np.delete(live, search)
+    ok = its > 0
+    return phi[ok], its[ok]
+
+
+def _solve(J, b):
+    """np.linalg.solve(J[k], b[k]) for each k, as one batch; a row whose
+    matrix is singular gets NaN. The batch raises when any matrix is
+    singular, and then the rows are solved one at a time."""
+    try:
+        return np.linalg.solve(J, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        pass
+    out = np.full(b.shape, np.nan)
+    for k in range(len(b)):
+        try:
+            out[k] = np.linalg.solve(J[k], b[k])
+        except np.linalg.LinAlgError:
+            pass
+    return out
+
+
+def _norm(x):
+    """np.linalg.norm of a 1-d vector x, which is sqrt(x.dot(x)), without
+    its wrapper (the dot may fuse a multiply-add, so no elementwise formula
+    stands in for it)."""
+    return math.sqrt(x.dot(x))
+
+
+def _norms(rows):
+    """_norm of each row of a 2-d array."""
+    return np.array([_norm(x) for x in rows])
+
+
 def _bracketing_cells(g0, grads):
     """Cells (i, j), row-major, whose corners (i or i+1 by j or j+1, cyclic)
     bracket zero in both components of F[i, j] = g0 + grads[i] + grads[j].
 
-    Component 0 is tested first on blocks of _CELL_BLOCK consecutive
+    Both components are tested first on blocks of _CELL_BLOCK consecutive
     columns: a row can bracket in some cell of a block only if it passes
-    against the block's largest -lo and least -hi. Only the cells of the
-    blocks that pass are tested one by one, and component 1 on the cells
-    that survive, so the cells and their order are those of the full
-    n x n test.
+    against the block's largest -lo and least -hi, and component 1's bounds
+    are applied to the (row, block) pairs that pass component 0's. Only the
+    cells of the blocks that pass both are tested one by one, component 0
+    first and component 1 on the cells that survive, so the cells and their
+    order are those of the full n x n test.
     """
     n = len(grads)
     nxt = np.roll(grads, -1, axis=0)
     lo, hi = np.minimum(grads, nxt), np.maximum(grads, nxt)
     # rounding is monotone, so F's least corner rounds to fl(fl(g0 + lo[i]) + lo[j]) and
     # its greatest likewise with hi; and fl(x + y) <= 0 exactly when x <= -y
-    row_lo, row_hi = g0[0] + lo[:, 0], g0[0] + hi[:, 0]
-    col_lo, col_hi = -lo[:, 0], -hi[:, 0]
+    row_lo, row_hi = g0 + lo, g0 + hi
+    col_lo, col_hi = -lo, -hi
     starts = np.arange(0, n, _CELL_BLOCK)
     # fmax and fmin skip NaN, so a NaN column cannot hide its block's others
-    i, blk = np.nonzero(
-        (row_lo[:, None] <= np.fmax.reduceat(col_lo, starts)) & (row_hi[:, None] >= np.fmin.reduceat(col_hi, starts))
-    )
+    blk_lo, blk_hi = np.fmax.reduceat(col_lo, starts), np.fmin.reduceat(col_hi, starts)
+    i, blk = np.nonzero((row_lo[:, None, 0] <= blk_lo[:, 0]) & (row_hi[:, None, 0] >= blk_hi[:, 0]))
+    keep = (row_lo[i, 1] <= blk_lo[blk, 1]) & (row_hi[i, 1] >= blk_hi[blk, 1])
+    i, blk = i[keep], blk[keep]
     j = (starts[blk][:, None] + np.arange(_CELL_BLOCK)).ravel()
     i = np.repeat(i, _CELL_BLOCK)
     inside = j < n
     i, j = i[inside], j[inside]
-    keep = (row_lo[i] <= col_lo[j]) & (row_hi[i] >= col_hi[j])
+    keep = (row_lo[i, 0] <= col_lo[j, 0]) & (row_hi[i, 0] >= col_hi[j, 0])
     i, j = i[keep], j[keep]
     keep = (g0[1] + lo[i, 1] + lo[j, 1] <= 0) & (g0[1] + hi[i, 1] + hi[j, 1] >= 0)
     return np.column_stack([i[keep], j[keep]])

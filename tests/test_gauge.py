@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anisoclusters as ac
+from anisoclusters.gauge import _circle_gauge_value
 from anisoclusters.geometry import rotate_ccw, unit_dir
 
 from conftest import all_gauge_list, odd_profile_gauge, tabulated_ellipse
@@ -186,6 +187,43 @@ def test_lp_gauge_matches_its_reference_formula_bit_for_bit(vs):
         for v in batch:
             assert gauge.value(v) == _lp_value_reference(p, v), (p, v)
             assert np.array_equal(gauge.grad(v), _lp_grad_reference(p, v)), (p, v)
+
+
+# axes, corners |x| == |y|, signed zeros and entries whose squares underflow
+GAUGE_EDGE_VECTORS = np.array([
+    [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0],
+    [0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [2.5, -2.5], [-0.0, 3.0], [3.0, -0.0],
+    [1e-200, 1e-200], [-1e-200, 3e-200], [1e-200, 0.0], [0.0, -1e-200], [1e-320, 0.0],
+])
+
+
+def _edge_panel(rng):
+    scale = rng.choice([1e-200, 1e-5, 1.0, 1e5], size=(20000, 1))
+    return np.vstack([rng.normal(size=(20000, 2)) * scale, GAUGE_EDGE_VECTORS, rng.integers(-3, 4, (200, 2))])
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.35, 0.7])
+def test_smoothed_l1_value_matches_the_gathered_centres_bit_for_bit(kappa, rng):
+    # the arc centre of each vector's sector, gathered and priced by the
+    # shared circle formula: the reference the gauge's value must reproduce
+    gauge = ac.SmoothedL1Gauge(kappa)
+    v = _edge_panel(rng)
+    expect = _circle_gauge_value(v, gauge.centers[gauge._sector(v)], gauge.arc_radius)
+    assert gauge.value(v).tobytes() == expect.tobytes()
+    for row, h in zip(v[-len(GAUGE_EDGE_VECTORS) - 200 :], expect[-len(GAUGE_EDGE_VECTORS) - 200 :]):
+        assert gauge.value(row).tobytes() == h.tobytes(), row
+
+
+def test_euclidean_gradient_matches_the_linalg_norm_bit_for_bit(rng):
+    v = _edge_panel(rng)
+    n = np.linalg.norm(v, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expect = np.where(n[..., None] > 0, v / n[..., None], 0.0)
+    gauge = ac.EuclideanGauge()
+    assert gauge.value(v).tobytes() == n.tobytes()
+    assert gauge.grad(v).tobytes() == expect.tobytes()
+    for row, g in zip(v[-len(GAUGE_EDGE_VECTORS) - 200 :], expect[-len(GAUGE_EDGE_VECTORS) - 200 :]):
+        assert gauge.grad(row).tobytes() == g.tobytes(), row
 
 
 def test_euler_identity_all_gauges(all_gauges, rng):

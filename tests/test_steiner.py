@@ -397,6 +397,21 @@ class TestFermatPricingMatchesPerArmReference:
         assert res.point.tobytes() == HARD_EXITS[0].tobytes()
 
 
+def test_certificate_directions_are_priced_once_per_gauge():
+    gauge = CountingGauge(ShiftedDiskGauge((0.2, -0.1)))
+    cases = [(pts, (m,) * 3) for pts in (HARD_EXITS, TERMINALS, OBTUSE) for m in MODE_SIDES]
+    first = [fermat_point(gauge, *pts, modes=modes) for pts, modes in cases]
+    again = [fermat_point(gauge, *pts, modes=modes) for pts, modes in cases]
+    fresh = CountingGauge(gauge.base)
+    assert first == again == [fermat_point(fresh, *pts, modes=modes) for pts, modes in cases]
+    sampled = [k for k, shape in enumerate(gauge.shapes["value"]) if shape == steiner._CERT_PM_U.shape]
+    assert len(sampled) == 1
+    assert np.array_equal(gauge.batches["value"][sampled[0]], steiner._CERT_PM_U)
+    cached = steiner._CERT_VALUES[gauge]
+    assert not cached.flags.writeable
+    assert cached.tolist() == gauge.outputs["value"][sampled[0]]
+
+
 def junction_costs(gauge, pts, modes, q):
     """junction_cost at each row of q, each arm priced by mode in one batch."""
     total = np.zeros(len(q))
@@ -583,6 +598,134 @@ def _dense_cells(g0, grads):
     return np.argwhere(cellknot(F1) & cellknot(F2))
 
 
+def reference_newton(residual, phi, tol, max_newton):
+    """steiner._lockstep_newton with a Newton run of its own for each row,
+    its norms from np.linalg.norm: the reference for the lockstep."""
+    out, iterations = [], []
+    for start in phi:
+        p, r = start, residual(start)
+        ok = False
+        for it in range(1, max_newton + 1):
+            rn = np.linalg.norm(r)
+            if rn < tol:
+                ok = True
+                break
+            rp = residual(p + steiner._FD_PROBES)
+            J = ((rp[0::2] - rp[1::2]) / (2 * steiner._FD_EPS)).T
+            try:
+                delta = np.linalg.solve(J, -r)
+            except np.linalg.LinAlgError:
+                break
+            if not np.all(np.isfinite(delta)):
+                break
+            lam = 1.0
+            while lam > 1e-6:
+                cand = p + lam * delta
+                rc = residual(cand)
+                if np.linalg.norm(rc) < rn:
+                    p, r = cand, rc
+                    break
+                lam *= 0.5
+            else:
+                break
+        if ok:
+            out.append(p)
+            iterations.append(it)
+    return np.array(out).reshape(-1, 2), np.array(iterations, dtype=int)
+
+
+def synthetic_residual(phi):
+    """A smooth residual with one root at (1, 2); constant for x > 10, where
+    every Jacobian is singular, and infinite for x < -10, where every step
+    is NaN."""
+    x, y = phi[..., 0], phi[..., 1]
+    r = np.stack([np.sin(x - 1.0) + 0.1 * (y - 2.0), (y - 2.0) + 0.2 * (x - 1.0) ** 2], axis=-1)
+    r = np.where((x > 10.0)[..., None], 1.0, r)
+    return np.where((x < -10.0)[..., None], np.inf, r)
+
+
+# the rows: starts around the root at several distances, one start at the
+# root, one in the singular region, one in the infinite region, and a start
+# too far out for a short budget
+SYNTHETIC_STARTS = np.array([
+    [1.1, 2.1], [11.0, 0.0], [0.5, 2.5], [-11.0, 0.0], [1.0, 2.0], [2.2, 0.9], [-0.2, 3.1], [1.4, 1.7], [3.0, -1.0],
+])
+
+
+class TestLockstepNewton:
+    """admissible_pairs refines every bracketing cell in one lockstep
+    Newton; each cell must take the steps its own run takes, bit for bit."""
+
+    @pytest.mark.parametrize("max_newton, iterations", [(60, [4, 5, 1, 5, 7, 5, 6]), (5, [4, 5, 1, 5, 5])])
+    def test_synthetic_rows_converge_as_they_do_alone(self, max_newton, iterations):
+        calls = []
+
+        def residual(phi):
+            calls.append(np.shape(phi))
+            return synthetic_residual(phi)
+
+        with np.errstate(invalid="ignore"):
+            phi, its = steiner._lockstep_newton(residual, SYNTHETIC_STARTS.copy(), 1e-12, max_newton)
+            expect_phi, expect_its = reference_newton(synthetic_residual, SYNTHETIC_STARTS, 1e-12, max_newton)
+            alone = [
+                steiner._lockstep_newton(synthetic_residual, start[None].copy(), 1e-12, max_newton)
+                for start in SYNTHETIC_STARTS
+            ]
+        assert phi.tobytes() == expect_phi.tobytes() and its.tolist() == expect_its.tolist() == iterations
+        assert np.concatenate([p for p, _ in alone]).tobytes() == phi.tobytes()
+        assert np.concatenate([i for _, i in alone]).tolist() == iterations
+        # the singular and the infinite rows fail
+        assert [len(alone[k][1]) for k in (1, 3)] == [0, 0]
+        # every call takes the rows of one stage: the start, then probes of
+        # four points per row or trial points
+        assert calls[0] == SYNTHETIC_STARTS.shape
+        assert all(len(shape) == 2 or shape[1:] == (4, 2) for shape in calls)
+
+    def test_norms_are_the_linalg_norms(self, rng):
+        # the dot product may fuse a multiply-add, which x*x + y*y does not
+        rows = rng.normal(size=(20000, 2)) * rng.choice([1e-3, 1.0, 1e3], size=(20000, 1))
+        expect = [np.linalg.norm(x) for x in rows]
+        assert steiner._norms(rows).tolist() == expect
+        assert [steiner._norm(x) for x in rows] == expect
+        assert (steiner._norms(rows) != np.sqrt(rows[:, 0] * rows[:, 0] + rows[:, 1] * rows[:, 1])).any()
+
+    def test_a_singular_batch_is_solved_row_by_row(self):
+        J = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 1.0], [1.0, 1.0]], [[0.5, 0.0], [0.25, 4.0]]])
+        b = np.array([[1.0, -2.0], [1.0, 1.0], [3.0, 0.5]])
+        x = steiner._solve(J, b)
+        assert np.isnan(x[1]).all()
+        for k in (0, 2):
+            assert x[k].tobytes() == np.linalg.solve(J[k], b[k]).tobytes()
+
+    @pytest.mark.parametrize("resolution", [16, 97, 720])
+    @pytest.mark.parametrize(
+        "gauge",
+        [EuclideanGauge(), LpGauge(1.5), LpGauge(3.0), EllipseGauge([[2.0, 0.3], [0.3, 1.0]]),
+         ShiftedDiskGauge((0.2, -0.1)), odd_profile_gauge()],
+        ids=["euclid", "l1.5", "l3", "ellipse", "shifted", "odd-profile"],
+    )
+    def test_pairs_equal_the_per_cell_runs(self, gauge, resolution, monkeypatch):
+        points = SCAN_POINTS + [np.array([0.3, 0.9]), np.array([-0.7, -0.7])]
+        found = 0
+        for a in points:
+            triples = admissible_pairs(gauge, a, resolution=resolution)
+            with monkeypatch.context() as m:
+                m.setattr(steiner, "_lockstep_newton", reference_newton)
+                assert triples == admissible_pairs(gauge, a, resolution=resolution)
+            found += len(triples)
+        assert found >= len(points)
+
+    def test_calls_per_stage(self, monkeypatch):
+        gauge, shapes = LpGauge(1.5), []
+        grad = gauge.grad
+        monkeypatch.setattr(gauge, "grad", lambda v: shapes.append(np.shape(v)) or grad(v))
+        pairs = admissible_pairs(gauge, np.array([0.0, 1.0]), resolution=720)
+        # the reference point, the scan, then one call per Newton stage and
+        # one for the roots' residuals; the per-cell runs made 46
+        assert len(pairs) == 1 and len(shapes) == 10
+        assert shapes[:2] == [(2,), (720, 2)]
+
+
 class TestAdmissiblePairs:
     def test_euclidean_unique_symmetric_pair(self):
         pairs = admissible_pairs(EuclideanGauge(), np.array([0.0, 1.0]), resolution=360)
@@ -712,7 +855,7 @@ class TestAdmissiblePairs:
         assert len(seen) == len(SCAN_POINTS)
 
     @pytest.mark.parametrize("n", [16, 17, 97, 721])
-    @pytest.mark.parametrize("table", ["rough", "constant", "flat", "ties"])
+    @pytest.mark.parametrize("table", ["rough", "constant", "flat", "ties", "second"])
     def test_block_scan_matches_the_dense_scan_on_synthetic_tables(self, n, table):
         rng = np.random.default_rng(n)
         if table == "rough":
@@ -726,10 +869,24 @@ class TestAdmissiblePairs:
         elif table == "flat":
             # both components are: every cell survives
             g0, grads = np.array([-1.0, 2.0]), np.tile([0.5, -1.0], (n, 1))
-        else:
+        elif table == "ties":
             # quarter steps: exact zeros of F, and equal corners side by side
             g0 = rng.integers(-4, 5, size=2) / 4.0
             grads = rng.integers(-3, 4, size=(n, 2)) / 4.0
+        else:
+            # component 0 is zero on the whole torus, so every block passes
+            # it; component 1 brackets near one curve and has NaN entries,
+            # so its block bounds reject blocks that component 0 passes
+            g0 = np.array([-1.0, 0.3])
+            g1 = -0.15 + np.sin(np.arange(n) * (TWO_PI / n)) + 0.01 * rng.normal(size=n)
+            g1[rng.choice(n, 3, replace=False)] = np.nan
+            grads = np.column_stack([np.full(n, 0.5), g1])
+            lo, hi = np.minimum(g1, np.roll(g1, -1)), np.maximum(g1, np.roll(g1, -1))
+            starts = np.arange(0, n, steiner._CELL_BLOCK)
+            passes = (g0[1] + lo[:, None] <= np.fmax.reduceat(-lo, starts)) & (
+                g0[1] + hi[:, None] >= np.fmin.reduceat(-hi, starts)
+            )
+            assert 0 < passes.sum() < passes.size
         cells = _bracketing_cells(g0, grads)
         expect = _dense_cells(g0, grads)
         assert cells.dtype == expect.dtype and np.array_equal(cells, expect)
