@@ -1,5 +1,6 @@
 """Constrained perimeter minimization and junction diagnostics."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from anisoclusters import (
     OptimizationProblem,
     RotatedGauge,
     ShiftedDiskGauge,
+    SmoothedL1Gauge,
     SolveOptions,
     ball_bound_check,
     detect_junctions,
@@ -29,6 +31,7 @@ from anisoclusters import (
     minimize,
     perimeter_breakdown,
     regular_polygon_chamber,
+    render_report,
     square_cross_cluster,
     steiner_diagnose,
     weighted_perimeter,
@@ -1576,6 +1579,52 @@ def test_a_solve_imports_no_masked_arrays():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def pinned_solves():
+    """Solves beyond the shipped scenarios, each reaching a path of the
+    solver that they do not: sliding wall vertices beside a fixed edge, a
+    gauge field with a callable g, an asymmetric gauge, the stall rule, an
+    exhausted budget, a seeded multi-start and a restart on collapse."""
+    cl = walled_plus(np.random.default_rng(5))
+    cl.edges[-1].tags["fixed"] = True
+    targets = weighted_volume(cl, EUCLID) * np.array([1.1, 0.9, 1.05, 0.95])
+    yield OptimizationProblem(cl, EUCLID, targets, SolveOptions(max_outer=5))
+    field = ORACLE_DENSITIES["field"]
+    cl = double_bubble_cluster(n_arc=12, n_mid=4)
+    targets = weighted_volume(cl, field) * np.array([1.05, 0.95])
+    yield OptimizationProblem(cl, field, targets, SolveOptions(max_outer=2, max_inner=4))
+    shifted = Density.constant(ShiftedDiskGauge(np.array([0.0, -0.3])))
+    yield OptimizationProblem(double_bubble_cluster(n_arc=24, n_mid=8), shifted, [1.0, 1.0])
+    smoothed = Density.constant(SmoothedL1Gauge(0.35))
+    yield OptimizationProblem(regular_polygon_chamber(64, area=1.3), smoothed, [1.0])
+    yield OptimizationProblem(
+        double_bubble_cluster(n_arc=48, n_mid=16), EUCLID, [1.0, 0.98], SolveOptions(max_outer=2, max_inner=7)
+    )
+    cl = square_cross_cluster(n_sub=8, jitter=0.02, rng=np.random.default_rng(7))
+    yield OptimizationProblem(cl, MAXNORM, np.ones(4), SolveOptions(max_outer=60, multi_start=3, seed=4))
+    yield OptimizationProblem(double_bubble_cluster(n_arc=48, n_mid=16), EUCLID, [1.0, 0.98])
+
+
+def test_solve_outputs_are_pinned():
+    # one digest over the report and the final vertex bytes of each pinned
+    # solve; taken before the mesh priced walls and kept edges through
+    # masked labels instead of takes of the segments that count
+    reports = [minimize(problem) for problem in pinned_solves()]
+    assert [(rep.success, rep.flags[:1], rep.resamples > 0, len(rep.starts)) for rep in reports] == [
+        (False, ["max_outer_reached"], False, 1),
+        (False, ["max_outer_reached"], False, 1),
+        (True, [], False, 1),
+        (True, ["inner_stall_at_tolerance"], False, 1),
+        (False, ["max_outer_reached"], False, 1),
+        (True, [], False, 3),
+        (True, [], True, 1),
+    ]
+    digest = hashlib.sha256()
+    for rep in reports:
+        digest.update(render_report(rep.spec()).encode())
+        digest.update(rep.cluster.vertices.tobytes())
+    assert digest.hexdigest() == "dcbffceca336106085f09e58d4611c52facdecd5e7ee1b12d7c521debb98df5d"
 
 
 class TestProblemValidation:
