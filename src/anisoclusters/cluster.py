@@ -79,13 +79,6 @@ class Cluster:
         i0, i1, left, right, eid = self.segment_index_arrays()
         return self.vertices[i0], self.vertices[i1], left, right, eid
 
-    def vertex_degrees(self):
-        deg = np.zeros(len(self.vertices), dtype=int)
-        for e in self.edges:
-            deg[e.vertices[0]] += 1
-            deg[e.vertices[-1]] += 1
-        return deg
-
     def spec(self):
         edges = []
         for e in self.edges:

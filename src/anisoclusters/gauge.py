@@ -129,11 +129,14 @@ class LpGauge(Gauge):
         return ()
 
     def value(self, v):
-        v = np.abs(np.asarray(v, dtype=float))
-        m = np.maximum(v[..., 0], v[..., 1])
+        return self._value_of_abs(np.abs(np.asarray(v, dtype=float)))
+
+    def _value_of_abs(self, a):
+        """The gauge of the vectors whose coordinates' magnitudes are a."""
+        m = np.maximum(a[..., 0], a[..., 1])
         if self._max_norm:
             return m
-        r = np.divide(v, m[..., None], out=np.zeros_like(v), where=m[..., None] > 0)
+        r = np.divide(a, m[..., None], out=np.zeros_like(a), where=m[..., None] > 0)
         # ufunc powers only: the ** of a numpy scalar, which a single vector
         # reaches, rounds differently from the batched ufunc loop
         rp = r**self.p
@@ -152,7 +155,7 @@ class LpGauge(Gauge):
             return g
         if self.p == 1.0:
             return s
-        val = self.value(v)
+        val = self._value_of_abs(a)
         r = np.divide(a, val[..., None], out=np.zeros_like(a), where=val[..., None] > 0)
         return r ** (self.p - 1.0) * s
 

@@ -43,10 +43,13 @@ endpoints, forms midpoints only for a gauge field, the one density whose
 h_at reads them, and evaluates one side only when the density is symmetric
 (Density.symmetric), where the orientation rule reduces to one where on
 the labels, and both sides stacked otherwise. The gradient prices the +
-and - stencil in one segment_weights and one fan_volume_terms call, on the
-stencil as gathered when every entry is active. Gathers use take, and
-scatters np.bincount, which adds in the order np.add.at does. The iterates
-are the same, bit for bit, as those of one call per side and stencil sign.
+and - stencil in one segment_weights and one fan_volume_terms call. No
+evaluation picks out the segments that count: a segment that is not an
+interface (a wall, or one chamber on both sides) is priced with white on
+both sides, which the orientation rule turns into an exact 0.0, and a
+kept edge gets a collapse spacing of 0.0. Gathers use take, and scatters
+np.bincount, which adds in the order np.add.at does. The iterates are the
+same, bit for bit, as those of one call per side and stencil sign.
 
 What depends on the vertex numbering alone (segment arrays, masks,
 gathers, scatter indices, the dof map, the stencil's layout and the broad
@@ -67,7 +70,9 @@ _descend resamples the cluster and starts over from it at the same
 multiplier and penalty with the steps that remain of max_inner. Segments of
 kept edges and one-segment edges, which resampling cannot lengthen, never
 count. Each descent records why it stopped: converged, stalled (the line
-search found no acceptable step) or out of budget.
+search found no acceptable step) or out of budget, and the perimeter,
+volumes and volume errors of the state it ended at, which _solve_single
+reads instead of pricing that state again.
 
 A gauge with a ladder of smooth surrogates (Gauge.continuation(): the max
 norm's l^8, l^32, l^128, through whatever linear map the gauge applies to
@@ -327,7 +332,9 @@ class _Mesh:
     finite-difference stencil, and the objective, volumes, gradient and
     collapse check on them. Volumes use weighted_volume's fan_volume_terms
     and chamber_sums, so the reported constraint errors are exactly the ones
-    being minimized.
+    being minimized. The perimeter, volumes, objective and collapse check
+    read X, every segment's endpoints as V.take(seg_ends, axis=0) gathers
+    them.
 
     Free vertices carry two axis-aligned degrees of freedom. A vertex whose
     incident wall segments are all parallel slides along that line with one
@@ -410,13 +417,11 @@ class _Mesh:
         i0, i1, left, right, eid = cluster.segment_index_arrays()
         self.i0, self.i1 = i0, i1
         self.left, self.right = left, right
-        wall, pinned, kept = (role[eid] for role in roles)
+        wall, pinned = (role[eid] for role in roles[:2])
         self.active = ~wall & (left != right)
-        # the segments resampling redistributes, for collapsed(): all of
-        # them (None) or a take of cut
-        cut = np.flatnonzero(~kept)
-        self.cut = None if len(cut) == len(i0) else cut
-        self.cut_eid = eid[cut]
+        # collapsed() sums every segment's length into its edge and gives
+        # kept edges, which resampling copies, no spacing
+        self.eid, self.kept_edge = eid, roles[2]
         self.min_count = np.array([_min_count(e) for e in cluster.edges])
 
         # segment s has its start at ends[2 s] and its end at ends[2 s + 1]
@@ -439,12 +444,13 @@ class _Mesh:
         ]
 
         # the objective gathers every segment's endpoints at once, stacked:
-        # seg_ends[0] the starts, seg_ends[1] the ends; the perimeter reads
-        # the active segments, all of them or a take of act
+        # seg_ends[0] the starts, seg_ends[1] the ends. The perimeter prices
+        # every segment at the labels w_left and w_right, white on both
+        # sides of an inactive one, and sums the active ones, act
         self.seg_ends = np.stack([i0, i1])
-        act = np.flatnonzero(self.active)
-        self.act = None if len(act) == len(i0) else act
-        self.act_left, self.act_right = left[act], right[act]
+        self.act = np.flatnonzero(self.active)
+        self.w_left = np.where(self.active, left, 0)
+        self.w_right = np.where(self.active, right, 0)
         self.chambers = chamber_index(left, right)
         # near_ends' list: the positions, margin and rounding slack of its
         # build, and its pairs' box gaps and endpoint indices, in gap order
@@ -497,12 +503,11 @@ class _Mesh:
         E = len(seg)
         self.fd_ends = np.tile(np.stack([self.i0[seg], self.i1[seg]]), 2)
         self.fd_disp_at = (np.tile(slot, 2), np.arange(2 * E))
+        # the rows' labels: as they are for the volumes, which walls bound,
+        # and masked as for the perimeter, so that inactive rows price 0.0
         self.fd_left, self.fd_right = self.left[seg], self.right[seg]
-        # the entries of active segments, whose weights enter the gradient
-        self.fd_act = np.flatnonzero(self.active[seg])
-        self.fd_act_rows = np.concatenate([self.fd_act, E + self.fd_act])
-        self.fd_act_left = np.tile(self.fd_left[self.fd_act], 2)
-        self.fd_act_right = np.tile(self.fd_right[self.fd_act], 2)
+        self.fd_w_left = np.tile(self.w_left[seg], 2)
+        self.fd_w_right = np.tile(self.w_right[seg], 2)
 
     def near_ends(self, V, delta):
         """The endpoint indices (i0[a], i1[a], i0[b], i1[b]), as
@@ -563,70 +568,45 @@ class _Mesh:
         """True when a segment of a free edge is shorter than
         COLLAPSE_FRACTION of the segment length resample_cluster would give
         its edge. Kept edges are never resampled, and a single-segment edge
-        is never shorter than its resampled segments, so neither counts.
-        X holds every segment's endpoints, as objective gathered them."""
-        P, Q = X if self.cut is None else X.take(self.cut, axis=1)
-        d = Q - P
+        is never shorter than its resampled segments, so neither counts: a
+        kept edge's spacing is 0.0."""
+        d = X[1] - X[0]
         lens = np.hypot(d[:, 0], d[:, 1])
-        L = np.bincount(self.cut_eid, weights=lens, minlength=len(self.min_count))
-        spacing = L / _resample_count(L, self.min_count, target_len)
-        return bool((lens < COLLAPSE_FRACTION * spacing[self.cut_eid]).any())
+        L = np.bincount(self.eid, weights=lens, minlength=len(self.min_count))
+        spacing = np.where(self.kept_edge, 0.0, L / _resample_count(L, self.min_count, target_len))
+        return bool((lens < COLLAPSE_FRACTION * spacing[self.eid]).any())
 
-    def perimeter(self, V):
-        return self._perimeter(V.take(self.seg_ends, axis=0))
+    def perimeter(self, X):
+        """The interface perimeter: every segment priced at the masked
+        labels, the active ones summed in segment order."""
+        w = segment_weights(self.density, X[0], X[1], self.w_left, self.w_right)
+        return float(w.take(self.act).sum())
 
-    def volumes(self, V):
-        return self._volumes(V.take(self.seg_ends, axis=0))
-
-    def _perimeter(self, X):
-        """The interface perimeter from every segment's endpoints X, stacked
-        as V.take(seg_ends, axis=0) gives them."""
-        if not len(self.act_left):
-            return 0.0
-        P, Q = X if self.act is None else X.take(self.act, axis=1)
-        return float(segment_weights(self.density, P, Q, self.act_left, self.act_right).sum())
-
-    def _volumes(self, X):
-        if not len(self.i0):
-            return np.zeros(len(self.targets))
+    def volumes(self, X):
         t = fan_volume_terms(self.density, X[0], X[1])
         return chamber_sums(t, self.chambers, len(self.targets))
 
-    def objective(self, V, lam, mu, P0):
-        """The objective, the interface perimeter and the relative volume
-        errors, all from one gather of the segments' endpoints."""
-        return self._objective(V.take(self.seg_ends, axis=0), lam, mu, P0)
-
-    def _objective(self, X, lam, mu, P0):
-        """objective from every segment's endpoints X, stacked as
-        V.take(seg_ends, axis=0) gives them."""
-        P = self._perimeter(X)
-        e = (self._volumes(X) - self.targets) / self.targets
+    def objective(self, X, lam, mu, P0):
+        """The objective, the interface perimeter, the volumes and their
+        relative errors."""
+        P = self.perimeter(X)
+        vols = self.volumes(X)
+        e = (vols - self.targets) / self.targets
         f = P / P0 + float((lam * e).sum()) + 0.5 * mu * float((e * e).sum())
-        return f, P, e
+        return f, P, vols, e
 
     def gradient(self, V, lam, mu, e, P0):
         """Central differences of the objective along every dof, from one
         segment_weights and one fan_volume_terms call on the stencil's two
-        signs stacked; each entry's difference goes to its dof. When every
-        entry is active, the stencil is priced as it stands, without a take
-        of its active rows."""
+        signs stacked; each entry's difference goes to its dof. Rows of
+        inactive segments carry white on both sides, so their perimeter
+        difference is 0.0."""
         E = len(self.ent_seg)
-        if E == 0:
-            return np.zeros(self.n)
         X = V.take(self.fd_ends, axis=0)
         X += self.fd_disp
         P, Q = X
-        k = len(self.fd_act)
-        if k == E:
-            w = segment_weights(self.density, P, Q, self.fd_act_left, self.fd_act_right)
-            dval = (w[:k] - w[k:]) / P0
-        else:
-            dval = np.zeros(E)
-            if k:
-                Pa, Qa = X.take(self.fd_act_rows, axis=1)
-                w = segment_weights(self.density, Pa, Qa, self.fd_act_left, self.fd_act_right)
-                dval[self.fd_act] = (w[:k] - w[k:]) / P0
+        w = segment_weights(self.density, P, Q, self.fd_w_left, self.fd_w_right)
+        dval = (w[:E] - w[E:]) / P0
         # c[label]: the volume multiplier of chamber label, 0 for white
         c = np.concatenate([[0.0], (lam + mu * e) / self.targets])
         t = fan_volume_terms(self.density, P, Q)
@@ -640,13 +620,21 @@ class _Descent:
     check counts as one), why it stopped ("converged", "stalled" when the
     line search found no acceptable step, or "budget" when max_inner steps
     ran out), the interface perimeter at its start and after each accepted
-    step, and its crossing rejections and resamplings on collapse."""
+    step, and its crossing rejections and resamplings on collapse. The
+    interface perimeter, the volumes and their relative volume errors of the
+    state it ended at are those of the evaluation that produced that state.
+    The trace holds no entry for the cluster a restart on collapse resamples
+    to, so a descent that accepts no step after a restart ends at a state
+    the trace does not hold."""
 
     iterations: int
     stop: str
     trace: list
     rejections: int
     resamples: int
+    perimeter: float
+    volumes: np.ndarray
+    errors: np.ndarray
 
 
 def _descend(cl, density, targets, lam, mu, opts, rs_len, mesh):
@@ -660,14 +648,15 @@ def _descend(cl, density, targets, lam, mu, opts, rs_len, mesh):
     cluster, its mesh and the _Descent record."""
     mesh = _Mesh(cl, density, targets, rs_len, mesh)
     V = cl.vertices
-    P0 = mesh.perimeter(V)
+    X = V.take(mesh.seg_ends, axis=0)
+    P0 = mesh.perimeter(X)
     if P0 <= 0:
         raise ValueError("cluster has no interface perimeter to minimize")
     trace = []
     rejections = resamples = it = 0
     stop = "budget"
     while True:
-        f, Pint, e = mesh.objective(V, lam, mu, P0)
+        f, Pint, vols, e = mesh.objective(X, lam, mu, P0)
         # one perimeter entry for the start, then one per accepted step
         if not resamples:
             trace.append(Pint)
@@ -712,13 +701,13 @@ def _descend(cl, density, targets, lam, mu, opts, rs_len, mesh):
                     break
                 Vt = _apply_step(V, mesh, d)
                 Xt = Vt.take(mesh.seg_ends, axis=0)
-                ft, Pt, et = mesh._objective(Xt, lam, mu, P0)
+                ft, Pt, vt, et = mesh.objective(Xt, lam, mu, P0)
                 if ft <= f_ref + 1e-4 * gd:
                     if _has_crossing(Vt, ends):
                         rejections += 1
                         tt *= 0.5
                         continue
-                    V, X, f, Pint, e = Vt, Xt, ft, Pt, et
+                    V, X, f, Pint, vols, e = Vt, Xt, ft, Pt, vt, et
                     d_prev = d
                     accepted = True
                     break
@@ -742,8 +731,9 @@ def _descend(cl, density, targets, lam, mu, opts, rs_len, mesh):
         cl = resample_cluster(cl, rs_len)
         mesh = _Mesh(cl, density, targets, rs_len, mesh)
         V = cl.vertices
+        X = V.take(mesh.seg_ends, axis=0)
         resamples += 1
-    return cl, mesh, _Descent(it, stop, trace, rejections, resamples)
+    return cl, mesh, _Descent(it, stop, trace, rejections, resamples, Pint, vols, e)
 
 
 def _min_count(edge):
@@ -830,8 +820,7 @@ def _solve_single(cluster, density, targets, opts, start_index, rs_len):
             cl = resample_cluster(cl, rs_len)
         cl, mesh, rec = _descend(cl, density, targets, lam, mu, opts, rs_len, mesh)
         descents.append(rec)
-        vols = mesh.volumes(cl.vertices)
-        e = (vols - targets) / targets
+        vols, e = rec.volumes, rec.errors
         emax = float(np.max(np.abs(e)))
         verr_trace.append(emax)
         if emax <= opts.vol_tol and rec.stop == "converged":
@@ -843,7 +832,7 @@ def _solve_single(cluster, density, targets, opts, start_index, rs_len):
             # stall with the exact shape gradient too, so finite-difference
             # error (~1e-9 relative) is not the cause. Accept once a second
             # full pass confirms the perimeter is frozen to 1e-6
-            Pint = mesh.perimeter(cl.vertices)
+            Pint = rec.perimeter
             if prev_stall_P is not None and abs(Pint - prev_stall_P) <= 1e-6 * (1 + Pint):
                 converged = True
                 flags.append("inner_stall_at_tolerance")

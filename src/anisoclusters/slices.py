@@ -102,15 +102,6 @@ class CompetitorNetwork:
         # a sequential sum: analytically tied moves must keep their order
         return _ordered_sum(w)
 
-    def trace_angles(self):
-        """Angles where the network meets the unit circle."""
-        out = []
-        for s in self.segments:
-            for p in (s.p0, s.p1):
-                if abs(np.linalg.norm(p) - 1.0) < 1e-9:
-                    out.append(float(np.arctan2(p[1], p[0])) % TWO_PI)
-        return sorted(set(round(a, 12) for a in out))
-
 
 @dataclass(slots=True)
 class ImproveResult:

@@ -214,6 +214,33 @@ def test_smoothed_l1_value_matches_the_gathered_centres_bit_for_bit(kappa, rng):
         assert gauge.value(row).tobytes() == h.tobytes(), row
 
 
+def _lp_grad_nested(gauge, v):
+    """LpGauge.grad for 1 < p < inf as it read with a nested value call:
+    the reference of the gradient that computes the norm from |v| once."""
+    v = np.asarray(v, dtype=float)
+    a = np.abs(v)
+    val = gauge.value(v)
+    r = np.divide(a, val[..., None], out=np.zeros_like(a), where=val[..., None] > 0)
+    return r ** (gauge.p - 1.0) * np.sign(v)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0, 8.0, 128.0])
+def test_lp_gradient_takes_no_value_call(p, rng, monkeypatch):
+    gauge = ac.LpGauge(p)
+    v = _edge_panel(rng)
+    singles = v[-len(GAUGE_EDGE_VECTORS) - 200 :]
+    expect = _lp_grad_nested(gauge, v)
+    expect_singles = [_lp_grad_nested(gauge, row) for row in singles]
+
+    def no_value(self, v):
+        raise AssertionError("grad called value")
+
+    monkeypatch.setattr(ac.LpGauge, "value", no_value)
+    assert gauge.grad(v).tobytes() == expect.tobytes()
+    for row, g in zip(singles, expect_singles):
+        assert gauge.grad(row).tobytes() == g.tobytes(), row
+
+
 def test_euclidean_gradient_matches_the_linalg_norm_bit_for_bit(rng):
     v = _edge_panel(rng)
     n = np.linalg.norm(v, axis=-1)

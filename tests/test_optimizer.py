@@ -469,9 +469,9 @@ def record_descents(monkeypatch):
         descents[-1]["record"] = rec
         return cl, mesh, rec
 
-    def recording_objective(self, V, lam, mu, P0):
+    def recording_objective(self, X, lam, mu, P0):
         descents[-1]["multipliers"].append((lam.copy(), mu))
-        return objective(self, V, lam, mu, P0)
+        return objective(self, X, lam, mu, P0)
 
     def recording_resample(*args):
         # the resampling between outer iterations comes after a record
@@ -550,6 +550,42 @@ class TestRemeshOnCollapse:
         # the trace holds one entry per outer iteration plus one per accepted step
         assert len(rep.perimeter_trace) > rep.outer_iterations
         assert rep.resamples == 0
+
+
+class TestDescentRecord:
+    """Each _Descent holds the interface perimeter, volumes and relative
+    volume errors of the state its descent ended at, as the evaluation that
+    produced that state gave them: equal bit for bit to a fresh evaluation
+    of the cluster and mesh that _descend returns."""
+
+    @pytest.mark.parametrize("case", ["restart-then-budget", "walled", "cross"])
+    def test_holds_the_state_it_ended_at(self, case, monkeypatch):
+        records = []
+        descend = optimizer._descend
+
+        def recording(*args):
+            cl, mesh, rec = descend(*args)
+            # evaluated here: the next descent moves cl's vertices
+            X = cl.vertices.take(mesh.seg_ends, axis=0)
+            vols = mesh.volumes(X)
+            fresh = (mesh.perimeter(X), vols, (vols - mesh.targets) / mesh.targets)
+            records.append((rec, fresh))
+            return cl, mesh, rec
+
+        monkeypatch.setattr(optimizer, "_descend", recording)
+        if case == "restart-then-budget":
+            solve_bubble(SolveOptions(max_outer=2, max_inner=30))
+            # the first descent restarts on a collapse, then runs out of steps
+            assert (records[0][0].resamples, records[0][0].stop) == (1, "budget")
+        elif case == "walled":
+            minimize(next(pinned_solves()))
+        else:
+            solve_cross(MAXNORM, 0)
+            assert len(records) > 3
+        for rec, (P, vols, errors) in records:
+            assert rec.perimeter == P
+            assert rec.volumes.tobytes() == vols.tobytes()
+            assert rec.errors.tobytes() == errors.tobytes()
 
 
 def zigzag_lens():
@@ -748,8 +784,9 @@ def dilation_rate(problem, lam):
         start, problem.density, problem.targets, optimizer._default_resample_len(problem.cluster)
     )
     V = start.vertices
-    P0 = mesh.perimeter(V)
-    _, _, e = mesh.objective(V, lam, 0.0, P0)
+    X = V.take(mesh.seg_ends, axis=0)
+    P0 = mesh.perimeter(X)
+    _, _, _, e = mesh.objective(X, lam, 0.0, P0)
     field = ((V - V.mean(axis=0))[mesh.vert] * mesh.uvec).sum(axis=1)
     return float(mesh.gradient(V, lam, 0.0, e, P0) @ field)
 
@@ -851,10 +888,10 @@ class TestStartMultipliers:
         calls = []
         objective = optimizer._Mesh.objective
 
-        def recording(mesh, V, lam, mu, P0):
-            f, P, e = objective(mesh, V, lam, mu, P0)
+        def recording(mesh, X, lam, mu, P0):
+            f, P, vols, e = objective(mesh, X, lam, mu, P0)
             calls.append(-(lam + mu * e) * P0 / mesh.targets)
-            return f, P, e
+            return f, P, vols, e
 
         monkeypatch.setattr(optimizer._Mesh, "objective", recording)
         rep = solve_bubble()
@@ -991,8 +1028,9 @@ class TestGradient:
             assert len(mesh.wall_nbs) > 0
         V = cl.vertices
         lam = np.linspace(-0.3, 0.4, cl.m)
-        P0 = mesh.perimeter(V)
-        _, _, e = mesh.objective(V, lam, 20.0, P0)
+        X = V.take(mesh.seg_ends, axis=0)
+        P0 = mesh.perimeter(X)
+        _, _, _, e = mesh.objective(X, lam, 20.0, P0)
         fd = mesh.gradient(V, lam, 20.0, e, P0)
         exact = analytic_gradient(mesh, V, lam, 20.0, e, P0)
         assert np.max(np.abs(fd - exact)) <= 1e-7 * np.max(np.abs(exact))
@@ -1256,13 +1294,13 @@ def reference_gradient(mesh, V, lam, mu, e, P0):
 
 
 def reference_collapsed(mesh, V, target_len):
-    cut = np.arange(len(mesh.i0)) if mesh.cut is None else mesh.cut
+    cut = np.flatnonzero(~mesh.kept_edge[mesh.eid])
     d = V[mesh.i1[cut]] - V[mesh.i0[cut]]
     lens = np.hypot(d[:, 0], d[:, 1])
     L = np.zeros(len(mesh.min_count))
-    np.add.at(L, mesh.cut_eid, lens)
+    np.add.at(L, mesh.eid[cut], lens)
     spacing = L / np.maximum(mesh.min_count, np.rint(L / target_len))
-    return bool((lens < optimizer.COLLAPSE_FRACTION * spacing[mesh.cut_eid]).any())
+    return bool((lens < optimizer.COLLAPSE_FRACTION * spacing[mesh.eid[cut]]).any())
 
 
 def reference_apply_step(V, mesh, d):
@@ -1338,17 +1376,23 @@ class TestFusedEvaluations:
             prev.near_ends(dilated.vertices, 0.0)
         mesh = optimizer._Mesh(cl, density, targets, rs_len, prev)
         assert (mesh.i0 is getattr(prev, "i0", None)) == carried
-        # the bubble resamples every segment, and collapsed() reads them all
-        assert (mesh.cut is None) == (kind == "bubble")
+        # the walled oracle's stencil has rows of inactive segments, which
+        # the gradient prices at 0.0, and the cross and the walled oracle
+        # have kept edges, to which collapsed() gives no spacing
+        inactive_rows = not mesh.active[mesh.ent_seg].all()
+        assert inactive_rows == (kind == "walled")
+        assert mesh.kept_edge.any() == (kind != "bubble")
         assert mesh.n > 0
         assert density.symmetric == (name in ("euclidean", "l3"))
         lam, mu = np.linspace(-0.3, 0.4, cl.m), 20.0
-        P0 = mesh.perimeter(V)
+        X = V.take(mesh.seg_ends, axis=0)
+        P0 = mesh.perimeter(X)
         assert P0 == reference_objective(mesh, V, lam, mu, 1.0)[1]
-        assert mesh.volumes(V).tolist() == reference_volumes(mesh, V).tolist()
-        f, P, e = mesh.objective(V, lam, mu, P0)
+        assert mesh.volumes(X).tolist() == reference_volumes(mesh, V).tolist()
+        f, P, vols, e = mesh.objective(X, lam, mu, P0)
         rf, rP, re = reference_objective(mesh, V, lam, mu, P0)
         assert (f, P, e.tolist()) == (rf, rP, re.tolist())
+        assert vols.tolist() == reference_volumes(mesh, V).tolist()
         g = mesh.gradient(V, lam, mu, e, P0)
         assert g.tolist() == reference_gradient(mesh, V, lam, mu, e, P0).tolist()
         caps = mesh.step_caps(V)
@@ -1558,8 +1602,9 @@ def test_a_callable_of_one_gauge_prices_like_the_constant_density(gauge):
     grads = []
     for density in (field, const):
         mesh = optimizer._Mesh(cl, density, [1.0, 1.0], optimizer._default_resample_len(cl))
-        P0 = mesh.perimeter(cl.vertices)
-        _, _, e = mesh.objective(cl.vertices, lam, mu, P0)
+        X = cl.vertices.take(mesh.seg_ends, axis=0)
+        P0 = mesh.perimeter(X)
+        _, _, _, e = mesh.objective(X, lam, mu, P0)
         grads.append(mesh.gradient(cl.vertices, lam, mu, e, P0).tolist())
     assert grads[0] == grads[1]
 
