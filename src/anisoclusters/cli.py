@@ -260,7 +260,3 @@ def main(argv=None):
     for path in wrote:
         print(f"wrote {path}")
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -11,9 +11,11 @@ rotation of the travel direction when white is on the right); a segment
 between two distinct colored chambers carries the mean of the two oriented
 weights; a segment with equal labels on both sides carries nothing.
 
-vertex_arms lists the arms at each vertex clockwise, for the wedge check
-and junction detection; relative_perimeter and ball_bound_check clip all
-segments to a disk in one clip_segments_to_disk call.
+oriented_weight is the one kernel that prices segments under a gauge: the
+slice networks call it directly, and segment_weights calls it for a uniform
+density. vertex_arms lists the arms at each vertex clockwise, for the wedge
+check and junction detection; relative_perimeter and ball_bound_check clip
+all segments to a disk in one clip_segments_to_disk call.
 """
 
 from __future__ import annotations
@@ -120,17 +122,26 @@ def symmetric_rule(h, left, right):
     return np.where(np.asarray(left) == np.asarray(right), 0.0, h)
 
 
+def oriented_weight(gauge, vec, left, right):
+    """Weights of segments with travel vectors vec (..., 2) and side labels,
+    in one gauge call: of the clockwise normals alone for a symmetric gauge
+    (symmetric_rule), else of the normals and their negatives."""
+    n = rotate_cw(vec)
+    if gauge.symmetric:
+        return symmetric_rule(gauge.value(n), left, right)
+    h_fwd, h_rev = gauge.value(np.array([n, -n]))
+    return orientation_rule(h_fwd, h_rev, left, right)
+
+
 def segment_weights(density, p, q, left, right):
     """Perimeter weight of each segment from p to q, (S, 2) arrays of its
-    endpoints, under the orientation convention, in one Density.h_at call:
-    of the clockwise normals of q - p alone when the density is symmetric
-    (symmetric_rule), else of the normals and their negatives stacked. The
-    midpoints 0.5 * (p + q) are formed only for a gauge field, the one h_at
-    that reads its points."""
+    endpoints, under the orientation convention: oriented_weight of q - p
+    under a uniform gauge, else one Density.h_at call on the clockwise
+    normals and their negatives stacked, at the midpoints."""
+    if density.uniform_gauge:
+        return oriented_weight(density.gauge_at(None), q - p, left, right)
     normal = rotate_cw(q - p)
-    if density.symmetric:
-        return symmetric_rule(density.h_at(None, normal), left, right)
-    mid = None if density.uniform_gauge else np.stack([0.5 * (p + q)] * 2)
+    mid = np.stack([0.5 * (p + q)] * 2)
     h_fwd, h_rev = density.h_at(mid, np.stack([normal, -normal]))
     return orientation_rule(h_fwd, h_rev, left, right)
 
@@ -154,14 +165,14 @@ def _ordered_sum(x):
     return float(np.cumsum(x)[-1]) if len(x) else 0.0
 
 
-def relative_perimeter(cluster, density, center, radius, eps=1e-12):
+def relative_perimeter(cluster, density, center, radius):
     """Perimeter contribution inside a closed disk; exact segment clipping
     (clip_segments_to_disk), the clipped pieces priced in one
     segment_weights call and summed in segment order."""
     p, q, left, right, _ = cluster.segment_arrays()
     sel = left != right
     p, q, left, right = p[sel], q[sel], left[sel], right[sel]
-    t0, t1, keep = clip_segments_to_disk(p, q, center, radius, eps=eps)
+    t0, t1, keep = clip_segments_to_disk(p, q, center, radius)
     p, d = p[keep], q[keep] - p[keep]
     a = p + t0[keep, None] * d
     b = p + t1[keep, None] * d
@@ -265,8 +276,10 @@ def union_perimeter(cluster, density):
     return float(w.sum())
 
 
-def validate(cluster, check_crossings=True):
-    """Structural checks; returns a list of human-readable violations."""
+def validate(cluster):
+    """Structural checks; returns a list of human-readable violations: of
+    the edges' indices and labels, else of the wedges at every vertex, the
+    chambers' areas and the first CROSSINGS_LISTED crossing segment pairs."""
     problems = []
     nv = len(cluster.vertices)
     for k, e in enumerate(cluster.edges):
@@ -293,8 +306,7 @@ def validate(cluster, check_crossings=True):
         if not a > 0:
             problems.append(f"chamber {i}: nonpositive area {a:.6g}")
 
-    if check_crossings:
-        problems.extend(_crossing_violations(cluster))
+    problems.extend(_crossing_violations(cluster))
     return problems
 
 
@@ -360,21 +372,22 @@ def crossing_pairs(V, i0, i1, margin=0.0):
     return a[~share], b[~share]
 
 
-def _crossing_violations(cluster, cap=20):
+CROSSINGS_LISTED = 20
+
+
+def _crossing_violations(cluster):
     i0, i1, _, _, eid = cluster.segment_index_arrays()
     V = cluster.vertices
     a, b = crossing_pairs(V, i0, i1)
     hit = segments_properly_cross(V[i0[a]], V[i1[a]], V[i0[b]], V[i1[b]])
     a, b = a[hit], b[hit]
-    order = np.lexsort((b, a))
-    return [
-        f"segments of edges {eid[ia]} and {eid[ib]} cross"
-        for ia, ib in zip(a[order][:cap], b[order][:cap])
-    ]
+    order = np.lexsort((b, a))[:CROSSINGS_LISTED]
+    return [f"segments of edges {eid[ia]} and {eid[ib]} cross" for ia, ib in zip(a[order], b[order])]
 
 
-def growth_estimate(density, radii, centers_per_radius=8, rng=None):
-    """Fit |B(x, r)| <= C_vol * r^eta from sampled ball volumes.
+def growth_estimate(density, radii, rng=None):
+    """Fit |B(x, r)| <= C_vol * r^eta from the volumes of 8 sampled balls
+    per radius.
 
     Least squares of log(max volume) against log(r) gives the exponent; the
     constant is then raised until it covers every sampled ball.
@@ -386,7 +399,7 @@ def growth_estimate(density, radii, centers_per_radius=8, rng=None):
     worst = np.zeros(len(radii))
     all_vols = []
     for k, r in enumerate(radii):
-        centers = _ball_centers(density.domain, r, centers_per_radius, rng)
+        centers = _ball_centers(density.domain, r, 8, rng)
         vols = np.array([ball_volume(density, c, r) for c in centers])
         worst[k] = vols.max()
         all_vols.append(vols)
@@ -399,9 +412,11 @@ def growth_estimate(density, radii, centers_per_radius=8, rng=None):
     return c_vol, eta
 
 
-def _ball_centers(domain, r, n, rng, max_tries=200):
+def _ball_centers(domain, r, n, rng):
+    """n centers of balls of radius r in the domain, from at most 200
+    batches of n samples."""
     out = []
-    for _ in range(max_tries):
+    for _ in range(200):
         if len(out) >= n:
             break
         pts = domain.sample(rng, n)

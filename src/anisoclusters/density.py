@@ -2,7 +2,9 @@
 
 The gauge may vary with position (a callable from a point to a Gauge); most
 workloads use a single frozen gauge, for which every consumer takes a fast
-fully-vectorized path.
+fully-vectorized path: cluster.segment_weights prices its segments through
+cluster.oriented_weight on that gauge, and only a gauge field goes through
+h_at's per-point loop.
 """
 
 from __future__ import annotations
@@ -58,15 +60,14 @@ class Density:
 
     h_min and h_max bound the gauge over the domain and the unit circle of
     directions; they feed the isoperimetric and boundary-length diagnostics.
-    A bound not given is probed from the gauge on sampled points of the
-    domain; one that is not finite (a gauge field that overflows there) is
-    an error, and the caller passes h_min and h_max instead. g_const is the
-    value of a constant g, and None when g is a callable. g_rule_sum is
-    g_const times the weights of geometry.TRIANGLE_RULE, summed: the factor
-    by which cluster.fan_volume_terms turns a signed fan area into its
-    volume under a constant g, and None when g is a callable. symmetric is
-    true when h(x, -v) == h(x, v) holds bit for bit: for a uniform gauge
-    whose Gauge.symmetric is set, and for no gauge field.
+    A bound not given is probed from the gauge in 64 directions, at 32
+    sampled points of the domain for a gauge field; one that is not finite
+    (a gauge field that overflows there) is an error, and the caller passes
+    h_min and h_max instead. g_const is the value of a constant g, and None
+    when g is a callable. g_rule_sum is g_const times the weights of
+    geometry.TRIANGLE_RULE, summed: the factor by which
+    cluster.fan_volume_terms turns a signed fan area into its volume under a
+    constant g, and None when g is a callable.
     """
 
     def __init__(self, gauge, g=1.0, domain=None, h_min=None, h_max=None):
@@ -90,7 +91,6 @@ class Density:
             self.g_rule_sum = None
         else:
             raise ValueError("g must be a positive number or a callable")
-        self.symmetric = self.uniform_gauge and gauge.symmetric
         if h_min is None or h_max is None:
             lo, hi = self._probe_gauge_range()
             h_min = lo if h_min is None else h_min
@@ -110,13 +110,13 @@ class Density:
     def constant(cls, gauge, g=1.0, domain=None):
         return cls(gauge, g=g, domain=domain)
 
-    def _probe_gauge_range(self, n_dirs=64, n_pts=32):
-        u = unit_dir(np.arange(n_dirs) * (2 * np.pi / n_dirs))
+    def _probe_gauge_range(self):
+        u = unit_dir(np.arange(64) * (2 * np.pi / 64))
         if self.uniform_gauge:
             vals = self._gauge.value(u)
             return float(vals.min()), float(vals.max())
         rng = np.random.default_rng(0)
-        pts = self.domain.sample(rng, n_pts)
+        pts = self.domain.sample(rng, 32)
         lo, hi = np.inf, -np.inf
         for x in pts:
             vals = self._gauge(x).value(u)
@@ -167,8 +167,10 @@ class Density:
         return Density(gauge, g=g, domain=self.domain, h_min=self.h_min * factor, h_max=self.h_max * factor)
 
 
-def ball_volume(density, center, radius, n_r=48, n_t=96):
-    """Weighted volume of a disk via tensor Gauss-Legendre in polar form."""
+def ball_volume(density, center, radius):
+    """Weighted volume of a disk via tensor quadrature in polar form: 48
+    Gauss-Legendre radii by 96 equally spaced angles."""
+    n_r, n_t = 48, 96
     center = np.asarray(center, dtype=float)
     xr, wr = np.polynomial.legendre.leggauss(n_r)
     r = 0.5 * radius * (xr + 1.0)

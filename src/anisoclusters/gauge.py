@@ -35,10 +35,11 @@ class Gauge:
     #: True when the gauge is C^1 away from the origin.
     smooth = True
     #: True when value(-v) == value(v) and grad(-v) == -grad(v) hold bit for
-    #: bit by construction. cluster.segment_weights and
-    #: slices.oriented_weight rely on it: they price one side of every
-    #: segment and take it for both, so a gauge that sets it and breaks it
-    #: changes every perimeter the solver and the slice moves see.
+    #: bit by construction. cluster.oriented_weight, which prices the
+    #: solver's and the slice moves' segments, relies on it: it prices one
+    #: side of every segment and takes it for both, so a gauge that sets it
+    #: and breaks it changes every perimeter the solver and the slice moves
+    #: see.
     symmetric = False
 
     def value(self, v):
@@ -69,9 +70,6 @@ class Gauge:
         d = {"kind": self.kind}
         d.update(self.params())
         return d
-
-    def __call__(self, v):
-        return self.value(v)
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v}" for k, v in self.params().items())
@@ -526,12 +524,13 @@ def strict_convexity_margin(gauge, n_dirs=256):
     return float((gap[keep] / ang[keep] ** 2).min())
 
 
-def roundedness_constant(gauge, n_dirs=128, n_w=16):
+def roundedness_constant(gauge):
     """Largest c with (h(v+w)+h(v-w))/2 >= h(v) + c |w|^2 on a sample grid.
 
-    v runs over unit directions and w over perpendicular vectors with
+    v runs over 128 unit directions and w over 16 perpendicular vectors with
     |w| <= 1. For the euclidean gauge this converges to sqrt(2) - 1.
     """
+    n_dirs, n_w = 128, 16
     u = unit_dir(np.arange(n_dirs) * (TWO_PI / n_dirs))
     perp = rotate_ccw(u)
     t = np.linspace(1.0 / n_w, 1.0, n_w)

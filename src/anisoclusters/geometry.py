@@ -92,17 +92,6 @@ def polygon_area(pts):
     return 0.5 * float(cross2(pts, np.roll(pts, -1, axis=0)).sum())
 
 
-def segment_point_distance(p, a, b):
-    p = np.asarray(p, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ab = b - a
-    denom = np.maximum((ab * ab).sum(-1), 1e-300)
-    t = np.clip(((p - a) * ab).sum(-1) / denom, 0.0, 1.0)
-    foot = a + t[..., None] * ab
-    return np.linalg.norm(foot - p, axis=-1)
-
-
 def segments_properly_cross(p1, q1, p2, q2):
     """Vectorized proper-crossing test for segment batches.
 
@@ -309,11 +298,8 @@ def fit_endpoint_tangent(pts, k=4):
 
 
 def hausdorff_to_segments(points, seg_a, seg_b):
-    """max over points of distance to the union of segments (a_i, b_i)."""
-    points = np.asarray(points, float)
-    seg_a = np.asarray(seg_a, float)
-    seg_b = np.asarray(seg_b, float)
-    d = np.empty(len(points))
-    for n, pt in enumerate(points):
-        d[n] = segment_point_distance(pt, seg_a, seg_b).min()
-    return float(d.max())
+    """max over points of distance to the union of segments (a_i, b_i), in
+    one segment_distance call from every point, as a segment of length
+    zero, to every segment."""
+    p = np.asarray(points, float)[:, None, :]
+    return float(segment_distance(p, p, seg_a, seg_b).min(axis=1).max())

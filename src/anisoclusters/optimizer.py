@@ -38,11 +38,13 @@ evaluations on them.
 Each evaluation makes one gauge call. The objective gathers every
 segment's endpoints once and prices the perimeter and the volumes from
 that gather; after an accepted step the collapse check reads its segment
-lengths from the same gather. Its segment_weights call takes the
-endpoints, forms midpoints only for a gauge field, the one density whose
-h_at reads them, and evaluates one side only when the density is symmetric
-(Density.symmetric), where the orientation rule reduces to one where on
-the labels, and both sides stacked otherwise. The gradient prices the +
+lengths from the same gather, and a descent's start takes P0, the
+perimeter its objective is scaled by, from its first objective. Its
+segment_weights call takes the endpoints: under a uniform gauge it prices
+them through cluster.oriented_weight, which evaluates one side only when
+the gauge is symmetric (Gauge.symmetric), where the orientation rule
+reduces to one where on the labels, and both sides stacked otherwise; only
+a gauge field forms midpoints, for Density.h_at. The gradient prices the +
 and - stencil in one segment_weights and one fan_volume_terms call. No
 evaluation picks out the segments that count: a segment that is not an
 interface (a wall, or one chamber on both sides) is priced with white on
@@ -588,8 +590,14 @@ class _Mesh:
 
     def objective(self, X, lam, mu, P0):
         """The objective, the interface perimeter, the volumes and their
-        relative errors."""
+        relative errors. The perimeter enters as P / P0; P0 None stands for
+        the perimeter at X itself, which must be positive: a descent's
+        start, whose perimeter is its P0."""
         P = self.perimeter(X)
+        if P0 is None:
+            if P <= 0:
+                raise ValueError("cluster has no interface perimeter to minimize")
+            P0 = P
         vols = self.volumes(X)
         e = (vols - self.targets) / self.targets
         f = P / P0 + float((lam * e).sum()) + 0.5 * mu * float((e * e).sum())
@@ -649,17 +657,13 @@ def _descend(cl, density, targets, lam, mu, opts, rs_len, mesh):
     mesh = _Mesh(cl, density, targets, rs_len, mesh)
     V = cl.vertices
     X = V.take(mesh.seg_ends, axis=0)
-    P0 = mesh.perimeter(X)
-    if P0 <= 0:
-        raise ValueError("cluster has no interface perimeter to minimize")
-    trace = []
+    f, P0, vols, e = mesh.objective(X, lam, mu, None)
+    Pint = P0
+    # one perimeter entry for the start, then one per accepted step
+    trace = [P0]
     rejections = resamples = it = 0
     stop = "budget"
     while True:
-        f, Pint, vols, e = mesh.objective(X, lam, mu, P0)
-        # one perimeter entry for the start, then one per accepted step
-        if not resamples:
-            trace.append(Pint)
         if mesh.n == 0:
             stop = "converged"
             break
@@ -732,6 +736,7 @@ def _descend(cl, density, targets, lam, mu, opts, rs_len, mesh):
         mesh = _Mesh(cl, density, targets, rs_len, mesh)
         V = cl.vertices
         X = V.take(mesh.seg_ends, axis=0)
+        f, Pint, vols, e = mesh.objective(X, lam, mu, P0)
         resamples += 1
     return cl, mesh, _Descent(it, stop, trace, rejections, resamples, Pint, vols, e)
 

@@ -7,7 +7,8 @@ strictly convex smooth gauges a strictly decreasing move exists whenever
 there are more than three radii. A network's perimeter is priced by the
 clusters' orientation rule (cluster.orientation_rule): a segment between a
 colored and a white region is weighed one sidedly, one between two distinct
-colored regions symmetrically, by oriented_weight.
+colored regions symmetrically, by cluster.oriented_weight, the kernel the
+solver's segment_weights shares.
 
 Each move family is stated once, as arrays: for one configuration it
 selects its moves (slides and tripods over all of EPS_GRID) and writes one
@@ -39,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cluster import _ordered_sum, orientation_rule, symmetric_rule
+from .cluster import _ordered_sum, oriented_weight
 from .gauge import strict_convexity_margin
 from .geometry import (
     TWO_PI,
@@ -47,7 +48,6 @@ from .geometry import (
     cross2,
     polygon_area,
     polyline_self_intersects,
-    rotate_cw,
     segment_distance,
     segments_properly_cross,
     unit_dir,
@@ -56,17 +56,6 @@ from .geometry import (
 from .report import plain
 
 EPS_GRID = tuple(0.5 ** k for k in range(1, 21))
-
-
-def oriented_weight(gauge, vec, left, right):
-    """Weights of segments with travel vectors vec (..., 2) and side labels,
-    in one gauge call: of the clockwise normals alone for a symmetric gauge
-    (cluster.symmetric_rule), else of the normals and their negatives."""
-    n = rotate_cw(vec)
-    if gauge.symmetric:
-        return symmetric_rule(gauge.value(n), left, right)
-    h_fwd, h_rev = gauge.value(np.array([n, -n]))
-    return orientation_rule(h_fwd, h_rev, left, right)
 
 
 @dataclass
@@ -608,10 +597,11 @@ def _touches_itself(ring):
     return bool((segment_distance(v, v, ring[i[far]], ring[j[far]]) <= 1e-11 * scale).any())
 
 
-def _dedup(pts, tol=1e-12):
+def _dedup(pts):
+    """pts without each point within 1e-12 of the last one kept."""
     keep = [pts[0]]
     for p in pts[1:]:
-        if np.linalg.norm(p - keep[-1]) > tol:
+        if np.linalg.norm(p - keep[-1]) > 1e-12:
             keep.append(p)
     return np.array(keep)
 

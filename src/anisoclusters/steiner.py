@@ -109,9 +109,6 @@ class AdmissibleTriple:
 
     __eq__ = _equal_fields
 
-    def points(self):
-        return np.array([self.a, self.b, self.c])
-
 
 # mode: the (left, right) side labels orientation_rule reads for the arm
 # from the junction point P to terminal X, whose forward weight is
@@ -426,15 +423,15 @@ _FD_EPS = 1e-7
 _FD_PROBES = _FD_EPS * np.array([[1.0, 0.0], [-1.0, -0.0], [0.0, 1.0], [-0.0, -1.0]])
 
 
-def admissible_pairs(gauge, a, resolution=720, tol=1e-9, max_newton=60):
+def admissible_pairs(gauge, a, resolution=720, tol=1e-9):
     """All boundary pairs {B, C} forming a stationary triple with A.
 
     Scans the (phi_B, phi_C) torus, resolution >= 16 angles a side, for cells
     whose corners bracket zero in both components of grad(A) + grad(B) +
     grad(C): per-axis corner bounds test both components on blocks of
     columns, then cell by cell (_bracketing_cells). Refines every cell with
-    damped Newton on finite-difference Jacobians (at most max_newton steps,
-    an integer >= 1), all cells in lockstep, one gauge call per stage
+    damped Newton on finite-difference Jacobians (at most 60 steps), all
+    cells in lockstep, one gauge call per stage
     (_lockstep_newton); keeps roots with residual below tol (a positive
     finite number), and deduplicates unordered pairs. Requires a smooth
     gauge.
@@ -450,7 +447,6 @@ def admissible_pairs(gauge, a, resolution=720, tol=1e-9, max_newton=60):
     """
     integer_at_least("resolution", resolution, 16)
     positive_number("tol", tol)
-    integer_at_least("max_newton", max_newton, 1)
     if not gauge.smooth:
         raise ValueError("kinked gauge: admissible pairs need a C1 gauge")
     a = np.asarray(a, dtype=float)
@@ -473,7 +469,7 @@ def admissible_pairs(gauge, a, resolution=720, tol=1e-9, max_newton=60):
         return g0 + g[..., 0, :] + g[..., 1, :]
 
     h_cell = TWO_PI / n
-    phi, its = _lockstep_newton(residual, phis[cells] + 0.5 * h_cell, tol, max_newton)
+    phi, its = _lockstep_newton(residual, phis[cells] + 0.5 * h_cell, tol, 60)
     phi = wrap_angle(phi)
     # reject triples with coincident directions
     d = np.column_stack([phi[:, 0] - phi_a, phi[:, 1] - phi_a, phi[:, 0] - phi[:, 1]])

@@ -1,8 +1,11 @@
 """Deterministic SVG 1.1 renderings of clusters, networks and gauges.
 
-Elements are emitted in a fixed order (background, axes, fills, strokes,
-arrows, markers, text) and every coordinate is written with six decimal
-places, so identical inputs produce byte-identical documents.
+Every document is SIZE pixels square, and _frame sets it up the same way
+for every renderer: a canvas fitted to the points drawn, with a margin, a
+white background and the coordinate axes. Elements are emitted in a fixed
+order (background, axes, fills, strokes, arrows, markers, text) and every
+coordinate is written with six decimal places, so identical inputs produce
+byte-identical documents.
 
 Arrow convention on boundaries: a segment with white on one side gets one
 full-length arrow oriented so its colored chamber lies on the arrow's left;
@@ -14,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import rotate_ccw, unit_dir
+from .gauge import unit_ball_boundary
+from .geometry import rotate_ccw
 from .steiner import MODE_SIDES
 
 PALETTE = (
@@ -28,8 +32,11 @@ PALETTE = (
     "#33a02c",
 )
 
+SIZE = 640
+MARGIN = 0.08
 ARROW_PX = 22.0
 HALF_ARROW_PX = 11.0
+ARROW_COLOR = "#222222"
 
 
 def _fmt(v):
@@ -37,17 +44,17 @@ def _fmt(v):
 
 
 class _Canvas:
-    def __init__(self, lo, hi, size=640, margin=0.08):
+    def __init__(self, lo, hi):
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         span = np.maximum(hi - lo, 1e-9)
         side = float(span.max())
-        pad = margin * side
+        pad = MARGIN * side
         lo = lo - pad
         side = side + 2 * pad
         self.lo = lo
         self.side = side
-        self.size = float(size)
+        self.size = float(SIZE)
         self.scale = self.size / side
 
     def pt(self, p):
@@ -66,27 +73,15 @@ class _Canvas:
         return px / self.scale
 
 
-def _bbox(points):
+def _frame(points):
+    """The canvas fitted to the bounding box of points ([-1, 1]^2 when there
+    are none) and the elements every document starts with: the white
+    background and the axes that cross the canvas."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
-        return np.array([-1.0, -1.0]), np.array([1.0, 1.0])
-    return pts.min(axis=0), pts.max(axis=0)
-
-
-def _svg(elements, size):
-    head = (
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{int(size)}" height="{int(size)}" viewBox="0 0 {int(size)} {int(size)}">'
-    )
-    return "\n".join([head, *elements, "</svg>"]) + "\n"
-
-
-def _background(size):
-    return f'<rect x="0" y="0" width="{int(size)}" height="{int(size)}" fill="#ffffff"/>'
-
-
-def _axes(canvas):
-    out = []
+        pts = np.array([[-1.0, -1.0], [1.0, 1.0]])
+    canvas = _Canvas(pts.min(axis=0), pts.max(axis=0))
+    out = [f'<rect x="0" y="0" width="{SIZE}" height="{SIZE}" fill="#ffffff"/>']
     x0, y0 = canvas.pt((0.0, 0.0))
     if 0 <= x0 <= canvas.size:
         out.append(
@@ -98,7 +93,15 @@ def _axes(canvas):
             f'<line x1="0" y1="{_fmt(y0)}" x2="{_fmt(canvas.size)}" y2="{_fmt(y0)}" '
             'stroke="#dddddd" stroke-width="1"/>'
         )
-    return out
+    return canvas, out
+
+
+def _svg(elements):
+    head = (
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{SIZE}" height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">'
+    )
+    return "\n".join([head, *elements, "</svg>"]) + "\n"
 
 
 def _polyline(canvas, pts, stroke, width, dashed=False, closed=False):
@@ -110,7 +113,7 @@ def _polyline(canvas, pts, stroke, width, dashed=False, closed=False):
     )
 
 
-def _arrow(canvas, mid, direction, length_px, offset_px=0.0, color="#222222"):
+def _arrow(canvas, mid, direction, length_px, offset_px=0.0):
     """A straight arrow centered at mid pointing along direction (world)."""
     d = np.asarray(direction, dtype=float)
     nd = np.linalg.norm(d)
@@ -131,16 +134,16 @@ def _arrow(canvas, mid, direction, length_px, offset_px=0.0, color="#222222"):
     px, py = canvas.pt(tip)
     line = (
         f'<line x1="{_fmt(tx)}" y1="{_fmt(ty)}" x2="{_fmt(px)}" y2="{_fmt(py)}" '
-        f'stroke="{color}" stroke-width="1.6"/>'
+        f'stroke="{ARROW_COLOR}" stroke-width="1.6"/>'
     )
     head = (
         f'<polygon points="{canvas.fmt(tip)} {canvas.fmt(b1)} {canvas.fmt(b2)}" '
-        f'fill="{color}"/>'
+        f'fill="{ARROW_COLOR}"/>'
     )
     return [line, head]
 
 
-def _segment_arrows(canvas, p0, p1, left, right, color="#222222"):
+def _segment_arrows(canvas, p0, p1, left, right):
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     if left == right:
@@ -148,11 +151,11 @@ def _segment_arrows(canvas, p0, p1, left, right, color="#222222"):
     mid = 0.5 * (p0 + p1)
     d = p1 - p0
     if right == 0:
-        return _arrow(canvas, mid, d, ARROW_PX, 0.0, color)
+        return _arrow(canvas, mid, d, ARROW_PX)
     if left == 0:
-        return _arrow(canvas, mid, -d, ARROW_PX, 0.0, color)
-    out = _arrow(canvas, mid, d, HALF_ARROW_PX, 4.0, color)
-    out += _arrow(canvas, mid, -d, HALF_ARROW_PX, 4.0, color)
+        return _arrow(canvas, mid, -d, ARROW_PX)
+    out = _arrow(canvas, mid, d, HALF_ARROW_PX, 4.0)
+    out += _arrow(canvas, mid, -d, HALF_ARROW_PX, 4.0)
     return out
 
 
@@ -164,11 +167,11 @@ def _marker(canvas, p, r_px=4.0, fill="#000000"):
     )
 
 
-def _text(canvas, p, s, size_px=13, color="#333333"):
+def _text(canvas, p, s):
     x, y = canvas.pt(p)
     return (
         f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
-        f'font-size="{int(size_px)}" fill="{color}">{s}</text>'
+        f'font-size="13" fill="#333333">{s}</text>'
     )
 
 
@@ -209,12 +212,9 @@ def _chamber_cycles(cluster, label):
     return cycles
 
 
-def render_cluster_svg(cluster, junction_points=None, size=640, arrows=True):
+def render_cluster_svg(cluster, junction_points=None):
     """Filled chambers, boundary strokes, weight arrows, junction markers."""
-    lo, hi = _bbox(cluster.vertices if len(cluster.vertices) else [])
-    canvas = _Canvas(lo, hi, size=size)
-    elements = [_background(size)]
-    elements.extend(_axes(canvas))
+    canvas, elements = _frame(cluster.vertices)
     for label in range(1, cluster.m + 1):
         cycles = _chamber_cycles(cluster, label)
         if not cycles:
@@ -234,19 +234,18 @@ def render_cluster_svg(cluster, junction_points=None, size=640, arrows=True):
             elements.append(_polyline(canvas, pts, "#555555", 3.0))
         else:
             elements.append(_polyline(canvas, pts, "#222222", 1.6))
-    if arrows:
-        for e in cluster.edges:
-            idx = np.asarray(e.vertices, dtype=int)
-            k = (len(idx) - 1) // 2
-            p0 = cluster.vertices[idx[k]]
-            p1 = cluster.vertices[idx[k + 1]]
-            elements.extend(_segment_arrows(canvas, p0, p1, e.left, e.right))
+    for e in cluster.edges:
+        idx = np.asarray(e.vertices, dtype=int)
+        k = (len(idx) - 1) // 2
+        p0 = cluster.vertices[idx[k]]
+        p1 = cluster.vertices[idx[k + 1]]
+        elements.extend(_segment_arrows(canvas, p0, p1, e.left, e.right))
     for p in junction_points or []:
         elements.append(_marker(canvas, p, 4.5, "#d62728"))
-    return _svg(elements, size)
+    return _svg(elements)
 
 
-def render_network_svg(segments, ghost_segments=None, circle_radius=None, size=640):
+def render_network_svg(segments, ghost_segments=None, circle_radius=None):
     """Slice networks: optional reference circle, segments with weight arrows.
 
     segments: iterable of objects with p0, p1, left, right attributes.
@@ -262,10 +261,7 @@ def render_network_svg(segments, ghost_segments=None, circle_radius=None, size=6
     pts = [p for s in segs + ghosts for p in (s[0], s[1])]
     if circle_radius:
         pts.extend([np.array([circle_radius, circle_radius]), np.array([-circle_radius, -circle_radius])])
-    lo, hi = _bbox(pts if pts else [])
-    canvas = _Canvas(lo, hi, size=size)
-    elements = [_background(size)]
-    elements.extend(_axes(canvas))
+    canvas, elements = _frame(pts)
     if circle_radius:
         x, y = canvas.pt((0.0, 0.0))
         elements.append(
@@ -286,17 +282,14 @@ def render_network_svg(segments, ghost_segments=None, circle_radius=None, size=6
             if key not in seen:
                 seen.add(key)
                 elements.append(_marker(canvas, p, 2.5, "#444444"))
-    return _svg(elements, size)
+    return _svg(elements)
 
 
-def render_gauge_svg(gauge, n=256, size=640):
-    """Unit ball boundary of a gauge with the unit circle for reference."""
-    theta = np.arange(int(n)) * (2.0 * np.pi / int(n))
-    ball = gauge.boundary_point(theta)
-    lo, hi = _bbox(np.vstack([ball, unit_dir(theta)]))
-    canvas = _Canvas(lo, hi, size=size)
-    elements = [_background(size)]
-    elements.extend(_axes(canvas))
+def render_gauge_svg(gauge):
+    """Unit ball boundary of a gauge with the unit circle for reference;
+    the frame fits both, the circle by its bounding square."""
+    ball = unit_ball_boundary(gauge)
+    canvas, elements = _frame(np.vstack([ball, [[-1.0, -1.0], [1.0, 1.0]]]))
     x, y = canvas.pt((0.0, 0.0))
     elements.append(
         f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(canvas.px(1.0))}" '
@@ -304,19 +297,16 @@ def render_gauge_svg(gauge, n=256, size=640):
     )
     elements.append(_polyline(canvas, ball, "#1f78b4", 2.0, closed=True))
     elements.append(_marker(canvas, (0.0, 0.0), 3.0, "#000000"))
-    return _svg(elements, size)
+    return _svg(elements)
 
 
-def render_fermat_svg(terminals, point, modes, size=640):
+def render_fermat_svg(terminals, point, modes):
     """Terminals, the junction point, and one weighted arm per terminal. An
     arm's arrows are those of the segment from the point to its terminal
     with its mode's side labels (steiner.MODE_SIDES)."""
     terminals = np.asarray(terminals, dtype=float)
     point = np.asarray(point, dtype=float)
-    lo, hi = _bbox(np.vstack([terminals, point[None, :]]))
-    canvas = _Canvas(lo, hi, size=size)
-    elements = [_background(size)]
-    elements.extend(_axes(canvas))
+    canvas, elements = _frame(np.vstack([terminals, point[None, :]]))
     labels = ("A", "B", "C")
     for x, mode, lab in zip(terminals, modes, labels):
         elements.append(_polyline(canvas, [point, x], "#222222", 1.8))
@@ -324,21 +314,17 @@ def render_fermat_svg(terminals, point, modes, size=640):
         elements.append(_marker(canvas, x, 4.0, "#1f78b4"))
         elements.append(_text(canvas, x, lab))
     elements.append(_marker(canvas, point, 4.5, "#d62728"))
-    return _svg(elements, size)
+    return _svg(elements)
 
 
-def render_triples_svg(gauge, a, triples, size=640):
+def render_triples_svg(gauge, a, triples):
     """The unit ball, the reference boundary point and admissible partners."""
-    theta = np.arange(256) * (2.0 * np.pi / 256)
-    ball = gauge.boundary_point(theta)
+    ball = unit_ball_boundary(gauge)
     a = np.asarray(a, dtype=float)
     extra = [a]
     for t in triples:
         extra.extend([np.asarray(t.b, float), np.asarray(t.c, float)])
-    lo, hi = _bbox(np.vstack([ball] + [p[None, :] for p in extra]))
-    canvas = _Canvas(lo, hi, size=size)
-    elements = [_background(size)]
-    elements.extend(_axes(canvas))
+    canvas, elements = _frame(np.vstack([ball] + [p[None, :] for p in extra]))
     elements.append(_polyline(canvas, ball, "#bbbbbb", 1.2, closed=True))
     origin = np.zeros(2)
     elements.append(_polyline(canvas, [origin, a], "#222222", 1.8))
@@ -350,4 +336,4 @@ def render_triples_svg(gauge, a, triples, size=640):
     elements.append(_marker(canvas, a, 4.5, "#d62728"))
     elements.append(_text(canvas, a, "A"))
     elements.append(_marker(canvas, origin, 3.0, "#000000"))
-    return _svg(elements, size)
+    return _svg(elements)

@@ -39,6 +39,7 @@ from anisoclusters.cluster import (
     crossing_pairs,
     fan_volume_terms,
     orientation_rule,
+    oriented_weight,
     segment_weights,
     vertex_arms,
 )
@@ -46,10 +47,10 @@ from anisoclusters.geometry import (
     TRIANGLE_RULE,
     clip_segments_to_disk,
     cross2,
+    hausdorff_to_segments,
     polyline_self_intersects,
     rotate_cw,
     segment_distance,
-    segment_point_distance,
     segments_properly_cross,
 )
 from conftest import odd_profile_gauge
@@ -160,14 +161,19 @@ def test_odd_profile_tells_outward_from_inward_normals():
 
 
 class _FixedWeights:
-    """A symmetric density whose h_at returns given weights."""
+    """A uniform density that is its own symmetric gauge, whose value
+    returns given weights."""
 
+    uniform_gauge = True
     symmetric = True
 
     def __init__(self, h):
         self.h = h
 
-    def h_at(self, pts, normal):
+    def gauge_at(self, x):
+        return self
+
+    def value(self, normal):
         return self.h
 
 
@@ -189,6 +195,23 @@ def test_symmetric_weights_are_the_orientation_rule_bit_for_bit():
     left, right = np.array([True, False, True] * 3), np.array([True, True, False] * 3)
     got = segment_weights(density, p, q, left, right)
     assert got.tobytes() == orientation_rule(h, h, left, right).tobytes()
+
+
+def test_uniform_segment_weights_are_oriented_weight_bit_for_bit(all_gauges):
+    # a uniform density prices its segments through oriented_weight, whose
+    # one-sided evaluation of a symmetric gauge gives the bits of the rule
+    # on both sides
+    rng = np.random.default_rng(5)
+    p, q = rng.normal(size=(2, 60, 2))
+    labels = rng.integers(0, 3, (2, 60))
+    n = rotate_cw(q - p)
+    for gauge in all_gauges + [odd_profile_gauge()]:
+        density = Density.constant(gauge)
+        for left, right in (labels, labels == 1):
+            got = segment_weights(density, p, q, left, right)
+            assert got.tobytes() == oriented_weight(gauge, q - p, left, right).tobytes()
+            rule = orientation_rule(gauge.value(n), gauge.value(-n), left, right)
+            assert got.tobytes() == rule.tobytes(), gauge
 
 
 class TestSingleChamber:
@@ -390,7 +413,7 @@ class TestWedgeViolations:
                 e.left, e.right = e.right, e.left
                 want = wedge_reference(cl)
                 assert want
-                assert [p for p in validate(cl, check_crossings=False) if "wedge" in p] == want
+                assert [p for p in validate(cl) if "wedge" in p] == want
 
 
 def all_pairs(V, i0, i1):
@@ -569,6 +592,19 @@ class TestCrossingBroadPhase:
         assert got == expected
 
 
+def segment_point_distance(p, a, b):
+    """Distances from points p to segments ab, by the foot of the
+    perpendicular clamped to the segment: the scalar oracle."""
+    p = np.asarray(p, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ab = b - a
+    denom = np.maximum((ab * ab).sum(-1), 1e-300)
+    t = np.clip(((p - a) * ab).sum(-1) / denom, 0.0, 1.0)
+    foot = a + t[..., None] * ab
+    return np.linalg.norm(foot - p, axis=-1)
+
+
 class TestSegmentDistance:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8))
@@ -594,6 +630,17 @@ class TestSegmentDistance:
         ]
         p1, q1, p2, q2, want = (np.array(c, dtype=float) for c in zip(*cases))
         assert np.allclose(segment_distance(p1, q1, p2, q2), want, rtol=0, atol=1e-15)
+
+    def test_hausdorff_to_segments_is_the_per_point_loop(self):
+        rng = np.random.default_rng(11)
+        for n_pts, n_segs in [(3, 1), (5, 2)] + [(40, 12)] * 20:
+            a, b = rng.uniform(-2.0, 2.0, (2, n_segs, 2))
+            b[::3] = a[::3]  # segments of length zero
+            pts = rng.uniform(-2.0, 2.0, (n_pts, 2))
+            # points on a segment, at an end and at a point segment
+            pts[:3] = [0.3 * a[-1] + 0.7 * b[-1], b[-1], a[0]]
+            want = max(segment_point_distance(pt, a, b).min() for pt in pts)
+            assert abs(hausdorff_to_segments(pts, a, b) - want) <= 1e-12
 
 
 def clip_segment_to_disk(p, q, center, radius, eps=1e-12):

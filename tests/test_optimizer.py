@@ -587,6 +587,38 @@ class TestDescentRecord:
             assert rec.volumes.tobytes() == vols.tobytes()
             assert rec.errors.tobytes() == errors.tobytes()
 
+    @pytest.mark.parametrize("case", ["restarts", "walled", "cross"])
+    def test_each_descent_prices_its_start_once(self, case, monkeypatch):
+        # the start's first objective gives the descent its P0, so no other
+        # perimeter call sees the start's gather
+        gathers = []
+        descend, perimeter = optimizer._descend, optimizer._Mesh.perimeter
+
+        def recording_descend(*args):
+            gathers.append([])
+            out = descend(*args)
+            gathers.append(None)
+            return out
+
+        def recording_perimeter(self, X):
+            if gathers and gathers[-1] is not None:
+                gathers[-1].append(X.copy())
+            return perimeter(self, X)
+
+        monkeypatch.setattr(optimizer, "_descend", recording_descend)
+        monkeypatch.setattr(optimizer._Mesh, "perimeter", recording_perimeter)
+        if case == "restarts":
+            rep = solve_bubble()
+            assert rep.resamples > 0
+        elif case == "walled":
+            minimize(next(pinned_solves()))
+        else:
+            solve_cross(MAXNORM, 0)
+        descents = [g for g in gathers if g is not None]
+        assert len(descents) > 1
+        for calls in descents:
+            assert sum(np.array_equal(X, calls[0]) for X in calls) == 1
+
 
 def zigzag_lens():
     """Two chambers above and below a zig-zag edge tagged fixed, from (-1, 0)
@@ -890,7 +922,8 @@ class TestStartMultipliers:
 
         def recording(mesh, X, lam, mu, P0):
             f, P, vols, e = objective(mesh, X, lam, mu, P0)
-            calls.append(-(lam + mu * e) * P0 / mesh.targets)
+            # a descent's start passes None: its own perimeter is its P0
+            calls.append(-(lam + mu * e) * (P if P0 is None else P0) / mesh.targets)
             return f, P, vols, e
 
         monkeypatch.setattr(optimizer._Mesh, "objective", recording)
@@ -1383,7 +1416,8 @@ class TestFusedEvaluations:
         assert inactive_rows == (kind == "walled")
         assert mesh.kept_edge.any() == (kind != "bubble")
         assert mesh.n > 0
-        assert density.symmetric == (name in ("euclidean", "l3"))
+        symmetric = density.uniform_gauge and density.gauge_at(None).symmetric
+        assert symmetric == (name in ("euclidean", "l3"))
         lam, mu = np.linspace(-0.3, 0.4, cl.m), 20.0
         X = V.take(mesh.seg_ends, axis=0)
         P0 = mesh.perimeter(X)

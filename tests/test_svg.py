@@ -48,12 +48,6 @@ class TestClusterRendering:
         text = render_cluster_svg(Cluster(np.zeros((0, 2)), [], 0))
         parse(text)
 
-    def test_arrows_can_be_disabled(self):
-        cl = double_bubble_cluster(n_arc=10, n_mid=4)
-        with_arrows = render_cluster_svg(cl, arrows=True)
-        without = render_cluster_svg(cl, arrows=False)
-        assert len(without) < len(with_arrows)
-
 
 class TestOtherRenderers:
     def test_network(self):
