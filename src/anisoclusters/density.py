@@ -136,15 +136,12 @@ class Density:
         return np.asarray(self._g(pts), dtype=float)
 
     def h_at(self, pts, v):
-        """Gauge values h(x, v) for matched batches of points and vectors.
-        Only a gauge field reads the points: a uniform gauge prices v alone,
-        and its callers may pass None for pts."""
-        v = np.asarray(v, dtype=float)
-        if self.uniform_gauge:
-            return self._gauge.value(v)
+        """A gauge field's values h(x, v) for matched batches of points and
+        vectors, one gauge per point. A uniform gauge is priced through
+        gauge_at(None) instead."""
         pts = np.asarray(pts, dtype=float)
         flat_p = pts.reshape(-1, 2)
-        flat_v = v.reshape(-1, 2)
+        flat_v = np.asarray(v, dtype=float).reshape(-1, 2)
         out = np.empty(len(flat_p))
         for k in range(len(flat_p)):
             out[k] = self._gauge(flat_p[k]).value(flat_v[k])

@@ -1272,10 +1272,15 @@ class TestCarriedMesh:
 
 
 def two_sided_weights(density, P, Q, left, right):
-    """Segment weights with each side priced by its own h_at call."""
+    """Segment weights with each side priced by its own gauge call: the
+    uniform gauge's value, or h_at at the midpoints for a gauge field."""
     n = rotate_cw(Q - P)
-    mid = 0.5 * (P + Q)
-    return orientation_rule(density.h_at(mid, n), density.h_at(mid, -n), left, right)
+    if density.uniform_gauge:
+        h = density.gauge_at(None).value
+    else:
+        mid = 0.5 * (P + Q)
+        h = lambda v: density.h_at(mid, v)
+    return orientation_rule(h(n), h(-n), left, right)
 
 
 def reference_volumes(mesh, V):
@@ -1301,7 +1306,7 @@ def reference_objective(mesh, V, lam, mu, P0):
 
 def reference_gradient(mesh, V, lam, mu, e, P0):
     """mesh.gradient evaluated sign by sign: the + and - stencils priced by
-    separate calls, two-sided weights by one h_at call per side, and the
+    separate calls, two-sided weights by one gauge call per side, and the
     entries added to their dofs by np.add.at."""
     seg, slot, dof = mesh.ent_seg, mesh.ent_slot, mesh.ent_dof
     P, Q = V[mesh.i0[seg]], V[mesh.i1[seg]]
