@@ -136,17 +136,12 @@ class SliceConfig:
         # the gap from the last radius back across angle 0 counts too
         if len(angles) >= 2 and np.min(np.diff(angles, append=angles[0] + TWO_PI)) < 1e-12:
             raise ValueError("radii angles must be strictly increasing")
-        # merge adjacent white sectors by dropping the radius between them
-        changed = True
-        while changed and len(colors) > 0:
-            changed = False
-            n = len(colors)
-            for i in range(n):
-                if colors[i] == 0 and colors[(i - 1) % n] == 0:
-                    angles = np.delete(angles, i)
-                    del colors[i]
-                    changed = True
-                    break
+        # merge adjacent white sectors by dropping every radius between two
+        # whites, cyclically: a run of whites keeps its first radius
+        white = np.array(colors) == 0
+        keep = ~(white & np.roll(white, 1))
+        angles = angles[keep]
+        colors = [c for c, k in zip(colors, keep) if k]
         if len(angles) < 2:
             raise ValueError("need at least two radii after merging whites")
         self.angles = angles

@@ -85,6 +85,11 @@ class TestSliceConfig:
         assert 0 in cfg.colors
         for i in range(cfg.n):
             assert not (cfg.colors[i] == 0 and cfg.colors[i - 1] == 0)
+        # a run of whites from radius 3 on wraps past index 0: it keeps its
+        # first radius, 180 deg, and radii 4, 5 and 0 go
+        cfg = SliceConfig(np.radians([0, 60, 120, 180, 240, 300]), [0, 1, 2, 0, 0, 0], EuclideanGauge())
+        np.testing.assert_array_equal(cfg.angles, np.radians([60, 120, 180]))
+        assert cfg.colors == [1, 2, 0]
 
     def test_angles_come_out_sorted(self):
         cfg = SliceConfig(np.radians([300, 10, 150]), [1, 2, 3], EuclideanGauge())
