@@ -39,7 +39,7 @@ EXIT_NO_CONVERGENCE = 3
 OUT_ENV = "ANISOCLUSTERS_OUT"
 
 
-def _run_fermat(scn, seed):
+def _run_fermat(scn):
     a, b, c = scn.payload["terminals"]
     if "colors" in scn.payload:
         modes, _ = fermat_modes_for_colors(scn.payload["colors"])
@@ -63,7 +63,7 @@ def _run_fermat(scn, seed):
     return result, render, EXIT_OK
 
 
-def _run_triples(scn, seed):
+def _run_triples(scn):
     a = scn.payload["point"]
     pairs = admissible_pairs(
         scn.gauge,
@@ -95,7 +95,7 @@ def _run_triples(scn, seed):
     return result, render, EXIT_OK
 
 
-def _run_slices(scn, seed):
+def _run_slices(scn):
     config = SliceConfig(scn.payload["angles"], scn.payload["colors"], scn.gauge)
     res = improve(config)
     result = {
@@ -117,7 +117,7 @@ def _run_slices(scn, seed):
     return result, render, EXIT_OK
 
 
-def _run_perimeter(scn, seed):
+def _run_perimeter(scn):
     cluster = scn.payload["cluster"]
     parts = perimeter_breakdown(cluster, scn.density)
     result = {
@@ -135,12 +135,12 @@ def _run_perimeter(scn, seed):
     return result, render, EXIT_OK
 
 
-def _run_solve(scn, seed):
+def _run_solve(scn):
     problem = OptimizationProblem(
         cluster=scn.payload["cluster"],
         density=scn.density,
         targets=scn.payload["targets"],
-        options=SolveOptions(**scn.payload.get("options", {}), seed=seed),
+        options=SolveOptions(**scn.payload.get("options", {})),
     )
     report = minimize(problem)
     result = report.spec()
@@ -152,7 +152,7 @@ def _run_solve(scn, seed):
     return result, render, EXIT_OK if report.success else EXIT_NO_CONVERGENCE
 
 
-def _run_diagnose(scn, seed):
+def _run_diagnose(scn):
     cluster = scn.payload["cluster"]
     rep = steiner_diagnose(cluster, scn.density, fit_points=scn.payload.get("fit_points", 5))
     result = rep.spec()
@@ -164,7 +164,7 @@ def _run_diagnose(scn, seed):
     return result, render, EXIT_OK
 
 
-def _run_gaugeprobe(scn, seed):
+def _run_gaugeprobe(scn):
     gauge = scn.gauge
     n = scn.payload.get("directions", 256)
     u = unit_dir(np.arange(n) * (2.0 * np.pi / n))
@@ -215,7 +215,6 @@ def _build_parser():
             default=None,
             help=f"output directory (default: ${OUT_ENV} or the working directory)",
         )
-        sp.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         sp.add_argument("--svg", action="store_true", help="also write an SVG rendering")
         sp.add_argument("--verbose", action="store_true", help="print run details")
     return parser
@@ -230,21 +229,14 @@ def main(argv=None):
                 "scenario.task",
                 f"scenario task {scn.task!r} does not match subcommand {args.command!r}",
             )
-        seed = args.seed
-        if seed is None:
-            seed = scn.seed if scn.seed is not None else 0
-        if seed < 0:
-            raise ScenarioError("scenario.seed", "seed must be nonnegative")
-        result, render, code = _RUNNERS[scn.task](scn, seed)
+        result, render, code = _RUNNERS[scn.task](scn)
     except ValueError as err:  # ScenarioError included
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
 
     out_dir = args.out or os.environ.get(OUT_ENV) or "."
     os.makedirs(out_dir, exist_ok=True)
-    report = make_report(
-        scn.task, result, seed=seed, scenario_name=os.path.basename(args.scenario)
-    )
+    report = make_report(scn.task, result, scenario_name=os.path.basename(args.scenario))
     report_path = os.path.join(out_dir, scn.out_report or f"{scn.task}.json")
     write_report(report_path, report)
     wrote = [report_path]

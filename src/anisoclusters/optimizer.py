@@ -84,7 +84,7 @@ cluster from stage to stage (homotopy continuation, Allgower and Georg
 1990). Descent on the kinked gauge alone creeps along its flat directions;
 from the last surrogate's minimiser it has little left to do.
 
-Every start begins at the targets' total volume wherever one rescale puts
+A solve begins at the targets' total volume wherever one rescale puts
 it there exactly (_volume_matched): with no kept edge and a constant g, the
 problem's cluster is scaled about the mean of its vertices by
 s = sqrt(sum of targets / sum of volumes), since a volume scales as s**2.
@@ -98,7 +98,7 @@ the same either way.
 Such a start also begins at its Euler pressure when the gauge is uniform
 (_start_multipliers): the continuation ladder's descents and the first
 outer iteration run at lam_i = -T_i / (2 sum_j T_j) for targets T, s == 1
-or not, where every other start runs them at lam = 0. h is 1-homogeneous
+or not, where every other solve runs them at lam = 0. h is 1-homogeneous
 and a volume 2-homogeneous, so along the dilation about any point the
 objective below changes at the rate P / P0 + 2 sum_i (lam_i + mu e_i) V_i
 / T_i. At the volume-matched start P0 = P and sum V = sum T, so with mu = 0
@@ -158,31 +158,26 @@ from .steiner import detect_junctions, junction_residual
 COLLAPSE_FRACTION = 0.1
 
 # The finite-difference step of a dof as a fraction of the mean length of
-# the segments at its vertex (_Mesh), the augmented Lagrangian's starting
-# penalty mu (_solve_single), and the spread of a multi-start's jitter as a
-# fraction of the local segment length, before halving on a crossing
-# (_perturb_start).
+# the segments at its vertex (_Mesh), and the augmented Lagrangian's starting
+# penalty mu (_solve_single).
 FD_SCALE = 1e-6
 PENALTY0 = 10.0
-JITTER = 0.05
 
 
 @dataclass
 class SolveOptions:
     """The solve's budgets and tolerances, checked as the scenario loader
-    checks them: max_outer, max_inner and multi_start are integers >= 1,
-    seed an integer >= 0, vol_tol and grad_tol positive finite numbers."""
+    checks them: max_outer and max_inner are integers >= 1, vol_tol and
+    grad_tol positive finite numbers."""
 
     max_outer: int = 30
     max_inner: int = 200
     vol_tol: float = 1e-6
     grad_tol: float = 1e-5
-    multi_start: int = 1
-    seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("max_outer", 1), ("max_inner", 1), ("multi_start", 1), ("seed", 0)):
-            integer_at_least(name, getattr(self, name), least)
+        for name in ("max_outer", "max_inner"):
+            integer_at_least(name, getattr(self, name), 1)
         for name in ("vol_tol", "grad_tol"):
             positive_number(name, getattr(self, name))
 
@@ -228,11 +223,9 @@ class SolveReport:
     outer_iterations: int
     inner_iterations: int
     crossing_rejections: int
-    start_index: int
     flags: list
     resamples: int = 0
     junctions: list = field(default_factory=list)
-    starts: list = field(default_factory=list)
     continuation: list = field(default_factory=list)
 
     def spec(self):
@@ -799,10 +792,10 @@ def resample_cluster(cluster, target_len):
     return type(cluster)(np.concatenate(blocks), edges, cluster.m)
 
 
-def _solve_single(cluster, density, targets, opts, start_index, rs_len):
-    """One start of minimize from cluster, at the multipliers of
-    _start_multipliers. rs_len, the resampling length, comes from the
-    problem's cluster, so every start resamples alike."""
+def _solve_single(cluster, density, targets, opts, rs_len):
+    """The augmented-Lagrangian solve of minimize from cluster, at the
+    multipliers of _start_multipliers. rs_len, the resampling length, comes
+    from the problem's cluster, not from the volume-matched start."""
     lam = _start_multipliers(cluster, density, targets)
     mu = PENALTY0
     flags = []
@@ -864,7 +857,6 @@ def _solve_single(cluster, density, targets, opts, start_index, rs_len):
         outer_iterations=outer,
         inner_iterations=sum(rec.iterations for rec in descents),
         crossing_rejections=sum(rec.rejections for rec in descents),
-        start_index=start_index,
         flags=flags,
         resamples=sum(rec.resamples for rec in descents),
         continuation=[
@@ -883,8 +875,7 @@ def _dilatable(cluster, density):
 
 
 def _start_multipliers(cluster, density, targets):
-    """The volume multipliers lam a start of minimize from cluster begins
-    with: lam_i = -T_i / (2 sum_j T_j) for targets T when cluster is
+    """The volume multipliers lam a solve from cluster begins with: lam_i = -T_i / (2 sum_j T_j) for targets T when cluster is
     dilatable and the gauge uniform, else 0 (see the module docstring)."""
     if not (_dilatable(cluster, density) and density.uniform_gauge):
         return np.zeros(len(targets))
@@ -892,7 +883,7 @@ def _start_multipliers(cluster, density, targets):
 
 
 def _volume_matched(problem):
-    """The cluster every start of minimize begins from: a copy of
+    """The cluster minimize begins from: a copy of
     problem.cluster scaled about the mean of its vertices by
     s = sqrt(sum of targets / sum of weighted volumes), whose total volume
     under a constant g meets the targets'. Unscaled when an edge is kept,
@@ -908,57 +899,19 @@ def _volume_matched(problem):
     return cl
 
 
-def _perturb_start(problem, start, k, rs_len):
-    """A copy of start with its movable vertices jittered, seeded by
-    (seed, k); unperturbed when every jitter tried makes a crossing."""
-    rng = np.random.default_rng([int(problem.options.seed), int(k)])
-    cl = start.copy()
-    mesh = _Mesh(cl, problem.density, problem.targets, rs_len)
-    if mesh.n == 0:
-        return cl
-    caps = mesh.step_caps(cl.vertices)
-    for trial in range(20):
-        amp = JITTER * (0.5**trial)
-        d = rng.normal(0.0, amp, mesh.n) * mesh.local_len
-        d = np.clip(d, -caps, caps)
-        Vt = _apply_step(cl.vertices, mesh, d)
-        if not _has_crossing(Vt, mesh.near_ends(Vt, 0.0)):
-            cl.vertices = Vt
-            return cl
-    return start.copy()
-
-
 def minimize(problem):
     """Minimize weighted perimeter at fixed chamber volumes.
 
-    Runs multi_start independent solves from the volume-matched start
-    (_volume_matched; start 0 as it is, the rest with jittered movable
-    vertices), each fully deterministic given the seed, and
-    returns the report of the best start: successful runs first, then lowest
-    weighted perimeter, ties broken by start index. The chosen report also
-    carries the junction diagnostics of its final cluster.
+    One deterministic solve from the volume-matched start
+    (_volume_matched); its report also carries the junction diagnostics of
+    its final cluster.
     """
-    opts = problem.options
-    targets = np.asarray(problem.targets, dtype=float)
     rs_len = _default_resample_len(problem.cluster)
-    start = _volume_matched(problem)
-    runs = []
-    for k in range(opts.multi_start):
-        cl = _perturb_start(problem, start, k, rs_len) if k > 0 else start.copy()
-        runs.append(_solve_single(cl, problem.density, targets, opts, k, rs_len))
-    champ = min(runs, key=lambda r: (not r.success, r.perimeter))
-    champ.starts = [
-        {
-            "start": r.start_index,
-            "perimeter": r.perimeter,
-            "success": r.success,
-            "max_volume_error": np.max(np.abs(r.volume_errors)),
-        }
-        for r in runs
-    ]
-    diag = steiner_diagnose(champ.cluster, problem.density)
-    champ.junctions = [j.spec() for j in diag.junctions]
-    return champ
+    targets = np.asarray(problem.targets, dtype=float)
+    rep = _solve_single(_volume_matched(problem), problem.density, targets, problem.options, rs_len)
+    diag = steiner_diagnose(rep.cluster, problem.density)
+    rep.junctions = [j.spec() for j in diag.junctions]
+    return rep
 
 
 @dataclass

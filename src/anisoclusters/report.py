@@ -53,7 +53,7 @@ def _canon(value):
     raise TypeError(f"cannot serialize {type(value).__name__} in a report")
 
 
-def make_report(task, result, seed=None, scenario_name=None):
+def make_report(task, result, scenario_name=None):
     """Wrap a task result in the report envelope."""
     rep = {
         "schema": REPORT_SCHEMA,
@@ -61,8 +61,6 @@ def make_report(task, result, seed=None, scenario_name=None):
         "task": task,
         "result": result,
     }
-    if seed is not None:
-        rep["seed"] = int(seed)
     if scenario_name is not None:
         rep["scenario"] = str(scenario_name)
     return rep

@@ -51,7 +51,6 @@ class Scenario:
     gauge: object
     density: Density
     payload: dict
-    seed: int | None = None
     out_report: str | None = None
     out_svg: str | None = None
 
@@ -277,13 +276,10 @@ def _sector_colors(obj, path):
     return colors
 
 
-# the solve options are SolveOptions' fields but the seed, which comes from
-# the scenario or the command line: integers >= 1 where the default is an
-# integer, positive numbers otherwise
+# the solve options are SolveOptions' fields: integers >= 1 where the
+# default is an integer, positive numbers otherwise
 _OPTIONS = {
-    f.name: _at_least(1) if type(f.default) is int else _positive
-    for f in fields(SolveOptions)
-    if f.name != "seed"
+    f.name: _at_least(1) if type(f.default) is int else _positive for f in fields(SolveOptions)
 }
 
 # task: ({key: converter}, required keys)
@@ -307,7 +303,6 @@ _TOP = {
     "gauge": _gauge,
     "g": _positive,
     "domain": _domain,
-    "seed": _at_least(0),
     "out": {"report": _file_name, "svg": _file_name},
 }
 
@@ -349,7 +344,6 @@ def parse_scenario(raw):
         gauge=top["gauge"],
         density=Density(top["gauge"], g=top.get("g", 1.0), domain=top.get("domain")),
         payload=_task_payload(task, _mapping(raw[task], path), path),
-        seed=top.get("seed"),
         out_report=out.get("report"),
         out_svg=out.get("svg"),
     )

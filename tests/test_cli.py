@@ -37,51 +37,51 @@ FAST_SCENARIOS = [
 # CHANGES.md.
 SHIPPED_DIGESTS = {
     "diagnose-double-bubble.json": (
-        "06bf3439ad1ed6ab3a77aa73988960ba56a0531a268cbb506f6ecc435b792cad",
+        "06b162acbf388df5521c1f70b16cb39e3e04a7c08eb140d1057a06cfff02a588",
         "ce484958f2b825fa9cd875e71901966af8cef8eec3b71a718628c4e975eb5709",
     ),
     "fermat-euclidean.json": (
-        "808ff465692c10c8dae1bb2550e41b092992a522819a188589b6f79611c39b58",
+        "b1c88b6b20adfd17ecafa0df21aff2ec3bb950ea8d9ccb2f63417eccb8d192ca",
         "cac40e443335aaf6c0991ac7f70ba6018ac800de2079a9bf3d891cc59f4c8aff",
     ),
     "gaugeprobe-smoothed-l1.json": (
-        "cf775134340e375f58659345575e16d0f4662d10e6f5a6139ec35d93da37602d",
+        "94ebacfbde113d11163fc885e67004c41523042e2b0da491c5686f6427fcb9e8",
         "32f498866f777b72912f4e459fed483d6980b8115537fa7d0fad284894b00a11",
     ),
     "perimeter-square-cross.json": (
-        "95ed6944366deca7bc5ef089c117250d08da91522c4a12bed9b4f2dab72dce98",
+        "ddafa841ef3919f824ade92c2a8c5d1a6c09287d3f55901fdcaab1ae7c0fc1b0",
         "ed1407b7995f6308193ba61c8374520789f9786d38e1637526ef1fc332eb3ec5",
     ),
     "slices-cross-maxnorm.json": (
-        "09b08dadb2cf1b49bde7cb7cb08931e8834201e22008c9a9040dcde0493689f1",
+        "fc2d3e977de9bae1593ac3806c648a71995d64d2766ffd251f5603d46e36f1a4",
         "c70aae570edd32c8c52da1482653b1ff97250e7609c670f7a397e5fc34d70548",
     ),
     "slices-five-radii.json": (
-        "36e80142117ed0fe9bb93a2054650c6768721b391b0dc4311dbca694ab0e5fdc",
+        "fb064cfd8bb8f9e625917d1493200427876b6eb735a68660b7054376dcf52ee0",
         "59da151054d2824d8043e3f22f7f90414772e7ec2da2020ee8087b73afc02b44",
     ),
     "solve-disk.json": (
-        "3e2f00d0474799dc409f9aa9dfc9539bb6a7631107a9de848922a43cbcf5cfe9",
+        "05bc7ac40816960b2591d3d1e52060a13d06003ac8cb0595e99a88a94ea893bb",
         "c1a21647cc155677082135e53ed5f3ff95a649f834ffe30a98f3081ca977a7f6",
     ),
     "solve-double-bubble.json": (
-        "7b924f648a7a35438aeedc9c30669c9ede09833cda9787c76964a1ae77f7103c",
+        "51a3f67c72ce9235ef8778dbff63bce5dd4f6bde594a417bc304c368ab10f1a9",
         "b6038cf2f76a567a1b91001bec3f2d6d28a95c720cf7c7f7b18e465fb6d31aab",
     ),
     "solve-square-cross.json": (
-        "acd8521b9249333cb76e3a31c60509dc32ad04be51ffa0070c9b6f1f43ca5e5a",
+        "64eec55bebebefa415288c21136c952a934099c0d3f6b0982b360cdbb68c667c",
         "e4b132ecb094915f9bfa6c88ba4e0a929782c340d89f4bae28a11295463ce69a",
     ),
     "triples-euclidean.json": (
-        "f184b7d1e9144a45f6b7ac9bbaddc4382754f74d1c5d0a2672e5656e09490fb2",
+        "42cac745fae6cc38770cc145b7e94efab0344f5f0071f5bbe42101983d42cbf2",
         "1801dee0c2cee21b2ff40db21727fe60eacf9f58ff52e21fbc971b3c56871845",
     ),
     "triples-lp-2.json": (
-        "05119f5ae0d5c17ab4b7442da76fc20b7737f14ff8d22ebda92fff429736841d",
+        "e60e71a2cdd97ab490118743ae51f39a5dcaebe56ddfe99ff405e0beaeec0381",
         "1801dee0c2cee21b2ff40db21727fe60eacf9f58ff52e21fbc971b3c56871845",
     ),
     "triples-shifted-disk.json": (
-        "def0029c83f5713d4043f7cf2015906c50a896186fbacf24363857e398577d02",
+        "be8828d109cd9123c00ed1774cdce08dc9e703404495bd59594831c7283c4953",
         "bfa2863725fbde674b87254ccfd1bc6e02b6856fde4e3356f2cb555224b918c7",
     ),
 }
@@ -123,7 +123,7 @@ class TestFastScenarios:
         assert rep["version"] == 1
         assert rep["task"] == task
         assert rep["scenario"] == scenario
-        assert isinstance(rep["seed"], int)
+        assert "seed" not in rep
         assert isinstance(rep["result"], dict)
 
     @pytest.mark.parametrize("task,scenario", FAST_SCENARIOS, ids=lambda v: v)
@@ -168,24 +168,7 @@ class TestFastScenarios:
         assert pa.read_bytes() == pb.read_bytes()
 
 
-class TestSeedPrecedence:
-    def test_cli_seed_wins(self, tmp_path):
-        assert run("slices", "slices-five-radii.json", tmp_path, "--seed", "42") == 0
-        assert read_report(tmp_path, "slices-five-radii.json")["seed"] == 42
-
-    def test_default_seed_is_zero(self, tmp_path):
-        assert run("fermat", "fermat-euclidean.json", tmp_path) == 0
-        assert read_report(tmp_path, "fermat-euclidean.json")["seed"] == 0
-
-    def test_scenario_seed_used_when_no_flag(self, tmp_path):
-        scn = json.loads((SCENARIO_DIR / "fermat-euclidean.json").read_text())
-        scn["seed"] = 9
-        p = tmp_path / "seeded.json"
-        p.write_text(json.dumps(scn))
-        assert main(["fermat", "--scenario", str(p), "--out", str(tmp_path)]) == 0
-        rep = json.loads((tmp_path / "fermat.json").read_text())
-        assert rep["seed"] == 9
-
+class TestSectorColors:
     def test_modes_from_sector_colors(self, tmp_path):
         # a fermat scenario may give its sector colors instead of its
         # modes: the two arcs next to the white sector become one-sided
@@ -202,13 +185,15 @@ class TestSeedPrecedence:
         )
         assert result["point"] == pytest.approx(expect.point.tolist(), abs=1e-9)
 
-    def test_negative_cli_seed_rejected(self, tmp_path, capsys):
-        code = run("fermat", "fermat-euclidean.json", tmp_path, "--seed", "-3")
-        assert code == 2
-        assert "seed" in capsys.readouterr().err
-
 
 class TestFailureModes:
+    def test_retired_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run("fermat", "fermat-euclidean.json", tmp_path, "--seed", "3")
+        assert exit_info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_scenario_file(self, tmp_path, capsys):
         code = main(["fermat", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == 2

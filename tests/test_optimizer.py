@@ -223,14 +223,13 @@ class TestMinimize:
                     double_bubble_cluster(n_arc=12, n_mid=4),
                     EUCLID,
                     [1.0, 1.0],
-                    SolveOptions(multi_start=2, seed=3),
                 )
             )
 
         a, b = run(), run()
         assert a.perimeter == b.perimeter
         assert np.array_equal(a.cluster.vertices, b.cluster.vertices)
-        assert a.start_index == b.start_index
+        assert a.spec() == b.spec()
 
     def test_broad_phase_leaves_the_solve_unchanged(self, monkeypatch):
         def solve():
@@ -239,7 +238,6 @@ class TestMinimize:
                     double_bubble_cluster(n_arc=16, n_mid=5),
                     EUCLID,
                     [1.0, 1.0],
-                    SolveOptions(multi_start=2, seed=1),
                 )
             )
 
@@ -267,24 +265,11 @@ class TestMinimize:
         assert oracle_calls
         assert pruned.spec() == oracle.spec()
 
-    def test_multi_start_reports_every_run(self):
-        rep = minimize(
-            OptimizationProblem(
-                regular_polygon_chamber(32, area=np.pi),
-                EUCLID,
-                [np.pi],
-                SolveOptions(multi_start=3, seed=11),
-            )
-        )
-        assert len(rep.starts) == 3
-        assert rep.perimeter <= min(s["perimeter"] for s in rep.starts) + 1e-12
-        assert {s["start"] for s in rep.starts} == {0, 1, 2}
-
-    @pytest.mark.parametrize("target", [np.pi, 1.0])
-    def test_every_start_resamples_to_the_problem_length(self, monkeypatch, target):
-        # the jittered starts resample to the length of the problem's
-        # cluster, not to one recomputed from their own jittered vertices,
-        # nor from the volume-matched start when the targets rescale it
+    @pytest.mark.parametrize("targets", [[2.4, 2.1], [1.0, 0.9]], ids=["near", "far"])
+    def test_every_start_resamples_to_the_problem_length(self, monkeypatch, targets):
+        # the solve resamples to the length of the problem's cluster, not to
+        # one recomputed from the volume-matched start, which the targets
+        # rescale a little (volumes 2.37 each) or a lot
         lens = []
         resample = optimizer.resample_cluster
 
@@ -293,14 +278,11 @@ class TestMinimize:
             return resample(cluster, target_len)
 
         monkeypatch.setattr(optimizer, "resample_cluster", recorded)
-        problem = OptimizationProblem(
-            regular_polygon_chamber(32, area=np.pi),
-            EUCLID,
-            [target],
-            SolveOptions(multi_start=3, seed=11),
-        )
-        assert len(minimize(problem).starts) == 3
-        assert lens and set(lens) == {optimizer._default_resample_len(problem.cluster)}
+        problem = OptimizationProblem(double_bubble_cluster(n_arc=12, n_mid=4), EUCLID, targets)
+        length = optimizer._default_resample_len(problem.cluster)
+        assert optimizer._default_resample_len(optimizer._volume_matched(problem)) != length
+        minimize(problem)
+        assert lens and set(lens) == {length}
 
     def test_report_internal_consistency(self):
         rep = minimize(
@@ -319,52 +301,6 @@ class TestMinimize:
         assert rep.volume_error_trace[-1] <= 1e-6
         spec = rep.spec()
         assert spec["success"] and isinstance(spec["cluster"], dict)
-
-    @pytest.mark.parametrize(
-        "runs, champion",
-        [
-            # a success beats a failure with a lower or equal perimeter
-            ([(False, 1.0), (True, 2.0)], 1),
-            ([(True, 2.0), (False, 2.0)], 0),
-            # the lowest perimeter wins within each class
-            ([(True, 3.0), (False, 1.0), (True, 2.0), (True, 2.5)], 2),
-            ([(False, 3.0), (False, 2.0), (False, 2.5)], 1),
-            # of two equal perimeters, the lower start index wins
-            ([(False, 1.0), (True, 2.0), (True, 2.0)], 1),
-            ([(False, 2.0), (False, 2.0), (True, 3.0), (False, 1.0), (False, 1.0)], 2),
-            ([(False, 2.0), (False, 1.0), (False, 1.0)], 1),
-        ],
-    )
-    def test_champion_is_the_first_success_of_least_perimeter(self, monkeypatch, runs, champion):
-        def scripted(cluster, density, targets, opts, start_index, rs_len):
-            success, perimeter = runs[start_index]
-            return optimizer.SolveReport(
-                cluster=cluster,
-                success=success,
-                perimeter=perimeter,
-                interface_perimeter=perimeter,
-                volumes=targets,
-                volume_errors=np.zeros(len(targets)),
-                perimeter_trace=[],
-                volume_error_trace=[],
-                outer_iterations=1,
-                inner_iterations=0,
-                crossing_rejections=0,
-                start_index=start_index,
-                flags=[],
-            )
-
-        monkeypatch.setattr(optimizer, "_solve_single", scripted)
-        rep = minimize(
-            OptimizationProblem(
-                regular_polygon_chamber(16, area=np.pi),
-                EUCLID,
-                [np.pi],
-                SolveOptions(multi_start=len(runs)),
-            )
-        )
-        assert rep.start_index == champion
-        assert [(s["success"], s["perimeter"]) for s in rep.starts] == runs
 
     def test_exhausted_budget_reports_failure(self):
         rep = minimize(
@@ -759,11 +695,13 @@ class TestVolumeMatchedStart:
             double_bubble_cluster(n_arc=24, n_mid=8),
             EUCLID,
             [1.0, 0.98],
-            SolveOptions(max_outer=2, multi_start=3, seed=4),
+            SolveOptions(max_outer=2),
         )
         start, s = matched(problem)
         assert s < 0.9
+        # the copy is far from the unscaled cluster, beyond its own step caps
         caps = optimizer._Mesh(start, EUCLID, problem.targets, 1.0).base_caps.max()
+        assert np.abs(start.vertices - problem.cluster.vertices).max() > 5 * caps
         starts = []
         solve = optimizer._solve_single
 
@@ -773,17 +711,7 @@ class TestVolumeMatchedStart:
 
         monkeypatch.setattr(optimizer, "_solve_single", recording)
         minimize(problem)
-        assert len(starts) == 3
-        assert starts[0].tobytes() == start.vertices.tobytes()
-        for V in starts[1:]:
-            # jittered within the copy's own step caps, far from the unscaled cluster
-            assert 0.0 < np.abs(V - start.vertices).max() <= caps
-            assert np.abs(V - problem.cluster.vertices).max() > 5 * caps
-        # a jitter that always crosses leaves the start unperturbed
-        starts.clear()
-        monkeypatch.setattr(optimizer, "_has_crossing", lambda V, ends: True)
-        minimize(problem)
-        assert [V.tobytes() for V in starts] == [start.vertices.tobytes()] * 3
+        assert [V.tobytes() for V in starts] == [start.vertices.tobytes()]
 
     @pytest.mark.parametrize("ratio", [1.0, 0.98])
     def test_the_bubble_panel_resamples_at_most_once(self, ratio):
@@ -875,10 +803,10 @@ class TestStartMultipliers:
             ([0.0] * cl.m, optimizer.PENALTY0)
         ]
 
-    @pytest.mark.parametrize("case", ["multi-start", "unit scale", "ladder"])
+    @pytest.mark.parametrize("case", ["scaled", "unit scale", "ladder"])
     def test_every_descent_of_every_start_begins_there(self, case, monkeypatch):
-        opts = SolveOptions(max_outer=1, max_inner=3, multi_start=3, seed=4)
-        if case == "multi-start":
+        opts = SolveOptions(max_outer=1, max_inner=3)
+        if case == "scaled":
             problem = OptimizationProblem(
                 double_bubble_cluster(n_arc=24, n_mid=8), EUCLID, [1.0, 0.98], opts
             )
@@ -893,9 +821,8 @@ class TestStartMultipliers:
             )
         descents = record_descents(monkeypatch)
         minimize(problem)
-        # one descent per start, after one per stage of the max norm's ladder
-        stages = 1 + 3 * (case == "ladder")
-        assert len(descents) == stages * opts.multi_start
+        # one descent, after one per stage of the max norm's ladder
+        assert len(descents) == 1 + 3 * (case == "ladder")
         lam = -problem.targets / (2.0 * problem.targets.sum())
         assert lam.tolist() == optimizer._start_multipliers(
             problem.cluster, problem.density, problem.targets
@@ -1669,7 +1596,8 @@ def pinned_solves():
     """Solves beyond the shipped scenarios, each reaching a path of the
     solver that they do not: sliding wall vertices beside a fixed edge, a
     gauge field with a callable g, an asymmetric gauge, the stall rule, an
-    exhausted budget, a seeded multi-start and a restart on collapse."""
+    exhausted budget, the max norm's ladder from a jittered cross and a
+    restart on collapse."""
     cl = walled_plus(np.random.default_rng(5))
     cl.edges[-1].tags["fixed"] = True
     targets = weighted_volume(cl, EUCLID) * np.array([1.1, 0.9, 1.05, 0.95])
@@ -1686,29 +1614,28 @@ def pinned_solves():
         double_bubble_cluster(n_arc=48, n_mid=16), EUCLID, [1.0, 0.98], SolveOptions(max_outer=2, max_inner=7)
     )
     cl = square_cross_cluster(n_sub=8, jitter=0.02, rng=np.random.default_rng(7))
-    yield OptimizationProblem(cl, MAXNORM, np.ones(4), SolveOptions(max_outer=60, multi_start=3, seed=4))
+    yield OptimizationProblem(cl, MAXNORM, np.ones(4), SolveOptions(max_outer=60))
     yield OptimizationProblem(double_bubble_cluster(n_arc=48, n_mid=16), EUCLID, [1.0, 0.98])
 
 
 def test_solve_outputs_are_pinned():
     # one digest over the report and the final vertex bytes of each pinned
-    # solve; taken before the mesh priced walls and kept edges through
-    # masked labels instead of takes of the segments that count
+    # solve
     reports = [minimize(problem) for problem in pinned_solves()]
-    assert [(rep.success, rep.flags[:1], rep.resamples > 0, len(rep.starts)) for rep in reports] == [
-        (False, ["max_outer_reached"], False, 1),
-        (False, ["max_outer_reached"], False, 1),
-        (True, [], False, 1),
-        (True, ["inner_stall_at_tolerance"], False, 1),
-        (False, ["max_outer_reached"], False, 1),
-        (True, [], False, 3),
-        (True, [], True, 1),
+    assert [(rep.success, rep.flags[:1], rep.resamples > 0) for rep in reports] == [
+        (False, ["max_outer_reached"], False),
+        (False, ["max_outer_reached"], False),
+        (True, [], False),
+        (True, ["inner_stall_at_tolerance"], False),
+        (False, ["max_outer_reached"], False),
+        (True, [], False),
+        (True, [], True),
     ]
     digest = hashlib.sha256()
     for rep in reports:
         digest.update(render_report(rep.spec()).encode())
         digest.update(rep.cluster.vertices.tobytes())
-    assert digest.hexdigest() == "dcbffceca336106085f09e58d4611c52facdecd5e7ee1b12d7c521debb98df5d"
+    assert digest.hexdigest() == "27786821b18fa1e1fee4d53226c14b7834e926ad4129c21a25c85abff13a4f6d"
 
 
 class TestProblemValidation:
@@ -1737,8 +1664,7 @@ class TestProblemValidation:
 
 class TestSolveOptions:
     """SolveOptions takes the scenario loader's bounds: integers >= 1 for the
-    budgets and multi_start, an integer >= 0 for the seed, positive finite
-    numbers for the tolerances."""
+    budgets, positive finite numbers for the tolerances."""
 
     @pytest.mark.parametrize(
         "bad",
@@ -1748,9 +1674,6 @@ class TestSolveOptions:
             {"max_outer": True},
             {"max_inner": 0},
             {"max_inner": -3},
-            {"multi_start": 0},
-            {"seed": -1},
-            {"seed": 1.0},
             {"vol_tol": 0.0},
             {"vol_tol": np.inf},
             {"grad_tol": np.nan},
@@ -1764,9 +1687,15 @@ class TestSolveOptions:
         with pytest.raises(ValueError, match=name):
             SolveOptions(**bad)
 
+    @pytest.mark.parametrize("retired", ["multi_start", "seed"])
+    def test_retired_options_are_not_fields(self, retired):
+        # a solve has one deterministic start, so nothing reads a seed
+        with pytest.raises(TypeError, match=retired):
+            SolveOptions(**{retired: 2})
+
     def test_numpy_scalars_within_bounds_are_accepted(self):
-        opts = SolveOptions(max_outer=np.int64(3), seed=np.int64(0), vol_tol=np.float64(1e-4))
-        assert (opts.max_outer, opts.vol_tol) == (3, 1e-4)
+        opts = SolveOptions(max_outer=np.int64(3), max_inner=np.int64(50), vol_tol=np.float64(1e-4))
+        assert (opts.max_outer, opts.max_inner, opts.vol_tol) == (3, 50, 1e-4)
 
 
 class TestJunctionDetection:

@@ -63,8 +63,7 @@ class TestEnvelope:
         assert "seed" not in rep and "scenario" not in rep
 
     def test_optional_fields(self):
-        rep = make_report("solve", {}, seed=5, scenario_name="run.json")
-        assert rep["seed"] == 5
+        rep = make_report("solve", {}, scenario_name="run.json")
         assert rep["scenario"] == "run.json"
 
 

@@ -91,11 +91,8 @@ class TestMinimalScenarios:
         assert isinstance(parse_scenario(disk).density.domain, DiskDomain)
 
     def test_out_and_seed(self):
-        raw = base(
-            "triples", TRIPLES, seed=7, out={"report": "r.json", "svg": "p.svg"}
-        )
+        raw = base("triples", TRIPLES, out={"report": "r.json", "svg": "p.svg"})
         scn = parse_scenario(raw)
-        assert scn.seed == 7
         assert scn.out_report == "r.json"
         assert scn.out_svg == "p.svg"
 
@@ -172,8 +169,10 @@ class TestErrorPaths:
         blk = dict(SOLVE, options={"seed": 5})
         assert err_path(base("solve", blk)) == "scenario.solve.options.seed"
 
-    def test_negative_seed(self):
-        assert err_path(base("triples", TRIPLES, seed=-1)) == "scenario.seed"
+    def test_top_level_seed_rejected(self):
+        # a solve has one deterministic start, and nothing else reads a seed
+        for seed in (7, -1):
+            assert err(base("triples", TRIPLES, seed=seed)) == ("scenario.seed", "unknown key")
 
     def test_non_string_report_name(self):
         raw = base("triples", TRIPLES, out={"report": 7})
@@ -272,8 +271,9 @@ class TestErrorPaths:
         assert err_path([1, 2, 3]) == "scenario"
 
     def test_retired_solve_option_rejected(self):
-        # fd_scale, penalty0, resample_len and jitter are solver constants now
-        for key in ("fd_scale", "penalty0", "resample_len", "jitter"):
+        # fd_scale, penalty0, resample_len and jitter are solver constants
+        # now, and a solve has one start
+        for key in ("fd_scale", "penalty0", "resample_len", "jitter", "multi_start"):
             blk = dict(SOLVE, options={key: 1.0})
             assert err_path(base("solve", blk)) == f"scenario.solve.options.{key}"
 
@@ -352,7 +352,7 @@ class TestSchemaAndCodeAgree:
     def test_solve_options_builders_and_tasks(self):
         defs = json.loads(SCHEMA_PATH.read_text())["$defs"]
         options = set(defs["solve"]["properties"]["options"]["properties"])
-        assert options == {f.name for f in fields(SolveOptions)} - {"seed"}
+        assert options == {f.name for f in fields(SolveOptions)}
         builder = defs["cluster"]["oneOf"][0]["properties"]["builder"]
         assert set(builder["properties"]["name"]["enum"]) == set(scenario._BUILDERS)
         # one branch per builder, with its keys and required keys
@@ -457,3 +457,10 @@ class TestShippedScenarios:
         raw["bogus"] = 1
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(raw, schema)
+
+    def test_schema_rejects_the_retired_seed_and_multi_start(self):
+        import jsonschema
+
+        validator = jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text()))
+        for raw in (base("solve", SOLVE, seed=7), base("solve", dict(SOLVE, options={"multi_start": 2}))):
+            assert list(validator.iter_errors(raw)) != []
