@@ -875,20 +875,20 @@ def _dilatable(cluster, density):
 
 
 def _start_multipliers(cluster, density, targets):
-    """The volume multipliers lam a solve from cluster begins with: lam_i = -T_i / (2 sum_j T_j) for targets T when cluster is
-    dilatable and the gauge uniform, else 0 (see the module docstring)."""
+    """The volume multipliers lam a solve from cluster begins with:
+    lam_i = -T_i / (2 sum_j T_j) for targets T when cluster is dilatable and
+    the gauge uniform, else 0 (see the module docstring)."""
     if not (_dilatable(cluster, density) and density.uniform_gauge):
         return np.zeros(len(targets))
     return -targets / (2.0 * targets.sum())
 
 
 def _volume_matched(problem):
-    """The cluster minimize begins from: a copy of
-    problem.cluster scaled about the mean of its vertices by
-    s = sqrt(sum of targets / sum of weighted volumes), whose total volume
-    under a constant g meets the targets'. Unscaled when an edge is kept,
-    when g is a callable, and when s is exactly 1 (see the module
-    docstring)."""
+    """The cluster minimize begins from: a copy of problem.cluster scaled
+    about the mean of its vertices by s = sqrt(sum of targets / sum of
+    weighted volumes), whose total volume under a constant g meets the
+    targets'. Unscaled when an edge is kept, when g is a callable, and when
+    s is exactly 1 (see the module docstring)."""
     cl = problem.cluster.copy()
     if not _dilatable(cl, problem.density):
         return cl
@@ -907,8 +907,9 @@ def minimize(problem):
     its final cluster.
     """
     rs_len = _default_resample_len(problem.cluster)
-    targets = np.asarray(problem.targets, dtype=float)
-    rep = _solve_single(_volume_matched(problem), problem.density, targets, problem.options, rs_len)
+    rep = _solve_single(
+        _volume_matched(problem), problem.density, problem.targets, problem.options, rs_len
+    )
     diag = steiner_diagnose(rep.cluster, problem.density)
     rep.junctions = [j.spec() for j in diag.junctions]
     return rep
