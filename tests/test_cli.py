@@ -1,15 +1,19 @@
 """End-to-end command line runs against the shipped scenarios."""
 
+import argparse
 import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import anisoclusters
-from anisoclusters.cli import main
+from anisoclusters.cli import _build_parser, main
+from anisoclusters.optimizer import SolveReport
+from anisoclusters.scenario import TASKS
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 REPORT_SCHEMA_PATH = (
@@ -133,6 +137,15 @@ class TestFastScenarios:
         schema = json.loads(REPORT_SCHEMA_PATH.read_text())
         jsonschema.validate(read_report(shipped(scenario), scenario), schema)
 
+    @pytest.mark.parametrize(
+        "scenario", ["solve-disk.json", "solve-double-bubble.json", "solve-square-cross.json"]
+    )
+    def test_solve_results_hold_the_report_fields_only(self, shipped, scenario):
+        # one start per solve: no starts list and no index of a champion
+        result = read_report(shipped(scenario), scenario)["result"]
+        assert set(result) == {f.name for f in fields(SolveReport)}
+        assert not {"starts", "start_index"} & set(result)
+
     @pytest.mark.parametrize("scenario", ["solve-disk.json", "solve-square-cross.json"])
     def test_shipped_solves_never_resample_mid_descent(self, shipped, scenario):
         assert read_report(shipped(scenario), scenario)["result"]["resamples"] == 0
@@ -186,13 +199,25 @@ class TestSectorColors:
         assert result["point"] == pytest.approx(expect.point.tolist(), abs=1e-9)
 
 
+SCENARIO_OF_TASK = dict(FAST_SCENARIOS)
+
+
 class TestFailureModes:
-    def test_retired_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("task", TASKS)
+    def test_retired_seed_flag_is_a_usage_error(self, task, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            run("fermat", "fermat-euclidean.json", tmp_path, "--seed", "3")
+            run(task, SCENARIO_OF_TASK[task], tmp_path, "--seed", "3")
         assert exit_info.value.code == 2
         assert "--seed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_every_subcommand_takes_the_same_four_flags(self):
+        parser = _build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == sorted(TASKS)
+        for name, sp in sub.choices.items():
+            flags = {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+            assert flags == {"--scenario", "--out", "--svg", "--verbose"}, name
 
     def test_missing_scenario_file(self, tmp_path, capsys):
         code = main(["fermat", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path)])

@@ -3,6 +3,7 @@
 import hashlib
 import subprocess
 import sys
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,41 @@ class TestMinimize:
         assert np.array_equal(a.cluster.vertices, b.cluster.vertices)
         assert a.spec() == b.spec()
 
+    def test_one_descent_then_the_junction_diagnosis(self, monkeypatch):
+        # minimize is one solve from the volume-matched start, and the
+        # diagnosis of that solve's final cluster
+        problem = OptimizationProblem(double_bubble_cluster(n_arc=12, n_mid=4), EUCLID, [1.0, 0.98])
+        solves, diagnosed = [], []
+        solve, diagnose = optimizer._solve_single, optimizer.steiner_diagnose
+
+        def recording_solve(cluster, *args):
+            start = cluster.vertices.tobytes()
+            rep = solve(cluster, *args)
+            solves.append((start, rep))
+            return rep
+
+        def recording_diagnose(cluster, density):
+            diagnosed.append(cluster)
+            return diagnose(cluster, density)
+
+        monkeypatch.setattr(optimizer, "_solve_single", recording_solve)
+        monkeypatch.setattr(optimizer, "steiner_diagnose", recording_diagnose)
+        rep = minimize(problem)
+        ((start, single),) = solves
+        assert start == optimizer._volume_matched(problem).vertices.tobytes()
+        assert single is rep
+        assert diagnosed == [rep.cluster]
+
+    def test_a_solve_draws_no_random_numbers(self, monkeypatch):
+        problem = OptimizationProblem(double_bubble_cluster(n_arc=12, n_mid=4), EUCLID, [1.0, 1.0])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a solve drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        monkeypatch.setattr(np.random, "seed", forbidden)
+        assert minimize(problem).success
+
     def test_broad_phase_leaves_the_solve_unchanged(self, monkeypatch):
         def solve():
             return minimize(
@@ -283,6 +319,10 @@ class TestMinimize:
         assert optimizer._default_resample_len(optimizer._volume_matched(problem)) != length
         minimize(problem)
         assert lens and set(lens) == {length}
+
+    def test_report_has_no_start_fields(self):
+        names = {f.name for f in dataclass_fields(optimizer.SolveReport)}
+        assert not {"starts", "start_index"} & names
 
     def test_report_internal_consistency(self):
         rep = minimize(

@@ -1,11 +1,16 @@
 """Canonical JSON report serialization."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from anisoclusters.report import make_report, render_report, write_report
+
+REPORT_SCHEMA_PATH = (
+    Path(__file__).resolve().parent.parent / "src" / "anisoclusters" / "schemas" / "report.schema.json"
+)
 
 
 class TestRender:
@@ -65,6 +70,20 @@ class TestEnvelope:
     def test_optional_fields(self):
         rep = make_report("solve", {}, scenario_name="run.json")
         assert rep["scenario"] == "run.json"
+
+    def test_seed_is_not_a_parameter(self):
+        # a solve has one deterministic start, so a report records no seed
+        with pytest.raises(TypeError, match="seed"):
+            make_report("solve", {}, seed=5)
+
+    def test_schema_rejects_a_seed_in_the_envelope(self):
+        import jsonschema
+
+        schema = json.loads(REPORT_SCHEMA_PATH.read_text())
+        rep = make_report("solve", {}, scenario_name="run.json")
+        jsonschema.validate(rep, schema)
+        with pytest.raises(jsonschema.ValidationError, match="seed"):
+            jsonschema.validate(dict(rep, seed=0), schema)
 
 
 class TestWrite:

@@ -458,9 +458,29 @@ class TestShippedScenarios:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(raw, schema)
 
-    def test_schema_rejects_the_retired_seed_and_multi_start(self):
+    @pytest.mark.parametrize(
+        "raw, path",
+        [
+            (base("solve", SOLVE, seed=7), "scenario.seed"),
+            (base("solve", dict(SOLVE, options={"multi_start": 2})), "scenario.solve.options.multi_start"),
+        ],
+        ids=["seed", "multi_start"],
+    )
+    def test_schema_and_loader_reject_the_retired_seed_and_multi_start(self, raw, path):
         import jsonschema
 
+        assert err(raw) == (path, "unknown key")
         validator = jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text()))
-        for raw in (base("solve", SOLVE, seed=7), base("solve", dict(SOLVE, options={"multi_start": 2}))):
-            assert list(validator.iter_errors(raw)) != []
+        assert list(validator.iter_errors(raw)) != []
+
+    def test_the_cross_builder_keeps_its_seed(self):
+        # the builder's seed draws its jitter, so unlike the retired
+        # top-level seed it changes the cluster
+        raw = json.loads((SCENARIO_DIR / "solve-square-cross.json").read_text())
+
+        def vertices(seed):
+            raw["solve"]["cluster"]["builder"]["seed"] = seed
+            return parse_scenario(raw).payload["cluster"].vertices
+
+        assert vertices(7).tobytes() == vertices(7).tobytes()
+        assert vertices(7).tobytes() != vertices(8).tobytes()
