@@ -24,8 +24,11 @@ def square_cross_cluster(center=(0.0, 0.0), n_sub=8, jitter=0.0, rng=None, half=
     Chambers: 1 top, 2 left, 3 bottom, 4 right. Interfaces run from the four
     corners to the center point; walls are the four square sides. With the
     center at the origin and no jitter the interfaces are the two diagonals.
+    The jitter is drawn from rng, default_rng(0) when None; no jitter draws
+    nothing and makes no generator.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
+    if rng is None and jitter > 0:
+        rng = np.random.default_rng(0)
     h = float(half)
     A = np.array([h, h])
     B = np.array([-h, h])

@@ -6,6 +6,10 @@ subcommand is a validation error. Exit codes: 0 on success, 2 for any
 scenario or hypothesis violation, 3 when a solve finishes without meeting
 its convergence criteria (the report and SVG are still written so the run
 can be inspected).
+
+A process imports what its task runs: each runner imports its task's module
+and calls through it, and svg is imported only when an SVG is written. A
+runner's render takes the svg module and returns the document.
 """
 
 from __future__ import annotations
@@ -16,21 +20,9 @@ import sys
 
 import numpy as np
 
-from . import __version__, svg
-from .cluster import perimeter_breakdown, validate, weighted_volume
-from .gauge import roundedness_constant, strict_convexity_margin, unit_ball_boundary
-from .geometry import unit_dir
-from .optimizer import (
-    OptimizationProblem,
-    SolveOptions,
-    interface_sum,
-    minimize,
-    steiner_diagnose,
-)
+from . import __version__
 from .report import make_report, plain, write_report
 from .scenario import TASKS, ScenarioError, load_scenario
-from .slices import SliceConfig, improve
-from .steiner import admissible_pairs, fermat_modes_for_colors, fermat_point
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -38,14 +30,28 @@ EXIT_NO_CONVERGENCE = 3
 
 OUT_ENV = "ANISOCLUSTERS_OUT"
 
+# task functions also readable as attributes of this module (perfbench's
+# spans.py wraps them here), resolved on access through the package's
+# table. The runners call them through their own modules, so each call
+# passes one wrapper, not this one and the defining module's both.
+_TASK_FUNCTIONS = ("minimize", "steiner_diagnose", "improve", "fermat_point", "admissible_pairs")
+
+
+def __getattr__(name):
+    if name in _TASK_FUNCTIONS:
+        return getattr(sys.modules[__package__], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 def _run_fermat(scn):
+    from . import steiner
+
     a, b, c = scn.payload["terminals"]
     if "colors" in scn.payload:
-        modes, _ = fermat_modes_for_colors(scn.payload["colors"])
+        modes, _ = steiner.fermat_modes_for_colors(scn.payload["colors"])
     else:
         modes = scn.payload.get("modes", ("sym", "sym", "sym"))
-    res = fermat_point(scn.gauge, a, b, c, modes=modes, tol=scn.payload.get("tol", 1e-10))
+    res = steiner.fermat_point(scn.gauge, a, b, c, modes=modes, tol=scn.payload.get("tol", 1e-10))
     result = {
         "point": res.point,
         "value": res.value,
@@ -57,15 +63,17 @@ def _run_fermat(scn):
         "collinear": res.collinear,
     }
 
-    def render():
+    def render(svg):
         return svg.render_fermat_svg((a, b, c), res.point, modes)
 
     return result, render, EXIT_OK
 
 
 def _run_triples(scn):
+    from . import steiner
+
     a = scn.payload["point"]
-    pairs = admissible_pairs(
+    pairs = steiner.admissible_pairs(
         scn.gauge,
         a,
         resolution=scn.payload.get("resolution", 720),
@@ -89,15 +97,17 @@ def _run_triples(scn):
     }
     a_pt = pairs[0].a if pairs else scn.gauge.boundary_point(np.arctan2(a[1], a[0]))
 
-    def render():
+    def render(svg):
         return svg.render_triples_svg(scn.gauge, a_pt, pairs)
 
     return result, render, EXIT_OK
 
 
 def _run_slices(scn):
-    config = SliceConfig(scn.payload["angles"], scn.payload["colors"], scn.gauge)
-    res = improve(config)
+    from . import slices
+
+    config = slices.SliceConfig(scn.payload["angles"], scn.payload["colors"], scn.gauge)
+    res = slices.improve(config)
     result = {
         "config": config,
         "perimeter_before": res.perimeter_before,
@@ -107,7 +117,7 @@ def _run_slices(scn):
         "guaranteed": res.guaranteed,
     }
 
-    def render():
+    def render(svg):
         return svg.render_network_svg(
             res.network.segments,
             ghost_segments=config.base_network().segments,
@@ -118,6 +128,8 @@ def _run_slices(scn):
 
 
 def _run_perimeter(scn):
+    from .cluster import interface_sum, perimeter_breakdown, validate, weighted_volume
+
     cluster = scn.payload["cluster"]
     parts = perimeter_breakdown(cluster, scn.density)
     result = {
@@ -129,23 +141,25 @@ def _run_perimeter(scn):
         "validation": validate(cluster),
     }
 
-    def render():
+    def render(svg):
         return svg.render_cluster_svg(cluster)
 
     return result, render, EXIT_OK
 
 
 def _run_solve(scn):
-    problem = OptimizationProblem(
+    from . import optimizer
+
+    problem = optimizer.OptimizationProblem(
         cluster=scn.payload["cluster"],
         density=scn.density,
         targets=scn.payload["targets"],
-        options=SolveOptions(**scn.payload.get("options", {})),
+        options=optimizer.SolveOptions(**scn.payload.get("options", {})),
     )
-    report = minimize(problem)
+    report = optimizer.minimize(problem)
     result = report.spec()
 
-    def render():
+    def render(svg):
         points = [j["point"] for j in report.junctions]
         return svg.render_cluster_svg(report.cluster, junction_points=points)
 
@@ -153,11 +167,13 @@ def _run_solve(scn):
 
 
 def _run_diagnose(scn):
+    from . import optimizer
+
     cluster = scn.payload["cluster"]
-    rep = steiner_diagnose(cluster, scn.density, fit_points=scn.payload.get("fit_points", 5))
+    rep = optimizer.steiner_diagnose(cluster, scn.density, fit_points=scn.payload.get("fit_points", 5))
     result = rep.spec()
 
-    def render():
+    def render(svg):
         points = [j.point for j in rep.junctions]
         return svg.render_cluster_svg(cluster, junction_points=points)
 
@@ -165,6 +181,9 @@ def _run_diagnose(scn):
 
 
 def _run_gaugeprobe(scn):
+    from .gauge import roundedness_constant, strict_convexity_margin, unit_ball_boundary
+    from .geometry import unit_dir
+
     gauge = scn.gauge
     n = scn.payload.get("directions", 256)
     u = unit_dir(np.arange(n) * (2.0 * np.pi / n))
@@ -183,7 +202,7 @@ def _run_gaugeprobe(scn):
         "boundary": unit_ball_boundary(gauge, n=min(n, 64)),
     }
 
-    def render():
+    def render(svg):
         return svg.render_gauge_svg(gauge)
 
     return result, render, EXIT_OK
@@ -241,9 +260,11 @@ def main(argv=None):
     write_report(report_path, report)
     wrote = [report_path]
     if args.svg or scn.out_svg:
+        from . import svg
+
         svg_path = os.path.join(out_dir, scn.out_svg or f"{scn.task}.svg")
         with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(render())
+            fh.write(render(svg))
         wrote.append(svg_path)
     if args.verbose:
         for key in ("perimeter", "value", "delta", "count", "success"):

@@ -10,6 +10,10 @@ gauge weight evaluated at the colored side's outward normal (the clockwise
 rotation of the travel direction when white is on the right); a segment
 between two distinct colored chambers carries the mean of the two oriented
 weights; a segment with equal labels on both sides carries nothing.
+MODE_SIDES names the side labels this rule reads for a Fermat arm of each
+mode. _edge_roles reads each edge's role from its tags (wall, pinned,
+kept), for the solver and for interface_sum and interface_perimeter, which
+leave the walls out.
 
 oriented_weight is the one kernel that prices segments under a gauge: the
 slice networks call it directly, and segment_weights calls it for a uniform
@@ -114,6 +118,13 @@ def orientation_rule(h_fwd, h_rev, left, right):
     )
 
 
+# mode: the (left, right) side labels orientation_rule reads for the arm
+# from a junction point P to a terminal X, whose forward weight is
+# gauge(X - P): "out" has white on the right and pays gauge(X - P), "in"
+# white on the left and pays gauge(P - X), "sym" two chambers and their mean
+MODE_SIDES = {"out": (1, 0), "in": (0, 1), "sym": (1, 2)}
+
+
 def symmetric_rule(h, left, right):
     """orientation_rule(h, h, left, right), for a symmetric density or gauge
     whose two sides are equal bit for bit: h wherever the labels differ,
@@ -158,6 +169,37 @@ def perimeter_breakdown(cluster, density):
         return np.zeros(len(cluster.edges))
     w = segment_weights(density, p, q, left, right)
     return np.bincount(eid, weights=w, minlength=len(cluster.edges))
+
+
+def _edge_roles(cluster):
+    """Each edge's role, from its tags, as boolean arrays over
+    cluster.edges: (wall, pinned, kept).
+
+    - wall: a piece of the region's boundary. Left out of
+      interface_perimeter and of the solver's objective; its vertices slide
+      along straight runs of it.
+    - pinned (tagged "fixed"): counted like any interface, but its vertices
+      carry no degree of freedom.
+    - kept (wall or pinned): optimizer.resample_cluster copies it verbatim,
+      and the solver's collapse check skips it.
+
+    Every other edge is free: counted, moved, resampled and collapse-checked.
+    """
+    wall = np.array([bool(e.tags.get("wall")) for e in cluster.edges], dtype=bool)
+    pinned = np.array([bool(e.tags.get("fixed")) for e in cluster.edges], dtype=bool)
+    return wall, pinned, wall | pinned
+
+
+def interface_perimeter(cluster, density):
+    """Weighted perimeter of the non-wall edges only."""
+    return interface_sum(cluster, perimeter_breakdown(cluster, density))
+
+
+def interface_sum(cluster, parts):
+    """The sum over the non-wall edges of parts, a per-edge breakdown of
+    cluster aligned with cluster.edges (as perimeter_breakdown gives it)."""
+    wall, _, _ = _edge_roles(cluster)
+    return float(parts[~wall].sum())
 
 
 def _ordered_sum(x):

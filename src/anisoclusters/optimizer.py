@@ -23,17 +23,17 @@ at its build, and each step applies the same box test to the pairs that
 drift and reach can have brought within range alone, often none (Verlet
 1967; _Mesh.near_ends).
 
-Each edge has one role, read from its tags by _edge_roles. A free edge is
-counted in the objective, its vertices move with two degrees of freedom,
-and between outer iterations it is resampled to a uniform target segment
-length. A wall edge is part of the region's boundary: vertices interior to
-a straight run of walls slide along the wall line, wall corners stay put.
-An edge tagged "fixed" is counted but never moves: its vertices are pinned.
-Wall and fixed edges are kept: resampling copies them verbatim. Edge
-endpoints, and with them every junction, survive resampling. The solver
-sees each sampled cluster through one _Mesh, which holds the segment
-arrays, the degrees of freedom, the finite-difference stencil and the
-evaluations on them.
+Each edge has one role, read from its tags by cluster._edge_roles. A free
+edge is counted in the objective, its vertices move with two degrees of
+freedom, and between outer iterations it is resampled to a uniform target
+segment length. A wall edge is part of the region's boundary: vertices
+interior to a straight run of walls slide along the wall line, wall
+corners stay put. An edge tagged "fixed" is counted but never moves: its
+vertices are pinned. Wall and fixed edges are kept: resampling copies them
+verbatim. Edge endpoints, and with them every junction, survive
+resampling. The solver sees each sampled cluster through one _Mesh, which
+holds the segment arrays, the degrees of freedom, the finite-difference
+stencil and the evaluations on them.
 
 Each evaluation makes one gauge call. The objective gathers every
 segment's endpoints once and prices the perimeter and the volumes from
@@ -126,10 +126,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import (
+    _edge_roles,
     chamber_index,
     chamber_sums,
     crossing_pairs,
     fan_volume_terms,
+    interface_perimeter,  # noqa: F401 (also read as optimizer.interface_perimeter)
+    interface_sum,
     perimeter_breakdown,
     segment_weights,
     validate,
@@ -230,36 +233,6 @@ class SolveReport:
 
     def spec(self):
         return plain(vars(self))
-
-
-def _edge_roles(cluster):
-    """Each edge's role in the solver, from its tags, as boolean arrays over
-    cluster.edges: (wall, pinned, kept).
-
-    - wall: a piece of the region's boundary. Left out of the objective and of
-      interface_perimeter; its vertices slide along straight runs of it.
-    - pinned (tagged "fixed"): counted like any interface, but its vertices
-      carry no degree of freedom.
-    - kept (wall or pinned): resample_cluster copies it verbatim, and the
-      collapse check skips it.
-
-    Every other edge is free: counted, moved, resampled and collapse-checked.
-    """
-    wall = np.array([bool(e.tags.get("wall")) for e in cluster.edges], dtype=bool)
-    pinned = np.array([bool(e.tags.get("fixed")) for e in cluster.edges], dtype=bool)
-    return wall, pinned, wall | pinned
-
-
-def interface_perimeter(cluster, density):
-    """Weighted perimeter of the non-wall edges only."""
-    return interface_sum(cluster, perimeter_breakdown(cluster, density))
-
-
-def interface_sum(cluster, parts):
-    """The sum over the non-wall edges of parts, a per-edge breakdown of
-    cluster aligned with cluster.edges (as perimeter_breakdown gives it)."""
-    wall, _, _ = _edge_roles(cluster)
-    return float(parts[~wall].sum())
 
 
 def _default_resample_len(cluster):

@@ -26,11 +26,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import builders
-from .cluster import Cluster
+from .cluster import MODE_SIDES, Cluster
 from .density import Density, DiskDomain, Rect
 from .gauge import gauge_from_spec
-from .optimizer import SolveOptions
-from .steiner import MODE_SIDES
 
 SCHEMA_VERSION = 1
 
@@ -276,11 +274,15 @@ def _sector_colors(obj, path):
     return colors
 
 
-# the solve options are SolveOptions' fields: integers >= 1 where the
-# default is an integer, positive numbers otherwise
-_OPTIONS = {
-    f.name: _at_least(1) if type(f.default) is int else _positive for f in fields(SolveOptions)
-}
+def _options(obj, path):
+    """The solve options: SolveOptions' fields, integers >= 1 where the
+    default is an integer, positive numbers otherwise. The optimizer is
+    imported here, so only a solve scenario loads it."""
+    from .optimizer import SolveOptions
+
+    table = {f.name: _at_least(1) if type(f.default) is int else _positive for f in fields(SolveOptions)}
+    return _block(obj, path, table)
+
 
 # task: ({key: converter}, required keys)
 _TASK_BLOCKS = {
@@ -291,7 +293,7 @@ _TASK_BLOCKS = {
     "triples": ({"point": _point, "resolution": _at_least(16), "tol": _positive}, ("point",)),
     "slices": ({"angles_deg": _numbers(2), "colors": _indices}, ("angles_deg", "colors")),
     "perimeter": ({"cluster": _cluster}, ("cluster",)),
-    "solve": ({"cluster": _cluster, "targets": _numbers(1), "options": _OPTIONS}, ("cluster", "targets")),
+    "solve": ({"cluster": _cluster, "targets": _numbers(1), "options": _options}, ("cluster", "targets")),
     "diagnose": ({"cluster": _cluster, "fit_points": _at_least(2)}, ("cluster",)),
     "gaugeprobe": ({"directions": _at_least(8)}, ()),
 }

@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cluster import orientation_rule, vertex_arms
+from .cluster import MODE_SIDES, orientation_rule, vertex_arms
 from .geometry import (
     TWO_PI,
     angle_of,
@@ -108,13 +108,6 @@ class AdmissibleTriple:
     iterations: int
 
     __eq__ = _equal_fields
-
-
-# mode: the (left, right) side labels orientation_rule reads for the arm
-# from the junction point P to terminal X, whose forward weight is
-# gauge(X - P): "out" has white on the right and pays gauge(X - P), "in"
-# white on the left and pays gauge(P - X), "sym" two chambers and their mean
-MODE_SIDES = {"out": (1, 0), "in": (0, 1), "sym": (1, 2)}
 
 
 # the terminal certificate reads each arm's one-sided slope on this many

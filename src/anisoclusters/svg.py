@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cluster import MODE_SIDES
 from .gauge import unit_ball_boundary
 from .geometry import rotate_ccw
-from .steiner import MODE_SIDES
 
 PALETTE = (
     "#a6cee3",
@@ -303,7 +303,7 @@ def render_gauge_svg(gauge):
 def render_fermat_svg(terminals, point, modes):
     """Terminals, the junction point, and one weighted arm per terminal. An
     arm's arrows are those of the segment from the point to its terminal
-    with its mode's side labels (steiner.MODE_SIDES)."""
+    with its mode's side labels (cluster.MODE_SIDES)."""
     terminals = np.asarray(terminals, dtype=float)
     point = np.asarray(point, dtype=float)
     canvas, elements = _frame(np.vstack([terminals, point[None, :]]))

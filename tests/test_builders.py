@@ -53,6 +53,14 @@ def test_square_cross_chambers_and_interfaces(n_sub, half):
     )
 
 
+def test_square_cross_default_jitter_is_the_seed_0_stream():
+    # rng=None makes its default_rng(0) only when it jitters: the same draws
+    default = square_cross_cluster(jitter=0.02)
+    seeded = square_cross_cluster(jitter=0.02, rng=np.random.default_rng(0))
+    assert default.vertices.tobytes() == seeded.vertices.tobytes()
+    assert not np.array_equal(default.vertices, square_cross_cluster().vertices)
+
+
 def lobe_areas(n_arc, width, height, bulge):
     """A lobe of double_bubble_cluster is the circular segment cut by the
     chord between the junctions (0, +-height) from the circle through them
