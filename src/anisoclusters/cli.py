@@ -170,7 +170,7 @@ def _run_diagnose(scn):
     from . import optimizer
 
     cluster = scn.payload["cluster"]
-    rep = optimizer.steiner_diagnose(cluster, scn.density, fit_points=scn.payload.get("fit_points", 5))
+    rep = optimizer.steiner_diagnose(cluster, scn.density)
     result = rep.spec()
 
     def render(svg):

@@ -253,50 +253,6 @@ def _tri_rule_5():
 TRIANGLE_RULE = _tri_rule_5()
 
 
-def fit_endpoint_tangent(pts, k=4):
-    """Unit tangent at pts[0], pointing along the polyline.
-
-    Fits an algebraic (Kasa) circle through the first k points and takes the
-    circle tangent at the projection of pts[0]; falls back to a least-squares
-    line direction when the points are nearly straight. Exact for points
-    sampled from a circle or a line, which is what converged interfaces are.
-    """
-    pts = np.asarray(pts, float)
-    k = min(k, len(pts))
-    if k < 2:
-        raise ValueError("need at least two points")
-    P = pts[:k]
-    chord = P[-1] - P[0]
-    if k == 2:
-        return chord / np.linalg.norm(chord)
-    ctr = P.mean(axis=0)
-    Q = P - ctr
-    # line fit direction (principal axis)
-    cov = Q.T @ Q
-    evals, evecs = np.linalg.eigh(cov)
-    line_dir = evecs[:, -1]
-    if line_dir @ chord < 0:
-        line_dir = -line_dir
-    resid = np.abs(cross2(Q, line_dir)).max()
-    scale = np.linalg.norm(chord) + 1e-300
-    if resid <= 1e-9 * scale:
-        return line_dir
-    # Kasa fit: minimize |(x-a)^2 - r^2| linearized
-    A = np.column_stack([2 * Q[:, 0], 2 * Q[:, 1], np.ones(k)])
-    b = (Q ** 2).sum(axis=1)
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    cx, cy = sol[0], sol[1]
-    center = ctr + np.array([cx, cy])
-    radial = P[0] - center
-    nr = np.linalg.norm(radial)
-    if nr < 1e-12 * scale:
-        return line_dir
-    tang = rotate_ccw(radial / nr)
-    if tang @ chord < 0:
-        tang = -tang
-    return tang
-
-
 def hausdorff_to_segments(points, seg_a, seg_b):
     """max over points of distance to the union of segments (a_i, b_i), in
     one segment_distance call from every point, as a segment of length

@@ -1,5 +1,7 @@
 """Constrained perimeter minimization over polygonal clusters, plus the
-junction and regularity diagnosis of the results (steiner_diagnose).
+junction and regularity diagnosis of the results (steiner_diagnose), which
+takes each junction arm's tangent from the circle through the arm's first
+three points and reads a junction at a wall as the solver moves it.
 
 The solver keeps the cluster topology fixed and moves vertices. Chamber
 volumes are enforced with an augmented Lagrangian (penalty doubling,
@@ -144,16 +146,16 @@ from .geometry import (
     angle_of,
     box_gap,
     cross2,
-    fit_endpoint_tangent,
     grown_boxes,
     integer_at_least,
     positive_number,
     segment_distance,
     segments_properly_cross,
+    unit_dir,
     wrap_angle,
 )
 from .report import plain
-from .steiner import detect_junctions, junction_residual
+from .steiner import arm_forces, detect_junctions, junction_residual
 
 # An accepted inner step that leaves a segment of a free edge shorter than
 # this fraction of the length resampling would give it sends _descend
@@ -294,6 +296,23 @@ def _clearance_caps(V, mesh, d):
     return 0.49 * clearance[mesh.vert] / mesh.sqrt_ndof, ends
 
 
+def _wall_slide(V, v, others):
+    """(u, nbs) when the far ends of vertex v's wall segments (others) not at
+    v itself (nbs) lie on one line through v, along which v slides, u the
+    unit direction to the first of them; None at a wall corner: v is pinned."""
+    nbs, dirs = [], []
+    for o in others:
+        d = V[o] - V[v]
+        nd = np.linalg.norm(d)
+        if nd < 1e-300:
+            continue
+        nbs.append(int(o))
+        dirs.append(d / nd)
+    if dirs and not any(abs(cross2(dirs[0], d)) > 1e-9 for d in dirs[1:]):
+        return dirs[0], nbs
+    return None
+
+
 class _Mesh:
     """The solver's view of one sampled cluster: its segment arrays, the map
     between movable vertex coordinates and a flat parameter vector, the
@@ -348,17 +367,10 @@ class _Mesh:
         slide = {}
         for v, others in self.wall_runs:
             ndof[v] = 0
-            nbs, dirs = [], []
-            for o in others:
-                d = V[o] - V[v]
-                nd = np.linalg.norm(d)
-                if nd < 1e-300:
-                    continue
-                nbs.append(int(o))
-                dirs.append(d / nd)
-            if dirs and not any(abs(cross2(dirs[0], d)) > 1e-9 for d in dirs[1:]):
+            slid = _wall_slide(V, v, others)
+            if slid is not None:
                 ndof[v] = 1
-                slide[int(v)] = (dirs[0], nbs)
+                slide[int(v)] = slid
         if not (carried and np.array_equal(ndof, self.ndof)):
             self._dofs(ndof)
         if slide:
@@ -916,26 +928,41 @@ class DiagnoseReport:
         return plain(vars(self))
 
 
-def steiner_diagnose(cluster, density, fit_points=5):
+def _arm_tangent(pts):
+    """The unit tangent at pts[0], along the polyline, of the circle through
+    its first three points: the chord to pts[1] turned by the inscribed
+    angle at pts[2]. Exact on circles and lines at any spacing and
+    second-order accurate on any smooth arc; two points give their chord."""
+    theta = angle_of(pts[1] - pts[0])
+    if len(pts) > 2:
+        turn = angle_of(pts[2] - pts[0]) - angle_of(pts[2] - pts[1])
+        theta = theta + wrap_angle(turn + np.pi) - np.pi
+    return unit_dir(theta)
+
+
+def steiner_diagnose(cluster, density):
     """Junction stationarity residuals and arc smoothness statistics.
 
-    Tangents at each junction come from a circle fit through the first
-    fit_points polyline points of every arm, which is exact when converged
-    interfaces are circular arcs or straight lines. Four-way junctions are
+    Each arm's tangent is that of the circle through its first three points
+    (_arm_tangent). A junction on a fixed edge or at a wall corner
+    (_wall_slide) is pinned, and has no residual. One that slides along a
+    straight wall reports the force of its arms along the wall line, walls
+    priced as the solver prices them: white on both sides, so at 0. Other
+    junctions of three arms report junction_residual; those of more are
     reported but their residual is skipped. Arc smoothness is the largest
     turning angle between adjacent segments of each edge, in radians.
     """
-    junctions = []
-    flags = []
+    wall, pinned, _ = _edge_roles(cluster)
+    junctions, flags = [], []
     for info in detect_junctions(cluster):
         jflags = []
         tangents = []
+        walls = []  # the far ends of the wall arms' first segments
         for a in info.arms:
-            e = cluster.edges[a["edge"]]
-            pts = cluster.edge_points(e)
-            if not a["forward"]:
-                pts = pts[::-1]
-            tangents.append(fit_endpoint_tangent(pts, k=min(fit_points, len(pts))))
+            ids = np.asarray(cluster.edges[a["edge"]].vertices, dtype=int)[:: 1 if a["forward"] else -1]
+            tangents.append(_arm_tangent(cluster.vertices[ids[:3]]))
+            if wall[a["edge"]]:
+                walls.append(ids[1])
         tangents = np.asarray(tangents)
         ang = angle_of(tangents)
         order = np.argsort(-ang, kind="stable")
@@ -944,9 +971,17 @@ def steiner_diagnose(cluster, density, fit_points=5):
         colors = [a["right"] for a in arms]
         gaps = wrap_angle(ang[order] - np.roll(ang[order], -1))
         angles_deg = [float(np.degrees(x)) for x in gaps]
-        residual = None
-        rnorm = None
-        if info.non_triple:
+        residual = rnorm = None
+        fixed = any(pinned[a["edge"]] for a in info.arms)
+        slid = None if fixed or not walls else _wall_slide(cluster.vertices, info.vertex, walls)
+        if (fixed or walls) and slid is None:
+            jflags.append("pinned junction: residual skipped")
+        elif slid is not None:
+            sides = np.array([(0, 0) if wall[a["edge"]] else (a["left"], a["right"]) for a in arms])
+            force = arm_forces(density.gauge_at(info.point), tangents, *sides.T).sum(axis=0)
+            along = float(force @ slid[0])
+            residual, rnorm = along * slid[0], abs(along)
+        elif info.non_triple:
             jflags.append("non-triple junction: residual skipped")
         else:
             try:

@@ -294,7 +294,7 @@ _TASK_BLOCKS = {
     "slices": ({"angles_deg": _numbers(2), "colors": _indices}, ("angles_deg", "colors")),
     "perimeter": ({"cluster": _cluster}, ("cluster",)),
     "solve": ({"cluster": _cluster, "targets": _numbers(1), "options": _options}, ("cluster", "targets")),
-    "diagnose": ({"cluster": _cluster, "fit_points": _at_least(2)}, ("cluster",)),
+    "diagnose": ({"cluster": _cluster}, ("cluster",)),
     "gaugeprobe": ({"directions": _at_least(8)}, ()),
 }
 

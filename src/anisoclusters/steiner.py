@@ -398,12 +398,20 @@ def junction_residual(density, origin, directions, colors):
     # the white sector first, so its two arms are summed first
     w = whites[0] if len(whites) else 0
     dirs, colors = np.roll(dirs, -w, axis=0), np.roll(colors, -w)
+    return arm_forces(gauge, dirs, np.roll(colors, 1), colors).sum(axis=0)
+
+
+def arm_forces(gauge, dirs, left, right):
+    """Minus the gradient, with respect to a junction point, of the weight
+    of each arm leaving it along dirs[i] with labels left[i] and right[i],
+    priced by cluster.orientation_rule: nothing where the labels are equal."""
     normal = rotate_cw(dirs)
     # gradients of the one-sided weights h(rotate_cw d) and h(-rotate_cw d),
     # in one gauge call for the normals and their negatives
     g = gauge.grad(np.concatenate([normal, -normal]))
-    fwd, rev = rotate_ccw(g[:3]), -rotate_ccw(g[3:])
-    return orientation_rule(fwd, rev, np.roll(colors, 1)[:, None], colors[:, None]).sum(axis=0)
+    n = len(normal)
+    fwd, rev = rotate_ccw(g[:n]), -rotate_ccw(g[n:])
+    return orientation_rule(fwd, rev, np.asarray(left)[:, None], np.asarray(right)[:, None])
 
 
 # the scan's column blocks: n x n/12 block tests and 12 cell tests per

@@ -41,7 +41,7 @@ FAST_SCENARIOS = [
 # CHANGES.md.
 SHIPPED_DIGESTS = {
     "diagnose-double-bubble.json": (
-        "06b162acbf388df5521c1f70b16cb39e3e04a7c08eb140d1057a06cfff02a588",
+        "43832ab5c750e3c8ae7ac672d3ca030161c708a0bf65c34dc9c483f2034ecae6",
         "ce484958f2b825fa9cd875e71901966af8cef8eec3b71a718628c4e975eb5709",
     ),
     "fermat-euclidean.json": (
@@ -69,11 +69,11 @@ SHIPPED_DIGESTS = {
         "c1a21647cc155677082135e53ed5f3ff95a649f834ffe30a98f3081ca977a7f6",
     ),
     "solve-double-bubble.json": (
-        "51a3f67c72ce9235ef8778dbff63bce5dd4f6bde594a417bc304c368ab10f1a9",
+        "2db90d15e374c303b3034054fee287a3797158f849cd8706baa6ab6ab780e6cd",
         "b6038cf2f76a567a1b91001bec3f2d6d28a95c720cf7c7f7b18e465fb6d31aab",
     ),
     "solve-square-cross.json": (
-        "64eec55bebebefa415288c21136c952a934099c0d3f6b0982b360cdbb68c667c",
+        "2173ff9de4150bab0ba9c1535fff934b69f476e27edd634c993751ba69b01e08",
         "e4b132ecb094915f9bfa6c88ba4e0a929782c340d89f4bae28a11295463ce69a",
     ),
     "triples-euclidean.json": (

@@ -43,6 +43,7 @@ from anisoclusters import optimizer
 from anisoclusters.cluster import fan_volume_terms, orientation_rule
 from anisoclusters.geometry import (
     box_gap,
+    cross2,
     grown_boxes,
     hausdorff_to_segments,
     rotate_ccw,
@@ -1675,7 +1676,7 @@ def test_solve_outputs_are_pinned():
     for rep in reports:
         digest.update(render_report(rep.spec()).encode())
         digest.update(rep.cluster.vertices.tobytes())
-    assert digest.hexdigest() == "27786821b18fa1e1fee4d53226c14b7834e926ad4129c21a25c85abff13a4f6d"
+    assert digest.hexdigest() == "0b483528cf9e05ee75eede42b737ad693a9e5d8de993cb08b3de76dcaffcd30e"
 
 
 class TestProblemValidation:
@@ -1787,10 +1788,81 @@ class TestSteinerDiagnose:
         assert center[0].residual is None
         assert any("non-triple" in f for f in center[0].flags)
 
-    def test_fit_points_must_fit_short_arms(self):
-        # a 2-point interface still yields tangents via the chord fallback
-        diag = steiner_diagnose(exact_double_bubble(n_mid=1), EUCLID, fit_points=5)
+    @pytest.mark.parametrize("travel", [1.0, -1.0], ids=["ccw", "cw"])
+    def test_tangent_is_exact_on_circles_and_lines(self, travel):
+        # unequal spacing: the circle through three points is the arc's own
+        t = 0.4 + travel * np.array([0.0, 0.05, 0.17, 0.3])
+        center, r = np.array([0.3, -1.2]), 2.5
+        arc = center + r * np.column_stack([np.cos(t), np.sin(t)])
+        exact = travel * np.array([-np.sin(t[0]), np.cos(t[0])])
+        assert np.abs(optimizer._arm_tangent(arc) - exact).max() <= 1e-12
+        u = travel * np.array([0.6, -0.8])
+        line = np.array([1.0, 2.0]) + np.array([0.0, 0.1, 0.35, 0.4])[:, None] * u
+        assert np.abs(optimizer._arm_tangent(line) - u).max() <= 1e-12
+
+    def test_tangent_is_second_order_on_an_ellipse(self):
+        # off a circle the error shrinks with the square of the spacing
+        def error(h):
+            t = 0.7 + h * np.arange(3)
+            pts = np.column_stack([np.cos(t), 0.5 * np.sin(t)])
+            tangent = optimizer._arm_tangent(pts)
+            exact = np.array([-np.sin(t[0]), 0.5 * np.cos(t[0])])
+            return abs(np.arctan2(cross2(exact, tangent), exact @ tangent))
+
+        errors = [error(h) for h in (0.1, 0.05, 0.025, 0.0125)]
+        assert errors[-1] < 1e-4
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse >= 3.5 * fine
+
+    def test_a_two_point_arm_takes_its_chord(self):
+        diag = steiner_diagnose(exact_double_bubble(n_mid=1), EUCLID)
         assert len(diag.junctions) == 2
+        for j, chord in zip(diag.junctions, ([0.0, -1.0], [0.0, 1.0])):
+            # the straight interface's one segment joins the two junctions
+            assert np.abs(j.tangents - chord).max(axis=1).min() <= 1e-15
+
+    def test_wall_corners_of_the_solved_cross_are_pinned(self):
+        cl = square_cross_cluster(n_sub=8, jitter=0.02, rng=np.random.default_rng(0))
+        rep = minimize(OptimizationProblem(cl, MAXNORM, np.ones(4), SolveOptions(max_outer=60)))
+        assert rep.success
+        corners = [j for j in rep.junctions if not j["non_triple"]]
+        assert sorted(j["vertex"] for j in corners) == [0, 1, 2, 3]
+        for j in corners:
+            assert j["residual"] is None and j["residual_norm"] is None
+            assert j["flags"] == ["pinned junction: residual skipped"]
+
+    @pytest.mark.parametrize("tilt", [0.0, 0.3])
+    def test_a_junction_sliding_along_a_wall_reads_the_force_along_it(self, tilt):
+        # the box [-1, 1] x [0, 1], walled, split by an interface from the
+        # middle of its bottom wall to its top wall: both ends slide
+        top = [tilt, 1.0]
+        mids = np.linspace([0.0, 0.0], top, 6)[1:-1]
+        V = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 1.0], top, [-1.0, 1.0], *mids])
+        edges = [
+            Edge([1, 2, 3, 4], 2, 0, {"wall": True}),
+            Edge([4, 5, 0, 1], 1, 0, {"wall": True}),
+            Edge([1, 6, 7, 8, 9, 4], 1, 2),
+        ]
+        diag = steiner_diagnose(Cluster(V, edges, 2), EUCLID)
+        assert [j.vertex for j in diag.junctions] == [1, 4]
+        # a Euclidean arm pulls along its unit tangent, and the wall line
+        # reads its x component: 0 at 90 degrees, sin(atan 0.3) tilted
+        for j in diag.junctions:
+            assert j.flags == [] and j.residual[1] == 0.0
+            assert j.residual_norm == pytest.approx(np.sin(np.arctan(tilt)), abs=1e-12)
+
+
+class TestJunctionRefinement:
+    @pytest.mark.parametrize(
+        "gauge", [EuclideanGauge(), EllipseGauge(np.diag([1.0, 0.5]))], ids=["euclidean", "ellipse"]
+    )
+    def test_the_worst_residual_falls_under_refinement(self, gauge):
+        worst = []
+        for n_arc in (24, 48, 96):
+            cl = double_bubble_cluster(n_arc=n_arc, n_mid=n_arc // 3)
+            problem = OptimizationProblem(cl, Density.constant(gauge), [1.0, 1.0], SolveOptions(max_outer=30))
+            worst.append(max(j["residual_norm"] for j in minimize(problem).junctions))
+        assert worst[0] > worst[1] > worst[2]
 
 
 class TestBallBound:

@@ -473,6 +473,18 @@ class TestShippedScenarios:
         validator = jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text()))
         assert list(validator.iter_errors(raw)) != []
 
+    def test_schema_and_loader_reject_the_retired_fit_points(self):
+        # a junction arm's tangent is a closed form in its first three
+        # points, with no count of points to set
+        import jsonschema
+
+        raw = base("diagnose", dict(DIAGNOSE, fit_points=5))
+        assert err(raw) == ("scenario.diagnose.fit_points", "unknown key")
+        validator = jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text()))
+        assert [(list(e.absolute_path), e.validator) for e in validator.iter_errors(raw)] == [
+            (["diagnose"], "additionalProperties")
+        ]
+
     def test_the_cross_builder_keeps_its_seed(self):
         # the builder's seed draws its jitter, so unlike the retired
         # top-level seed it changes the cluster
