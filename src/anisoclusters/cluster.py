@@ -25,6 +25,7 @@ all segments to a disk in one clip_segments_to_disk call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -67,23 +68,26 @@ class Cluster:
     def edge_points(self, e):
         return self.vertices[np.asarray(e.vertices, dtype=int)]
 
+    def vertex_runs(self):
+        """Every edge's vertex indices end to end, edge k's at
+        ids[first[k]:first[k + 1]], and a mask of the pairs (ids[i],
+        ids[i + 1]) that are segments of one edge."""
+        first = np.array([0, *accumulate(len(e.vertices) for e in self.edges)])
+        ids = np.fromiter(chain.from_iterable(e.vertices for e in self.edges), int, first[-1])
+        inner = np.ones(len(ids) + 1, dtype=bool)
+        inner[first] = False
+        return ids, first, inner[1:-1]
+
     def segment_index_arrays(self):
         """Flat segment arrays: start index, end index, left, right, edge id."""
-        i0, i1, left, right, eid = [], [], [], [], []
-        for k, e in enumerate(self.edges):
-            idx = np.asarray(e.vertices, dtype=int)
-            i0.append(idx[:-1])
-            i1.append(idx[1:])
-            n = len(idx) - 1
-            left.append(np.full(n, e.left, dtype=int))
-            right.append(np.full(n, e.right, dtype=int))
-            eid.append(np.full(n, k, dtype=int))
-        cat = lambda parts: np.concatenate(parts) if parts else np.empty(0, dtype=int)
-        return cat(i0), cat(i1), cat(left), cat(right), cat(eid)
+        ids, first, inner = self.vertex_runs()
+        eid = np.arange(len(self.edges)).repeat(first[1:] - first[:-1])[1:][inner]
+        sides = np.array([(e.left, e.right) for e in self.edges], dtype=int).reshape(-1, 2)
+        return ids[:-1][inner], ids[1:][inner], sides[:, 0].take(eid), sides[:, 1].take(eid), eid
 
     def segment_arrays(self):
         i0, i1, left, right, eid = self.segment_index_arrays()
-        return self.vertices[i0], self.vertices[i1], left, right, eid
+        return self.vertices.take(i0, axis=0), self.vertices.take(i1, axis=0), left, right, eid
 
     def spec(self):
         edges = []
@@ -280,10 +284,10 @@ def chamber_index(left, right):
     (segment, sign, chamber) arrays holding each segment with a colored left
     side, sign +1 and its left label - 1, then each with a colored right
     side, sign -1 and its right label - 1, in segment order."""
-    on_left, on_right = np.flatnonzero(left > 0), np.flatnonzero(right > 0)
+    (on_left,), (on_right,) = (left > 0).nonzero(), (right > 0).nonzero()
     seg = np.concatenate([on_left, on_right])
-    sign = np.repeat([1.0, -1.0], [len(on_left), len(on_right)])
-    return seg, sign, np.concatenate([left[on_left], right[on_right]]) - 1
+    sign = np.where(np.arange(len(seg)) < len(on_left), 1.0, -1.0)
+    return seg, sign, np.concatenate([left.take(on_left), right.take(on_right)]) - 1
 
 
 def chamber_sums(terms, index, m):
@@ -364,20 +368,20 @@ def vertex_arms(cluster):
     arm records its edge, whether the edge starts there (forward), the chord
     of its first segment pointing away from the vertex and its angle, and
     the labels left and right of that outgoing direction: an edge's own
-    labels at its start, swapped at its end."""
+    labels at its start, swapped at its end. Every chord and angle is
+    computed at once."""
+    ends = [(e.vertices[1], e.vertices[-2], e.vertices[0], e.vertices[-1]) for e in cluster.edges]
+    P = cluster.vertices.take(np.array(ends, dtype=int).reshape(-1, 2, 2), axis=0)
+    chords = P[:, 0] - P[:, 1]
     arms = {}
-    for k, e in enumerate(cluster.edges):
-        idx = e.vertices
-        pts = cluster.vertices[np.asarray(idx, dtype=int)]
-        arms.setdefault(idx[0], []).append(
-            {"edge": k, "forward": True, "chord": pts[1] - pts[0], "left": e.left, "right": e.right}
+    for k, (e, c, ang) in enumerate(zip(cluster.edges, chords, angle_of(chords).tolist())):
+        arms.setdefault(e.vertices[0], []).append(
+            {"edge": k, "forward": True, "chord": c[0], "left": e.left, "right": e.right, "angle": ang[0]}
         )
-        arms.setdefault(idx[-1], []).append(
-            {"edge": k, "forward": False, "chord": pts[-2] - pts[-1], "left": e.right, "right": e.left}
+        arms.setdefault(e.vertices[-1], []).append(
+            {"edge": k, "forward": False, "chord": c[1], "left": e.right, "right": e.left, "angle": ang[1]}
         )
     for lst in arms.values():
-        for a in lst:
-            a["angle"] = float(angle_of(a["chord"]))
         lst.sort(key=lambda a: -a["angle"])
     return arms
 

@@ -94,10 +94,8 @@ class EuclideanGauge(Gauge):
         # the norm from the shared helper, not from self.value: a profiler
         # that wraps value would count the nested call as an outer one
         v = np.asarray(v, dtype=float)
-        n = _euclidean_norm(v)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = v / n[..., None]
-        return np.where(n[..., None] > 0, g, 0.0)
+        n = _euclidean_norm(v)[..., None]
+        return np.where(n > 0, v / np.where(n > 0, n, 1.0), 0.0)
 
 
 class LpGauge(Gauge):

@@ -37,32 +37,28 @@ resampling. The solver sees each sampled cluster through one _Mesh, which
 holds the segment arrays, the degrees of freedom, the finite-difference
 stencil and the evaluations on them.
 
-Each evaluation makes one gauge call. The objective gathers every
-segment's endpoints once and prices the perimeter and the volumes from
-that gather; after an accepted step the collapse check reads its segment
-lengths from the same gather, and a descent's start takes P0, the
-perimeter its objective is scaled by, from its first objective. Its
-segment_weights call takes the endpoints: under a uniform gauge it prices
-them through cluster.oriented_weight, which evaluates one side only when
-the gauge is symmetric (Gauge.symmetric), where the orientation rule
-reduces to one where on the labels, and both sides stacked otherwise; only
-a gauge field forms midpoints, for Density.h_at. The gradient prices the +
-and - stencil in one segment_weights and one fan_volume_terms call. No
-evaluation picks out the segments that count: a segment that is not an
-interface (a wall, or one chamber on both sides) is priced with white on
-both sides, which the orientation rule turns into an exact 0.0, and a
-kept edge gets a collapse spacing of 0.0. Gathers use take, and scatters
-np.bincount, which adds in the order np.add.at does. The iterates are the
-same, bit for bit, as those of one call per side and stencil sign.
+Each evaluation makes one gauge call on every segment's endpoints,
+gathered once: the objective prices the perimeter and the volumes from one
+gather, the collapse check after an accepted step reads its lengths from
+it, and a descent's start takes P0, the perimeter its objective is scaled
+by, from its first objective. Under a uniform gauge segment_weights prices
+through cluster.oriented_weight, one side of a symmetric gauge
+(Gauge.symmetric) and both stacked otherwise; only a gauge field forms
+midpoints, for Density.h_at. The gradient prices both stencil signs in one
+segment_weights and one fan_volume_terms call. No evaluation picks out the
+segments that count: one that is no interface (a wall, or one chamber on
+both sides) is priced white on both sides, an exact 0.0 by the orientation
+rule, and a kept edge gets a collapse spacing of 0.0. Gathers use take and
+scatters np.bincount, which adds in np.add.at's order, so the iterates are
+those of one call per side and stencil sign, bit for bit.
 
 What depends on the vertex numbering alone (segment arrays, masks,
-gathers, scatter indices, the dof map, the stencil's layout and the broad
-phase's neighbour list) is built once per numbering. A resampling or a
-continuation stage that leaves every edge's vertex list as it was hands
-the mesh before it to the new _Mesh, which carries those tables over and
-recomputes only what depends on the positions: the local lengths, the
-finite-difference steps and displacements, the step caps and the slides of
-wall vertices. The iterates are those of a mesh built afresh, bit for bit.
+gathers, scatter indices, the dof map, the stencil and the broad phase's
+neighbour list) is built once per numbering, in whole-array passes. A
+resampling or a continuation stage that keeps every edge's vertex list
+hands the mesh before it to the new _Mesh, which carries those tables over
+and recomputes only what depends on the positions, bit for bit as a mesh
+built afresh would.
 
 The mesh is also repaired inside an outer iteration (remeshing on collapse,
 as Surface Evolver removes tiny edges during the evolution, Brakke 1992).
@@ -124,6 +120,7 @@ takes the same steps at factors 1, 2 and 0.5, and others at 3 and 0.7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -141,6 +138,7 @@ from .cluster import (
     weighted_volume,
 )
 from .density import Density
+from .gauge import _euclidean_norm
 from .geometry import (
     angle_between,
     angle_of,
@@ -243,7 +241,7 @@ def _default_resample_len(cluster):
     p, q, _, _, eid = cluster.segment_arrays()
     if len(p) == 0:
         raise ValueError("cluster has no segments")
-    lens = np.linalg.norm(q - p, axis=1)
+    lens = _euclidean_norm(q - p)
     _, _, kept = _edge_roles(cluster)
     sel = ~kept[eid]
     use = lens[sel] if sel.any() else lens
@@ -296,21 +294,26 @@ def _clearance_caps(V, mesh, d):
     return 0.49 * clearance[mesh.vert] / mesh.sqrt_ndof, ends
 
 
-def _wall_slide(V, v, others):
-    """(u, nbs) when the far ends of vertex v's wall segments (others) not at
-    v itself (nbs) lie on one line through v, along which v slides, u the
-    unit direction to the first of them; None at a wall corner: v is pinned."""
-    nbs, dirs = [], []
-    for o in others:
-        d = V[o] - V[v]
-        nd = np.linalg.norm(d)
-        if nd < 1e-300:
-            continue
-        nbs.append(int(o))
-        dirs.append(d / nd)
-    if dirs and not any(abs(cross2(dirs[0], d)) > 1e-9 for d in dirs[1:]):
-        return dirs[0], nbs
-    return None
+def _wall_slides(V, at, other):
+    """For pairs of a vertex at[i] and the far end other[i] of one of its
+    wall segments, each vertex's pairs adjacent: whether the vertex slides,
+    its direction u and whether the far end is off it. A vertex whose far
+    ends off it lie on one line through it slides along it, u the unit
+    direction d / np.linalg.norm(d) to the first (d @ d row by row is norm's
+    dot product, bit for bit); any other is a wall corner, pinned."""
+    d = V.take(other, axis=0) - V.take(at, axis=0)
+    nd = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+    far = ~(nd < 1e-300)
+    # each pair's vertex, numbered, and each vertex's first far end
+    group = np.cumsum(np.concatenate(([True], at[1:] != at[:-1]))[: len(at)]) - 1
+    g, dirs = group[far], d[far] / nd[far, None]
+    lead = np.concatenate(([True], g[1:] != g[:-1]))[: len(g)]
+    u = np.zeros((group[-1] + 1 if len(group) else 0, 2))
+    u[g[lead]] = dirs[lead]
+    slides = np.zeros(len(u), dtype=bool)
+    slides[g] = True
+    slides[g[np.abs(cross2(u[g], dirs)) > 1e-9]] = False
+    return slides[group], u[group], far
 
 
 class _Mesh:
@@ -343,11 +346,8 @@ class _Mesh:
     def __init__(self, cluster, density, targets, char_len, prev=None):
         V = cluster.vertices
         roles = _edge_roles(cluster)
-        numbering = (
-            len(V),
-            [(tuple(e.vertices), e.left, e.right) for e in cluster.edges],
-            [role.tolist() for role in roles[:2]],
-        )
+        edges = [(tuple(e.vertices), e.left, e.right) for e in cluster.edges]
+        numbering = (len(V), edges, [role.tolist() for role in roles[:2]])
         carried = prev is not None and prev.numbering == numbering
         if carried:
             self.__dict__.update(prev.__dict__)
@@ -358,79 +358,75 @@ class _Mesh:
         self.skin = char_len
         self.targets = np.asarray(targets, dtype=float)
 
-        seglen = np.linalg.norm(V[self.i1] - V[self.i0], axis=1)
-        total = np.bincount(self.ends, weights=np.repeat(seglen, 2), minlength=len(V))
+        seglen = _euclidean_norm(V.take(self.i1, axis=0) - V.take(self.i0, axis=0))
+        total = np.bincount(self.ends, weights=seglen.repeat(2), minlength=len(V))
         local = np.maximum(total / np.maximum(self.count, 1), 1e-9 * char_len)
 
         # vertices at a wall slide along it, or are pinned at a corner
-        ndof = self.ndof_unwalled.copy()
-        slide = {}
-        for v, others in self.wall_runs:
-            ndof[v] = 0
-            slid = _wall_slide(V, v, others)
-            if slid is not None:
-                ndof[v] = 1
-                slide[int(v)] = slid
+        ndof, at, other = self.ndof_unwalled, self.wall_at, self.wall_other
+        slides = np.zeros(len(at), dtype=bool)
+        if len(at):
+            slides, u, far = _wall_slides(V, at, other)
+            ndof = ndof.copy()
+            ndof[at] = slides
         if not (carried and np.array_equal(ndof, self.ndof)):
             self._dofs(ndof)
-        if slide:
+        nbs = {}
+        if slides.any():
             # on a copy: a carried uvec is prev's own
             self.uvec = self.uvec.copy()
-            for v, (u, _) in slide.items():
-                self.uvec[self.first[v]] = u
-        self.wall_nbs = [(int(self.first[v]), nbs) for v, (_, nbs) in slide.items()]
-        self.local_len = local[self.vert]
+            self.uvec[self.first[at[slides]]] = u[slides]
+            self._fd_units()
+            for v, o in zip(at[slides & far].tolist(), other[slides & far].tolist()):
+                nbs.setdefault(v, []).append(o)
+        self.wall_nbs = [(int(self.first[v]), vs) for v, vs in nbs.items()]
+        self.local_len = local.take(self.vert)
         self.h_fd = FD_SCALE * self.local_len
         self.base_caps = 0.45 * self.local_len
-        h = self.h_fd[self.ent_dof]
-        disp = self.uvec[self.ent_dof] * h[:, None]
-        self.fd_disp = np.full((2, 2 * len(h), 2), -0.0)
-        self.fd_disp[self.fd_disp_at] = np.concatenate([disp, -disp])
+        self.base_caps.flags.writeable = False
+        h = self.h_fd.take(self.ent_dof)
+        self.fd_disp = (self.fd_u * np.concatenate([h, h]).repeat(2)).reshape(2, -1, 2)
         self.fd_two_h = 2.0 * h
 
     def _index(self, cluster, roles):
         """The tables fixed by the vertex numbering and the edge roles
         (_edge_roles): segment arrays, collapse check, vertex incidence,
-        wall runs, the objective's gathers and masks, and an empty neighbour
-        list."""
+        wall pairs, the objective's gathers and masks, and an empty
+        neighbour list."""
         nv = len(cluster.vertices)
         i0, i1, left, right, eid = cluster.segment_index_arrays()
         self.i0, self.i1 = i0, i1
         self.left, self.right = left, right
-        wall, pinned = (role[eid] for role in roles[:2])
+        wall, pinned = roles[0].take(eid), roles[1].take(eid)
         self.active = ~wall & (left != right)
         # collapsed() sums every segment's length into its edge and gives
         # kept edges, which resampling copies, no spacing
         self.eid, self.kept_edge = eid, roles[2]
         self.min_count = np.array([_min_count(e) for e in cluster.edges])
 
+        # the objective gathers every segment's endpoints at once, stacked:
+        # seg_ends[0] the starts, seg_ends[1] the ends
+        self.seg_ends = np.array([i0, i1])
         # segment s has its start at ends[2 s] and its end at ends[2 s + 1]
-        self.ends = ends = np.stack([i0, i1], 1).ravel()
+        self.ends = ends = self.seg_ends.T.ravel()
         self.count = np.bincount(ends, minlength=nv)
         # the dofs before walls: two at a vertex of a segment, none pinned
-        ndof = np.where(self.count > 0, 2, 0)
-        ndof[ends[np.repeat(pinned, 2)]] = 0
+        ndof = 2 * (self.count > 0)
+        ndof[ends[pinned.repeat(2)]] = 0
         self.ndof_unwalled = ndof
-        # each unpinned vertex at a wall and its wall neighbours. at is
-        # sorted, so each vertex's run starts at a cut of np.diff; not
-        # np.unique, whose import of numpy.ma every solve would pay
-        at_wall = np.flatnonzero(np.repeat(wall, 2))
-        order = np.argsort(ends[at_wall], kind="stable")
-        at, other = ends[at_wall][order], ends[at_wall ^ 1][order]
-        cuts = np.flatnonzero(np.diff(at)) + 1
-        starts = at[np.concatenate(([0], cuts))] if len(at) else at
-        self.wall_runs = [
-            (v, others) for v, others in zip(starts, np.split(other, cuts)) if ndof[v]
-        ]
+        # each unpinned vertex at a wall and its wall neighbours, as pairs
+        # sorted by vertex (not np.unique, which imports numpy.ma)
+        at_wall = np.flatnonzero(wall.repeat(2))
+        at_wall = at_wall[np.argsort(ends.take(at_wall), kind="stable")]
+        at_wall = at_wall[ndof.take(ends.take(at_wall)) > 0]
+        self.wall_at, self.wall_other = ends.take(at_wall), ends.take(at_wall ^ 1)
 
-        # the objective gathers every segment's endpoints at once, stacked:
-        # seg_ends[0] the starts, seg_ends[1] the ends. The perimeter prices
-        # every segment at the labels w_left and w_right, white on both
-        # sides of an inactive one, and sums the active ones, act
-        self.seg_ends = np.stack([i0, i1])
+        # the perimeter prices every segment at the labels w_left and
+        # w_right, white on both sides of an inactive one, and sums the
+        # active ones, act
         self.act = np.flatnonzero(self.active)
-        self.w_left = np.where(self.active, left, 0)
-        self.w_right = np.where(self.active, right, 0)
+        self.w_left = left * self.active
+        self.w_right = right * self.active
         self.chambers = chamber_index(left, right)
         # near_ends' list: the positions, margin and rounding slack of its
         # build, and its pairs' box gaps and endpoint indices, in gap order
@@ -443,8 +439,8 @@ class _Mesh:
         nv = len(ndof)
         self.ndof = ndof
         # dofs in vertex order, a vertex's dofs adjacent
-        first = self.first = np.cumsum(ndof) - ndof
-        self.vert = np.repeat(np.arange(nv), ndof)
+        first = self.first = ndof.cumsum() - ndof
+        self.vert = np.arange(nv).repeat(ndof)
         self.n = len(self.vert)
         # a sliding dof's unit vector is set from the positions
         self.uvec = np.zeros((self.n, 2))
@@ -458,36 +454,45 @@ class _Mesh:
         # such dof
         pad = 2 * self.n
         self.step_buffer = np.full(pad + 1, -0.0)
-        self.step_ranks = np.full((2, nv, 2), pad)
-        for k in range(2):
-            has = ndof > k
-            self.step_ranks[k, has] = 2 * (first[has] + k)[:, None] + np.arange(2)
-        self.sqrt_ndof = np.sqrt(ndof[self.vert])
+        k = np.arange(2)[:, None, None]
+        self.step_ranks = np.where(ndof[:, None] > k, 2 * (first[:, None] + k) + np.arange(2), pad)
+        self.sqrt_ndof = np.sqrt(ndof.take(self.vert))
         self.no_caps = np.full(self.n, np.inf)
         self.no_caps.flags.writeable = False
 
         # finite-difference stencil: one entry per (segment, endpoint, dof)
         ends = self.ends
-        per_end = ndof[ends]
-        ent = np.repeat(np.arange(len(ends)), per_end)
-        offset = np.arange(len(ent)) - np.repeat(np.cumsum(per_end) - per_end, per_end)
-        seg, slot = self.ent_seg, self.ent_slot = np.divmod(ent, 2)
-        self.ent_dof = first[ends[ent]] + offset
+        per_end = ndof.take(ends)
+        ent = np.arange(len(ends)).repeat(per_end)
+        # an end's second dof follows its first
+        offset = np.zeros(len(ent), dtype=int)
+        offset[1:] = ent[1:] == ent[:-1]
+        seg, slot = self.ent_seg, self.ent_slot = ent >> 1, ent & 1
+        self.ent_dof = first.take(ends.take(ent)) + offset
         # the stencil's two signs stacked: row r < E is entry r displaced by
         # +h along its dof, row E + r the same entry by -h. fd_ends[0] and
-        # fd_ends[1] hold the rows' start and end vertices, fd_disp (set at
-        # fd_disp_at) their displacements: -0.0, which adds exactly
-        # nothing, on the endpoint that stays. Starts and ends are kept in
-        # separate blocks, as elementwise numpy loops over (n, 2) rows that
-        # are not contiguous run an order of magnitude slower
-        E = len(seg)
-        self.fd_ends = np.tile(np.stack([self.i0[seg], self.i1[seg]]), 2)
-        self.fd_disp_at = (np.tile(slot, 2), np.arange(2 * E))
+        # fd_ends[1] hold the rows' start and end vertices, fd_disp their
+        # displacements (_fd_units). Starts and ends are kept in separate
+        # blocks, as elementwise numpy loops over (n, 2) rows that are not
+        # contiguous run an order of magnitude slower
+        fd_ends = self.seg_ends.take(seg, axis=1)
+        self.fd_ends = np.concatenate([fd_ends, fd_ends], axis=1)
+        self._fd_units()
         # the rows' labels: as they are for the volumes, which walls bound,
         # and masked as for the perimeter, so that inactive rows price 0.0
-        self.fd_left, self.fd_right = self.left[seg], self.right[seg]
-        self.fd_w_left = np.tile(self.w_left[seg], 2)
-        self.fd_w_right = np.tile(self.w_right[seg], 2)
+        self.fd_left, self.fd_right = self.left.take(seg), self.right.take(seg)
+        w_left, w_right = self.w_left.take(seg), self.w_right.take(seg)
+        self.fd_w_left = np.concatenate([w_left, w_left])
+        self.fd_w_right = np.concatenate([w_right, w_right])
+
+    def _fd_units(self):
+        """fd_u, fd_disp flattened to (2, 4 E) over the steps h of its rows'
+        entries: each row's unit vector u at its displaced end, -u in a - row
+        ((-u) * h is -(u * h) bit for bit), and -0.0, which adds nothing, at
+        the end that stays."""
+        u, slot = self.uvec.take(self.ent_dof, axis=0), self.ent_slot
+        at = np.concatenate([slot, slot]).repeat(2) == np.arange(2)[:, None]
+        self.fd_u = np.where(at, np.concatenate([u, -u]).ravel(), -0.0)
 
     def near_ends(self, V, delta):
         """The endpoint indices (i0[a], i1[a], i0[b], i1[b]), as
@@ -537,7 +542,10 @@ class _Mesh:
 
     def step_caps(self, V):
         """Per-dof displacement bound: a fraction of the local edge length,
-        and for sliding vertices also of the distance to wall neighbors."""
+        and for sliding vertices also of the distance to wall neighbors.
+        With no sliding vertex, the mesh's read-only base_caps."""
+        if not self.wall_nbs:
+            return self.base_caps
         caps = self.base_caps.copy()
         for j, nbs in self.wall_nbs:
             d = min(float(np.linalg.norm(V[n] - V[self.vert[j]])) for n in nbs)
@@ -737,44 +745,38 @@ def resample_cluster(cluster, target_len):
     untouched; kept edges (_edge_roles: walls and fixed edges) are copied
     verbatim. Interior vertices are placed at even arclength along the old
     polyline, which can only shorten it.
+
+    The segment lengths are taken at once; each free edge's length L is
+    their ndarray.sum, and its points np.interp's at np.arange(1, n) *
+    (L / n), np.linspace's arclengths.
     """
     positive_number("target_len", target_len)
     _, _, kept = _edge_roles(cluster)
-    keep = []
-    seen = set()
-    for e, k in zip(cluster.edges, kept):
-        ids = list(e.vertices) if k else [e.vertices[0], e.vertices[-1]]
-        for v in ids:
-            if v not in seen:
-                seen.add(v)
-                keep.append(v)
-    old2new = {old: k for k, old in enumerate(keep)}
-    # the kept vertices, then each resampled edge's interior ones
-    blocks = [cluster.vertices[keep]]
-    nverts = len(keep)
-    edges = []
-    for e, k in zip(cluster.edges, kept):
-        if k:
-            edges.append(
-                type(e)([old2new[v] for v in e.vertices], e.left, e.right, dict(e.tags))
-            )
-            continue
-        pts = cluster.edge_points(e)
-        seg = np.linalg.norm(pts[1:] - pts[:-1], axis=1)
-        L = float(seg.sum())
-        n_new = int(_resample_count(L, _min_count(e), target_len)) if L > 0 else 1
-        ids = [old2new[e.vertices[0]]]
-        if n_new > 1 and L > 0:
-            s = np.concatenate([[0.0], np.cumsum(seg)])
-            s_new = np.linspace(0.0, L, n_new + 1)[1:-1]
-            xs = np.interp(s_new, s, pts[:, 0])
-            ys = np.interp(s_new, s, pts[:, 1])
-            blocks.append(np.column_stack([xs, ys]))
-            ids.extend(range(nverts, nverts + n_new - 1))
-            nverts += n_new - 1
-        ids.append(old2new[e.vertices[-1]])
-        edges.append(type(e)(ids, e.left, e.right, dict(e.tags)))
-    return type(cluster)(np.concatenate(blocks), edges, cluster.m)
+    edges = cluster.edges
+    # the kept vertices in order of first appearance, then interior ones
+    keep = list(dict.fromkeys(chain.from_iterable(
+        e.vertices if k else (e.vertices[0], e.vertices[-1]) for e, k in zip(edges, kept)
+    )))
+    old2new = dict(zip(keep, range(len(keep))))
+    ids, first, _ = cluster.vertex_runs()
+    pts = cluster.vertices.take(ids, axis=0)
+    # the length of the segment ending at each point, 0.0 at an edge's start
+    arc = np.concatenate(([0.0], _euclidean_norm(pts[1:] - pts[:-1])))
+    arc[first[:-1]] = 0.0
+    bounds = list(zip(kept.tolist(), first[:-1].tolist(), first[1:].tolist()))
+    L = np.array([0.0 if k else arc[a + 1 : b].sum() for k, a, b in bounds])
+    n_new = np.where(L > 0, _resample_count(L, [_min_count(e) for e in edges], target_len), 1)
+    interior = np.empty((2, int(n_new.sum()) - len(edges)))
+    out, o = [], 0
+    for e, (k, a, b), n, length in zip(edges, bounds, n_new.astype(int).tolist(), L.tolist()):
+        vs = [old2new[v] for v in (e.vertices if k else (e.vertices[0], e.vertices[-1]))]
+        if n > 1:
+            s, x = arc[a:b].cumsum(), np.arange(1.0, n) * (length / n)
+            interior[:, o : o + n - 1] = np.interp(x, s, pts[a:b, 0]), np.interp(x, s, pts[a:b, 1])
+            vs[1:1] = range(len(keep) + o, len(keep) + o + n - 1)
+            o += n - 1
+        out.append(type(e)(vs, e.left, e.right, dict(e.tags)))
+    return type(cluster)(np.concatenate([cluster.vertices.take(keep, axis=0), interior.T]), out, cluster.m)
 
 
 def _solve_single(cluster, density, targets, opts, rs_len):
@@ -928,93 +930,89 @@ class DiagnoseReport:
         return plain(vars(self))
 
 
-def _arm_tangent(pts):
-    """The unit tangent at pts[0], along the polyline, of the circle through
-    its first three points: the chord to pts[1] turned by the inscribed
-    angle at pts[2]. Exact on circles and lines at any spacing and
-    second-order accurate on any smooth arc; two points give their chord."""
-    theta = angle_of(pts[1] - pts[0])
-    if len(pts) > 2:
-        turn = angle_of(pts[2] - pts[0]) - angle_of(pts[2] - pts[1])
-        theta = theta + wrap_angle(turn + np.pi) - np.pi
-    return unit_dir(theta)
+def _arm_tangents(P, k):
+    """The unit tangent at P[i, 0], along arm i, of the circle through its
+    points P[i]: the chord to P[i, 1] turned by the inscribed angle at
+    P[i, 2] (the angles of p1 - p0, p2 - p0, p2 - p1). Exact on circles and
+    lines at any spacing and second-order accurate on any smooth arc; an arm
+    of k[i] = 2 points takes its chord, whatever P[i, 2] holds."""
+    ang = angle_of(P[:, [1, 2, 2]] - P[:, [0, 0, 1]])
+    theta = ang[:, 0] + wrap_angle(ang[:, 1] - ang[:, 2] + np.pi) - np.pi
+    return unit_dir(np.where(k > 2, theta, ang[:, 0]))
 
 
 def steiner_diagnose(cluster, density):
     """Junction stationarity residuals and arc smoothness statistics.
 
     Each arm's tangent is that of the circle through its first three points
-    (_arm_tangent). A junction on a fixed edge or at a wall corner
-    (_wall_slide) is pinned, and has no residual. One that slides along a
+    (_arm_tangents). A junction on a fixed edge or at a wall corner
+    (_wall_slides) is pinned, and has no residual. One that slides along a
     straight wall reports the force of its arms along the wall line, walls
     priced as the solver prices them: white on both sides, so at 0. Other
     junctions of three arms report junction_residual; those of more are
     reported but their residual is skipped. Arc smoothness is the largest
-    turning angle between adjacent segments of each edge, in radians.
+    turning angle between adjacent segments of each edge, in radians. All
+    arms, junctions and edges are computed at once.
     """
     wall, pinned, _ = _edge_roles(cluster)
+    V = cluster.vertices
+    infos = detect_junctions(cluster)
+    ends = [0, *accumulate(info.n_arms for info in infos)]
+    arms = [a for info in infos for a in info.arms]
+    # each arm's first three vertices from its junction (two on an arm of
+    # one segment, whose second stands in for the third)
+    first3 = [cluster.edges[a["edge"]].vertices[:: 1 if a["forward"] else -1][:3] for a in arms]
+    P = V.take(np.array([(p[0], p[1], p[-1]) for p in first3], dtype=int).reshape(-1, 3), axis=0)
+    tangents = _arm_tangents(P, np.array([len(p) for p in first3]))
+    # each junction's arms clockwise by tangent, ties in arm order, and the
+    # gap from each to the next
+    ang = angle_of(tangents)
+    order = np.lexsort((-ang, np.arange(len(infos)).repeat(np.diff(ends))))
+    tangents, ang, arms = tangents[order], ang[order], [arms[i] for i in order]
+    nxt = np.arange(1, len(arms) + 1)
+    nxt[np.array(ends[1:], dtype=int) - 1] = ends[:-1]
+    angles_deg = np.degrees(wrap_angle(ang - ang.take(nxt))).tolist()
+    # the slide direction, or None when pinned, of each junction at a wall
+    # and on no fixed edge, from its wall arms' far ends in arm order
+    fixed = [any(pinned[a["edge"]] for a in info.arms) for info in infos]
+    walls = [
+        (info.vertex, cluster.edges[a["edge"]].vertices[1 if a["forward"] else -2])
+        for info, f in zip(infos, fixed) if not f for a in info.arms if wall[a["edge"]]
+    ]
+    slid = {}
+    if walls:
+        at, other = np.array(walls).T
+        for v, s, u in zip(at.tolist(), *_wall_slides(V, at, other)[:2]):
+            slid.setdefault(v, u if s else None)
     junctions, flags = [], []
-    for info in detect_junctions(cluster):
-        jflags = []
-        tangents = []
-        walls = []  # the far ends of the wall arms' first segments
-        for a in info.arms:
-            ids = np.asarray(cluster.edges[a["edge"]].vertices, dtype=int)[:: 1 if a["forward"] else -1]
-            tangents.append(_arm_tangent(cluster.vertices[ids[:3]]))
-            if wall[a["edge"]]:
-                walls.append(ids[1])
-        tangents = np.asarray(tangents)
-        ang = angle_of(tangents)
-        order = np.argsort(-ang, kind="stable")
-        tangents = tangents[order]
-        arms = [info.arms[i] for i in order]
-        colors = [a["right"] for a in arms]
-        gaps = wrap_angle(ang[order] - np.roll(ang[order], -1))
-        angles_deg = [float(np.degrees(x)) for x in gaps]
-        residual = rnorm = None
-        fixed = any(pinned[a["edge"]] for a in info.arms)
-        slid = None if fixed or not walls else _wall_slide(cluster.vertices, info.vertex, walls)
-        if (fixed or walls) and slid is None:
+    for info, f, lo, hi in zip(infos, fixed, ends, ends[1:]):
+        jflags, residual, rnorm = [], None, None
+        colors, u = [a["right"] for a in arms[lo:hi]], slid.get(info.vertex)
+        if f or (info.vertex in slid and u is None):
             jflags.append("pinned junction: residual skipped")
-        elif slid is not None:
-            sides = np.array([(0, 0) if wall[a["edge"]] else (a["left"], a["right"]) for a in arms])
-            force = arm_forces(density.gauge_at(info.point), tangents, *sides.T).sum(axis=0)
-            along = float(force @ slid[0])
-            residual, rnorm = along * slid[0], abs(along)
+        elif u is not None:
+            sides = np.array([(0, 0) if wall[a["edge"]] else (a["left"], a["right"]) for a in arms[lo:hi]])
+            along = float(arm_forces(density.gauge_at(info.point), tangents[lo:hi], *sides.T).sum(axis=0) @ u)
+            residual, rnorm = along * u, abs(along)
         elif info.non_triple:
             jflags.append("non-triple junction: residual skipped")
         else:
             try:
-                residual = junction_residual(density, info.point, tangents, colors)
-                rnorm = float(np.linalg.norm(residual))
+                residual = junction_residual(density, info.point, tangents[lo:hi], colors)
+                rnorm = float(np.sqrt(residual.dot(residual)))  # np.linalg.norm's
             except ValueError as err:
                 jflags.append(f"residual unavailable: {err}")
-        junctions.append(
-            JunctionDiagnostic(
-                vertex=info.vertex,
-                point=info.point,
-                n_arms=info.n_arms,
-                non_triple=info.non_triple,
-                sector_colors=colors,
-                angles_deg=angles_deg,
-                tangents=tangents,
-                residual=residual,
-                residual_norm=rnorm,
-                flags=jflags,
-            )
-        )
+        junctions.append(JunctionDiagnostic(
+            info.vertex, info.point, info.n_arms, info.non_triple, colors,
+            angles_deg[lo:hi], tangents[lo:hi], residual, rnorm, jflags,
+        ))
         flags.extend(jflags)
-    arc_turning = []
-    for e in cluster.edges:
-        pts = cluster.edge_points(e)
-        vec = pts[1:] - pts[:-1]
-        if len(vec) < 2:
-            arc_turning.append(0.0)
-        else:
-            arc_turning.append(float(angle_between(vec[:-1], vec[1:]).max()))
-    return DiagnoseReport(
-        junctions=junctions,
-        arc_turning=arc_turning,
-        max_turning=max(arc_turning, default=0.0),
-        flags=flags,
-    )
+    # the largest turning angle between adjacent segments of each edge
+    ids, first, inner = cluster.vertex_runs()
+    pts = V.take(ids, axis=0)
+    vec, both = pts[1:] - pts[:-1], inner[:-1] & inner[1:]
+    edge = np.arange(len(cluster.edges)).repeat(first[1:] - first[:-1])[1:-1]
+    arc_turning = np.zeros(len(cluster.edges))
+    np.maximum.at(arc_turning, edge[both], angle_between(vec[:-1], vec[1:])[both])
+    arc_turning = arc_turning.tolist()
+    return DiagnoseReport(junctions, arc_turning, max(arc_turning, default=0.0), flags)

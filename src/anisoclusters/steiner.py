@@ -40,6 +40,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .cluster import MODE_SIDES, orientation_rule, vertex_arms
+from .gauge import _euclidean_norm
 from .geometry import (
     TWO_PI,
     angle_of,
@@ -383,11 +384,11 @@ def junction_residual(density, origin, directions, colors):
     dirs = np.asarray(directions, dtype=float)
     if dirs.shape != (3, 2):
         raise ValueError("need exactly three directions")
-    if np.any(np.linalg.norm(dirs, axis=1) < 1e-300):
+    if (_euclidean_norm(dirs) < 1e-300).any():
         raise ValueError("directions must be nonzero")
     th = angle_of(dirs)
-    cw_gaps = wrap_angle(th - np.roll(th, -1))
-    if not np.isclose(cw_gaps.sum(), TWO_PI, atol=1e-9):
+    # clockwise gaps sum to 2 pi (4 pi counterclockwise): np.isclose's test
+    if not abs(wrap_angle(th - th[[1, 2, 0]]).sum() - TWO_PI) <= 1e-9 + 1e-5 * TWO_PI:
         raise ValueError("directions must be ordered clockwise")
     colors = np.asarray(colors, dtype=int)
     if colors.shape != (3,):
@@ -396,9 +397,8 @@ def junction_residual(density, origin, directions, colors):
     if len(whites) > 1:
         raise ValueError("at most one white sector around a triple junction")
     # the white sector first, so its two arms are summed first
-    w = whites[0] if len(whites) else 0
-    dirs, colors = np.roll(dirs, -w, axis=0), np.roll(colors, -w)
-    return arm_forces(gauge, dirs, np.roll(colors, 1), colors).sum(axis=0)
+    arms = (np.arange(3) + (whites[0] if len(whites) else 0)) % 3
+    return arm_forces(gauge, dirs[arms], colors[arms - 1], colors[arms]).sum(axis=0)
 
 
 def arm_forces(gauge, dirs, left, right):
@@ -410,7 +410,7 @@ def arm_forces(gauge, dirs, left, right):
     # in one gauge call for the normals and their negatives
     g = gauge.grad(np.concatenate([normal, -normal]))
     n = len(normal)
-    fwd, rev = rotate_ccw(g[:n]), -rotate_ccw(g[n:])
+    fwd, rev = rotate_ccw(g[:n]), rotate_cw(g[n:])  # rotate_cw is -rotate_ccw
     return orientation_rule(fwd, rev, np.asarray(left)[:, None], np.asarray(right)[:, None])
 
 

@@ -33,6 +33,7 @@ from anisoclusters import (
     perimeter_breakdown,
     regular_polygon_chamber,
     render_report,
+    resample_cluster,
     square_cross_cluster,
     steiner_diagnose,
     weighted_perimeter,
@@ -42,6 +43,8 @@ import anisoclusters
 from anisoclusters import optimizer
 from anisoclusters.cluster import fan_volume_terms, orientation_rule
 from anisoclusters.geometry import (
+    angle_between,
+    angle_of,
     box_gap,
     cross2,
     grown_boxes,
@@ -50,7 +53,10 @@ from anisoclusters.geometry import (
     rotate_cw,
     segment_distance,
     segments_properly_cross,
+    unit_dir,
+    wrap_angle,
 )
+from anisoclusters.steiner import arm_forces
 from conftest import all_gauge_list, odd_profile_gauge
 
 EUCLID = Density.constant(EuclideanGauge())
@@ -1104,6 +1110,22 @@ class TestMesh:
         ent = np.column_stack([mesh.ent_seg, mesh.ent_slot, mesh.ent_dof])
         assert np.array_equal(ent, ref["ent"])
 
+    @pytest.mark.parametrize("kind", ["bubble", "walled"])
+    def test_step_caps_copy_only_where_a_wall_caps_a_vertex(self, kind):
+        cl = mesh_kind(kind)
+        mesh = optimizer._Mesh(cl, EUCLID, np.ones(cl.m), optimizer._default_resample_len(cl))
+        caps = mesh.step_caps(cl.vertices)
+        assert not mesh.base_caps.flags.writeable
+        if kind == "bubble":
+            assert not mesh.wall_nbs and caps is mesh.base_caps
+            return
+        ref = mesh.base_caps.copy()
+        for j, nbs in mesh.wall_nbs:
+            for n in nbs:
+                ref[j] = min(ref[j], 0.4 * np.linalg.norm(cl.vertices[n] - cl.vertices[mesh.vert[j]]))
+        assert caps.flags.writeable and caps.tobytes() == ref.tobytes()
+        assert (caps < mesh.base_caps).any()
+
 
 def assert_same(a, b, name):
     """a and b equal value for value: arrays in dtype, shape and bytes,
@@ -1237,6 +1259,148 @@ class TestCarriedMesh:
         fresh = minimize(problem())
         assert fresh.spec() == rep.spec()
         assert fresh.cluster.vertices.tobytes() == rep.cluster.vertices.tobytes()
+
+
+def reference_resample(cluster, target_len):
+    """resample_cluster edge by edge, each with np.linalg.norm, np.linspace,
+    np.interp and np.column_stack: the reference for its arithmetic."""
+    _, _, kept = optimizer._edge_roles(cluster)
+    keep = []
+    for e, k in zip(cluster.edges, kept):
+        for v in e.vertices if k else [e.vertices[0], e.vertices[-1]]:
+            if v not in keep:
+                keep.append(v)
+    old2new = {old: k for k, old in enumerate(keep)}
+    blocks, nverts, edges = [cluster.vertices[keep]], len(keep), []
+    for e, k in zip(cluster.edges, kept):
+        if k:
+            edges.append(Edge([old2new[v] for v in e.vertices], e.left, e.right, dict(e.tags)))
+            continue
+        pts = cluster.edge_points(e)
+        seg = np.linalg.norm(pts[1:] - pts[:-1], axis=1)
+        L = float(seg.sum())
+        n_new = int(optimizer._resample_count(L, optimizer._min_count(e), target_len)) if L > 0 else 1
+        ids = [old2new[e.vertices[0]]]
+        if n_new > 1:
+            s = np.concatenate([[0.0], np.cumsum(seg)])
+            s_new = np.linspace(0.0, L, n_new + 1)[1:-1]
+            xs = np.interp(s_new, s, pts[:, 0])
+            ys = np.interp(s_new, s, pts[:, 1])
+            blocks.append(np.column_stack([xs, ys]))
+            ids.extend(range(nverts, nverts + n_new - 1))
+            nverts += n_new - 1
+        ids.append(old2new[e.vertices[-1]])
+        edges.append(Edge(ids, e.left, e.right, dict(e.tags)))
+    return Cluster(np.concatenate(blocks), edges, cluster.m)
+
+
+def two_rectangles():
+    """[0, 2] x [0, 1] and [2, 4] x [0, 1]: two outer edges of exact length
+    5 through the corners, and the one-segment interface x = 2."""
+    V = [[2.0, 0.0], [2.0, 1.0], [0.0, 0.0], [0.0, 1.0], [4.0, 1.0], [4.0, 0.0]]
+    return Cluster(V, [Edge([0, 2, 3, 1], 1, 0), Edge([1, 4, 5, 0], 2, 0), Edge([0, 1], 1, 2)], 2)
+
+
+def resample_cases():
+    """(name, cluster, target length) for the reference test."""
+    for n_arc in (12, 24, 48, 96):
+        cl = double_bubble_cluster(n_arc=n_arc)
+        base = optimizer._default_resample_len(cl)
+        for f in (0.3, 0.55, 1.0, 1.7, 3.0, 5.0):
+            yield f"bubble {n_arc} x{f}", cl, f * base
+    walled = mesh_kind("walled")
+    for f in (0.4, 1.0, 2.5):
+        yield f"walled plus, fixed edge, x{f}", walled, f * optimizer._default_resample_len(walled)
+    polygon = regular_polygon_chamber(64, area=1.0)
+    for target in (1.5, 10.0):
+        # 2.4 and 0.4 segments round to 2 and 0: the closed edge keeps 3
+        yield f"polygon {target}", polygon, target
+    flat = double_bubble_cluster(n_arc=12, n_mid=1)
+    yield "one-segment edge", flat, 0.1
+    yield "one-segment edges", resample_cluster(flat, 100.0), 0.2
+    zero = flat.copy()
+    zero.vertices[zero.edges[2].vertices[1]] = zero.vertices[zero.edges[2].vertices[0]]
+    yield "free edge of length 0", zero, 0.1
+    # 5 / 2 = 2.5 rounds to 2, 0.5 to 0; at 1 every point is a corner
+    yield "half to even", two_rectangles(), 2.0
+    yield "points on corners", two_rectangles(), 1.0
+    yield "3.5 rounds to 4", two_rectangles(), 5.0 / 3.5
+
+
+class TestResampleReference:
+    @pytest.mark.parametrize("name, cl, target", list(resample_cases()), ids=lambda x: x if isinstance(x, str) else "")
+    def test_matches_the_per_edge_loop(self, name, cl, target):
+        got, ref = optimizer.resample_cluster(cl, target), reference_resample(cl, target)
+        assert got.vertices.tobytes() == ref.vertices.tobytes()
+        assert got.m == ref.m
+        assert [(e.vertices, e.left, e.right, e.tags) for e in got.edges] == [
+            (e.vertices, e.left, e.right, e.tags) for e in ref.edges
+        ]
+
+    def test_the_cases_reach_every_rule(self):
+        rect = two_rectangles()
+        assert [len(e.vertices) - 1 for e in resample_cluster(rect, 2.0).edges] == [2, 2, 1]
+        assert [len(e.vertices) - 1 for e in resample_cluster(rect, 5.0 / 3.5).edges] == [4, 4, 1]
+        polygon = regular_polygon_chamber(64, area=1.0)
+        assert len(resample_cluster(polygon, 10.0).edges[0].vertices) == 4
+        for name, cl, target in resample_cases():
+            if name == "free edge of length 0":
+                L = np.linalg.norm(np.diff(cl.edge_points(cl.edges[2]), axis=0), axis=1).sum()
+                assert L == 0.0 and len(resample_cluster(cl, target).edges[2].vertices) == 2
+
+
+def numbering(cl):
+    """What a carried mesh requires of two clusters: as many vertices, and
+    every edge's vertex list, labels and tags equal."""
+    return len(cl.vertices), [(list(e.vertices), e.left, e.right, e.tags) for e in cl.edges]
+
+
+def benchmark_problem(name):
+    """The solves of perfbench's bubble and cross workloads."""
+    kind, arg = name.split()
+    if kind == "bubble":
+        cl = double_bubble_cluster(n_arc=48, n_mid=16)
+        return OptimizationProblem(cl, EUCLID, [1.0, float(arg)], SolveOptions(max_outer=30))
+    cl = square_cross_cluster(n_sub=8, jitter=0.02, rng=np.random.default_rng(int(arg)))
+    return OptimizationProblem(cl, MAXNORM, np.ones(4), SolveOptions(max_outer=60))
+
+
+class TestMeshCarry:
+    @pytest.mark.parametrize(
+        "name, counts",
+        [
+            ("bubble 1.0", (2, 5, 4)),
+            ("bubble 0.98", (7, 10, 9)),
+            ("cross 0", (3, 4, 0)),
+            ("cross 1", (3, 4, 0)),
+            ("cross 2", (3, 4, 0)),
+        ],
+    )
+    def test_a_mesh_of_the_same_numbering_shares_its_tables(self, name, counts, monkeypatch):
+        # (carried meshes, meshes, resamplings) of each benchmark solve
+        builds, resamples = [], []
+        Mesh, resample = optimizer._Mesh, optimizer.resample_cluster
+
+        class RecordedMesh(Mesh):
+            def __init__(self, cluster, density, targets, char_len, prev=None):
+                super().__init__(cluster, density, targets, char_len, prev)
+                builds.append((numbering(cluster), prev, self))
+
+        def recorded_resample(cl, target_len):
+            resamples.append(numbering(cl))
+            return resample(cl, target_len)
+
+        monkeypatch.setattr(optimizer, "_Mesh", RecordedMesh)
+        monkeypatch.setattr(optimizer, "resample_cluster", recorded_resample)
+        minimize(benchmark_problem(name))
+        assert builds[0][1] is None
+        carried = 0
+        for (before, _, prev), (after, given, mesh) in zip(builds, builds[1:]):
+            assert given is prev
+            shared = [mesh.seg_ends is prev.seg_ends, mesh.ent_dof is prev.ent_dof]
+            assert shared == [before == after] * 2
+            carried += before == after
+        assert (carried, len(builds), len(resamples)) == counts
 
 
 def two_sided_weights(density, P, Q, left, right):
@@ -1762,6 +1926,12 @@ class TestJunctionDetection:
             assert gaps.sum() == pytest.approx(2 * np.pi, abs=1e-12)
 
 
+def arm_tangent(pts):
+    """The tangent optimizer._arm_tangents gives an arm of three or more
+    points pts."""
+    return optimizer._arm_tangents(pts[None, :3], np.array([3]))[0]
+
+
 class TestSteinerDiagnose:
     def test_exact_bubble_is_stationary(self):
         diag = steiner_diagnose(exact_double_bubble(), EUCLID)
@@ -1795,17 +1965,17 @@ class TestSteinerDiagnose:
         center, r = np.array([0.3, -1.2]), 2.5
         arc = center + r * np.column_stack([np.cos(t), np.sin(t)])
         exact = travel * np.array([-np.sin(t[0]), np.cos(t[0])])
-        assert np.abs(optimizer._arm_tangent(arc) - exact).max() <= 1e-12
+        assert np.abs(arm_tangent(arc) - exact).max() <= 1e-12
         u = travel * np.array([0.6, -0.8])
         line = np.array([1.0, 2.0]) + np.array([0.0, 0.1, 0.35, 0.4])[:, None] * u
-        assert np.abs(optimizer._arm_tangent(line) - u).max() <= 1e-12
+        assert np.abs(arm_tangent(line) - u).max() <= 1e-12
 
     def test_tangent_is_second_order_on_an_ellipse(self):
         # off a circle the error shrinks with the square of the spacing
         def error(h):
             t = 0.7 + h * np.arange(3)
             pts = np.column_stack([np.cos(t), 0.5 * np.sin(t)])
-            tangent = optimizer._arm_tangent(pts)
+            tangent = arm_tangent(pts)
             exact = np.array([-np.sin(t[0]), 0.5 * np.cos(t[0])])
             return abs(np.arctan2(cross2(exact, tangent), exact @ tangent))
 
@@ -1850,6 +2020,135 @@ class TestSteinerDiagnose:
         for j in diag.junctions:
             assert j.flags == [] and j.residual[1] == 0.0
             assert j.residual_norm == pytest.approx(np.sin(np.arctan(tilt)), abs=1e-12)
+
+
+def reference_wall_slide(V, v, others):
+    """(u, nbs) when the far ends of vertex v's wall segments (others) not at
+    v itself (nbs) lie on one line through v, u the unit direction to the
+    first of them; None at a wall corner."""
+    nbs, dirs = [], []
+    for o in others:
+        d = V[o] - V[v]
+        nd = np.linalg.norm(d)
+        if nd < 1e-300:
+            continue
+        nbs.append(int(o))
+        dirs.append(d / nd)
+    if dirs and not any(abs(cross2(dirs[0], d)) > 1e-9 for d in dirs[1:]):
+        return dirs[0], nbs
+    return None
+
+
+def reference_arm_tangent(pts):
+    """The tangent at pts[0] of the circle through pts[:3], or the chord of
+    two points."""
+    theta = angle_of(pts[1] - pts[0])
+    if len(pts) > 2:
+        turn = angle_of(pts[2] - pts[0]) - angle_of(pts[2] - pts[1])
+        theta = theta + wrap_angle(turn + np.pi) - np.pi
+    return unit_dir(theta)
+
+
+def reference_junction_residual(density, origin, directions, colors):
+    """junction_residual with np.roll and np.isclose."""
+    gauge = density.gauge_at(origin)
+    dirs = np.asarray(directions, dtype=float)
+    th = angle_of(dirs)
+    assert np.isclose(wrap_angle(th - np.roll(th, -1)).sum(), 2 * np.pi, atol=1e-9)
+    colors = np.asarray(colors, dtype=int)
+    whites = np.flatnonzero(colors == 0)
+    w = whites[0] if len(whites) else 0
+    dirs, colors = np.roll(dirs, -w, axis=0), np.roll(colors, -w)
+    return arm_forces(gauge, dirs, np.roll(colors, 1), colors).sum(axis=0)
+
+
+def reference_diagnose(cluster, density):
+    """steiner_diagnose junction by junction, arm by arm and edge by edge:
+    the reference for its batched arithmetic."""
+    wall, pinned, _ = optimizer._edge_roles(cluster)
+    junctions, flags = [], []
+    for info in detect_junctions(cluster):
+        jflags, tangents, walls = [], [], []
+        for a in info.arms:
+            ids = np.asarray(cluster.edges[a["edge"]].vertices, dtype=int)[:: 1 if a["forward"] else -1]
+            tangents.append(reference_arm_tangent(cluster.vertices[ids[:3]]))
+            if wall[a["edge"]]:
+                walls.append(ids[1])
+        tangents = np.asarray(tangents)
+        ang = angle_of(tangents)
+        order = np.argsort(-ang, kind="stable")
+        tangents = tangents[order]
+        arms = [info.arms[i] for i in order]
+        colors = [a["right"] for a in arms]
+        gaps = wrap_angle(ang[order] - np.roll(ang[order], -1))
+        residual = rnorm = None
+        fixed = any(pinned[a["edge"]] for a in info.arms)
+        slid = None if fixed or not walls else reference_wall_slide(cluster.vertices, info.vertex, walls)
+        if (fixed or walls) and slid is None:
+            jflags.append("pinned junction: residual skipped")
+        elif slid is not None:
+            sides = np.array([(0, 0) if wall[a["edge"]] else (a["left"], a["right"]) for a in arms])
+            force = arm_forces(density.gauge_at(info.point), tangents, *sides.T).sum(axis=0)
+            along = float(force @ slid[0])
+            residual, rnorm = along * slid[0], abs(along)
+        elif info.non_triple:
+            jflags.append("non-triple junction: residual skipped")
+        else:
+            residual = reference_junction_residual(density, info.point, tangents, colors)
+            rnorm = float(np.linalg.norm(residual))
+        junctions.append(
+            optimizer.JunctionDiagnostic(
+                vertex=info.vertex,
+                point=info.point,
+                n_arms=info.n_arms,
+                non_triple=info.non_triple,
+                sector_colors=colors,
+                angles_deg=[float(np.degrees(x)) for x in gaps],
+                tangents=tangents,
+                residual=residual,
+                residual_norm=rnorm,
+                flags=jflags,
+            )
+        )
+        flags.extend(jflags)
+    arc_turning = []
+    for e in cluster.edges:
+        vec = np.diff(cluster.edge_points(e), axis=0)
+        arc_turning.append(0.0 if len(vec) < 2 else float(angle_between(vec[:-1], vec[1:]).max()))
+    return optimizer.DiagnoseReport(junctions, arc_turning, max(arc_turning, default=0.0), flags)
+
+
+def diagnosed_clusters():
+    """The final clusters of the pinned solves and of the panel's walled
+    max-norm crosses, with their densities."""
+    for problem in pinned_solves():
+        yield minimize(problem).cluster, problem.density
+    for j in (0, 1, 2):
+        problem = benchmark_problem(f"cross {j}")
+        yield minimize(problem).cluster, problem.density
+
+
+class TestDiagnoseReference:
+    def test_matches_the_per_arm_and_per_edge_loops(self):
+        kinds = set()
+        for cl, density in diagnosed_clusters():
+            got, ref = steiner_diagnose(cl, density), reference_diagnose(cl, density)
+            assert got.spec() == ref.spec()
+            for a, b, info in zip(got.junctions, ref.junctions, detect_junctions(cl)):
+                assert a.tangents.tobytes() == b.tangents.tobytes()
+                if a.residual is not None:
+                    assert a.residual.tobytes() == b.residual.tobytes()
+                at_wall = any(cl.edges[arm["edge"]].tags.get("wall") for arm in info.arms)
+                kinds.add((a.n_arms, at_wall, a.residual is None, tuple(a.flags)))
+        # free triple junctions, sliding and pinned wall junctions, and
+        # four-arm centres, one of them on a fixed edge
+        assert kinds == {
+            (3, False, False, ()),
+            (3, True, False, ()),
+            (3, True, True, ("pinned junction: residual skipped",)),
+            (4, False, True, ("non-triple junction: residual skipped",)),
+            (4, False, True, ("pinned junction: residual skipped",)),
+        }
 
 
 class TestJunctionRefinement:
