@@ -234,7 +234,8 @@ class BallBoundReport:
 
 
 def ball_bound_check(cluster, density, centers, radii):
-    """Euclidean boundary length inside sampled balls against 7 h_max/h_min.
+    """Euclidean boundary length inside sampled balls against 7 h_max/h_min,
+    the gauge's bounds at the cluster's vertices (Density.h_range).
 
     For each ball, sums the Euclidean length of boundary segments clipped to
     the ball (one clip_segments_to_disk call) and divides by the radius; the
@@ -257,7 +258,8 @@ def ball_bound_check(cluster, density, centers, radii):
         ratios.append(_ordered_sum(((t1 - t0) * lens)[keep]) / r)
     ratios = np.asarray(ratios)
     worst = float(ratios.max()) if len(ratios) else 0.0
-    bound = 7.0 * density.h_max / density.h_min
+    h_min, h_max = density.h_range(cluster.vertices)
+    bound = 7.0 * h_max / h_min
     return BallBoundReport(ratios=ratios, worst_ratio=worst, bound=float(bound), ok=bool(worst < bound))
 
 
@@ -431,9 +433,9 @@ def _crossing_violations(cluster):
     return [f"segments of edges {eid[ia]} and {eid[ib]} cross" for ia, ib in zip(a[order], b[order])]
 
 
-def growth_estimate(density, radii, rng=None):
-    """Fit |B(x, r)| <= C_vol * r^eta from the volumes of 8 sampled balls
-    per radius.
+def growth_estimate(density, domain, radii, rng=None):
+    """Fit |B(x, r)| <= C_vol * r^eta from the volumes of 8 balls per
+    radius, sampled in domain (a Rect or a DiskDomain).
 
     Least squares of log(max volume) against log(r) gives the exponent; the
     constant is then raised until it covers every sampled ball.
@@ -445,7 +447,7 @@ def growth_estimate(density, radii, rng=None):
     worst = np.zeros(len(radii))
     all_vols = []
     for k, r in enumerate(radii):
-        centers = _ball_centers(density.domain, r, 8, rng)
+        centers = _ball_centers(domain, r, 8, rng)
         vols = np.array([ball_volume(density, c, r) for c in centers])
         worst[k] = vols.max()
         all_vols.append(vols)
@@ -477,7 +479,8 @@ def _ball_centers(domain, r, n, rng):
 
 
 def isoperimetric_check(polygon, density, c_vol, eta):
-    """Perimeter >= (h_min / C_vol^(1/eta)) * volume^(1/eta) for one chamber.
+    """Perimeter >= (h_min / C_vol^(1/eta)) * volume^(1/eta) for one chamber,
+    h_min the gauge's lower bound at the polygon's vertices (Density.h_range).
 
     polygon: (n, 2) counterclockwise vertices of a single colored chamber;
     a polygon whose weighted volume is not positive is not counterclockwise
@@ -490,6 +493,6 @@ def isoperimetric_check(polygon, density, c_vol, eta):
     vol = float(fan_volume_terms(density, p, q).sum())
     if not vol > 0:
         raise ValueError(f"polygon is not counterclockwise: its weighted volume is {vol:.6g}")
-    rhs = density.h_min / c_vol ** (1.0 / eta) * vol ** (1.0 / eta)
+    rhs = density.h_range(polygon)[0] / c_vol ** (1.0 / eta) * vol ** (1.0 / eta)
     slack = lhs - rhs
     return slack >= 0, slack

@@ -1,4 +1,4 @@
-"""Pairs of densities on a planar domain: volume weight g and normal gauge h.
+"""Pairs of densities in the plane: volume weight g and normal gauge h.
 
 The gauge may vary with position (a callable from a point to a Gauge); most
 workloads use a single frozen gauge, for which every consumer takes a fast
@@ -56,22 +56,19 @@ class DiskDomain:
 
 
 class Density:
-    """Volume density g and normal gauge field h on a domain.
+    """The paper's pair: a volume density g and a normal gauge field h.
 
-    h_min and h_max bound the gauge over the domain and the unit circle of
-    directions; they feed the isoperimetric and boundary-length diagnostics.
-    A bound not given is probed from the gauge in 64 directions, at 32
-    sampled points of the domain for a gauge field; one that is not finite
-    (a gauge field that overflows there) is an error, and the caller passes
-    h_min and h_max instead. g_const is the value of a constant g, and None
-    when g is a callable. g_rule_sum is g_const times the weights of
+    gauge is a Gauge, the same at every point, or a callable from a point
+    to a Gauge, a gauge field; g is a positive number or a callable of
+    points. g_const is the value of a constant g, and None when g is a
+    callable. g_rule_sum is g_const times the weights of
     geometry.TRIANGLE_RULE, summed: the factor by which
     cluster.fan_volume_terms turns a signed fan area into its volume under a
-    constant g, and None when g is a callable.
+    constant g, and None when g is a callable. Bounds on h come from
+    h_range, at the points where a check reads them.
     """
 
-    def __init__(self, gauge, g=1.0, domain=None, h_min=None, h_max=None):
-        self.domain = domain if domain is not None else Rect(-1e6, 1e6, -1e6, 1e6)
+    def __init__(self, gauge, g=1.0):
         if isinstance(gauge, Gauge):
             self._gauge = gauge
             self.uniform_gauge = True
@@ -91,37 +88,26 @@ class Density:
             self.g_rule_sum = None
         else:
             raise ValueError("g must be a positive number or a callable")
-        if h_min is None or h_max is None:
-            lo, hi = self._probe_gauge_range()
-            h_min = lo if h_min is None else h_min
-            h_max = hi if h_max is None else h_max
-        self.h_min = float(h_min)
-        self.h_max = float(h_max)
-        if not (np.isfinite(self.h_min) and np.isfinite(self.h_max)):
-            raise ValueError(
-                f"gauge bounds are not finite (h_min {self.h_min}, h_max {self.h_max}): "
-                "a gauge field that overflows where the domain is probed needs h_min "
-                "and h_max passed"
-            )
-        if not 0 < self.h_min <= self.h_max:
-            raise ValueError("need 0 < h_min <= h_max")
 
     @classmethod
-    def constant(cls, gauge, g=1.0, domain=None):
-        return cls(gauge, g=g, domain=domain)
+    def constant(cls, gauge, g=1.0):
+        return cls(gauge, g=g)
 
-    def _probe_gauge_range(self):
+    def h_range(self, points):
+        """(h_min, h_max): the least and largest gauge value in 64 directions,
+        at each of points (n, 2) for a gauge field; a uniform gauge ignores
+        the points. Bounds that are not finite (a gauge field that overflows
+        at a point) or not 0 < h_min <= h_max are an error."""
         u = unit_dir(np.arange(64) * (2 * np.pi / 64))
         if self.uniform_gauge:
             vals = self._gauge.value(u)
-            return float(vals.min()), float(vals.max())
-        rng = np.random.default_rng(0)
-        pts = self.domain.sample(rng, 32)
-        lo, hi = np.inf, -np.inf
-        for x in pts:
-            vals = self._gauge(x).value(u)
-            lo = min(lo, float(vals.min()))
-            hi = max(hi, float(vals.max()))
+        else:
+            vals = np.array([self._gauge(x).value(u) for x in np.asarray(points, dtype=float).reshape(-1, 2)])
+        lo, hi = float(vals.min(initial=np.inf)), float(vals.max(initial=-np.inf))
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"gauge bounds are not finite (h_min {lo}, h_max {hi})")
+        if not 0 < lo <= hi:
+            raise ValueError("need 0 < h_min <= h_max")
         return lo, hi
 
     def gauge_at(self, x):
@@ -161,7 +147,7 @@ class Density:
         else:
             inner = self._g
             g = lambda pts: factor * np.asarray(inner(pts), dtype=float)
-        return Density(gauge, g=g, domain=self.domain, h_min=self.h_min * factor, h_max=self.h_max * factor)
+        return Density(gauge, g=g)
 
 
 def ball_volume(density, center, radius):

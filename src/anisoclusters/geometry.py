@@ -86,6 +86,13 @@ def cross2(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
+def row_norms(d):
+    """np.linalg.norm of each row of d (n, 2), bit for bit: the square root
+    of each row's dot product d[i] @ d[i], which may fuse a multiply-add, so
+    neither x*x + y*y nor an einsum stands in for it."""
+    return np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+
+
 def polygon_area(pts):
     """Signed area of a closed polygon given without the repeated endpoint."""
     pts = np.asarray(pts, dtype=float)

@@ -147,6 +147,7 @@ from .geometry import (
     grown_boxes,
     integer_at_least,
     positive_number,
+    row_norms,
     segment_distance,
     segments_properly_cross,
     unit_dir,
@@ -299,10 +300,10 @@ def _wall_slides(V, at, other):
     wall segments, each vertex's pairs adjacent: whether the vertex slides,
     its direction u and whether the far end is off it. A vertex whose far
     ends off it lie on one line through it slides along it, u the unit
-    direction d / np.linalg.norm(d) to the first (d @ d row by row is norm's
-    dot product, bit for bit); any other is a wall corner, pinned."""
+    direction d / np.linalg.norm(d) to the first; any other is a wall
+    corner, pinned."""
     d = V.take(other, axis=0) - V.take(at, axis=0)
-    nd = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+    nd = row_norms(d)
     far = ~(nd < 1e-300)
     # each pair's vertex, numbered, and each vertex's first far end
     group = np.cumsum(np.concatenate(([True], at[1:] != at[:-1]))[: len(at)]) - 1
@@ -364,22 +365,21 @@ class _Mesh:
 
         # vertices at a wall slide along it, or are pinned at a corner
         ndof, at, other = self.ndof_unwalled, self.wall_at, self.wall_other
-        slides = np.zeros(len(at), dtype=bool)
+        slides = far = np.zeros(len(at), dtype=bool)
         if len(at):
             slides, u, far = _wall_slides(V, at, other)
             ndof = ndof.copy()
             ndof[at] = slides
         if not (carried and np.array_equal(ndof, self.ndof)):
             self._dofs(ndof)
-        nbs = {}
         if slides.any():
             # on a copy: a carried uvec is prev's own
             self.uvec = self.uvec.copy()
             self.uvec[self.first[at[slides]]] = u[slides]
             self._fd_units()
-            for v, o in zip(at[slides & far].tolist(), other[slides & far].tolist()):
-                nbs.setdefault(v, []).append(o)
-        self.wall_nbs = [(int(self.first[v]), vs) for v, vs in nbs.items()]
+        # each sliding dof and a wall neighbour off its vertex, as pairs
+        paired = slides & far
+        self.wall_dof, self.wall_nb = self.first.take(at[paired]), other[paired]
         self.local_len = local.take(self.vert)
         self.h_fd = FD_SCALE * self.local_len
         self.base_caps = 0.45 * self.local_len
@@ -544,12 +544,11 @@ class _Mesh:
         """Per-dof displacement bound: a fraction of the local edge length,
         and for sliding vertices also of the distance to wall neighbors.
         With no sliding vertex, the mesh's read-only base_caps."""
-        if not self.wall_nbs:
+        if not len(self.wall_dof):
             return self.base_caps
         caps = self.base_caps.copy()
-        for j, nbs in self.wall_nbs:
-            d = min(float(np.linalg.norm(V[n] - V[self.vert[j]])) for n in nbs)
-            caps[j] = min(caps[j], 0.4 * d)
+        d = V.take(self.wall_nb, axis=0) - V.take(self.vert.take(self.wall_dof), axis=0)
+        np.minimum.at(caps, self.wall_dof, 0.4 * row_norms(d))
         return caps
 
     def collapsed(self, X, target_len):
@@ -797,7 +796,7 @@ def _solve_single(cluster, density, targets, opts, rs_len):
     descents = []
     mesh = None
     for gauge in ladder:
-        stage = Density(gauge, g=g, domain=density.domain)
+        stage = Density(gauge, g=g)
         cl, mesh, rec = _descend(cl, stage, targets, lam, mu, opts, rs_len, mesh)
         descents.append(rec)
     for outer in range(1, opts.max_outer + 1):

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import builders
 from .cluster import MODE_SIDES, Cluster
-from .density import Density, DiskDomain, Rect
+from .density import Density
 from .gauge import gauge_from_spec
 
 SCHEMA_VERSION = 1
@@ -169,40 +169,23 @@ def _gauge(obj, path):
         raise ScenarioError(path, str(err)) from err
 
 
-_DOMAINS = {
-    "rect": (Rect, {"xmin": _number, "xmax": _number, "ymin": _number, "ymax": _number}),
-    "disk": (DiskDomain, {"center": _point, "radius": _positive}),
-}
-
-
-def _domain(obj, path):
-    shape = _mapping(obj, path).get("shape")
-    if not isinstance(shape, str) or shape not in _DOMAINS:
-        raise ScenarioError(f"{path}.shape", "expected 'rect' or 'disk'")
-    make, table = _DOMAINS[shape]
-    kwargs = _block(obj, path, table, required=tuple(table), tag=("shape",))
-    try:
-        return make(**kwargs)
-    except ValueError as err:
-        raise ScenarioError(path, str(err)) from err
-
-
-# builder name: (function, {key: converter}, required keys). Each key is
-# passed as the builder's keyword of that name; seed is passed as the rng it
-# seeds (_BUILDER_KEYWORDS)
+# builder name: (function name in builders, {key: converter}, required
+# keys). The function is looked up when the cluster is built, so a wrapper
+# set on builders later is called. Each key is passed as the builder's
+# keyword of that name; seed is passed as the rng it seeds (_BUILDER_KEYWORDS)
 _BUILDERS = {
     "square-cross": (
-        builders.square_cross_cluster,
+        "square_cross_cluster",
         {"center": _point, "n_sub": _at_least(1), "jitter": _number, "seed": _rng, "half": _positive},
         (),
     ),
     "regular-polygon": (
-        builders.regular_polygon_chamber,
+        "regular_polygon_chamber",
         {"n": _at_least(3), "area": _positive, "center": _point},
         ("n",),
     ),
     "double-bubble": (
-        builders.double_bubble_cluster,
+        "double_bubble_cluster",
         {
             "n_arc": _at_least(1),
             "n_mid": _at_least(1),
@@ -212,7 +195,7 @@ _BUILDERS = {
         },
         (),
     ),
-    "polygon": (builders.polygon_chamber, {"points": _points(at_least=3)}, ("points",)),
+    "polygon": ("polygon_chamber", {"points": _points(at_least=3)}, ("points",)),
 }
 _BUILDER_KEYWORDS = {"seed": "rng"}
 
@@ -253,9 +236,9 @@ def _cluster(obj, path):
         raise ScenarioError(bp, "missing required key 'name'")
     if not isinstance(b["name"], str) or b["name"] not in _BUILDERS:
         raise ScenarioError(f"{bp}.name", f"unknown builder {b['name']!r}")
-    build, table, required = _BUILDERS[b["name"]]
+    name, table, required = _BUILDERS[b["name"]]
     kw = _block(b, bp, table, required, tag=("name",))
-    return build(**{_BUILDER_KEYWORDS.get(key, key): value for key, value in kw.items()})
+    return getattr(builders, name)(**{_BUILDER_KEYWORDS.get(key, key): value for key, value in kw.items()})
 
 
 def _modes(obj, path):
@@ -304,7 +287,6 @@ TASKS = tuple(_TASK_BLOCKS)
 _TOP = {
     "gauge": _gauge,
     "g": _positive,
-    "domain": _domain,
     "out": {"report": _file_name, "svg": _file_name},
 }
 
@@ -344,7 +326,7 @@ def parse_scenario(raw):
         version=version,
         task=task,
         gauge=top["gauge"],
-        density=Density(top["gauge"], g=top.get("g", 1.0), domain=top.get("domain")),
+        density=Density(top["gauge"], g=top.get("g", 1.0)),
         payload=_task_payload(task, _mapping(raw[task], path), path),
         out_report=out.get("report"),
         out_svg=out.get("svg"),

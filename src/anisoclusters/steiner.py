@@ -49,6 +49,7 @@ from .geometry import (
     positive_number,
     rotate_ccw,
     rotate_cw,
+    row_norms,
     unit_dir,
     wrap_angle,
 )
@@ -476,7 +477,7 @@ def admissible_pairs(gauge, a, resolution=720, tol=1e-9):
     d = np.column_stack([phi[:, 0] - phi_a, phi[:, 1] - phi_a, phi[:, 0] - phi[:, 1]])
     keep = ~(np.minimum(wrap_angle(d), wrap_angle(-d)).min(axis=1) < 1e-6)
     phi, its = phi[keep], its[keep]
-    roots = list(zip(phi, _norms(residual(phi)).tolist(), its.tolist())) if len(phi) else []
+    roots = list(zip(phi, row_norms(residual(phi)).tolist(), its.tolist())) if len(phi) else []
 
     # deduplicate unordered pairs on the torus
     uniq = []
@@ -526,7 +527,7 @@ def _lockstep_newton(residual, phi, tol, max_newton):
     and the rows share the iteration count and the trial step.
     """
     r = residual(phi)
-    rn = _norms(r)
+    rn = row_norms(r)
     its = np.zeros(len(phi), dtype=int)
     live = np.arange(len(phi))
     for it in range(1, max_newton + 1):
@@ -547,7 +548,7 @@ def _lockstep_newton(residual, phi, tol, max_newton):
             rows = live[search]
             cand = phi[rows] + lam * delta[search]
             rc = residual(cand)
-            rcn = _norms(rc)
+            rcn = row_norms(rc)
             better = rcn < rn[rows]
             rows = rows[better]
             phi[rows], r[rows], rn[rows] = cand[better], rc[better], rcn[better]
@@ -581,11 +582,6 @@ def _norm(x):
     its wrapper (the dot may fuse a multiply-add, so no elementwise formula
     stands in for it)."""
     return math.sqrt(x.dot(x))
-
-
-def _norms(rows):
-    """_norm of each row of a 2-d array."""
-    return np.array([_norm(x) for x in rows])
 
 
 def _bracketing_cells(g0, grads):

@@ -50,10 +50,12 @@ from anisoclusters.geometry import (
     hausdorff_to_segments,
     polyline_self_intersects,
     rotate_cw,
+    row_norms,
     segment_distance,
     segments_properly_cross,
+    unit_dir,
 )
-from conftest import odd_profile_gauge
+from conftest import all_gauge_list, odd_profile_gauge
 
 
 def unit_disk_polygon(n=512):
@@ -290,14 +292,16 @@ class TestDensityFields:
 
     def test_scaling_a_gauge_field_scales_h_and_g(self):
         field = lambda x: ShiftedDiskGauge((0.1 * np.tanh(x[0]), 0.0), 1.0)
-        d = Density(field, g=lambda p: 1.0 + (p * p).sum(axis=-1), domain=DiskDomain([0.0, 0.0], 2.0))
+        d = Density(field, g=lambda p: 1.0 + (p * p).sum(axis=-1))
         s = d.scaled(1.7)
         assert not s.uniform_gauge and s.g_const is None
         rng = np.random.default_rng(6)
         pts, v = rng.normal(size=(2, 50, 2))
         np.testing.assert_allclose(s.h_at(pts, v), 1.7 * d.h_at(pts, v), rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(s.g_at(pts), 1.7 * d.g_at(pts), rtol=1e-15, atol=0.0)
-        assert (s.h_min, s.h_max) == (1.7 * d.h_min, 1.7 * d.h_max)
+        # the bounds are read from the scaled gauge, 1-homogeneous up to
+        # rounding, as h_at is above: one bound differs by an ulp here
+        np.testing.assert_allclose(s.h_range(pts), 1.7 * np.array(d.h_range(pts)), rtol=1e-15, atol=0.0)
 
 
 class TestTriangleRule:
@@ -605,6 +609,21 @@ def segment_point_distance(p, a, b):
     return np.linalg.norm(foot - p, axis=-1)
 
 
+class TestRowNorms:
+    def test_equal_the_linalg_norms_at_every_scale(self):
+        # the row dot may fuse a multiply-add, so each row must match
+        # np.linalg.norm's own dot product byte for byte
+        rng = np.random.default_rng(13)
+        for scale in 10.0 ** np.arange(-8, 13):
+            rows = rng.normal(0.0, scale, (5000, 2))
+            expect = np.array([np.linalg.norm(x) for x in rows])
+            assert row_norms(rows).tobytes() == expect.tobytes(), scale
+            # a strided view, as a gather of columns gives
+            wide = np.repeat(rows, 2, axis=1)[:, ::2]
+            assert row_norms(wide).tobytes() == expect.tobytes(), scale
+        assert row_norms(np.zeros((0, 2))).shape == (0,)
+
+
 class TestSegmentDistance:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8))
@@ -806,36 +825,64 @@ class TestIsoperimetricBound:
             isoperimetric_check(square_cw, d, c_vol=4.0, eta=2.0)
 
     def test_growth_fit_recovers_euclidean_ball_law(self):
-        d = Density.constant(EuclideanGauge(), domain=Rect(-2, 2, -2, 2))
+        d = Density.constant(EuclideanGauge())
         c_vol, eta = growth_estimate(
-            d, [0.1, 0.2, 0.4], rng=np.random.default_rng(11)
+            d, Rect(-2, 2, -2, 2), [0.1, 0.2, 0.4], rng=np.random.default_rng(11)
         )
         assert eta == pytest.approx(2.0, abs=0.05)
         assert c_vol == pytest.approx(np.pi, rel=0.05)
 
     def test_growth_fit_needs_three_radii(self):
-        d = Density.constant(EuclideanGauge(), domain=Rect(-2, 2, -2, 2))
+        d = Density.constant(EuclideanGauge())
         with pytest.raises(ValueError):
-            growth_estimate(d, [0.1, 0.2])
+            growth_estimate(d, Rect(-2, 2, -2, 2), [0.1, 0.2])
 
 
 class TestConstructorErrors:
     def test_overflowing_gauge_bounds_are_rejected(self):
         # the Euclidean gauge through e^{|x|^2} times the identity, capped at
-        # e^700 to keep the map finite, overflows when squared on the
-        # default +-1e6 box: both probed bounds come out inf
+        # e^700 to keep the map finite, overflows when squared far from the
+        # origin: the bounds read there come out inf
         def field(x):
             return LinearGauge(EuclideanGauge(), np.exp(min(np.dot(x, x), 700.0)) * np.eye(2))
 
+        # a density holds no bounds, so it constructs without any
+        d = Density(field, g=lambda p: np.exp((p * p).sum(axis=-1)))
+        lo, hi = d.h_range([[0.0, 0.0], [1.0, 0.0]])
+        assert (lo, hi) == pytest.approx((1.0, np.e), rel=1e-15, abs=0.0)
         with np.errstate(over="ignore"):
             assert field(np.array([1e6, 0.0])).value(np.array([1.0, 0.0])) == np.inf
-            with pytest.raises(ValueError, match="not finite.*pass"):
-                Density(field, g=lambda p: np.exp((p * p).sum(axis=-1)))
-            # the caller's bounds are taken as they are
-            d = Density(field, g=lambda p: np.exp((p * p).sum(axis=-1)), h_min=1.0, h_max=np.e)
-        assert (d.h_min, d.h_max) == (1.0, np.e)
+            with pytest.raises(ValueError, match="not finite"):
+                d.h_range([[0.0, 0.0], [1e6, 0.0]])
         with pytest.raises(ValueError, match="not finite"):
-            Density(EuclideanGauge(), h_min=1.0, h_max=np.inf)
+            Density(lambda x: EuclideanGauge()).h_range(np.zeros((0, 2)))
+
+    def test_h_range_is_the_64_direction_probe(self):
+        # the bounds each density held before it held none: min and max of
+        # the gauge in 64 directions, at each sampled point for a field
+        u = unit_dir(np.arange(64) * (2 * np.pi / 64))
+        pts = np.random.default_rng(14).uniform(-2.0, 2.0, (32, 2))
+        for gauge in all_gauge_list() + [odd_profile_gauge()]:
+            vals = gauge.value(u)
+            probe = (float(vals.min()), float(vals.max()))
+            assert Density.constant(gauge).h_range(pts) == probe, gauge.kind
+            assert Density.constant(gauge).h_range(np.zeros((0, 2))) == probe, gauge.kind
+            assert Density(lambda x: gauge).h_range(pts) == probe, gauge.kind
+        field = lambda x: LinearGauge(EllipseGauge([[2.0, 0.3], [0.3, 1.0]]), (1.0 + x @ x) * np.eye(2))
+        lo, hi = np.inf, -np.inf
+        for x in pts:
+            vals = field(x).value(u)
+            lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
+        assert Density(field).h_range(pts) == (lo, hi)
+
+    def test_h_range_needs_positive_bounds(self):
+        # no Gauge is zero off the origin, so a stand-in with only a value
+        class Flat:
+            def value(self, v):
+                return np.zeros(len(v))
+
+        with pytest.raises(ValueError, match="0 < h_min <= h_max"):
+            Density(lambda x: Flat()).h_range([[1.0, 0.0]])
 
     def test_constant_g_is_a_positive_finite_real(self):
         for g in (2, 2.0, np.int64(2), np.float32(2)):

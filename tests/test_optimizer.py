@@ -1032,7 +1032,7 @@ class TestGradient:
         targets = 1.05 * weighted_volume(cl, density)
         mesh = optimizer._Mesh(cl, density, targets, optimizer._default_resample_len(cl))
         if kind == "walled":
-            assert len(mesh.wall_nbs) > 0
+            assert len(mesh.wall_dof) > 0
         V = cl.vertices
         lam = np.linspace(-0.3, 0.4, cl.m)
         X = V.take(mesh.seg_ends, axis=0)
@@ -1096,6 +1096,29 @@ def per_vertex_dof_map(cl, char_len):
     }
 
 
+def wall_nbs(mesh):
+    """The mesh's (sliding dof, wall neighbour) pairs as a list of a dof and
+    its neighbours, in dof order: the per-vertex construction's form."""
+    out = []
+    for j, n in zip(mesh.wall_dof.tolist(), mesh.wall_nb.tolist()):
+        if out and out[-1][0] == j:
+            out[-1][1].append(n)
+        else:
+            out.append((j, [n]))
+    return out
+
+
+def looped_step_caps(mesh, V):
+    """step_caps as a Python loop over every sliding dof and its wall
+    neighbours, one 1-d np.linalg.norm per pair: the reference for its one
+    pass."""
+    caps = mesh.base_caps.copy()
+    for j, nbs in wall_nbs(mesh):
+        d = min(float(np.linalg.norm(V[n] - V[mesh.vert[j]])) for n in nbs)
+        caps[j] = min(caps[j], 0.4 * d)
+    return caps
+
+
 class TestMesh:
     @pytest.mark.parametrize("kind", ["bubble", "cross", "polygon", "walled"])
     def test_dof_map_matches_the_per_vertex_construction(self, kind):
@@ -1106,7 +1129,7 @@ class TestMesh:
         assert mesh.n == len(ref["vert"])
         for name in ("vert", "uvec", "local_len", "h_fd"):
             assert np.array_equal(getattr(mesh, name), ref[name]), name
-        assert mesh.wall_nbs == ref["wall_nbs"]
+        assert wall_nbs(mesh) == ref["wall_nbs"]
         ent = np.column_stack([mesh.ent_seg, mesh.ent_slot, mesh.ent_dof])
         assert np.array_equal(ent, ref["ent"])
 
@@ -1117,14 +1140,25 @@ class TestMesh:
         caps = mesh.step_caps(cl.vertices)
         assert not mesh.base_caps.flags.writeable
         if kind == "bubble":
-            assert not mesh.wall_nbs and caps is mesh.base_caps
+            assert not len(mesh.wall_dof) and caps is mesh.base_caps
             return
-        ref = mesh.base_caps.copy()
-        for j, nbs in mesh.wall_nbs:
-            for n in nbs:
-                ref[j] = min(ref[j], 0.4 * np.linalg.norm(cl.vertices[n] - cl.vertices[mesh.vert[j]]))
+        ref = looped_step_caps(mesh, cl.vertices)
         assert caps.flags.writeable and caps.tobytes() == ref.tobytes()
         assert (caps < mesh.base_caps).any()
+
+    def test_step_caps_equal_the_per_dof_loop(self):
+        # walled meshes of several jitters, at their own and at random
+        # positions, near and far from their walls
+        rng = np.random.default_rng(12)
+        for k in range(6):
+            cl = walled_plus(np.random.default_rng(k), n_wall=2 + k % 3)
+            if k % 2:
+                cl.edges[-1].tags["fixed"] = True
+            mesh = optimizer._Mesh(cl, EUCLID, np.ones(cl.m), optimizer._default_resample_len(cl))
+            assert len(mesh.wall_dof)
+            for scale in (0.0, 1e-9, 1e-3, 0.1, 10.0):
+                V = cl.vertices + rng.normal(0.0, scale, cl.vertices.shape)
+                assert mesh.step_caps(V).tobytes() == looped_step_caps(mesh, V).tobytes()
 
 
 def assert_same(a, b, name):
@@ -1201,7 +1235,7 @@ class TestCarriedMesh:
         assert mesh.i0 is prev.i0 and mesh.vert is prev.vert
         assert mesh._near is prev._near is not None and fresh._near is None
         assert_same_mesh(mesh, fresh)
-        assert (kind == "walled") == bool(mesh.wall_nbs)
+        assert (kind == "walled") == bool(len(mesh.wall_dof))
         for delta in (0.0, 0.3 * rs_len):
             assert np.array_equal(
                 columns_sorted(mesh.near_ends(cl.vertices, delta)),
@@ -1764,9 +1798,9 @@ def test_a_callable_of_one_gauge_prices_like_the_constant_density(gauge):
     const = Density.constant(gauge)
     field = Density(lambda x: gauge)
     assert not field.uniform_gauge
-    assert (field.h_min, field.h_max) == (const.h_min, const.h_max)
     cl = double_bubble_cluster(n_arc=12, n_mid=4)
     cl.vertices = cl.vertices + np.random.default_rng(5).normal(0.0, 0.01, cl.vertices.shape)
+    assert field.h_range(cl.vertices) == const.h_range(cl.vertices)
     assert perimeter_breakdown(cl, field).tolist() == perimeter_breakdown(cl, const).tolist()
     assert steiner_diagnose(cl, field).spec() == steiner_diagnose(cl, const).spec()
     lam, mu = np.array([0.3, -0.2]), 10.0

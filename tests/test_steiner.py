@@ -23,7 +23,7 @@ from anisoclusters import (
     steiner,
 )
 from anisoclusters.cluster import segment_weights
-from anisoclusters.geometry import TWO_PI, unit_dir
+from anisoclusters.geometry import TWO_PI, row_norms, unit_dir
 from anisoclusters.steiner import MODE_SIDES, _bracketing_cells
 from conftest import all_gauge_list, odd_profile_gauge, smooth_gauge_list
 
@@ -685,9 +685,9 @@ class TestLockstepNewton:
         # the dot product may fuse a multiply-add, which x*x + y*y does not
         rows = rng.normal(size=(20000, 2)) * rng.choice([1e-3, 1.0, 1e3], size=(20000, 1))
         expect = [np.linalg.norm(x) for x in rows]
-        assert steiner._norms(rows).tolist() == expect
+        assert row_norms(rows).tolist() == expect
         assert [steiner._norm(x) for x in rows] == expect
-        assert (steiner._norms(rows) != np.sqrt(rows[:, 0] * rows[:, 0] + rows[:, 1] * rows[:, 1])).any()
+        assert (row_norms(rows) != np.sqrt(rows[:, 0] * rows[:, 0] + rows[:, 1] * rows[:, 1])).any()
 
     def test_a_singular_batch_is_solved_row_by_row(self):
         J = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 1.0], [1.0, 1.0]], [[0.5, 0.0], [0.25, 4.0]]])
