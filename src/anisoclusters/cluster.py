@@ -37,6 +37,7 @@ from .geometry import (
     clip_segments_to_disk,
     cross2,
     rotate_cw,
+    segment_boxes,
     segments_properly_cross,
 )
 from .report import plain
@@ -413,9 +414,14 @@ def crossing_pairs(V, i0, i1, margin=0.0):
     """Index pairs (a < b) of segments (i0, i1) at vertex positions V that
     share no endpoint and whose bounding boxes, grown by margin, overlap:
     every pair whose proper crossing makes a boundary self-intersect, at V
-    or after any move of the vertices by at most margin each, found by the
-    sort-and-sweep of box_overlap_pairs."""
-    a, b = box_overlap_pairs(V.take(i0, axis=0), V.take(i1, axis=0), margin)
+    or after any move of the vertices by at most margin each."""
+    return box_crossing_pairs(*segment_boxes(V.take(i0, axis=0), V.take(i1, axis=0)), i0, i1, margin)
+
+
+def box_crossing_pairs(lo, hi, i0, i1, margin=0.0):
+    """crossing_pairs from the segments' boxes, corners lo and hi as
+    segment_boxes gives them, by the sort-and-sweep of box_overlap_pairs."""
+    a, b = box_overlap_pairs(lo, hi, margin)
     share = (i0[a] == i0[b]) | (i0[a] == i1[b]) | (i1[a] == i0[b]) | (i1[a] == i1[b])
     return a[~share], b[~share]
 

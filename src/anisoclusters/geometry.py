@@ -166,22 +166,26 @@ def grown_boxes(p, q, margin=0.0):
     return xlo, ylo, xhi, yhi
 
 
-def box_gap(pa, qa, pb, qb):
-    """The gap between the bounding boxes of segments pa qa and pb qb, for
-    batches of (n, 2) endpoints: the larger of their x and y separations,
-    negative where the boxes overlap. Up to rounding, the boxes grown by m
-    on every side overlap exactly when the gap is at most 2 m."""
-    xlo_a, ylo_a, xhi_a, yhi_a = grown_boxes(pa, qa)
-    xlo_b, ylo_b, xhi_b, yhi_b = grown_boxes(pb, qb)
-    gap = np.maximum(xlo_a - xhi_b, xlo_b - xhi_a)
-    np.maximum(gap, ylo_a - yhi_b, out=gap)
-    return np.maximum(gap, ylo_b - yhi_a, out=gap)
+def segment_boxes(p, q):
+    """The lower and upper corners, (n, 2) each, of segments p[k]q[k]'s boxes."""
+    return np.minimum(p, q), np.maximum(p, q)
 
 
-def box_overlap_pairs(p, q, margin=0.0):
-    """Index pairs (a < b) of segments p[k]q[k] whose closed bounding boxes,
-    grown by margin on every side, overlap; two segments that properly cross
-    always do, and so do two that come within 2 * margin of each other.
+def box_gap(lo_a, hi_a, lo_b, hi_b):
+    """The gap between boxes of corners lo_a, hi_a and lo_b, hi_b (segment_boxes):
+    the larger of their x and y separations, negative where they overlap. Up to
+    rounding, the boxes grown by m on every side overlap exactly when the gap
+    is at most 2 m."""
+    ab, ba = lo_a - hi_b, lo_b - hi_a
+    gap = np.maximum(ab[:, 0], ba[:, 0])
+    np.maximum(gap, ab[:, 1], out=gap)
+    return np.maximum(gap, ba[:, 1], out=gap)
+
+
+def box_overlap_pairs(lo, hi, margin=0.0):
+    """Index pairs (a < b) of closed boxes of corners lo[k], hi[k] (segment_boxes)
+    that overlap when grown by margin on every side; those of two segments that
+    properly cross always do, and so do those of two within 2 * margin.
 
     Sort-and-sweep broad phase (Shamos and Hoey 1976; Bentley and Ottmann
     1979): the boxes are sorted on xmin, each box pairs with the later boxes
@@ -189,7 +193,7 @@ def box_overlap_pairs(p, q, margin=0.0):
     y-extents overlap too. The cost follows the number of x-overlaps rather
     than all n(n-1)/2 pairs.
     """
-    xlo, ylo, xhi, yhi = grown_boxes(np.asarray(p, float), np.asarray(q, float), margin)
+    (xlo, ylo), (xhi, yhi) = (lo - margin).T, (hi + margin).T
     order = np.argsort(xlo, kind="stable")
     # sorted box k overlaps in x exactly the boxes k+1 .. end[k]-1; end[k]
     # is at least k+1 because xlo[k] <= xhi[k]
@@ -208,7 +212,7 @@ def polyline_self_intersects(pts):
     pts = np.asarray(pts, float)
     if len(pts) < 3:
         return False
-    a, b = box_overlap_pairs(pts[:-1], pts[1:])
+    a, b = box_overlap_pairs(*segment_boxes(pts[:-1], pts[1:]))
     far = b - a >= 2
     a, b = a[far], b[far]
     return bool(segments_properly_cross(pts[a], pts[a + 1], pts[b], pts[b + 1]).any())

@@ -37,20 +37,28 @@ resampling. The solver sees each sampled cluster through one _Mesh, which
 holds the segment arrays, the degrees of freedom, the finite-difference
 stencil and the evaluations on them.
 
-Each evaluation makes one gauge call on every segment's endpoints,
-gathered once: the objective prices the perimeter and the volumes from one
-gather, the collapse check after an accepted step reads its lengths from
-it, and a descent's start takes P0, the perimeter its objective is scaled
-by, from its first objective. Under a uniform gauge segment_weights prices
-through cluster.oriented_weight, one side of a symmetric gauge
-(Gauge.symmetric) and both stacked otherwise; only a gauge field forms
-midpoints, for Density.h_at. The gradient prices both stencil signs in one
-segment_weights and one fan_volume_terms call. No evaluation picks out the
-segments that count: one that is no interface (a wall, or one chamber on
-both sides) is priced white on both sides, an exact 0.0 by the orientation
-rule, and a kept edge gets a collapse spacing of 0.0. Gathers use take and
-scatters np.bincount, which adds in np.add.at's order, so the iterates are
-those of one call per side and stencil sign, bit for bit.
+Each evaluation (_Mesh.evaluate) gathers the endpoints of some rows of one
+table, the segments (the objective's rows) and then the finite-difference
+stencil's + and - rows, and prices them in one segment_weights and one
+fan_volume_terms call. Under a uniform gauge, where a call costs mostly
+overhead, a point's first pricing takes its stencil's rows too (a
+descent's start, each restart on collapse, the first trial of every step),
+so a step accepted at its first trial, as most are, makes one call;
+backtracking trials price the objective's rows alone, and a step accepted
+after them its stencil's rows alone. A gauge field, which Density.h_at
+prices point by point, gains nothing from merging: there every point
+prices its objective's rows first and its stencil's alone once accepted.
+The gradient is finished at accepted points only, the collapse check reads
+the objective rows' gather, and a descent's start takes P0, the perimeter
+its objective is scaled by, from its first evaluation. Under a uniform
+gauge segment_weights prices through cluster.oriented_weight, one side of
+a symmetric gauge (Gauge.symmetric) and both stacked otherwise. No
+evaluation picks out the segments that count: one that is no interface (a
+wall, or one chamber on both sides) is priced white on both sides, an
+exact 0.0 by the orientation rule, and a kept edge gets a collapse spacing
+of 0.0. Gathers use take and scatters np.bincount, which adds in
+np.add.at's order, so the iterates are those of one call per side and
+stencil sign, bit for bit.
 
 What depends on the vertex numbering alone (segment arrays, masks,
 gathers, scatter indices, the dof map, the stencil and the broad phase's
@@ -119,6 +127,7 @@ takes the same steps at factors 1, 2 and 0.5, and others at 3 and 0.7).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
@@ -126,9 +135,10 @@ import numpy as np
 
 from .cluster import (
     _edge_roles,
+    box_crossing_pairs,
     chamber_index,
     chamber_sums,
-    crossing_pairs,
+    crossing_pairs,  # noqa: F401 (also read as optimizer.crossing_pairs)
     fan_volume_terms,
     interface_perimeter,  # noqa: F401 (also read as optimizer.interface_perimeter)
     interface_sum,
@@ -148,6 +158,7 @@ from .geometry import (
     integer_at_least,
     positive_number,
     row_norms,
+    segment_boxes,
     segment_distance,
     segments_properly_cross,
     unit_dir,
@@ -320,12 +331,11 @@ def _wall_slides(V, at, other):
 class _Mesh:
     """The solver's view of one sampled cluster: its segment arrays, the map
     between movable vertex coordinates and a flat parameter vector, the
-    finite-difference stencil, and the objective, volumes, gradient and
-    collapse check on them. Volumes use weighted_volume's fan_volume_terms
-    and chamber_sums, so the reported constraint errors are exactly the ones
-    being minimized. The perimeter, volumes, objective and collapse check
-    read X, every segment's endpoints as V.take(seg_ends, axis=0) gathers
-    them.
+    finite-difference stencil, and the evaluations on them: evaluate on
+    objective_rows, stencil_rows or all_rows, first_rows a point's first
+    pricing (all_rows under a uniform gauge), gradient_from and collapsed.
+    Volumes use weighted_volume's fan_volume_terms and chamber_sums, so the
+    reported constraint errors are exactly the ones being minimized.
 
     Free vertices carry two axis-aligned degrees of freedom. A vertex whose
     incident wall segments are all parallel slides along that line with one
@@ -385,8 +395,11 @@ class _Mesh:
         self.base_caps = 0.45 * self.local_len
         self.base_caps.flags.writeable = False
         h = self.h_fd.take(self.ent_dof)
-        self.fd_disp = (self.fd_u * np.concatenate([h, h]).repeat(2)).reshape(2, -1, 2)
+        steps = np.concatenate([np.ones(len(self.i0)), h, h]).repeat(2)
+        self.row_disp = (self.row_u * steps).reshape(2, -1, 2)
         self.fd_two_h = 2.0 * h
+        # a point's first pricing: its stencil rows too under a uniform gauge
+        self.first_rows = self.all_rows if density.uniform_gauge else self.objective_rows
 
     def _index(self, cluster, roles):
         """The tables fixed by the vertex numbering and the edge roles
@@ -461,7 +474,7 @@ class _Mesh:
         self.no_caps.flags.writeable = False
 
         # finite-difference stencil: one entry per (segment, endpoint, dof)
-        ends = self.ends
+        ends, S = self.ends, len(self.i0)
         per_end = ndof.take(ends)
         ent = np.arange(len(ends)).repeat(per_end)
         # an end's second dof follows its first
@@ -469,30 +482,35 @@ class _Mesh:
         offset[1:] = ent[1:] == ent[:-1]
         seg, slot = self.ent_seg, self.ent_slot = ent >> 1, ent & 1
         self.ent_dof = first.take(ends.take(ent)) + offset
-        # the stencil's two signs stacked: row r < E is entry r displaced by
-        # +h along its dof, row E + r the same entry by -h. fd_ends[0] and
-        # fd_ends[1] hold the rows' start and end vertices, fd_disp their
-        # displacements (_fd_units). Starts and ends are kept in separate
-        # blocks, as elementwise numpy loops over (n, 2) rows that are not
-        # contiguous run an order of magnitude slower
+        # evaluate's table: the S segments, then the stencil's two signs, row
+        # S + r entry r displaced by +h along its dof and row S + E + r by
+        # -h. row_ends[0] and row_ends[1] hold the rows' start and end
+        # vertices, row_disp their displacements (_fd_units). Starts and ends
+        # are kept in separate blocks, as elementwise numpy loops over (n, 2)
+        # rows that are not contiguous run an order of magnitude slower
+        E = len(ent)
         fd_ends = self.seg_ends.take(seg, axis=1)
-        self.fd_ends = np.concatenate([fd_ends, fd_ends], axis=1)
+        self.row_ends = np.concatenate([self.seg_ends, fd_ends, fd_ends], axis=1)
+        self.objective_rows, self.stencil_rows = slice(0, S), slice(S, S + 2 * E)
+        self.all_rows = slice(0, S + 2 * E)
         self._fd_units()
-        # the rows' labels: as they are for the volumes, which walls bound,
-        # and masked as for the perimeter, so that inactive rows price 0.0
+        # the rows' labels, masked as for the perimeter, so that inactive
+        # rows price 0.0; the stencil's also as they are for the volumes,
+        # which walls bound
         self.fd_left, self.fd_right = self.left.take(seg), self.right.take(seg)
         w_left, w_right = self.w_left.take(seg), self.w_right.take(seg)
-        self.fd_w_left = np.concatenate([w_left, w_left])
-        self.fd_w_right = np.concatenate([w_right, w_right])
+        self.row_w_left = np.concatenate([self.w_left, w_left, w_left])
+        self.row_w_right = np.concatenate([self.w_right, w_right, w_right])
 
     def _fd_units(self):
-        """fd_u, fd_disp flattened to (2, 4 E) over the steps h of its rows'
-        entries: each row's unit vector u at its displaced end, -u in a - row
-        ((-u) * h is -(u * h) bit for bit), and -0.0, which adds nothing, at
-        the end that stays."""
+        """row_u, row_disp flattened to (2, 2 S + 4 E) over its rows' steps
+        (1, or h of a stencil entry): each stencil row's unit vector u at its
+        displaced end, -u in a - row ((-u) * h is -(u * h) bit for bit), and
+        -0.0, which adds nothing, at an end that stays and in objective rows."""
         u, slot = self.uvec.take(self.ent_dof, axis=0), self.ent_slot
-        at = np.concatenate([slot, slot]).repeat(2) == np.arange(2)[:, None]
-        self.fd_u = np.where(at, np.concatenate([u, -u]).ravel(), -0.0)
+        S = len(self.i0)
+        at = np.concatenate([np.full(S, 2), slot, slot]).repeat(2) == np.arange(2)[:, None]
+        self.row_u = np.where(at, np.concatenate([np.zeros((S, 2)), u, -u]).ravel(), -0.0)
 
     def near_ends(self, V, delta):
         """The endpoint indices (i0[a], i1[a], i0[b], i1[b]), as
@@ -502,16 +520,17 @@ class _Mesh:
 
         The list holds crossing_pairs at the positions V0 of its build and a
         margin of at least the skin, sorted by each pair's box gap at V0
-        (geometry.box_gap). If no coordinate has moved by more than drift
-        since, each side of a segment's box has moved by at most drift, so a
-        pair whose boxes at V grown by delta overlap has a gap at V0 of at
-        most 2 (drift + delta), and it is listed while drift + delta is at
-        most the margin. Rounding moves each of these bounds by a few ulps of
-        the coordinates and the margin; the slack, 16 eps times the largest
-        coordinate at V0 plus the margin, covers that with room to spare.
-        The list is rebuilt once drift + delta exceeds the margin less the
-        slack. The build margin is the skin, or 2 delta when that is larger,
-        so the list serves its first step too.
+        (geometry.box_gap), the sweep's boxes and the gaps both read from one
+        geometry.segment_boxes of every segment. If no coordinate has moved
+        by more than drift since, each side of a segment's box has moved by
+        at most drift, so a pair whose boxes at V grown by delta overlap has
+        a gap at V0 of at most 2 (drift + delta), and it is listed while
+        drift + delta is at most the margin. Rounding moves each of these
+        bounds by a few ulps of the coordinates and the margin; the slack, 16
+        eps times the largest coordinate at V0 plus the margin, covers that
+        with room to spare. The list is rebuilt once drift + delta exceeds
+        the margin less the slack. The build margin is the skin, or 2 delta
+        when that is larger, so the list serves its first step too.
 
         Each step tests only the listed pairs whose gap is at most
         2 (drift + delta) plus the slack, a prefix of the list, with the
@@ -521,9 +540,10 @@ class _Mesh:
         drift = 0.0 if near is None else float(np.abs(V - near[0]).max())
         if near is None or drift + delta > near[1] - near[2]:
             margin = max(self.skin, 2.0 * delta)
-            a, b = crossing_pairs(V, self.i0, self.i1, margin=margin)
+            lo, hi = segment_boxes(*V.take(self.seg_ends, axis=0))
+            a, b = box_crossing_pairs(lo, hi, self.i0, self.i1, margin=margin)
             ends = np.stack([self.i0[a], self.i1[a], self.i0[b], self.i1[b]])
-            gap = box_gap(*V.take(ends, axis=0))
+            gap = box_gap(lo.take(a, axis=0), hi.take(a, axis=0), lo.take(b, axis=0), hi.take(b, axis=0))
             order = np.argsort(gap, kind="stable")
             slack = 16.0 * np.finfo(float).eps * (float(np.abs(V).max()) + margin)
             near = (V.copy(), margin, slack, gap[order], ends[:, order])
@@ -563,47 +583,46 @@ class _Mesh:
         spacing = np.where(self.kept_edge, 0.0, L / _resample_count(L, self.min_count, target_len))
         return bool((lens < COLLAPSE_FRACTION * spacing[self.eid]).any())
 
-    def perimeter(self, X):
-        """The interface perimeter: every segment priced at the masked
-        labels, the active ones summed in segment order."""
-        w = segment_weights(self.density, X[0], X[1], self.w_left, self.w_right)
-        return float(w.take(self.act).sum())
-
-    def volumes(self, X):
+    def evaluate(self, V, rows, lam, mu, P0):
+        """Prices rows of the table (objective_rows, stencil_rows or
+        all_rows) at vertex positions V, gathered at once, in one
+        segment_weights and one fan_volume_terms call. Returns f, P, vols, e,
+        X, diffs: from the objective's rows the objective, the interface
+        perimeter, the volumes, their relative errors and the rows' gather
+        X, all None without them, P entering f as P / P0 (P0 None stands for
+        P itself, which must be positive: a descent's start); from the
+        stencil's rows each entry's perimeter difference over P0 and fan
+        volume term difference, for gradient_from, None without them."""
+        X = V.take(self.row_ends[:, rows], axis=0)
+        X += self.row_disp[:, rows]
+        w = segment_weights(self.density, X[0], X[1], self.row_w_left[rows], self.row_w_right[rows])
         t = fan_volume_terms(self.density, X[0], X[1])
-        return chamber_sums(t, self.chambers, len(self.targets))
+        # the objective's rows come first: a call holds all S of them or none
+        S, E = len(self.i0), len(self.ent_seg)
+        k = S - rows.start
+        f = P = vols = e = diffs = None
+        if k:
+            # act and chamber_sums read the objective's rows alone
+            P = float(w.take(self.act).sum())
+            if P0 is None:
+                if P <= 0:
+                    raise ValueError("cluster has no interface perimeter to minimize")
+                P0 = P
+            vols = chamber_sums(t, self.chambers, len(self.targets))
+            e = (vols - self.targets) / self.targets
+            f = P / P0 + float((lam * e).sum()) + 0.5 * mu * float((e * e).sum())
+        if rows.stop > S:
+            diffs = (w[k : k + E] - w[k + E :]) / P0, t[k : k + E] - t[k + E :]
+        return f, P, vols, e, (X[:, :k] if k else None), diffs
 
-    def objective(self, X, lam, mu, P0):
-        """The objective, the interface perimeter, the volumes and their
-        relative errors. The perimeter enters as P / P0; P0 None stands for
-        the perimeter at X itself, which must be positive: a descent's
-        start, whose perimeter is its P0."""
-        P = self.perimeter(X)
-        if P0 is None:
-            if P <= 0:
-                raise ValueError("cluster has no interface perimeter to minimize")
-            P0 = P
-        vols = self.volumes(X)
-        e = (vols - self.targets) / self.targets
-        f = P / P0 + float((lam * e).sum()) + 0.5 * mu * float((e * e).sum())
-        return f, P, vols, e
-
-    def gradient(self, V, lam, mu, e, P0):
-        """Central differences of the objective along every dof, from one
-        segment_weights and one fan_volume_terms call on the stencil's two
-        signs stacked; each entry's difference goes to its dof. Rows of
-        inactive segments carry white on both sides, so their perimeter
-        difference is 0.0."""
-        E = len(self.ent_seg)
-        X = V.take(self.fd_ends, axis=0)
-        X += self.fd_disp
-        P, Q = X
-        w = segment_weights(self.density, P, Q, self.fd_w_left, self.fd_w_right)
-        dval = (w[:E] - w[E:]) / P0
+    def gradient_from(self, diffs, lam, mu, e):
+        """Central differences of the objective along every dof, from the
+        stencil's differences that evaluate gave at a point whose relative
+        volume errors are e: each entry's difference goes to its dof."""
+        dval, dt = diffs
         # c[label]: the volume multiplier of chamber label, 0 for white
         c = np.concatenate([[0.0], (lam + mu * e) / self.targets])
-        t = fan_volume_terms(self.density, P, Q)
-        dval += (c[self.fd_left] - c[self.fd_right]) * (t[:E] - t[E:])
+        dval = dval + (c[self.fd_left] - c[self.fd_right]) * dt
         return np.bincount(self.ent_dof, weights=dval / self.fd_two_h, minlength=self.n)
 
 
@@ -641,8 +660,7 @@ def _descend(cl, density, targets, lam, mu, opts, rs_len, mesh):
     cluster, its mesh and the _Descent record."""
     mesh = _Mesh(cl, density, targets, rs_len, mesh)
     V = cl.vertices
-    X = V.take(mesh.seg_ends, axis=0)
-    f, P0, vols, e = mesh.objective(X, lam, mu, None)
+    f, P0, vols, e, X, diffs = mesh.evaluate(V, mesh.first_rows, lam, mu, None)
     Pint = P0
     # one perimeter entry for the start, then one per accepted step
     trace = [P0]
@@ -652,8 +670,7 @@ def _descend(cl, density, targets, lam, mu, opts, rs_len, mesh):
         if mesh.n == 0:
             stop = "converged"
             break
-        g = mesh.gradient(V, lam, mu, e, P0)
-        g_prev = None
+        g = None
         d_prev = None
         t = None
         collapsed = False
@@ -662,7 +679,11 @@ def _descend(cl, density, targets, lam, mu, opts, rs_len, mesh):
         recent = [f]
         while it < opts.max_inner:
             it += 1
-            gn = float(np.max(np.abs(g)))
+            # V's stencil rows, unless the evaluation that gave V priced them
+            if diffs is None:
+                diffs = mesh.evaluate(V, mesh.stencil_rows, lam, mu, P0)[5]
+            g_prev, g = g, mesh.gradient_from(diffs, lam, mu, e)
+            gn = float(np.abs(g).max())
             if gn * rs_len <= opts.grad_tol:
                 stop = "converged"
                 break
@@ -670,7 +691,7 @@ def _descend(cl, density, targets, lam, mu, opts, rs_len, mesh):
                 y = g - g_prev
                 sy = float(d_prev @ y)
                 t = float(d_prev @ d_prev) / sy if sy > 1e-300 else 2.0 * t
-            if t is None or not np.isfinite(t) or t <= 0:
+            if t is None or not math.isfinite(t) or t <= 0:
                 t = 0.05 * rs_len / gn
             # every trial step below is the first one scaled down and clipped,
             # so its reach bounds theirs and one set of caps serves them all
@@ -683,20 +704,22 @@ def _descend(cl, density, targets, lam, mu, opts, rs_len, mesh):
             accepted = False
             tt = t
             f_ref = max(recent)
+            # the first trial prices mesh.first_rows, backtracking the objective's
+            rows = mesh.first_rows
             for _ in range(60):
                 d = np.minimum(np.maximum(-tt * g, low), caps)
                 gd = float(g @ d)
                 if gd >= 0.0:
                     break
                 Vt = _apply_step(V, mesh, d)
-                Xt = Vt.take(mesh.seg_ends, axis=0)
-                ft, Pt, vt, et = mesh.objective(Xt, lam, mu, P0)
+                ft, Pt, vt, et, Xt, dt = mesh.evaluate(Vt, rows, lam, mu, P0)
+                rows = mesh.objective_rows
                 if ft <= f_ref + 1e-4 * gd:
                     if _has_crossing(Vt, ends):
                         rejections += 1
                         tt *= 0.5
                         continue
-                    V, X, f, Pint, vols, e = Vt, Xt, ft, Pt, vt, et
+                    V, X, f, Pint, vols, e, diffs = Vt, Xt, ft, Pt, vt, et, dt
                     d_prev = d
                     accepted = True
                     break
@@ -711,8 +734,6 @@ def _descend(cl, density, targets, lam, mu, opts, rs_len, mesh):
             if mesh.collapsed(X, rs_len):
                 collapsed = True
                 break
-            g_prev = g
-            g = mesh.gradient(V, lam, mu, e, P0)
             t = tt
         cl.vertices = V
         if not collapsed or it == opts.max_inner:
@@ -720,8 +741,7 @@ def _descend(cl, density, targets, lam, mu, opts, rs_len, mesh):
         cl = resample_cluster(cl, rs_len)
         mesh = _Mesh(cl, density, targets, rs_len, mesh)
         V = cl.vertices
-        X = V.take(mesh.seg_ends, axis=0)
-        f, Pint, vols, e = mesh.objective(X, lam, mu, P0)
+        f, Pint, vols, e, X, diffs = mesh.evaluate(V, mesh.first_rows, lam, mu, P0)
         resamples += 1
     return cl, mesh, _Descent(it, stop, trace, rejections, resamples, Pint, vols, e)
 
@@ -805,7 +825,7 @@ def _solve_single(cluster, density, targets, opts, rs_len):
         cl, mesh, rec = _descend(cl, density, targets, lam, mu, opts, rs_len, mesh)
         descents.append(rec)
         vols, e = rec.volumes, rec.errors
-        emax = float(np.max(np.abs(e)))
+        emax = float(np.abs(e).max())
         verr_trace.append(emax)
         if emax <= opts.vol_tol and rec.stop == "converged":
             converged = True

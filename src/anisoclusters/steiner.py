@@ -255,7 +255,7 @@ def fermat_point(gauge, a, b, c, modes=("out", "out", "out"), tol=1e-10, max_ite
         if sy > 0:
             # the BFGS update of the inverse Hessian, (I - s y'/sy) H (I - y s'/sy) + s s'/sy
             hy = hinv @ y
-            hinv = hinv + ((sy + float(y @ hy)) / sy * np.outer(s, s) - np.outer(hy, s) - np.outer(s, hy)) / sy
+            hinv = hinv + ((sy + float(y @ hy)) / sy * (s[:, None] * s) - hy[:, None] * s - s[:, None] * hy) / sy
         p, fval, grad = cand, fc, gc
         gn = _norm(grad)
     degenerate = None

@@ -51,6 +51,7 @@ from anisoclusters.geometry import (
     hausdorff_to_segments,
     rotate_ccw,
     rotate_cw,
+    segment_boxes,
     segment_distance,
     segments_properly_cross,
     unit_dir,
@@ -440,10 +441,10 @@ def split_cross(gap, n_sub=8):
 
 
 def record_descents(monkeypatch):
-    """Per call of _descend: the (lam, mu) of every _Mesh.objective call it
+    """Per call of _descend: the (lam, mu) of every _Mesh.evaluate call it
     makes, the resample_cluster calls it makes, and its record."""
     descents = []
-    descend, objective = optimizer._descend, optimizer._Mesh.objective
+    descend, evaluate = optimizer._descend, optimizer._Mesh.evaluate
     resample = optimizer.resample_cluster
 
     def recording_descend(*args):
@@ -452,9 +453,9 @@ def record_descents(monkeypatch):
         descents[-1]["record"] = rec
         return cl, mesh, rec
 
-    def recording_objective(self, X, lam, mu, P0):
+    def recording_evaluate(self, V, rows, lam, mu, P0):
         descents[-1]["multipliers"].append((lam.copy(), mu))
-        return objective(self, X, lam, mu, P0)
+        return evaluate(self, V, rows, lam, mu, P0)
 
     def recording_resample(*args):
         # the resampling between outer iterations comes after a record
@@ -463,7 +464,7 @@ def record_descents(monkeypatch):
         return resample(*args)
 
     monkeypatch.setattr(optimizer, "_descend", recording_descend)
-    monkeypatch.setattr(optimizer._Mesh, "objective", recording_objective)
+    monkeypatch.setattr(optimizer._Mesh, "evaluate", recording_evaluate)
     monkeypatch.setattr(optimizer, "resample_cluster", recording_resample)
     return descents
 
@@ -549,9 +550,8 @@ class TestDescentRecord:
         def recording(*args):
             cl, mesh, rec = descend(*args)
             # evaluated here: the next descent moves cl's vertices
-            X = cl.vertices.take(mesh.seg_ends, axis=0)
-            vols = mesh.volumes(X)
-            fresh = (mesh.perimeter(X), vols, (vols - mesh.targets) / mesh.targets)
+            _, P, vols, errors, _, _ = mesh.evaluate(cl.vertices, mesh.objective_rows, 0.0, 0.0, None)
+            fresh = (P, vols, errors)
             records.append((rec, fresh))
             return cl, mesh, rec
 
@@ -573,9 +573,9 @@ class TestDescentRecord:
     @pytest.mark.parametrize("case", ["restarts", "walled", "cross"])
     def test_each_descent_prices_its_start_once(self, case, monkeypatch):
         # the start's first objective gives the descent its P0, so no other
-        # perimeter call sees the start's gather
+        # evaluation of the objective's rows sees the start's gather
         gathers = []
-        descend, perimeter = optimizer._descend, optimizer._Mesh.perimeter
+        descend, evaluate = optimizer._descend, optimizer._Mesh.evaluate
 
         def recording_descend(*args):
             gathers.append([])
@@ -583,13 +583,14 @@ class TestDescentRecord:
             gathers.append(None)
             return out
 
-        def recording_perimeter(self, X):
-            if gathers and gathers[-1] is not None:
-                gathers[-1].append(X.copy())
-            return perimeter(self, X)
+        def recording_evaluate(self, *args):
+            out = evaluate(self, *args)
+            if gathers and gathers[-1] is not None and out[4] is not None:
+                gathers[-1].append(out[4].copy())
+            return out
 
         monkeypatch.setattr(optimizer, "_descend", recording_descend)
-        monkeypatch.setattr(optimizer._Mesh, "perimeter", recording_perimeter)
+        monkeypatch.setattr(optimizer._Mesh, "evaluate", recording_evaluate)
         if case == "restarts":
             rep = solve_bubble()
             assert rep.resamples > 0
@@ -791,11 +792,9 @@ def dilation_rate(problem, lam):
         start, problem.density, problem.targets, optimizer._default_resample_len(problem.cluster)
     )
     V = start.vertices
-    X = V.take(mesh.seg_ends, axis=0)
-    P0 = mesh.perimeter(X)
-    _, _, _, e = mesh.objective(X, lam, 0.0, P0)
+    _, P0, _, e, _, diffs = mesh.evaluate(V, mesh.all_rows, lam, 0.0, None)
     field = ((V - V.mean(axis=0))[mesh.vert] * mesh.uvec).sum(axis=1)
-    return float(mesh.gradient(V, lam, 0.0, e, P0) @ field)
+    return float(mesh.gradient_from(diffs, lam, 0.0, e) @ field)
 
 
 class TestStartMultipliers:
@@ -892,15 +891,17 @@ class TestStartMultipliers:
         # pressure in the objective is -(lam_i + mu e_i) P0 / T_i
         r = 1.0 / np.sqrt(2.0 * np.pi / 3.0 + np.sqrt(3.0) / 4.0)
         calls = []
-        objective = optimizer._Mesh.objective
+        evaluate = optimizer._Mesh.evaluate
 
-        def recording(mesh, X, lam, mu, P0):
-            f, P, vols, e = objective(mesh, X, lam, mu, P0)
+        def recording(mesh, V, rows, lam, mu, P0):
+            out = evaluate(mesh, V, rows, lam, mu, P0)
+            P, e = out[1], out[3]
             # a descent's start passes None: its own perimeter is its P0
-            calls.append(-(lam + mu * e) * (P if P0 is None else P0) / mesh.targets)
-            return f, P, vols, e
+            if e is not None:
+                calls.append(-(lam + mu * e) * (P if P0 is None else P0) / mesh.targets)
+            return out
 
-        monkeypatch.setattr(optimizer._Mesh, "objective", recording)
+        monkeypatch.setattr(optimizer._Mesh, "evaluate", recording)
         rep = solve_bubble()
         assert rep.success
         # the start's pressure is the Euler pressure of the volume-matched
@@ -1035,10 +1036,8 @@ class TestGradient:
             assert len(mesh.wall_dof) > 0
         V = cl.vertices
         lam = np.linspace(-0.3, 0.4, cl.m)
-        X = V.take(mesh.seg_ends, axis=0)
-        P0 = mesh.perimeter(X)
-        _, _, _, e = mesh.objective(X, lam, 20.0, P0)
-        fd = mesh.gradient(V, lam, 20.0, e, P0)
+        _, P0, _, e, _, diffs = mesh.evaluate(V, mesh.all_rows, lam, 20.0, None)
+        fd = mesh.gradient_from(diffs, lam, 20.0, e)
         exact = analytic_gradient(mesh, V, lam, 20.0, e, P0)
         assert np.max(np.abs(fd - exact)) <= 1e-7 * np.max(np.abs(exact))
 
@@ -1590,16 +1589,21 @@ class TestFusedEvaluations:
         symmetric = density.uniform_gauge and density.gauge_at(None).symmetric
         assert symmetric == (name in ("euclidean", "l3"))
         lam, mu = np.linspace(-0.3, 0.4, cl.m), 20.0
-        X = V.take(mesh.seg_ends, axis=0)
-        P0 = mesh.perimeter(X)
+        _, P0, start_vols, _, _, _ = mesh.evaluate(V, mesh.objective_rows, lam, mu, None)
         assert P0 == reference_objective(mesh, V, lam, mu, 1.0)[1]
-        assert mesh.volumes(X).tolist() == reference_volumes(mesh, V).tolist()
-        f, P, vols, e = mesh.objective(X, lam, mu, P0)
+        assert start_vols.tolist() == reference_volumes(mesh, V).tolist()
+        f, P, vols, e, X, _ = mesh.evaluate(V, mesh.objective_rows, lam, mu, P0)
         rf, rP, re = reference_objective(mesh, V, lam, mu, P0)
         assert (f, P, e.tolist()) == (rf, rP, re.tolist())
         assert vols.tolist() == reference_volumes(mesh, V).tolist()
-        g = mesh.gradient(V, lam, mu, e, P0)
+        diffs = mesh.evaluate(V, mesh.stencil_rows, lam, mu, P0)[5]
+        g = mesh.gradient_from(diffs, lam, mu, e)
         assert g.tolist() == reference_gradient(mesh, V, lam, mu, e, P0).tolist()
+        # all the rows in one call price each row as the two calls do
+        ff, fP, fvols, fe, fX, fdiffs = mesh.evaluate(V, mesh.all_rows, lam, mu, P0)
+        assert (ff, fP) == (f, P)
+        assert X.tobytes() == V.take(mesh.seg_ends, axis=0).tobytes()
+        assert [a.tobytes() for a in (fvols, fe, fX, *fdiffs)] == [a.tobytes() for a in (vols, e, X, *diffs)]
         caps = mesh.step_caps(V)
         # the largest first step, a random one with some zero entries, and -g
         steps = [caps, caps * rng.uniform(-1.0, 1.0, mesh.n) * (rng.random(mesh.n) < 0.8)]
@@ -1726,7 +1730,8 @@ class TestNeighbourList:
         for k in range(150):
             V = V + step * (signs if walk == "straight" else rng.normal(0.0, 2.0, V.shape))
             a, b = optimizer.crossing_pairs(V, mesh.i0, mesh.i1, margin=mesh.skin / 2)
-            gap = box_gap(V[mesh.i0[a]], V[mesh.i1[a]], V[mesh.i0[b]], V[mesh.i1[b]])
+            lo, hi = segment_boxes(V[mesh.i0], V[mesh.i1])
+            gap = box_gap(lo[a], hi[a], lo[b], hi[b])
             gap = gap[gap >= 0.0]
             if k % 2 and len(gap):
                 delta = float(rng.choice(gap)) / 2.0
@@ -1763,10 +1768,10 @@ class TestNeighbourList:
         assert longest[0] > 1 if kind == "bubble" else longest[0] == 0
 
     def test_the_sweep_runs_far_less_often_than_the_steps(self, monkeypatch):
-        sweep = optimizer.crossing_pairs
+        sweep = optimizer.box_crossing_pairs
         calls = []
         monkeypatch.setattr(
-            optimizer, "crossing_pairs", lambda *args, **kw: calls.append(1) or sweep(*args, **kw)
+            optimizer, "box_crossing_pairs", lambda *args, **kw: calls.append(1) or sweep(*args, **kw)
         )
         numberings = set()
         caps = optimizer._clearance_caps
@@ -1807,10 +1812,9 @@ def test_a_callable_of_one_gauge_prices_like_the_constant_density(gauge):
     grads = []
     for density in (field, const):
         mesh = optimizer._Mesh(cl, density, [1.0, 1.0], optimizer._default_resample_len(cl))
-        X = cl.vertices.take(mesh.seg_ends, axis=0)
-        P0 = mesh.perimeter(X)
-        _, _, _, e = mesh.objective(X, lam, mu, P0)
-        grads.append(mesh.gradient(cl.vertices, lam, mu, e, P0).tolist())
+        _, P0, _, e, _, _ = mesh.evaluate(cl.vertices, mesh.objective_rows, lam, mu, None)
+        diffs = mesh.evaluate(cl.vertices, mesh.stencil_rows, lam, mu, P0)[5]
+        grads.append(mesh.gradient_from(diffs, lam, mu, e).tolist())
     assert grads[0] == grads[1]
 
 
@@ -1875,6 +1879,169 @@ def test_solve_outputs_are_pinned():
         digest.update(render_report(rep.spec()).encode())
         digest.update(rep.cluster.vertices.tobytes())
     assert digest.hexdigest() == "0b483528cf9e05ee75eede42b737ad693a9e5d8de993cb08b3de76dcaffcd30e"
+
+
+def separate_descend(cl, density, targets, lam, mu, opts, rs_len, mesh):
+    """_descend with its objective and its gradient priced apart, as every
+    descent priced them before a point's first pricing took its stencil's
+    rows: the objective's rows of each point first, and the stencil's rows
+    alone at the start, at each restart and after each accepted step. The
+    reference for the first-trial rule."""
+
+    def objective(mesh, V, P0):
+        return mesh.evaluate(V, mesh.objective_rows, lam, mu, P0)[:5]
+
+    def gradient(mesh, V, e, P0):
+        return mesh.gradient_from(mesh.evaluate(V, mesh.stencil_rows, lam, mu, P0)[5], lam, mu, e)
+
+    mesh = optimizer._Mesh(cl, density, targets, rs_len, mesh)
+    V = cl.vertices
+    f, P0, vols, e, X = objective(mesh, V, None)
+    Pint = P0
+    trace = [P0]
+    rejections = resamples = it = 0
+    stop = "budget"
+    while True:
+        if mesh.n == 0:
+            stop = "converged"
+            break
+        g = gradient(mesh, V, e, P0)
+        g_prev = None
+        d_prev = None
+        t = None
+        collapsed = False
+        recent = [f]
+        while it < opts.max_inner:
+            it += 1
+            gn = float(np.max(np.abs(g)))
+            if gn * rs_len <= opts.grad_tol:
+                stop = "converged"
+                break
+            if g_prev is not None:
+                y = g - g_prev
+                sy = float(d_prev @ y)
+                t = float(d_prev @ d_prev) / sy if sy > 1e-300 else 2.0 * t
+            if t is None or not np.isfinite(t) or t <= 0:
+                t = 0.05 * rs_len / gn
+            caps = mesh.step_caps(V)
+            safe, ends = optimizer._clearance_caps(V, mesh, np.minimum(np.maximum(-t * g, -caps), caps))
+            caps = np.minimum(caps, safe)
+            low = -caps
+            accepted = False
+            tt = t
+            f_ref = max(recent)
+            for _ in range(60):
+                d = np.minimum(np.maximum(-tt * g, low), caps)
+                gd = float(g @ d)
+                if gd >= 0.0:
+                    break
+                Vt = optimizer._apply_step(V, mesh, d)
+                ft, Pt, vt, et, Xt = objective(mesh, Vt, P0)
+                if ft <= f_ref + 1e-4 * gd:
+                    if optimizer._has_crossing(Vt, ends):
+                        rejections += 1
+                        tt *= 0.5
+                        continue
+                    V, X, f, Pint, vols, e = Vt, Xt, ft, Pt, vt, et
+                    d_prev = d
+                    accepted = True
+                    break
+                tt *= 0.5
+            if not accepted:
+                stop = "stalled"
+                break
+            recent.append(f)
+            if len(recent) > 8:
+                recent.pop(0)
+            trace.append(Pint)
+            if mesh.collapsed(X, rs_len):
+                collapsed = True
+                break
+            g_prev = g
+            g = gradient(mesh, V, e, P0)
+            t = tt
+        cl.vertices = V
+        if not collapsed or it == opts.max_inner:
+            break
+        cl = optimizer.resample_cluster(cl, rs_len)
+        mesh = optimizer._Mesh(cl, density, targets, rs_len, mesh)
+        V = cl.vertices
+        f, Pint, vols, e, X = objective(mesh, V, P0)
+        resamples += 1
+    return cl, mesh, optimizer._Descent(it, stop, trace, rejections, resamples, Pint, vols, e)
+
+
+def first_trial_problem(case):
+    """The benchmark's five solves, the seven pinned solves, and the l^3
+    bubble and the walled plus of TestCarriedMesh."""
+    if case.startswith("pinned"):
+        return list(pinned_solves())[int(case.split()[1])]
+    if case == "l3":
+        return OptimizationProblem(double_bubble_cluster(n_arc=24), Density.constant(LpGauge(3.0)), [1.0, 1.0])
+    if case == "walled":
+        return neighbour_list_problem("walled")
+    return benchmark_problem(case)
+
+
+BENCHMARK_SOLVES = ["bubble 1.0", "bubble 0.98", "cross 0", "cross 1", "cross 2"]
+
+
+class TestFirstTrialPricing:
+    """Under a uniform gauge _descend prices a point's stencil rows with its
+    objective's rows at the start, at each restart and at the first trial of
+    every step; under a gauge field, with the objective's rows first and the
+    stencil's alone once the point is accepted. Either way the iterates are
+    those of the objective and the gradient priced apart."""
+
+    @pytest.mark.parametrize(
+        "case", BENCHMARK_SOLVES + [f"pinned {k}" for k in range(7)] + ["l3", "walled"]
+    )
+    def test_solves_match_the_separate_pricing(self, case, monkeypatch):
+        rep = minimize(first_trial_problem(case))
+        monkeypatch.setattr(optimizer, "_descend", separate_descend)
+        ref = minimize(first_trial_problem(case))
+        assert rep.spec() == ref.spec()
+        assert rep.cluster.vertices.tobytes() == ref.cluster.vertices.tobytes()
+
+    @pytest.mark.parametrize("name, calls", zip(BENCHMARK_SOLVES, [83, 202, 134, 209, 234]))
+    def test_one_segment_weights_call_per_evaluation(self, name, calls, monkeypatch):
+        # priced apart, the objectives and the gradients took 126, 295, 223,
+        # 329 and 390 calls
+        weights, evaluate = optimizer.segment_weights, optimizer._Mesh.evaluate
+        counts = {"weights": 0, "evaluations": 0}
+
+        def counted_weights(*args):
+            counts["weights"] += 1
+            return weights(*args)
+
+        def counted_evaluate(*args):
+            counts["evaluations"] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(optimizer, "segment_weights", counted_weights)
+        monkeypatch.setattr(optimizer._Mesh, "evaluate", counted_evaluate)
+        minimize(benchmark_problem(name))
+        assert counts == {"weights": calls, "evaluations": calls}
+
+    def test_a_gauge_field_prices_the_stencil_of_accepted_points_alone(self, monkeypatch):
+        # h_at prices point by point, so a first trial's stencil rows would
+        # save no call and cost a whole stencil whenever the trial fails
+        evaluate = optimizer._Mesh.evaluate
+        calls = []
+
+        def recording(mesh, V, rows, *args):
+            assert rows in (mesh.objective_rows, mesh.stencil_rows)
+            calls.append((rows == mesh.objective_rows, V.tobytes()))
+            return evaluate(mesh, V, rows, *args)
+
+        monkeypatch.setattr(optimizer._Mesh, "evaluate", recording)
+        problem = list(pinned_solves())[1]
+        assert not problem.density.uniform_gauge
+        minimize(problem)
+        stencils = [k for k, (objective, _) in enumerate(calls) if not objective]
+        assert len(stencils) > 4
+        # each stencil priced at the point whose objective came just before
+        assert all(calls[k - 1] == (True, calls[k][1]) for k in stencils)
 
 
 class TestProblemValidation:
