@@ -146,12 +146,22 @@ def segment_distance(p1, q1, p2, q2):
     """Euclidean distance between the closed segments p1q1 and p2q2, for
     batches that broadcast to (..., 2): zero where they properly cross,
     otherwise the least distance from an endpoint of one to the other."""
-    P = np.stack(np.broadcast_arrays(*(np.asarray(v, float) for v in (p1, q1, p2, q2))))
+    return stacked_segment_distance(
+        np.stack(np.broadcast_arrays(*(np.asarray(v, float) for v in (p1, q1, p2, q2))))
+    )
+
+
+def stacked_segment_distance(P):
+    """segment_distance(*P) for a float array P of shape (4, ..., 2), the
+    endpoints p1, q1, p2, q2 stacked as one gather V.take(ends, axis=0)
+    gives them."""
     x, y = P[..., 0], P[..., 1]
-    ax, ay = x[_SEG_A], y[_SEG_A]
-    dx, dy = x[_SEG_B] - ax, y[_SEG_B] - ay
+    ax, ay = x.take(_SEG_A, axis=0), y.take(_SEG_A, axis=0)
+    dx, dy = x.take(_SEG_B, axis=0) - ax, y.take(_SEG_B, axis=0) - ay
     px, py = x - ax, y - ay
-    t = np.clip((px * dx + py * dy) / np.maximum(dx * dx + dy * dy, 1e-300), 0.0, 1.0)
+    # np.clip without its wrapper: the two can differ only in the sign of a
+    # zero t, which the squares below drop
+    t = np.minimum(np.maximum((px * dx + py * dy) / np.maximum(dx * dx + dy * dy, 1e-300), 0.0), 1.0)
     rx, ry = px - t * dx, py - t * dy
     d = np.sqrt((rx * rx + ry * ry).min(axis=0))
     return np.where(segments_properly_cross(*P), 0.0, d)

@@ -16,8 +16,10 @@ can meet. Only the pairs whose bounding boxes, grown by the reach of the
 iteration's first trial step, overlap (cluster.crossing_pairs) can come that
 close, so the clearances, and the exact crossing test that still guards
 every accepted step, look at those pairs alone, as a set: a per-vertex
-minimum and an any() read them in any order. The vertices move a small
-fraction of a segment per step, so the sort-and-sweep that finds those
+minimum and an any() read them in any order. With no such pair no
+clearance caps the iteration, and its first trial is the step the
+clearances were probed at. The vertices move a small fraction of a
+segment per step, so the sort-and-sweep that finds those
 pairs runs once per vertex numbering with a skin of one resampling length,
 and again only when the drift since then and the step's reach use up the
 skin. The neighbour list is sorted by how far apart each pair's boxes were
@@ -77,10 +79,13 @@ shorter than COLLAPSE_FRACTION of the length resampling would give it,
 _descend resamples the cluster and starts over from it at the same
 multiplier and penalty with the steps that remain of max_inner. Segments of
 kept edges and one-segment edges, which resampling cannot lengthen, never
-count. Each descent records why it stopped: converged, stalled (the line
-search found no acceptable step) or out of budget, and the perimeter,
-volumes and volume errors of the state it ended at, which _solve_single
-reads instead of pricing that state again.
+count. Resampling gives no segment more than 1.5 times its target length,
+so a step that leaves no segment shorter than COLLAPSE_FRACTION of that
+collapses none, and the check, as nearly every one, computes no spacing
+(_Mesh.collapsed). Each descent records why it stopped: converged, stalled
+(the line search found no acceptable step) or out of budget, and the
+perimeter, volumes and volume errors of the state it ended at, which
+_solve_single reads instead of pricing that state again.
 
 A gauge with a ladder of smooth surrogates (Gauge.continuation(): the max
 norm's l^8, l^32, l^128, through whatever linear map the gauge applies to
@@ -159,8 +164,8 @@ from .geometry import (
     positive_number,
     row_norms,
     segment_boxes,
-    segment_distance,
     segments_properly_cross,
+    stacked_segment_distance,
     unit_dir,
     wrap_angle,
 )
@@ -278,7 +283,7 @@ def _has_crossing(V, ends):
     i1[b]) of the segment pairs (a, b) to test, in any order."""
     if ends.shape[1] == 0:
         return False
-    return bool(segments_properly_cross(*V[ends]).any())
+    return bool(segments_properly_cross(*V.take(ends, axis=0)).any())
 
 
 def _clearance_caps(V, mesh, d):
@@ -301,7 +306,7 @@ def _clearance_caps(V, mesh, d):
     if not ends.shape[1]:
         return mesh.no_caps, ends
     clearance = np.full(nv, np.inf)
-    dist = segment_distance(*V.take(ends, axis=0))
+    dist = stacked_segment_distance(V.take(ends, axis=0))
     np.minimum.at(clearance, ends.ravel(), np.tile(dist, 4))
     return 0.49 * clearance[mesh.vert] / mesh.sqrt_ndof, ends
 
@@ -368,6 +373,8 @@ class _Mesh:
         self.density = density
         self.skin = char_len
         self.targets = np.asarray(targets, dtype=float)
+        # gradient_from's scratch: 0 for white, then a multiplier per chamber
+        self.label_multipliers = np.zeros(len(self.targets) + 1)
 
         seglen = _euclidean_norm(V.take(self.i1, axis=0) - V.take(self.i0, axis=0))
         total = np.bincount(self.ends, weights=seglen.repeat(2), minlength=len(V))
@@ -387,9 +394,10 @@ class _Mesh:
             self.uvec = self.uvec.copy()
             self.uvec[self.first[at[slides]]] = u[slides]
             self._fd_units()
-        # each sliding dof and a wall neighbour off its vertex, as pairs
+        # each sliding dof, and its wall neighbour off its vertex and the
+        # vertex itself stacked, as pairs
         paired = slides & far
-        self.wall_dof, self.wall_nb = self.first.take(at[paired]), other[paired]
+        self.wall_dof, self.wall_ends = self.first.take(at[paired]), np.stack([other[paired], at[paired]])
         self.local_len = local.take(self.vert)
         self.h_fd = FD_SCALE * self.local_len
         self.base_caps = 0.45 * self.local_len
@@ -534,7 +542,9 @@ class _Mesh:
 
         Each step tests only the listed pairs whose gap is at most
         2 (drift + delta) plus the slack, a prefix of the list, with the
-        sweep's own grown boxes (geometry.grown_boxes at V and delta).
+        sweep's own grown boxes (geometry.grown_boxes at V and delta). The
+        list keeps its first gap as a float, which settles an empty prefix
+        without a search.
         """
         near = self._near
         drift = 0.0 if near is None else float(np.abs(V - near[0]).max())
@@ -546,14 +556,17 @@ class _Mesh:
             gap = box_gap(lo.take(a, axis=0), hi.take(a, axis=0), lo.take(b, axis=0), hi.take(b, axis=0))
             order = np.argsort(gap, kind="stable")
             slack = 16.0 * np.finfo(float).eps * (float(np.abs(V).max()) + margin)
-            near = (V.copy(), margin, slack, gap[order], ends[:, order])
+            gap = gap[order]
+            nearest = float(gap[0]) if len(gap) else math.inf
+            near = (V.copy(), margin, slack, gap, ends[:, order], nearest)
             self._near = near
             drift = 0.0
-        _, _, slack, gap, ends = near
-        k = int(np.searchsorted(gap, 2.0 * (drift + delta) + slack, side="right"))
-        if k == 0:
+        _, _, slack, gap, ends, nearest = near
+        reach = 2.0 * (drift + delta) + slack
+        # most steps reach not even the first listed pair
+        if reach < nearest:
             return ends[:, :0]
-        ends = ends[:, :k]
+        ends = ends[:, : int(np.searchsorted(gap, reach, side="right"))]
         pa, qa, pb, qb = V.take(ends, axis=0)
         xlo_a, ylo_a, xhi_a, yhi_a = grown_boxes(pa, qa, delta)
         xlo_b, ylo_b, xhi_b, yhi_b = grown_boxes(pb, qb, delta)
@@ -567,8 +580,8 @@ class _Mesh:
         if not len(self.wall_dof):
             return self.base_caps
         caps = self.base_caps.copy()
-        d = V.take(self.wall_nb, axis=0) - V.take(self.vert.take(self.wall_dof), axis=0)
-        np.minimum.at(caps, self.wall_dof, 0.4 * row_norms(d))
+        nb, at = V.take(self.wall_ends, axis=0)
+        np.minimum.at(caps, self.wall_dof, 0.4 * row_norms(nb - at))
         return caps
 
     def collapsed(self, X, target_len):
@@ -576,9 +589,18 @@ class _Mesh:
         COLLAPSE_FRACTION of the segment length resample_cluster would give
         its edge. Kept edges are never resampled, and a single-segment edge
         is never shorter than its resampled segments, so neither counts: a
-        kept edge's spacing is 0.0."""
+        kept edge's spacing is 0.0.
+
+        That spacing is L / max(min_count, n) for an edge of length L and
+        n = rint(L / target_len). It is at most 1.5 target_len, since
+        L / target_len <= n + 0.5 whenever n >= 1 and < 0.5 otherwise, so
+        when no segment is shorter than COLLAPSE_FRACTION of that bound,
+        grown by a relative 1e-9 that covers the rounding of the spacings,
+        none is collapsed and the spacings are not computed."""
         d = X[1] - X[0]
         lens = np.hypot(d[:, 0], d[:, 1])
+        if lens.min() >= (1.5 + 1e-9) * COLLAPSE_FRACTION * target_len:
+            return False
         L = np.bincount(self.eid, weights=lens, minlength=len(self.min_count))
         spacing = np.where(self.kept_edge, 0.0, L / _resample_count(L, self.min_count, target_len))
         return bool((lens < COLLAPSE_FRACTION * spacing[self.eid]).any())
@@ -621,8 +643,9 @@ class _Mesh:
         volume errors are e: each entry's difference goes to its dof."""
         dval, dt = diffs
         # c[label]: the volume multiplier of chamber label, 0 for white
-        c = np.concatenate([[0.0], (lam + mu * e) / self.targets])
-        dval = dval + (c[self.fd_left] - c[self.fd_right]) * dt
+        c = self.label_multipliers
+        np.divide(lam + mu * e, self.targets, out=c[1:])
+        dval = dval + (c.take(self.fd_left) - c.take(self.fd_right)) * dt
         return np.bincount(self.ent_dof, weights=dval / self.fd_two_h, minlength=self.n)
 
 
@@ -698,16 +721,21 @@ def _descend(cl, density, targets, lam, mu, opts, rs_len, mesh):
             # np.minimum(np.maximum(.)) is np.clip, bit for bit on finite
             # steps, without its wrapper
             caps = mesh.step_caps(V)
-            safe, ends = _clearance_caps(V, mesh, np.minimum(np.maximum(-t * g, -caps), caps))
-            caps = np.minimum(caps, safe)
             low = -caps
+            d = np.minimum(np.maximum(-t * g, low), caps)
+            safe, ends = _clearance_caps(V, mesh, d)
+            # with no clearance cap the caps stand, and the probe d is the
+            # first trial
+            if safe is not mesh.no_caps:
+                caps = np.minimum(caps, safe)
+                low = -caps
+                d = np.minimum(np.maximum(-t * g, low), caps)
             accepted = False
             tt = t
             f_ref = max(recent)
             # the first trial prices mesh.first_rows, backtracking the objective's
             rows = mesh.first_rows
             for _ in range(60):
-                d = np.minimum(np.maximum(-tt * g, low), caps)
                 gd = float(g @ d)
                 if gd >= 0.0:
                     break
@@ -715,15 +743,14 @@ def _descend(cl, density, targets, lam, mu, opts, rs_len, mesh):
                 ft, Pt, vt, et, Xt, dt = mesh.evaluate(Vt, rows, lam, mu, P0)
                 rows = mesh.objective_rows
                 if ft <= f_ref + 1e-4 * gd:
-                    if _has_crossing(Vt, ends):
-                        rejections += 1
-                        tt *= 0.5
-                        continue
-                    V, X, f, Pint, vols, e, diffs = Vt, Xt, ft, Pt, vt, et, dt
-                    d_prev = d
-                    accepted = True
-                    break
+                    if not _has_crossing(Vt, ends):
+                        V, X, f, Pint, vols, e, diffs = Vt, Xt, ft, Pt, vt, et, dt
+                        d_prev = d
+                        accepted = True
+                        break
+                    rejections += 1
                 tt *= 0.5
+                d = np.minimum(np.maximum(-tt * g, low), caps)
             if not accepted:
                 stop = "stalled"
                 break

@@ -1097,9 +1097,12 @@ def per_vertex_dof_map(cl, char_len):
 
 def wall_nbs(mesh):
     """The mesh's (sliding dof, wall neighbour) pairs as a list of a dof and
-    its neighbours, in dof order: the per-vertex construction's form."""
+    its neighbours, in dof order: the per-vertex construction's form. The
+    mesh keeps each pair's neighbour and the dof's vertex stacked."""
+    nb, at = mesh.wall_ends
+    assert at.tolist() == mesh.vert.take(mesh.wall_dof).tolist()
     out = []
-    for j, n in zip(mesh.wall_dof.tolist(), mesh.wall_nb.tolist()):
+    for j, n in zip(mesh.wall_dof.tolist(), nb.tolist()):
         if out and out[-1][0] == j:
             out[-1][1].append(n)
         else:
@@ -1624,6 +1627,102 @@ class TestFusedEvaluations:
         assert reference_collapsed(mesh, V, 100.0 * rs_len) or kind == "walled"
 
 
+def collapse_cluster(open_xs, closed_xs):
+    """Two chambers for the collapse check: chamber 1 between the polyline
+    along the x-axis through x = open_xs, from 0 to open_xs[-1], and a
+    two-segment edge back over (open_xs[-1] / 2, 1); chamber 2 inside one
+    closed edge, the rectangle [4, 4.5] x [0, 0.25] whose bottom side runs
+    through x = 4 + closed_xs, from 4 to 4.5."""
+    k = len(open_xs)
+    pts = [(x, 0.0) for x in open_xs] + [(open_xs[-1] / 2, 1.0)]
+    pts += [(4.0 + x, 0.0) for x in closed_xs] + [(4.5, 0.25), (4.0, 0.25)]
+    ring = list(range(k + 1, len(pts)))
+    edges = [Edge(list(range(k)), 1, 0), Edge([k - 1, k, 0], 1, 0), Edge(ring + ring[:1], 2, 0)]
+    return Cluster(pts, edges, 2)
+
+
+def on_grid(x):
+    """x rounded to a multiple of 2**-40, so that the edge lengths below add
+    up exactly."""
+    return round(x * 2.0**40) / 2.0**40
+
+
+# (the short segment s, collapsed, spacings computed) around each case's own
+# threshold and 0.15 t, where no segment resampling would give an edge is
+# longer than 1.5 t
+COLLAPSE_CASES = {
+    # an edge of length 1 that resampling leaves one segment, its spacing
+    # 1.5 t (1 - 1e-12): the bound's tight case
+    "one segment": (
+        lambda s: collapse_cluster([0.0, s, 1.0], [0.0, 0.5]),
+        1.0 / (1.5 * (1.0 - 1e-12)),
+        [(0.1 * (1.0 + r), r < 0, r < 1e-9) for r in (-1e-6, -1e-12, 1e-12, 1e-6)],
+    ),
+    # L / t = 2.5 rounds to n = 2, a spacing of 1.25 t; 3/32 would not
+    # collapse with n = 3
+    "round half to even": (
+        lambda s: collapse_cluster([0.0, s, 2.5], [0.0, 0.5]),
+        1.0,
+        [
+            (0.09375, True, True),
+            (0.125 - 2.0**-30, True, True),
+            (0.125 + 2.0**-30, False, True),
+            (on_grid(0.15) - 2.0**-30, False, True),
+            (on_grid(0.15) + 2.0**-30, False, False),
+        ],
+    ),
+    # a closed edge of L / t = 2, held at three segments of spacing 0.5:
+    # 0.0625 would collapse at two
+    "closed at min count": (
+        lambda s: collapse_cluster([0.0, 2.0], [0.0, s, 0.5]),
+        0.75,
+        [
+            (on_grid(0.05) - 2.0**-30, True, True),
+            (on_grid(0.05) + 2.0**-30, False, True),
+            (0.0625, False, True),
+            (on_grid(0.1125) - 2.0**-30, False, True),
+            (on_grid(0.1125) + 2.0**-30, False, False),
+        ],
+    ),
+}
+
+
+class TestCollapseBound:
+    """_Mesh.collapsed settles a check from the shortest segment alone when
+    it is at least 0.15 t, since resampling gives no edge a spacing above
+    1.5 t, and otherwise computes every spacing: either way it equals
+    reference_collapsed."""
+
+    @pytest.mark.parametrize("case", COLLAPSE_CASES)
+    def test_matches_the_reference_around_the_bound(self, case, monkeypatch):
+        build, t, rows = COLLAPSE_CASES[case]
+        calls = []
+        count = optimizer._resample_count
+
+        def counted(*args):
+            calls.append(args)
+            return count(*args)
+
+        monkeypatch.setattr(optimizer, "_resample_count", counted)
+        for s, collapsed, computed in rows:
+            cl = build(s)
+            mesh = optimizer._Mesh(cl, EUCLID, np.ones(2), t)
+            X = cl.vertices.take(mesh.seg_ends, axis=0)
+            assert np.hypot(*(X[1] - X[0]).T).min() == s
+            calls.clear()
+            assert mesh.collapsed(X, t) == reference_collapsed(mesh, cl.vertices, t) == collapsed
+            assert bool(calls) == computed
+        # the short segment's edge and its L / t, resampled to n segments
+        edge, ratio, n = {
+            "one segment": (0, 1.5 * (1.0 - 1e-12), 1),
+            "round half to even": (0, 2.5, 2),
+            "closed at min count": (2, 2.0, 3),
+        }[case]
+        L = np.bincount(mesh.eid, weights=np.hypot(*(X[1] - X[0]).T))
+        assert L[edge] / t == (pytest.approx(ratio, rel=1e-15) if edge == 0 and n == 1 else ratio)
+        assert count(L, mesh.min_count, t)[edge] == n
+
+
 def columns_sorted(ends):
     """The columns of ends, (4, P) endpoint indices of segment pairs, in
     lexicographic order: two arrays hold the same pairs exactly when these
@@ -2042,6 +2141,53 @@ class TestFirstTrialPricing:
         assert len(stencils) > 4
         # each stencil priced at the point whose objective came just before
         assert all(calls[k - 1] == (True, calls[k][1]) for k in stencils)
+
+
+class TestStepShortcuts:
+    """Two shortcuts of each step of _descend, pinned on the benchmark's five
+    solves: the collapse check settled by its bound without computing the
+    spacings (TestCollapseBound), and the clearance probe taken as the first
+    trial when no pair caps the step. TestFirstTrialPricing's
+    separate_descend computes every first trial anew and gives the same
+    iterates."""
+
+    @pytest.mark.parametrize(
+        "name, counts",
+        zip(BENCHMARK_SOLVES, [(47, 47, 3, 44), (101, 101, 15, 94), (91, 91, 0, 91), (131, 131, 0, 131), (165, 165, 0, 165)]),
+    )
+    def test_most_steps_take_them(self, name, counts, monkeypatch):
+        # (steps probed, collapse checks, checks that computed the spacings,
+        # first trials that are their probe); computing every spacing and
+        # every first trial anew, the last two read as the first two
+        seen = {"probes": 0, "checks": 0, "spacings": 0, "reused": 0}
+        probe = []
+        clearance, collapsed = optimizer._clearance_caps, optimizer._Mesh.collapsed
+        apply_step, resample_count = optimizer._apply_step, optimizer._resample_count
+
+        def probed(V, mesh, d):
+            seen["probes"] += 1
+            probe[:] = [d]
+            return clearance(V, mesh, d)
+
+        def checked(*args):
+            seen["checks"] += 1
+            return collapsed(*args)
+
+        def counted(*args):
+            seen["spacings"] += sys._getframe(1).f_code is collapsed.__code__
+            return resample_count(*args)
+
+        def stepped(V, mesh, d):
+            seen["reused"] += bool(probe) and d is probe[0]
+            probe.clear()
+            return apply_step(V, mesh, d)
+
+        monkeypatch.setattr(optimizer, "_clearance_caps", probed)
+        monkeypatch.setattr(optimizer._Mesh, "collapsed", checked)
+        monkeypatch.setattr(optimizer, "_resample_count", counted)
+        monkeypatch.setattr(optimizer, "_apply_step", stepped)
+        minimize(benchmark_problem(name))
+        assert tuple(seen.values()) == counts
 
 
 class TestProblemValidation:
